@@ -11,14 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from iwrank.cyclotomic import CyclotomicNumber
 from iwrank.padics import smallest_primitive_root
-
-
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -191,7 +187,7 @@ class DirichletCharacter:
         o = 1
         for k in self.exponents:
             if k:
-                o = _lcm(o, self.order // gcd(self.order, k))
+                o = lcm(o, self.order // gcd(self.order, k))
         if o == self.order:
             return self
         exps = [k * o // self.order for k in self.exponents]
@@ -321,10 +317,10 @@ class DirichletCharacter:
     def __mul__(self, other: "DirichletCharacter") -> "DirichletCharacter":
         if not isinstance(other, DirichletCharacter):
             return NotImplemented
-        m = _lcm(self.modulus, other.modulus)
+        m = lcm(self.modulus, other.modulus)
         a = self.extend_to(m)
         b = other.extend_to(m)
-        order = _lcm(a.order, b.order)
+        order = lcm(a.order, b.order)
         exps = [
             (ka * order // a.order + kb * order // b.order) % order
             for ka, kb in zip(a.exponents, b.exponents)
@@ -379,7 +375,7 @@ class DirichletCharacter:
         chi0 = self.primitive_part()
         c = chi0.modulus
         n = chi0.order
-        big = _lcm(max(c, 1), n)
+        big = lcm(max(c, 1), n)
         items = []
         for a in range(1, c + 1):
             k = chi0.value_exponent(a)
@@ -415,7 +411,7 @@ def all_characters(modulus: int):
             order = 1
             for ug, t in zip(gens, chosen):
                 if t:
-                    order = _lcm(order, ug.order // gcd(ug.order, t))
+                    order = lcm(order, ug.order // gcd(ug.order, t))
             exps = [
                 t * (order // (ug.order // gcd(ug.order, t))) % order if t else 0
                 for ug, t in zip(gens, chosen)
@@ -508,7 +504,7 @@ class ResidualCharacter:
     def __mul__(self, other: "ResidualCharacter") -> "ResidualCharacter":
         if not isinstance(other, ResidualCharacter) or other.p != self.p:
             return NotImplemented
-        m = _lcm(self.modulus, other.modulus)
+        m = lcm(self.modulus, other.modulus)
         gens = unit_group_generators(m)
         vals = [self.value(ug.gen) * other.value(ug.gen) % self.p for ug in gens]
         return ResidualCharacter(m, self.p, vals)
@@ -526,7 +522,7 @@ class ResidualCharacter:
             return NotImplemented
         if self.p != other.p:
             return False
-        m = _lcm(self.modulus, other.modulus)
+        m = lcm(self.modulus, other.modulus)
         gens = unit_group_generators(m)
         return all(self.value(ug.gen) == other.value(ug.gen) for ug in gens)
 

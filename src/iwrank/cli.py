@@ -205,6 +205,8 @@ def cmd_eisenstein(cfg, weight, terms):
     if len(cfg.chars) != 2:
         raise ConfigError("eisenstein needs exactly two --char descriptors "
                           "(theta and phi)")
+    if terms < 0:
+        raise ConfigError(f"--terms must be >= 0, got {terms}")
     try:
         theta = parse_descriptor(cfg.chars[0])
         phi = parse_descriptor(cfg.chars[1])

@@ -2,13 +2,14 @@
 
 Elements are vectors of rationals on the basis 1, x, ..., x^(phi(n)-1) of
 Q[x]/Phi_n(x).  Products run through the integer convolution kernel after
-clearing denominators; reduction tables x^j mod Phi_n are cached per order.
+clearing denominators, and reduce modulo Phi_n through two more products
+with Phi_n and Psi_n = (x^n - 1)/Phi_n, both cached per order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from iwrank import kernels
 
@@ -19,57 +20,52 @@ _cyclo_poly_cache: dict[int, list[int]] = {}
 _ring_cache: dict[int, dict] = {}
 
 
-def euler_phi(n: int) -> int:
-    if n < 1:
-        raise ValueError("euler_phi needs n >= 1")
-    out, m, r = 1, n, 2
-    while r * r <= m:
-        if m % r == 0:
-            m //= r
-            out *= r - 1
-            while m % r == 0:
-                m //= r
-                out *= r
+def prime_divisors(n: int) -> list[int]:
+    out, r = [], 2
+    while r * r <= n:
+        if n % r == 0:
+            out.append(r)
+            while n % r == 0:
+                n //= r
         r += 1
-    if m > 1:
-        out *= m - 1
+    if n > 1:
+        out.append(n)
     return out
 
 
-def _poly_divmod_int(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """Exact division of integer polynomials (den monic up to sign of lead)."""
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    q = [0] * (len(num) - dd)
-    for k in range(len(num) - 1, dd - 1, -1):
-        c = num[k]
-        if c % lead != 0:
-            raise ArithmeticError("non-exact polynomial division")
-        c //= lead
-        q[k - dd] = c
-        if c:
-            for t in range(dd + 1):
-                num[k - dd + t] -= c * den[t]
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return q, num
+def euler_phi(n: int) -> int:
+    if n < 1:
+        raise ValueError("euler_phi needs n >= 1")
+    for p in prime_divisors(n):
+        n = n // p * (p - 1)
+    return n
 
 
 def cyclotomic_polynomial(n: int) -> list[int]:
-    """Integer coefficients of Phi_n, low degree first."""
+    """Integer coefficients of Phi_n, low degree first.
+
+    For n > 1, Phi_n is the product of (1 - x^d)^mu(n/d) over the
+    divisors d of n, which only the squarefree n/d contribute to.  Each
+    factor multiplies or divides a power series by a binomial in O(phi(n))
+    steps, and the product is a polynomial of degree phi(n).
+    """
     if n in _cyclo_poly_cache:
         return list(_cyclo_poly_cache[n])
     if n == 1:
         poly = [-1, 1]
     else:
-        poly = [0] * (n + 1)
-        poly[0], poly[n] = -1, 1
-        for d in range(1, n):
-            if n % d == 0:
-                poly, rem = _poly_divmod_int(poly, cyclotomic_polynomial(d))
-                if rem != [0]:
-                    raise ArithmeticError("cyclotomic division left a remainder")
+        deg = euler_phi(n)
+        poly = [1] + [0] * deg
+        terms = [(n, 1)]        # (d, mu(n/d))
+        for p in prime_divisors(n):
+            terms += [(d // p, -mu) for d, mu in terms]
+        for d, mu in terms:
+            if mu > 0:
+                for k in range(deg, d - 1, -1):
+                    poly[k] -= poly[k - d]
+            else:
+                for k in range(d, deg + 1):
+                    poly[k] += poly[k - d]
     _cyclo_poly_cache[n] = list(poly)
     return poly
 
@@ -79,28 +75,34 @@ def _ring(n: int) -> dict:
     if ring is not None:
         return ring
     phi = cyclotomic_polynomial(n)
-    deg = len(phi) - 1
-    # rows: x^(deg+k) mod Phi_n, k = 0 .. max(deg-2, n-1-deg)
-    top = max(2 * deg - 2, n - 1)
-    red: list[list[int]] = []
-    if top >= deg:
-        red.append([-c for c in phi[:deg]])  # x^deg  (Phi_n monic)
-        for _ in range(deg + 1, top + 1):
-            # multiply the previous row by x, then reduce the overflow term
-            prev = red[-1]
-            over = prev[deg - 1]
-            row = [0] + prev[: deg - 1]
-            if over:
-                first = red[0]
-                row = [row[t] + over * first[t] for t in range(deg)]
-            red.append(row)
-    ring = {"n": n, "deg": deg, "phi": phi, "red": red}
+    # Psi_n = (x^n - 1) / Phi_n, the product of Phi_e over proper divisors e
+    psi = [1]
+    for e in range(1, n):
+        if n % e == 0:
+            psi = kernels.convolve(psi, cyclotomic_polynomial(e))
+    ring = {"n": n, "deg": len(phi) - 1, "phi": phi, "psi": psi}
     _ring_cache[n] = ring
     return ring
 
 
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
+def _reduce(vec: list[int], ring: dict) -> list[int]:
+    """An integer vector modulo Phi_n, as its deg low coefficients.
+
+    Phi_n divides x^n - 1, so the vector is first folded below degree n.
+    Then v = q Phi_n + r with q the coefficients n.. of v Psi_n: the
+    degree of r Psi_n is below n, and q (x^n - 1) = q x^n - q.
+    """
+    n, deg = ring["n"], ring["deg"]
+    if len(vec) > n:
+        folded = vec[:n]
+        for k in range(n, len(vec)):
+            folded[k % n] += vec[k]
+        vec = folded
+    if len(vec) <= deg:
+        return vec + [0] * (deg - len(vec))
+    # only coefficients deg.. of v reach degree n in v Psi_n
+    q = kernels.convolve(vec[deg:], ring["psi"])[n - deg:]
+    return [v - w for v, w in zip(vec[:deg], kernels.convolve(q, ring["phi"]))]
 
 
 class CyclotomicNumber:
@@ -131,25 +133,18 @@ class CyclotomicNumber:
     @classmethod
     def from_monomials(cls, order: int, items) -> "CyclotomicNumber":
         """Sum of coeff * zeta_order^exp for (exp, coeff) pairs."""
-        ring = _ring(order)
-        deg = ring["deg"]
-        vec = [_ZERO] * max(order, deg)
+        items = list(items)
+        den = lcm(*(coeff.denominator for _, coeff in items))
+        vec = [0] * order
         for exp, coeff in items:
-            vec[exp % order] += Fraction(coeff)
-        den = 1
-        for c in vec:
-            den = _lcm(den, c.denominator)
-        ints = [int(c * den) for c in vec]
-        folded = kernels.fold_tail(ints, ring["red"], deg)
-        return cls(order, [Fraction(v, den) for v in folded])
+            vec[exp % order] += coeff.numerator * (den // coeff.denominator)
+        return cls(order, [Fraction(v, den) for v in _reduce(vec, _ring(order))])
 
     # helpers ----------------------------------------------------------
 
     def _as_int_vector(self) -> tuple[list[int], int]:
-        den = 1
-        for c in self.coeffs:
-            den = _lcm(den, c.denominator)
-        return [int(c * den) for c in self.coeffs], den
+        den = lcm(*(c.denominator for c in self.coeffs))
+        return [c.numerator * (den // c.denominator) for c in self.coeffs], den
 
     def lift_to(self, order: int) -> "CyclotomicNumber":
         """Image under Q(zeta_n) -> Q(zeta_m), zeta_n = zeta_m^(m/n)."""
@@ -169,7 +164,7 @@ class CyclotomicNumber:
             return NotImplemented, NotImplemented
         if self.order == other.order:
             return self, other
-        m = _lcm(self.order, other.order)
+        m = lcm(self.order, other.order)
         return self.lift_to(m), other.lift_to(m)
 
     # arithmetic -------------------------------------------------------
@@ -201,10 +196,9 @@ class CyclotomicNumber:
         a, b = self._pair(other)
         if a is NotImplemented:
             return NotImplemented
-        ring = _ring(a.order)
         av, ad = a._as_int_vector()
         bv, bd = b._as_int_vector()
-        prod = kernels.convolve_reduce(av, bv, ring["red"], ring["deg"])
+        prod = _reduce(kernels.convolve(av, bv), _ring(a.order))
         den = ad * bd
         return CyclotomicNumber(a.order, [Fraction(v, den) for v in prod])
 

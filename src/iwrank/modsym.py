@@ -16,7 +16,7 @@ import os
 from fractions import Fraction
 from math import gcd, lcm
 
-from .cyclotomic import CyclotomicNumber
+from .cyclotomic import CyclotomicNumber, euler_phi, prime_divisors
 from .linalg import right_kernel, rref, solve_right
 
 FORMAT_VERSION = 1
@@ -124,34 +124,13 @@ def lift_to_sl2(u: int, v: int, N: int) -> tuple[int, int, int, int]:
 
 def gamma0_index(N: int) -> int:
     idx = N
-    for p in _prime_divisors(N):
+    for p in prime_divisors(N):
         idx = idx // p * (p + 1)
     return idx
 
 
-def _prime_divisors(N):
-    out = []
-    n, p = N, 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _euler_phi(n):
-    r = n
-    for p in _prime_divisors(n):
-        r = r // p * (p - 1)
-    return r
-
-
 def num_cusps(N: int) -> int:
-    return sum(_euler_phi(gcd(d, N // d)) for d in range(1, N + 1) if N % d == 0)
+    return sum(euler_phi(gcd(d, N // d)) for d in range(1, N + 1) if N % d == 0)
 
 
 def genus_gamma0(N: int) -> int:
@@ -159,7 +138,7 @@ def genus_gamma0(N: int) -> int:
         nu2 = 0
     else:
         nu2 = 1
-        for p in _prime_divisors(N):
+        for p in prime_divisors(N):
             if p == 2:
                 continue
             nu2 *= 1 + (1 if p % 4 == 1 else -1)
@@ -167,7 +146,7 @@ def genus_gamma0(N: int) -> int:
         nu3 = 0
     else:
         nu3 = 1
-        for p in _prime_divisors(N):
+        for p in prime_divisors(N):
             if p == 3:
                 continue
             nu3 *= 1 + (1 if p % 3 == 1 else -1)
@@ -279,8 +258,7 @@ class ModularSymbolSpace:
             out.append(acc)
         self._hecke[key] = out
         if self._cache_path:
-            with open(self._cache_path, "w") as fh:
-                json.dump(self.to_payload(), fh)
+            self._write(self._cache_path)
         return out
 
     # --- boundary ---
@@ -351,7 +329,8 @@ class ModularSymbolSpace:
         }
 
     def _from_payload(self, payload):
-        if payload.get("version") != FORMAT_VERSION or payload.get("N") != self.N:
+        if (not isinstance(payload, dict) or payload.get("version") != FORMAT_VERSION
+                or payload.get("N") != self.N):
             raise ValueError("stale or mismatched cache payload")
         self.basis_cols = list(payload["basis_cols"])
         self.dim = len(self.basis_cols)
@@ -361,11 +340,22 @@ class ModularSymbolSpace:
         self._hecke = {k: [[Fraction(x) for x in r] for r in m]
                        for k, m in payload["hecke"].items()}
 
+    def _write(self, path):
+        """Write the payload to a temporary file beside `path`, then move
+        it into place: a crash mid-write never leaves a truncated cache."""
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w") as fh:
+                json.dump(self.to_payload(), fh)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+
     def save(self, cache_dir):
         path = os.path.join(cache_dir, f"modsym_{self.N}_v{FORMAT_VERSION}.json")
         os.makedirs(cache_dir, exist_ok=True)
-        with open(path, "w") as fh:
-            json.dump(self.to_payload(), fh)
+        self._write(path)
         self._cache_path = path
         return path
 
@@ -373,9 +363,12 @@ class ModularSymbolSpace:
 def build_space(N: int, cache_dir=None) -> ModularSymbolSpace:
     if cache_dir:
         path = os.path.join(cache_dir, f"modsym_{N}_v{FORMAT_VERSION}.json")
-        if os.path.exists(path):
+        try:
             with open(path) as fh:
                 space = ModularSymbolSpace(N, _payload=json.load(fh))
+        except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError):
+            pass  # missing, unreadable or invalid: rebuild and overwrite it
+        else:
             space._cache_path = path
             return space
     space = ModularSymbolSpace(N)

@@ -9,16 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from iwrank.characters import DirichletCharacter, factorize
 from iwrank.cyclotomic import CyclotomicNumber
 from iwrank.numfield import NFElement
 from iwrank.padics import PadicNumber, hensel_root, padic_valuation
-
-
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
 
 
 # Bernoulli machinery --------------------------------------------------
@@ -100,7 +96,7 @@ class QExpansion:
         n = min(self.n_max, other.n_max)
         return QExpansion(
             self.weight,
-            _lcm(self.level, other.level),
+            lcm(self.level, other.level),
             self.nebentypus,
             [self.coeffs[i] - other.coeffs[i] for i in range(n + 1)],
             label=f"({self.label})-({other.label})",
@@ -109,7 +105,7 @@ class QExpansion:
     def twist(self, chi: DirichletCharacter) -> "QExpansion":
         """Coefficientwise twist; level per [N, cond] * cond."""
         c = chi.conductor()
-        new_level = _lcm(self.level, c) * c
+        new_level = lcm(self.level, c) * c
         neb = chi * chi
         if self.nebentypus is not None:
             neb = self.nebentypus * neb
@@ -130,7 +126,7 @@ class QExpansion:
         out = [an if gcd(n, J) == 1 else an * 0 for n, an in enumerate(self.coeffs)]
         out[0] = self.coeffs[0] * 0
         return QExpansion(
-            self.weight, _lcm(self.level, J) * J, self.nebentypus, out,
+            self.weight, lcm(self.level, J) * J, self.nebentypus, out,
             label=f"{self.label}|iota_{J}",
         )
 
@@ -168,7 +164,7 @@ def eisenstein_series(
     if theta.parity() * phi.parity() != (-1) ** l:
         raise ValueError("parity mismatch: theta(-1)phi(-1) must equal (-1)^l")
 
-    order = _lcm(theta.order, phi.order)
+    order = lcm(theta.order, phi.order)
     zero = CyclotomicNumber(order, [])
     coeffs = [zero]
     if l == 1 and u == 1:
@@ -286,7 +282,7 @@ def _is_nonzero(x) -> bool:
 def euler_poly_eisenstein(theta: DirichletCharacter, phi: DirichletCharacter,
                           l: int, p: int) -> EulerPoly:
     """Euler polynomial at p of E_l(theta, phi) from character data."""
-    order = _lcm(theta.order, phi.order)
+    order = lcm(theta.order, phi.order)
     tp, pp = theta(p).lift_to(order), phi(p).lift_to(order)
     a_p = pp + tp * p ** (l - 1)
     neb = (theta * phi)(p)

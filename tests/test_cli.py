@@ -152,6 +152,23 @@ def test_cache_dir_env(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_truncated_cache_is_rebuilt(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("IWR_CACHE", raising=False)
+    argv = ["padic-l", "--newform", "11.2.a.a", "--prime", "5"]
+    assert main(argv) == 0
+    fresh = capsys.readouterr().out
+    cache = tmp_path / "modsym_11_v1.json"
+    for junk in ('{"trunc', "[]", '{"version": 1, "N": 11}'):
+        cache.write_text(junk)
+        assert main(argv + ["--cache-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == fresh
+        # overwritten with a valid payload, which the next run reads back
+        assert json.loads(cache.read_text())["N"] == 11
+        assert main(argv + ["--cache-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == fresh
+    assert [p.name for p in tmp_path.iterdir()] == [cache.name]
+
+
 @pytest.mark.parametrize("argv", [
     ["--prime", "4", "chars", "--char", "triv1"],
     ["--prime", "9", "chars", "--char", "triv1"],
@@ -164,6 +181,8 @@ def test_cache_dir_env(tmp_path, monkeypatch, capsys):
     ["iwasawa", "--prime", "5", "--precision", "8,5"],
     ["iwasawa", "--prime", "5", "--precision", "0,5", "--coeffs", "1"],
     ["verify-example", "1", "--prime", "11", "--precision", "8,7"],
+    ["eisenstein", "--weight", "1", "--char", "triv1", "--char", "quad-3",
+     "--terms", "-3"],
 ])
 def test_config_errors(argv, capsys):
     assert main(argv) == 2
