@@ -7,7 +7,7 @@ vectors with coefficients in [-8, 8]: the schoolbook loop and Kronecker
 substitution.  The first row set has equal operand lengths from 1 to 1624
 (the largest field degree of the Gauss-sum workload).  The second has a
 short operand of length 1 to 16 against one of length 1624, the shape of
-the quotient-times-Phi_n products in `cyclotomic._reduce`.  Each row
+the quotient-times-Phi_n products in `numfield._reduce`.  Each row
 gives both times, their ratio and the method `convolve` picks; each set
 ends with its measured crossover, the first length from which Kronecker
 substitution stays faster.

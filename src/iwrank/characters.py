@@ -223,9 +223,6 @@ class DirichletCharacter:
             return -1
         raise ArithmeticError("chi(-1) not +-1: broken character")
 
-    def is_odd(self) -> bool:
-        return self.parity() == -1
-
     # conductor / primitivity -------------------------------------------
 
     def conductor(self) -> int:

@@ -2,7 +2,8 @@
 checks, symbol tables, branch L-series, and the bundled verification runs.
 
 Exit codes: 0 all checks pass, 1 a verification check failed, 2 the
-configuration or an input file could not be used.
+configuration or an input file could not be used, or the requested
+p-adic precision could not be reached.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .padic_l import (
     format_report,
     product_congruence_verdict,
 )
+from .padics import PadicPrecisionError
 from .qseries import (
     check_congruence,
     eisenstein_series,
@@ -545,7 +547,7 @@ def main(argv=None):
         if args.command == "verify-example":
             return cmd_verify_example(cfg, args.number)
         raise ConfigError(f"unknown command {args.command}")
-    except (ConfigError, IngestionError) as exc:
+    except (ConfigError, IngestionError, PadicPrecisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

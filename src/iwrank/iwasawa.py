@@ -199,9 +199,6 @@ class PadicSeries:
     def is_zero(self) -> bool:
         return all(c.zero for c in self.coeffs)
 
-    def value_at_zero(self) -> PadicNumber:
-        return self.coeffs[0]
-
     def evaluate(self, t) -> PadicNumber:
         """Horner evaluation at a p-adic point t."""
         if not isinstance(t, PadicNumber):
@@ -312,11 +309,6 @@ class IwasawaContext:
 
     def one(self) -> PadicSeries:
         return self.series([1])
-
-    def monomial(self, k: int, coeff=1) -> PadicSeries:
-        if k >= self.D:
-            raise ValueError(f"T^{k} exceeds truncation degree {self.D}")
-        return self.series([0] * k + [coeff])
 
     def __repr__(self):
         return f"IwasawaContext(p={self.p}, u={self.u}, M={self.M}, D={self.D})"

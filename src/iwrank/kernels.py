@@ -1,4 +1,4 @@
-"""Integer polynomial kernels: multiplication and reduction.
+"""Integer polynomial kernel: multiplication.
 
 All inputs are lists of Python ints, low degree first: arithmetic must
 stay arbitrary-precision.  `convolve` multiplies by Kronecker
@@ -97,29 +97,3 @@ def convolve(a, b):
         return _kronecker(a, b)
     return _schoolbook(a, b)
 
-
-def fold_tail(vec, red, deg):
-    """Reduce a coefficient vector modulo a monic degree-`deg` polynomial.
-
-    `red[k]` must hold the length-`deg` coefficient vector of x^(deg+k)
-    reduced modulo that polynomial.  Entries of `vec` beyond index deg-1
-    are folded back using those rows.
-    """
-    out = list(vec[:deg])
-    while len(out) < deg:
-        out.append(0)
-    for k in range(deg, len(vec)):
-        c = vec[k]
-        if not c:
-            continue
-        row = red[k - deg]
-        for t in range(deg):
-            rt = row[t]
-            if rt:
-                out[t] += c * rt
-    return out
-
-
-def convolve_reduce(a, b, red, deg):
-    """convolve then fold_tail: the product in the quotient ring Z[x]/(f)."""
-    return fold_tail(convolve(a, b), red, deg)

@@ -195,36 +195,3 @@ def _poly_axpy(p, c, q):
         else:
             out.append((x - x) - c * x)
     return out
-
-
-def rank_mod_q(int_rows, q: int) -> int:
-    """Rank of an integer matrix over F_q: cheap prefilter before exact
-    elimination (entries must have denominators prime to q)."""
-    m = []
-    for r in int_rows:
-        row = []
-        for x in r:
-            if isinstance(x, Fraction):
-                if x.denominator % q == 0:
-                    raise ValueError("denominator not invertible mod q")
-                row.append(x.numerator * pow(x.denominator, -1, q) % q)
-            else:
-                row.append(int(x) % q)
-        m.append(row)
-    rk = 0
-    ncols = len(m[0]) if m else 0
-    for col in range(ncols):
-        src = next((i for i in range(rk, len(m)) if m[i][col] % q), None)
-        if src is None:
-            continue
-        m[rk], m[src] = m[src], m[rk]
-        t = pow(m[rk][col], -1, q)
-        m[rk] = [x * t % q for x in m[rk]]
-        for i in range(len(m)):
-            if i != rk and m[i][col]:
-                c = m[i][col]
-                m[i] = [(a - c * b) % q for a, b in zip(m[i], m[rk])]
-        rk += 1
-        if rk == len(m):
-            break
-    return rk

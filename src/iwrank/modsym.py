@@ -377,10 +377,6 @@ def build_space(N: int, cache_dir=None) -> ModularSymbolSpace:
     return space
 
 
-def hecke_operator(space: ModularSymbolSpace, n: int):
-    return space.hecke_images(n)
-
-
 def _cusp_reduce(p, q):
     if q == 0:
         return (1, 0)

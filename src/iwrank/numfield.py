@@ -1,51 +1,57 @@
-"""Small exact number fields Q[x]/(f), used for Hecke eigenvalue data."""
+"""Exact number fields Q[x]/(f) on one integer-vector core.
+
+An element is a tuple of integer numerators over one positive common
+denominator, in lowest terms, on the power basis 1, x, ..., x^(d-1).
+Products multiply the numerators through the convolution kernel and
+reduce modulo f by Barrett division with m = x^k div f, cached per
+field (von zur Gathen & Gerhard, *Modern Computer Algebra*, 9.1).  The
+cyclotomic fields Q(zeta_n) are the case f = Phi_n (see `cyclotomic`).
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from iwrank import kernels
-from iwrank.cyclotomic import _poly_divmod_frac, _poly_mul_frac, _poly_sub
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-_red_cache: dict[tuple[int, ...], list[list[int]]] = {}
 
-
-def _red_table(poly: tuple[int, ...]) -> list[list[int]]:
-    tab = _red_cache.get(poly)
-    if tab is not None:
-        return tab
-    deg = len(poly) - 1
-    if poly[-1] != 1:
-        raise ValueError("defining polynomial must be monic")
-    tab = []
-    if deg >= 1:
-        row = [-c for c in poly[:deg]]
-        tab.append(row)
-        for _ in range(deg + 1, 2 * deg - 1):
-            prev = tab[-1]
-            over = prev[deg - 1]
-            row = [0] + prev[: deg - 1]
-            if over:
-                first = tab[0]
-                row = [row[t] + over * first[t] for t in range(deg)]
-            tab.append(row)
-    _red_cache[poly] = tab
-    return tab
+def _xk_div(poly, k: int) -> list[int]:
+    """x^k div poly, for poly monic with integer coefficients."""
+    d = len(poly) - 1
+    rem = [0] * k + [1]
+    q = [0] * (k - d + 1)
+    terms = [(t, c) for t, c in enumerate(poly[:d]) if c]
+    for j in range(k, d - 1, -1):
+        c = rem[j]
+        if c:
+            q[j - d] = c
+            for t, ct in terms:
+                rem[j - d + t] -= c * ct
+    return q
 
 
 class NumberField:
-    """Q[x]/(poly), poly monic with integer coefficients, low degree first."""
+    """Q[x]/(poly), poly monic with integer coefficients, low degree first.
 
-    def __init__(self, poly):
+    A `period` n says that poly divides x^n - 1, as Phi_n does: vectors
+    are then folded below x^n before the division, and k = n.  Otherwise
+    k = 2d - 2, the degree of a product of two reduced vectors.
+    """
+
+    def __init__(self, poly, period: int | None = None):
         self.poly = tuple(int(c) for c in poly)
         if len(self.poly) < 2:
             raise ValueError("defining polynomial must have degree >= 1")
+        if self.poly[-1] != 1:
+            raise ValueError("defining polynomial must be monic")
         self.degree = len(self.poly) - 1
-        self.red = _red_table(self.poly)
+        self.period = period
+        self.k = period if period is not None else 2 * self.degree - 2
+        self.barrett = _xk_div(self.poly, self.k)
 
     def element(self, coeffs) -> "NFElement":
         return NFElement(self, coeffs)
@@ -68,71 +74,128 @@ class NumberField:
         return f"NumberField({list(self.poly)})"
 
 
+def _reduce(vec: list[int], field: NumberField) -> list[int]:
+    """An integer vector modulo field.poly, as its d low coefficients.
+
+    With m = x^k div f, the quotient of v (degree at most k) by f is
+    coefficients k.. of (v div x^d) m, so the remainder is the low d
+    coefficients of v - q f.  For Phi_n, v is first folded below x^n,
+    and m = Psi_n = (x^n - 1)/Phi_n.
+    """
+    n = field.period
+    if n is not None and len(vec) > n:
+        folded = vec[:n]
+        for k in range(n, len(vec)):
+            folded[k % n] += vec[k]
+        vec = folded
+    d = field.degree
+    if len(vec) <= d:
+        return vec + [0] * (d - len(vec))
+    q = kernels.convolve(vec[d:], field.barrett)[field.k - d:]
+    return [v - w for v, w in zip(vec[:d], kernels.convolve(q, field.poly))]
+
+
 class NFElement:
-    __slots__ = ("field", "coeffs")
+    """Element of a NumberField: integer numerators `nums` over `den`."""
 
-    def __init__(self, field: NumberField, coeffs):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        if len(cs) > field.degree:
-            raise ValueError("too many coefficients")
-        cs += [_ZERO] * (field.degree - len(cs))
+    __slots__ = ("field", "nums", "den")
+
+    def __init__(self, field: NumberField, coeffs, den: int | None = None):
+        """sum coeffs[j] x^j, or with `den` given, sum coeffs[j] x^j / den
+        for integers coeffs and den > 0."""
+        if den is None:
+            coeffs = [Fraction(c) for c in coeffs]
+            den = lcm(*(c.denominator for c in coeffs))
+            coeffs = [c.numerator * (den // c.denominator) for c in coeffs]
+        d = field.degree
+        if len(coeffs) > d:
+            raise ValueError(f"expected at most {d} coefficients")
+        g = gcd(den, *coeffs)
+        if g != 1:
+            coeffs = [c // g for c in coeffs]
+            den //= g
         self.field = field
-        self.coeffs = tuple(cs)
+        self.nums = tuple(coeffs) + (0,) * (d - len(coeffs))
+        self.den = den
 
-    def _coerce(self, other):
-        if isinstance(other, NFElement):
-            if other.field != self.field:
-                raise ValueError("mixed number fields")
-            return other
+    def _new(self, nums, den: int) -> "NFElement":
+        """An element of the same field and class: nums / den."""
+        return NFElement(self.field, nums, den)
+
+    def _pair(self, other):
+        """self and other as elements of one field, or None."""
         if isinstance(other, (int, Fraction)):
-            return NFElement(self.field, [Fraction(other)])
+            return self, self._new([other.numerator], other.denominator)
+        if isinstance(other, NFElement) and (
+                other.field is self.field or other.field == self.field):
+            return self, other
         return None
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.nums)
+
+    # arithmetic -------------------------------------------------------
+
     def __add__(self, other):
-        b = self._coerce(other)
-        if b is None:
+        pair = self._pair(other)
+        if pair is None:
             return NotImplemented
-        return NFElement(self.field, [x + y for x, y in zip(self.coeffs, b.coeffs)])
+        a, b = pair
+        if a.den == b.den:
+            return a._new([x + y for x, y in zip(a.nums, b.nums)], a.den)
+        ad, bd = a.den, b.den
+        return a._new([x * bd + y * ad for x, y in zip(a.nums, b.nums)], ad * bd)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NFElement(self.field, [-c for c in self.coeffs])
+        return self._new([-c for c in self.nums], self.den)
 
     def __sub__(self, other):
-        b = self._coerce(other)
-        if b is None:
+        pair = self._pair(other)
+        if pair is None:
             return NotImplemented
-        return NFElement(self.field, [x - y for x, y in zip(self.coeffs, b.coeffs)])
+        a, b = pair
+        if a.den == b.den:
+            return a._new([x - y for x, y in zip(a.nums, b.nums)], a.den)
+        ad, bd = a.den, b.den
+        return a._new([x * bd - y * ad for x, y in zip(a.nums, b.nums)], ad * bd)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return NFElement(self.field, [c * f for c in self.coeffs])
-        b = self._coerce(other)
-        if b is None:
+            num = other.numerator
+            return self._new([c * num for c in self.nums], self.den * other.denominator)
+        pair = self._pair(other)
+        if pair is None:
             return NotImplemented
-        den = 1
-        for c in self.coeffs + b.coeffs:
-            den = den // gcd(den, c.denominator) * c.denominator
-        av = [int(c * den) for c in self.coeffs]
-        bv = [int(c * den) for c in b.coeffs]
-        prod = kernels.convolve_reduce(av, bv, self.field.red, self.field.degree)
-        d2 = den * den
-        return NFElement(self.field, [Fraction(v, d2) for v in prod])
+        a, b = pair
+        return a._new(_reduce(kernels.convolve(a.nums, b.nums), a.field), a.den * b.den)
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "NFElement":
+    def __pow__(self, e: int):
+        if e < 0:
+            return self.inverse() ** (-e)
+        out = self._new([1], 1)
+        base = self
+        while e:
+            if e & 1:
+                out = out * base
+            e >>= 1
+            if e:
+                base = base * base
+        return out
+
+    def inverse(self):
+        """Inverse via the extended Euclidean algorithm with f in Q[x]."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         r0 = [Fraction(c) for c in self.field.poly]
-        r1 = list(self.coeffs)
-        while len(r1) > 1 and r1[-1] == 0:
-            r1.pop()
+        r1 = [Fraction(c) for c in self.nums]
         s0, s1 = [_ZERO], [_ONE]
         while True:
             while len(r1) > 1 and r1[-1] == 0:
@@ -145,62 +208,94 @@ class NFElement:
         c = r1[0]
         if c == 0:
             raise ZeroDivisionError("not invertible (reducible defining polynomial?)")
-        inv = [x / c for x in s1][: self.field.degree]
-        return NFElement(self.field, inv)
+        # s1 * self = c / den modulo f, and deg s1 < d
+        inv = [x * self.den / c for x in s1[: self.field.degree]]
+        den = lcm(*(x.denominator for x in inv))
+        return self._new([x.numerator * (den // x.denominator) for x in inv], den)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return NFElement(self.field, [c / f for c in self.coeffs])
-        b = self._coerce(other)
-        if b is None:
+            return self * (_ONE / other)
+        pair = self._pair(other)
+        if pair is None:
             return NotImplemented
-        return self * b.inverse()
+        a, b = pair
+        return a * b.inverse()
 
     def __rtruediv__(self, other):
         return self.inverse() * other
 
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        out = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return out
+    # predicates -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
-            raise ValueError("not rational")
-        return self.coeffs[0]
+            raise ValueError("not a rational number")
+        return Fraction(self.nums[0], self.den)
 
     def reduce_mod(self, seed: int, p: int) -> int:
-        """Image in F_p under x -> seed; denominators must be p-units."""
+        """Image in F_p under x -> seed; the denominator must be a p-unit."""
+        if self.den % p == 0:
+            raise ValueError("denominator not a p-unit")
         acc = 0
         s = 1
-        for c in self.coeffs:
-            if c.denominator % p == 0:
-                raise ValueError("denominator not a p-unit")
-            acc = (acc + c.numerator * pow(c.denominator, -1, p) * s) % p
+        for c in self.nums:
+            acc = (acc + c * s) % p
             s = s * seed % p
-        return acc
+        return acc * pow(self.den, -1, p) % p
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
-        if not isinstance(other, NFElement):
+            return (self.is_rational() and self.nums[0] == other.numerator
+                    and self.den == other.denominator)
+        pair = self._pair(other)
+        if pair is None:
             return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+        a, b = pair
+        return a.nums == b.nums and a.den == b.den
 
     def __repr__(self):
         return f"NF{list(self.coeffs)}"
+
+
+# rational-coefficient polynomial helpers (used by inverse) ------------
+
+
+def _poly_divmod_frac(num: list[Fraction], den: list[Fraction]):
+    num = list(num)
+    dd = len(den) - 1
+    lead = den[-1]
+    if len(num) - 1 < dd:
+        return [_ZERO], num
+    q = [_ZERO] * (len(num) - dd)
+    for k in range(len(num) - 1, dd - 1, -1):
+        c = num[k] / lead
+        q[k - dd] = c
+        if c:
+            for t in range(dd + 1):
+                num[k - dd + t] -= c * den[t]
+    while len(num) > 1 and num[-1] == 0:
+        num.pop()
+    return q, num
+
+
+def _poly_mul_frac(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    out = [_ZERO] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
+def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    n = max(len(a), len(b))
+    a = a + [_ZERO] * (n - len(a))
+    b = b + [_ZERO] * (n - len(b))
+    return [x - y for x, y in zip(a, b)]

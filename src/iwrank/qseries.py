@@ -165,23 +165,25 @@ def eisenstein_series(
         raise ValueError("parity mismatch: theta(-1)phi(-1) must equal (-1)^l")
 
     order = lcm(theta.order, phi.order)
-    zero = CyclotomicNumber(order, [])
-    coeffs = [zero]
+    coeffs = [CyclotomicNumber(order, [])]
     if l == 1 and u == 1:
         coeffs[0] = coeffs[0] + l_value_nonpositive(0, phi) * Fraction(1, 2)
     if v == 1:
         coeffs[0] = coeffs[0] + l_value_nonpositive(1 - l, theta) * Fraction(1, 2)
+    # theta(d) phi(n/d) = zeta_order^(kt st + kp sp), so each a(n) is one
+    # sum of roots of unity
+    st, sp = order // theta.order, order // phi.order
     for n in range(1, n_max + 1):
-        acc = zero
+        items = []
         for d in _divisors(n):
-            td = theta(d)
-            if td.is_zero():
+            kt = theta.value_exponent(d)
+            if kt is None:
                 continue
-            pv = phi(n // d)
-            if pv.is_zero():
+            kp = phi.value_exponent(n // d)
+            if kp is None:
                 continue
-            acc = acc + td * pv * Fraction(d ** (l - 1))
-        coeffs.append(acc)
+            items.append((kt * st + kp * sp, d ** (l - 1)))
+        coeffs.append(CyclotomicNumber.from_monomials(order, items))
     neb = theta * phi
     return QExpansion(l, u * v, neb, coeffs, label=f"E{l}({theta.to_descriptor()},{phi.to_descriptor()})")
 
@@ -274,7 +276,7 @@ def euler_poly_p(*, level: int, weight: int, a_p, neb_at_p, p: int, label: str =
 
 
 def _is_nonzero(x) -> bool:
-    if isinstance(x, (CyclotomicNumber, NFElement)):
+    if isinstance(x, NFElement):
         return not x.is_zero()
     return x != 0
 
@@ -361,12 +363,13 @@ class CongruenceIdealSpec:
             if x.denominator % self.p == 0:
                 raise ValueError("denominator not a p-unit")
             return x.numerator * pow(x.denominator, -1, self.p) % self.p
+        # a CyclotomicNumber is an NFElement too: it must be tested first
+        if isinstance(x, CyclotomicNumber):
+            return self.reduce(x.rational_value())
         if isinstance(x, NFElement):
             if self.field_poly is not None and tuple(x.field.poly) != tuple(self.field_poly):
                 raise ValueError("element field does not match the ideal's field")
             return x.reduce_mod(self.seed if self.seed is not None else 0, self.p)
-        if isinstance(x, CyclotomicNumber):
-            return self.reduce(x.rational_value())
         raise TypeError(f"cannot reduce {type(x).__name__}")
 
 

@@ -187,3 +187,13 @@ def test_truncated_cache_is_rebuilt(tmp_path, monkeypatch, capsys):
 def test_config_errors(argv, capsys):
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_unreachable_precision_exits_2(tmp_path, capsys):
+    # the working precision is still fixed at 14 digits, so M = 16 cannot
+    # be reached: a clean error, not a traceback
+    argv = ["padic-l", "--newform", "52.2.a.a", "--prime", "5",
+            "--precision", "16,25", "--out", str(tmp_path / "out.jsonl")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "digits" in err

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from iwrank import kernels
-from iwrank.cyclotomic import _reduce, _ring, cyclotomic_polynomial
+from iwrank.cyclotomic import _ring, cyclotomic_polynomial
+from iwrank.numfield import NumberField, _reduce
 
 
 def _reduction_rows(modulus, extra):
@@ -22,6 +23,19 @@ def _reduction_rows(modulus, extra):
     return rows
 
 
+def _fold_tail(vec, rows, deg):
+    # the reduction by table: fold x^(deg+k) back through rows[k]
+    out = list(vec[:deg]) + [0] * max(deg - len(vec), 0)
+    for k in range(deg, len(vec)):
+        c = vec[k]
+        if not c:
+            continue
+        for t, rt in enumerate(rows[k - deg]):
+            if rt:
+                out[t] += c * rt
+    return out
+
+
 def _random_vec(rng, length, bound):
     return [rng.randrange(-bound, bound + 1) for _ in range(length)]
 
@@ -31,24 +45,6 @@ def test_convolve_known_values():
     assert kernels.convolve([2, 0, 3], [5]) == [10, 0, 15]
     assert kernels.convolve([], [1, 2]) == []
     assert kernels.convolve([7], []) == []
-
-
-def test_fold_tail_cyclotomic():
-    # reduce x^2 + x + 1 worth of tail: modulus x^2 + x + 1 over Z
-    rows = _reduction_rows([1, 1, 1], 4)
-    assert rows[0] == [-1, -1]          # x^2 = -x - 1
-    assert rows[1] == [1, 0]            # x^3 = 1
-    assert kernels.fold_tail([0, 0, 1], rows, 2) == [-1, -1]
-    assert kernels.fold_tail([5, 2, 0, 1], rows, 2) == [6, 2]
-
-
-def test_convolve_reduce_agrees_with_direct():
-    rows = _reduction_rows([2, 0, 1], 6)   # x^2 = -2, a Gaussian-like ring
-    a, b = [3, 4], [1, -2]
-    prod = kernels.convolve(a, b)
-    assert kernels.convolve_reduce(a, b, rows, 2) == kernels.fold_tail(prod, rows, 2)
-    # (3+4x)(1-2x) with x^2=-2: 3 - 2x - 8x^2 = 19 - 2x
-    assert kernels.convolve_reduce(a, b, rows, 2) == [19, -2]
 
 
 def test_selected_backend_exports():
@@ -97,10 +93,12 @@ def test_kronecker_long_and_degenerate():
 
 
 def test_psi_is_the_cofactor_of_phi():
+    # the Barrett quotient of Phi_n is x^n div Phi_n = Psi_n
     for n in list(range(1, 61)) + [1711, 3422]:
         ring = _ring(n)
         x_n_minus_1 = [-1] + [0] * (n - 1) + [1]
-        assert kernels.convolve(ring["psi"], ring["phi"]) == x_n_minus_1
+        assert ring.k == n
+        assert kernels.convolve(ring.barrett, ring.poly) == x_n_minus_1
 
 
 def _check_reduction(n, rng, lengths):
@@ -110,7 +108,7 @@ def _check_reduction(n, rng, lengths):
     ring = _ring(n)
     for length in lengths:
         vec = _random_vec(rng, length, 10**6)
-        assert _reduce(vec, ring) == kernels.fold_tail(vec, rows, deg), (n, length)
+        assert _reduce(vec, ring) == _fold_tail(vec, rows, deg), (n, length)
 
 
 def test_psi_reduction_matches_table_small_orders():
@@ -126,3 +124,28 @@ def test_psi_reduction_matches_table_large_orders():
     for n in (1711, 2756, 3422):
         deg = len(cyclotomic_polynomial(n)) - 1
         _check_reduction(n, rng, [deg + 1, 2 * deg - 1, n - 1, n, 2 * n])
+
+
+def _monic_remainder(vec, poly):
+    # schoolbook long division by a monic polynomial
+    d = len(poly) - 1
+    rem = list(vec)
+    for j in range(len(rem) - 1, d - 1, -1):
+        c = rem[j]
+        for t in range(d + 1):
+            rem[j - d + t] -= c * poly[t]
+    return (rem[:d] + [0] * d)[:d]
+
+
+def test_barrett_matches_long_division():
+    # x^k div f with k = 2d - 2 reduces every product of two reduced
+    # vectors, up to length k + 1
+    rng = random.Random(2026)
+    for d in range(1, 7):
+        for _ in range(40):
+            poly = _random_vec(rng, d, 50) + [1]
+            field = NumberField(poly)
+            assert field.k == 2 * d - 2
+            for length in range(0, 2 * d):
+                vec = _random_vec(rng, length, 10**9)
+                assert _reduce(vec, field) == _monic_remainder(vec, poly), (poly, vec)

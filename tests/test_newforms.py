@@ -1,4 +1,7 @@
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -95,3 +98,20 @@ def test_partner_parity_guard():
                         ResidualCharacter.trivial(1, 5), 11)
     with pytest.raises(ValueError):
         residual_eisenstein_partner(hbar, 3, 30)
+
+
+def test_generator_reproduces_bundled_data(tmp_path, monkeypatch, capsys):
+    # tools/generate_newform_data.py rebuilds src/iwrank/data byte for byte
+    root = Path(__file__).resolve().parent.parent
+    data = root / "src" / "iwrank" / "data"
+    spec = importlib.util.spec_from_file_location(
+        "generate_newform_data", root / "tools" / "generate_newform_data.py")
+    gen = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec.loader.exec_module(gen)
+    monkeypatch.setattr(gen, "OUT_DIR", str(tmp_path))
+    gen.main()
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted(p.name for p in data.glob("*.json"))
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (data / name).read_bytes(), name

@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 
 from iwrank.characters import DirichletCharacter, all_characters
+from iwrank.cyclotomic import CyclotomicNumber, zeta
 from iwrank.numfield import NumberField
 from iwrank.qseries import (
     CongruenceIdealSpec,
@@ -149,6 +150,10 @@ def test_congruence_ideal_and_checker():
     assert spec.reduce(val) == 3
     assert spec.reduce(F(1, 2)) == 6
     assert spec.reduce(7) == 7
+    # a cyclotomic coefficient reduces only when it is rational
+    assert spec.reduce(CyclotomicNumber.from_rational(F(1, 2), 3)) == 6
+    with pytest.raises(ValueError):
+        spec.reduce(zeta(3))
 
     triv1 = DirichletCharacter.trivial(1)
     m11 = mazur_eisenstein(11, 40)
