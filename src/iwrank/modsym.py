@@ -5,8 +5,21 @@ Merel matrices, eigen-functional extraction over an exact coefficient field,
 evaluation at rationals along continued-fraction (unimodular) paths, and
 Birch-sum character twisting.
 
+The points of P^1(Z/N) sit in one flat table indexed by (u mod N, v mod N),
+so locating a symbol is a single lookup.  The relation quotient is built
+sparsely: the 2-term relations x + Sx = 0 pair the symbols off (an S-fixed
+symbol is 0), one 3-term relation x + Tx + T^2x = 0 per T-orbit is written
+over the pair representatives, and a sparse integer Gauss-Jordan
+elimination finishes the job.  See Cremona, *Algorithms for Modular
+Elliptic Curves* (1997), section 2.2, and Stein, *Modular Forms: A
+Computational Approach* (2007), chapters 3 and 8.  A cached space is
+checked against the dimension formula and the Manin relations before it is
+used.
+
 A symbol functional is a linear map on the relation quotient; its value on
-the path {oo -> r} is what the p-adic layer integrates against.
+the path {oo -> r} is what the p-adic layer integrates against.  Normalized
+rational functionals keep integer generator values, so a path sum is a sum
+of ints.
 """
 
 from __future__ import annotations
@@ -17,7 +30,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .cyclotomic import CyclotomicNumber, euler_phi, prime_divisors
-from .linalg import right_kernel, rref, solve_right
+from .linalg import right_kernel, solve_right
+from .linalg import rref  # noqa: F401  (perfbench's tracer selftest wraps it here)
 
 FORMAT_VERSION = 1
 
@@ -70,20 +84,29 @@ def p1_normalize(N: int, u: int, v: int) -> tuple[int, int]:
 
 
 class P1List:
+    """The points of P^1(Z/N) in the canonical form of `p1_normalize`,
+    sorted, with a flat lookup table: `where[(u % N) * N + v % N]` is the
+    index of the point (u:v), or -1 when (u, v) is not a point."""
+
     def __init__(self, N: int):
         self.N = N
-        if N == 1:
-            self.pairs = [(0, 0)]
-        else:
-            acc = set()
-            for u in range(N):
-                gu = gcd(u, N)
-                for v in range(N):
-                    if gcd(gu, gcd(v, N)) != 1:
-                        continue
-                    acc.add(p1_normalize(N, u, v))
-            self.pairs = sorted(acc)
-        self._index = {pair: i for i, pair in enumerate(self.pairs)}
+        units = [t for t in range(1, N) if gcd(t, N) == 1] or [0]
+        where = [-1] * (N * N)
+        pairs = []
+        # In lexicographic order, the first cell of each unit orbit is the
+        # orbit's minimum, i.e. its canonical form; pairs come out sorted.
+        for u in range(N):
+            gu = gcd(u, N)
+            row = u * N
+            for v in range(N):
+                if where[row + v] >= 0 or gcd(gu, v) != 1:
+                    continue
+                i = len(pairs)
+                pairs.append((u, v))
+                for t in units:
+                    where[t * u % N * N + t * v % N] = i
+        self.pairs = pairs
+        self.where = where
 
     def __len__(self):
         return len(self.pairs)
@@ -92,9 +115,11 @@ class P1List:
         return self.pairs[i]
 
     def index(self, u: int, v: int) -> int:
-        if self.N == 1:
-            return 0
-        return self._index[p1_normalize(self.N, u, v)]
+        N = self.N
+        i = self.where[u % N * N + v % N]
+        if i < 0:
+            raise ValueError(f"({u}:{v}) is not a point of P1(Z/{N})")
+        return i
 
 
 def lift_to_sl2(u: int, v: int, N: int) -> tuple[int, int, int, int]:
@@ -191,42 +216,64 @@ class ModularSymbolSpace:
         if _payload is not None:
             self._from_payload(_payload)
             return
-        n = len(self.p1)
-        idx = self.p1.index
-        zero_row = [Fraction(0)] * n
+        S, T = self._manin_maps()
+        # the 2-term relations x_i + x_Si = 0: the larger index of each
+        # S-orbit represents it, and an S-fixed symbol is 0
+        rep = [max(i, s) if i != s else None for i, s in enumerate(S)]
+        sign = [1 if r == i else -1 for i, r in enumerate(rep)]
+        # one 3-term relation x_i + x_Ti + x_TTi = 0 per T-orbit, on the
+        # representatives
         rows = []
-        for i, (u, v) in enumerate(self.p1.pairs):
-            row = list(zero_row)
-            row[i] += 1
-            row[idx(v, -u)] += 1
-            rows.append(row)
-            row = list(zero_row)
-            row[i] += 1
-            row[idx(v, -u - v)] += 1
-            row[idx(-u - v, u)] += 1
-            rows.append(row)
-        red, pivots = rref(rows)
-        pivset = set(pivots)
-        self.basis_cols = [j for j in range(n) if j not in pivset]
+        for i, j in enumerate(T):
+            k = T[j]
+            if i > j or i > k:
+                continue
+            row = {}
+            for m in (i, j, k):  # (i, i, i) for a T-fixed point: 3 x_i = 0
+                r = rep[m]
+                if r is not None:
+                    row[r] = row.get(r, 0) + sign[m]
+            row = {c: x for c, x in row.items() if x}
+            if row:
+                rows.append(row)
+        reduced = _reduce_rows(rows)
+        # A 2-term relation leads with the smaller index of its pair, so
+        # the free columns of the RREF of all the relations are the
+        # representatives that lead no reduced 3-term row.
+        self.basis_cols = [r for r in range(len(rep))
+                           if rep[r] == r and r not in reduced]
         self.dim = len(self.basis_cols)
         pos = {c: k for k, c in enumerate(self.basis_cols)}
-        row_of = {pc: red[r] for r, pc in enumerate(pivots)}
-        vecs = []
-        for i in range(n):
-            if i in pos:
-                w = [Fraction(0)] * self.dim
-                w[pos[i]] = Fraction(1)
-            else:
-                rr = row_of[i]
-                w = [-rr[c] for c in self.basis_cols]
-            vecs.append(tuple(w))
-        self.vectors = vecs
+        zero = (Fraction(0),) * self.dim
+        rep_vec = {}
+        for c, k in pos.items():
+            w = list(zero)
+            w[k] = Fraction(1)
+            rep_vec[c] = tuple(w)
+        for p, row in reduced.items():
+            w = list(zero)
+            lead = row[p]
+            for c, x in row.items():
+                if c != p:
+                    w[pos[c]] = Fraction(-x, lead)
+            rep_vec[p] = tuple(w)
+        self.vectors = [zero if r is None else
+                        rep_vec[r] if s > 0 else tuple(-x for x in rep_vec[r])
+                        for r, s in zip(rep, sign)]
         expected = 2 * genus_gamma0(N) + num_cusps(N) - 1
         if self.dim != expected:
             raise AssertionError(
                 f"level {N}: quotient dimension {self.dim} != 2g + cusps - 1 = {expected}")
 
     # --- involutions and Hecke ---
+
+    def _manin_maps(self):
+        """Index maps of S: (c:d) -> (d:-c) (order 2) and T: (c:d) ->
+        (d:-c-d) (order 3) on the P^1 points."""
+        idx = self.p1.index
+        S = [idx(v, -u) for u, v in self.p1.pairs]
+        T = [idx(v, -u - v) for u, v in self.p1.pairs]
+        return S, T
 
     def star_images(self):
         """Image of each basis symbol under (c:d) -> (-c:d), as quotient rows."""
@@ -243,16 +290,16 @@ class ModularSymbolSpace:
         if key in self._hecke:
             return self._hecke[key]
         mats = merel_matrices(n)
+        where, N = self.p1.where, self.N
         out = []
         for col in self.basis_cols:
             u, v = self.p1.pairs[col]
             acc = [Fraction(0)] * self.dim
             for a, b, c, d in mats:
-                uu = u * a + v * c
-                vv = u * b + v * d
-                if self.N > 1 and gcd(gcd(uu, vv), self.N) != 1:
+                i = where[(u * a + v * c) % N * N + (u * b + v * d) % N]
+                if i < 0:  # not a point of P^1
                     continue
-                w = self.vectors[self.p1.index(uu, vv)]
+                w = self.vectors[i]
                 for k in range(self.dim):
                     acc[k] += w[k]
             out.append(acc)
@@ -329,16 +376,42 @@ class ModularSymbolSpace:
         }
 
     def _from_payload(self, payload):
+        """Load a cached space after checking that it is one: the quotient
+        dimension 2g + cusps - 1, one vector of that length per P^1 point,
+        unit vectors at the basis columns, the 2- and 3-term Manin
+        relations, and square Hecke matrices.  Anything else raises
+        ValueError, so the file is rebuilt."""
         if (not isinstance(payload, dict) or payload.get("version") != FORMAT_VERSION
                 or payload.get("N") != self.N):
             raise ValueError("stale or mismatched cache payload")
-        self.basis_cols = list(payload["basis_cols"])
-        self.dim = len(self.basis_cols)
-        self.vectors = [tuple(Fraction(x) for x in w) for w in payload["vectors"]]
-        if len(self.vectors) != len(self.p1):
-            raise ValueError("cache payload has wrong generator count")
-        self._hecke = {k: [[Fraction(x) for x in r] for r in m]
-                       for k, m in payload["hecke"].items()}
+        N, n = self.N, len(self.p1)
+        basis_cols = list(payload["basis_cols"])
+        dim = len(basis_cols)
+        if dim != 2 * genus_gamma0(N) + num_cusps(N) - 1:
+            raise ValueError("cache payload has the wrong dimension")
+        vectors = [tuple(Fraction(x) for x in w) for w in payload["vectors"]]
+        if len(vectors) != n or any(len(w) != dim for w in vectors):
+            raise ValueError("cache payload vectors have the wrong shape")
+        for k, c in enumerate(basis_cols):
+            if (not isinstance(c, int) or not 0 <= c < n
+                    or any(x != (j == k) for j, x in enumerate(vectors[c]))):
+                raise ValueError("cache payload basis columns are not unit vectors")
+        S, T = self._manin_maps()
+        for i in range(n):
+            j, k = T[i], T[T[i]]
+            if (any(a + b for a, b in zip(vectors[i], vectors[S[i]]))
+                    or any(a + b + c for a, b, c in
+                           zip(vectors[i], vectors[j], vectors[k]))):
+                raise ValueError("cache payload breaks a Manin relation")
+        hecke = payload["hecke"]
+        if not isinstance(hecke, dict):
+            raise ValueError("cache payload has no Hecke table")
+        hecke = {k: [[Fraction(x) for x in r] for r in m] for k, m in hecke.items()}
+        if any(len(m) != dim or any(len(r) != dim for r in m)
+               for m in hecke.values()):
+            raise ValueError("cache payload Hecke matrix is not dim x dim")
+        self.basis_cols, self.dim = basis_cols, dim
+        self.vectors, self._hecke = vectors, hecke
 
     def _write(self, path):
         """Write the payload to a temporary file beside `path`, then move
@@ -377,6 +450,46 @@ def build_space(N: int, cache_dir=None) -> ModularSymbolSpace:
     return space
 
 
+def _reduce_rows(rows):
+    """Sparse Gauss-Jordan elimination of integer rows {column: entry}.
+
+    Each row is reduced against the pivots found so far, always at its
+    smallest column, and becomes a new pivot row if anything is left;
+    back substitution then clears every pivot column from the other rows.
+    Returns {pivot: row}: the reduced row echelon form of the row space,
+    each row scaled to coprime integers.
+    """
+    pivots = {}
+    for row in rows:
+        while row:
+            p = min(row)
+            if p not in pivots:
+                pivots[p] = row
+                break
+            row = _eliminate(row, pivots[p], p)
+    for p in sorted(pivots, reverse=True):
+        row = pivots[p]
+        for q in sorted(c for c in row if c != p and c in pivots):
+            row = _eliminate(row, pivots[q], q)
+        pivots[p] = row
+    return pivots
+
+
+def _eliminate(row, prow, c):
+    """prow[c] * row - row[c] * prow (column c cleared), divided by the
+    gcd of its entries."""
+    a, b = row[c], prow[c]
+    out = {k: b * x for k, x in row.items()}
+    for k, x in prow.items():
+        y = out.get(k, 0) - a * x
+        if y:
+            out[k] = y
+        else:
+            out.pop(k, None)
+    g = gcd(*out.values()) if out else 1
+    return {k: x // g for k, x in out.items()} if g > 1 else out
+
+
 def _cusp_reduce(p, q):
     if q == 0:
         return (1, 0)
@@ -411,6 +524,7 @@ class SymbolFunctional:
         self.coords = list(coords)
         self.normalization = normalization
         self._gen_table = None
+        self._flat = None
         self._cache = {}
 
     def _dot(self, vec):
@@ -421,9 +535,22 @@ class SymbolFunctional:
         return acc
 
     def generator_values(self):
+        """x_i for each P^1 point i: ints where integral, as they are for
+        every normalized rational functional, else Fractions or field
+        elements."""
         if self._gen_table is None:
-            self._gen_table = [self._dot(v) for v in self.space.vectors]
+            self._gen_table = [_int_if_integral(self._dot(v))
+                               for v in self.space.vectors]
         return self._gen_table
+
+    def _flat_values(self):
+        """The generator values laid out like the P^1 table: x_(u:v) at
+        (u % N) * N + v % N."""
+        if self._flat is None:
+            vals = self.generator_values()
+            self._flat = [vals[i] if i >= 0 else None
+                          for i in self.space.p1.where]
+        return self._flat
 
     def normalize(self):
         """Rescale so generator values are coprime integers (content 1) and
@@ -451,39 +578,43 @@ class SymbolFunctional:
         """Value on {oo -> r} by summing generator symbols along the
         continued-fraction convergents of r."""
         r = Fraction(r)
-        r = r - (r.numerator // r.denominator)
-        key = (r.numerator, r.denominator)
+        key = (r.numerator % r.denominator, r.denominator)
         hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        table = self.generator_values()
-        idx = self.space.p1.index
-        a, b = r.numerator, r.denominator
-        acc = None
-        pm1, qm1 = 1, 0
-        pm2, qm2 = 0, 1
-        x, y = a, b
-        k = 0
-        while y:
-            d = x // y
-            x, y = y, x - d * y
-            pk = d * pm1 + pm2
-            qk = d * qm1 + qm2
-            sgn = 1 if k % 2 else -1
-            term = table[idx(qk, sgn * qm1)]
-            acc = term if acc is None else acc + term
-            pm2, pm1 = pm1, pk
-            qm2, qm1 = qm1, qk
-            k += 1
-        if acc is None:  # r = 0 with denominator 1 handled in loop; guard anyway
-            acc = table[idx(1, 0)]
-        self._cache[key] = acc
-        return acc
+        if hit is None:
+            hit = _as_fraction(_path_sum(self._flat_values(), self.space.N, *key))
+            self._cache[key] = hit
+        return hit
 
     def evaluate_from_zero(self, r):
         """Value on the path {0 -> r}; the convention used for printed
         symbol tables (the measure itself integrates paths based at oo)."""
         return self.evaluate(r) - self.evaluate(0)
+
+
+def _path_sum(flat, N, a, b):
+    """Value on {oo -> a/b}, 0 <= a < b (not necessarily coprime): the sum
+    of x_(q_k : (-1)^(k+1) q_(k-1)) over the continued-fraction convergents
+    p_k/q_k of a/b, with flat[(u % N) * N + v % N] = x_(u:v)."""
+    acc = 0
+    q0, q1 = 1, 0  # q_(k-2), q_(k-1)
+    s = -1
+    while b:
+        d = a // b
+        a, b = b, a - d * b
+        q0, q1 = q1, d * q1 + q0
+        acc += flat[q1 % N * N + s * q0 % N]
+        s = -s
+    return acc
+
+
+def _int_if_integral(v):
+    if isinstance(v, Fraction) and v.denominator == 1:
+        return v.numerator
+    return v
+
+
+def _as_fraction(v):
+    return Fraction(v) if isinstance(v, int) else v
 
 
 def _frac_parts(v):
@@ -593,13 +724,13 @@ class TwistedSymbol:
         chibar = chi.conjugate()
         vals = {}
         if C == 1:
-            vals[0] = Fraction(1)
+            vals[0] = 1
         else:
             for a in range(C):
                 if gcd(a, C) == 1:
                     cv = chibar(a)
                     if isinstance(cv, CyclotomicNumber) and cv.is_rational():
-                        cv = cv.rational_value()
+                        cv = _int_if_integral(cv.rational_value())
                     vals[a] = cv
         self._chibar = vals
         self.scales = {1: Fraction(1), -1: Fraction(1)}
@@ -609,12 +740,15 @@ class TwistedSymbol:
 
     def raw_value(self, r, sign):
         r = Fraction(r)
-        base_sign = sign * self.eps
-        acc = None
+        phi = self.pair.plus if sign * self.eps > 0 else self.pair.minus
+        flat, N, C = phi._flat_values(), phi.space.N, self.C
+        # r + a/C = (n C + a d) / (d C), summed along its convergents
+        n, d = r.numerator, r.denominator
+        dC = d * C
+        acc = 0
         for a, cv in self._chibar.items():
-            t = cv * self.pair.evaluate(r + Fraction(a, self.C), base_sign)
-            acc = t if acc is None else acc + t
-        return acc
+            acc += cv * _path_sum(flat, N, (n * C + a * d) % dC, dC)
+        return _as_fraction(acc)
 
     def renormalize(self, probes):
         """Fix the per-sign scalar: content 1 and first nonzero value

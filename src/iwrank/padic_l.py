@@ -297,7 +297,9 @@ def branch_series(sym, p: int, alpha: PadicNumber, j: int, n: int = 1,
     if jj != 0:
         ratio = _as_padic(2, p, W)
     elif steinberg:
-        ratio = (one - ainv).inverse()
+        # a_p = +1 makes 1 - 1/alpha vanish (an exceptional zero): no ratio
+        e = one - ainv
+        ratio = None if e.zero else e.inverse()
     else:
         ratio = one
     series = PadicSeries(p, M, order, out, meta={

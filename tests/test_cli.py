@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -152,21 +153,50 @@ def test_cache_dir_env(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def _corrupted_payloads(good):
+    """Payloads that parse but are wrong: one vector an entry short, and
+    two entries altered outside the basis columns (only the Manin
+    relations show it)."""
+    short = copy.deepcopy(good)
+    short["vectors"][1].pop()
+    altered = copy.deepcopy(good)
+    assert not {0, 3} & set(good["basis_cols"])
+    altered["vectors"][0][0] = "2"
+    altered["vectors"][3][1] = "3"
+    return [json.dumps(short), json.dumps(altered)]
+
+
 def test_truncated_cache_is_rebuilt(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("IWR_CACHE", raising=False)
     argv = ["padic-l", "--newform", "11.2.a.a", "--prime", "5"]
     assert main(argv) == 0
     fresh = capsys.readouterr().out
     cache = tmp_path / "modsym_11_v1.json"
-    for junk in ('{"trunc', "[]", '{"version": 1, "N": 11}'):
+    assert main(argv + ["--cache-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == fresh
+    good = json.loads(cache.read_text())
+    junks = ['{"trunc', "[]", '{"version": 1, "N": 11}']
+    for junk in junks + _corrupted_payloads(good):
         cache.write_text(junk)
         assert main(argv + ["--cache-dir", str(tmp_path)]) == 0
         assert capsys.readouterr().out == fresh
         # overwritten with a valid payload, which the next run reads back
-        assert json.loads(cache.read_text())["N"] == 11
+        assert json.loads(cache.read_text()) == good
         assert main(argv + ["--cache-dir", str(tmp_path)]) == 0
         assert capsys.readouterr().out == fresh
     assert [p.name for p in tmp_path.iterdir()] == [cache.name]
+
+
+@pytest.mark.parametrize("form,p", [("11.2.a.a", 11), ("19.2.a.a", 19)])
+def test_exceptional_zero(form, p, capsys):
+    # p | N with a_p = +1: alpha = 1, so 1 - 1/alpha vanishes and the
+    # trivial branch has an exact zero at the trivial character
+    assert main(["padic-l", "--newform", form, "--prime", str(p)]) == 0
+    recs = _records(capsys)
+    assert len(recs) == p - 1
+    trivial = next(r for r in recs if r["j"] == 0)
+    assert trivial["value_at_trivial"]["exact_zero"] is True
+    assert trivial["lambda"] == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,10 +1,12 @@
+import random
 import tempfile
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from iwrank.characters import DirichletCharacter
-from iwrank.linalg import charpoly, mat_mul
+from iwrank.linalg import charpoly, mat_mul, rref
 from iwrank.modsym import (
     EigenspaceError,
     ModularSymbolSpace,
@@ -18,6 +20,7 @@ from iwrank.modsym import (
     lift_to_sl2,
     merel_matrices,
     num_cusps,
+    p1_normalize,
 )
 from iwrank.numfield import NumberField
 
@@ -53,6 +56,52 @@ def test_sizes_and_dimensions(N, npts, g, nc, dim):
     assert sp.dim == dim
     if N > 1:
         assert sp.cuspidal_dimension() == 2 * g
+
+
+def _dense_quotient(N):
+    """basis_cols and vectors from the dense RREF of all 2|P^1| Manin
+    relation rows, the reference for the sparse quotient."""
+    p1 = P1List(N)
+    n, idx = len(p1), p1.index
+    rows = []
+    for i, (u, v) in enumerate(p1.pairs):
+        for terms in ((i, idx(v, -u)), (i, idx(v, -u - v), idx(-u - v, u))):
+            row = [F(0)] * n
+            for j in terms:
+                row[j] += 1
+            rows.append(row)
+    red, pivots = rref(rows)
+    basis = [j for j in range(n) if j not in pivots]
+    row_of = dict(zip(pivots, red))
+    vectors = []
+    for i in range(n):
+        if i in basis:
+            vectors.append(tuple(F(int(c == i)) for c in basis))
+        else:
+            vectors.append(tuple(-row_of[i][c] for c in basis))
+    return basis, vectors
+
+
+def test_sparse_quotient_matches_dense_rref():
+    for N in list(range(2, 41)) + [44, 49, 52, 54, 64, 81]:
+        sp = ModularSymbolSpace(N)
+        assert (sp.basis_cols, sp.vectors) == _dense_quotient(N), N
+
+
+def test_p1_table_matches_normalize():
+    for N in range(2, 61):
+        pl = P1List(N)
+        points = set()
+        for u in range(N):
+            for v in range(N):
+                if gcd(gcd(u, v), N) != 1:
+                    with pytest.raises(ValueError):
+                        pl.index(u, v)
+                    continue
+                canon = p1_normalize(N, u, v)
+                points.add(canon)
+                assert pl[pl.index(u, v)] == canon, (N, u, v)
+        assert pl.pairs == sorted(points), N
 
 
 def test_relations_and_star(sp23):
@@ -159,6 +208,41 @@ def test_eigenvalues_over_number_field(sp23):
     # mod (11, sqrt5 - 4) the eigenvalues are Eisenstein: a_l = 1 + l
     for ell, val in [(2, a2), (3, a3), (5, functional_eigenvalue(plus23, 5))]:
         assert val.reduce_mod(4, 11) == (1 + ell) % 11, ell
+
+
+def _random_rationals(seed, count=30, max_den=10**4):
+    rng = random.Random(seed)
+    return [F(rng.randint(-3 * max_den, 3 * max_den), rng.randint(1, max_den))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("pair_name,a_ell", [
+    ("pair11", {2: -2, 3: -1, 5: 1, 7: -2}),
+    ("pair52", {2: 0, 3: 0, 5: 2, 7: -2}),
+])
+def test_hecke_path_identity(pair_name, a_ell, request):
+    # a_l x(r) = sum_b x((r + b)/l) + x(l r), the last term only for l
+    # prime to the level
+    pair = request.getfixturevalue(pair_name)
+    for r in _random_rationals(seed=pair.level):
+        for phi in (pair.plus, pair.minus):
+            for ell, a in a_ell.items():
+                rhs = sum(phi.evaluate((r + b) / ell) for b in range(ell))
+                if pair.level % ell:
+                    rhs += phi.evaluate(ell * r)
+                assert a * phi.evaluate(r) == rhs, (r, ell)
+
+
+def test_twisted_raw_value_matches_fraction_sum(twisted11):
+    tw = twisted11
+    chibar = tw.chi.conjugate()
+    for r in _random_rationals(seed=23) + [F(b, 23) for b in range(23)]:
+        for sign in (1, -1):
+            expected = sum(chibar(a).rational_value()
+                           * tw.pair.evaluate(r + F(a, tw.C), sign * tw.eps)
+                           for a in range(1, tw.C) if gcd(a, tw.C) == 1)
+            got = tw.raw_value(r, sign)
+            assert type(got) is Fraction and got == expected, (r, sign)
 
 
 def test_twisted_tables(twisted11):
