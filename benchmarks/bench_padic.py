@@ -1,0 +1,72 @@
+"""p-adic series microbenchmark: branch series at growing wild level.
+
+Usage: python benchmarks/bench_padic.py [--repeat N]
+
+For each series length D = 5^n it times one `padic-l --newform 11.2.a.a
+--prime 5 --precision 8,D` run in-process (the symbol space, alpha,
+the four branch series, their values at the trivial character and the
+four product verdicts), and at the largest D it times `invariants` of
+the branch-2 series and `group_ring_mul` of branches 1 and 2.  Each
+figure is the best of `--repeat` rounds.
+"""
+
+import argparse
+import os
+import time
+
+from iwrank import cli
+from iwrank.iwasawa import IwasawaContext, invariants
+from iwrank.modsym import SymbolPair, build_space, eigen_functional
+from iwrank.padic_l import branch_series, choose_alpha, group_ring_mul
+
+# wild levels n; the series length is D = 5^n
+LEVELS = (2, 3, 4)
+M = 8
+
+
+def best_time(fn, repeat):
+    """Best wall time of one call over `repeat` rounds."""
+    best = None
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        fn()
+        dt = time.perf_counter() - t0
+        best = dt if best is None else min(best, dt)
+    return best
+
+
+def padic_l(D):
+    argv = ["padic-l", "--newform", "11.2.a.a", "--prime", "5",
+            "--precision", f"{M},{D}", "--out", os.devnull]
+    if cli.main(argv) != 0:
+        raise SystemExit(f"padic-l at D = {D} failed")
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--repeat", type=int, default=3,
+                    help="timing rounds per figure (the best is kept)")
+    args = ap.parse_args()
+
+    print(f"{'D':>5} {'padic-l':>10}")
+    for n in LEVELS:
+        t = best_time(lambda: padic_l(5**n), args.repeat)
+        print(f"{5**n:>5} {t * 1e3:>8.1f}ms")
+
+    n = LEVELS[-1]
+    D = 5**n
+    space = build_space(11)
+    sym = SymbolPair(*(eigen_functional(space, [(2, -2)], sign)
+                       for sign in (1, -1)), 11)
+    alpha = choose_alpha(1, 5, 11)  # a_5 of 11.2.a.a
+    ctx = IwasawaContext(5, M=M, D=D)
+    s1, s2 = (branch_series(sym, 5, alpha, j, n=n, ctx=ctx).series
+              for j in (1, 2))
+    ti = best_time(lambda: invariants(s2), args.repeat)
+    tg = best_time(lambda: group_ring_mul(s1, s2), args.repeat)
+    print(f"D = {D}: invariants {ti * 1e3:.1f}ms, "
+          f"group_ring_mul {tg * 1e3:.1f}ms")
+
+
+if __name__ == "__main__":
+    main()

@@ -31,6 +31,7 @@ from .newforms import (
     residual_eisenstein_partner,
 )
 from .padic_l import (
+    DEFAULT_DIGITS,
     OrdinarityError,
     apply_sigma0,
     branch_report,
@@ -39,6 +40,7 @@ from .padic_l import (
     choose_alpha,
     format_report,
     product_congruence_verdict,
+    working_precision,
 )
 from .padics import PadicPrecisionError
 from .qseries import (
@@ -396,7 +398,8 @@ def cmd_padic_l(cfg, sigma0_specs=None):
             ap = (-1 if e else 1) * nf.a(p)
         else:
             ap = nf.a(p)
-        alpha = choose_alpha(ap, p, sym.level)
+        digits = max(DEFAULT_DIGITS, working_precision(sym, p, n, m))
+        alpha = choose_alpha(ap, p, sym.level, prec=digits)
     except OrdinarityError as exc:
         raise ConfigError(str(exc))
     ctx = IwasawaContext(p, M=m, D=p ** n)

@@ -12,11 +12,12 @@ import json
 from fractions import Fraction
 
 from .characters import DirichletCharacter, ResidualCharacter, kronecker
-from .iwasawa import IwasawaContext, UndeterminedInvariants
+from .iwasawa import IwasawaContext, UndeterminedInvariants, mu_lambda
 from .modsym import SymbolPair, build_space, eigen_functional, twist_symbol
 from .newforms import ResidualPair, bundled, residual_eisenstein_partner
 from .padics import padic_valuation
 from .padic_l import (
+    DEFAULT_DIGITS,
     apply_sigma0,
     branch_report,
     branch_series,
@@ -24,6 +25,7 @@ from .padic_l import (
     choose_alpha,
     omega_twist_sum,
     product_congruence_verdict,
+    working_precision,
 )
 from .qseries import check_congruence, mazur_eisenstein, sturm_bound
 
@@ -33,9 +35,6 @@ __all__ = [
     "build_example",
     "run_example",
 ]
-
-WORKING_PRECISION = 14
-
 
 class VerificationReport:
     """Ordered list of check records; serializes one JSON object per line."""
@@ -156,12 +155,13 @@ def _symbol_pair(nf, cache_dir=None):
     return SymbolPair(plus, minus, nf.level, label=nf.label)
 
 
-def build_example(number, cache_dir=None):
+def build_example(number, cache_dir=None, wild_level=1, M=8):
     """Assemble the working objects for one bundled run.
 
     Returns a dict with the cuspidal symbol (twisted and renormalized when
-    the configuration says so), the unit root alpha, the congruent form,
-    and the sigma0 Euler factors.
+    the configuration says so), the unit root alpha (to the digits the
+    branch series at this wild level and M need, and at least
+    DEFAULT_DIGITS), the congruent form, and the sigma0 Euler factors.
     """
     if number not in EXAMPLES:
         raise ValueError(f"no bundled example {number!r}")
@@ -179,7 +179,8 @@ def build_example(number, cache_dir=None):
     else:
         sym = pair
         ap = f.a(p)
-    alpha = choose_alpha(ap, p, sym.level, prec=WORKING_PRECISION)
+    digits = max(DEFAULT_DIGITS, working_precision(sym, p, wild_level, M))
+    alpha = choose_alpha(ap, p, sym.level, prec=digits)
     sigma0 = cfg["sigma0"]
     if sigma0 is None:
         a11 = f.a(11)
@@ -235,7 +236,7 @@ def run_example(number, cache_dir=None, wild_level=1, M=8):
     """
     if number not in EXAMPLES:
         raise ValueError(f"no bundled example {number}; choose from 1, 2, 3")
-    ex = build_example(number, cache_dir)
+    ex = build_example(number, cache_dir, wild_level, M)
     p, sym, alpha = ex["p"], ex["sym"], ex["alpha"]
     tag = f"ex{number}"
     rep = VerificationReport(number)
@@ -301,8 +302,7 @@ def run_example(number, cache_dir=None, wild_level=1, M=8):
     for j in range(lo, hi + 1):
         want_mu, want_lam = expect_inv.get(j, (0, 0))
         try:
-            w = raw[j].invariants()
-            got = (w.mu, w.lam)
+            got = mu_lambda(raw[j].series)
             got_s = f"(mu, lambda) = {got}"
         except UndeterminedInvariants as exc:
             got = None
@@ -315,9 +315,11 @@ def run_example(number, cache_dir=None, wild_level=1, M=8):
 
     span = p - 1
     t_js = set(_T_VERDICTS[number])
+    verdicts = {}
     for j in range(lo, hi + 1):
         partner = j % span + 1
-        verdict = product_congruence_verdict(dressed[j], dressed[partner])
+        verdict = verdicts[j] = product_congruence_verdict(dressed[j],
+                                                           dressed[partner])
         want = "(T)" if j in t_js else "(1)"
         rep.add(f"{tag}.verdict.j{j}",
                 f"product of branches {j} and {partner} generates {want} "
@@ -352,11 +354,8 @@ def run_example(number, cache_dir=None, wild_level=1, M=8):
             "0 mismatches", "exact")
 
     rep.branch_reports = [
-        branch_report(dressed[j],
-                      value=values[j],
-                      exact_zero=values[j].zero,
-                      verdict=product_congruence_verdict(
-                          dressed[j], dressed[j % span + 1]))
+        branch_report(dressed[j], value=values[j],
+                      exact_zero=values[j].zero, verdict=verdicts[j])
         for j in range(lo, hi + 1)
     ]
     return rep

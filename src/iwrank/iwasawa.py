@@ -1,31 +1,35 @@
 """Truncated power series over Z_p and their structure invariants.
 
-Series live in Z_p[[T]] modulo (p^M, T^D).  Beyond ring arithmetic the
-module computes Weierstrass data (mu, lambda, distinguished polynomial,
-unit cofactor) for a truncated series, the ideal it generates modulo p,
-and the substitution X -> l^(-j-1) * (1+T)^(c_l) that restores an Euler
-factor at a prime l != p.
+Series live in Z_p[[T]] modulo (p^M, T^D).  A series is stored as one
+tuple of ints with one valuation shift: coefficient i is
+p^shift * ints[i], known modulo p^M, with shift = min(0, least
+valuation).  `PadicNumber` appears only at the edge (`coefficient`).
+Beyond ring arithmetic the module reads mu (least coefficient valuation)
+and lambda (first index reaching it) off the ints, computes certified
+Weierstrass data (distinguished polynomial and unit cofactor), the ideal
+a series generates modulo p, and remainders modulo (1+T)^order - 1,
+which are taken in the group-element basis gamma = 1 + T of the cyclic
+group ring, where reduction is a fold of exponents.
 """
 
 from fractions import Fraction
+from itertools import accumulate
 
-from .padics import (
-    PadicNumber,
-    PadicPrecisionError,
-    padic_log,
-    padic_valuation,
-    teichmuller_lift,
-)
+from .kernels import convolve
+from .padics import PadicNumber, PadicPrecisionError
 
 __all__ = [
     "IwasawaContext",
     "PadicSeries",
     "WeierstrassData",
     "IdealClass",
-    "series_mul",
     "invariants",
+    "mu_lambda",
+    "padic_ints",
     "ideal_mod_pi",
-    "euler_factor_series",
+    "gamma_to_t",
+    "t_to_gamma",
+    "fold",
     "UndeterminedInvariants",
 ]
 
@@ -45,62 +49,111 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _canon(c, p: int, M: int) -> PadicNumber:
-    """Coefficient reduced to its canonical representative mod p^M.
+# -- the two bases of the cyclic group ring ------------------------------
 
-    Nonzero output carries exactly M - val digits; anything only known
-    to less absolute precision than M is rejected rather than silently
-    widening the modulus.
-    """
-    if isinstance(c, PadicNumber):
-        if c.p != p:
-            raise ValueError("mixed primes in series coefficient")
-        if c.zero:
-            if c.val < M:
+
+def gamma_to_t(masses):
+    """T-basis coefficients of sum_c masses[c] (1+T)^c: the Taylor shift
+    x -> x + 1, exact on ints."""
+    rev = list(masses)[::-1]
+    n = len(rev)
+    # pass k replaces the coefficients of degree >= k by their suffix sums
+    for k in range(n - 1):
+        rev[:n - k] = accumulate(rev[:n - k])
+    return rev[::-1]
+
+
+def t_to_gamma(coeffs):
+    """Group-basis masses of sum_k coeffs[k] (gamma - 1)^k: the Taylor
+    shift x -> x - 1, as x -> x + 1 between two sign flips of the odd
+    coefficients."""
+    flip = [-c if k & 1 else c for k, c in enumerate(coeffs)]
+    return [-c if k & 1 else c for k, c in enumerate(gamma_to_t(flip))]
+
+
+def fold(vec, order):
+    """Reduction of a polynomial in gamma modulo gamma^order - 1."""
+    out = list(vec[:order]) + [0] * (order - len(vec))
+    for i in range(order, len(vec)):
+        out[i % order] += vec[i]
+    return out
+
+
+# -- series ---------------------------------------------------------------
+
+
+def padic_ints(values, p, M):
+    """(shift, ints) with values[i] = p^shift * ints[i] mod p^M and
+    -shift the largest p-power in a denominator, for exact rationals and
+    PadicNumbers known to absolute precision p^M."""
+    parts = []  # numerator, p-free denominator, p-power of the denominator
+    for c in values:
+        if type(c) is int or (type(c) is Fraction and c.denominator == 1):
+            parts.append((int(c), 1, 0))
+            continue
+        if isinstance(c, PadicNumber):
+            if c.p != p:
+                raise ValueError("mixed primes in series coefficient")
+            if c.val >= M:  # zero mod p^M, and known to be
+                c = 0
+            elif c.zero or c.abs_prec < M:
                 raise PadicPrecisionError(
-                    f"coefficient known to be 0 only mod p^{c.val} < p^{M}"
-                )
-            return PadicNumber.zero_to(p, M)
-        if c.val >= M:
-            return PadicNumber.zero_to(p, M)
-        if c.abs_prec < M:
-            raise PadicPrecisionError(
-                f"coefficient has {c.abs_prec} digits, series needs {M}"
-            )
-        u = c.unit % p ** (M - c.val)
-        return PadicNumber(p, c.val, u, M - c.val)
-    if isinstance(c, (int, Fraction)):
+                    f"coefficient has {c.abs_prec} digits, series needs {M}")
+            else:
+                c = c.lift()
+        elif not isinstance(c, (int, Fraction)):
+            raise TypeError(f"cannot use {type(c).__name__} as a series coefficient")
         x = Fraction(c)
-        if x == 0:
-            return PadicNumber.zero_to(p, M)
-        v = padic_valuation(x, p)
-        if v >= M:
-            return PadicNumber.zero_to(p, M)
-        return PadicNumber.from_rational(x, p, M - v)
-    raise TypeError(f"cannot use {type(c).__name__} as a series coefficient")
+        d, k = x.denominator, 0
+        while d % p == 0:
+            d //= p
+            k += 1
+        parts.append((x.numerator, d, k))
+    e = max((k for _, _, k in parts), default=0)
+    m = p ** (M + e)
+    return -e, [n * p ** (e - k) * (pow(d, -1, m) if d != 1 else 1) % m
+                for n, d, k in parts]
 
 
 class PadicSeries:
-    """Element of Z_p[[T]] / (p^M, T^D) with canonical coefficients.
+    """Element of Z_p[[T]] / (p^M, T^D): coefficient i is
+    p^shift * ints[i], with ints[i] reduced mod p^(M - shift).
 
     Coefficients of negative valuation are tolerated (the modulus is
-    absolute: each is stored mod p^M), so quotients by p-powers stay in
-    the same shape.  Binary operations insist on matching (p, M, D).
+    absolute), so quotients by p-powers stay in the same shape; a product
+    in which one factor has negative valuation loses digits and raises
+    PadicPrecisionError.  Binary operations insist on matching (p, M, D).
     """
 
-    __slots__ = ("p", "M", "D", "coeffs", "meta")
+    __slots__ = ("p", "M", "D", "shift", "ints", "meta")
 
     def __init__(self, p, M, D, coeffs, meta=None):
+        self._set(p, M, D, *padic_ints(coeffs, p, M), meta)
+
+    @classmethod
+    def from_ints(cls, p, M, D, ints, shift=0, meta=None) -> "PadicSeries":
+        """The series sum_i p^shift * ints[i] T^i mod (p^M, T^D), for any
+        ints and shift <= 0."""
+        self = cls.__new__(cls)
+        self._set(p, M, D, shift, ints, meta)
+        return self
+
+    def _set(self, p, M, D, shift, ints, meta):
         if M < 1 or D < 1:
             raise ValueError("need M >= 1 and D >= 1")
-        cs = list(coeffs)
-        if len(cs) > D:
-            raise ValueError(f"{len(cs)} coefficients for T-degree bound {D}")
-        cs += [0] * (D - len(cs))
-        self.p = p
-        self.M = M
-        self.D = D
-        self.coeffs = tuple(_canon(c, p, M) for c in cs)
+        if len(ints) > D:
+            raise ValueError(f"{len(ints)} coefficients for T-degree bound {D}")
+        if shift > 0:
+            raise ValueError("the valuation shift must be <= 0")
+        m = p ** (M - shift)
+        ints = [x % m for x in ints]
+        ints += [0] * (D - len(ints))
+        while shift < 0 and all(x % p == 0 for x in ints):
+            ints = [x // p for x in ints]
+            shift += 1
+        self.p, self.M, self.D = p, M, D
+        self.shift = shift
+        self.ints = tuple(ints)
         self.meta = meta
 
     # -- ring structure ------------------------------------------------
@@ -113,104 +166,64 @@ class PadicSeries:
             )
 
     def __add__(self, other):
-        if isinstance(other, PadicSeries):
-            self._check_match(other)
-            return PadicSeries(
-                self.p, self.M, self.D,
-                [a + b for a, b in zip(self.coeffs, other.coeffs)],
-            )
-        if isinstance(other, (int, Fraction, PadicNumber)):
-            cs = list(self.coeffs)
-            cs[0] = cs[0] + _canon(other, self.p, self.M)
-            return PadicSeries(self.p, self.M, self.D, cs)
-        return NotImplemented
-
-    __radd__ = __add__
+        if not isinstance(other, PadicSeries):
+            return NotImplemented
+        self._check_match(other)
+        p, s = self.p, min(self.shift, other.shift)
+        total = [x * p ** (self.shift - s) + y * p ** (other.shift - s)
+                 for x, y in zip(self.ints, other.ints)]
+        return PadicSeries.from_ints(p, self.M, self.D, total, s)
 
     def __neg__(self):
-        return PadicSeries(self.p, self.M, self.D, [-c for c in self.coeffs])
+        return PadicSeries.from_ints(self.p, self.M, self.D, [-x for x in self.ints], self.shift)
 
     def __sub__(self, other):
-        if isinstance(other, PadicSeries):
-            self._check_match(other)
-            return PadicSeries(
-                self.p, self.M, self.D,
-                [a - b for a, b in zip(self.coeffs, other.coeffs)],
-            )
-        if isinstance(other, (int, Fraction, PadicNumber)):
-            return self + (-_canon(other, self.p, self.M))
-        return NotImplemented
+        if not isinstance(other, PadicSeries):
+            return NotImplemented
+        return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
+    def check_product(self, other: "PadicSeries"):
+        """Refuse a product that is not known mod p^M: an error O(p^M) in
+        one factor is scaled by the other, so a factor of negative
+        valuation costs digits."""
+        self._check_match(other)
+        lost = -min(self.shift, other.shift)
+        if lost:
+            raise PadicPrecisionError(
+                f"product of series known mod p^{self.M} is known only mod "
+                f"p^{self.M - lost}: a factor has valuation {-lost}")
 
     def __mul__(self, other):
-        if isinstance(other, PadicSeries):
-            self._check_match(other)
-            out = [PadicNumber.zero_to(self.p, self.M) for _ in range(self.D)]
-            for i, a in enumerate(self.coeffs):
-                if a.zero:
-                    continue
-                for j in range(self.D - i):
-                    b = other.coeffs[j]
-                    if b.zero:
-                        continue
-                    out[i + j] = out[i + j] + a * b
-            return PadicSeries(self.p, self.M, self.D, out)
-        if isinstance(other, (int, Fraction, PadicNumber)):
-            s = other
-            return PadicSeries(
-                self.p, self.M, self.D, [c * s for c in self.coeffs]
-            )
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative series powers not supported")
-        out = PadicSeries(self.p, self.M, self.D, [1])
-        for _ in range(e):
-            out = out * self
-        return out
+        if not isinstance(other, PadicSeries):
+            return NotImplemented
+        self.check_product(other)
+        prod = convolve(self.ints, other.ints)[:self.D]
+        return PadicSeries.from_ints(self.p, self.M, self.D, prod)
 
     def __eq__(self, other):
         if not isinstance(other, PadicSeries):
             return NotImplemented
-        if (self.p, self.M, self.D) != (other.p, other.M, other.D):
-            return False
-        for a, b in zip(self.coeffs, other.coeffs):
-            if a.zero != b.zero:
-                return False
-            if not a.zero and (a.val, a.unit) != (b.val, b.unit):
-                return False
-        return True
+        return ((self.p, self.M, self.D, self.shift, self.ints)
+                == (other.p, other.M, other.D, other.shift, other.ints))
 
     def __hash__(self):
-        return hash((self.p, self.M, self.D) + tuple(
-            (c.val, 0 if c.zero else c.unit) for c in self.coeffs
-        ))
+        return hash((self.p, self.M, self.D, self.shift, self.ints))
 
     # -- queries -------------------------------------------------------
 
     def coefficient(self, i: int) -> PadicNumber:
-        return self.coeffs[i]
+        x = self.ints[i]
+        if x == 0:
+            return PadicNumber.zero_to(self.p, self.M)
+        v = 0
+        while x % self.p == 0:
+            x //= self.p
+            v += 1
+        val = self.shift + v
+        return PadicNumber(self.p, val, x, self.M - val)
 
     def is_zero(self) -> bool:
-        return all(c.zero for c in self.coeffs)
-
-    def evaluate(self, t) -> PadicNumber:
-        """Horner evaluation at a p-adic point t."""
-        if not isinstance(t, PadicNumber):
-            t = _canon(t, self.p, self.M)
-        acc = PadicNumber.zero_to(self.p, self.M)
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
-
-    def shifted(self, k: int) -> "PadicSeries":
-        """Multiplication by T^k."""
-        return PadicSeries(self.p, self.M, self.D, [0] * k + list(self.coeffs))
+        return not any(self.ints)
 
     def reduce_gamma(self, order: int) -> "PadicSeries":
         """Remainder modulo (1+T)^order - 1, returned with T-bound = order.
@@ -218,63 +231,18 @@ class PadicSeries:
         This is the projection from the length-D truncation onto the
         group ring of a cyclic quotient of order `order`.
         """
-        cs = list(self.coeffs)
-        if self.D <= order:
-            return PadicSeries(self.p, self.M, order, cs)
-        # (1+T)^order - 1 is monic of degree `order` with integer
-        # coefficients binom(order, t); reduce top-down.
-        from math import comb
-
-        mod = [comb(order, t) for t in range(order)]
-        mod[0] = 0
-        for i in range(self.D - 1, order - 1, -1):
-            c = cs[i]
-            if c.zero:
-                continue
-            cs[i] = PadicNumber.zero_to(self.p, self.M)
-            for t in range(order):
-                if mod[t]:
-                    cs[i - order + t] = cs[i - order + t] - c * mod[t]
-        return PadicSeries(self.p, self.M, order, cs[:order])
-
-    # -- serialization -------------------------------------------------
-
-    def serialize(self) -> str:
-        parts = []
-        for c in self.coeffs:
-            if c.zero:
-                parts.append(f"{self.M}:0")
-            else:
-                parts.append(f"{c.val}:{c.unit}")
-        return f"{self.p}, {self.M}, {self.D}, [{', '.join(parts)}]"
-
-    @classmethod
-    def deserialize(cls, text: str) -> "PadicSeries":
-        head, _, body = text.partition("[")
-        if not body.rstrip().endswith("]"):
-            raise ValueError(f"malformed series literal: {text!r}")
-        p, M, D = (int(tok) for tok in head.strip().rstrip(",").split(","))
-        body = body.rstrip().rstrip("]").strip()
-        coeffs = []
-        if body:
-            for entry in body.split(","):
-                v, _, u = entry.strip().partition(":")
-                v, u = int(v), int(u)
-                if u == 0:
-                    coeffs.append(PadicNumber.zero_to(p, M))
-                else:
-                    coeffs.append(PadicNumber(p, v, u, M - v))
-        if len(coeffs) != D:
-            raise ValueError(f"expected {D} coefficients, found {len(coeffs)}")
-        return cls(p, M, D, coeffs)
+        ints = list(self.ints)
+        if self.D > order:
+            ints = gamma_to_t(fold(t_to_gamma(ints), order))
+        return PadicSeries.from_ints(self.p, self.M, order, ints, self.shift)
 
     def __repr__(self):
         terms = []
-        for i, c in enumerate(self.coeffs):
+        for i in range(self.D):
+            c = self.coefficient(i)
             if c.zero:
                 continue
-            val = c.unit * self.p**c.val if c.val >= 0 else f"{c.unit}/{self.p**-c.val}"
-            terms.append(f"{val}*T^{i}" if i else f"{val}")
+            terms.append(f"{c.lift()}*T^{i}" if i else f"{c.lift()}")
             if len(terms) >= 6:
                 terms.append("...")
                 break
@@ -312,10 +280,6 @@ class IwasawaContext:
 
     def __repr__(self):
         return f"IwasawaContext(p={self.p}, u={self.u}, M={self.M}, D={self.D})"
-
-
-def series_mul(f: PadicSeries, g: PadicSeries) -> PadicSeries:
-    return f * g
 
 
 # -- Weierstrass data --------------------------------------------------
@@ -411,77 +375,67 @@ class WeierstrassData:
         )
 
 
-def _series_inverse(f: PadicSeries) -> PadicSeries:
-    """Inverse of a series with unit constant term, same (p, M, D)."""
-    c0 = f.coefficient(0)
-    if c0.zero or c0.val != 0:
-        raise ZeroDivisionError("series has no unit constant term")
-    p, M, D = f.p, f.M, f.D
-    inv0 = c0.inverse()
-    out = [inv0] + [PadicNumber.zero_to(p, M)] * (D - 1)
-    for k in range(1, D):
-        acc = PadicNumber.zero_to(p, M)
-        for i in range(1, k + 1):
-            a = f.coefficient(i)
-            if a.zero or out[k - i].zero:
-                continue
-            acc = acc + a * out[k - i]
-        out[k] = -inv0 * acc
-    return PadicSeries(p, M, D, out)
+def mu_lambda(f: PadicSeries) -> tuple[int, int]:
+    """(mu, lambda) of f: its least coefficient valuation and the first
+    index reaching it; raises when f vanishes to working precision."""
+    if f.is_zero():
+        raise UndeterminedInvariants(
+            f"series vanishes mod (p^{f.M}, T^{f.D}); mu/lambda undetermined"
+        )
+    q, k = f.p, 0
+    while True:
+        for i, x in enumerate(f.ints):
+            if x % q:
+                return f.shift + k, i
+        q *= f.p
+        k += 1
+
+
+def _inverse(f, D, m):
+    """Inverse mod (m, T^D) of a series with unit constant term, by
+    Newton iteration g <- g (2 - f g)."""
+    g = [pow(f[0], -1, m)]
+    k = 1
+    while k < D:
+        k = min(2 * k, D)
+        e = [-x for x in convolve(f[:k], g)[:k]]
+        e[0] += 2
+        g = [x % m for x in convolve(g, e)[:k]]
+    return g
 
 
 def invariants(f: PadicSeries) -> WeierstrassData:
     """Weierstrass data of f, or a loud failure when precision cannot
-    certify it (f = 0 to working precision, or lambda >= D)."""
-    vals = [None if c.zero else c.val for c in f.coeffs]
-    live = [v for v in vals if v is not None]
-    if not live:
-        raise UndeterminedInvariants(
-            f"series vanishes mod (p^{f.M}, T^{f.D}); mu/lambda undetermined"
-        )
-    mu = min(live)
-    lam = vals.index(mu)
-    if lam >= f.D:
-        raise UndeterminedInvariants(f"lambda >= T-adic truncation {f.D}")
-
+    certify it (f = 0 to working precision)."""
+    mu, lam = mu_lambda(f)
     p, D = f.p, f.D
     Mp = f.M - mu  # digits surviving division by p^mu
-    if Mp < 1:
-        raise UndeterminedInvariants("no digits left after removing p^mu")
-    scale = PadicNumber(p, -mu, 1, f.M + abs(mu) + 1)
-    g = PadicSeries(p, Mp, D, [c * scale for c in f.coeffs])
+    m = p ** Mp
+    scale = p ** (mu - f.shift)
+    g = [x // scale for x in f.ints]
 
-    # divide T^lam by g: T^lam = q*g + r with deg r < lam; then
-    # q*g = T^lam - r is the distinguished polynomial and unit = q^(-1).
-    w = PadicSeries(p, Mp, D, list(g.coeffs[lam:]))
-    winv = _series_inverse(w)
-    glow = g.coeffs[:lam]
-    target = [PadicNumber.zero_to(p, Mp)] * D
-    if lam < D:
-        target[lam] = _canon(1, p, Mp)
-    f_full = PadicSeries(p, Mp, D, target)
-    q = PadicSeries(p, Mp, D, [])
+    # divide T^lam by g = glow + T^lam w: T^lam = q*g + r with deg r < lam,
+    # so q = w^(-1) [T^lam - q glow]_(>= lam), a contraction since glow = 0
+    # mod p; then q*g = T^lam - r is the distinguished polynomial and
+    # unit = q^(-1).
+    winv = _inverse(g[lam:] + [0] * lam, D, m)
+    glow = g[:lam]
+    q = [0] * D
     for _ in range(Mp + 1):
-        low = [PadicNumber.zero_to(p, Mp) for _ in range(D)]
-        for i, a in enumerate(glow):
-            if a.zero:
-                continue
-            for j in range(D - i):
-                b = q.coeffs[j]
-                if not b.zero:
-                    low[i + j] = low[i + j] + a * b
-        resid = [t - l for t, l in zip(target, low)]
-        q = winv * PadicSeries(p, Mp, D, resid[lam:])
-    r = f_full - q * g
-    for i in range(lam, D):
-        if not r.coeffs[i].zero:
-            raise ArithmeticError("Weierstrass division failed to converge")
-    dist_coeffs = [-r.coeffs[i] for i in range(lam)] + [_canon(1, p, Mp)]
-    for c in dist_coeffs[:-1]:
-        if not c.zero and c.val < 1:
-            raise ArithmeticError("division produced a non-distinguished factor")
-    dist = PadicSeries(p, Mp, lam + 1, dist_coeffs)
-    unit = _series_inverse(q)
+        low = convolve(glow, q)[lam:D] if lam else []
+        resid = [-x for x in low] + [0] * (D - lam - len(low))
+        resid[0] += 1
+        nxt = [x % m for x in convolve(winv, resid)[:D]]
+        if nxt == q:
+            break
+        q = nxt
+    qg = [x % m for x in convolve(q, g)[:D]]
+    if qg[lam] != 1 or any(qg[lam + 1:]):
+        raise ArithmeticError("Weierstrass division failed to converge")
+    if any(x % p for x in qg[:lam]):
+        raise ArithmeticError("division produced a non-distinguished factor")
+    dist = PadicSeries.from_ints(p, Mp, lam + 1, qg[:lam] + [1])
+    unit = PadicSeries.from_ints(p, Mp, D, _inverse(q, D, m))
     return WeierstrassData(mu, lam, dist, unit, Mp)
 
 
@@ -489,78 +443,5 @@ def ideal_mod_pi(f: PadicSeries) -> IdealClass:
     """Ideal generated by f in F_p[[T]] after reducing mod p."""
     if f.is_zero():
         return IdealClass.zero()
-    return invariants(f).residual_ideal()
-
-
-# -- Euler factor substitution -----------------------------------------
-
-
-def _binomial_column(c: PadicNumber, D: int):
-    """binom(c, i) for i < D; c a p-adic integer, so all entries are
-    p-adic integers even when i! meets p."""
-    out = [PadicNumber(c.p, 0, 1, c.abs_prec if not c.zero else c.val)]
-    for i in range(1, D):
-        out.append(out[-1] * (c - (i - 1)) / i)
-    return out
-
-
-def gamma_power(c, ctx: IwasawaContext, extra_digits: int = 0) -> PadicSeries:
-    """(1+T)^c as a truncated series, for c an integer or p-adic integer."""
-    W = ctx.M + extra_digits
-    if isinstance(c, int):
-        c = PadicNumber.from_rational(c, ctx.p, W + 2) if c else PadicNumber.zero_to(ctx.p, W + 2)
-    col = _binomial_column(c, ctx.D)
-    return ctx.series(col)
-
-
-def euler_factor_series(poly, ell: int, j: int, ctx: IwasawaContext) -> PadicSeries:
-    """Substitute X -> ell^(-j-1) * (1+T)^(c_ell) into the polynomial
-    `poly` (coefficients low-degree-first).
-
-    Here <ell> = ell / omega_p(ell) is the 1-unit part, c_ell =
-    log<ell> / log(u), and the Teichmuller part omega_p(ell)^(-j-1) is
-    a scalar folded into the substituted constant (it carries no
-    (1+T)-power).  Requires ell prime to p.
-    """
-    p, M, D = ctx.p, ctx.M, ctx.D
-    if ell % p == 0:
-        raise ValueError("Euler substitution is only defined away from p")
-    # working digits: binom(c, i) costs up to v_p(i!) nominal digits
-    loss = 0
-    q = p
-    while q < D:
-        loss += (D - 1) // q
-        q *= p
-    W = M + loss + 3
-    pk = p**W
-    t = teichmuller_lift(ell % p, p, W)
-    one_unit = ell * pow(t, -1, pk) % pk
-    c = padic_log(one_unit, p, W) / padic_log(ctx.u % pk, p, W)
-    col = _binomial_column(c, D)
-    scalar = PadicNumber.from_rational(Fraction(1, ell ** (j + 1)), p, W)
-    x_sub = [scalar * b for b in col]  # ell^(-j-1) * (1+T)^(c_ell)
-
-    coeffs = [a if isinstance(a, PadicNumber) else PadicNumber.from_rational(Fraction(a), p, W)
-              for a in poly]
-    if not coeffs:
-        raise ValueError("empty polynomial")
-    acc = [coeffs[-1]] + [PadicNumber.zero_to(p, W)] * (D - 1)
-    for a in reversed(coeffs[:-1]):
-        nxt = [PadicNumber.zero_to(p, W) for _ in range(D)]
-        for i, ai in enumerate(acc):
-            if ai.zero:
-                continue
-            for k in range(D - i):
-                b = x_sub[k]
-                if not b.zero:
-                    nxt[i + k] = nxt[i + k] + ai * b
-        nxt[0] = nxt[0] + a
-        acc = nxt
-    meta = {
-        "ell": ell,
-        "j": j,
-        "poly": [str(a) for a in poly],
-        "c_ell": c.residue(min(M, c.abs_prec)) if not c.zero else 0,
-        "teichmuller_part": f"omega({ell})^{-(j + 1)} folded into the constant",
-    }
-    return ctx.series(acc, meta=meta)
+    mu, lam = mu_lambda(f)
+    return IdealClass.zero() if mu > 0 else IdealClass.power(lam)

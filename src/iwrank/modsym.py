@@ -590,6 +590,17 @@ class SymbolFunctional:
         symbol tables (the measure itself integrates paths based at oo)."""
         return self.evaluate(r) - self.evaluate(0)
 
+    def evaluate_row(self, den):
+        """Values on {oo -> a/den} for a = 0..den-1, as integer path sums
+        (Fractions or field elements where not integral); one pass per
+        denominator."""
+        row = self._cache.get(("row", den))
+        if row is None:
+            flat, N = self._flat_values(), self.space.N
+            row = tuple(_path_sum(flat, N, a, den) for a in range(den))
+            self._cache[("row", den)] = row
+        return row
+
 
 def _path_sum(flat, N, a, b):
     """Value on {oo -> a/b}, 0 <= a < b (not necessarily coprime): the sum
@@ -701,6 +712,9 @@ class SymbolPair:
     def evaluate_from_zero(self, r, sign):
         return self.evaluate(r, sign) - self.evaluate(0, sign)
 
+    def evaluate_row(self, den, sign):
+        return (self.plus if sign > 0 else self.minus).evaluate_row(den)
+
 
 class TwistedSymbol:
     """Symbol pair of f tensor chi via Birch sums over a mod cond(chi).
@@ -780,6 +794,14 @@ class TwistedSymbol:
 
     def evaluate_from_zero(self, r, sign):
         return self.evaluate(r, sign) - self.evaluate(0, sign)
+
+    def evaluate_row(self, den, sign):
+        """evaluate(a/den, sign) for a = 0..den-1, computed once."""
+        row = self._cache.get(("row", den, sign))
+        if row is None:
+            row = tuple(self.evaluate(Fraction(a, den), sign) for a in range(den))
+            self._cache[("row", den, sign)] = row
+        return row
 
 
 def twist_symbol(pair, chi, probes=(), label=""):

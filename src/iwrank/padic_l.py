@@ -10,7 +10,7 @@ verdict for the product of two branches.
 import json
 from collections import namedtuple
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
 
 from .characters import DirichletCharacter
 from .cyclotomic import CyclotomicNumber, cyclotomic_polynomial, zeta
@@ -18,19 +18,28 @@ from .iwasawa import (
     IdealClass,
     IwasawaContext,
     PadicSeries,
+    UndeterminedInvariants,
+    fold,
+    gamma_to_t,
     ideal_mod_pi,
     invariants,
+    mu_lambda,
+    padic_ints,
+    t_to_gamma,
 )
+from .kernels import convolve
 from .padics import (
     PadicEmbedding,
     PadicNumber,
-    padic_log,
+    PadicPrecisionError,
     smallest_primitive_root,
     teichmuller_lift,
 )
 
 __all__ = [
     "OrdinarityError",
+    "DEFAULT_DIGITS",
+    "working_precision",
     "unit_root",
     "choose_alpha",
     "MttMultiplier",
@@ -56,6 +65,11 @@ PRODUCT_NOTE = (
 )
 
 
+# digits of alpha when the series need no more; the bundled reports
+# print vanishing values as "0 (to p^14)"
+DEFAULT_DIGITS = 14
+
+
 class OrdinarityError(ArithmeticError):
     """a_p is not a p-adic unit, so there is no unit root."""
 
@@ -68,7 +82,7 @@ def _as_padic(x, p: int, prec: int) -> PadicNumber:
     return PadicNumber.from_rational(Fraction(x), p, prec)
 
 
-def unit_root(ap, p: int | None = None, prec: int = 14) -> PadicNumber:
+def unit_root(ap, p: int | None = None, prec: int = DEFAULT_DIGITS) -> PadicNumber:
     """Unit root of X^2 - a_p X + p by Newton iteration from a_p."""
     if isinstance(ap, PadicNumber):
         p = ap.p
@@ -86,7 +100,7 @@ def unit_root(ap, p: int | None = None, prec: int = 14) -> PadicNumber:
     return x
 
 
-def choose_alpha(ap, p: int, level: int, prec: int = 14) -> PadicNumber:
+def choose_alpha(ap, p: int, level: int, prec: int = DEFAULT_DIGITS) -> PadicNumber:
     """The distinguished p-adic period root: the unit root of the Hecke
     polynomial when p does not divide the level, a_p itself (the U_p
     eigenvalue) when it does."""
@@ -234,16 +248,34 @@ class BranchSeries:
         )
 
 
-def _wild_coordinate(a: int, p: int, n: int, u: int) -> int:
-    """Discrete log of the 1-unit part of a in base u, mod p^n."""
-    mod_hi = p ** (n + 1)
-    t = teichmuller_lift(a % p, p, n + 1)
-    one_unit = a * pow(t, -1, mod_hi) % mod_hi
-    la = padic_log(one_unit, p, n + 1)
-    if la.zero:
-        return 0
-    lu = padic_log(u % mod_hi, p, n + 1)
-    return (la / lu).residue(n)
+@lru_cache(maxsize=32)
+def _wild_coordinates(p: int, n: int, u: int) -> tuple:
+    """c(a) mod p^n with <a> = u^c(a), for every a mod p^(n+1) (-1 where
+    p | a).  <a> = a / omega(a) is the 1-unit part, and omega(a) = a^(p^n)
+    mod p^(n+1)."""
+    mod, q = p ** (n + 1), p ** n
+    log = {}
+    x = 1
+    for c in range(q):
+        log[x] = c
+        x = x * u % mod
+    return tuple(log[a * pow(a, -q, mod) % mod] if a % p else -1
+                 for a in range(mod))
+
+
+def _symbol_rows(sym, p, n, sgn):
+    """x(a/p^(n+1)) for a mod p^(n+1), then, unless p divides the level
+    (one-root case), x(b/p^n) for b mod p^n."""
+    hi = sym.evaluate_row(p ** (n + 1), sgn)
+    return hi if sym.level % p == 0 else hi + sym.evaluate_row(p ** n, sgn)
+
+
+def working_precision(sym, p: int, n: int, M: int) -> int:
+    """Digits a unit alpha must carry for the branch series of `sym` at
+    wild level n to come out mod p^M: M plus the largest p-power in a
+    denominator of the symbol values they sum."""
+    return M - min(padic_ints(_symbol_rows(sym, p, n, sgn), p, 1)[0]
+                   for sgn in (1, -1))
 
 
 def branch_series(sym, p: int, alpha: PadicNumber, j: int, n: int = 1,
@@ -253,7 +285,11 @@ def branch_series(sym, p: int, alpha: PadicNumber, j: int, n: int = 1,
 
     The measure of the ball a + p^(n+1)Z_p is
     alpha^-(n+1) x(a/p^(n+1)) - alpha^-(n+2) x(a/p^n), with the second
-    term dropped when p divides the level (one-root case).
+    term dropped when p divides the level (one-root case).  The masses,
+    twisted by omega^-j, are summed in the group-element basis of
+    Z/p^W[Z/p^n] and converted to the T-basis once.  W is M plus the
+    p-power in the symbol values' denominators plus (n+2) v(alpha);
+    alpha must carry W digits.
     """
     if n < 1:
         raise ValueError("wild level n >= 1 required")
@@ -265,48 +301,48 @@ def branch_series(sym, p: int, alpha: PadicNumber, j: int, n: int = 1,
     if ctx.D != order:
         raise ValueError(f"context truncation {ctx.D} must equal p^n = {order}")
     M = ctx.M
-    W = M + 4
-    level = getattr(sym, "level")
-    steinberg = level % p == 0
+    steinberg = sym.level % p == 0
     jj = j % (p - 1)
     sgn = 1 if jj % 2 == 0 else -1
-    ainv = alpha.inverse()
-    c_hi = ainv ** (n + 1)
-    c_lo = ainv ** (n + 2)
-    pk = p**W
-    omega_pow = {}
-    for b in range(1, p):
-        t = teichmuller_lift(b, p, W)
-        omega_pow[b] = PadicNumber(p, 0, pow(t, -jj, pk) if jj else 1, W)
-    mod_hi = p ** (n + 1)
-    out = [PadicNumber.zero_to(p, W) for _ in range(order)]
-    for a in range(1, mod_hi):
-        if a % p == 0:
+    v = alpha.valuation()
+    loss = (n + 2) * v  # the powers of 1/alpha
+    shift, xs = padic_ints(_symbol_rows(sym, p, n, sgn), p, M + loss)
+    W = M + loss - shift
+    if alpha.prec < W:
+        raise PadicPrecisionError(
+            f"alpha carries {alpha.prec} digits, the series needs {W}")
+    m = p**W
+    # masses scaled by p^(W - M): a_hi x_hi - a_lo x_lo
+    ainv = pow(alpha.unit, -1, m)
+    a_hi = p**v * pow(ainv, n + 1, m) % m
+    a_lo = pow(ainv, n + 2, m)
+    tw = [0] + [pow(teichmuller_lift(b, p, W), -jj, m) for b in range(1, p)]
+    coord = _wild_coordinates(p, n, ctx.u)
+    masses = [0] * order
+    hi_len = p * order
+    for a in range(1, hi_len):
+        c = coord[a]
+        if c < 0:
             continue
-        m_a = c_hi * _as_padic(sym.evaluate(Fraction(a, mod_hi), sgn), p, W)
+        x = a_hi * xs[a]
         if not steinberg:
-            lo = Fraction(a % (p**n), p**n)
-            m_a = m_a - c_lo * _as_padic(sym.evaluate(lo, sgn), p, W)
-        coeff = omega_pow[a % p] * m_a
-        if coeff.zero:
-            continue
-        c_a = _wild_coordinate(a, p, n, ctx.u)
-        for t2 in range(c_a + 1):
-            out[t2] = out[t2] + coeff * comb(c_a, t2)
-    one = PadicNumber(p, 0, 1, W)
+            x -= a_lo * xs[hi_len + a % order]
+        masses[c] += tw[a % p] * x
+    one = PadicNumber(p, 0, 1, alpha.prec)
     if jj != 0:
-        ratio = _as_padic(2, p, W)
+        ratio, label = PadicNumber.from_rational(2, p, alpha.prec), "2"
     elif steinberg:
         # a_p = +1 makes 1 - 1/alpha vanish (an exceptional zero): no ratio
-        e = one - ainv
-        ratio = None if e.zero else e.inverse()
+        e = one - alpha.inverse()
+        ratio, label = (None, None) if e.zero else (e.inverse(), "1/(1 - 1/alpha)")
     else:
-        ratio = one
-    series = PadicSeries(p, M, order, out, meta={
-        "branch": jj,
-        "wild_level": n,
-        "series_over_value_at_zero": "2" if jj else ("1/(1 - 1/alpha)" if steinberg else "1"),
-    })
+        ratio, label = one, "1"
+    series = PadicSeries.from_ints(
+        p, M, order, gamma_to_t([x % m for x in masses]), M - W, meta={
+            "branch": jj,
+            "wild_level": n,
+            "series_over_value_at_zero": label,
+        })
     return BranchSeries(
         series, jj, twist_label, getattr(sym, "label", None), alpha,
         sigma0_factors=(), level=n, zero_ratio=ratio,
@@ -315,20 +351,25 @@ def branch_series(sym, p: int, alpha: PadicNumber, j: int, n: int = 1,
 
 def group_ring_mul(a: PadicSeries, b: PadicSeries, order: int | None = None) -> PadicSeries:
     """Product of two degree-<order representatives modulo
-    ((1+T)^order - 1, p^M)."""
+    ((1+T)^order - 1, p^M): a cyclic convolution of their group-basis
+    masses, folded mod gamma^order - 1."""
     if order is None:
         order = a.D
     if a.D != order or b.D != order:
         raise ValueError("operands must be reduced representatives")
-    wide = 2 * order - 1
-    big = PadicSeries(a.p, a.M, wide, list(a.coeffs)) * PadicSeries(b.p, b.M, wide, list(b.coeffs))
-    return big.reduce_gamma(order)
+    a.check_product(b)
+    m = a.p ** a.M
+    ga = [x % m for x in t_to_gamma(a.ints)]
+    gb = [x % m for x in t_to_gamma(b.ints)]
+    prod = fold(convolve(ga, gb), order)
+    return PadicSeries.from_ints(a.p, a.M, order, gamma_to_t([x % m for x in prod]))
 
 
 def _euler_factor_finite(poly, ell: int, j: int, p: int, M: int, order: int, u: int) -> PadicSeries:
     """Euler substitution X -> ell^(-j-1) (1+T)^(c_ell mod p^n) inside
     the cyclic group ring of order p^n: the wild exponent is an honest
-    integer here, so no binomial tails are truncated."""
+    integer here, so no binomial tails are truncated.  In the group
+    basis the factor is sum_k poly[k] ell^(-k(j+1)) gamma^(k c_ell)."""
     if ell % p == 0:
         raise ValueError("Euler substitution is only defined away from p")
     n = 0
@@ -338,17 +379,15 @@ def _euler_factor_finite(poly, ell: int, j: int, p: int, M: int, order: int, u: 
         n += 1
     if p**n != order:
         raise ValueError("order must be a power of p")
-    W = M + 4
-    c = _wild_coordinate(ell % (p ** (n + 1)), p, n, u)
-    s = PadicNumber.from_rational(Fraction(1, ell ** (j + 1)), p, W)
-    xsub = PadicSeries(p, M, order, [s * comb(c, t) for t in range(c + 1)])
-    coeffs = [a if isinstance(a, PadicNumber) else _as_padic(a, p, W) for a in poly]
-    if not coeffs:
+    if not poly:
         raise ValueError("empty polynomial")
-    acc = PadicSeries(p, M, order, [coeffs[-1]])
-    for a in reversed(coeffs[:-1]):
-        acc = group_ring_mul(acc, xsub, order) + a
-    return acc
+    c = _wild_coordinates(p, n, u)[ell % (p ** (n + 1))]
+    x = Fraction(1, ell ** (j + 1))
+    masses = [Fraction(0)] * order
+    for k, a in enumerate(poly):
+        masses[k * c % order] += Fraction(a) * x**k
+    shift, ints = padic_ints(masses, p, M)
+    return PadicSeries.from_ints(p, M, order, gamma_to_t(ints), shift)
 
 
 def apply_sigma0(bs: BranchSeries, factors, ctx: IwasawaContext | None = None) -> BranchSeries:
@@ -411,11 +450,10 @@ def _value_record(value: PadicNumber | None, exact_zero: bool = False, digits: i
 
 def branch_report(bs: BranchSeries, value: PadicNumber | None = None,
                   exact_zero: bool = False, verdict: Verdict | None = None) -> dict:
-    w = None
     try:
-        w = bs.invariants()
-    except ArithmeticError:
-        pass
+        mu, lam = mu_lambda(bs.series)
+    except UndeterminedInvariants:
+        mu = lam = None
     alpha = bs.alpha
     rec = {
         "form": bs.form,
@@ -426,8 +464,8 @@ def branch_report(bs: BranchSeries, value: PadicNumber | None = None,
             "unit_digits": alpha.unit % alpha.p ** min(6, alpha.prec),
         },
         "value_at_trivial": _value_record(value, exact_zero),
-        "mu": None if w is None else w.mu,
-        "lambda": None if w is None else w.lam,
+        "mu": mu,
+        "lambda": lam,
         "sigma0_factors": [[ell, [str(c) for c in poly]] for ell, poly in bs.sigma0_factors],
         "verdict": None if verdict is None else str(verdict.ideal),
         "note": PRODUCT_NOTE,

@@ -219,11 +219,18 @@ def test_config_errors(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_unreachable_precision_exits_2(tmp_path, capsys):
-    # the working precision is still fixed at 14 digits, so M = 16 cannot
-    # be reached: a clean error, not a traceback
-    argv = ["padic-l", "--newform", "52.2.a.a", "--prime", "5",
-            "--precision", "16,25", "--out", str(tmp_path / "out.jsonl")]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "digits" in err
+@pytest.mark.parametrize("m", [16, 30])
+def test_precision_above_default_digits(m, capsys):
+    # alpha is computed to the digits the series need, so M > 14 is
+    # reached: the same records as at M = 8, with the vanishing branch
+    # now known to vanish mod p^M
+    argv = ["padic-l", "--newform", "52.2.a.a", "--prime", "5", "--precision"]
+    assert main(argv + ["8,25"]) == 0
+    base = _records(capsys)
+    assert main(argv + [f"{m},25"]) == 0
+    recs = _records(capsys)
+    assert [r["value_at_trivial"].get("vanishes_to") for r in recs] == \
+        [None, m, None, None]
+    for r in base + recs:
+        r["value_at_trivial"].pop("vanishes_to", None)
+    assert recs == base

@@ -10,13 +10,14 @@ from iwrank.iwasawa import (
     IwasawaContext,
     PadicSeries,
     UndeterminedInvariants,
-    euler_factor_series,
-    gamma_power,
+    gamma_to_t,
     ideal_mod_pi,
     invariants,
-    series_mul,
+    mu_lambda,
+    t_to_gamma,
 )
-from iwrank.padics import PadicNumber
+from iwrank.padic_l import _euler_factor_finite, group_ring_mul
+from iwrank.padics import PadicNumber, PadicPrecisionError, padic_valuation
 
 
 @pytest.fixture(scope="module")
@@ -34,12 +35,12 @@ def test_context_defaults_and_validation(ctx):
 
 def test_ring_arithmetic_and_certificate(ctx):
     # (p + T)(1 + T) = p + (1+p)T + T^2
-    h = series_mul(ctx.series([11, 1]), ctx.series([1, 1]))
+    h = ctx.series([11, 1]) * ctx.series([1, 1])
     assert h == ctx.series([11, 12, 1])
     assert [h.coefficient(i).lift() for i in range(3)] == [11, 12, 1]
     w = invariants(h)
     assert (w.mu, w.lam) == (0, 1)
-    dist_full = ctx.series(list(w.dist.coeffs))
+    dist_full = ctx.series([w.dist.coefficient(i) for i in range(w.dist.D)])
     assert dist_full * w.unit == h
     assert w.unit_head.val == 0
     assert w.dist.coefficient(1).lift() == 1
@@ -107,23 +108,6 @@ def test_unit_scale_invariance(ctx):
         assert (w.mu, w.lam) == (0, 1)
 
 
-def test_serialization_round_trip(ctx):
-    rng = random.Random(5)
-    samples = [
-        series_mul(ctx.series([11, 1]), ctx.series([1, 1])),
-        ctx.zero(),
-        ctx.series([Fraction(1, 11), 3]),
-        ctx.series([rng.randrange(0, 11**8) for _ in range(11)]),
-    ]
-    for s in samples:
-        text = s.serialize()
-        back = PadicSeries.deserialize(text)
-        assert back == s
-        assert back.serialize() == text
-    head = samples[0].serialize().split("[")[0]
-    assert head.strip().startswith("11, 8, 11")
-
-
 def test_mismatched_layouts_refuse(ctx):
     h = ctx.series([1, 2])
     with pytest.raises(ValueError):
@@ -132,43 +116,40 @@ def test_mismatched_layouts_refuse(ctx):
         h + IwasawaContext(5).series([1])
 
 
-def test_gamma_power(ctx):
-    g5 = gamma_power(5, ctx)
-    for i in range(ctx.D):
-        assert g5.coefficient(i).lift() == comb(5, i)
-    assert gamma_power(3, ctx) * gamma_power(4, ctx) == gamma_power(7, ctx)
+def _euler11(poly, ell, j):
+    """The Euler factor in the group ring of order 11 at p = 11, u = 12."""
+    return _euler_factor_finite(poly, ell, j, 11, 8, 11, 12)
 
 
 def test_euler_substitution_values(ctx):
-    assert euler_factor_series([1], 23, 0, ctx) == ctx.one()
-    e23 = euler_factor_series([1, -1], 23, 0, ctx)
+    assert _euler11([1], 23, 0) == ctx.one()
+    e23 = _euler11([1, -1], 23, 0)
     c0 = e23.coefficient(0)
     assert c0.eq_to(PadicNumber.from_rational(Fraction(22, 23), 11, 9), 8)
     assert c0.val == 1  # 23 = 1 mod 11: 1 - 23^(-1) dies exactly once
     assert (invariants(e23).mu, invariants(e23).lam) == (0, 1)
     # T = 0 value is P(ell^(-j-1))
     P, ell, j = [1, -3, 5], 7, 2
-    v = euler_factor_series(P, ell, j, ctx).coefficient(0)
+    v = _euler11(P, ell, j).coefficient(0)
     x = Fraction(1, ell ** (j + 1))
     expect = Fraction(1) - 3 * x + 5 * x * x
     assert v.eq_to(PadicNumber.from_rational(expect, 11, 9), 8)
     with pytest.raises(ValueError):
-        euler_factor_series([1, -1], 22, 0, ctx)
+        _euler11([1, -1], 22, 0)
 
 
 def test_euler_series_against_cyclotomic_evaluation():
-    # push truncation to T^90 so the tail at zeta-1 dies mod 11^8; then
-    # the series must match 1 - 23^(-1) zeta^c coefficientwise
-    ctx_deep = IwasawaContext(11, M=8, D=90)
-    deep = euler_factor_series([1, -1], 23, 0, ctx_deep)
-    cbar = deep.meta["c_ell"] % 11
+    # at T = zeta - 1 (gamma = zeta, a character of the group of order
+    # 11) the factor must be 1 - 23^(-1) zeta^c, where 12^c = <23> = 23
+    # mod 121 (23 = 1 mod 11, so omega(23) = 1)
+    e23 = _euler11([1, -1], 23, 0)
+    c = next(c for c in range(11) if pow(12, c, 121) == 23)
     mod = 11**8
-    zc = zeta(11, cbar)
     acc = [0] * 10
     pw = zeta(11, 0)
     zm1 = zeta(11) - 1
-    for i in range(90):
-        ci = deep.coefficient(i)
+    for i in range(11):
+        ci = e23.coefficient(i)
         if not ci.zero:
             lift = int(ci.lift())
             for t, coeff in enumerate(pw.coeffs):
@@ -178,7 +159,7 @@ def test_euler_series_against_cyclotomic_evaluation():
     rhs = [0] * 10
     inv23 = pow(23, -1, mod)
     rhs[0] = 1
-    for t, coeff in enumerate(zc.coeffs):
+    for t, coeff in enumerate(zeta(11, c).coeffs):
         rhs[t] = (rhs[t] - inv23 * int(coeff)) % mod
     assert acc == rhs
 
@@ -205,3 +186,125 @@ def test_reduce_gamma_respects_evaluation():
                     accr[t] = (accr[t] + int(cr_.lift()) * int(coeff)) % m6
         pw = pw * zm1
     assert accs == accr
+
+
+# -- integer series against a Fraction schoolbook reference ------------
+
+
+def _vp(x, p):
+    """Valuation of a rational, None for 0."""
+    return None if x == 0 else padic_valuation(x, p)
+
+
+def _agree(series, ref):
+    """series equals the rationals ref coefficientwise mod p^M."""
+    p, M = series.p, series.M
+    for i, x in enumerate(ref):
+        d = Fraction(series.coefficient(i).lift()) - x
+        if d != 0 and padic_valuation(d, p) < M:
+            return False
+    return True
+
+
+def _reference_mu_lambda(ref, p, M):
+    vals = [_vp(x, p) for x in ref]
+    live = [(v, i) for i, v in enumerate(vals) if v is not None and v < M]
+    if not live:
+        return None
+    mu = min(v for v, _ in live)
+    return mu, next(i for v, i in live if v == mu)
+
+
+def _schoolbook(a, b, length):
+    out = [Fraction(0)] * length
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < length:
+                out[i + j] += x * y
+    return out
+
+
+def _mod_gamma(f, order):
+    """Remainder of f modulo (1+T)^order - 1 by long division."""
+    f = list(f)
+    mod = [Fraction(comb(order, t)) for t in range(order + 1)]
+    mod[0] -= 1
+    for top in range(len(f) - 1, order - 1, -1):
+        c = f[top]
+        for t in range(order + 1):
+            f[top - order + t] -= c * mod[t]
+    return f[:order] + [Fraction(0)] * (order - len(f))
+
+
+def _random_coeffs(rng, p, M, D):
+    kind = rng.choice(["zero", "integral", "integral", "negative", "deep"])
+    if kind == "zero":
+        return [Fraction(0)] * D
+    out = []
+    for _ in range(D):
+        if rng.random() < 0.3:
+            out.append(Fraction(0))
+            continue
+        num = rng.randrange(-p ** (M + 2), p ** (M + 2))
+        den = rng.choice([1, 1, 2, 3, 7])
+        if kind == "negative" and rng.random() < 0.5:
+            den *= p ** rng.randrange(1, 3)
+        if kind == "deep":
+            num *= p ** rng.randrange(1, M + 1)
+        out.append(Fraction(num, den))
+    return out
+
+
+@pytest.mark.parametrize("p,D", [(5, 1), (5, 5), (11, 11), (5, 25), (7, 6)])
+def test_integer_series_against_fraction_reference(p, D):
+    rng = random.Random(1000 * p + D)
+    for trial in range(30):
+        M = rng.randrange(1, 10)
+        ra, rb = (_random_coeffs(rng, p, M, D) for _ in range(2))
+        a, b = (PadicSeries(p, M, D, r) for r in (ra, rb))
+        assert _agree(a, ra) and _agree(b, rb), trial
+        assert _agree(a + b, [x + y for x, y in zip(ra, rb)]), trial
+        assert _agree(a - b, [x - y for x, y in zip(ra, rb)]), trial
+        negative = any(_vp(x, p) is not None and _vp(x, p) < 0
+                       for x in ra + rb)
+        if negative:
+            with pytest.raises(PadicPrecisionError):
+                a * b
+            with pytest.raises(PadicPrecisionError):
+                group_ring_mul(a, b)
+        else:
+            assert _agree(a * b, _schoolbook(ra, rb, D)), trial
+            wide = _schoolbook(ra, rb, 2 * D - 1)
+            assert _agree(group_ring_mul(a, b), _mod_gamma(wide, D)), trial
+
+        want = _reference_mu_lambda(ra, p, M)
+        if want is None:
+            assert a.is_zero() and ideal_mod_pi(a) == IdealClass.zero()
+            with pytest.raises(UndeterminedInvariants):
+                mu_lambda(a)
+            with pytest.raises(UndeterminedInvariants):
+                invariants(a)
+            continue
+        assert mu_lambda(a) == want, trial
+        mu, lam = want
+        assert ideal_mod_pi(a) == (IdealClass.zero() if mu > 0
+                                   else IdealClass.power(lam))
+        w = invariants(a)
+        assert (w.mu, w.lam, w.precision) == (mu, lam, M - mu)
+        dist = [Fraction(w.dist.coefficient(i).lift()) for i in range(lam + 1)]
+        unit = [Fraction(w.unit.coefficient(i).lift()) for i in range(D)]
+        assert dist[lam] == 1 and all(
+            x == 0 or padic_valuation(x, p) >= 1 for x in dist[:lam])
+        assert unit[0].numerator % p
+        back = [Fraction(p) ** mu * x for x in _schoolbook(dist, unit, D)]
+        assert _agree(a, back), trial
+
+
+def test_gamma_basis_round_trip():
+    rng = random.Random(3)
+    for n in (1, 2, 7, 30):
+        v = [rng.randrange(-50, 50) for _ in range(n)]
+        assert t_to_gamma(gamma_to_t(v)) == v
+        # sum_c v_c (1+T)^c, expanded by the binomial theorem
+        assert gamma_to_t(v) == [sum(x * comb(c, k) for c, x in enumerate(v))
+                                 for k in range(n)]

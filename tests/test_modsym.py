@@ -245,6 +245,18 @@ def test_twisted_raw_value_matches_fraction_sum(twisted11):
             assert type(got) is Fraction and got == expected, (r, sign)
 
 
+@pytest.mark.parametrize("name", ["pair11", "pair52", "twisted11"])
+def test_evaluate_row_matches_evaluate(name, request):
+    sym = request.getfixturevalue(name)
+    for den in (1, 5, 25, 121):
+        for sign in (1, -1):
+            row = sym.evaluate_row(den, sign)
+            assert len(row) == den
+            assert row == tuple(sym.evaluate(F(a, den), sign)
+                                for a in range(den)), (den, sign)
+            assert sym.evaluate_row(den, sign) is row
+
+
 def test_twisted_tables(twisted11):
     tw = twisted11
     tp = [tw.evaluate_from_zero(F(b, 11), +1) for b in range(1, 11)]

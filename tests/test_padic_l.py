@@ -6,10 +6,20 @@ import pytest
 
 from iwrank.characters import kronecker
 from iwrank.cyclotomic import zeta
-from iwrank.iwasawa import IwasawaContext, PadicSeries
+from iwrank.iwasawa import (
+    IwasawaContext,
+    PadicSeries,
+    UndeterminedInvariants,
+    mu_lambda,
+)
 from iwrank.modsym import SymbolPair
 from iwrank.newforms import bundled
-from iwrank.padics import PadicNumber
+from iwrank.padics import (
+    PadicNumber,
+    PadicPrecisionError,
+    padic_log,
+    teichmuller_lift,
+)
 from iwrank.padic_l import (
     BranchSeries,
     OrdinarityError,
@@ -24,8 +34,10 @@ from iwrank.padic_l import (
     mtt_multiplier,
     omega_twist_sum,
     product_congruence_verdict,
+    _wild_coordinates,
     teichmuller_embedding,
     unit_root,
+    working_precision,
 )
 
 F = Fraction
@@ -153,7 +165,8 @@ def test_branch_series_19a(pair19, a19, ctx5, ctx25):
 
 def test_unit_root_boundedness(pair19, a19, ctx5, ctx25):
     def min_val(series):
-        return min(c.val for c in series.coeffs if not c.zero)
+        coeffs = map(series.coefficient, range(series.D))
+        return min(c.val for c in coeffs if not c.zero)
 
     beta = PadicNumber.from_rational(F(3), 5, 14) - a19
     assert beta.val == 1
@@ -395,3 +408,85 @@ def test_reports(pair52, a52, ctx5):
     assert rec["verdict"] == "(T^3)"
     assert rec["value_at_trivial"]["exact_zero"] is True
     assert rec["sigma0_factors"] == [[11, ["1", "2", "11"]]]
+
+
+def test_exceptional_zero_ratio_is_undefined(pair11):
+    # 11.2.a.a at p = 11: a_11 = +1 makes alpha = 1 and 1 - 1/alpha = 0,
+    # so the trivial branch has no series-to-value ratio
+    alpha = choose_alpha(1, 11, 11)
+    bs = branch_series(pair11, 11, alpha, 10, ctx=IwasawaContext(11, M=8, D=11))
+    assert bs.zero_ratio is None
+    assert bs.series.meta["series_over_value_at_zero"] is None
+    other = branch_series(pair11, 11, alpha, 3, ctx=IwasawaContext(11, M=8, D=11))
+    assert other.series.meta["series_over_value_at_zero"] == "2"
+
+
+def test_short_alpha_raises(pair52, a52):
+    # a52 carries the default 14 digits; a series mod 5^16 needs 16
+    assert a52.prec == 14
+    with pytest.raises(PadicPrecisionError, match="digits"):
+        branch_series(pair52, 5, a52, 2, n=2, ctx=IwasawaContext(5, M=16, D=25))
+    assert working_precision(pair52, 5, 2, 16) == 16
+
+
+@pytest.mark.parametrize("p,n", [(5, 1), (5, 2), (11, 1), (7, 2)])
+def test_wild_coordinates_are_logarithms(p, n):
+    # c(a) = log<a> / log u mod p^n, with <a> = a / omega(a)
+    u, mod = 1 + p, p ** (n + 1)
+    coord = _wild_coordinates(p, n, u)
+    for a in range(mod):
+        if a % p == 0:
+            assert coord[a] == -1
+            continue
+        one_unit = a * pow(teichmuller_lift(a % p, p, n + 1), -1, mod) % mod
+        la = padic_log(one_unit, p, n + 1)
+        want = 0 if la.zero else (la / padic_log(u, p, n + 1)).residue(n)
+        assert coord[a] == want, a
+
+
+def _series_mod(series, k):
+    """Coefficients as rationals, reduced mod p^k."""
+    out = []
+    for i in range(series.D):
+        x = Fraction(series.coefficient(i).lift())
+        out.append(x.numerator * pow(x.denominator, -1, series.p ** k)
+                   % series.p ** k)
+    return out
+
+
+@pytest.mark.parametrize("case", ["11a@5", "19a@5", "52a@5", "11a-tw23@11",
+                                  "11a@11"])
+def test_series_stable_across_precision(case, pair11, pair19, pair52,
+                                        twisted11):
+    """Every bundled pair and branch: the series at M = 8, 14, 16, 30
+    agree mod p^8 and mu/lambda and the verdicts do not change."""
+    sym, p, ap, level = {
+        "11a@5": (pair11, 5, 1, 11),
+        "19a@5": (pair19, 5, 3, 19),
+        "52a@5": (pair52, 5, 2, 52),
+        "11a-tw23@11": (twisted11, 11, kronecker(-23, 11), 11 * 23 * 23),
+        "11a@11": (pair11, 11, 1, 11),
+    }[case]
+    for n in ((1, 2) if p == 5 else (1,)):
+        seen = {}
+        for M in (8, 14, 16, 30):
+            alpha = choose_alpha(ap, p, level,
+                                 prec=max(14, working_precision(sym, p, n, M)))
+            ctx = IwasawaContext(p, M=M, D=p ** n)
+            bss = {j: branch_series(sym, p, alpha, j, n=n, ctx=ctx)
+                   for j in range(1, p)}
+            for j, bs in bss.items():
+                try:
+                    inv = mu_lambda(bs.series)
+                except UndeterminedInvariants:
+                    inv = None
+                verdict = product_congruence_verdict(bs, bss[j % (p - 1) + 1])
+                got = (_series_mod(bs.series, 8), inv, str(verdict.ideal))
+                if j in seen:
+                    low, low_inv, low_verdict = seen[j]
+                    assert got[0] == low, (case, n, M, j)
+                    if low_inv is not None:
+                        assert inv == low_inv, (case, n, M, j)
+                        assert got[2] == low_verdict, (case, n, M, j)
+                else:
+                    seen[j] = got
