@@ -1,11 +1,16 @@
-"""Symbol-space microbenchmark: the P^1 table and the Manin-symbol quotient.
+"""Symbol-space microbenchmark: the P^1 table, the Manin-symbol quotient,
+Hecke images and one eigenfunctional.
 
 Usage: python benchmarks/bench_modsym.py [--repeat N]
 
 For each level N it times `iwrank.modsym.P1List(N)` (the flat point
-table) and `iwrank.modsym.build_space(N)` with no cache directory (the
-table, the sparse quotient and the dimension check), and prints the best
-of `--repeat` rounds together with |P^1(Z/N)| and the quotient dimension.
+table), `iwrank.modsym.build_space(N)` with no cache directory (the
+table, the sparse quotient and the dimension check), the Hecke images
+T_2, T_3, T_5, T_7 together on a fresh space, and one rational
+`eigen_functional` (plus sign, the T_ell eigenvalue in `TARGETS`).  It
+prints the best of `--repeat` rounds together with |P^1(Z/N)| and the
+quotient dimension; the last column is Hecke plus eigenfunctional as a
+multiple of the build.
 """
 
 import argparse
@@ -13,18 +18,31 @@ import time
 
 from iwrank import modsym
 
-LEVELS = (52, 200, 389)
+LEVELS = (52, 389, 997)
+HECKE = (2, 3, 5, 7)
+# (ell, a_ell) cutting a line out of each level's plus space: the bundled
+# 52.2.a.a at 5, and rational newforms of levels 389 and 997 at 2
+TARGETS = {52: (5, 2), 389: (2, -2), 997: (2, 0)}
 
 
-def best_time(fn, arg, repeat):
-    """Best wall time of one call over `repeat` rounds."""
+def best_time(fn, repeat):
+    """Best wall time of fn() over `repeat` rounds."""
     best = None
     for _ in range(repeat):
         t0 = time.perf_counter()
-        fn(arg)
+        fn()
         dt = time.perf_counter() - t0
         best = dt if best is None else min(best, dt)
     return best
+
+
+def hecke_on_fresh_space(N):
+    """T_2, T_3, T_5, T_7 on a space with no memoized images."""
+    space = modsym.build_space(N)
+    t0 = time.perf_counter()
+    for ell in HECKE:
+        space.hecke_images(ell)
+    return time.perf_counter() - t0
 
 
 def main():
@@ -33,13 +51,19 @@ def main():
                     help="timing rounds per level (the best is kept)")
     args = ap.parse_args()
 
-    print(f"{'N':>5} {'|P1|':>6} {'dim':>5} {'P1List':>10} {'build_space':>12}")
+    print(f"{'N':>5} {'|P1|':>6} {'dim':>5} {'P1List':>10} {'build_space':>12} "
+          f"{'T2,3,5,7':>10} {'eigen':>10} {'/build':>7}")
     for N in LEVELS:
         space = modsym.build_space(N)
-        tp = best_time(modsym.P1List, N, args.repeat)
-        tb = best_time(modsym.build_space, N, args.repeat)
+        tp = best_time(lambda: modsym.P1List(N), args.repeat)
+        tb = best_time(lambda: modsym.build_space(N), args.repeat)
+        th = min(hecke_on_fresh_space(N) for _ in range(args.repeat))
+        ell, a = TARGETS[N]
+        te = best_time(lambda: modsym.eigen_functional(space, [(ell, a)], +1),
+                       args.repeat)
         print(f"{N:>5} {len(space.p1):>6} {space.dim:>5} "
-              f"{tp * 1e3:>8.1f}ms {tb * 1e3:>10.1f}ms")
+              f"{tp * 1e3:>8.1f}ms {tb * 1e3:>10.1f}ms "
+              f"{th * 1e3:>8.1f}ms {te * 1e3:>8.1f}ms {(th + te) / tb:>7.2f}")
 
 
 if __name__ == "__main__":

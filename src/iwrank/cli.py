@@ -258,19 +258,20 @@ def cmd_congruence(cfg):
         raise ConfigError("congruence needs exactly one --newform")
     h = _load_newform(cfg.newforms[0])
     p = cfg.prime
+    # the series are compared through the Sturm bound, so built that far
+    bound = sturm_bound(h.weight, h.level)
     try:
         ideal = h.congruence_ideal(p)
         hbar = _derive_residual_pair(h, p)
-        xi1, xi2, g, m = residual_eisenstein_partner(hbar, h.weight, h.n_max)
+        xi1, xi2, g, m = residual_eisenstein_partner(hbar, h.weight, bound)
+        hq = h.q_expansion(bound)
     except (IngestionError, ValueError) as exc:
         raise ConfigError(str(exc))
     lvl = h.level
     while lvl % p == 0:
         lvl //= p
     sigma0, _ = sigma0_and_m(lvl, 1)
-    bound = sturm_bound(h.weight, h.level)
-    dep = check_congruence(h.q_expansion().deplete(p), g.deplete(p), ideal,
-                           bound)
+    dep = check_congruence(hq.deplete(p), g.deplete(p), ideal, bound)
     self_rep = check_congruence(g, g, ideal, bound)
     sink = _Sink(cfg.out)
     ok = True

@@ -2,9 +2,10 @@
 entries.
 
 It serves the small dim x dim problems on a symbol space: Hecke
-eigenspaces, the cuspidal subspace, restrictions and characteristic
-polynomials.  The Manin-symbol quotient itself is a sparse integer
-elimination in `modsym`, not an RREF here.
+eigenspaces over a number field, the cuspidal subspace, restrictions and
+characteristic polynomials.  The Manin-symbol quotient and the rational
+eigenfunctionals are a sparse integer elimination in `modsym`, not an
+RREF here.
 
 Everything scans in a fixed order (first nonzero pivot, left to right), so
 bases come out the same on every run.  Matrices are plain lists of lists.

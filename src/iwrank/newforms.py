@@ -12,13 +12,13 @@ import json
 import os
 from fractions import Fraction
 from importlib import resources
-from math import gcd
+from math import gcd, lcm
 
 from .characters import (
     DirichletCharacter, ResidualCharacter, lift_residual_character,
     parse_descriptor,
 )
-from .numfield import NumberField
+from .numfield import NFElement, NumberField
 from .qseries import (
     CongruenceIdealSpec, QExpansion, eisenstein_series, sigma0_and_m,
 )
@@ -28,10 +28,19 @@ class IngestionError(ValueError):
     pass
 
 
-def _parse_frac(s) -> Fraction:
+def _parse_frac(s) -> int | Fraction:
+    """A coefficient entry as the value Fraction(s) has: an int for a JSON
+    int or a plain decimal integer string, else a Fraction (so a JSON float
+    is never truncated, and "1_0" or " 3" read as Fraction reads them)."""
+    if type(s) is int:
+        return s
+    if type(s) is str:
+        digits = s[1:] if s[:1] == "-" else s
+        if digits.isascii() and digits.isdigit():
+            return int(s)
     try:
         return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise IngestionError(f"bad coefficient entry {s!r}") from exc
 
 
@@ -74,7 +83,12 @@ class NewformData:
                 raise IngestionError(
                     f"coefficient {i + 1} has {len(vec)} entries, expected {deg}")
             parts = [_parse_frac(c) for c in vec]
-            an.append(parts[0] if deg == 1 else field.element(parts))
+            if deg == 1:
+                an.append(Fraction(parts[0]))
+            else:
+                den = lcm(*(c.denominator for c in parts))
+                an.append(NFElement(field, [c.numerator * (den // c.denominator)
+                                            for c in parts], den))
         seeds = {int(p): int(r) for p, r in payload.get("seed_root_mod_p", {}).items()}
         return cls(label, level, weight, neb, poly, an,
                    seed_root_mod_p=seeds, source=payload.get("source", ""))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 from iwrank.characters import DirichletCharacter, factorize
 from iwrank.cyclotomic import CyclotomicNumber
@@ -170,19 +170,23 @@ def eisenstein_series(
         coeffs[0] = coeffs[0] + l_value_nonpositive(0, phi) * Fraction(1, 2)
     if v == 1:
         coeffs[0] = coeffs[0] + l_value_nonpositive(1 - l, theta) * Fraction(1, 2)
-    # theta(d) phi(n/d) = zeta_order^(kt st + kp sp), so each a(n) is one
-    # sum of roots of unity
-    st, sp = order // theta.order, order // phi.order
+    # theta(d) phi(n/d) = zeta_order^(kt + kp) with the exponents read
+    # over Q(zeta_order) from one table per character, so each a(n) is one
+    # sum of roots of unity over the divisors d of n
+    et, ep = _exponent_table(theta, order), _exponent_table(phi, order)
+    divisors = [[] for _ in range(n_max + 1)]
+    for d in range(1, n_max + 1):
+        kt = et[d % u]
+        if kt is not None:
+            w = d ** (l - 1)
+            for n in range(d, n_max + 1, d):
+                divisors[n].append((kt, w, n // d))
     for n in range(1, n_max + 1):
         items = []
-        for d in _divisors(n):
-            kt = theta.value_exponent(d)
-            if kt is None:
-                continue
-            kp = phi.value_exponent(n // d)
-            if kp is None:
-                continue
-            items.append((kt * st + kp * sp, d ** (l - 1)))
+        for kt, w, e in divisors[n]:
+            kp = ep[e % v]
+            if kp is not None:
+                items.append((kt + kp, w))
         coeffs.append(CyclotomicNumber.from_monomials(order, items))
     neb = theta * phi
     return QExpansion(l, u * v, neb, coeffs, label=f"E{l}({theta.to_descriptor()},{phi.to_descriptor()})")
@@ -196,14 +200,15 @@ def mazur_eisenstein(t: int, n_max: int) -> QExpansion:
     return eisenstein_series(theta, phi, 2, n_max)
 
 
-def _divisors(n: int) -> list[int]:
+def _exponent_table(chi: DirichletCharacter, order: int) -> list:
+    """k with chi(a) = zeta_order^k for a = 0..modulus-1 (order a multiple
+    of chi's), or None where gcd(a, modulus) > 1."""
+    s = order // chi.order
     out = []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            out.append(d)
-            if d * d != n:
-                out.append(n // d)
-    return sorted(out)
+    for a in range(chi.modulus):
+        k = chi.value_exponent(a)
+        out.append(None if k is None else k * s)
+    return out
 
 
 # bounds and level data ------------------------------------------------

@@ -161,8 +161,8 @@ def _corrupted_payloads(good):
     short["vectors"][1].pop()
     altered = copy.deepcopy(good)
     assert not {0, 3} & set(good["basis_cols"])
-    altered["vectors"][0][0] = "2"
-    altered["vectors"][3][1] = "3"
+    altered["vectors"][0][0] = 2
+    altered["vectors"][3][1] = 3
     return [json.dumps(short), json.dumps(altered)]
 
 
@@ -171,11 +171,11 @@ def test_truncated_cache_is_rebuilt(tmp_path, monkeypatch, capsys):
     argv = ["padic-l", "--newform", "11.2.a.a", "--prime", "5"]
     assert main(argv) == 0
     fresh = capsys.readouterr().out
-    cache = tmp_path / "modsym_11_v1.json"
+    cache = tmp_path / "modsym_11_v2.json"
     assert main(argv + ["--cache-dir", str(tmp_path)]) == 0
     assert capsys.readouterr().out == fresh
     good = json.loads(cache.read_text())
-    junks = ['{"trunc', "[]", '{"version": 1, "N": 11}']
+    junks = ['{"trunc', "[]", '{"version": 2, "N": 11}']
     for junk in junks + _corrupted_payloads(good):
         cache.write_text(junk)
         assert main(argv + ["--cache-dir", str(tmp_path)]) == 0
@@ -185,6 +185,19 @@ def test_truncated_cache_is_rebuilt(tmp_path, monkeypatch, capsys):
         assert main(argv + ["--cache-dir", str(tmp_path)]) == 0
         assert capsys.readouterr().out == fresh
     assert [p.name for p in tmp_path.iterdir()] == [cache.name]
+
+
+def test_cached_space_gives_uncached_bytes(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("IWR_CACHE", raising=False)
+    for form in ("11.2.a.a", "19.2.a.a", "52.2.a.a"):
+        argv = ["padic-l", "--newform", form, "--prime", "5"]
+        assert main(argv) == 0
+        fresh = capsys.readouterr().out
+        for _ in range(2):  # the first run writes the cache, the second reads it
+            assert main(argv + ["--cache-dir", str(tmp_path)]) == 0
+            assert capsys.readouterr().out == fresh
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "modsym_11_v2.json", "modsym_19_v2.json", "modsym_52_v2.json"]
 
 
 @pytest.mark.parametrize("form,p", [("11.2.a.a", 11), ("19.2.a.a", 19)])
@@ -216,6 +229,23 @@ def test_exceptional_zero(form, p, capsys):
 ])
 def test_config_errors(argv, capsys):
     assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", ["short", "null"])
+def test_unusable_newform_file_exits_2(edit, tmp_path, capsys):
+    # fewer coefficients than the Sturm bound (2 at level 11), or a null
+    # coefficient entry: a clean error, not a traceback
+    from importlib import resources
+    payload = json.loads(resources.files("iwrank.data")
+                         .joinpath("11.2.a.a.json").read_text())
+    if edit == "short":
+        payload["an"] = payload["an"][:1]
+    else:
+        payload["an"][3] = [None]
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(payload))
+    assert main(["congruence", "--newform", str(path), "--prime", "5"]) == 2
     assert "error:" in capsys.readouterr().err
 
 

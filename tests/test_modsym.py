@@ -1,12 +1,14 @@
+import json
+import os
 import random
 import tempfile
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
 from iwrank.characters import DirichletCharacter
-from iwrank.linalg import charpoly, mat_mul, rref
+from iwrank.linalg import charpoly, mat_mul, right_kernel, rref
 from iwrank.modsym import (
     EigenspaceError,
     ModularSymbolSpace,
@@ -85,7 +87,9 @@ def _dense_quotient(N):
 def test_sparse_quotient_matches_dense_rref():
     for N in list(range(2, 41)) + [44, 49, 52, 54, 64, 81]:
         sp = ModularSymbolSpace(N)
-        assert (sp.basis_cols, sp.vectors) == _dense_quotient(N), N
+        vectors = [tuple(F(x, sp.den) for x in w) for w in sp.vectors]
+        assert (sp.basis_cols, vectors) == _dense_quotient(N), N
+        assert all(type(x) is int for w in sp.vectors for x in w)
 
 
 def test_p1_table_matches_normalize():
@@ -115,7 +119,7 @@ def test_relations_and_star(sp23):
                      sp.vectors[idx(-u - v, u)])]
         assert all(x == 0 for x in three)
     star = sp.star_images()
-    eye = [[F(1) if i == j else F(0) for j in range(sp.dim)]
+    eye = [[sp.den ** 2 if i == j else 0 for j in range(sp.dim)]
            for i in range(sp.dim)]
     assert mat_mul(star, star) == eye
 
@@ -152,7 +156,7 @@ def test_eigen_functional_11a(sp11, pair11):
     v = plus11.coords
     t3m = sp11.hecke_images(3)
     for j in range(sp11.dim):
-        assert sum(t3m[j][k] * v[k] for k in range(sp11.dim)) == -v[j]
+        assert sum(t3m[j][k] * v[k] for k in range(sp11.dim)) == -sp11.den * v[j]
 
 
 def test_parity_and_path_independence(pair11):
@@ -187,6 +191,50 @@ def test_tables_52a(pair52):
     proportional(vm, [1, 1, -1, -1])
 
 
+def _dense_eigen_values(sp, targets, sign):
+    """Generator values of the eigenfunctional from the dense Fraction
+    right_kernel, scaled to content 1 with the first nonzero value
+    positive; None when the eigenspace is not a line."""
+    rows = []
+    for imgs, a in [(sp.hecke_images(ell), a) for ell, a in targets] + \
+            [(sp.star_images(), sign)]:
+        for j, img in enumerate(imgs):
+            row = [F(x, sp.den) for x in img]
+            row[j] -= a
+            rows.append(row)
+    ker = right_kernel(rows, sp.dim, F(1))
+    if len(ker) != 1:
+        return None
+    vals = [sum(F(x, sp.den) * c for x, c in zip(w, ker[0]))
+            for w in sp.vectors]
+    content = F(gcd(*(v.numerator for v in vals)),
+                lcm(*(v.denominator for v in vals)))
+    if next(v for v in vals if v) < 0:
+        content = -content
+    return [v / content for v in vals]
+
+
+def test_integer_eigen_functional_matches_dense_kernel():
+    lines = 0
+    for N in range(11, 61):
+        sp = ModularSymbolSpace(N)
+        cases = [[(2, F(a))] for a in range(-3, 4)]
+        if N == 11:
+            cases.append([(2, F(-2)), (3, F(-1))])
+        for targets in cases:
+            for sign in (1, -1):
+                want = _dense_eigen_values(sp, targets, sign)
+                if want is None:
+                    with pytest.raises(EigenspaceError):
+                        eigen_functional(sp, targets, sign)
+                    continue
+                got = eigen_functional(sp, targets, sign).generator_values()
+                assert got == want, (N, targets, sign)
+                assert all(type(x) is int for x in got)
+                lines += 1
+    assert lines > 50  # both outcomes are exercised
+
+
 def test_eigenvalues_over_number_field(sp23):
     K = NumberField((-5, 0, 1))
     r5 = K.gen()
@@ -204,7 +252,7 @@ def test_eigenvalues_over_number_field(sp23):
         for k in range(sp23.dim):
             term = w[k] * t3m[j][k]
             lhs = term if lhs is None else lhs + term
-        assert lhs == a3 * w[j]
+        assert lhs == a3 * sp23.den * w[j]
     # mod (11, sqrt5 - 4) the eigenvalues are Eisenstein: a_l = 1 + l
     for ell, val in [(2, a2), (3, a3), (5, functional_eigenvalue(plus23, 5))]:
         assert val.reduce_mod(4, 11) == (1 + ell) % 11, ell
@@ -286,8 +334,12 @@ def test_cache_round_trip(pair11):
     with tempfile.TemporaryDirectory() as tmp:
         s1 = build_space(11, cache_dir=tmp)
         s1.hecke_images(2)
+        with open(os.path.join(tmp, "modsym_11_v2.json")) as fh:
+            payload = json.load(fh)
+        # the quotient alone: Hecke images are recomputed, never cached
+        assert set(payload) == {"version", "N", "basis_cols", "den", "vectors"}
         s2 = build_space(11, cache_dir=tmp)
-        assert "2" in s2._hecke
+        assert s2._hecke == {}
         assert s2.vectors == s1.vectors and s2.basis_cols == s1.basis_cols
         assert s2.hecke_images(2) == s1.hecke_images(2)
         phi2 = eigen_functional(s2, [(2, F(-2))], +1)

@@ -1,16 +1,19 @@
 import importlib.util
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from iwrank.characters import ResidualCharacter
+from iwrank.examples import EXAMPLES
 from iwrank.newforms import (
     IngestionError,
     NewformData,
     ResidualPair,
     bundled,
+    _parse_frac,
     bundled_labels,
     residual_eisenstein_partner,
 )
@@ -27,6 +30,7 @@ def test_bundled_rational_forms():
     f11 = bundled("11.2.a.a")
     assert (f11.level, f11.weight) == (11, 2)
     assert [f11.a(n) for n in (2, 3, 5, 7, 11, 13)] == [-2, -1, 1, -2, 1, 4]
+    assert all(type(a) is Fraction for a in f11.an)
     f19 = bundled("19.2.a.a")
     assert [f19.a(n) for n in (2, 3, 5, 7, 11)] == [0, -2, 3, -1, 3]
     f52 = bundled("52.2.a.a")
@@ -90,6 +94,49 @@ def test_partner_congruence(label, p):
     rep = check_congruence(h.q_expansion().deplete(p), g.deplete(p),
                            h.congruence_ideal(p), sturm_bound(2, h.level))
     assert rep.ok and rep.skipped == 0
+
+
+@pytest.mark.parametrize("number", sorted(EXAMPLES))
+def test_sturm_bounded_series_are_prefixes(number):
+    # the bundled runs build the partner and the Mazur series only through
+    # the Sturm bound: the same coefficients as the full-length series
+    cfg = EXAMPLES[number]
+    h, p, t = bundled(cfg["h"]), cfg["p"], cfg["mazur_t"]
+    hbar = ResidualPair(p, ResidualCharacter.teichmuller(p),
+                        ResidualCharacter.trivial(1, p), h.level)
+    bound = sturm_bound(2, h.level)
+    short = residual_eisenstein_partner(hbar, 2, bound)[2]
+    full = residual_eisenstein_partner(hbar, 2, h.n_max)[2]
+    assert short.coeffs == full.coeffs[:bound + 1]
+    assert mazur_eisenstein(t, bound).coeffs == \
+        mazur_eisenstein(t, h.n_max).coeffs[:bound + 1]
+    assert h.q_expansion(bound).coeffs == h.q_expansion().coeffs[:bound + 1]
+
+
+@pytest.mark.parametrize("entry", [
+    "3", "-3", "0", "-0", "00012", "+3", " 3", "3 ", "\t-4", "3\n", "1_0",
+    "1/2", "-5/2", "4/2", "3.0", "2.5", "1e3", "\u0661\u0662",
+    3, -7, 0, True, 2.5, 3.0, 1e20, -0.125,
+    "", "-", "--3", "1__0", "_1", "0x10", "1/0", " 1 / 2", "abc", "\u00b2",
+    float("nan"),
+])
+def test_parse_frac_agrees_with_fraction(entry):
+    try:
+        want = Fraction(entry)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(IngestionError):
+            _parse_frac(entry)
+        return
+    got = _parse_frac(entry)
+    assert got == want and type(got) in (int, Fraction)
+    if isinstance(entry, float):
+        assert type(got) is Fraction  # never int(), which truncates
+
+
+@pytest.mark.parametrize("entry", [None, [1], float("inf")])
+def test_parse_frac_rejects_what_fraction_cannot_read(entry):
+    with pytest.raises(IngestionError):
+        _parse_frac(entry)
 
 
 def test_partner_parity_guard():
