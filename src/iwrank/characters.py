@@ -10,7 +10,6 @@ numbers only appear on evaluation and in Gauss sums.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 
 from iwrank.cyclotomic import CyclotomicNumber
@@ -203,6 +202,31 @@ class DirichletCharacter:
             acc += ti * ki
         return acc % self.order
 
+    def exponent_table(self, order: int | None = None) -> list:
+        """k with chi(a) = zeta_order^k for a = 0..modulus-1, or None
+        where gcd(a, modulus) > 1; `order` is a multiple of chi's and
+        defaults to it.
+
+        One walk over the unit group: a = prod gen_i^t_i runs through
+        every unit once, with k = sum t_i k_i, so no discrete logs.
+        """
+        if order is None:
+            order = self.order
+        scale = order // self.order
+        modulus = self.modulus
+        units = [(1 % modulus, 0)]
+        for ug, k in zip(self.generators(), self.exponents):
+            powers = []
+            g, x = ug.gen, 1
+            for t in range(ug.order):
+                powers.append((x, t * k * scale))
+                x = x * g % modulus
+            units = [(a * x % modulus, e + ex) for a, e in units for x, ex in powers]
+        table = [None] * modulus
+        for a, e in units:
+            table[a] = e % order
+        return table
+
     def __call__(self, a: int) -> CyclotomicNumber:
         k = self.value_exponent(a)
         if k is None:
@@ -371,16 +395,13 @@ class DirichletCharacter:
         """G(chi) = sum_a chi0(a) e(a / cond), chi0 the primitive part."""
         chi0 = self.primitive_part()
         c = chi0.modulus
-        n = chi0.order
-        big = lcm(max(c, 1), n)
-        items = []
-        for a in range(1, c + 1):
-            k = chi0.value_exponent(a)
-            if k is None:
-                continue
-            items.append((a * (big // c) + k * (big // n), Fraction(1)))
         if c == 1:
             return CyclotomicNumber.from_rational(1)
+        n = chi0.order
+        big = lcm(c, n)
+        sa, sk = big // c, big // n
+        items = [(a * sa + k * sk, 1)
+                 for a, k in enumerate(chi0.exponent_table()) if k is not None]
         return CyclotomicNumber.from_monomials(big, items)
 
     def __repr__(self):

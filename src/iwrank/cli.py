@@ -265,14 +265,16 @@ def cmd_congruence(cfg):
         hbar = _derive_residual_pair(h, p)
         xi1, xi2, g, m = residual_eisenstein_partner(hbar, h.weight, bound)
         hq = h.q_expansion(bound)
+        # a coefficient that does not reduce mod the ideal (the partner's
+        # a(0) = (p - 1)/24 at p = 3) leaves the congruence undefined
+        dep = check_congruence(hq.deplete(p), g.deplete(p), ideal, bound)
+        self_rep = check_congruence(g, g, ideal, bound)
     except (IngestionError, ValueError) as exc:
         raise ConfigError(str(exc))
     lvl = h.level
     while lvl % p == 0:
         lvl //= p
     sigma0, _ = sigma0_and_m(lvl, 1)
-    dep = check_congruence(hq.deplete(p), g.deplete(p), ideal, bound)
-    self_rep = check_congruence(g, g, ideal, bound)
     sink = _Sink(cfg.out)
     ok = True
     for rec in (

@@ -1,10 +1,17 @@
-"""Integer polynomial kernel: multiplication.
+"""Integer polynomial kernel: multiplication and the packed slots.
 
 All inputs are lists of Python ints, low degree first: arithmetic must
 stay arbitrary-precision.  `convolve` multiplies by Kronecker
 substitution (Harvey, J. Symb. Comp. 44, 2009): each vector is packed
 into one Python int, CPython's Karatsuba multiplies the two, and the
 product's coefficients are read back out of its bytes.
+
+The private helpers are the packing itself: `_slot_width` sizes a slot
+for a coefficient bound, `_pack` and `_unpack` move a vector into and
+out of one int of such slots, and `_bias` is the int that fills `count`
+slots with half their range.  `numfield` runs a whole product and its
+reduction modulo the field polynomial on one packed int through them,
+so that a product is packed once per operand and unpacked once.
 """
 
 import sys
@@ -65,6 +72,14 @@ def _unpack(raw, width, half):
             for k in range(0, len(raw), width)]
 
 
+def _slot_width(bound):
+    """Bytes per slot for signed coefficients of size at most `bound`:
+    the bound plus a sign bit, in whole bytes, and a machine word if one
+    is wide enough."""
+    width = bound.bit_length() // 8 + 1
+    return min((w for w in _WORDS if w >= width), default=width)
+
+
 def _kronecker(a, b):
     """Product of two non-empty vectors by Kronecker substitution."""
     la, lb = len(a), len(b)
@@ -73,10 +88,7 @@ def _kronecker(a, b):
     bound = max(map(abs, a)) * max(map(abs, b)) * min(la, lb)
     if not bound:
         return [0] * n
-    # a slot holds that plus a sign bit, in whole bytes; a machine word
-    # if one is wide enough
-    width = bound.bit_length() // 8 + 1
-    width = min((w for w in _WORDS if w >= width), default=width)
+    width = _slot_width(bound)
     half = 1 << (8 * width - 1)
     # biasing each slot by `half` makes every digit of the product
     # non-negative, so its bytes split into the slots directly

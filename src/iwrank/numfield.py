@@ -2,10 +2,29 @@
 
 An element is a tuple of integer numerators over one positive common
 denominator, in lowest terms, on the power basis 1, x, ..., x^(d-1).
-Products multiply the numerators through the convolution kernel and
-reduce modulo f by Barrett division with m = x^k div f, cached per
-field (von zur Gathen & Gerhard, *Modern Computer Algebra*, 9.1).  The
-cyclotomic fields Q(zeta_n) are the case f = Phi_n (see `cyclotomic`).
+Products multiply the numerators and reduce modulo f by Barrett
+division with m = x^k div f, cached per field (von zur Gathen & Gerhard,
+*Modern Computer Algebra*, 9.1).  The cyclotomic fields Q(zeta_n) are
+the case f = Phi_n (see `cyclotomic`).
+
+A product of two reduced vectors takes one of two paths, by the cost
+model of `kernels.convolve` at length d:
+
+- Small fields (every product of `verify`) multiply through `convolve`
+  and reduce the coefficient list: a fold below x^n, then the Barrett
+  products q = ((v div x^d) m) div x^(k-d) and v - q f through
+  `convolve`.
+- Large fields run the product and its reduction on one Kronecker-packed
+  int V = v(2^s): the operands are packed once, multiplied once, and V
+  is folded, divided and finally unpacked once.  With slots of s bits,
+  `high(V, j)` = (V + bias_j) >> (s j) is v div x^j exactly, for the
+  bias of j half-full slots.  The fold below x^n is V - (H << s n) + H
+  for H = high(V, n); the quotient is Q = high(high(V, d) M, k - d);
+  and V - Q F holds the remainder in its d low slots.  Every slot these
+  steps read is at most vmax (1 + |m|_1 |f|_1) in size, for vmax the
+  largest coefficient after the fold, so one slot width chosen from
+  that bound serves the whole reduction.  The field caches the two
+  norms, and per slot width the packed M and F and the three biases.
 """
 
 from __future__ import annotations
@@ -52,6 +71,14 @@ class NumberField:
         self.period = period
         self.k = period if period is not None else 2 * self.degree - 2
         self.barrett = _xk_div(self.poly, self.k)
+        # products (and so reductions) run packed where convolve would
+        # take Kronecker substitution for two reduced vectors; the list
+        # path is the faster one at degree <= 4, the packed one from 12 on
+        # (benchmarks/bench_kernels.py times both)
+        self._packed = kernels._prefers_kronecker(self.degree, self.degree)
+        # a packed reduction of v keeps every slot below max|v| times this
+        self._growth = 1 + sum(map(abs, self.barrett)) * sum(map(abs, self.poly))
+        self._slot_constants = {}
 
     def element(self, coeffs) -> "NFElement":
         return NFElement(self, coeffs)
@@ -67,6 +94,20 @@ class NumberField:
             return NFElement(self, [Fraction(-self.poly[0])])
         return NFElement(self, [_ZERO, _ONE])
 
+    def _constants(self, width: int):
+        """The biases of n, d and k - d slots and the packed f and m, in
+        slots of `width` bytes."""
+        out = self._slot_constants.get(width)
+        if out is None:
+            half = 1 << (8 * width - 1)
+            d = self.degree
+            out = self._slot_constants[width] = (
+                kernels._bias(width, self.period or 0), kernels._bias(width, d),
+                kernels._bias(width, self.k - d),
+                kernels._pack(self.poly, width, half),
+                kernels._pack(self.barrett, width, half))
+        return out
+
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.poly == other.poly
 
@@ -80,19 +121,69 @@ def _reduce(vec: list[int], field: NumberField) -> list[int]:
     With m = x^k div f, the quotient of v (degree at most k) by f is
     coefficients k.. of (v div x^d) m, so the remainder is the low d
     coefficients of v - q f.  For Phi_n, v is first folded below x^n,
-    and m = Psi_n = (x^n - 1)/Phi_n.
+    and m = Psi_n = (x^n - 1)/Phi_n.  A large field packs v once and
+    reduces it packed (see the module docstring).
     """
+    d = field.degree
+    if field._packed and len(vec) > d:
+        width = _packed_width(field, max(map(abs, vec)), len(vec))
+        packed = kernels._pack(vec, width, 1 << (8 * width - 1))
+        return _packed_remainder(packed, len(vec), width, field)
     n = field.period
     if n is not None and len(vec) > n:
         folded = vec[:n]
         for k in range(n, len(vec)):
             folded[k % n] += vec[k]
         vec = folded
-    d = field.degree
     if len(vec) <= d:
         return vec + [0] * (d - len(vec))
     q = kernels.convolve(vec[d:], field.barrett)[field.k - d:]
     return [v - w for v, w in zip(vec[:d], kernels.convolve(q, field.poly))]
+
+
+def _product(a, b, field: NumberField) -> list[int]:
+    """The reduced product of two reduced vectors of field."""
+    if not field._packed:
+        return _reduce(kernels.convolve(a, b), field)
+    d = field.degree
+    # every product coefficient is at most |a|_1 max|b| in size
+    vmax = sum(map(abs, a)) * max(map(abs, b))
+    if not vmax:
+        return [0] * d
+    width = _packed_width(field, vmax, 2 * d - 1)
+    half = 1 << (8 * width - 1)
+    packed = kernels._pack(a, width, half)
+    packed *= packed if a is b else kernels._pack(b, width, half)
+    return _packed_remainder(packed, 2 * d - 1, width, field)
+
+
+def _packed_width(field: NumberField, vmax: int, length: int) -> int:
+    """Slot bytes for a packed reduction of `length` coefficients of
+    size at most vmax: folding below x^n adds up ceil(length / n) of
+    them, and the Barrett steps grow the sum by `field._growth`."""
+    n = field.period
+    folds = 1 if n is None else -(-length // n)
+    return kernels._slot_width(vmax * folds * field._growth)
+
+
+def _packed_remainder(packed: int, length: int, width: int,
+                      field: NumberField) -> list[int]:
+    """v mod field.poly for packed = v(2^s), v of `length` coefficients
+    in slots of s = 8 width bits (see the module docstring)."""
+    s = 8 * width
+    bias_n, bias_d, bias_q, f, m = field._constants(width)
+    n = field.period
+    if n is not None:
+        while length > n:
+            high = (packed + bias_n) >> (s * n)
+            packed += high - (high << (s * n))
+            length = max(n, length - n)
+    d = field.degree
+    if length > d:
+        q = (((packed + bias_d) >> (s * d)) * m + bias_q) >> (s * (field.k - d))
+        packed -= q * f
+    raw = (packed + bias_d).to_bytes(width * d, "little")
+    return kernels._unpack(raw, width, 1 << (s - 1))
 
 
 class NFElement:
@@ -173,7 +264,7 @@ class NFElement:
         if pair is None:
             return NotImplemented
         a, b = pair
-        return a._new(_reduce(kernels.convolve(a.nums, b.nums), a.field), a.den * b.den)
+        return a._new(_product(a.nums, b.nums, a.field), a.den * b.den)
 
     __rmul__ = __mul__
 

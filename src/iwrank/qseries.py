@@ -173,7 +173,7 @@ def eisenstein_series(
     # theta(d) phi(n/d) = zeta_order^(kt + kp) with the exponents read
     # over Q(zeta_order) from one table per character, so each a(n) is one
     # sum of roots of unity over the divisors d of n
-    et, ep = _exponent_table(theta, order), _exponent_table(phi, order)
+    et, ep = theta.exponent_table(order), phi.exponent_table(order)
     divisors = [[] for _ in range(n_max + 1)]
     for d in range(1, n_max + 1):
         kt = et[d % u]
@@ -198,17 +198,6 @@ def mazur_eisenstein(t: int, n_max: int) -> QExpansion:
     theta = DirichletCharacter.trivial(t)
     phi = DirichletCharacter.trivial(1)
     return eisenstein_series(theta, phi, 2, n_max)
-
-
-def _exponent_table(chi: DirichletCharacter, order: int) -> list:
-    """k with chi(a) = zeta_order^k for a = 0..modulus-1 (order a multiple
-    of chi's), or None where gcd(a, modulus) > 1."""
-    s = order // chi.order
-    out = []
-    for a in range(chi.modulus):
-        k = chi.value_exponent(a)
-        out.append(None if k is None else k * s)
-    return out
 
 
 # bounds and level data ------------------------------------------------
@@ -404,12 +393,19 @@ def check_congruence(f: QExpansion, g: QExpansion, ideal: CongruenceIdealSpec,
         if n > 0 and gcd(n, coprime_to) != 1:
             skipped += 1
             continue
-        r1 = ideal.reduce(f.a(n))
-        r2 = ideal.reduce(g.a(n))
+        r1, r2 = _reduce_coefficient(f, n, ideal), _reduce_coefficient(g, n, ideal)
         checked += 1
         if r1 != r2:
             mism.append((n, r1, r2))
     return CongruenceReport(bound, checked, skipped, mism)
+
+
+def _reduce_coefficient(f: QExpansion, n: int, ideal: CongruenceIdealSpec) -> int:
+    try:
+        return ideal.reduce(f.a(n))
+    except ValueError as exc:
+        raise ValueError(f"a({n}) = {f.a(n)} of {f.label} does not reduce "
+                         f"mod the ideal above {ideal.p}: {exc}") from exc
 
 
 # stabilization --------------------------------------------------------

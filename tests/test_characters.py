@@ -14,7 +14,7 @@ from iwrank.characters import (
     reduce_character,
     unit_group_generators,
 )
-from iwrank.cyclotomic import zeta
+from iwrank.cyclotomic import euler_phi, zeta
 
 F = Fraction
 
@@ -70,6 +70,21 @@ def test_value_exponent_and_call():
         assert w(a) == zeta(6, e)
     assert w.value_exponent(7) is None
     assert w(14).is_zero()
+
+
+def test_exponent_table_matches_value_exponent():
+    # every character of modulus <= 130, the moduli 8, 16, 32 and 64 of
+    # the (-1, 5) generator pair among them
+    count = 0
+    for modulus in range(1, 131):
+        for chi in all_characters(modulus):
+            want = [chi.value_exponent(a) for a in range(modulus)]
+            assert chi.exponent_table() == want, chi
+            count += 1
+        # over a larger root of unity, the exponents scale
+        assert chi.exponent_table(3 * chi.order) == [
+            None if k is None else 3 * k for k in want]
+    assert count == sum(euler_phi(m) for m in range(1, 131))
 
 
 def test_multiplication_and_powers():

@@ -60,6 +60,15 @@ def test_congruence_number_field(capsys):
     assert all(r["status"] == "pass" for r in _records(capsys))
 
 
+def test_congruence_partner_not_integral_is_clean_error(capsys):
+    # at p = 3 the partner E_2(z) - 3 E_2(3z) has a(0) = 1/12, which has
+    # no reduction mod 3
+    assert main(["congruence", "--newform", "19.2.a.a", "--prime", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: a(0) = 1/12 ")
+    assert "Traceback" not in err
+
+
 def test_congruence_rejects_non_eisenstein_prime(capsys):
     assert main(["congruence", "--newform", "11.2.a.a", "--prime", "7"]) == 2
     assert "error:" in capsys.readouterr().err

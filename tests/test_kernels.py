@@ -4,7 +4,7 @@ import pytest
 
 from iwrank import kernels
 from iwrank.cyclotomic import _ring, cyclotomic_polynomial
-from iwrank.numfield import NumberField, _reduce
+from iwrank.numfield import NFElement, NumberField, _reduce
 
 
 def _reduction_rows(modulus, extra):
@@ -149,3 +149,93 @@ def test_barrett_matches_long_division():
             for length in range(0, 2 * d):
                 vec = _random_vec(rng, length, 10**9)
                 assert _reduce(vec, field) == _monic_remainder(vec, poly), (poly, vec)
+
+
+# the packed reduction against long division --------------------------
+
+PACKED_BOUNDS = (1, 2**31, 2**63, 10**40)
+PACKED_ORDERS = list(range(1, 301)) + [1711, 2756, 3422]
+
+
+def _sparse_remainder(vec, poly, period=None):
+    # long division by a monic polynomial, over its nonzero terms; with a
+    # period n (poly divides x^n - 1), after folding x^n to 1
+    d = len(poly) - 1
+    rem = list(vec) + [0] * max(d - len(vec), 0)
+    if period is not None and len(rem) > period:
+        rem, tail = rem[:period], rem[period:]
+        for k, c in enumerate(tail):
+            rem[k % period] += c
+    terms = [(t, c) for t, c in enumerate(poly[:d]) if c]
+    for j in range(len(rem) - 1, d - 1, -1):
+        c = rem[j]
+        if c:
+            for t, pt in terms:
+                rem[j - d + t] -= c * pt
+    return rem[:d]
+
+
+def _edge_vectors(rng, length, bound):
+    # vectors of +-bound, on the slot edge the width is chosen for, and a
+    # random one
+    return [[bound] * length, [-bound] * length,
+            [bound if i % 2 else -bound for i in range(length)],
+            _random_vec(rng, length, bound)]
+
+
+def _packed_fields():
+    """(field forced onto the packed path, the reference remainder): long
+    division, or at the three large orders (where it takes seconds) the
+    list path of `_reduce`, checked against long division once."""
+    polys = [(cyclotomic_polynomial(n), n) for n in PACKED_ORDERS]
+    polys += [([-5, 0, 1], None),         # Q(sqrt 5)
+              ([-2, -1, 0, 1], None)]     # x^3 - x - 2
+    rng = random.Random(3)
+    for poly, n in polys:
+        packed, listed = NumberField(poly, n), NumberField(poly, n)
+        packed._packed, listed._packed = True, False
+        d = listed.degree
+        if n is not None and n > 300:
+            vec = _random_vec(rng, 2 * d - 1, 1)
+            assert _reduce(vec, listed) == _sparse_remainder(vec, poly)
+            yield packed, lambda vec, f=listed: _reduce(vec, f)
+        else:
+            yield packed, lambda vec, p=poly, n=n: _sparse_remainder(vec, p, n)
+
+
+def test_packed_reduction_matches_long_division():
+    # lengths just above d, the monomial sums of length n and a double
+    # fold at 2n (2d - 1, the product's, is the next test's)
+    rng = random.Random(8)
+    for packed, reference in _packed_fields():
+        d, n = packed.degree, packed.period
+        lengths = {d + 1} | ({n, 2 * n} if n else {2 * d - 1})
+        for length in sorted(x for x in lengths if x > d):
+            assert _reduce([0] * length, packed) == [0] * d
+            # the remainder is linear: those of the +-bound vectors are
+            # multiples of these two
+            ones = reference([1] * length)
+            signs = reference([1 if i % 2 else -1 for i in range(length)])
+            for bound in PACKED_BOUNDS:
+                plus, minus, alternating, rand = _edge_vectors(rng, length, bound)
+                for vec, want in ((plus, [bound * c for c in ones]),
+                                  (minus, [-bound * c for c in ones]),
+                                  (alternating, [bound * c for c in signs]),
+                                  (rand, reference(rand))):
+                    assert _reduce(vec, packed) == want, (packed, length, bound)
+
+
+def test_packed_product_matches_long_division():
+    rng = random.Random(88)
+    for packed, reference in _packed_fields():
+        d = packed.degree
+        zero, big = NFElement(packed, [0] * d, 1), NFElement(packed, [10**40] * d, 1)
+        assert (zero * big).is_zero() and (big * zero).is_zero()
+        for bound in PACKED_BOUNDS:
+            plus, minus, alternating, rand = _edge_vectors(rng, d, bound)
+            # a square packs its operand once
+            for a, b in ((plus, minus), (alternating, rand), (rand, rand)):
+                x, y = NFElement(packed, a, 1), NFElement(packed, b, 1)
+                prod = x * x if a is b else x * y
+                assert list(prod.nums) == reference(kernels.convolve(a, b)), \
+                    (packed, bound)
