@@ -4,13 +4,12 @@ Hecke images and one eigenfunctional.
 Usage: python benchmarks/bench_modsym.py [--repeat N]
 
 For each level N it times `iwrank.modsym.P1List(N)` (the flat point
-table), `iwrank.modsym.build_space(N)` with no cache directory (the
-table, the sparse quotient and the dimension check), the Hecke images
-T_2, T_3, T_5, T_7 together on a fresh space, and one rational
-`eigen_functional` (plus sign, the T_ell eigenvalue in `TARGETS`).  It
-prints the best of `--repeat` rounds together with |P^1(Z/N)| and the
-quotient dimension; the last column is Hecke plus eigenfunctional as a
-multiple of the build.
+table), `iwrank.modsym.build_space(N)` (the table, the sparse quotient
+and the dimension check), the Hecke images T_2, T_3, T_5, T_7 together
+on a fresh space, and one rational `eigen_functional` (plus sign, the
+T_ell eigenvalue in `TARGETS`).  It prints the best of `--repeat` rounds
+together with |P^1(Z/N)| and the quotient dimension; the last column is
+Hecke plus eigenfunctional as a multiple of the build.
 """
 
 import argparse

@@ -1,0 +1,57 @@
+"""Trial-division arithmetic of small integers: factorization, prime
+divisors, Euler's phi and primality.
+
+The numbers factored here are levels, moduli, character orders and p - 1,
+so trial division up to the square root is all that is needed.
+"""
+
+from __future__ import annotations
+
+
+def factorize(n: int) -> list[tuple[int, int]]:
+    """[(r, e), ...] with n = prod r^e, primes increasing."""
+    out = []
+    m, r = n, 2
+    while r * r <= m:
+        if m % r == 0:
+            e = 0
+            while m % r == 0:
+                m //= r
+                e += 1
+            out.append((r, e))
+        r += 1
+    if m > 1:
+        out.append((m, 1))
+    return out
+
+
+def prime_divisors(n: int) -> list[int]:
+    out, r = [], 2
+    while r * r <= n:
+        if n % r == 0:
+            out.append(r)
+            while n % r == 0:
+                n //= r
+        r += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def euler_phi(n: int) -> int:
+    if n < 1:
+        raise ValueError("euler_phi needs n >= 1")
+    for p in prime_divisors(n):
+        n = n // p * (p - 1)
+    return n
+
+
+def is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True

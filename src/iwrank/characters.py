@@ -12,24 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
+from iwrank.arith import factorize
 from iwrank.cyclotomic import CyclotomicNumber
 from iwrank.padics import smallest_primitive_root
-
-
-def factorize(n: int) -> list[tuple[int, int]]:
-    out = []
-    m, r = n, 2
-    while r * r <= m:
-        if m % r == 0:
-            e = 0
-            while m % r == 0:
-                m //= r
-                e += 1
-            out.append((r, e))
-        r += 1
-    if m > 1:
-        out.append((m, 1))
-    return out
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ import os
 import sys
 from fractions import Fraction
 
+from .arith import is_prime
 from .characters import DirichletCharacter, ResidualCharacter, parse_descriptor
 from .examples import EXAMPLES, run_example
 from .iwasawa import (
@@ -62,15 +63,12 @@ class JobConfig:
     """Validated run parameters shared by the computing commands."""
 
     def __init__(self, prime=None, precision=None, newforms=(), chars=(),
-                 branches=None, cache_dir=None, out=None):
+                 branches=None, out=None):
         if prime is not None:
             if prime < 3 or prime % 2 == 0:
                 raise ConfigError(f"prime must be odd, got {prime}")
-            for q in range(2, prime):
-                if q * q > prime:
-                    break
-                if prime % q == 0:
-                    raise ConfigError(f"{prime} is not prime")
+            if not is_prime(prime):
+                raise ConfigError(f"{prime} is not prime")
         self.prime = prime
         if precision is None:
             precision = (8, prime if prime else 8)
@@ -88,7 +86,6 @@ class JobConfig:
                 raise ConfigError(
                     f"branch range {a}..{b} repeats residues mod {prime - 1}")
         self.branches = branches
-        self.cache_dir = cache_dir or os.environ.get("IWR_CACHE")
         self.out = out
 
     def wild_level(self):
@@ -145,7 +142,6 @@ def _config_from(args):
         newforms=tuple(args.newform or ()),
         chars=tuple(args.char or ()),
         branches=branches,
-        cache_dir=args.cache_dir,
         out=args.out,
     )
 
@@ -313,7 +309,7 @@ def _symbol_for(cfg, nf):
         raise ConfigError(
             f"no stored Hecke probes for {nf.label}; symbol commands "
             f"currently cover the bundled rational forms")
-    pair = _symbol_pair(nf, cfg.cache_dir)
+    pair = _symbol_pair(nf)
     if not cfg.chars:
         return pair
     if len(cfg.chars) > 1:
@@ -461,7 +457,7 @@ def cmd_verify_example(cfg, number):
     wild = 1
     if cfg.precision and cfg.prime:
         wild = cfg.wild_level()
-    rep = run_example(number, cache_dir=cfg.cache_dir, wild_level=wild,
+    rep = run_example(number, wild_level=wild,
                       M=cfg.precision[0] if cfg.precision else 8)
     sink = _Sink(cfg.out)
     for line in rep.to_lines():
@@ -488,8 +484,6 @@ def _add_common(parser, suppress):
     parser.add_argument("--prime", type=int, default=d, help="odd prime p")
     parser.add_argument("--precision", default=d, metavar="M,D",
                         help="p-adic digits M and series length D")
-    parser.add_argument("--cache-dir", default=d,
-                        help="symbol-space cache (default: $IWR_CACHE)")
     parser.add_argument("--out", default=d,
                         help="write the report here instead of stdout")
     parser.add_argument("--newform", action="append", default=d,

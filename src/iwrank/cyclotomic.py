@@ -12,33 +12,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from iwrank.arith import euler_phi, prime_divisors
 from iwrank.numfield import NFElement, NumberField, _reduce
 
 _ONE = Fraction(1)
 
 _cyclo_poly_cache: dict[int, list[int]] = {}
 _ring_cache: dict[int, NumberField] = {}
-
-
-def prime_divisors(n: int) -> list[int]:
-    out, r = [], 2
-    while r * r <= n:
-        if n % r == 0:
-            out.append(r)
-            while n % r == 0:
-                n //= r
-        r += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def euler_phi(n: int) -> int:
-    if n < 1:
-        raise ValueError("euler_phi needs n >= 1")
-    for p in prime_divisors(n):
-        n = n // p * (p - 1)
-    return n
 
 
 def cyclotomic_polynomial(n: int) -> list[int]:

@@ -147,15 +147,15 @@ _NONTRIVIAL_INVARIANTS = {1: {5: (0, 1)}, 2: {2: (0, 1)}, 3: {}}
 _T_VERDICTS = {1: (4, 5), 2: (1, 2), 3: ()}
 
 
-def _symbol_pair(nf, cache_dir=None):
-    space = build_space(nf.level, cache_dir)
+def _symbol_pair(nf):
+    space = build_space(nf.level)
     targets = [(ell, Fraction(nf.a(ell))) for ell in _TARGET_PRIMES[nf.label]]
     plus = eigen_functional(space, targets, +1)
     minus = eigen_functional(space, targets, -1)
     return SymbolPair(plus, minus, nf.level, label=nf.label)
 
 
-def build_example(number, cache_dir=None, wild_level=1, M=8):
+def build_example(number, wild_level=1, M=8):
     """Assemble the working objects for one bundled run.
 
     Returns a dict with the cuspidal symbol (twisted and renormalized when
@@ -169,7 +169,7 @@ def build_example(number, cache_dir=None, wild_level=1, M=8):
     p = cfg["p"]
     f = bundled(cfg["f"])
     h = bundled(cfg["h"])
-    pair = _symbol_pair(f, cache_dir)
+    pair = _symbol_pair(f)
     disc = cfg["twist_disc"]
     if disc is not None:
         chi = DirichletCharacter.quadratic_by_discriminant(disc)
@@ -228,7 +228,7 @@ def _fmt_value(v):
     return f"val={v.val} unit={v.unit % v.p ** min(6, v.prec)}"
 
 
-def run_example(number, cache_dir=None, wild_level=1, M=8):
+def run_example(number, wild_level=1, M=8):
     """Run one bundled configuration and check every expectation.
 
     Returns a VerificationReport; the run always continues through
@@ -236,7 +236,7 @@ def run_example(number, cache_dir=None, wild_level=1, M=8):
     """
     if number not in EXAMPLES:
         raise ValueError(f"no bundled example {number}; choose from 1, 2, 3")
-    ex = build_example(number, cache_dir, wild_level, M)
+    ex = build_example(number, wild_level, M)
     p, sym, alpha = ex["p"], ex["sym"], ex["alpha"]
     tag = f"ex{number}"
     rep = VerificationReport(number)

@@ -15,6 +15,7 @@ group ring, where reduction is a fold of exponents.
 from fractions import Fraction
 from itertools import accumulate
 
+from .arith import is_prime
 from .kernels import convolve
 from .padics import PadicNumber, PadicPrecisionError
 
@@ -36,17 +37,6 @@ __all__ = [
 
 class UndeterminedInvariants(ArithmeticError):
     """The working precision cannot certify mu/lambda."""
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 # -- the two bases of the cyclic group ring ------------------------------
@@ -256,7 +246,7 @@ class IwasawaContext:
     T-adic truncation degree D."""
 
     def __init__(self, p: int, u: int | None = None, M: int = 8, D: int | None = None):
-        if not _is_prime(p) or p == 2:
+        if not is_prime(p) or p == 2:
             raise ValueError(f"p = {p} must be an odd prime")
         if u is None:
             u = 1 + p
@@ -362,11 +352,6 @@ class WeierstrassData:
     @property
     def unit_head(self) -> PadicNumber:
         return self.unit.coefficient(0)
-
-    def residual_ideal(self) -> IdealClass:
-        if self.mu > 0:
-            return IdealClass.zero()
-        return IdealClass.power(self.lam)
 
     def __repr__(self):
         return (

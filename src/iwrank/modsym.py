@@ -12,15 +12,12 @@ symbol is 0), one 3-term relation x + Tx + T^2x = 0 per T-orbit is written
 over the pair representatives, and a sparse integer Gauss-Jordan
 elimination finishes the job.  See Cremona, *Algorithms for Modular
 Elliptic Curves* (1997), section 2.2, and Stein, *Modular Forms: A
-Computational Approach* (2007), chapters 3 and 8.  A cached space is
-checked against the dimension formula and the Manin relations before it is
-used.
+Computational Approach* (2007), chapters 3 and 8.
 
 The quotient is kept as integer rows over one denominator `den`: the
 vector of each Manin symbol, the Hecke images and the star images are all
 integer rows, and the true coordinates are those rows divided by `den`
-(which is 1 at every level N <= 400).  A cached space holds the quotient
-alone; Hecke images are recomputed from it.
+(which is 1 at every level N <= 400).
 
 A symbol functional is a linear map on the relation quotient; its value on
 the path {oo -> r} is what the p-adic layer integrates against.  Normalized
@@ -31,16 +28,13 @@ elimination as the quotient.
 
 from __future__ import annotations
 
-import json
-import os
 from fractions import Fraction
 from math import gcd, lcm
 
-from .cyclotomic import CyclotomicNumber, euler_phi, prime_divisors
+from .arith import euler_phi, prime_divisors
+from .cyclotomic import CyclotomicNumber
 from .linalg import right_kernel, solve_right
 from .linalg import rref  # noqa: F401  (perfbench's tracer selftest wraps it here)
-
-FORMAT_VERSION = 2
 
 
 class EigenspaceError(RuntimeError):
@@ -214,14 +208,11 @@ def merel_matrices(n: int):
 class ModularSymbolSpace:
     """Relation quotient of the free module on Manin symbols x_(c:d)."""
 
-    def __init__(self, N: int, _payload=None):
+    def __init__(self, N: int):
         self.N = N
         self.p1 = P1List(N)
         self._hecke = {}
         self._boundary = None
-        if _payload is not None:
-            self._from_payload(_payload)
-            return
         S, T = self._manin_maps()
         # the 2-term relations x_i + x_Si = 0: the larger index of each
         # S-orbit represents it, and an S-fixed symbol is 0
@@ -366,80 +357,9 @@ class ModularSymbolSpace:
             out.append(x)
         return out
 
-    # --- cache ---
 
-    def to_payload(self):
-        return {
-            "version": FORMAT_VERSION,
-            "N": self.N,
-            "basis_cols": self.basis_cols,
-            "den": self.den,
-            "vectors": self.vectors,
-        }
-
-    def _from_payload(self, payload):
-        """Load a cached quotient after checking that it is one: the
-        dimension 2g + cusps - 1, one integer vector of that length per P^1
-        point, den times unit vectors at the basis columns, and the 2- and
-        3-term Manin relations.  Anything else raises ValueError, so the
-        file is rebuilt."""
-        if (not isinstance(payload, dict) or payload.get("version") != FORMAT_VERSION
-                or payload.get("N") != self.N):
-            raise ValueError("stale or mismatched cache payload")
-        N, n = self.N, len(self.p1)
-        basis_cols = list(payload["basis_cols"])
-        dim = len(basis_cols)
-        if dim != 2 * genus_gamma0(N) + num_cusps(N) - 1:
-            raise ValueError("cache payload has the wrong dimension")
-        den = payload["den"]
-        vectors = [tuple(w) for w in payload["vectors"]]
-        if (type(den) is not int or den < 1 or len(vectors) != n
-                or any(len(w) != dim or any(type(x) is not int for x in w)
-                       for w in vectors)):
-            raise ValueError("cache payload vectors have the wrong shape")
-        for k, c in enumerate(basis_cols):
-            if (type(c) is not int or not 0 <= c < n
-                    or any(x != den * (j == k) for j, x in enumerate(vectors[c]))):
-                raise ValueError("cache payload basis columns are not unit vectors")
-        S, T = self._manin_maps()
-        for i in range(n):
-            j, k = T[i], T[T[i]]
-            if (any(a + b for a, b in zip(vectors[i], vectors[S[i]]))
-                    or any(a + b + c for a, b, c in
-                           zip(vectors[i], vectors[j], vectors[k]))):
-                raise ValueError("cache payload breaks a Manin relation")
-        self.basis_cols, self.dim = basis_cols, dim
-        self.den, self.vectors = den, vectors
-
-    def save(self, cache_dir):
-        """Write the payload to a temporary file beside the cache file,
-        then move it into place: a crash mid-write never leaves a
-        truncated cache."""
-        path = os.path.join(cache_dir, f"modsym_{self.N}_v{FORMAT_VERSION}.json")
-        os.makedirs(cache_dir, exist_ok=True)
-        tmp = f"{path}.{os.getpid()}.tmp"
-        try:
-            with open(tmp, "w") as fh:
-                json.dump(self.to_payload(), fh)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-        return path
-
-
-def build_space(N: int, cache_dir=None) -> ModularSymbolSpace:
-    if cache_dir:
-        path = os.path.join(cache_dir, f"modsym_{N}_v{FORMAT_VERSION}.json")
-        try:
-            with open(path) as fh:
-                return ModularSymbolSpace(N, _payload=json.load(fh))
-        except (OSError, ValueError, KeyError, TypeError):
-            pass  # missing, unreadable or invalid: rebuild and overwrite it
-    space = ModularSymbolSpace(N)
-    if cache_dir:
-        space.save(cache_dir)
-    return space
+def build_space(N: int) -> ModularSymbolSpace:
+    return ModularSymbolSpace(N)
 
 
 def _reduce_rows(rows):

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .arith import prime_divisors
+
 
 class PadicPrecisionError(ArithmeticError):
     pass
@@ -320,16 +322,7 @@ def padic_log(u: int, p: int, abs_prec: int) -> PadicNumber:
 def smallest_primitive_root(p: int) -> int:
     """Least primitive root mod an odd prime."""
     n = p - 1
-    fac = []
-    m, r = n, 2
-    while r * r <= m:
-        if m % r == 0:
-            fac.append(r)
-            while m % r == 0:
-                m //= r
-        r += 1
-    if m > 1:
-        fac.append(m)
+    fac = prime_divisors(n)
     g = 2
     while True:
         if all(pow(g, n // q, p) != 1 for q in fac):

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from iwrank.characters import DirichletCharacter, factorize
+from iwrank.arith import factorize
+from iwrank.characters import DirichletCharacter
 from iwrank.cyclotomic import CyclotomicNumber
 from iwrank.numfield import NFElement
 from iwrank.padics import PadicNumber, hensel_root, padic_valuation
@@ -303,8 +304,8 @@ class RootNumber:
     def p_valuation(self, p: int) -> Fraction:
         """Uses v(G(chi)) = v(cond chi)/2, from |G|^2 = cond; the total is
         ((half_power - 1)/2) (v(cond theta) - v(cond phi))."""
-        vt = _val_or_zero(self.cond_theta, p)
-        vp = _val_or_zero(self.cond_phi, p)
+        vt = padic_valuation(self.cond_theta, p)
+        vp = padic_valuation(self.cond_phi, p)
         return Fraction(self.half_power - 1, 2) * (vt - vp)
 
 
@@ -315,14 +316,6 @@ def eisenstein_root_number(theta: DirichletCharacter, phi: DirichletCharacter,
     g_tbar = theta.conjugate().gauss_sum()
     cyc = g_phi * g_tbar.inverse() * phi.parity()
     return RootNumber(theta.conductor(), phi.conductor(), l, cyc)
-
-
-def _val_or_zero(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 # congruence ideals ----------------------------------------------------

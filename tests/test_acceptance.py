@@ -47,7 +47,7 @@ def _line(name, ok, detail=""):
 def ex_all():
     out = {}
     t0 = time.perf_counter()
-    out[1] = build_example(1)          # fresh, uncached symbol-space build
+    out[1] = build_example(1)
     BUILD_TIMES[1] = time.perf_counter() - t0
     out[2] = build_example(2)
     out[3] = build_example(3)

@@ -14,7 +14,8 @@ from iwrank.characters import (
     reduce_character,
     unit_group_generators,
 )
-from iwrank.cyclotomic import euler_phi, zeta
+from iwrank.arith import euler_phi
+from iwrank.cyclotomic import zeta
 
 F = Fraction
 

@@ -4,12 +4,8 @@ from math import gcd
 
 import pytest
 
-from iwrank.cyclotomic import (
-    CyclotomicNumber,
-    cyclotomic_polynomial,
-    euler_phi,
-    zeta,
-)
+from iwrank.arith import euler_phi
+from iwrank.cyclotomic import CyclotomicNumber, cyclotomic_polynomial, zeta
 
 F = Fraction
 

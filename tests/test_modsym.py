@@ -1,7 +1,4 @@
-import json
-import os
 import random
-import tempfile
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -328,20 +325,3 @@ def test_double_twist_depletion(pair11):
             rhs = 5 * phi.evaluate(r) - phi.evaluate(5 * r) \
                 + phi.evaluate(25 * r)
             assert lhs == rhs, r
-
-
-def test_cache_round_trip(pair11):
-    with tempfile.TemporaryDirectory() as tmp:
-        s1 = build_space(11, cache_dir=tmp)
-        s1.hecke_images(2)
-        with open(os.path.join(tmp, "modsym_11_v2.json")) as fh:
-            payload = json.load(fh)
-        # the quotient alone: Hecke images are recomputed, never cached
-        assert set(payload) == {"version", "N", "basis_cols", "den", "vectors"}
-        s2 = build_space(11, cache_dir=tmp)
-        assert s2._hecke == {}
-        assert s2.vectors == s1.vectors and s2.basis_cols == s1.basis_cols
-        assert s2.hecke_images(2) == s1.hecke_images(2)
-        phi2 = eigen_functional(s2, [(2, F(-2))], +1)
-        assert [phi2.evaluate(F(b, 11)) for b in range(11)] == \
-            [pair11.plus.evaluate(F(b, 11)) for b in range(11)]
