@@ -14,13 +14,18 @@ import argparse
 import os
 import time
 
+from fractions import Fraction
+
 from iwrank import cli
+from iwrank.characters import DirichletCharacter
 from iwrank.iwasawa import IwasawaContext, invariants
-from iwrank.modsym import SymbolPair, build_space, eigen_functional
+from iwrank.modsym import SymbolPair, TwistedSymbol, build_space, eigen_functional
 from iwrank.padic_l import branch_series, choose_alpha, group_ring_mul
 
 # wild levels n; the series length is D = 5^n
 LEVELS = (2, 3, 4)
+# wild levels of the twisted rows of verify-example 1 (p = 11)
+TWIST_LEVELS = (1, 2)
 M = 8
 
 
@@ -30,6 +35,36 @@ def best_time(fn, repeat):
     for _ in range(repeat):
         t0 = time.perf_counter()
         fn()
+        dt = time.perf_counter() - t0
+        best = dt if best is None else min(best, dt)
+    return best
+
+
+def pair11():
+    """A fresh 11.2.a.a symbol pair: nothing evaluated, nothing cached."""
+    space = build_space(11)
+    return SymbolPair(*(eigen_functional(space, [(2, -2)], sign)
+                        for sign in (1, -1)), 11)
+
+
+def twist11():
+    """A fresh copy of verify-example 1's symbol: 11.2.a.a twisted by
+    quad(-23), renormalized on the probes 0 and b/11."""
+    chi = DirichletCharacter.quadratic_by_discriminant(-23)
+    probes = [Fraction(0)] + [Fraction(b, 11) for b in range(1, 11)]
+    return TwistedSymbol(pair11(), chi, probes)
+
+
+def rows_time(make, dens, repeat):
+    """Best time, over `repeat` fresh symbols from `make`, of reading both
+    signs of the rows at every denominator in `dens`."""
+    best = None
+    for _ in range(repeat):
+        sym = make()
+        t0 = time.perf_counter()
+        for den in dens:
+            for sign in (1, -1):
+                sym.evaluate_row(den, sign)
         dt = time.perf_counter() - t0
         best = dt if best is None else min(best, dt)
     return best
@@ -55,9 +90,7 @@ def main():
 
     n = LEVELS[-1]
     D = 5**n
-    space = build_space(11)
-    sym = SymbolPair(*(eigen_functional(space, [(2, -2)], sign)
-                       for sign in (1, -1)), 11)
+    sym = pair11()
     alpha = choose_alpha(1, 5, 11)  # a_5 of 11.2.a.a
     ctx = IwasawaContext(5, M=M, D=D)
     s1, s2 = (branch_series(sym, 5, alpha, j, n=n, ctx=ctx).series
@@ -66,6 +99,14 @@ def main():
     tg = best_time(lambda: group_ring_mul(s1, s2), args.repeat)
     print(f"D = {D}: invariants {ti * 1e3:.1f}ms, "
           f"group_ring_mul {tg * 1e3:.1f}ms")
+
+    print("symbol rows (both signs)")
+    for n in LEVELS:
+        t = rows_time(pair11, (5**(n + 1), 5**n), args.repeat)
+        print(f"  11.2.a.a at {5**(n + 1)}, {5**n}: {t * 1e3:.2f}ms")
+    for n in TWIST_LEVELS:
+        t = rows_time(twist11, (11**(n + 1), 11), args.repeat)
+        print(f"  11.2.a.a x quad(-23) at {11**(n + 1)}, 11: {t * 1e3:.2f}ms")
 
 
 if __name__ == "__main__":

@@ -242,8 +242,8 @@ def run_example(number, wild_level=1, M=8):
     rep = VerificationReport(number)
 
     # --- value tables at the p-division points (from-zero convention) ---
-    plus_tab = [sym.evaluate_from_zero(Fraction(b, p), +1) for b in range(1, p)]
-    minus_tab = [sym.evaluate_from_zero(Fraction(b, p), -1) for b in range(1, p)]
+    plus_tab, minus_tab = ([row[b] - row[0] for b in range(1, p)]
+                           for row in (sym.evaluate_row(p, s) for s in (1, -1)))
     want_plus, want_minus = _TABLES[number]
     for name, got, want in (("plus", plus_tab, want_plus),
                             ("minus", minus_tab, want_minus)):

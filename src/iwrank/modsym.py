@@ -472,17 +472,6 @@ class SymbolFunctional:
         symbol tables (the measure itself integrates paths based at oo)."""
         return self.evaluate(r) - self.evaluate(0)
 
-    def evaluate_row(self, den):
-        """Values on {oo -> a/den} for a = 0..den-1, as integer path sums
-        (Fractions or field elements where not integral); one pass per
-        denominator."""
-        row = self._cache.get(("row", den))
-        if row is None:
-            flat, N = self._flat_values(), self.space.N
-            row = tuple(_path_sum(flat, N, a, den) for a in range(den))
-            self._cache[("row", den)] = row
-        return row
-
 
 def _path_sum(flat, N, a, b):
     """Value on {oo -> a/b}, 0 <= a < b (not necessarily coprime): the sum
@@ -657,6 +646,7 @@ class SymbolPair:
         self.minus = minus
         self.level = level
         self.label = label
+        self._rows = {}
 
     def evaluate(self, r, sign):
         return (self.plus if sign > 0 else self.minus).evaluate(r)
@@ -665,7 +655,38 @@ class SymbolPair:
         return self.evaluate(r, sign) - self.evaluate(0, sign)
 
     def evaluate_row(self, den, sign):
-        return (self.plus if sign > 0 else self.minus).evaluate_row(den)
+        """Values on {oo -> a/den} for a = 0..den-1, as raw path sums (ints
+        for a normalized rational functional, else Fractions or field
+        elements).  Both signs are filled and cached in one pass: one
+        continued-fraction walk per a <= den/2 feeds both functionals, and
+        the star involution gives x(1 - r) = x(-r) = s x(r) for the other
+        half (s the functional's star sign)."""
+        rows = self._rows.get(den)
+        if rows is None:
+            N = self.plus.space.N
+            fp, fm = self.plus._flat_values(), self.minus._flat_values()
+            hp, hm = [], []
+            for a in range(den // 2 + 1):
+                # _path_sum(flat, N, a, den) for both flat tables at once
+                b, sp, sm = den, 0, 0
+                q0, q1 = 1, 0
+                s = -1
+                while b:
+                    d = a // b
+                    a, b = b, a - d * b
+                    q0, q1 = q1, d * q1 + q0
+                    i = q1 % N * N + s * q0 % N
+                    sp += fp[i]
+                    sm += fm[i]
+                    s = -s
+                hp.append(sp)
+                hm.append(sm)
+            rows = []
+            for h, phi in ((hp, self.plus), (hm, self.minus)):
+                tail = h[(den - 1) // 2:0:-1]  # a < den/2 down to 1, for den - a
+                rows.append(tuple(h + (tail if phi.sign > 0 else [-x for x in tail])))
+            rows = self._rows[den] = tuple(rows)
+        return rows[0] if sign > 0 else rows[1]
 
 
 class TwistedSymbol:
@@ -673,7 +694,8 @@ class TwistedSymbol:
 
     value at r, sign s:  sum_a conj(chi)(a) x^{s*chi(-1)}(r + a/C), divided
     by a per-sign scalar fixed on the probe set (content 1, first nonzero
-    positive), recorded in .scales.
+    positive), recorded in .scales.  `raw_value` walks the C paths of one
+    point; `evaluate_row` reads a row off the pair's row at den C.
     """
 
     def __init__(self, pair, chi, probes=(), label=""):
@@ -737,12 +759,26 @@ class TwistedSymbol:
         return self.evaluate(r, sign) - self.evaluate(0, sign)
 
     def evaluate_row(self, den, sign):
-        """evaluate(a/den, sign) for a = 0..den-1, computed once."""
-        row = self._cache.get(("row", den, sign))
-        if row is None:
-            row = tuple(self.evaluate(Fraction(a, den), sign) for a in range(den))
-            self._cache[("row", den, sign)] = row
-        return row
+        """evaluate(b/den, sign) for b = 0..den-1.  Both signs are filled
+        and cached at once from the pair's rows at den C, which hold
+        x(b/den + a/C) at (b C + a den) mod den C."""
+        rows = self._cache.get(("rows", den))
+        if rows is None:
+            C, dC = self.C, den * self.C
+            shifts = [(a * den, cv) for a, cv in self._chibar.items()]
+            rows = []
+            for s in (1, -1):
+                base = self.pair.evaluate_row(dC, s * self.eps)
+                scale = self.scales[s]
+                row = []
+                for bC in range(0, dC, C):
+                    acc = 0
+                    for ad, cv in shifts:
+                        acc += cv * base[(bC + ad) % dC]
+                    row.append(_as_fraction(acc) / scale)
+                rows.append(tuple(row))
+            self._cache[("rows", den)] = rows
+        return rows[0] if sign > 0 else rows[1]
 
 
 def twist_symbol(pair, chi, probes=(), label=""):

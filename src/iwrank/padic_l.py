@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .characters import DirichletCharacter
-from .cyclotomic import CyclotomicNumber, cyclotomic_polynomial, zeta
+from .cyclotomic import CyclotomicNumber, cyclotomic_polynomial
 from .iwasawa import (
     IdealClass,
     IwasawaContext,
@@ -185,14 +185,10 @@ def omega_twist_sum(sym, p: int, j: int) -> CyclotomicNumber:
     pairwise under b -> -b, so only this parity carries content.
     """
     jj = j % (p - 1)
-    omega = DirichletCharacter.teichmuller(p)
-    sgn = 1 if jj % 2 == 0 else -1
-    total = CyclotomicNumber(p - 1, [0])
-    for b in range(1, p):
-        e = omega.value_exponent(b)
-        x = sym.evaluate(Fraction(b, p), sgn)
-        total = total + zeta(p - 1, (-jj * e) % (p - 1)) * Fraction(x)
-    return total
+    exps = DirichletCharacter.teichmuller(p).exponent_table()
+    row = sym.evaluate_row(p, 1 if jj % 2 == 0 else -1)
+    return CyclotomicNumber.from_monomials(
+        p - 1, [(-jj * exps[b], row[b]) for b in range(1, p)])
 
 
 def branch_value_trivial(sym, p: int, alpha: PadicNumber, j: int, prec: int | None = None) -> PadicNumber:

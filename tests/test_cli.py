@@ -59,13 +59,17 @@ def test_congruence_number_field(capsys):
     assert all(r["status"] == "pass" for r in _records(capsys))
 
 
-def test_congruence_partner_not_integral_is_clean_error(capsys):
+def test_congruence_partner_not_integral_is_skipped(capsys):
     # at p = 3 the partner E_2(z) - 3 E_2(3z) has a(0) = 1/12, which has
-    # no reduction mod 3
-    assert main(["congruence", "--newform", "19.2.a.a", "--prime", "3"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: a(0) = 1/12 ")
-    assert "Traceback" not in err
+    # no reduction mod 3: the self-check is skipped, and a skip is no
+    # failure
+    assert main(["congruence", "--newform", "19.2.a.a", "--prime", "3"]) == 0
+    recs = _records(capsys)
+    assert [(r["check_id"], r["status"]) for r in recs] == [
+        ("congruence.m", "pass"), ("congruence.sigma0", "pass"),
+        ("congruence.partner", "pass"), ("congruence.self", "skipped")]
+    assert recs[3]["computed"].startswith("a(0) = 1/12 ")
+    assert "does not reduce mod the ideal above 3" in recs[3]["computed"]
 
 
 def test_congruence_rejects_non_eisenstein_prime(capsys):

@@ -12,6 +12,7 @@ from iwrank.modsym import (
     P1List,
     SymbolPair,
     TwistedSymbol,
+    _path_sum,
     build_space,
     eigen_functional,
     functional_eigenvalue,
@@ -290,15 +291,41 @@ def test_twisted_raw_value_matches_fraction_sum(twisted11):
             assert type(got) is Fraction and got == expected, (r, sign)
 
 
-@pytest.mark.parametrize("name", ["pair11", "pair52", "twisted11"])
+@pytest.fixture(scope="module")
+def field_pair23(sp23):
+    """The 23.2.a pair over Q(sqrt 5): generator values are field elements."""
+    K = NumberField((-5, 0, 1))
+    a2 = (K.one() * F(-1, 2)) + (K.gen() * F(-1, 2))
+    return SymbolPair(*(eigen_functional(sp23, [(2, a2)], sign, one=K.one())
+                        for sign in (1, -1)), 23, label="23a")
+
+
+@pytest.fixture(scope="module")
+def teich_twisted11(pair11):
+    """pair11 twisted by the quartic teich5: conj(chi) values in Q(i)."""
+    probes = [F(0)] + [F(b, 11) for b in range(1, 11)]
+    return TwistedSymbol(pair11, DirichletCharacter.teichmuller(5),
+                         probes=probes, label="11a-teich5")
+
+
+@pytest.mark.parametrize("name", ["pair11", "pair19", "pair52", "field_pair23",
+                                  "twisted11", "teich_twisted11"])
 def test_evaluate_row_matches_evaluate(name, request):
     sym = request.getfixturevalue(name)
-    for den in (1, 5, 25, 121):
+    for den in (1, 5, 25, 121, 242, 2783):
         for sign in (1, -1):
             row = sym.evaluate_row(den, sign)
             assert len(row) == den
-            assert row == tuple(sym.evaluate(F(a, den), sign)
-                                for a in range(den)), (den, sign)
+            want = tuple(sym.evaluate(F(a, den), sign) for a in range(den))
+            assert row == want, (den, sign)
+            if isinstance(sym, SymbolPair):
+                # raw path sums, mirrored by the star involution
+                phi = sym.plus if sign > 0 else sym.minus
+                flat, N = phi._flat_values(), phi.space.N
+                want = tuple(_path_sum(flat, N, a, den) for a in range(den))
+                assert all(row[(den - a) % den] == sign * row[a]
+                           for a in range(den)), (den, sign)
+            assert [type(x) for x in row] == [type(x) for x in want]
             assert sym.evaluate_row(den, sign) is row
 
 

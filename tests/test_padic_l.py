@@ -4,7 +4,7 @@ from math import comb, isclose, sqrt
 
 import pytest
 
-from iwrank.characters import kronecker
+from iwrank.characters import DirichletCharacter, kronecker
 from iwrank.cyclotomic import zeta
 from iwrank.iwasawa import (
     IwasawaContext,
@@ -135,6 +135,20 @@ def test_twisted_sums_19a(pair19):
     assert list(omega_twist_sum(pair19, 5, 2).coeffs) == [F(-18), F(0)]
     for jj in (1, 3):
         assert list(omega_twist_sum(pair19, 5, jj).coeffs) == [F(2), F(0)]
+
+
+@pytest.mark.parametrize("name,p", [("pair19", 5), ("twisted11", 11)])
+def test_omega_twist_sum_matches_definition(name, p, request):
+    # sum over b of zeta^(-j e(b)) x^sgn(b/p), omega(b) = zeta^e(b), one
+    # point at a time
+    sym = request.getfixturevalue(name)
+    omega = DirichletCharacter.teichmuller(p)
+    for j in range(p):
+        sgn = 1 if j % 2 == 0 else -1
+        want = sum((zeta(p - 1, -j * omega.value_exponent(b))
+                    * sym.evaluate(F(b, p), sgn) for b in range(1, p)),
+                   zeta(p - 1, 0) * 0)
+        assert omega_twist_sum(sym, p, j) == want, j
 
 
 def test_branch_values_19a(pair19, a19):
