@@ -14,8 +14,6 @@ import argparse
 import os
 import time
 
-from fractions import Fraction
-
 from iwrank import cli
 from iwrank.characters import DirichletCharacter
 from iwrank.iwasawa import IwasawaContext, invariants
@@ -49,10 +47,9 @@ def pair11():
 
 def twist11():
     """A fresh copy of verify-example 1's symbol: 11.2.a.a twisted by
-    quad(-23), renormalized on the probes 0 and b/11."""
+    quad(-23), renormalized on its row at den 11."""
     chi = DirichletCharacter.quadratic_by_discriminant(-23)
-    probes = [Fraction(0)] + [Fraction(b, 11) for b in range(1, 11)]
-    return TwistedSymbol(pair11(), chi, probes)
+    return TwistedSymbol(pair11(), chi, 11)
 
 
 def rows_time(make, dens, repeat):

@@ -357,23 +357,6 @@ class DirichletCharacter:
         c = self.canonical()
         return hash((c.modulus, c.order, c.exponents))
 
-    def decompose_p_part(self, p: int) -> tuple["DirichletCharacter", "DirichletCharacter"]:
-        """Primitive chi_p of p-power conductor and primitive chi' prime to p
-        with chi_p * chi' inducing this character."""
-        chi0 = self.primitive_part()
-        c = chi0.modulus
-        cp = 1
-        while c % p == 0:
-            c //= p
-            cp *= p
-        gens = unit_group_generators(chi0.modulus)
-        p_exps, rest_exps = [], []
-        for ug, k in zip(gens, chi0.exponents):
-            (p_exps if ug.prime == p else rest_exps).append(k)
-        chi_p = DirichletCharacter(cp, p_exps, chi0.order).canonical()
-        chi_rest = DirichletCharacter(chi0.modulus // cp, rest_exps, chi0.order).canonical()
-        return chi_p, chi_rest
-
     # analytic ---------------------------------------------------------
 
     def gauss_sum(self) -> CyclotomicNumber:
@@ -504,30 +487,8 @@ class ResidualCharacter:
             acc = acc * pow(vi, ti, self.p) % self.p
         return acc
 
-    def __mul__(self, other: "ResidualCharacter") -> "ResidualCharacter":
-        if not isinstance(other, ResidualCharacter) or other.p != self.p:
-            return NotImplemented
-        m = lcm(self.modulus, other.modulus)
-        gens = unit_group_generators(m)
-        vals = [self.value(ug.gen) * other.value(ug.gen) % self.p for ug in gens]
-        return ResidualCharacter(m, self.p, vals)
-
-    def inverse(self) -> "ResidualCharacter":
-        return ResidualCharacter(
-            self.modulus, self.p, [pow(v, -1, self.p) for v in self.values]
-        )
-
     def is_trivial_values(self) -> bool:
         return all(v == 1 for v in self.values)
-
-    def __eq__(self, other):
-        if not isinstance(other, ResidualCharacter):
-            return NotImplemented
-        if self.p != other.p:
-            return False
-        m = lcm(self.modulus, other.modulus)
-        gens = unit_group_generators(m)
-        return all(self.value(ug.gen) == other.value(ug.gen) for ug in gens)
 
 
 def lift_residual_character(chi_bar: ResidualCharacter, p: int | None = None) -> DirichletCharacter:
@@ -542,18 +503,6 @@ def lift_residual_character(chi_bar: ResidualCharacter, p: int | None = None) ->
     gens = unit_group_generators(chi_bar.modulus)
     exps = [tab[v] for v in chi_bar.values]
     return DirichletCharacter(chi_bar.modulus, exps, p - 1).canonical()
-
-
-def reduce_character(chi: DirichletCharacter, p: int) -> ResidualCharacter:
-    """Reduction of a prime-to-p-order character to F_p values via the
-    canonical embedding zeta_{p-1} -> teichmuller(g)."""
-    if (p - 1) % chi.canonical().order != 0:
-        raise ValueError("character order must divide p-1")
-    c = chi.canonical()
-    g = smallest_primitive_root(p)
-    root = pow(g, (p - 1) // c.order, p)
-    vals = [pow(root, k, p) for k in c.exponents]
-    return ResidualCharacter(c.modulus, p, vals)
 
 
 # Kronecker symbol -----------------------------------------------------

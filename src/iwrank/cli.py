@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from .arith import is_prime
-from .characters import DirichletCharacter, ResidualCharacter, parse_descriptor
+from .characters import ResidualCharacter, parse_descriptor
 from .examples import EXAMPLES, run_example
 from .iwasawa import (
     IwasawaContext,
@@ -322,9 +322,7 @@ def _symbol_for(cfg, nf):
         chi = parse_descriptor(cfg.chars[0])
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"bad character descriptor: {exc}")
-    p = cfg.prime
-    probes = [Fraction(0)] + [Fraction(b, p) for b in range(1, p)]
-    return twist_symbol(pair, chi, probes, label=f"{nf.label}x{cfg.chars[0]}")
+    return twist_symbol(pair, chi, cfg.prime, label=f"{nf.label}x{cfg.chars[0]}")
 
 
 def cmd_modsym_table(cfg):
@@ -349,12 +347,12 @@ def cmd_modsym_table(cfg):
         "scales": {"plus": str(scales[1]), "minus": str(scales[-1])}
         if scales else None,
     })
+    plus, minus = sym.evaluate_row(p, +1), sym.evaluate_row(p, -1)
     for b in range(1, p):
-        r = Fraction(b, p)
         sink.emit_json({
             "b": b,
-            "plus": str(sym.evaluate_from_zero(r, +1)),
-            "minus": str(sym.evaluate_from_zero(r, -1)),
+            "plus": str(plus[b] - plus[0]),
+            "minus": str(minus[b] - minus[0]),
         })
     sink.close()
     return 0

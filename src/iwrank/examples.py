@@ -173,8 +173,7 @@ def build_example(number, wild_level=1, M=8):
     disc = cfg["twist_disc"]
     if disc is not None:
         chi = DirichletCharacter.quadratic_by_discriminant(disc)
-        probes = [Fraction(0)] + [Fraction(b, p) for b in range(1, p)]
-        sym = twist_symbol(pair, chi, probes, label=f"{f.label}x{disc}")
+        sym = twist_symbol(pair, chi, p, label=f"{f.label}x{disc}")
         ap = kronecker(disc, p) * f.a(p)
     else:
         sym = pair

@@ -155,23 +155,6 @@ class PadicSeries:
                 f"vs ({other.p},{other.M},{other.D})"
             )
 
-    def __add__(self, other):
-        if not isinstance(other, PadicSeries):
-            return NotImplemented
-        self._check_match(other)
-        p, s = self.p, min(self.shift, other.shift)
-        total = [x * p ** (self.shift - s) + y * p ** (other.shift - s)
-                 for x, y in zip(self.ints, other.ints)]
-        return PadicSeries.from_ints(p, self.M, self.D, total, s)
-
-    def __neg__(self):
-        return PadicSeries.from_ints(self.p, self.M, self.D, [-x for x in self.ints], self.shift)
-
-    def __sub__(self, other):
-        if not isinstance(other, PadicSeries):
-            return NotImplemented
-        return self + (-other)
-
     def check_product(self, other: "PadicSeries"):
         """Refuse a product that is not known mod p^M: an error O(p^M) in
         one factor is scaled by the other, so a factor of negative
@@ -226,19 +209,6 @@ class PadicSeries:
             ints = gamma_to_t(fold(t_to_gamma(ints), order))
         return PadicSeries.from_ints(self.p, self.M, order, ints, self.shift)
 
-    def __repr__(self):
-        terms = []
-        for i in range(self.D):
-            c = self.coefficient(i)
-            if c.zero:
-                continue
-            terms.append(f"{c.lift()}*T^{i}" if i else f"{c.lift()}")
-            if len(terms) >= 6:
-                terms.append("...")
-                break
-        body = " + ".join(terms) if terms else "0"
-        return f"<series mod ({self.p}^{self.M}, T^{self.D}): {body}>"
-
 
 class IwasawaContext:
     """Working parameters: the prime p, the 1-unit u generating the
@@ -267,9 +237,6 @@ class IwasawaContext:
 
     def one(self) -> PadicSeries:
         return self.series([1])
-
-    def __repr__(self):
-        return f"IwasawaContext(p={self.p}, u={self.u}, M={self.M}, D={self.D})"
 
 
 # -- Weierstrass data --------------------------------------------------
@@ -311,16 +278,6 @@ class IdealClass:
             return NotImplemented
         return self.exponent == other.exponent
 
-    def __hash__(self):
-        return hash(("IdealClass", self.exponent))
-
-    def __mul__(self, other):
-        if not isinstance(other, IdealClass):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return IdealClass.zero()
-        return IdealClass.power(self.exponent + other.exponent)
-
     def __str__(self):
         if self.is_zero:
             return "(0)"
@@ -352,12 +309,6 @@ class WeierstrassData:
     @property
     def unit_head(self) -> PadicNumber:
         return self.unit.coefficient(0)
-
-    def __repr__(self):
-        return (
-            f"WeierstrassData(mu={self.mu}, lam={self.lam}, "
-            f"dist={self.dist!r}, unit_head={self.unit_head!r})"
-        )
 
 
 def mu_lambda(f: PadicSeries) -> tuple[int, int]:

@@ -24,6 +24,12 @@ the path {oo -> r} is what the p-adic layer integrates against.  Normalized
 rational functionals keep integer generator values, so a path sum is a sum
 of ints.  A rational eigenfunctional is found by the same sparse integer
 elimination as the quotient.
+
+The p-adic layer reads values as rows: `evaluate_row(den, sign)` holds the
+values at a/den for a = 0..den-1.  A twisted symbol has rows only: its row
+at den is a Birch sum over the pair's row at den C, a single value is an
+entry of the row at its denominator, and its per-sign scale is fixed on
+one row.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from math import gcd, lcm
 
 from .arith import euler_phi, prime_divisors
 from .cyclotomic import CyclotomicNumber
-from .linalg import right_kernel, solve_right
+from .linalg import inv, is_zero, right_kernel, solve_right
 from .linalg import rref  # noqa: F401  (perfbench's tracer selftest wraps it here)
 
 
@@ -53,41 +59,11 @@ def _xgcd(a, b):
     return old_r, old_s, old_t
 
 
-def p1_normalize(N: int, u: int, v: int) -> tuple[int, int]:
-    """Canonical representative of (u:v) in P^1(Z/N): first entry a divisor
-    g of N, second minimal over the stabilizing unit orbit."""
-    if N == 1:
-        return 0, 0
-    u %= N
-    v %= N
-    if u == 0:
-        if gcd(v, N) != 1:
-            raise ValueError(f"({u}:{v}) is not a point of P1(Z/{N})")
-        return 0, 1
-    g, s, _ = _xgcd(u, N)
-    if gcd(g, v) != 1:
-        raise ValueError(f"({u}:{v}) is not a point of P1(Z/{N})")
-    s %= N
-    ng = N // g
-    while gcd(s, N) != 1:
-        s = (s + ng) % N
-    v = (s * v) % N
-    if g > 1:
-        best = v
-        for k in range(1, g):
-            t = 1 + k * ng
-            if gcd(t, N) == 1:
-                w = (t * v) % N
-                if w < best:
-                    best = w
-        v = best
-    return g, v
-
-
 class P1List:
-    """The points of P^1(Z/N) in the canonical form of `p1_normalize`,
-    sorted, with a flat lookup table: `where[(u % N) * N + v % N]` is the
-    index of the point (u:v), or -1 when (u, v) is not a point."""
+    """The points of P^1(Z/N), each as the least pair (u, v) of its orbit
+    under the units (so u divides N), sorted, with a flat lookup table:
+    `where[(u % N) * N + v % N]` is the index of the point (u:v), or -1
+    when (u, v) is not a point."""
 
     def __init__(self, N: int):
         self.N = N
@@ -610,7 +586,7 @@ def functional_eigenvalue(phi: SymbolFunctional, ell: int, probes=(0, Fraction(1
     N = phi.space.N
     for r in probes:
         base = phi.evaluate(r)
-        if _frac_is_zero(base):
+        if is_zero(base):
             continue
         r = Fraction(r)
         acc = None
@@ -619,20 +595,8 @@ def functional_eigenvalue(phi: SymbolFunctional, ell: int, probes=(0, Fraction(1
             acc = t if acc is None else acc + t
         if N % ell != 0:
             acc = acc + phi.evaluate(ell * r)
-        return _divide(acc, base)
+        return acc * inv(base)
     raise ValueError("all probe values vanish; supply better probes")
-
-
-def _frac_is_zero(v):
-    z = getattr(v, "is_zero", None)
-    return z() if z is not None else v == 0
-
-
-def _divide(a, b):
-    f = getattr(b, "inverse", None)
-    if f is not None:
-        return a * f()
-    return a / b
 
 
 # twisting -----------------------------------------------------------
@@ -693,12 +657,13 @@ class TwistedSymbol:
     """Symbol pair of f tensor chi via Birch sums over a mod cond(chi).
 
     value at r, sign s:  sum_a conj(chi)(a) x^{s*chi(-1)}(r + a/C), divided
-    by a per-sign scalar fixed on the probe set (content 1, first nonzero
-    positive), recorded in .scales.  `raw_value` walks the C paths of one
-    point; `evaluate_row` reads a row off the pair's row at den C.
+    by a per-sign scalar recorded in .scales: the one that gives the values
+    at b/den, b = 0..den-1, content 1 with the first nonzero one positive
+    (1 when they all vanish).  Every value is read off a row: evaluate(r)
+    is entry r mod 1 of the row at r's denominator.
     """
 
-    def __init__(self, pair, chi, probes=(), label=""):
+    def __init__(self, pair, chi, den, label=""):
         chi = chi.primitive_part()
         C = chi.modulus
         if gcd(C, pair.level) != 1:
@@ -721,67 +686,51 @@ class TwistedSymbol:
                         cv = _int_if_integral(cv.rational_value())
                     vals[a] = cv
         self._chibar = vals
-        self.scales = {1: Fraction(1), -1: Fraction(1)}
-        self._cache = {}
-        if probes:
-            self.renormalize(probes)
+        self._raw = {}
+        self._rows = {}
+        self.scales = {s: _signed_content(raw) or Fraction(1)
+                       for s, raw in zip((1, -1), self._raw_rows(den))}
 
-    def raw_value(self, r, sign):
-        r = Fraction(r)
-        phi = self.pair.plus if sign * self.eps > 0 else self.pair.minus
-        flat, N, C = phi._flat_values(), phi.space.N, self.C
-        # r + a/C = (n C + a d) / (d C), summed along its convergents
-        n, d = r.numerator, r.denominator
-        dC = d * C
-        acc = 0
-        for a, cv in self._chibar.items():
-            acc += cv * _path_sum(flat, N, (n * C + a * d) % dC, dC)
-        return _as_fraction(acc)
-
-    def renormalize(self, probes):
-        """Fix the per-sign scalar: content 1 and first nonzero value
-        positive over the probe arguments."""
-        for sign in (1, -1):
-            c = _signed_content(self.raw_value(r, sign) for r in probes)
-            self.scales[sign] = Fraction(1) if c is None else c
-        self._cache.clear()
-
-    def evaluate(self, r, sign):
-        r = Fraction(r)
-        key = (r.numerator, r.denominator, sign)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self.raw_value(r, sign) / self.scales[sign]
-            self._cache[key] = hit
-        return hit
-
-    def evaluate_from_zero(self, r, sign):
-        return self.evaluate(r, sign) - self.evaluate(0, sign)
-
-    def evaluate_row(self, den, sign):
-        """evaluate(b/den, sign) for b = 0..den-1.  Both signs are filled
-        and cached at once from the pair's rows at den C, which hold
-        x(b/den + a/C) at (b C + a den) mod den C."""
-        rows = self._cache.get(("rows", den))
-        if rows is None:
+    def _raw_rows(self, den):
+        """The unscaled sums at b/den for b = 0..den-1, both signs, read
+        off the pair's rows at den C, which hold x(b/den + a/C) at
+        (b C + a den) mod den C."""
+        raw = self._raw.get(den)
+        if raw is None:
             C, dC = self.C, den * self.C
             shifts = [(a * den, cv) for a, cv in self._chibar.items()]
-            rows = []
+            raw = []
             for s in (1, -1):
                 base = self.pair.evaluate_row(dC, s * self.eps)
-                scale = self.scales[s]
                 row = []
                 for bC in range(0, dC, C):
                     acc = 0
                     for ad, cv in shifts:
                         acc += cv * base[(bC + ad) % dC]
-                    row.append(_as_fraction(acc) / scale)
-                rows.append(tuple(row))
-            self._cache[("rows", den)] = rows
+                    row.append(acc)
+                raw.append(tuple(row))
+            raw = self._raw[den] = tuple(raw)
+        return raw
+
+    def evaluate(self, r, sign):
+        r = Fraction(r)
+        return self.evaluate_row(r.denominator, sign)[r.numerator % r.denominator]
+
+    def evaluate_from_zero(self, r, sign):
+        return self.evaluate(r, sign) - self.evaluate(0, sign)
+
+    def evaluate_row(self, den, sign):
+        """evaluate(b/den, sign) for b = 0..den-1; both signs are filled
+        and cached at once."""
+        rows = self._rows.get(den)
+        if rows is None:
+            rows = self._rows[den] = tuple(
+                tuple(x / self.scales[s] for x in raw)
+                for s, raw in zip((1, -1), self._raw_rows(den)))
         return rows[0] if sign > 0 else rows[1]
 
 
-def twist_symbol(pair, chi, probes=(), label=""):
+def twist_symbol(pair, chi, den, label=""):
     if chi.conductor() == 1:
         return pair
-    return TwistedSymbol(pair, chi, probes=probes, label=label)
+    return TwistedSymbol(pair, chi, den, label=label)

@@ -2,17 +2,16 @@
 
 Coefficient data is loaded from structured files (or the bundled set under
 iwrank/data), validated against the Hecke relations, and adapted to
-QExpansion for the congruence and stabilization machinery.  Eigenforms are
+QExpansion for the congruence checks.  Eigenforms are
 never recomputed here; only their stored coefficients are consumed.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from fractions import Fraction
 from importlib import resources
-from math import gcd, lcm
+from math import lcm
 
 from .characters import (
     DirichletCharacter, ResidualCharacter, lift_residual_character,
@@ -92,15 +91,6 @@ class NewformData:
         seeds = {int(p): int(r) for p, r in payload.get("seed_root_mod_p", {}).items()}
         return cls(label, level, weight, neb, poly, an,
                    seed_root_mod_p=seeds, source=payload.get("source", ""))
-
-    @classmethod
-    def load(cls, path) -> "NewformData":
-        try:
-            with open(path) as fh:
-                payload = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise IngestionError(f"cannot read newform file {path}: {exc}") from exc
-        return cls.from_dict(payload)
 
     # --- validation ---
 

@@ -15,7 +15,6 @@ from functools import lru_cache
 from .characters import DirichletCharacter
 from .cyclotomic import CyclotomicNumber, cyclotomic_polynomial
 from .iwasawa import (
-    IdealClass,
     IwasawaContext,
     PadicSeries,
     UndeterminedInvariants,
@@ -42,8 +41,6 @@ __all__ = [
     "working_precision",
     "unit_root",
     "choose_alpha",
-    "MttMultiplier",
-    "mtt_multiplier",
     "teichmuller_embedding",
     "omega_twist_sum",
     "branch_value_trivial",
@@ -110,59 +107,6 @@ def choose_alpha(ap, p: int, level: int, prec: int = DEFAULT_DIGITS) -> PadicNum
             raise OrdinarityError("U_p eigenvalue is not a unit")
         return a
     return unit_root(ap, p, prec)
-
-
-# -- interpolation multiplier ------------------------------------------
-
-
-class MttMultiplier:
-    """The pair of Euler-type factors scaling a single interpolated
-    L-value: (1 - phi0(p) eta(p) p^(k-2-j)/u) (1 - phibar0(p) p^j/u)."""
-
-    __slots__ = ("factor1", "factor2")
-
-    def __init__(self, factor1: PadicNumber, factor2: PadicNumber):
-        self.factor1 = factor1
-        self.factor2 = factor2
-
-    @property
-    def value(self) -> PadicNumber:
-        return self.factor1 * self.factor2
-
-    def __repr__(self):
-        return f"MttMultiplier({self.factor1!r}, {self.factor2!r})"
-
-
-def _is_zero_scalar(x) -> bool:
-    if isinstance(x, PadicNumber):
-        return x.zero
-    if isinstance(x, CyclotomicNumber):
-        return x.is_zero()
-    return Fraction(x) == 0
-
-
-def mtt_multiplier(u_F: PadicNumber, eta_p=1, phi0_p=1, k: int = 2, j: int = 0) -> MttMultiplier:
-    """Interpolation multiplier for the branch x^j twist of a weight-k
-    form with unit root u_F, nebentypus value eta_p at p and twist value
-    phi0_p at p (zero when the twist ramifies at p, which collapses both
-    factors to 1).  Character values must already be embedded."""
-    if not isinstance(u_F, PadicNumber) or u_F.zero or u_F.val != 0:
-        raise ValueError("u_F must be a p-adic unit")
-    p = u_F.p
-    W = u_F.prec
-    one = PadicNumber(p, 0, 1, W)
-    uinv = u_F.inverse()
-    if _is_zero_scalar(phi0_p):
-        return MttMultiplier(one, one)
-    phi0 = _as_padic(phi0_p, p, W)
-    phibar = phi0.inverse()
-    if _is_zero_scalar(eta_p):
-        f1 = one
-    else:
-        eta = _as_padic(eta_p, p, W)
-        f1 = one - phi0 * eta * PadicNumber(p, k - 2 - j, 1, W) * uinv
-    f2 = one - phibar * PadicNumber(p, j, 1, W) * uinv
-    return MttMultiplier(f1, f2)
 
 
 # -- tame twists of symbol values --------------------------------------
@@ -234,14 +178,6 @@ class BranchSeries:
     def invariants(self):
         return invariants(self.series)
 
-    def ideal_mod_pi(self) -> IdealClass:
-        return ideal_mod_pi(self.series)
-
-    def __repr__(self):
-        return (
-            f"BranchSeries(form={self.form!r}, j={self.j}, level={self.level}, "
-            f"sigma0={[ell for ell, _ in self.sigma0_factors]})"
-        )
 
 
 @lru_cache(maxsize=32)

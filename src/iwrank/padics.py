@@ -83,9 +83,6 @@ class PadicNumber:
             raise PadicPrecisionError(f"zero to precision {self.val}: valuation >= {self.val}")
         return self.val
 
-    def is_unit(self) -> bool:
-        return (not self.zero) and self.val == 0
-
     def lift(self):
         """Exact representative p^val * unit (Fraction if val < 0)."""
         if self.zero:
@@ -272,53 +269,6 @@ def hensel_root(coeffs, seed: int, p: int, prec: int) -> int:
     return x % target
 
 
-def padic_log(u: int, p: int, abs_prec: int) -> PadicNumber:
-    """log of a 1-unit known mod p^abs_prec (p odd), as a PadicNumber."""
-    if p == 2:
-        raise ValueError("p = 2 not supported")
-    pk = p**abs_prec
-    y = (u - 1) % pk
-    if y % p != 0:
-        raise ValueError("padic_log needs u = 1 mod p")
-    if y == 0:
-        return PadicNumber.zero_to(p, abs_prec)
-    acc = 0
-    term = 1
-    k = 0
-    loss = 0
-    while True:
-        k += 1
-        term = term * y % pk
-        if term == 0 and k > 1:
-            break
-        kv = 0
-        kk = k
-        while kk % p == 0:
-            kk //= p
-            kv += 1
-        loss = max(loss, kv)
-        t = term // p**kv if kv else term
-        # term/k = (term/p^kv) * (k/p^kv)^(-1), exact p-part division
-        contrib = t * pow(kk, -1, pk) % pk
-        if k % 2 == 0:
-            acc = (acc - contrib) % pk
-        else:
-            acc = (acc + contrib) % pk
-        # all later terms vanish mod p^abs_prec once k >= abs_prec
-        # (v(y^k/k) >= k - log_p k is increasing); generous cutoff:
-        if k > abs_prec + 4:
-            break
-    A = abs_prec - loss
-    acc %= p**A
-    if acc == 0:
-        return PadicNumber.zero_to(p, A)
-    w = 0
-    while acc % p == 0:
-        acc //= p
-        w += 1
-    return PadicNumber(p, w, acc, A - w)
-
-
 def smallest_primitive_root(p: int) -> int:
     """Least primitive root mod an odd prime."""
     n = p - 1
@@ -331,11 +281,12 @@ def smallest_primitive_root(p: int) -> int:
 
 
 class PadicEmbedding:
-    """Ring map from a cyclotomic or number field into Q_p.
+    """Ring map from a cyclotomic or number field into Q_p, sending the
+    field generator to `root`.
 
-    For Q(zeta_n) (n | p-1) the root is teichmuller(g)^((p-1)/n) with g the
-    least primitive root mod p, so the embedding restricts compatibly along
-    subfields and matches the Teichmuller character identification.
+    An embedding of Q(zeta_n) (`order` n) also embeds Q(zeta_m) for m | n,
+    through root^(n/m); `padic_l.teichmuller_embedding` builds the one of
+    Q(zeta_{p-1}) that matches the Teichmuller character identification.
     """
 
     def __init__(self, p: int, prec: int, poly: list[int], root: int, order: int | None = None):
@@ -344,17 +295,6 @@ class PadicEmbedding:
         self.poly = list(poly)
         self.root = root % p**prec
         self.order = order
-
-    @classmethod
-    def cyclotomic(cls, n: int, p: int, prec: int) -> "PadicEmbedding":
-        from iwrank.cyclotomic import cyclotomic_polynomial
-
-        if n < 1 or (p - 1) % n != 0:
-            raise ValueError(f"Q(zeta_{n}) does not embed in Q_{p} (need n | p-1)")
-        g = smallest_primitive_root(p)
-        w = teichmuller_lift(g, p, prec)
-        root = pow(w, (p - 1) // n, p**prec)
-        return cls(p, prec, cyclotomic_polynomial(n), root, order=n)
 
     @classmethod
     def from_poly(cls, poly, seed: int, p: int, prec: int) -> "PadicEmbedding":

@@ -1,8 +1,7 @@
 """q-expansions: Eisenstein series, L-values at non-positive integers,
-twisting and depletion, stabilization, Euler factors, congruence checking.
+twisting and depletion, Sturm bounds, congruence checking.
 
-Coefficients are exact (Fraction, CyclotomicNumber, or NFElement); the
-stabilized series is the one place p-adic coefficients appear.
+Coefficients are exact (Fraction, CyclotomicNumber, or NFElement).
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from iwrank.arith import factorize
 from iwrank.characters import DirichletCharacter
 from iwrank.cyclotomic import CyclotomicNumber
 from iwrank.numfield import NFElement
-from iwrank.padics import PadicNumber, hensel_root, padic_valuation
 
 
 # Bernoulli machinery --------------------------------------------------
@@ -91,18 +89,6 @@ class QExpansion:
     def a(self, n: int):
         return self.coeffs[n]
 
-    def __sub__(self, other: "QExpansion") -> "QExpansion":
-        if self.weight != other.weight:
-            raise ValueError("weights differ")
-        n = min(self.n_max, other.n_max)
-        return QExpansion(
-            self.weight,
-            lcm(self.level, other.level),
-            self.nebentypus,
-            [self.coeffs[i] - other.coeffs[i] for i in range(n + 1)],
-            label=f"({self.label})-({other.label})",
-        )
-
     def twist(self, chi: DirichletCharacter) -> "QExpansion":
         """Coefficientwise twist; level per [N, cond] * cond."""
         c = chi.conductor()
@@ -130,10 +116,6 @@ class QExpansion:
             self.weight, lcm(self.level, J) * J, self.nebentypus, out,
             label=f"{self.label}|iota_{J}",
         )
-
-    def scale(self, c) -> "QExpansion":
-        return QExpansion(self.weight, self.level, self.nebentypus,
-                          [a * c for a in self.coeffs], label=self.label)
 
 
 def eisenstein_series(
@@ -231,93 +213,6 @@ def sigma0_and_m(level_prime_to_p: int, residual_tame_conductor: int) -> tuple[t
     return tuple(sorted(sigma0)), m
 
 
-# Euler factors --------------------------------------------------------
-
-
-@dataclass
-class EulerPoly:
-    """P(T) = sum coeffs[k] T^k, constant term 1."""
-
-    coeffs: list
-    label: str = ""
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def evaluate(self, x):
-        acc = None
-        for c in reversed(self.coeffs):
-            acc = c if acc is None else acc * x + c
-        return acc
-
-    def conjugate(self) -> "EulerPoly":
-        out = []
-        for c in self.coeffs:
-            out.append(c.conjugate() if isinstance(c, CyclotomicNumber) else c)
-        return EulerPoly(out, label=self.label + "^rho")
-
-
-def euler_poly_p(*, level: int, weight: int, a_p, neb_at_p, p: int, label: str = "") -> EulerPoly:
-    """Standard convention: quadratic iff p does not divide the level; linear
-    when p | level with a_p != 0; constant 1 when a_p = 0 (no inertia
-    invariants)."""
-    one = 1 if not isinstance(a_p, CyclotomicNumber) else CyclotomicNumber.from_rational(1)
-    if level % p != 0:
-        return EulerPoly([one, -a_p, neb_at_p * p ** (weight - 1)], label=label)
-    if _is_nonzero(a_p):
-        return EulerPoly([one, -a_p], label=label)
-    return EulerPoly([one], label=label)
-
-
-def _is_nonzero(x) -> bool:
-    if isinstance(x, NFElement):
-        return not x.is_zero()
-    return x != 0
-
-
-def euler_poly_eisenstein(theta: DirichletCharacter, phi: DirichletCharacter,
-                          l: int, p: int) -> EulerPoly:
-    """Euler polynomial at p of E_l(theta, phi) from character data."""
-    order = lcm(theta.order, phi.order)
-    tp, pp = theta(p).lift_to(order), phi(p).lift_to(order)
-    a_p = pp + tp * p ** (l - 1)
-    neb = (theta * phi)(p)
-    level = theta.modulus * phi.modulus
-    return euler_poly_p(level=level, weight=l, a_p=a_p, neb_at_p=neb, p=p,
-                        label=f"P_{p}(E{l})")
-
-
-# root numbers ---------------------------------------------------------
-
-
-@dataclass
-class RootNumber:
-    """(cond_theta/cond_phi)^(half_power/2) * cyc, kept unexpanded so
-    half-integral powers stay exact; cyc = phi(-1) G(phi) / G(conj theta)."""
-
-    cond_theta: int
-    cond_phi: int
-    half_power: int
-    cyc: CyclotomicNumber
-
-    def p_valuation(self, p: int) -> Fraction:
-        """Uses v(G(chi)) = v(cond chi)/2, from |G|^2 = cond; the total is
-        ((half_power - 1)/2) (v(cond theta) - v(cond phi))."""
-        vt = padic_valuation(self.cond_theta, p)
-        vp = padic_valuation(self.cond_phi, p)
-        return Fraction(self.half_power - 1, 2) * (vt - vp)
-
-
-def eisenstein_root_number(theta: DirichletCharacter, phi: DirichletCharacter,
-                           l: int) -> RootNumber:
-    """W(E_l(theta,phi)) = (cond theta / cond phi)^(l/2) phi(-1) G(phi)/G(conj theta)."""
-    g_phi = phi.gauss_sum()
-    g_tbar = theta.conjugate().gauss_sum()
-    cyc = g_phi * g_tbar.inverse() * phi.parity()
-    return RootNumber(theta.conductor(), phi.conductor(), l, cyc)
-
-
 # congruence ideals ----------------------------------------------------
 
 
@@ -399,46 +294,3 @@ def _reduce_coefficient(f: QExpansion, n: int, ideal: CongruenceIdealSpec) -> in
     except ValueError as exc:
         raise ValueError(f"a({n}) = {f.a(n)} of {f.label} does not reduce "
                          f"mod the ideal above {ideal.p}: {exc}") from exc
-
-
-# stabilization --------------------------------------------------------
-
-
-def unit_root_of_hecke_poly(a_p_mod: int, neb_p_mod: int, weight: int, p: int,
-                            prec: int) -> PadicNumber:
-    """Unit root of X^2 - a_p X + neb(p) p^(weight-1) for ordinary a_p."""
-    if a_p_mod % p == 0:
-        raise ValueError("not ordinary at p: a_p = 0 mod p")
-    poly = [neb_p_mod * p ** (weight - 1), -a_p_mod, 1]
-    root = hensel_root(poly, a_p_mod % p, p, prec)
-    return PadicNumber(p, 0, root, prec)
-
-
-def p_stabilize(f: QExpansion, p: int, prec: int, embed=None):
-    """Ordinary p-stabilization f(z) - beta f(pz).
-
-    Returns (f0, u, beta): u the unit root of X^2 - a_p X + neb(p) p^(k-1),
-    beta = a_p - u the non-unit root, f0 of level Np with PadicNumber
-    coefficients a(n) - beta a(n/p), so that a(p, f0) = u.
-    """
-    if f.level % p == 0:
-        raise ValueError("p divides the level: form already p-stabilized")
-    if embed is None:
-        embed = lambda x: PadicNumber.from_rational(x, p, prec)
-    a_p = embed(f.a(p))
-    neb_p = 1
-    if f.nebentypus is not None:
-        v = f.nebentypus(p)
-        if isinstance(v, CyclotomicNumber) and v.is_rational():
-            v = v.rational_value()
-        neb_p = 0 if v == 0 else embed(v).residue(prec)
-    u = unit_root_of_hecke_poly(a_p.residue(prec), neb_p, f.weight, p, prec)
-    beta = a_p - u
-    out = []
-    for n in range(f.n_max + 1):
-        b = embed(f.a(n))
-        if n % p == 0 and n > 0:
-            b = b - beta * embed(f.a(n // p))
-        out.append(b)
-    f0 = QExpansion(f.weight, f.level * p, f.nebentypus, out, label=f.label + "_stab")
-    return f0, u, beta

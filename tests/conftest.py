@@ -61,5 +61,4 @@ def twisted11(pair11):
     from iwrank.characters import DirichletCharacter
 
     chi23 = DirichletCharacter.quadratic_by_discriminant(-23)
-    probes = [F(0)] + [F(b, 11) for b in range(1, 11)]
-    return TwistedSymbol(pair11, chi23, probes=probes, label="11a-tw23")
+    return TwistedSymbol(pair11, chi23, 11, label="11a-tw23")

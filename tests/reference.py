@@ -1,0 +1,90 @@
+"""Reference implementations that tests use as oracles for live code.
+
+They are written independently of the fast paths they check and run only
+under the test suite.
+"""
+
+from math import gcd
+
+from iwrank.modsym import _xgcd
+from iwrank.padics import PadicNumber
+
+
+def p1_normalize(N: int, u: int, v: int) -> tuple[int, int]:
+    """Canonical representative of (u:v) in P^1(Z/N): first entry a divisor
+    g of N, second minimal over the stabilizing unit orbit.  The oracle of
+    `modsym.P1List`."""
+    if N == 1:
+        return 0, 0
+    u %= N
+    v %= N
+    if u == 0:
+        if gcd(v, N) != 1:
+            raise ValueError(f"({u}:{v}) is not a point of P1(Z/{N})")
+        return 0, 1
+    g, s, _ = _xgcd(u, N)
+    if gcd(g, v) != 1:
+        raise ValueError(f"({u}:{v}) is not a point of P1(Z/{N})")
+    s %= N
+    ng = N // g
+    while gcd(s, N) != 1:
+        s = (s + ng) % N
+    v = (s * v) % N
+    if g > 1:
+        best = v
+        for k in range(1, g):
+            t = 1 + k * ng
+            if gcd(t, N) == 1:
+                w = (t * v) % N
+                if w < best:
+                    best = w
+        v = best
+    return g, v
+
+
+def padic_log(u: int, p: int, abs_prec: int) -> PadicNumber:
+    """log of a 1-unit known mod p^abs_prec (p odd), as a PadicNumber, by
+    its power series.  The oracle of `padic_l._wild_coordinates`."""
+    if p == 2:
+        raise ValueError("p = 2 not supported")
+    pk = p**abs_prec
+    y = (u - 1) % pk
+    if y % p != 0:
+        raise ValueError("padic_log needs u = 1 mod p")
+    if y == 0:
+        return PadicNumber.zero_to(p, abs_prec)
+    acc = 0
+    term = 1
+    k = 0
+    loss = 0
+    while True:
+        k += 1
+        term = term * y % pk
+        if term == 0 and k > 1:
+            break
+        kv = 0
+        kk = k
+        while kk % p == 0:
+            kk //= p
+            kv += 1
+        loss = max(loss, kv)
+        t = term // p**kv if kv else term
+        # term/k = (term/p^kv) * (k/p^kv)^(-1), exact p-part division
+        contrib = t * pow(kk, -1, pk) % pk
+        if k % 2 == 0:
+            acc = (acc - contrib) % pk
+        else:
+            acc = (acc + contrib) % pk
+        # all later terms vanish mod p^abs_prec once k >= abs_prec
+        # (v(y^k/k) >= k - log_p k is increasing); generous cutoff:
+        if k > abs_prec + 4:
+            break
+    A = abs_prec - loss
+    acc %= p**A
+    if acc == 0:
+        return PadicNumber.zero_to(p, A)
+    w = 0
+    while acc % p == 0:
+        acc //= p
+        w += 1
+    return PadicNumber(p, w, acc, A - w)

