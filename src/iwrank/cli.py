@@ -11,8 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 from fractions import Fraction
+from functools import partial
 
 from .arith import is_prime
 from .characters import ResidualCharacter, parse_descriptor
@@ -480,8 +482,8 @@ def cmd_verify_example(cfg, number):
 
 
 def _add_common(parser, suppress, labels):
-    """The shared flags; subcommand copies suppress their defaults so a
-    value parsed before the subcommand is not clobbered afterwards.
+    """The shared flags; the subcommands' parent suppresses their defaults
+    so a value parsed before the subcommand is not clobbered afterwards.
     `labels` lists the bundled newforms for the --newform help."""
     d = argparse.SUPPRESS if suppress else None
     parser.add_argument("--prime", type=int, default=d, help="odd prime p")
@@ -500,56 +502,51 @@ def _add_common(parser, suppress, labels):
 
 
 def _build_parser():
+    # one terminal-width probe, not one per HelpFormatter (per add_argument)
+    fmt = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     ap = argparse.ArgumentParser(
         prog="iwrank",
         description="analytic Iwasawa invariants at Eisenstein primes",
+        formatter_class=fmt,
     )
     labels = ", ".join(bundled_labels())
     _add_common(ap, suppress=False, labels=labels)
+    common = argparse.ArgumentParser(add_help=False, formatter_class=fmt)
+    _add_common(common, suppress=True, labels=labels)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def command(name, **kw):
-        p = sub.add_parser(name, **kw)
-        _add_common(p, suppress=True, labels=labels)
+    def command(name, run, **kw):
+        p = sub.add_parser(name, parents=[common], formatter_class=fmt, **kw)
+        p.set_defaults(run=run)  # run(cfg, args) is the command's exit code
         return p
 
-    command("chars", help="describe Dirichlet characters")
-    eis = command("eisenstein", help="Eisenstein q-expansion")
+    command("chars", lambda cfg, a: cmd_chars(cfg), help="describe Dirichlet characters")
+    eis = command("eisenstein", lambda cfg, a: cmd_eisenstein(cfg, a.weight, a.terms),
+                  help="Eisenstein q-expansion")
     eis.add_argument("--weight", type=int, required=True)
     eis.add_argument("--terms", type=int, default=20)
-    command("congruence", help="residual Eisenstein congruence")
-    command("modsym-table", help="symbol values at the p-division points")
-    pl = command("padic-l", help="branch L-values and series")
+    command("congruence", lambda cfg, a: cmd_congruence(cfg),
+            help="residual Eisenstein congruence")
+    command("modsym-table", lambda cfg, a: cmd_modsym_table(cfg),
+            help="symbol values at the p-division points")
+    pl = command("padic-l", lambda cfg, a: cmd_padic_l(cfg, a.sigma0),
+                 help="branch L-values and series")
     pl.add_argument("--sigma0", action="append", default=None,
                     metavar="ELL:C0,C1,...",
                     help="imprimitive Euler factor at ELL")
-    iw = command("iwasawa", help="invariants of a power series")
+    iw = command("iwasawa", lambda cfg, a: cmd_iwasawa(cfg, a.coeffs),
+                 help="invariants of a power series")
     iw.add_argument("--coeffs", default=None, metavar="C0,C1,...")
-    ver = command("verify-example", help="full bundled verification")
+    ver = command("verify-example", lambda cfg, a: cmd_verify_example(cfg, a.number),
+                  help="full bundled verification")
     ver.add_argument("number", type=int, choices=(1, 2, 3))
     return ap
 
 
 def main(argv=None):
-    ap = _build_parser()
-    args = ap.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from(args)
-        if args.command == "chars":
-            return cmd_chars(cfg)
-        if args.command == "eisenstein":
-            return cmd_eisenstein(cfg, args.weight, args.terms)
-        if args.command == "congruence":
-            return cmd_congruence(cfg)
-        if args.command == "modsym-table":
-            return cmd_modsym_table(cfg)
-        if args.command == "padic-l":
-            return cmd_padic_l(cfg, args.sigma0)
-        if args.command == "iwasawa":
-            return cmd_iwasawa(cfg, args.coeffs)
-        if args.command == "verify-example":
-            return cmd_verify_example(cfg, args.number)
-        raise ConfigError(f"unknown command {args.command}")
+        return args.run(_config_from(args), args)
     except (ConfigError, IngestionError, PadicPrecisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,8 +9,10 @@ never recomputed here; only their stored coefficients are consumed.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from importlib import resources
+from itertools import chain
 from math import lcm
 
 from .characters import (
@@ -27,24 +29,44 @@ class IngestionError(ValueError):
     pass
 
 
-def _parse_frac(s) -> int | Fraction:
-    """A coefficient entry as the value Fraction(s) has: an int for a JSON
-    int or a plain decimal integer string, else a Fraction (so a JSON float
-    is never truncated, and "1_0" or " 3" read as Fraction reads them)."""
-    if type(s) is int:
-        return s
-    if type(s) is str:
-        digits = s[1:] if s[:1] == "-" else s
-        if digits.isascii() and digits.isdigit():
-            return int(s)
+def _parse_frac(s) -> Fraction:
+    """A coefficient entry as Fraction(s) reads it (so a JSON float is
+    never truncated, and "1_0" or " 3" read as Fraction reads them)."""
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise IngestionError(f"bad coefficient entry {s!r}") from exc
 
 
+def _parse_vectors(raw_an, deg: int) -> tuple[list[int], list[int]]:
+    """Numerators and denominators > 0 of all entries in order, the values
+    _parse_frac gives them.  Lists of deg plain "n" or "n/d" strings, as
+    in the bundled files, are read in one pass with no Fraction built."""
+    plain = set(map(type, raw_an)) <= {list} and set(map(len, raw_an)) <= {deg}
+    entries = list(chain.from_iterable(raw_an)) if plain else []
+    text = "\n".join(entries) + "\n" if set(map(type, entries)) == {str} else ""
+    # one plain entry per line; the count rules out an entry holding a "\n"
+    lines = r"(?:-?[0-9]+(?:/[0-9]*[1-9][0-9]*)?\n)*"
+    if plain and text.count("\n") == len(entries) and re.fullmatch(lines, text):
+        if "/" not in text:
+            return list(map(int, entries)), [1] * len(entries)
+        ints = list(map(int, "/".join([c if "/" in c else c + "/1"
+                                       for c in entries]).split("/")))
+        return ints[::2], ints[1::2]
+    fracs = []  # the first bad vector or entry raises
+    for i, vec in enumerate(raw_an):
+        if type(vec) is not list:
+            raise IngestionError(f"coefficient {i + 1} is not a list of entries")
+        if len(vec) != deg:
+            raise IngestionError(
+                f"coefficient {i + 1} has {len(vec)} entries, expected {deg}")
+        fracs += map(_parse_frac, vec)
+    return [c.numerator for c in fracs], [c.denominator for c in fracs]
+
+
 class NewformData:
-    """Validated coefficients a(1..n_max) of one newform."""
+    """Validated coefficients a(1..n_max) of one newform: ints in `an` (or
+    (numerators, denominator) pairs over a field), elements from `a`."""
 
     def __init__(self, label, level, weight, nebentypus, field_poly, an,
                  seed_root_mod_p=None, source=""):
@@ -69,25 +91,21 @@ class NewformData:
             weight = int(payload["weight"])
             neb = parse_descriptor(payload["nebentypus"])
             poly = [int(c) for c in payload["field_poly"]]
-            raw_an = payload["an"]
+            raw_an = list(payload["an"])
         except (KeyError, TypeError, ValueError) as exc:
             raise IngestionError(f"malformed newform record: {exc}") from exc
         if len(poly) < 2 or poly[-1] != 1:
             raise IngestionError("field_poly must be monic of degree >= 1")
         deg = len(poly) - 1
-        field = None if deg == 1 else NumberField(poly)
-        an = []
-        for i, vec in enumerate(raw_an):
-            if len(vec) != deg:
-                raise IngestionError(
-                    f"coefficient {i + 1} has {len(vec)} entries, expected {deg}")
-            parts = [_parse_frac(c) for c in vec]
-            if deg == 1:
-                an.append(Fraction(parts[0]))
-            else:
-                den = lcm(*(c.denominator for c in parts))
-                an.append(NFElement(field, [c.numerator * (den // c.denominator)
-                                            for c in parts], den))
+        nums, dens = _parse_vectors(raw_an, deg)
+        if deg == 1:
+            an = [n if d == 1 else Fraction(n, d) for n, d in zip(nums, dens)]
+        else:
+            # each coefficient over the lcm of its entries' denominators
+            common = list(map(lcm, *(dens[j::deg] for j in range(deg))))
+            scaled = [n * (common[i // deg] // d)
+                      for i, (n, d) in enumerate(zip(nums, dens))]
+            an = list(zip(zip(*[iter(scaled)] * deg), common))
         seeds = {int(p): int(r) for p, r in payload.get("seed_root_mod_p", {}).items()}
         return cls(label, level, weight, neb, poly, an,
                    seed_root_mod_p=seeds, source=payload.get("source", ""))
@@ -99,7 +117,7 @@ class NewformData:
             raise IngestionError("level and weight must be positive")
         if not self.an:
             raise IngestionError("no coefficients")
-        if self.an[0] != 1:
+        if self.a(1) != 1:
             raise IngestionError("a(1) must be 1 (arithmetic normalization)")
         if self.level % self.nebentypus.modulus != 0:
             raise IngestionError("nebentypus modulus must divide the level")
@@ -132,7 +150,8 @@ class NewformData:
     def a(self, n: int):
         if not 1 <= n <= self.n_max:
             raise IndexError(f"coefficient a({n}) outside stored range")
-        return self.an[n - 1]
+        c = self.an[n - 1]
+        return Fraction(c) if self.field is None else NFElement(self.field, *c)
 
     @property
     def is_rational(self) -> bool:
@@ -146,7 +165,8 @@ class NewformData:
                 f"{self.label}: requested {n_max} coefficients, have {self.n_max}")
         zero = Fraction(0) if self.field is None else self.field.zero()
         return QExpansion(self.weight, self.level, self.nebentypus,
-                          [zero] + self.an[:n_max], label=self.label)
+                          [zero] + [self.a(n) for n in range(1, n_max + 1)],
+                          label=self.label)
 
     def congruence_ideal(self, p: int) -> CongruenceIdealSpec:
         """The stored degree-one prime above p."""
@@ -160,11 +180,8 @@ class NewformData:
 
 
 def bundled_labels():
-    out = []
-    for entry in resources.files("iwrank.data").iterdir():
-        if entry.name.endswith(".json"):
-            out.append(entry.name[:-5])
-    return sorted(out)
+    names = (entry.name for entry in resources.files("iwrank.data").iterdir())
+    return sorted(name[:-5] for name in names if name.endswith(".json"))
 
 
 def bundled(label: str) -> NewformData:

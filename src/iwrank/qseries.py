@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from iwrank.arith import factorize
 from iwrank.characters import DirichletCharacter
@@ -26,39 +26,25 @@ def bernoulli_number(k: int) -> Fraction:
     while len(_bernoulli_cache) <= k:
         m = len(_bernoulli_cache)
         # sum_{j=0}^{m} C(m+1, j) B_j = 0
-        acc = Fraction(0)
-        c = 1  # C(m+1, j)
-        for j in range(m):
-            acc += c * _bernoulli_cache[j]
-            c = c * (m + 1 - j) // (j + 1)
+        acc = sum(comb(m + 1, j) * b for j, b in enumerate(_bernoulli_cache))
         _bernoulli_cache.append(-acc / (m + 1))
     return _bernoulli_cache[k]
 
 
-def bernoulli_poly_at(k: int, x: Fraction) -> Fraction:
-    """B_k(x) = sum C(k,j) B_j x^(k-j)."""
-    acc = Fraction(0)
-    c = 1
-    xp = [Fraction(1)]
-    for _ in range(k):
-        xp.append(xp[-1] * x)
-    for j in range(k + 1):
-        acc += c * bernoulli_number(j) * xp[k - j]
-        c = c * (k - j) // (j + 1)
-    return acc
-
-
 def generalized_bernoulli(l: int, chi: DirichletCharacter) -> CyclotomicNumber:
-    """B_{l,chi} over the modulus of chi (imprimitive characters give the
-    depleted L-series, which is what the Mazur combination needs)."""
-    F = chi.modulus
-    acc = CyclotomicNumber(chi.order, [])
-    for a in range(1, F + 1):
-        v = chi(a)
-        if v.is_zero():
-            continue
-        acc = acc + v * bernoulli_poly_at(l, Fraction(a, F))
-    return acc * Fraction(F) ** (l - 1)
+    """B_{l,chi} = F^(l-1) sum_{a=1..F} chi(a) B_l(a/F) over the modulus F
+    of chi (imprimitive characters give the depleted L-series, which is
+    what the Mazur combination needs).  With D the lcm of the denominators
+    of B_0..B_l, D F^l B_l(a/F) = sum_j C(l,j) (D B_j) F^j a^(l-j) is an
+    integer: the sum is one sum of integer monomials, divided by F D."""
+    F, table = chi.modulus, chi.exponent_table()
+    bern = [bernoulli_number(j) for j in range(l + 1)]
+    D = lcm(*(b.denominator for b in bern))
+    poly = [comb(l, j) * b.numerator * (D // b.denominator) * F ** j
+            for j, b in enumerate(bern)]
+    items = [(table[a % F], sum(c * a ** (l - j) for j, c in enumerate(poly)))
+             for a in range(1, F + 1) if table[a % F] is not None]
+    return CyclotomicNumber.from_monomials(chi.order, items) * Fraction(1, F * D)
 
 
 def l_value_nonpositive(s0: int, chi: DirichletCharacter) -> CyclotomicNumber:

@@ -4,10 +4,13 @@ They are written independently of the fast paths they check and run only
 under the test suite.
 """
 
+from fractions import Fraction
 from math import gcd
 
+from iwrank.cyclotomic import CyclotomicNumber
 from iwrank.modsym import _xgcd
 from iwrank.padics import PadicNumber
+from iwrank.qseries import bernoulli_number
 
 
 def p1_normalize(N: int, u: int, v: int) -> tuple[int, int]:
@@ -88,3 +91,30 @@ def padic_log(u: int, p: int, abs_prec: int) -> PadicNumber:
         acc //= p
         w += 1
     return PadicNumber(p, w, acc, A - w)
+
+
+def bernoulli_poly_at(k: int, x: Fraction) -> Fraction:
+    """B_k(x) = sum C(k,j) B_j x^(k-j)."""
+    acc = Fraction(0)
+    c = 1
+    xp = [Fraction(1)]
+    for _ in range(k):
+        xp.append(xp[-1] * x)
+    for j in range(k + 1):
+        acc += c * bernoulli_number(j) * xp[k - j]
+        c = c * (k - j) // (j + 1)
+    return acc
+
+
+def generalized_bernoulli(l: int, chi) -> CyclotomicNumber:
+    """B_{l,chi} = F^(l-1) sum_{a=1..F} chi(a) B_l(a/F) over the modulus F
+    of chi, summed in Fractions (Washington, Introduction to Cyclotomic
+    Fields, Prop. 4.1).  The oracle of `qseries.generalized_bernoulli`."""
+    F = chi.modulus
+    acc = CyclotomicNumber(chi.order, [])
+    for a in range(1, F + 1):
+        v = chi(a)
+        if v.is_zero():
+            continue
+        acc = acc + v * bernoulli_poly_at(l, Fraction(a, F))
+    return acc * Fraction(F) ** (l - 1)

@@ -3,10 +3,15 @@
 `verify-example 1..3` must reproduce the benchmark's references in
 perfbench/refs/ (read here, never written).  The symbol-table and
 branch-series runs below must reproduce tests/golden/, recorded before
-the twisted symbols were moved onto rows.
+the twisted symbols were moved onto rows.  The help, usage-error,
+Eisenstein and congruence runs must reproduce their stdout, stderr and
+exit code in tests/golden/, recorded at COLUMNS=80 before the parser,
+the newform ingestion and the Bernoulli sums were rewritten.
 """
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -26,6 +31,39 @@ RUNS = {
                                  "--prime", "5"],
 }
 
+COMMANDS = ("chars", "eisenstein", "congruence", "modsym-table", "padic-l",
+            "iwasawa", "verify-example")
+
+TEXT_RUNS = {
+    "help": ["--help"],
+    **{f"help_{cmd}": [cmd, "--help"] for cmd in COMMANDS},
+    "bogus": ["bogus"],
+    "no-arguments": [],
+    "verify-example_9": ["verify-example", "9"],
+    "prime-x_verify-example_1": ["--prime", "x", "verify-example", "1"],
+    "eisenstein_teich5_triv1_w3": ["eisenstein", "--char", "teich5", "--char",
+                                   "triv1", "--weight", "3", "--terms", "6"],
+    "eisenstein_quad-4_triv1_w1": ["eisenstein", "--char", "quad-4", "--char",
+                                   "triv1", "--weight", "1", "--terms", "6"],
+    "congruence_11.2.a.a_p5": ["congruence", "--newform", "11.2.a.a",
+                               "--prime", "5"],
+    "congruence_23.2.a_p11": ["congruence", "--newform", "23.2.a",
+                              "--prime", "11"],
+    "congruence_19.2.a.a_p3": ["congruence", "--newform", "19.2.a.a",
+                               "--prime", "3"],
+}
+
+
+def run_captured(argv):
+    """(stdout, stderr, exit code) of one in-process CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return out.getvalue(), err.getvalue(), code
+
 
 @pytest.mark.parametrize("number", [1, 2, 3])
 def test_verify_example_matches_reference(number, tmp_path):
@@ -41,3 +79,13 @@ def test_cli_matches_golden(name, tmp_path):
     out = tmp_path / "out.jsonl"
     assert main(RUNS[name] + ["--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"{name}.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_RUNS))
+def test_cli_text_matches_golden(name, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    out, err, code = run_captured(TEXT_RUNS[name])
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    assert code == codes[name]
+    assert out == (GOLDEN / f"{name}.stdout").read_text()
+    assert err == (GOLDEN / f"{name}.stderr").read_text()

@@ -284,8 +284,13 @@ def test_hecke_path_identity(pair_name, a_ell, request):
                 assert a * phi.evaluate(r) == rhs, (r, ell)
 
 
-def test_twisted_raw_value_matches_fraction_sum(twisted11):
-    tw = twisted11
+def test_twisted_raw_value_matches_fraction_sum(sp11):
+    # a pair and twist of its own: the rows it fills, at denominators up
+    # to about 10^4, die with the test instead of with the session
+    pair = SymbolPair(*(eigen_functional(sp11, [(2, F(-2))], sign)
+                        for sign in (1, -1)), 11, label="11a")
+    tw = TwistedSymbol(pair, DirichletCharacter.quadratic_by_discriminant(-23),
+                       11, label="11a-tw23")
     chibar = tw.chi.conjugate()
     for r in _random_rationals(seed=23) + [F(b, 23) for b in range(23)]:
         for sign in (1, -1):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from iwrank import cli
 from iwrank.characters import ResidualCharacter
 from iwrank.examples import EXAMPLES
 from iwrank.newforms import (
@@ -30,7 +31,7 @@ def test_bundled_rational_forms():
     f11 = bundled("11.2.a.a")
     assert (f11.level, f11.weight) == (11, 2)
     assert [f11.a(n) for n in (2, 3, 5, 7, 11, 13)] == [-2, -1, 1, -2, 1, 4]
-    assert all(type(a) is Fraction for a in f11.an)
+    assert all(type(f11.a(n)) is Fraction for n in range(1, f11.n_max + 1))
     f19 = bundled("19.2.a.a")
     assert [f19.a(n) for n in (2, 3, 5, 7, 11)] == [0, -2, 3, -1, 3]
     f52 = bundled("52.2.a.a")
@@ -137,6 +138,56 @@ def test_parse_frac_agrees_with_fraction(entry):
 def test_parse_frac_rejects_what_fraction_cannot_read(entry):
     with pytest.raises(IngestionError):
         _parse_frac(entry)
+
+
+def _bundled_payload(label):
+    root = Path(__file__).resolve().parent.parent
+    return json.loads((root / "src" / "iwrank" / "data" / f"{label}.json").read_text())
+
+
+def _last_entry_bad(payload, bad):
+    """The payload with its last coefficient entry (or, for "short" and
+    "scalar", its last vector) replaced."""
+    an = payload["an"]
+    if bad == "short":
+        an[-1] = an[-1][:-1] or ["1", "0"]
+    elif bad == "scalar":
+        an[-1] = 5
+    else:
+        an[-1][-1] = bad
+    return payload
+
+
+@pytest.mark.parametrize("label", ["11.2.a.a", "19.2.a.a", "23.2.a", "52.2.a.a"])
+@pytest.mark.parametrize("bad,message", [
+    ("1/0", "bad coefficient entry '1/0'"), ("abc", "bad coefficient entry 'abc'"),
+    ("short", "coefficient 600 has . entries"), ("scalar", "coefficient 600 is not a list"),
+])
+def test_bad_last_entry_fails_at_load(label, bad, message, tmp_path):
+    payload = _last_entry_bad(_bundled_payload(label), bad)
+    with pytest.raises(IngestionError, match=message):
+        NewformData.from_dict(payload)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    assert cli.main(["congruence", "--newform", str(path), "--prime", "5"]) == 2
+
+
+@pytest.mark.parametrize("label", ["11.2.a.a", "23.2.a"])
+def test_float_entry_is_read_exactly(label):
+    # a JSON float is a value Fraction reads exactly, never truncated
+    payload = _last_entry_bad(_bundled_payload(label), 2.5)
+    f = NewformData.from_dict(payload)
+    last = f.a(f.n_max)
+    assert (last if f.is_rational else last.coeffs[-1]) == Fraction(5, 2)
+
+
+@pytest.mark.parametrize("label", ["11.2.a.a", "19.2.a.a", "23.2.a", "52.2.a.a"])
+def test_newform_file_matches_bundled(label, tmp_path):
+    path = tmp_path / f"{label}.json"
+    path.write_text(json.dumps(_bundled_payload(label)))
+    f, g = cli._load_newform(str(path)), bundled(label)
+    assert all(f.a(n) == g.a(n) for n in range(1, g.n_max + 1))
+    assert f.q_expansion().coeffs == g.q_expansion().coeffs
 
 
 def test_partner_parity_guard():

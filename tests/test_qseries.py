@@ -20,6 +20,8 @@ from iwrank.qseries import (
     sturm_bound,
 )
 
+import reference
+
 
 def test_bernoulli_and_l_values():
     assert bernoulli_number(2) == F(1, 6)
@@ -30,6 +32,21 @@ def test_bernoulli_and_l_values():
     chi4 = DirichletCharacter.quadratic_by_discriminant(-4)
     assert generalized_bernoulli(1, chi4) == -F(1, 2)
     assert l_value_nonpositive(0, chi4) == F(1, 2)
+
+
+@pytest.mark.parametrize("modulus", range(1, 31))
+def test_generalized_bernoulli_matches_fraction_sum(modulus):
+    for chi in all_characters(modulus):
+        for l in (1, 2, 3):
+            assert generalized_bernoulli(l, chi) == \
+                reference.generalized_bernoulli(l, chi), (chi, l)
+
+
+@pytest.mark.parametrize("t", [11, 23])
+def test_generalized_bernoulli_mazur_trivial_characters(t):
+    # the imprimitive trivial character mod t that the Mazur series uses
+    chi = DirichletCharacter.trivial(t)
+    assert generalized_bernoulli(2, chi) == reference.generalized_bernoulli(2, chi)
 
 
 def test_e4_classical():
