@@ -16,7 +16,7 @@ import time
 
 from iwrank import cli
 from iwrank.characters import DirichletCharacter
-from iwrank.iwasawa import IwasawaContext, invariants
+from iwrank.iwasawa import invariants
 from iwrank.modsym import SymbolPair, TwistedSymbol, build_space, eigen_functional
 from iwrank.padic_l import branch_series, choose_alpha, group_ring_mul
 
@@ -89,8 +89,7 @@ def main():
     D = 5**n
     sym = pair11()
     alpha = choose_alpha(1, 5, 11)  # a_5 of 11.2.a.a
-    ctx = IwasawaContext(5, M=M, D=D)
-    s1, s2 = (branch_series(sym, 5, alpha, j, n=n, ctx=ctx).series
+    s1, s2 = (branch_series(sym, 5, alpha, j, n=n, M=M).series
               for j in (1, 2))
     ti = best_time(lambda: invariants(s2), args.repeat)
     tg = best_time(lambda: group_ring_mul(s1, s2), args.repeat)

@@ -20,7 +20,7 @@ from .arith import is_prime
 from .characters import ResidualCharacter, parse_descriptor
 from .examples import EXAMPLES, run_example
 from .iwasawa import (
-    IwasawaContext,
+    PadicSeries,
     UndeterminedInvariants,
     ideal_mod_pi,
     invariants,
@@ -90,9 +90,10 @@ class JobConfig:
         self.branches = branches
         self.out = out
 
-    def wild_level(self):
-        """D must be p^n for the branch-series layout; return n."""
-        p = self.prime
+    def wild_level(self, p=None):
+        """D must be p^n (p defaults to --prime) for the branch-series
+        layout; return n."""
+        p = p or self.prime
         d = self.precision[1]
         n = 0
         while d % p == 0:
@@ -164,8 +165,11 @@ class _Sink:
     def close(self):
         text = "\n".join(self.lines) + "\n"
         if self.out:
-            with open(self.out, "w") as fh:
-                fh.write(text)
+            try:
+                with open(self.out, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ConfigError(f"cannot write --out {self.out}: {exc}")
         else:
             sys.stdout.write(text)
 
@@ -405,12 +409,11 @@ def cmd_padic_l(cfg, sigma0_specs=None):
         alpha = choose_alpha(ap, p, sym.level, prec=digits)
     except OrdinarityError as exc:
         raise ConfigError(str(exc))
-    ctx = IwasawaContext(p, M=m, D=p ** n)
     series = {}
     for j in range(1, span + 1):
-        bs = branch_series(sym, p, alpha, j, n=n, ctx=ctx,
+        bs = branch_series(sym, p, alpha, j, n=n, M=m,
                            twist_label=getattr(sym, "label", nf.label))
-        series[j] = apply_sigma0(bs, factors, ctx=ctx) if factors else bs
+        series[j] = apply_sigma0(bs, factors) if factors else bs
     sink = _Sink(cfg.out)
     for j in range(lo, hi + 1):
         jj = (j - 1) % span + 1
@@ -418,7 +421,7 @@ def cmd_padic_l(cfg, sigma0_specs=None):
         value = branch_value_trivial(sym, p, alpha, jj)
         verdict = product_congruence_verdict(series[jj], series[partner])
         sink.emit(format_report(branch_report(
-            series[jj], value=value, exact_zero=value.zero, verdict=verdict)))
+            series[jj], value=value, exact_zero=value.is_zero(), verdict=verdict)))
     sink.close()
     return 0
 
@@ -433,11 +436,10 @@ def cmd_iwasawa(cfg, coeff_text):
     except ValueError as exc:
         raise ConfigError(f"bad --coeffs: {exc}")
     m, d = cfg.precision
-    ctx = IwasawaContext(cfg.prime, M=m, D=d)
     if len(coeffs) > d:
         raise ConfigError(
             f"{len(coeffs)} coefficients exceed series length {d}")
-    f = ctx.series(coeffs)
+    f = PadicSeries(cfg.prime, m, d, coeffs)
     sink = _Sink(cfg.out)
     code = 0
     try:
@@ -455,14 +457,17 @@ def cmd_iwasawa(cfg, coeff_text):
     return code
 
 
-def cmd_verify_example(cfg, number):
+def cmd_verify_example(cfg, number, precision_given):
     if number not in EXAMPLES:
         raise ConfigError(f"verify-example wants 1, 2, or 3, got {number}")
-    wild = 1
-    if cfg.precision and cfg.prime:
-        wild = cfg.wild_level()
-    rep = run_example(number, wild_level=wild,
-                      M=cfg.precision[0] if cfg.precision else 8)
+    p = EXAMPLES[number]["p"]
+    if cfg.prime not in (None, p):
+        raise ConfigError(
+            f"example {number} runs at p = {p}, not at --prime {cfg.prime}")
+    M, wild = 8, 1
+    if precision_given:
+        M, wild = cfg.precision[0], cfg.wild_level(p)
+    rep = run_example(number, wild_level=wild, M=M)
     sink = _Sink(cfg.out)
     for line in rep.to_lines():
         sink.emit(line)
@@ -537,7 +542,8 @@ def _build_parser():
     iw = command("iwasawa", lambda cfg, a: cmd_iwasawa(cfg, a.coeffs),
                  help="invariants of a power series")
     iw.add_argument("--coeffs", default=None, metavar="C0,C1,...")
-    ver = command("verify-example", lambda cfg, a: cmd_verify_example(cfg, a.number),
+    ver = command("verify-example",
+                  lambda cfg, a: cmd_verify_example(cfg, a.number, a.precision is not None),
                   help="full bundled verification")
     ver.add_argument("number", type=int, choices=(1, 2, 3))
     return ap

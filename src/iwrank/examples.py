@@ -12,12 +12,13 @@ import json
 from fractions import Fraction
 
 from .characters import DirichletCharacter, ResidualCharacter, kronecker
-from .iwasawa import IwasawaContext, UndeterminedInvariants, mu_lambda
+from .iwasawa import UndeterminedInvariants, mu_lambda
 from .modsym import SymbolPair, build_space, eigen_functional, twist_symbol
 from .newforms import ResidualPair, bundled, residual_eisenstein_partner
 from .padics import padic_valuation
 from .padic_l import (
     DEFAULT_DIGITS,
+    _value_record,
     apply_sigma0,
     branch_report,
     branch_series,
@@ -222,9 +223,14 @@ def _fmt_vals(vals):
 
 
 def _fmt_value(v):
-    if v.zero:
-        return f"0 (to p^{v.abs_prec})"
-    return f"val={v.val} unit={v.unit % v.p ** min(6, v.prec)}"
+    if v.is_zero():
+        return f"0 (to p^{v.M})"
+    rec = _value_record(v)
+    return f"val={rec['valuation']} unit={rec['unit_digits']}"
+
+
+def _is_unit(v):
+    return not v.is_zero() and mu_lambda(v)[0] == 0
 
 
 def run_example(number, wild_level=1, M=8):
@@ -263,12 +269,12 @@ def run_example(number, wild_level=1, M=8):
         if j in zero_js:
             rep.add(f"{tag}.value.j{j}",
                     f"branch {j} value at the trivial character vanishes",
-                    v.zero, _fmt_value(v), "0 (exactly)", "exact")
+                    v.is_zero(), _fmt_value(v), "0 (exactly)", "exact")
         else:
             rep.add(f"{tag}.value.j{j}",
                     f"branch {j} value at the trivial character is a p-adic "
                     f"unit",
-                    (not v.zero) and v.val == 0, _fmt_value(v), "val=0",
+                    _is_unit(v), _fmt_value(v), "val=0",
                     "valuation")
 
     if number == 1:
@@ -285,17 +291,15 @@ def run_example(number, wild_level=1, M=8):
             prod = values[j] if prod is None else prod * values[j]
         rep.add(f"{tag}.product.nonzero-branches",
                 "product of the nonvanishing branch values is a p-adic unit",
-                (not prod.zero) and prod.val == 0, _fmt_value(prod), "val=0",
+                _is_unit(prod), _fmt_value(prod), "val=0",
                 "valuation")
 
     # --- branch power series, invariants, and product verdicts ---
-    ctx = IwasawaContext(p, M=M, D=p ** wild_level)
     raw = {}
     for j in range(lo, hi + 1):
-        raw[j] = branch_series(sym, p, alpha, j, n=wild_level, ctx=ctx,
+        raw[j] = branch_series(sym, p, alpha, j, n=wild_level, M=M,
                                twist_label=sym.label)
-    dressed = {j: apply_sigma0(raw[j], ex["sigma0"], ctx=ctx)
-               for j in raw}
+    dressed = {j: apply_sigma0(raw[j], ex["sigma0"]) for j in raw}
 
     expect_inv = _NONTRIVIAL_INVARIANTS[number]
     for j in range(lo, hi + 1):
@@ -356,7 +360,7 @@ def run_example(number, wild_level=1, M=8):
 
     rep.branch_reports = [
         branch_report(dressed[j], value=values[j],
-                      exact_zero=values[j].zero, verdict=verdicts[j])
+                      exact_zero=values[j].is_zero(), verdict=verdicts[j])
         for j in range(lo, hi + 1)
     ]
     return rep

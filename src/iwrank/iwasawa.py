@@ -3,8 +3,8 @@
 Series live in Z_p[[T]] modulo (p^M, T^D).  A series is stored as one
 tuple of ints with one valuation shift: coefficient i is
 p^shift * ints[i], known modulo p^M, with shift = min(0, least
-valuation).  `PadicNumber` appears only at the edge (`coefficient`).
-Beyond ring arithmetic the module reads mu (least coefficient valuation)
+valuation).  A p-adic number is the one-term series (D = 1).  Beyond
+ring arithmetic the module reads mu (least coefficient valuation)
 and lambda (first index reaching it) off the ints, computes certified
 Weierstrass data (distinguished polynomial and unit cofactor), the ideal
 a series generates modulo p, and remainders modulo (1+T)^order - 1,
@@ -15,12 +15,10 @@ group ring, where reduction is a fold of exponents.
 from fractions import Fraction
 from itertools import accumulate
 
-from .arith import is_prime
 from .kernels import convolve
-from .padics import PadicNumber, PadicPrecisionError
+from .padics import PadicPrecisionError
 
 __all__ = [
-    "IwasawaContext",
     "PadicSeries",
     "WeierstrassData",
     "IdealClass",
@@ -74,24 +72,13 @@ def fold(vec, order):
 
 def padic_ints(values, p, M):
     """(shift, ints) with values[i] = p^shift * ints[i] mod p^M and
-    -shift the largest p-power in a denominator, for exact rationals and
-    PadicNumbers known to absolute precision p^M."""
+    -shift the largest p-power in a denominator, for exact rationals."""
     parts = []  # numerator, p-free denominator, p-power of the denominator
     for c in values:
         if type(c) is int or (type(c) is Fraction and c.denominator == 1):
             parts.append((int(c), 1, 0))
             continue
-        if isinstance(c, PadicNumber):
-            if c.p != p:
-                raise ValueError("mixed primes in series coefficient")
-            if c.val >= M:  # zero mod p^M, and known to be
-                c = 0
-            elif c.zero or c.abs_prec < M:
-                raise PadicPrecisionError(
-                    f"coefficient has {c.abs_prec} digits, series needs {M}")
-            else:
-                c = c.lift()
-        elif not isinstance(c, (int, Fraction)):
+        if not isinstance(c, (int, Fraction)):
             raise TypeError(f"cannot use {type(c).__name__} as a series coefficient")
         x = Fraction(c)
         d, k = x.denominator, 0
@@ -115,20 +102,20 @@ class PadicSeries:
     PadicPrecisionError.  Binary operations insist on matching (p, M, D).
     """
 
-    __slots__ = ("p", "M", "D", "shift", "ints", "meta")
+    __slots__ = ("p", "M", "D", "shift", "ints")
 
-    def __init__(self, p, M, D, coeffs, meta=None):
-        self._set(p, M, D, *padic_ints(coeffs, p, M), meta)
+    def __init__(self, p, M, D, coeffs):
+        self._set(p, M, D, *padic_ints(coeffs, p, M))
 
     @classmethod
-    def from_ints(cls, p, M, D, ints, shift=0, meta=None) -> "PadicSeries":
+    def from_ints(cls, p, M, D, ints, shift=0) -> "PadicSeries":
         """The series sum_i p^shift * ints[i] T^i mod (p^M, T^D), for any
         ints and shift <= 0."""
         self = cls.__new__(cls)
-        self._set(p, M, D, shift, ints, meta)
+        self._set(p, M, D, shift, ints)
         return self
 
-    def _set(self, p, M, D, shift, ints, meta):
+    def _set(self, p, M, D, shift, ints):
         if M < 1 or D < 1:
             raise ValueError("need M >= 1 and D >= 1")
         if len(ints) > D:
@@ -144,7 +131,6 @@ class PadicSeries:
         self.p, self.M, self.D = p, M, D
         self.shift = shift
         self.ints = tuple(ints)
-        self.meta = meta
 
     # -- ring structure ------------------------------------------------
 
@@ -184,16 +170,9 @@ class PadicSeries:
 
     # -- queries -------------------------------------------------------
 
-    def coefficient(self, i: int) -> PadicNumber:
-        x = self.ints[i]
-        if x == 0:
-            return PadicNumber.zero_to(self.p, self.M)
-        v = 0
-        while x % self.p == 0:
-            x //= self.p
-            v += 1
-        val = self.shift + v
-        return PadicNumber(self.p, val, x, self.M - val)
+    def coefficient(self, i: int) -> "PadicSeries":
+        """Coefficient i as a one-term series mod p^M."""
+        return PadicSeries.from_ints(self.p, self.M, 1, [self.ints[i]], self.shift)
 
     def is_zero(self) -> bool:
         return not any(self.ints)
@@ -208,35 +187,6 @@ class PadicSeries:
         if self.D > order:
             ints = gamma_to_t(fold(t_to_gamma(ints), order))
         return PadicSeries.from_ints(self.p, self.M, order, ints, self.shift)
-
-
-class IwasawaContext:
-    """Working parameters: the prime p, the 1-unit u generating the
-    principal units modulo torsion, the coefficient modulus p^M and the
-    T-adic truncation degree D."""
-
-    def __init__(self, p: int, u: int | None = None, M: int = 8, D: int | None = None):
-        if not is_prime(p) or p == 2:
-            raise ValueError(f"p = {p} must be an odd prime")
-        if u is None:
-            u = 1 + p
-        if u % p != 1 % p or u % (p * p) == 1:
-            raise ValueError("u must be = 1 mod p and != 1 mod p^2")
-        if M < 1:
-            raise ValueError("M >= 1 required")
-        self.p = p
-        self.u = u
-        self.M = M
-        self.D = D if D is not None else p
-
-    def series(self, coeffs, meta=None) -> PadicSeries:
-        return PadicSeries(self.p, self.M, self.D, coeffs, meta=meta)
-
-    def zero(self) -> PadicSeries:
-        return self.series([])
-
-    def one(self) -> PadicSeries:
-        return self.series([1])
 
 
 # -- Weierstrass data --------------------------------------------------
@@ -307,7 +257,7 @@ class WeierstrassData:
         self.precision = precision
 
     @property
-    def unit_head(self) -> PadicNumber:
+    def unit_head(self) -> PadicSeries:
         return self.unit.coefficient(0)
 
 

@@ -99,7 +99,12 @@ class NewformData:
         deg = len(poly) - 1
         nums, dens = _parse_vectors(raw_an, deg)
         if deg == 1:
-            an = [n if d == 1 else Fraction(n, d) for n, d in zip(nums, dens)]
+            # a newform's coefficients are algebraic integers
+            bad = next((i for i, d in enumerate(dens) if d != 1), None)
+            if bad is not None:
+                raise IngestionError(f"coefficient {bad + 1} is not an integer: "
+                                     f"{Fraction(nums[bad], dens[bad])}")
+            an = nums
         else:
             # each coefficient over the lcm of its entries' denominators
             common = list(map(lcm, *(dens[j::deg] for j in range(deg))))

@@ -13,9 +13,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .characters import DirichletCharacter
-from .cyclotomic import CyclotomicNumber, cyclotomic_polynomial
+from .cyclotomic import CyclotomicNumber
 from .iwasawa import (
-    IwasawaContext,
     PadicSeries,
     UndeterminedInvariants,
     fold,
@@ -28,9 +27,9 @@ from .iwasawa import (
 )
 from .kernels import convolve
 from .padics import (
-    PadicEmbedding,
-    PadicNumber,
     PadicPrecisionError,
+    hensel_root,
+    padic_valuation,
     smallest_primitive_root,
     teichmuller_lift,
 )
@@ -39,9 +38,7 @@ __all__ = [
     "OrdinarityError",
     "DEFAULT_DIGITS",
     "working_precision",
-    "unit_root",
     "choose_alpha",
-    "teichmuller_embedding",
     "omega_twist_sum",
     "branch_value_trivial",
     "BranchSeries",
@@ -71,55 +68,21 @@ class OrdinarityError(ArithmeticError):
     """a_p is not a p-adic unit, so there is no unit root."""
 
 
-def _as_padic(x, p: int, prec: int) -> PadicNumber:
-    if isinstance(x, PadicNumber):
-        if x.p != p:
-            raise ValueError("mixed primes")
-        return x
-    return PadicNumber.from_rational(Fraction(x), p, prec)
-
-
-def unit_root(ap, p: int | None = None, prec: int = DEFAULT_DIGITS) -> PadicNumber:
-    """Unit root of X^2 - a_p X + p by Newton iteration from a_p."""
-    if isinstance(ap, PadicNumber):
-        p = ap.p
-    else:
-        if p is None:
-            raise ValueError("prime required for rational a_p")
-        ap = PadicNumber.from_rational(Fraction(ap), p, prec)
-    if ap.zero or ap.val != 0:
-        raise OrdinarityError("a_p vanishes mod p; Hecke polynomial has no unit root")
-    x = ap
-    for _ in range(max(prec, 4).bit_length() + 3):
-        x = x - (x * x - ap * x + p) / (2 * x - ap)
-    if not (x * x - ap * x + p).zero:
-        raise ArithmeticError("unit-root iteration failed to converge")
-    return x
-
-
-def choose_alpha(ap, p: int, level: int, prec: int = DEFAULT_DIGITS) -> PadicNumber:
-    """The distinguished p-adic period root: the unit root of the Hecke
-    polynomial when p does not divide the level, a_p itself (the U_p
-    eigenvalue) when it does."""
-    if level % p == 0:
-        a = _as_padic(ap, p, prec)
-        if a.zero or a.val != 0:
-            raise OrdinarityError("U_p eigenvalue is not a unit")
-        return a
-    return unit_root(ap, p, prec)
+def choose_alpha(ap, p: int, level: int, prec: int = DEFAULT_DIGITS) -> PadicSeries:
+    """The distinguished p-adic period root, a unit mod p^prec: a_p itself
+    (the U_p eigenvalue) when p divides the level, else the unit root of
+    the Hecke polynomial X^2 - a_p X + p, the Hensel lift of a_p."""
+    shift, (a,) = padic_ints([ap], p, prec)
+    if shift or a % p == 0:
+        raise OrdinarityError(
+            "U_p eigenvalue is not a unit" if level % p == 0 else
+            "a_p vanishes mod p; Hecke polynomial has no unit root")
+    if level % p:
+        a = hensel_root([p, -a, 1], a, p, prec)
+    return PadicSeries.from_ints(p, prec, 1, [a])
 
 
 # -- tame twists of symbol values --------------------------------------
-
-
-def teichmuller_embedding(p: int, prec: int) -> PadicEmbedding:
-    """Embedding of Q(zeta_{p-1}) sending the standard root to the
-    Teichmuller lift of the least primitive root, so character values
-    built from discrete logs land on their Teichmuller counterparts."""
-    g = smallest_primitive_root(p)
-    return PadicEmbedding(
-        p, prec, cyclotomic_polynomial(p - 1), teichmuller_lift(g, p, prec), order=p - 1
-    )
 
 
 def omega_twist_sum(sym, p: int, j: int) -> CyclotomicNumber:
@@ -135,26 +98,45 @@ def omega_twist_sum(sym, p: int, j: int) -> CyclotomicNumber:
         p - 1, [(-jj * exps[b], row[b]) for b in range(1, p)])
 
 
-def branch_value_trivial(sym, p: int, alpha: PadicNumber, j: int, prec: int | None = None) -> PadicNumber:
-    """Value of branch j at the trivial wild character.
+def branch_value_trivial(sym, p: int, alpha: PadicSeries, j: int,
+                         prec: int | None = None) -> PadicSeries:
+    """Value of branch j at the trivial wild character, a one-term series
+    known mod p^W, W = prec or the digits of the unit alpha.
 
-    Nontrivial tame branch: (1/2 alpha) * omega_twist_sum embedded.
-    Trivial branch: (1 - 1/alpha)^2 * x^+(0).  Values are meaningful up
-    to the unit ambiguity of the symbol normalization, so callers
-    compare valuations, vanishing and ratios.
+    Nontrivial tame branch: (1/2 alpha) * omega_twist_sum, with zeta_{p-1}
+    sent to the Teichmuller lift of the least primitive root, so that
+    character values built from discrete logs land on their Teichmuller
+    counterparts.  Trivial branch: (1 - 1/alpha)^2 * x^+(0).  Values are
+    meaningful up to the unit ambiguity of the symbol normalization, so
+    callers compare valuations, vanishing and ratios.
     """
-    W = prec if prec is not None else alpha.prec
+    W = alpha.M if prec is None else prec
+    if W > alpha.M:
+        raise PadicPrecisionError(
+            f"alpha carries {alpha.M} digits, the value needs {W}")
+    m = p**W
+    ainv = pow(alpha.ints[0], -1, m)
     jj = j % (p - 1)
-    if jj == 0:
-        one = PadicNumber(p, 0, 1, W)
-        mult = (one - alpha.inverse()) ** 2
-        return mult * _as_padic(sym.evaluate(Fraction(0), 1), p, W)
-    total = omega_twist_sum(sym, p, jj)
-    if total.is_zero():
-        return PadicNumber.zero_to(p, W)
-    emb = teichmuller_embedding(p, W)
-    half = PadicNumber.from_rational(Fraction(1, 2), p, W)
-    return half * alpha.inverse() * emb(total)
+    if jj:
+        # p^shift * cs[k] are the coefficients; the root is known mod p^W
+        shift, cs = padic_ints(omega_twist_sum(sym, p, jj).coeffs, p, W)
+        root = teichmuller_lift(smallest_primitive_root(p), p, W)
+        s = sum(c * pow(root, k, m) for k, c in enumerate(cs))
+        return PadicSeries.from_ints(p, W + shift, 1,
+                                     [s * ainv * pow(2, -1, m)], shift)
+    x0 = sym.evaluate(Fraction(0), 1)
+    e = (1 - ainv) % m
+    if e == 0 or x0 == 0:
+        # a factor vanishing mod p^W is O(p^W) (alpha = 1 exactly at an
+        # exceptional zero), so the product vanishes to the sum of the
+        # factors' valuations or bounds
+        v0 = padic_valuation(x0, p) if x0 else W
+        return PadicSeries.from_ints(
+            p, 2 * (padic_valuation(e, p) if e else W) + v0, 1, [0])
+    # e^2 is known mod p^(W + v(e))
+    M = W + padic_valuation(e, p) + padic_valuation(x0, p)
+    shift, (x,) = padic_ints([x0], p, M)
+    return PadicSeries.from_ints(p, M, 1, [e * e * x], shift)
 
 
 # -- branch series -----------------------------------------------------
@@ -163,9 +145,9 @@ def branch_value_trivial(sym, p: int, alpha: PadicNumber, j: int, prec: int | No
 class BranchSeries:
     """A tame-branch power series together with its provenance."""
 
-    __slots__ = ("series", "j", "twist", "form", "alpha", "sigma0_factors", "level", "zero_ratio")
+    __slots__ = ("series", "j", "twist", "form", "alpha", "sigma0_factors", "level")
 
-    def __init__(self, series, j, twist, form, alpha, sigma0_factors=(), level=1, zero_ratio=None):
+    def __init__(self, series, j, twist, form, alpha, sigma0_factors=(), level=1):
         self.series = series
         self.j = j
         self.twist = twist
@@ -173,7 +155,6 @@ class BranchSeries:
         self.alpha = alpha
         self.sigma0_factors = tuple(sigma0_factors)
         self.level = level
-        self.zero_ratio = zero_ratio
 
     def invariants(self):
         return invariants(self.series)
@@ -181,11 +162,11 @@ class BranchSeries:
 
 
 @lru_cache(maxsize=32)
-def _wild_coordinates(p: int, n: int, u: int) -> tuple:
-    """c(a) mod p^n with <a> = u^c(a), for every a mod p^(n+1) (-1 where
-    p | a).  <a> = a / omega(a) is the 1-unit part, and omega(a) = a^(p^n)
-    mod p^(n+1)."""
-    mod, q = p ** (n + 1), p ** n
+def _wild_coordinates(p: int, n: int) -> tuple:
+    """c(a) mod p^n with <a> = u^c(a), u = 1 + p, for every a mod p^(n+1)
+    (-1 where p | a).  <a> = a / omega(a) is the 1-unit part, and
+    omega(a) = a^(p^n) mod p^(n+1)."""
+    mod, q, u = p ** (n + 1), p ** n, 1 + p
     log = {}
     x = 1
     for c in range(q):
@@ -210,8 +191,8 @@ def working_precision(sym, p: int, n: int, M: int) -> int:
                    for sgn in (1, -1))
 
 
-def branch_series(sym, p: int, alpha: PadicNumber, j: int, n: int = 1,
-                  ctx: IwasawaContext | None = None, twist_label=None) -> BranchSeries:
+def branch_series(sym, p: int, alpha: PadicSeries, j: int, n: int = 1,
+                  M: int = 8, twist_label=None) -> BranchSeries:
     """Riemann sum of branch j at wild level n, as a polynomial of
     degree < p^n representing an element of Z_p[T]/((1+T)^(p^n)-1, p^M).
 
@@ -220,36 +201,29 @@ def branch_series(sym, p: int, alpha: PadicNumber, j: int, n: int = 1,
     term dropped when p divides the level (one-root case).  The masses,
     twisted by omega^-j, are summed in the group-element basis of
     Z/p^W[Z/p^n] and converted to the T-basis once.  W is M plus the
-    p-power in the symbol values' denominators plus (n+2) v(alpha);
-    alpha must carry W digits.
+    p-power in the symbol values' denominators plus (n+2) v(alpha); the
+    unit part of alpha must carry W digits.
     """
     if n < 1:
         raise ValueError("wild level n >= 1 required")
-    if ctx is None:
-        ctx = IwasawaContext(p, M=8, D=p**n)
-    if ctx.p != p:
-        raise ValueError("context prime mismatch")
     order = p**n
-    if ctx.D != order:
-        raise ValueError(f"context truncation {ctx.D} must equal p^n = {order}")
-    M = ctx.M
     steinberg = sym.level % p == 0
     jj = j % (p - 1)
     sgn = 1 if jj % 2 == 0 else -1
-    v = alpha.valuation()
+    v = mu_lambda(alpha)[0]
     loss = (n + 2) * v  # the powers of 1/alpha
     shift, xs = padic_ints(_symbol_rows(sym, p, n, sgn), p, M + loss)
     W = M + loss - shift
-    if alpha.prec < W:
+    if alpha.M - v < W:
         raise PadicPrecisionError(
-            f"alpha carries {alpha.prec} digits, the series needs {W}")
+            f"alpha carries {alpha.M - v} digits, the series needs {W}")
     m = p**W
     # masses scaled by p^(W - M): a_hi x_hi - a_lo x_lo
-    ainv = pow(alpha.unit, -1, m)
+    ainv = pow(alpha.ints[0] // p ** (v - alpha.shift), -1, m)
     a_hi = p**v * pow(ainv, n + 1, m) % m
     a_lo = pow(ainv, n + 2, m)
     tw = [0] + [pow(teichmuller_lift(b, p, W), -jj, m) for b in range(1, p)]
-    coord = _wild_coordinates(p, n, ctx.u)
+    coord = _wild_coordinates(p, n)
     masses = [0] * order
     hi_len = p * order
     for a in range(1, hi_len):
@@ -260,25 +234,10 @@ def branch_series(sym, p: int, alpha: PadicNumber, j: int, n: int = 1,
         if not steinberg:
             x -= a_lo * xs[hi_len + a % order]
         masses[c] += tw[a % p] * x
-    one = PadicNumber(p, 0, 1, alpha.prec)
-    if jj != 0:
-        ratio, label = PadicNumber.from_rational(2, p, alpha.prec), "2"
-    elif steinberg:
-        # a_p = +1 makes 1 - 1/alpha vanish (an exceptional zero): no ratio
-        e = one - alpha.inverse()
-        ratio, label = (None, None) if e.zero else (e.inverse(), "1/(1 - 1/alpha)")
-    else:
-        ratio, label = one, "1"
     series = PadicSeries.from_ints(
-        p, M, order, gamma_to_t([x % m for x in masses]), M - W, meta={
-            "branch": jj,
-            "wild_level": n,
-            "series_over_value_at_zero": label,
-        })
-    return BranchSeries(
-        series, jj, twist_label, getattr(sym, "label", None), alpha,
-        sigma0_factors=(), level=n, zero_ratio=ratio,
-    )
+        p, M, order, gamma_to_t([x % m for x in masses]), M - W)
+    return BranchSeries(series, jj, twist_label, getattr(sym, "label", None),
+                        alpha, level=n)
 
 
 def group_ring_mul(a: PadicSeries, b: PadicSeries, order: int | None = None) -> PadicSeries:
@@ -297,7 +256,7 @@ def group_ring_mul(a: PadicSeries, b: PadicSeries, order: int | None = None) -> 
     return PadicSeries.from_ints(a.p, a.M, order, gamma_to_t([x % m for x in prod]))
 
 
-def _euler_factor_finite(poly, ell: int, j: int, p: int, M: int, order: int, u: int) -> PadicSeries:
+def _euler_factor_finite(poly, ell: int, j: int, p: int, M: int, order: int) -> PadicSeries:
     """Euler substitution X -> ell^(-j-1) (1+T)^(c_ell mod p^n) inside
     the cyclic group ring of order p^n: the wild exponent is an honest
     integer here, so no binomial tails are truncated.  In the group
@@ -313,7 +272,7 @@ def _euler_factor_finite(poly, ell: int, j: int, p: int, M: int, order: int, u: 
         raise ValueError("order must be a power of p")
     if not poly:
         raise ValueError("empty polynomial")
-    c = _wild_coordinates(p, n, u)[ell % (p ** (n + 1))]
+    c = _wild_coordinates(p, n)[ell % (p ** (n + 1))]
     x = Fraction(1, ell ** (j + 1))
     masses = [Fraction(0)] * order
     for k, a in enumerate(poly):
@@ -322,13 +281,12 @@ def _euler_factor_finite(poly, ell: int, j: int, p: int, M: int, order: int, u: 
     return PadicSeries.from_ints(p, M, order, gamma_to_t(ints), shift)
 
 
-def apply_sigma0(bs: BranchSeries, factors, ctx: IwasawaContext | None = None) -> BranchSeries:
+def apply_sigma0(bs: BranchSeries, factors) -> BranchSeries:
     """Multiply a branch series by the Euler-factor series of each
     (ell, poly) in factors, recording them; refuses duplicates and
     ell = p."""
     series = bs.series
     p, M, order = series.p, series.M, series.D
-    u = ctx.u if ctx is not None else 1 + p
     applied = {ell for ell, _ in bs.sigma0_factors}
     new_factors = list(bs.sigma0_factors)
     for ell, poly in factors:
@@ -337,12 +295,12 @@ def apply_sigma0(bs: BranchSeries, factors, ctx: IwasawaContext | None = None) -
         if ell in applied:
             raise ValueError(f"duplicate sigma0 factor at {ell}")
         applied.add(ell)
-        fac = _euler_factor_finite(poly, ell, bs.j, p, M, order, u)
+        fac = _euler_factor_finite(poly, ell, bs.j, p, M, order)
         series = group_ring_mul(series, fac, order)
         new_factors.append((ell, tuple(poly)))
     return BranchSeries(
         series, bs.j, bs.twist, bs.form, bs.alpha,
-        sigma0_factors=tuple(new_factors), level=bs.level, zero_ratio=bs.zero_ratio,
+        sigma0_factors=tuple(new_factors), level=bs.level,
     )
 
 
@@ -364,37 +322,37 @@ def product_congruence_verdict(bs1: BranchSeries, bs2: BranchSeries) -> Verdict:
     return Verdict(cls, cls.is_unit, lam)
 
 
-def _value_record(value: PadicNumber | None, exact_zero: bool = False, digits: int = 6):
+def _value_record(value: PadicSeries | None, exact_zero: bool = False, digits: int = 6):
+    """Valuation and leading unit digits of a one-term series, or the
+    bound it vanishes to."""
     if value is None:
         return None
-    if value.zero:
+    if value.is_zero():
         return {
             "valuation": None,
             "unit_digits": 0,
-            "vanishes_to": value.val,
+            "vanishes_to": value.M,
             "exact_zero": bool(exact_zero),
         }
+    mu = mu_lambda(value)[0]
+    p = value.p
     return {
-        "valuation": value.val,
-        "unit_digits": value.unit % value.p ** min(digits, value.prec),
+        "valuation": mu,
+        "unit_digits": value.ints[0] // p ** (mu - value.shift) % p ** min(digits, value.M - mu),
     }
 
 
-def branch_report(bs: BranchSeries, value: PadicNumber | None = None,
+def branch_report(bs: BranchSeries, value: PadicSeries | None = None,
                   exact_zero: bool = False, verdict: Verdict | None = None) -> dict:
     try:
         mu, lam = mu_lambda(bs.series)
     except UndeterminedInvariants:
         mu = lam = None
-    alpha = bs.alpha
     rec = {
         "form": bs.form,
         "twist": bs.twist,
         "j": bs.j,
-        "alpha": {
-            "valuation": alpha.val,
-            "unit_digits": alpha.unit % alpha.p ** min(6, alpha.prec),
-        },
+        "alpha": _value_record(bs.alpha),
         "value_at_trivial": _value_record(value, exact_zero),
         "mu": mu,
         "lambda": lam,

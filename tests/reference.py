@@ -9,7 +9,7 @@ from math import gcd
 
 from iwrank.cyclotomic import CyclotomicNumber
 from iwrank.modsym import _xgcd
-from iwrank.padics import PadicNumber
+from iwrank.iwasawa import PadicSeries
 from iwrank.qseries import bernoulli_number
 
 
@@ -45,9 +45,10 @@ def p1_normalize(N: int, u: int, v: int) -> tuple[int, int]:
     return g, v
 
 
-def padic_log(u: int, p: int, abs_prec: int) -> PadicNumber:
-    """log of a 1-unit known mod p^abs_prec (p odd), as a PadicNumber, by
-    its power series.  The oracle of `padic_l._wild_coordinates`."""
+def padic_log(u: int, p: int, abs_prec: int) -> PadicSeries:
+    """log of a 1-unit known mod p^abs_prec (p odd), as a one-term series
+    mod the digits it keeps, by its power series.  The oracle of
+    `padic_l._wild_coordinates`."""
     if p == 2:
         raise ValueError("p = 2 not supported")
     pk = p**abs_prec
@@ -55,7 +56,7 @@ def padic_log(u: int, p: int, abs_prec: int) -> PadicNumber:
     if y % p != 0:
         raise ValueError("padic_log needs u = 1 mod p")
     if y == 0:
-        return PadicNumber.zero_to(p, abs_prec)
+        return PadicSeries.from_ints(p, abs_prec, 1, [0])
     acc = 0
     term = 1
     k = 0
@@ -82,15 +83,7 @@ def padic_log(u: int, p: int, abs_prec: int) -> PadicNumber:
         # (v(y^k/k) >= k - log_p k is increasing); generous cutoff:
         if k > abs_prec + 4:
             break
-    A = abs_prec - loss
-    acc %= p**A
-    if acc == 0:
-        return PadicNumber.zero_to(p, A)
-    w = 0
-    while acc % p == 0:
-        acc //= p
-        w += 1
-    return PadicNumber(p, w, acc, A - w)
+    return PadicSeries.from_ints(p, abs_prec - loss, 1, [acc])
 
 
 def bernoulli_poly_at(k: int, x: Fraction) -> Fraction:

@@ -234,3 +234,51 @@ def test_precision_above_default_digits(m, capsys):
     for r in base + recs:
         r["value_at_trivial"].pop("vanishes_to", None)
     assert recs == base
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "x"
+    assert main(["--out", str(out), "chars", "--char", "triv1"]) == 2
+    assert "error: cannot write --out" in capsys.readouterr().err
+
+
+@pytest.fixture
+def example_runs(monkeypatch):
+    """The (number, wild_level, M) of each verify-example run."""
+    from iwrank import cli
+    from iwrank.examples import VerificationReport
+
+    calls = []
+
+    def fake(number, wild_level=1, M=8):
+        calls.append((number, wild_level, M))
+        return VerificationReport(number)
+
+    monkeypatch.setattr(cli, "run_example", fake)
+    return calls
+
+
+@pytest.mark.parametrize("argv,want", [
+    (["verify-example", "2"], (2, 1, 8)),
+    (["--prime", "5", "verify-example", "2"], (2, 1, 8)),
+    (["verify-example", "2", "--precision", "8,25"], (2, 2, 8)),
+    (["verify-example", "1", "--precision", "12,11"], (1, 1, 12)),
+    (["--prime", "11", "verify-example", "1", "--precision", "8,121"],
+     (1, 2, 8)),
+])
+def test_verify_example_precision(argv, want, example_runs, capsys):
+    assert main(argv) == 0
+    assert example_runs == [want]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--prime", "7", "verify-example", "2"],
+    ["--prime", "7", "--precision", "8,49", "verify-example", "2"],
+    ["verify-example", "2", "--precision", "8,49"],
+    ["verify-example", "3", "--precision", "8,5,"],
+    ["--prime", "5", "verify-example", "3", "--precision", "8,10"],
+])
+def test_verify_example_rejects_other_primes(argv, example_runs, capsys):
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+    assert example_runs == []

@@ -6,7 +6,9 @@ branch-series runs below must reproduce tests/golden/, recorded before
 the twisted symbols were moved onto rows.  The help, usage-error,
 Eisenstein and congruence runs must reproduce their stdout, stderr and
 exit code in tests/golden/, recorded at COLUMNS=80 before the parser,
-the newform ingestion and the Bernoulli sums were rewritten.
+the newform ingestion and the Bernoulli sums were rewritten; the
+`padic-l` and `iwasawa` runs among them were recorded before the p-adic
+scalars moved onto one-term integer series.
 """
 
 import io
@@ -51,6 +53,21 @@ TEXT_RUNS = {
                               "--prime", "11"],
     "congruence_19.2.a.a_p3": ["congruence", "--newform", "19.2.a.a",
                                "--prime", "3"],
+    **{f"padic-l_11.2.a.a_p{p}": ["padic-l", "--newform", "11.2.a.a",
+                                  "--prime", str(p)] for p in (5, 7, 11, 19)},
+    "padic-l_11.2.a.a_p5_8,125": ["padic-l", "--newform", "11.2.a.a",
+                                  "--prime", "5", "--precision", "8,125"],
+    "padic-l_11.2.a.a_p5_8,125_sigma0": [
+        "padic-l", "--newform", "11.2.a.a", "--prime", "5", "--precision",
+        "8,125", "--sigma0", "11:1,-1,11", "--branches", "2..3"],
+    "padic-l_19.2.a.a_p3": ["padic-l", "--newform", "19.2.a.a",
+                            "--prime", "3"],
+    "padic-l_52.2.a.a_p5_16,25": ["padic-l", "--newform", "52.2.a.a",
+                                  "--prime", "5", "--precision", "16,25"],
+    "iwasawa_p5_8,5": ["iwasawa", "--prime", "5", "--precision", "8,5",
+                       "--coeffs", "5,10,3,1"],
+    "iwasawa_p5_2,5": ["iwasawa", "--prime", "5", "--precision", "2,5",
+                       "--coeffs", "25,50"],
 }
 
 

@@ -158,11 +158,20 @@ def _last_entry_bad(payload, bad):
     return payload
 
 
-@pytest.mark.parametrize("label", ["11.2.a.a", "19.2.a.a", "23.2.a", "52.2.a.a"])
-@pytest.mark.parametrize("bad,message", [
+_RATIONAL = ["11.2.a.a", "19.2.a.a", "52.2.a.a"]
+_BAD_ENTRIES = [
     ("1/0", "bad coefficient entry '1/0'"), ("abc", "bad coefficient entry 'abc'"),
     ("short", "coefficient 600 has . entries"), ("scalar", "coefficient 600 is not a list"),
-])
+]
+
+
+# a rational form's coefficients are integers; a field form's entries may
+# be halves (23.2.a over Q(sqrt 5)), so 2.5 is bad for the rational ones
+@pytest.mark.parametrize("bad,message,label", [
+    (bad, message, label) for label in _RATIONAL + ["23.2.a"]
+    for bad, message in _BAD_ENTRIES] + [
+    (bad, "coefficient 600 is not an integer: 5/2", label)
+    for label in _RATIONAL for bad in (2.5, "5/2")])
 def test_bad_last_entry_fails_at_load(label, bad, message, tmp_path):
     payload = _last_entry_bad(_bundled_payload(label), bad)
     with pytest.raises(IngestionError, match=message):
@@ -175,10 +184,11 @@ def test_bad_last_entry_fails_at_load(label, bad, message, tmp_path):
 @pytest.mark.parametrize("label", ["11.2.a.a", "23.2.a"])
 def test_float_entry_is_read_exactly(label):
     # a JSON float is a value Fraction reads exactly, never truncated
-    payload = _last_entry_bad(_bundled_payload(label), 2.5)
+    entry = 7.0 if label == "11.2.a.a" else 2.5
+    payload = _last_entry_bad(_bundled_payload(label), entry)
     f = NewformData.from_dict(payload)
     last = f.a(f.n_max)
-    assert (last if f.is_rational else last.coeffs[-1]) == Fraction(5, 2)
+    assert (last if f.is_rational else last.coeffs[-1]) == Fraction(entry)
 
 
 @pytest.mark.parametrize("label", ["11.2.a.a", "19.2.a.a", "23.2.a", "52.2.a.a"])

@@ -3,16 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from iwrank.cyclotomic import cyclotomic_polynomial, zeta
+from iwrank.cyclotomic import cyclotomic_polynomial
+from iwrank.iwasawa import PadicSeries, mu_lambda, padic_ints
 from iwrank.padics import (
-    PadicNumber,
     PadicPrecisionError,
     hensel_root,
     padic_valuation,
     smallest_primitive_root,
     teichmuller_lift,
 )
-from iwrank.padic_l import teichmuller_embedding
+from iwrank.padic_l import branch_value_trivial, choose_alpha
 from reference import padic_log
 
 F = Fraction
@@ -27,37 +27,22 @@ def test_valuation():
 
 
 def test_from_rational_and_lift():
-    x = PadicNumber.from_rational(F(7, 2), 5, 8)
-    # 1/2 = (5^8+1)/2 mod 5^8
-    assert (2 * x.lift() - 7) % 5**8 == 0
-    y = PadicNumber.from_rational(F(50), 5, 6)
-    assert y.val == 2 and y.unit == 2
-    z = PadicNumber.from_rational(F(3, 5), 5, 6)
-    assert z.val == -1
-
-
-def test_arithmetic_precision():
-    a = PadicNumber.from_rational(F(2), 7, 10)
-    b = PadicNumber.from_rational(F(3), 7, 10)
-    assert (a + b).residue(1) == 5
-    assert (a * b).residue(2) == 6
-    assert (a - b + b).eq_to(a, 10)
-    assert (a / b * b).eq_to(a, 9)
-    assert a.inverse().eq_to(PadicNumber.from_rational(F(1, 2), 7, 10), 10)
-    assert (a ** -2).eq_to(PadicNumber.from_rational(F(1, 4), 7, 10), 9)
-    # zero handling
-    nil = a - a
-    assert nil.zero
-    assert (nil * b).zero
-    assert (b + nil).eq_to(b, 8)
+    # a rational is p^shift * int mod p^M, -shift the p-power of its
+    # denominator
+    shift, (x,) = padic_ints([F(7, 2)], 5, 8)
+    assert shift == 0 and (2 * x - 7) % 5**8 == 0
+    y = PadicSeries(5, 6, 1, [F(50)])
+    assert mu_lambda(y)[0] == 2 and y.ints[0] // 25 == 2
+    z = PadicSeries(5, 6, 1, [F(3, 5)])
+    assert z.shift == -1 and mu_lambda(z)[0] == -1
+    assert (5 * z.ints[0] - 3 * 5) % 5**7 == 0
 
 
 def test_zero_to_and_eq():
-    z = PadicNumber.zero_to(5, 6)
-    assert z.zero and z.abs_prec == 6
-    w = PadicNumber.from_rational(F(5**7), 5, 4)
+    z = PadicSeries(5, 6, 1, [0])
+    assert z.is_zero() and z.M == 6
     # 5^7 is indistinguishable from 0 at absolute precision 6
-    assert w.eq_to(z, 6)
+    assert PadicSeries(5, 6, 1, [5**7]) == z
 
 
 def test_teichmuller():
@@ -89,8 +74,9 @@ def test_padic_log_additive():
         lu = padic_log(u, p, k)
         lv = padic_log(v, p, k)
         luv = padic_log(u * v % mod, p, k)
-        assert (lu + lv).eq_to(luv, k - 1)
-    assert padic_log(1, p, k).zero
+        assert min(lu.M, lv.M, luv.M) >= k - 1
+        assert (lu.ints[0] + lv.ints[0] - luv.ints[0]) % p**(k - 1) == 0
+    assert padic_log(1, p, k).is_zero()
     with pytest.raises(ValueError):
         padic_log(2, 5, 6)  # not a one-unit
 
@@ -102,30 +88,36 @@ def test_primitive_roots():
     assert smallest_primitive_root(23) == 5
 
 
-def test_cyclotomic_embedding():
-    emb = teichmuller_embedding(13, 8)  # Q(zeta_12), so Q(i) through zeta_12^3
-    i = emb(zeta(4))
-    assert (i * i + 1).zero or (i * i + 1).val >= 8
-    # multiplicative on the group of roots
-    x = emb(zeta(4, 1)) * emb(zeta(4, 3))
-    assert x.eq_to(PadicNumber.from_rational(F(1), 13, 8), 7)
-    # rationals pass through
-    assert emb(F(3, 2)).eq_to(PadicNumber.from_rational(F(3, 2), 13, 8), 7)
+def test_cyclotomic_embedding(pair19):
+    # branch values send zeta_{p-1} to the Teichmuller lift of the least
+    # primitive root, so that omega(b) lands on teichmuller_lift(b):
+    # value_j = (1/2 alpha) sum_b omega(b)^(-j) x^sgn(b/p) mod p^W
+    p, W = 5, 14
+    m = p**W
+    alpha = choose_alpha(3, p, 19)
+    for j in (1, 2, 3):
+        row = pair19.evaluate_row(p, 1 if j % 2 == 0 else -1)
+        want = sum(pow(teichmuller_lift(b, p, W), -j, m) * row[b].numerator
+                   * pow(row[b].denominator, -1, m) for b in range(1, p))
+        want = want * pow(2 * alpha.ints[0], -1, m) % m
+        got = branch_value_trivial(pair19, p, alpha, j)
+        assert (got.M, got.shift, got.ints[0]) == (W, 0, want), j
+    # at p = 13, zeta_4 = zeta_12^3 goes to a square root of -1
+    m = 13**8
+    i = pow(teichmuller_lift(smallest_primitive_root(13), 13, 8), 3, m)
+    assert (i * i + 1) % m == 0 and i * pow(i, 3, m) % m == 1
 
 
 def test_embedding_root_of_poly():
-    poly = cyclotomic_polynomial(10)
-    emb = teichmuller_embedding(11, 9)
-    z = emb(zeta(10))
-    acc = PadicNumber.zero_to(11, 9)
-    pw = PadicNumber.from_rational(F(1), 11, 9)
-    for c in poly:
-        acc = acc + pw * c
-        pw = pw * z
-    assert acc.zero or acc.val >= 8
+    m = 11**9
+    root = teichmuller_lift(smallest_primitive_root(11), 11, 9)
+    acc = sum(c * pow(root, k, m)
+              for k, c in enumerate(cyclotomic_polynomial(10)))
+    assert acc % m == 0
 
 
-def test_precision_error_on_exhausted_digits():
-    tiny = PadicNumber(5, 0, 1, 2)
+def test_precision_error_on_exhausted_digits(pair19):
+    # alpha known mod 5^2 cannot give a value mod 5^3
     with pytest.raises(PadicPrecisionError):
-        tiny.residue(3)
+        branch_value_trivial(pair19, 5, choose_alpha(3, 5, 19, prec=2), 1,
+                             prec=3)
