@@ -445,66 +445,6 @@ def parse_descriptor(text: str) -> DirichletCharacter:
     return DirichletCharacter(modulus, exps, order)
 
 
-# residual characters --------------------------------------------------
-
-
-class ResidualCharacter:
-    """Character (Z/modulus)^x -> F_p^x, values stored mod p on the
-    canonical generators."""
-
-    __slots__ = ("modulus", "p", "values")
-
-    def __init__(self, modulus: int, p: int, values):
-        gens = unit_group_generators(modulus)
-        vals = tuple(int(v) % p for v in values)
-        if len(vals) != len(gens):
-            raise ValueError(f"need {len(gens)} values for modulus {modulus}")
-        if any(v == 0 for v in vals):
-            raise ValueError("residual character values must be units")
-        for ug, v in zip(gens, vals):
-            if pow(v, ug.order, p) != 1:
-                raise ValueError("value incompatible with generator order")
-        self.modulus = modulus
-        self.p = p
-        self.values = vals
-
-    @classmethod
-    def trivial(cls, modulus: int, p: int) -> "ResidualCharacter":
-        return cls(modulus, p, [1] * len(unit_group_generators(modulus)))
-
-    @classmethod
-    def teichmuller(cls, p: int, power: int = 1) -> "ResidualCharacter":
-        g = smallest_primitive_root(p)
-        return cls(p, p, [pow(g, power, p)])
-
-    def value(self, a: int) -> int:
-        """chi(a) in F_p (0 on non-units)."""
-        t = unit_exponents(a, self.modulus)
-        if t is None:
-            return 0
-        acc = 1
-        for ti, vi in zip(t, self.values):
-            acc = acc * pow(vi, ti, self.p) % self.p
-        return acc
-
-    def is_trivial_values(self) -> bool:
-        return all(v == 1 for v in self.values)
-
-
-def lift_residual_character(chi_bar: ResidualCharacter, p: int | None = None) -> DirichletCharacter:
-    """Teichmuller lift: the order-prime-to-p character with the same residual
-    values.  Its conductor is v0 * p^min(a,1) when the residual modulus is
-    v0 * p^a."""
-    p = p or chi_bar.p
-    if p != chi_bar.p:
-        raise ValueError("prime mismatch")
-    g = smallest_primitive_root(p)
-    tab = _dlog_table(g, p - 1, p)
-    gens = unit_group_generators(chi_bar.modulus)
-    exps = [tab[v] for v in chi_bar.values]
-    return DirichletCharacter(chi_bar.modulus, exps, p - 1).canonical()
-
-
 # Kronecker symbol -----------------------------------------------------
 
 

@@ -17,33 +17,29 @@ from fractions import Fraction
 from functools import partial
 
 from .arith import is_prime
-from .characters import ResidualCharacter, parse_descriptor
-from .examples import EXAMPLES, run_example
+from .characters import DirichletCharacter, parse_descriptor
+from .examples import EXAMPLES, run_example, symbol_pair
 from .iwasawa import (
     PadicSeries,
     UndeterminedInvariants,
     ideal_mod_pi,
     invariants,
 )
+from .modsym import twist_symbol
 from .newforms import (
     IngestionError,
     NewformData,
-    ResidualPair,
     bundled,
     bundled_labels,
     residual_eisenstein_partner,
 )
 from .padic_l import (
-    DEFAULT_DIGITS,
     OrdinarityError,
-    apply_sigma0,
+    branch_family,
     branch_report,
-    branch_series,
     branch_value_trivial,
-    choose_alpha,
     format_report,
     product_congruence_verdict,
-    working_precision,
 )
 from .padics import PadicPrecisionError
 from .qseries import (
@@ -160,7 +156,7 @@ class _Sink:
         self.lines.append(line)
 
     def emit_json(self, obj):
-        self.emit(json.dumps(obj, sort_keys=True, separators=(", ", ": ")))
+        self.emit(format_report(obj))
 
     def close(self):
         text = "\n".join(self.lines) + "\n"
@@ -233,11 +229,9 @@ def cmd_eisenstein(cfg, weight, terms):
     return 0
 
 
-def _derive_residual_pair(h, p):
-    """Infer (xi1_bar, xi2_bar) from the coefficients at the stored prime.
-
-    Currently recognizes the cyclotomic pattern a_ell = 1 + ell mod the
-    prime, whose residual pair is (omega_bar, 1)."""
+def _check_cyclotomic_pattern(h, p):
+    """The one residual pair recognized is (omega_bar, 1): check that the
+    stored coefficients follow its pattern a_ell = 1 + ell mod p."""
     ideal = h.congruence_ideal(p)
     for ell in (2, 3, 5, 7, 11, 13, 17, 19, 23):
         if ell > h.n_max:
@@ -249,8 +243,6 @@ def _derive_residual_pair(h, p):
                 f"{h.label}: coefficients at {ell} do not follow the "
                 f"cyclotomic pattern 1 + ell mod {p}; cannot derive the "
                 f"residual pair")
-    return ResidualPair(p, ResidualCharacter.teichmuller(p),
-                        ResidualCharacter.trivial(1, p), h.level)
 
 
 def cmd_congruence(cfg):
@@ -264,8 +256,10 @@ def cmd_congruence(cfg):
     bound = sturm_bound(h.weight, h.level)
     try:
         ideal = h.congruence_ideal(p)
-        hbar = _derive_residual_pair(h, p)
-        xi1, xi2, g, m = residual_eisenstein_partner(hbar, h.weight, bound)
+        _check_cyclotomic_pattern(h, p)
+        g, m = residual_eisenstein_partner(
+            p, DirichletCharacter.teichmuller(p), DirichletCharacter.trivial(1),
+            h.level, h.weight, bound)
         hq = h.q_expansion(bound)
         dep = check_congruence(hq.deplete(p), g.deplete(p), ideal, bound)
     except (IngestionError, ValueError) as exc:
@@ -312,14 +306,10 @@ def cmd_congruence(cfg):
 
 def _symbol_for(cfg, nf):
     """Build the (possibly twisted) symbol pair for a table or L-series."""
-    from .examples import _TARGET_PRIMES, _symbol_pair
-    from .modsym import twist_symbol
-
-    if nf.label not in _TARGET_PRIMES:
-        raise ConfigError(
-            f"no stored Hecke probes for {nf.label}; symbol commands "
-            f"currently cover the bundled rational forms")
-    pair = _symbol_pair(nf)
+    try:
+        pair = symbol_pair(nf)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     if not cfg.chars:
         return pair
     if len(cfg.chars) > 1:
@@ -328,7 +318,11 @@ def _symbol_for(cfg, nf):
         chi = parse_descriptor(cfg.chars[0])
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"bad character descriptor: {exc}")
-    return twist_symbol(pair, chi, cfg.prime, label=f"{nf.label}x{cfg.chars[0]}")
+    try:
+        return twist_symbol(pair, chi, cfg.prime,
+                            label=f"{nf.label}x{cfg.chars[0]}")
+    except ValueError as exc:
+        raise ConfigError(str(exc))
 
 
 def cmd_modsym_table(cfg):
@@ -387,39 +381,31 @@ def cmd_padic_l(cfg, sigma0_specs=None):
     p = cfg.prime
     sym = _symbol_for(cfg, nf)
     n = cfg.wild_level()
-    m = cfg.precision[0]
     span = p - 1
     lo, hi = cfg.branches if cfg.branches else (1, span)
     factors = _sigma0_factors(sigma0_specs)
+    ap = nf.a(p)
+    if cfg.chars:
+        chi = parse_descriptor(cfg.chars[0])
+        if chi.order > 2:
+            raise ConfigError(
+                "only quadratic twists keep the Hecke data rational; "
+                f"{cfg.chars[0]} has order {chi.order}")
+        e = chi.value_exponent(p)
+        if e is None:
+            raise ConfigError(f"twist character ramified at {p}")
+        if e:
+            ap = -ap  # the twist multiplies a_p by chi(p) = -1
     try:
-        if cfg.chars:
-            chi = parse_descriptor(cfg.chars[0])
-            if chi.order > 2:
-                raise ConfigError(
-                    "only quadratic twists keep the Hecke data rational; "
-                    f"{cfg.chars[0]} has order {chi.order}")
-            e = chi.value_exponent(p)
-            if e is None:
-                raise ConfigError(f"twist character ramified at {p}")
-            # the twist multiplies a_p by chi(p) = +-1
-            ap = (-1 if e else 1) * nf.a(p)
-        else:
-            ap = nf.a(p)
-        digits = max(DEFAULT_DIGITS, working_precision(sym, p, n, m))
-        alpha = choose_alpha(ap, p, sym.level, prec=digits)
-    except OrdinarityError as exc:
+        alpha, _, series = branch_family(sym, ap, p, n, cfg.precision[0], factors)
+    except (OrdinarityError, ValueError) as exc:
+        # no unit root, or a sigma0 factor at p or repeated
         raise ConfigError(str(exc))
-    series = {}
-    for j in range(1, span + 1):
-        bs = branch_series(sym, p, alpha, j, n=n, M=m,
-                           twist_label=getattr(sym, "label", nf.label))
-        series[j] = apply_sigma0(bs, factors) if factors else bs
     sink = _Sink(cfg.out)
     for j in range(lo, hi + 1):
         jj = (j - 1) % span + 1
-        partner = jj % span + 1
         value = branch_value_trivial(sym, p, alpha, jj)
-        verdict = product_congruence_verdict(series[jj], series[partner])
+        verdict = product_congruence_verdict(series[jj], series[jj % span + 1])
         sink.emit(format_report(branch_report(
             series[jj], value=value, exact_zero=value.is_zero(), verdict=verdict)))
     sink.close()

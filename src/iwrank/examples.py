@@ -1,32 +1,32 @@
-"""Bundled verification runs for the three reference congruence pairs.
+"""Bundled verification runs for the three reference congruence pairs,
+and the symbol pair of a bundled form.
 
-Each run builds the cuspidal symbol, the residual Eisenstein partner of the
-congruent form, all branch L-values and power series at the configured
-prime, and checks every recorded expectation.  Failures do not abort the
-run; every check ends up in the report with a pass/fail/skipped status.
+`symbol_pair` cuts a bundled rational form's plus and minus eigensymbols
+out of its symbol space with the stored Hecke probes; the symbol commands
+of the CLI use it too.  Each run builds the (twisted) symbol, its branch
+family (`padic_l.branch_family`, as `padic-l` does), the branch values at
+the trivial character and the residual Eisenstein partner of the
+congruent form, and checks every recorded expectation.  Failures do not
+abort the run; every check ends up in the report with a
+pass/fail/skipped status.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
-from .characters import DirichletCharacter, ResidualCharacter, kronecker
+from .characters import DirichletCharacter, kronecker
 from .iwasawa import UndeterminedInvariants, mu_lambda
 from .modsym import SymbolPair, build_space, eigen_functional, twist_symbol
-from .newforms import ResidualPair, bundled, residual_eisenstein_partner
+from .newforms import bundled, residual_eisenstein_partner
 from .padics import padic_valuation
 from .padic_l import (
-    DEFAULT_DIGITS,
     _value_record,
-    apply_sigma0,
-    branch_report,
-    branch_series,
+    branch_family,
     branch_value_trivial,
-    choose_alpha,
+    format_report,
     omega_twist_sum,
     product_congruence_verdict,
-    working_precision,
 )
 from .qseries import check_congruence, mazur_eisenstein, sturm_bound
 
@@ -35,6 +35,7 @@ __all__ = [
     "VerificationReport",
     "build_example",
     "run_example",
+    "symbol_pair",
 ]
 
 class VerificationReport:
@@ -75,8 +76,7 @@ class VerificationReport:
         return c["pass"], c["fail"], c["skipped"]
 
     def to_lines(self):
-        return [json.dumps(r, sort_keys=True, separators=(", ", ": "))
-                for r in self.records]
+        return [format_report(r) for r in self.records]
 
     def failures(self):
         return [r for r in self.records if r["status"] == "fail"]
@@ -97,7 +97,6 @@ EXAMPLES = {
         "f": "11.2.a.a",
         "twist_disc": -23,
         "h": "23.2.a",
-        "branches": (1, 10),
         # Euler factor of the twisted form at 23 is trivial
         "sigma0": ((23, (1,)),),
         "mazur_t": 23,
@@ -107,7 +106,6 @@ EXAMPLES = {
         "f": "52.2.a.a",
         "twist_disc": None,
         "h": "11.2.a.a",
-        "branches": (1, 4),
         # 1 - a_11 X + 11 X^2 with a_11 = -2
         "sigma0": ((11, (1, 2, 11)),),
         "mazur_t": 11,
@@ -117,7 +115,6 @@ EXAMPLES = {
         "f": "19.2.a.a",
         "twist_disc": None,
         "h": "11.2.a.a",
-        "branches": (1, 4),
         "sigma0": None,  # filled from the stored a_11 of the form
         "mazur_t": 11,
     },
@@ -148,7 +145,13 @@ _NONTRIVIAL_INVARIANTS = {1: {5: (0, 1)}, 2: {2: (0, 1)}, 3: {}}
 _T_VERDICTS = {1: (4, 5), 2: (1, 2), 3: ()}
 
 
-def _symbol_pair(nf):
+def symbol_pair(nf):
+    """The plus and minus eigensymbols of a bundled rational form, cut out
+    by its stored Hecke probes."""
+    if nf.label not in _TARGET_PRIMES:
+        raise ValueError(
+            f"no stored Hecke probes for {nf.label}; symbol commands "
+            f"currently cover the bundled rational forms")
     space = build_space(nf.level)
     targets = [(ell, Fraction(nf.a(ell))) for ell in _TARGET_PRIMES[nf.label]]
     plus = eigen_functional(space, targets, +1)
@@ -160,40 +163,34 @@ def build_example(number, wild_level=1, M=8):
     """Assemble the working objects for one bundled run.
 
     Returns a dict with the cuspidal symbol (twisted and renormalized when
-    the configuration says so), the unit root alpha (to the digits the
-    branch series at this wild level and M need, and at least
-    DEFAULT_DIGITS), the congruent form, and the sigma0 Euler factors.
+    the configuration says so), the congruent form, the sigma0 Euler
+    factors, and the branch family at this wild level and M: alpha, the
+    raw branch series and the series dressed with the sigma0 factors.
     """
     if number not in EXAMPLES:
         raise ValueError(f"no bundled example {number!r}")
     cfg = EXAMPLES[number]
     p = cfg["p"]
     f = bundled(cfg["f"])
-    h = bundled(cfg["h"])
-    pair = _symbol_pair(f)
+    sym = symbol_pair(f)
+    ap = f.a(p)
     disc = cfg["twist_disc"]
     if disc is not None:
         chi = DirichletCharacter.quadratic_by_discriminant(disc)
-        sym = twist_symbol(pair, chi, p, label=f"{f.label}x{disc}")
-        ap = kronecker(disc, p) * f.a(p)
-    else:
-        sym = pair
-        ap = f.a(p)
-    digits = max(DEFAULT_DIGITS, working_precision(sym, p, wild_level, M))
-    alpha = choose_alpha(ap, p, sym.level, prec=digits)
-    sigma0 = cfg["sigma0"]
-    if sigma0 is None:
-        a11 = f.a(11)
-        sigma0 = ((11, (1, -a11, 11)),)
+        sym = twist_symbol(sym, chi, p, label=f"{f.label}x{disc}")
+        ap *= kronecker(disc, p)
+    sigma0 = cfg["sigma0"] or ((11, (1, -f.a(11), 11)),)
+    alpha, raw, dressed = branch_family(sym, ap, p, wild_level, M, sigma0)
     return {
         "number": number,
         "p": p,
         "f": f,
-        "h": h,
+        "h": bundled(cfg["h"]),
         "sym": sym,
         "alpha": alpha,
         "sigma0": sigma0,
-        "branches": cfg["branches"],
+        "raw": raw,
+        "dressed": dressed,
         "mazur_t": cfg["mazur_t"],
     }
 
@@ -239,10 +236,9 @@ def run_example(number, wild_level=1, M=8):
     Returns a VerificationReport; the run always continues through
     failures so the report covers the full list of checks.
     """
-    if number not in EXAMPLES:
-        raise ValueError(f"no bundled example {number}; choose from 1, 2, 3")
     ex = build_example(number, wild_level, M)
     p, sym, alpha = ex["p"], ex["sym"], ex["alpha"]
+    branches = range(1, p)
     tag = f"ex{number}"
     rep = VerificationReport(number)
 
@@ -259,13 +255,9 @@ def run_example(number, wild_level=1, M=8):
                 ok, _fmt_vals(got), _fmt_vals(want), "up-to-unit")
 
     # --- branch values at the trivial character ---
-    lo, hi = ex["branches"]
     zero_js = set(_ZERO_BRANCHES[number])
-    values = {}
-    for j in range(lo, hi + 1):
-        values[j] = branch_value_trivial(sym, p, alpha, j)
-    for j in range(lo, hi + 1):
-        v = values[j]
+    values = {j: branch_value_trivial(sym, p, alpha, j) for j in branches}
+    for j, v in values.items():
         if j in zero_js:
             rep.add(f"{tag}.value.j{j}",
                     f"branch {j} value at the trivial character vanishes",
@@ -285,27 +277,20 @@ def run_example(number, wild_level=1, M=8):
                 (s4 - s6).is_zero(), "difference of twisted sums "
                 + ("0" if (s4 - s6).is_zero() else "nonzero"), "0", "exact")
         prod = None
-        for j in range(lo, hi + 1):
-            if j in zero_js:
-                continue
-            prod = values[j] if prod is None else prod * values[j]
+        for j in branches:
+            if j not in zero_js:
+                prod = values[j] if prod is None else prod * values[j]
         rep.add(f"{tag}.product.nonzero-branches",
                 "product of the nonvanishing branch values is a p-adic unit",
                 _is_unit(prod), _fmt_value(prod), "val=0",
                 "valuation")
 
     # --- branch power series, invariants, and product verdicts ---
-    raw = {}
-    for j in range(lo, hi + 1):
-        raw[j] = branch_series(sym, p, alpha, j, n=wild_level, M=M,
-                               twist_label=sym.label)
-    dressed = {j: apply_sigma0(raw[j], ex["sigma0"]) for j in raw}
-
     expect_inv = _NONTRIVIAL_INVARIANTS[number]
-    for j in range(lo, hi + 1):
+    for j in branches:
         want_mu, want_lam = expect_inv.get(j, (0, 0))
         try:
-            got = mu_lambda(raw[j].series)
+            got = mu_lambda(ex["raw"][j].series)
             got_s = f"(mu, lambda) = {got}"
         except UndeterminedInvariants as exc:
             got = None
@@ -316,13 +301,11 @@ def run_example(number, wild_level=1, M=8):
                 got == (want_mu, want_lam), got_s,
                 f"(mu, lambda) = ({want_mu}, {want_lam})", "exact")
 
-    span = p - 1
     t_js = set(_T_VERDICTS[number])
-    verdicts = {}
-    for j in range(lo, hi + 1):
-        partner = j % span + 1
-        verdict = verdicts[j] = product_congruence_verdict(dressed[j],
-                                                           dressed[partner])
+    dressed = ex["dressed"]
+    for j in branches:
+        partner = j % (p - 1) + 1
+        verdict = product_congruence_verdict(dressed[j], dressed[partner])
         want = "(T)" if j in t_js else "(1)"
         rep.add(f"{tag}.verdict.j{j}",
                 f"product of branches {j} and {partner} generates {want} "
@@ -336,9 +319,9 @@ def run_example(number, wild_level=1, M=8):
     h = ex["h"]
     bound = sturm_bound(2, h.level)
     hq = h.q_expansion(bound)
-    hbar = ResidualPair(p, ResidualCharacter.teichmuller(p),
-                        ResidualCharacter.trivial(1, p), h.level)
-    _, _, g, m = residual_eisenstein_partner(hbar, 2, bound)
+    g, m = residual_eisenstein_partner(p, DirichletCharacter.teichmuller(p),
+                                       DirichletCharacter.trivial(1), h.level,
+                                       2, bound)
     rep.add(f"{tag}.congruence.m",
             f"residual partner of {h.label} has multiplier m = {h.level}",
             m == h.level, m, h.level, "exact")
@@ -357,10 +340,4 @@ def run_example(number, wild_level=1, M=8):
             f"bound including the constant term",
             mz.ok, f"checked={mz.checked} mismatches={len(mz.mismatches)}",
             "0 mismatches", "exact")
-
-    rep.branch_reports = [
-        branch_report(dressed[j], value=values[j],
-                      exact_zero=values[j].is_zero(), verdict=verdicts[j])
-        for j in range(lo, hi + 1)
-    ]
     return rep

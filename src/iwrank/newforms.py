@@ -3,7 +3,9 @@
 Coefficient data is loaded from structured files (or the bundled set under
 iwrank/data), validated against the Hecke relations, and adapted to
 QExpansion for the congruence checks.  Eigenforms are
-never recomputed here; only their stored coefficients are consumed.
+never recomputed here; only their stored coefficients are consumed.  The
+residual Eisenstein partner of a form is built from the Teichmuller lifts
+of its residual characters, passed in as Dirichlet characters.
 """
 
 from __future__ import annotations
@@ -15,10 +17,7 @@ from importlib import resources
 from itertools import chain
 from math import lcm
 
-from .characters import (
-    DirichletCharacter, ResidualCharacter, lift_residual_character,
-    parse_descriptor,
-)
+from .characters import DirichletCharacter, parse_descriptor
 from .numfield import NFElement, NumberField
 from .qseries import (
     CongruenceIdealSpec, QExpansion, eisenstein_series, sigma0_and_m,
@@ -202,37 +201,21 @@ def bundled(label: str) -> NewformData:
 # residual Eisenstein partner ------------------------------------------
 
 
-class ResidualPair:
-    """Residual data (xi1_bar, xi2_bar) of an Eisenstein congruence at a
-    degree-one prime above p, with the tame level of the form."""
-
-    def __init__(self, p, xi1_bar, xi2_bar, level, residual_conductor=1):
-        self.p = p
-        self.xi1_bar = xi1_bar
-        self.xi2_bar = xi2_bar
-        self.level = level
-        self.residual_conductor = residual_conductor
-        if xi2_bar.modulus % p == 0:
-            # normalization: the second character is taken unramified at p
-            raise ValueError("xi2_bar must be presented prime to p")
-
-
 def _prime_to_p(n: int, p: int) -> int:
     while n % p == 0:
         n //= p
     return n
 
 
-def residual_eisenstein_partner(hbar: ResidualPair, l: int, n_max: int):
-    """Lift the residual pair and build the Eisenstein series congruent to
-    the form: (xi1, xi2, g = E_l(xi1 w^(1-l), xi2), m).
-
-    The canonical lift is multiplicative, so lifting xi1_bar and then
-    twisting by w^(1-l) agrees with lifting xi1_bar w_bar^(1-l) directly.
-    """
-    p = hbar.p
-    xi1 = lift_residual_character(hbar.xi1_bar, p)
-    xi2 = lift_residual_character(hbar.xi2_bar, p)
+def residual_eisenstein_partner(p: int, xi1: DirichletCharacter,
+                                xi2: DirichletCharacter, level: int, l: int,
+                                n_max: int):
+    """The Eisenstein series congruent to a weight-l form of the given
+    level with residual pair (xi1_bar, xi2_bar), and its multiplier:
+    (g = E_l(xi1 w^(1-l), xi2), m).  xi1 and xi2 are the Teichmuller lifts
+    of the residual characters; xi2 must be unramified at p."""
+    if xi2.modulus % p == 0:
+        raise ValueError("xi2 must be presented prime to p")
     omega = DirichletCharacter.teichmuller(p)
     theta = xi1 * omega ** ((1 - l) % (p - 1))
     parity = xi1.parity() * xi2.parity() * omega.parity() ** ((1 - l) % 2)
@@ -243,8 +226,7 @@ def residual_eisenstein_partner(hbar: ResidualPair, l: int, n_max: int):
         theta = DirichletCharacter.trivial(p)
     else:
         theta = theta.primitive_part()
-    phi = xi2.primitive_part()
-    g = eisenstein_series(theta, phi, l, n_max)
-    _, m = sigma0_and_m(_prime_to_p(hbar.level, p),
-                        _prime_to_p(hbar.residual_conductor, p))
-    return xi1, xi2, g, m
+    g = eisenstein_series(theta, xi2.primitive_part(), l, n_max)
+    # the residual pair is unramified away from p: tame conductor 1
+    _, m = sigma0_and_m(_prime_to_p(level, p), 1)
+    return g, m

@@ -4,7 +4,10 @@ For a p-ordinary eigensymbol pair this module computes the single
 values of each tame branch at the trivial wild character, the
 Riemann-sum branch series in Z_p[T] mod ((1+T)^(p^n) - 1, p^M), the
 Euler-factor restoration at auxiliary primes, and the residual-ideal
-verdict for the product of two branches.
+verdict for the product of two branches.  `branch_family` builds alpha
+and every branch series of one symbol, raw and with the sigma0 factors,
+for both `padic-l` and the bundled runs; `format_report` is the one JSON
+line format of every report the CLI writes.
 """
 
 import json
@@ -20,7 +23,6 @@ from .iwasawa import (
     fold,
     gamma_to_t,
     ideal_mod_pi,
-    invariants,
     mu_lambda,
     padic_ints,
     t_to_gamma,
@@ -45,6 +47,7 @@ __all__ = [
     "branch_series",
     "group_ring_mul",
     "apply_sigma0",
+    "branch_family",
     "Verdict",
     "product_congruence_verdict",
     "branch_report",
@@ -155,10 +158,6 @@ class BranchSeries:
         self.alpha = alpha
         self.sigma0_factors = tuple(sigma0_factors)
         self.level = level
-
-    def invariants(self):
-        return invariants(self.series)
-
 
 
 @lru_cache(maxsize=32)
@@ -304,6 +303,21 @@ def apply_sigma0(bs: BranchSeries, factors) -> BranchSeries:
     )
 
 
+def branch_family(sym, ap, p: int, n: int, M: int, sigma0=()):
+    """(alpha, raw, dressed) for the branches j = 1..p-1 of `sym` at wild
+    level n, mod p^M: alpha the unit root for a_p = ap to the digits the
+    series need (at least DEFAULT_DIGITS), raw[j] the branch series and
+    dressed[j] the series times the sigma0 Euler factors (raw[j] when
+    there are none)."""
+    digits = max(DEFAULT_DIGITS, working_precision(sym, p, n, M))
+    alpha = choose_alpha(ap, p, sym.level, prec=digits)
+    raw = {j: branch_series(sym, p, alpha, j, n=n, M=M, twist_label=sym.label)
+           for j in range(1, p)}
+    if not sigma0:
+        return alpha, raw, raw
+    return alpha, raw, {j: apply_sigma0(bs, sigma0) for j, bs in raw.items()}
+
+
 # -- verdicts and reports ----------------------------------------------
 
 
@@ -364,4 +378,5 @@ def branch_report(bs: BranchSeries, value: PadicSeries | None = None,
 
 
 def format_report(rec: dict) -> str:
+    """One report line: the record's keys sorted, ", " and ": " between."""
     return json.dumps(rec, sort_keys=True, separators=(", ", ": "))

@@ -13,11 +13,10 @@ import pytest
 
 import iwrank
 import iwrank.padic_l as padic_l_module
-from iwrank.characters import all_characters
+from iwrank.characters import DirichletCharacter, all_characters
 from iwrank.examples import build_example
 from iwrank.iwasawa import PadicSeries, invariants, mu_lambda
-from iwrank.newforms import ResidualCharacter, ResidualPair, bundled, \
-    residual_eisenstein_partner
+from iwrank.newforms import bundled, residual_eisenstein_partner
 from iwrank.padic_l import (
     PRODUCT_NOTE,
     apply_sigma0,
@@ -166,7 +165,7 @@ def test_criterion_4_branch_series_invariants(series_all):
     problems = []
     for n, branch_map in series_all.items():
         for j, bs in branch_map.items():
-            w = bs.invariants()
+            w = invariants(bs.series)
             want = expected[n].get(j, (0, 0))
             if (w.mu, w.lam) != want:
                 problems.append(
@@ -209,9 +208,9 @@ def test_criterion_6_eisenstein_congruences():
     problems = []
     for label, p, t in (("23.2.a", 11, 23), ("11.2.a.a", 5, 11)):
         h = bundled(label)
-        hbar = ResidualPair(p, ResidualCharacter.teichmuller(p),
-                            ResidualCharacter.trivial(1, p), h.level)
-        _, _, g, m = residual_eisenstein_partner(hbar, 2, h.n_max)
+        g, m = residual_eisenstein_partner(
+            p, DirichletCharacter.teichmuller(p), DirichletCharacter.trivial(1),
+            h.level, 2, h.n_max)
         ideal = h.congruence_ideal(p)
         bound = sturm_bound(2, h.level)
         full = check_congruence(h.q_expansion(), mazur_eisenstein(t, h.n_max),

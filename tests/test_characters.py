@@ -6,10 +6,8 @@ import pytest
 
 from iwrank.characters import (
     DirichletCharacter,
-    ResidualCharacter,
     all_characters,
     kronecker,
-    lift_residual_character,
     parse_descriptor,
     unit_group_generators,
 )
@@ -150,26 +148,6 @@ def test_gauss_sum_conjugate_identity():
             prod = g * gbar
             assert prod.is_rational()
             assert prod.rational_value() == chi.parity() * m, (m, chi.exponents)
-
-
-def test_residual_characters():
-    rc = ResidualCharacter.teichmuller(11)
-    for a in range(1, 11):
-        assert rc.value(a) == a % 11
-    assert rc.value(22) == 0
-    triv = ResidualCharacter.trivial(1, 11)
-    assert triv.is_trivial_values()
-    with pytest.raises(ValueError):
-        ResidualCharacter(5, 5, [0])
-
-
-def test_lift_reduce_round_trip():
-    for p in (5, 11):
-        rc = ResidualCharacter.teichmuller(p)
-        chi = lift_residual_character(rc, p)
-        assert chi.modulus == p and chi.order == p - 1
-        # the lift of the reduction of omega is omega
-        assert chi == DirichletCharacter.teichmuller(p)
 
 
 def test_kronecker_values():

@@ -236,6 +236,18 @@ def test_precision_above_default_digits(m, capsys):
     assert recs == base
 
 
+@pytest.mark.parametrize("specs,msg", [
+    (["5:1,2"], "sigma0 factors must avoid p"),
+    (["2:1,2", "2:1"], "duplicate sigma0 factor at 2"),
+])
+def test_bad_sigma0_factors_exit_2(specs, msg, capsys):
+    argv = ["padic-l", "--newform", "11.2.a.a", "--prime", "5"]
+    for spec in specs:
+        argv += ["--sigma0", spec]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {msg}\n"
+
+
 def test_unwritable_out_exits_2(tmp_path, capsys):
     out = tmp_path / "missing" / "x"
     assert main(["--out", str(out), "chars", "--char", "triv1"]) == 2

@@ -3,7 +3,6 @@ import json
 import pytest
 
 from iwrank.examples import EXAMPLES, VerificationReport, build_example, run_example
-from iwrank.padic_l import PRODUCT_NOTE
 
 
 @pytest.fixture(scope="module")
@@ -74,17 +73,10 @@ def test_reports_deterministic(rep3):
     assert rep3.to_lines() == again.to_lines()
 
 
-def test_branch_reports_attached(rep1, rep2, rep3):
-    for rep, nbranches in ((rep1, 10), (rep2, 4), (rep3, 4)):
-        assert len(rep.branch_reports) == nbranches
-        for rec in rep.branch_reports:
-            assert rec["note"] == PRODUCT_NOTE
-            assert "mu" in rec and "lambda" in rec and "verdict" in rec
-
-
 def test_build_example_shapes():
     ex = build_example(3)
-    assert ex["p"] == 5 and ex["branches"] == (1, 4)
+    assert ex["p"] == 5
+    assert sorted(ex["raw"]) == sorted(ex["dressed"]) == [1, 2, 3, 4]
     assert ex["sym"].level == 19
     assert ex["alpha"].ints[0] % 5 == 3
     assert ex["sigma0"] == ((11, (1, -3, 11)),)

@@ -8,7 +8,11 @@ Eisenstein and congruence runs must reproduce their stdout, stderr and
 exit code in tests/golden/, recorded at COLUMNS=80 before the parser,
 the newform ingestion and the Bernoulli sums were rewritten; the
 `padic-l` and `iwasawa` runs among them were recorded before the p-adic
-scalars moved onto one-term integer series.
+scalars moved onto one-term integer series, and the wrap-around, twist,
+missing-probe and failed-pattern runs before `verify-example` and the
+symbol commands came to share one symbol pair and branch family.  The
+two runs twisting 52.2.a.a by a character of conductor 4 were recorded
+after that change: they ended in a traceback before it.
 """
 
 import io
@@ -64,6 +68,22 @@ TEXT_RUNS = {
                             "--prime", "3"],
     "padic-l_52.2.a.a_p5_16,25": ["padic-l", "--newform", "52.2.a.a",
                                   "--prime", "5", "--precision", "16,25"],
+    "padic-l_11.2.a.a_p5_3..6": ["padic-l", "--newform", "11.2.a.a",
+                                 "--prime", "5", "--branches", "3..6"],
+    **{f"padic-l_11.2.a.a_p5_{c}": ["padic-l", "--newform", "11.2.a.a",
+                                    "--prime", "5", "--char", c]
+       for c in ("quad-3", "quad5")},
+    "padic-l_11.2.a.a_p7_teich7": ["padic-l", "--newform", "11.2.a.a",
+                                   "--prime", "7", "--char", "teich7"],
+    "padic-l_23.2.a_p11": ["padic-l", "--newform", "23.2.a", "--prime", "11"],
+    "modsym-table_11.2.a.a_p7_teich7": ["modsym-table", "--newform",
+                                        "11.2.a.a", "--prime", "7",
+                                        "--char", "teich7"],
+    "congruence_11.2.a.a_p7": ["congruence", "--newform", "11.2.a.a",
+                               "--prime", "7"],
+    **{f"{cmd}_52.2.a.a_p5_quad-4": [cmd, "--newform", "52.2.a.a", "--prime",
+                                     "5", "--char", "quad-4"]
+       for cmd in ("padic-l", "modsym-table")},
     "iwasawa_p5_8,5": ["iwasawa", "--prime", "5", "--precision", "8,5",
                        "--coeffs", "5,10,3,1"],
     "iwasawa_p5_2,5": ["iwasawa", "--prime", "5", "--precision", "2,5",

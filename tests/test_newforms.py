@@ -7,12 +7,11 @@ from pathlib import Path
 import pytest
 
 from iwrank import cli
-from iwrank.characters import ResidualCharacter
+from iwrank.characters import DirichletCharacter
 from iwrank.examples import EXAMPLES
 from iwrank.newforms import (
     IngestionError,
     NewformData,
-    ResidualPair,
     bundled,
     _parse_frac,
     bundled_labels,
@@ -73,21 +72,22 @@ def test_q_expansion_access():
         f.a(0)
 
 
+OMEGA_AND_ONE = {p: (DirichletCharacter.teichmuller(p),
+                     DirichletCharacter.trivial(1)) for p in (5, 11)}
+
+
 def test_residual_pair_normalization():
-    with pytest.raises(ValueError):
-        ResidualPair(5, ResidualCharacter.teichmuller(5),
-                     ResidualCharacter.teichmuller(5), 11)
+    # xi2 ramified at p is refused
+    omega = DirichletCharacter.teichmuller(5)
+    with pytest.raises(ValueError, match="prime to p"):
+        residual_eisenstein_partner(5, omega, omega, 11, 2, 30)
 
 
 @pytest.mark.parametrize("label,p", [("11.2.a.a", 5), ("23.2.a", 11)])
 def test_partner_congruence(label, p):
     h = bundled(label)
-    hbar = ResidualPair(p, ResidualCharacter.teichmuller(p),
-                        ResidualCharacter.trivial(1, p), h.level)
-    xi1, xi2, g, m = residual_eisenstein_partner(hbar, 2, h.n_max)
+    g, m = residual_eisenstein_partner(p, *OMEGA_AND_ONE[p], h.level, 2, h.n_max)
     assert m == h.level
-    # the lifted pair reduces to (omega, 1)
-    assert xi1.modulus == p and xi2.is_trivial()
     # trivial theta route lands on the weight-2 combination of level p
     mz = mazur_eisenstein(p, h.n_max)
     for n in range(1, 30):
@@ -103,11 +103,9 @@ def test_sturm_bounded_series_are_prefixes(number):
     # the Sturm bound: the same coefficients as the full-length series
     cfg = EXAMPLES[number]
     h, p, t = bundled(cfg["h"]), cfg["p"], cfg["mazur_t"]
-    hbar = ResidualPair(p, ResidualCharacter.teichmuller(p),
-                        ResidualCharacter.trivial(1, p), h.level)
     bound = sturm_bound(2, h.level)
-    short = residual_eisenstein_partner(hbar, 2, bound)[2]
-    full = residual_eisenstein_partner(hbar, 2, h.n_max)[2]
+    short = residual_eisenstein_partner(p, *OMEGA_AND_ONE[p], h.level, 2, bound)[0]
+    full = residual_eisenstein_partner(p, *OMEGA_AND_ONE[p], h.level, 2, h.n_max)[0]
     assert short.coeffs == full.coeffs[:bound + 1]
     assert mazur_eisenstein(t, bound).coeffs == \
         mazur_eisenstein(t, h.n_max).coeffs[:bound + 1]
@@ -202,10 +200,9 @@ def test_newform_file_matches_bundled(label, tmp_path):
 
 def test_partner_parity_guard():
     # an even pair at odd weight has no Eisenstein partner
-    hbar = ResidualPair(5, ResidualCharacter.trivial(5, 5),
-                        ResidualCharacter.trivial(1, 5), 11)
-    with pytest.raises(ValueError):
-        residual_eisenstein_partner(hbar, 3, 30)
+    with pytest.raises(ValueError, match="parity"):
+        residual_eisenstein_partner(5, DirichletCharacter.trivial(5),
+                                    DirichletCharacter.trivial(1), 11, 3, 30)
 
 
 def test_generator_reproduces_bundled_data(tmp_path, monkeypatch, capsys):

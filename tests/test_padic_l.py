@@ -9,6 +9,7 @@ from iwrank.cyclotomic import zeta
 from iwrank.iwasawa import (
     PadicSeries,
     UndeterminedInvariants,
+    invariants,
     mu_lambda,
 )
 from iwrank.modsym import SymbolPair
@@ -139,7 +140,7 @@ def test_branch_series_19a(pair19, a19):
     vals = {j: branch_value_trivial(pair19, 5, a19, j) for j in range(1, 5)}
     bss = {j: branch_series(pair19, 5, a19, j, n=1) for j in range(1, 5)}
     for j in range(1, 5):
-        w = bss[j].invariants()
+        w = invariants(bss[j].series)
         assert (w.mu, w.lam) == (0, 0), j
         # series(0)/value is 2 on a nontrivial branch, 1 on the trivial one
         got = bss[j].series.coefficient(0)
@@ -185,11 +186,11 @@ def test_branch_series_52a(pair52, a52):
     # vanishing branch: exact gamma-basis masses are a unit multiple of
     # (-4,-8,8,4,0); their finite differences leave T^0..T^2 divisible by
     # 5 and the T^3 coefficient a unit, so (mu, lambda) = (0, 3)
-    w2 = bss[2].invariants()
+    w2 = invariants(bss[2].series)
     assert (w2.mu, w2.lam) == (0, 3)
     assert bss[2].series.coefficient(0).is_zero()
     for j in (1, 3, 4):
-        w = bss[j].invariants()
+        w = invariants(bss[j].series)
         assert (w.mu, w.lam) == (0, 0), j
         assert _agree(bss[j].series.coefficient(0),
                       _scaled(2 if j < 4 else 1, vals[j]), 6), j
@@ -296,7 +297,7 @@ def test_sigma0_and_verdicts_p5(pair19, pair52, a19, a52):
     with pytest.raises(ValueError):
         apply_sigma0(bs52[1], [(5, (1, 1))])  # ell = p refused
     # the factor is a unit at T = 0 (1+2+11 = 14), so invariants survive
-    w2s = d52[2].invariants()
+    w2s = invariants(d52[2].series)
     assert (w2s.mu, w2s.lam) == (0, 3)
 
     v52 = _verdicts(d52, 4)
@@ -341,14 +342,14 @@ def test_twisted_branch_series_and_verdicts(twisted11, alpha_tw):
             for j in range(1, 11)}
     bss = {j: branch_series(twisted11, 11, alpha_tw, j, n=1)
            for j in range(1, 11)}
-    w5 = bss[5].invariants()
+    w5 = invariants(bss[5].series)
     assert (w5.mu, w5.lam) == (0, 1)
     # one-root trivial branch: series(0)/value = 1/(1 - 1/alpha) = 1/2
     assert (1 - pow(alpha_tw.ints[0], -1, 11**12)) % 11**12 == 2
     for j in range(1, 11):
         if j == 5:
             continue
-        w = bss[j].invariants()
+        w = invariants(bss[j].series)
         assert (w.mu, w.lam) == (0, 0), j
         assert _agree(bss[j].series.coefficient(0),
                       _scaled(2 if j < 10 else F(1, 2), vals[j]), 6), j
