@@ -5,7 +5,7 @@ Usage: python benchmarks/bench_padic.py [--repeat N]
 For each series length D = 5^n it times one `padic-l --newform 11.2.a.a
 --prime 5 --precision 8,D` run in-process (the symbol space, alpha,
 the four branch series, their values at the trivial character and the
-four product verdicts), and at the largest D it times `invariants` of
+four product verdicts), and at the largest D it times `mu_lambda` of
 the branch-2 series and `group_ring_mul` of branches 1 and 2.  Each
 figure is the best of `--repeat` rounds.
 """
@@ -16,7 +16,7 @@ import time
 
 from iwrank import cli
 from iwrank.characters import DirichletCharacter
-from iwrank.iwasawa import invariants
+from iwrank.iwasawa import mu_lambda
 from iwrank.modsym import SymbolPair, TwistedSymbol, build_space, eigen_functional
 from iwrank.padic_l import branch_series, choose_alpha, group_ring_mul
 
@@ -91,9 +91,9 @@ def main():
     alpha = choose_alpha(1, 5, 11)  # a_5 of 11.2.a.a
     s1, s2 = (branch_series(sym, 5, alpha, j, n=n, M=M).series
               for j in (1, 2))
-    ti = best_time(lambda: invariants(s2), args.repeat)
+    ti = best_time(lambda: mu_lambda(s2), args.repeat)
     tg = best_time(lambda: group_ring_mul(s1, s2), args.repeat)
-    print(f"D = {D}: invariants {ti * 1e3:.1f}ms, "
+    print(f"D = {D}: mu_lambda {ti * 1e3:.3f}ms, "
           f"group_ring_mul {tg * 1e3:.1f}ms")
 
     print("symbol rows (both signs)")

@@ -18,13 +18,8 @@ from functools import partial
 
 from .arith import is_prime
 from .characters import DirichletCharacter, parse_descriptor
-from .examples import EXAMPLES, run_example, symbol_pair
-from .iwasawa import (
-    PadicSeries,
-    UndeterminedInvariants,
-    ideal_mod_pi,
-    invariants,
-)
+from .examples import EXAMPLES, VerificationReport, run_example, symbol_pair
+from .iwasawa import PadicSeries, UndeterminedInvariants, ideal_mod_pi, mu_lambda
 from .modsym import twist_symbol
 from .newforms import (
     IngestionError,
@@ -264,44 +259,33 @@ def cmd_congruence(cfg):
         dep = check_congruence(hq.deplete(p), g.deplete(p), ideal, bound)
     except (IngestionError, ValueError) as exc:
         raise ConfigError(str(exc))
-    try:
-        rep = check_congruence(g, g, ideal, bound)
-        self_status = "pass" if rep.ok else "fail"
-        self_computed = f"checked={rep.checked} mismatches={len(rep.mismatches)}"
-        self_expected = "0 mismatches"
-    except ValueError as exc:
-        # a coefficient that does not reduce mod the ideal (the partner's
-        # a(0) = (p - 1)/24 at p = 3) leaves the self-check undefined
-        self_status, self_computed, self_expected = "skipped", str(exc), ""
     lvl = h.level
     while lvl % p == 0:
         lvl //= p
-    sigma0, _ = sigma0_and_m(lvl, 1)
+    sigma0 = list(sigma0_and_m(lvl, 1)[0])
+    rep = VerificationReport(h.label)
+    rep.add("congruence.m", "congruence multiplier", True, m, m, "exact")
+    rep.add("congruence.sigma0", "primes needing imprimitive Euler factors",
+            True, sigma0, sigma0, "exact")
+    rep.add("congruence.partner",
+            f"{h.label} matches its residual Eisenstein partner through the "
+            f"Sturm bound away from {p}",
+            dep.ok, f"checked={dep.checked} mismatches={len(dep.mismatches)}",
+            "0 mismatches", "exact")
+    try:
+        own = check_congruence(g, g, ideal, bound)
+        rep.add("congruence.self", "the partner matches itself", own.ok,
+                f"checked={own.checked} mismatches={len(own.mismatches)}",
+                "0 mismatches", "exact")
+    except ValueError as exc:
+        # a coefficient that does not reduce mod the ideal (the partner's
+        # a(0) = (p - 1)/24 at p = 3) leaves the self-check undefined
+        rep.skip("congruence.self", "the partner matches itself", exc)
     sink = _Sink(cfg.out)
-    ok = True
-    for rec in (
-        {"check_id": "congruence.m", "claim": "congruence multiplier",
-         "status": "pass", "computed": str(m), "expected": str(m),
-         "tolerance_kind": "exact"},
-        {"check_id": "congruence.sigma0",
-         "claim": "primes needing imprimitive Euler factors",
-         "status": "pass", "computed": str(list(sigma0)),
-         "expected": str(list(sigma0)), "tolerance_kind": "exact"},
-        {"check_id": "congruence.partner",
-         "claim": f"{h.label} matches its residual Eisenstein partner "
-                  f"through the Sturm bound away from {p}",
-         "status": "pass" if dep.ok else "fail",
-         "computed": f"checked={dep.checked} mismatches={len(dep.mismatches)}",
-         "expected": "0 mismatches", "tolerance_kind": "exact"},
-        {"check_id": "congruence.self",
-         "claim": "the partner matches itself", "status": self_status,
-         "computed": self_computed, "expected": self_expected,
-         "tolerance_kind": "exact"},
-    ):
-        ok = ok and rec["status"] != "fail"
-        sink.emit_json(rec)
+    for line in rep.to_lines():
+        sink.emit(line)
     sink.close()
-    return 0 if ok else 1
+    return 1 if rep.failures() else 0
 
 
 def _symbol_for(cfg, nf):
@@ -379,12 +363,15 @@ def cmd_padic_l(cfg, sigma0_specs=None):
         raise ConfigError("padic-l needs exactly one --newform")
     nf = _load_newform(cfg.newforms[0])
     p = cfg.prime
+    if p > nf.n_max:
+        raise ConfigError(
+            f"{nf.label} stores a(1..{nf.n_max}), so a({p}) is unknown")
+    ap = nf.a(p)
     sym = _symbol_for(cfg, nf)
     n = cfg.wild_level()
     span = p - 1
     lo, hi = cfg.branches if cfg.branches else (1, span)
     factors = _sigma0_factors(sigma0_specs)
-    ap = nf.a(p)
     if cfg.chars:
         chi = parse_descriptor(cfg.chars[0])
         if chi.order > 2:
@@ -429,12 +416,12 @@ def cmd_iwasawa(cfg, coeff_text):
     sink = _Sink(cfg.out)
     code = 0
     try:
-        w = invariants(f)
+        mu, lam = mu_lambda(f)
         sink.emit_json({
-            "mu": w.mu,
-            "lambda": w.lam,
-            "precision": str(w.precision),
-            "ideal_mod_pi": str(ideal_mod_pi(f)),
+            "mu": mu,
+            "lambda": lam,
+            "precision": str(f.M - mu),  # digits left after dividing by p^mu
+            "ideal_mod_pi": ideal_mod_pi(f),
         })
     except UndeterminedInvariants as exc:
         sink.emit_json({"undetermined": str(exc)})

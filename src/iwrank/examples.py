@@ -310,8 +310,7 @@ def run_example(number, wild_level=1, M=8):
         rep.add(f"{tag}.verdict.j{j}",
                 f"product of branches {j} and {partner} generates {want} "
                 f"modulo the maximal ideal",
-                str(verdict.ideal) == want, str(verdict.ideal), want,
-                "up-to-unit")
+                verdict == want, verdict, want, "up-to-unit")
 
     # --- Eisenstein congruence of the companion form ---
     # (Sturm: agreement through the bound is agreement, so the series

@@ -5,10 +5,10 @@ tuple of ints with one valuation shift: coefficient i is
 p^shift * ints[i], known modulo p^M, with shift = min(0, least
 valuation).  A p-adic number is the one-term series (D = 1).  Beyond
 ring arithmetic the module reads mu (least coefficient valuation)
-and lambda (first index reaching it) off the ints, computes certified
-Weierstrass data (distinguished polynomial and unit cofactor), the ideal
-a series generates modulo p, and remainders modulo (1+T)^order - 1,
-which are taken in the group-element basis gamma = 1 + T of the cyclic
+and lambda (first index reaching it) off the ints, and from them the
+ideal a series generates modulo p: (0) when mu > 0, else (T^lambda), by
+Weierstrass preparation.  It also takes remainders modulo
+(1+T)^order - 1, in the group-element basis gamma = 1 + T of the cyclic
 group ring, where reduction is a fold of exponents.
 """
 
@@ -20,9 +20,6 @@ from .padics import PadicPrecisionError
 
 __all__ = [
     "PadicSeries",
-    "WeierstrassData",
-    "IdealClass",
-    "invariants",
     "mu_lambda",
     "padic_ints",
     "ideal_mod_pi",
@@ -189,76 +186,7 @@ class PadicSeries:
         return PadicSeries.from_ints(self.p, self.M, order, ints, self.shift)
 
 
-# -- Weierstrass data --------------------------------------------------
-
-
-class IdealClass:
-    """Ideal of F_p[[T]] generated by a series reduced mod p: either the
-    zero ideal or (T^k)."""
-
-    __slots__ = ("exponent",)
-
-    def __init__(self, exponent):
-        self.exponent = exponent  # None encodes the zero ideal
-
-    @classmethod
-    def zero(cls) -> "IdealClass":
-        return cls(None)
-
-    @classmethod
-    def power(cls, k: int) -> "IdealClass":
-        if k < 0:
-            raise ValueError("negative T-power")
-        return cls(k)
-
-    @classmethod
-    def unit(cls) -> "IdealClass":
-        return cls(0)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.exponent is None
-
-    @property
-    def is_unit(self) -> bool:
-        return self.exponent == 0
-
-    def __eq__(self, other):
-        if not isinstance(other, IdealClass):
-            return NotImplemented
-        return self.exponent == other.exponent
-
-    def __str__(self):
-        if self.is_zero:
-            return "(0)"
-        if self.exponent == 0:
-            return "(1)"
-        if self.exponent == 1:
-            return "(T)"
-        return f"(T^{self.exponent})"
-
-    __repr__ = __str__
-
-
-class WeierstrassData:
-    """Certified factorisation f = p^mu * dist * unit mod (p^M, T^D).
-
-    `dist` is monic of degree lam with lower coefficients divisible by
-    p; `unit` is invertible.  Both are known mod p^(M - mu).
-    """
-
-    __slots__ = ("mu", "lam", "dist", "unit", "precision")
-
-    def __init__(self, mu, lam, dist, unit, precision):
-        self.mu = mu
-        self.lam = lam
-        self.dist = dist
-        self.unit = unit
-        self.precision = precision
-
-    @property
-    def unit_head(self) -> PadicSeries:
-        return self.unit.coefficient(0)
+# -- invariants --------------------------------------------------------
 
 
 def mu_lambda(f: PadicSeries) -> tuple[int, int]:
@@ -277,57 +205,13 @@ def mu_lambda(f: PadicSeries) -> tuple[int, int]:
         k += 1
 
 
-def _inverse(f, D, m):
-    """Inverse mod (m, T^D) of a series with unit constant term, by
-    Newton iteration g <- g (2 - f g)."""
-    g = [pow(f[0], -1, m)]
-    k = 1
-    while k < D:
-        k = min(2 * k, D)
-        e = [-x for x in convolve(f[:k], g)[:k]]
-        e[0] += 2
-        g = [x % m for x in convolve(g, e)[:k]]
-    return g
-
-
-def invariants(f: PadicSeries) -> WeierstrassData:
-    """Weierstrass data of f, or a loud failure when precision cannot
-    certify it (f = 0 to working precision)."""
-    mu, lam = mu_lambda(f)
-    p, D = f.p, f.D
-    Mp = f.M - mu  # digits surviving division by p^mu
-    m = p ** Mp
-    scale = p ** (mu - f.shift)
-    g = [x // scale for x in f.ints]
-
-    # divide T^lam by g = glow + T^lam w: T^lam = q*g + r with deg r < lam,
-    # so q = w^(-1) [T^lam - q glow]_(>= lam), a contraction since glow = 0
-    # mod p; then q*g = T^lam - r is the distinguished polynomial and
-    # unit = q^(-1).
-    winv = _inverse(g[lam:] + [0] * lam, D, m)
-    glow = g[:lam]
-    q = [0] * D
-    for _ in range(Mp + 1):
-        low = convolve(glow, q)[lam:D] if lam else []
-        resid = [-x for x in low] + [0] * (D - lam - len(low))
-        resid[0] += 1
-        nxt = [x % m for x in convolve(winv, resid)[:D]]
-        if nxt == q:
-            break
-        q = nxt
-    qg = [x % m for x in convolve(q, g)[:D]]
-    if qg[lam] != 1 or any(qg[lam + 1:]):
-        raise ArithmeticError("Weierstrass division failed to converge")
-    if any(x % p for x in qg[:lam]):
-        raise ArithmeticError("division produced a non-distinguished factor")
-    dist = PadicSeries.from_ints(p, Mp, lam + 1, qg[:lam] + [1])
-    unit = PadicSeries.from_ints(p, Mp, D, _inverse(q, D, m))
-    return WeierstrassData(mu, lam, dist, unit, Mp)
-
-
-def ideal_mod_pi(f: PadicSeries) -> IdealClass:
-    """Ideal generated by f in F_p[[T]] after reducing mod p."""
+def ideal_mod_pi(f: PadicSeries) -> str:
+    """The ideal f generates in F_p[[T]] after reducing mod p, as printed:
+    "(0)" when f vanishes or mu > 0, else (T^lambda), written "(1)",
+    "(T)" or "(T^k)" (Weierstrass preparation)."""
     if f.is_zero():
-        return IdealClass.zero()
+        return "(0)"
     mu, lam = mu_lambda(f)
-    return IdealClass.zero() if mu > 0 else IdealClass.power(lam)
+    if mu > 0:
+        return "(0)"
+    return "(1)" if lam == 0 else "(T)" if lam == 1 else f"(T^{lam})"

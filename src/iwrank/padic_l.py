@@ -3,15 +3,15 @@
 For a p-ordinary eigensymbol pair this module computes the single
 values of each tame branch at the trivial wild character, the
 Riemann-sum branch series in Z_p[T] mod ((1+T)^(p^n) - 1, p^M), the
-Euler-factor restoration at auxiliary primes, and the residual-ideal
-verdict for the product of two branches.  `branch_family` builds alpha
-and every branch series of one symbol, raw and with the sigma0 factors,
-for both `padic-l` and the bundled runs; `format_report` is the one JSON
-line format of every report the CLI writes.
+Euler-factor restoration at auxiliary primes, and the verdict for the
+product of two branches: the ideal it generates mod p, read off its mu
+and lambda.  `branch_family` builds alpha and every branch series of one
+symbol, raw and with the sigma0 factors, for both `padic-l` and the
+bundled runs; `format_report` is the one JSON line format of every
+report the CLI writes.
 """
 
 import json
-from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -48,7 +48,6 @@ __all__ = [
     "group_ring_mul",
     "apply_sigma0",
     "branch_family",
-    "Verdict",
     "product_congruence_verdict",
     "branch_report",
     "format_report",
@@ -148,16 +147,15 @@ def branch_value_trivial(sym, p: int, alpha: PadicSeries, j: int,
 class BranchSeries:
     """A tame-branch power series together with its provenance."""
 
-    __slots__ = ("series", "j", "twist", "form", "alpha", "sigma0_factors", "level")
+    __slots__ = ("series", "j", "twist", "form", "alpha", "sigma0_factors")
 
-    def __init__(self, series, j, twist, form, alpha, sigma0_factors=(), level=1):
+    def __init__(self, series, j, twist, form, alpha, sigma0_factors=()):
         self.series = series
         self.j = j
         self.twist = twist
         self.form = form
         self.alpha = alpha
         self.sigma0_factors = tuple(sigma0_factors)
-        self.level = level
 
 
 @lru_cache(maxsize=32)
@@ -236,7 +234,7 @@ def branch_series(sym, p: int, alpha: PadicSeries, j: int, n: int = 1,
     series = PadicSeries.from_ints(
         p, M, order, gamma_to_t([x % m for x in masses]), M - W)
     return BranchSeries(series, jj, twist_label, getattr(sym, "label", None),
-                        alpha, level=n)
+                        alpha)
 
 
 def group_ring_mul(a: PadicSeries, b: PadicSeries, order: int | None = None) -> PadicSeries:
@@ -297,10 +295,8 @@ def apply_sigma0(bs: BranchSeries, factors) -> BranchSeries:
         fac = _euler_factor_finite(poly, ell, bs.j, p, M, order)
         series = group_ring_mul(series, fac, order)
         new_factors.append((ell, tuple(poly)))
-    return BranchSeries(
-        series, bs.j, bs.twist, bs.form, bs.alpha,
-        sigma0_factors=tuple(new_factors), level=bs.level,
-    )
+    return BranchSeries(series, bs.j, bs.twist, bs.form, bs.alpha,
+                        sigma0_factors=tuple(new_factors))
 
 
 def branch_family(sym, ap, p: int, n: int, M: int, sigma0=()):
@@ -321,19 +317,14 @@ def branch_family(sym, ap, p: int, n: int, M: int, sigma0=()):
 # -- verdicts and reports ----------------------------------------------
 
 
-Verdict = namedtuple("Verdict", ["ideal", "is_unit", "lambda_total"])
-
-
-def product_congruence_verdict(bs1: BranchSeries, bs2: BranchSeries) -> Verdict:
-    """Residual ideal of the product of two branch series.  A vanishing
-    mod-p reduction (mu > 0) yields the zero class, not an error."""
+def product_congruence_verdict(bs1: BranchSeries, bs2: BranchSeries) -> str:
+    """Residual ideal of the product of two branch series, as printed by
+    `ideal_mod_pi`.  A vanishing mod-p reduction (mu > 0) yields "(0)",
+    not an error."""
     s1, s2 = bs1.series, bs2.series
     if (s1.p, s1.M, s1.D) != (s2.p, s2.M, s2.D):
         raise ValueError("branch series layouts differ")
-    prod = group_ring_mul(s1, s2)
-    cls = ideal_mod_pi(prod)
-    lam = None if cls.is_zero else cls.exponent
-    return Verdict(cls, cls.is_unit, lam)
+    return ideal_mod_pi(group_ring_mul(s1, s2))
 
 
 def _value_record(value: PadicSeries | None, exact_zero: bool = False, digits: int = 6):
@@ -357,12 +348,12 @@ def _value_record(value: PadicSeries | None, exact_zero: bool = False, digits: i
 
 
 def branch_report(bs: BranchSeries, value: PadicSeries | None = None,
-                  exact_zero: bool = False, verdict: Verdict | None = None) -> dict:
+                  exact_zero: bool = False, verdict: str | None = None) -> dict:
     try:
         mu, lam = mu_lambda(bs.series)
     except UndeterminedInvariants:
         mu = lam = None
-    rec = {
+    return {
         "form": bs.form,
         "twist": bs.twist,
         "j": bs.j,
@@ -371,10 +362,9 @@ def branch_report(bs: BranchSeries, value: PadicSeries | None = None,
         "mu": mu,
         "lambda": lam,
         "sigma0_factors": [[ell, [str(c) for c in poly]] for ell, poly in bs.sigma0_factors],
-        "verdict": None if verdict is None else str(verdict.ideal),
+        "verdict": verdict,
         "note": PRODUCT_NOTE,
     }
-    return rec
 
 
 def format_report(rec: dict) -> str:

@@ -209,11 +209,8 @@ class CongruenceIdealSpec:
     p: int
     field_poly: tuple | None = None
     seed: int | None = None
-    residual_degree: int = 1
 
     def __post_init__(self):
-        if self.residual_degree != 1:
-            raise NotImplementedError("only residual degree 1 is implemented")
         if self.field_poly is not None:
             if self.seed is None:
                 raise ValueError("seed required with a field polynomial")

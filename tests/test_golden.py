@@ -12,7 +12,12 @@ scalars moved onto one-term integer series, and the wrap-around, twist,
 missing-probe and failed-pattern runs before `verify-example` and the
 symbol commands came to share one symbol pair and branch family.  The
 two runs twisting 52.2.a.a by a character of conductor 4 were recorded
-after that change: they ended in a traceback before it.
+after that change: they ended in a traceback before it.  The `iwasawa`
+runs at negative and positive mu, at lambda = 1, at a unit and with too
+many coefficients were recorded before mu, lambda and the residual ideal
+came to be read straight off the integer series; the `padic-l` run at
+p = 601, beyond the stored coefficients, was recorded after that change,
+as it ended in a traceback before it.
 """
 
 import io
@@ -88,6 +93,14 @@ TEXT_RUNS = {
                        "--coeffs", "5,10,3,1"],
     "iwasawa_p5_2,5": ["iwasawa", "--prime", "5", "--precision", "2,5",
                        "--coeffs", "25,50"],
+    "padic-l_11.2.a.a_p601": ["padic-l", "--newform", "11.2.a.a",
+                              "--prime", "601"],
+    "iwasawa_p5_mu-1": ["iwasawa", "--prime", "5", "--coeffs=1/5,3"],
+    "iwasawa_p3_mu1": ["iwasawa", "--prime", "3", "--coeffs", "3,6,9"],
+    "iwasawa_p7_lambda1": ["iwasawa", "--prime", "7", "--coeffs", "7,1"],
+    "iwasawa_p5_unit": ["iwasawa", "--prime", "5", "--coeffs", "2,5"],
+    "iwasawa_p5_8,2_long": ["iwasawa", "--prime", "5", "--precision", "8,2",
+                            "--coeffs", "1,2,3"],
 }
 
 
