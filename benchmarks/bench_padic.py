@@ -5,9 +5,9 @@ Usage: python benchmarks/bench_padic.py [--repeat N]
 For each series length D = 5^n it times one `padic-l --newform 11.2.a.a
 --prime 5 --precision 8,D` run in-process (the symbol space, alpha,
 the four branch series, their values at the trivial character and the
-four product verdicts), and at the largest D it times `mu_lambda` of
-the branch-2 series and `group_ring_mul` of branches 1 and 2.  Each
-figure is the best of `--repeat` rounds.
+four product verdicts), and at the largest D it times reading (mu,
+lambda) off the group masses of the branch-2 series.  Each figure is the
+best of `--repeat` rounds.
 """
 
 import argparse
@@ -16,12 +16,12 @@ import time
 
 from iwrank import cli
 from iwrank.characters import DirichletCharacter
-from iwrank.iwasawa import mu_lambda
+from iwrank.iwasawa import mass_mu_lambda
 from iwrank.modsym import SymbolPair, TwistedSymbol, build_space, eigen_functional
-from iwrank.padic_l import branch_series, choose_alpha, group_ring_mul
+from iwrank.padic_l import branch_series, choose_alpha, working_precision
 
 # wild levels n; the series length is D = 5^n
-LEVELS = (2, 3, 4)
+LEVELS = (2, 3, 4, 5, 6)
 # wild levels of the twisted rows of verify-example 1 (p = 11)
 TWIST_LEVELS = (1, 2)
 M = 8
@@ -86,15 +86,13 @@ def main():
         print(f"{5**n:>5} {t * 1e3:>8.1f}ms")
 
     n = LEVELS[-1]
-    D = 5**n
     sym = pair11()
-    alpha = choose_alpha(1, 5, 11)  # a_5 of 11.2.a.a
-    s1, s2 = (branch_series(sym, 5, alpha, j, n=n, M=M).series
-              for j in (1, 2))
-    ti = best_time(lambda: mu_lambda(s2), args.repeat)
-    tg = best_time(lambda: group_ring_mul(s1, s2), args.repeat)
-    print(f"D = {D}: mu_lambda {ti * 1e3:.3f}ms, "
-          f"group_ring_mul {tg * 1e3:.1f}ms")
+    # a_5 of 11.2.a.a, to the digits the series need
+    alpha = choose_alpha(1, 5, 11, prec=max(14, working_precision(sym, 5, n, M)))
+    bs = branch_series(sym, 5, alpha, 2, n=n, M=M)
+    ti = best_time(lambda: mass_mu_lambda(5, bs.shift, bs.masses), args.repeat)
+    print(f"D = {5**n}: (mu, lambda) = {bs.invariants} off the masses "
+          f"in {ti * 1e3:.3f}ms")
 
     print("symbol rows (both signs)")
     for n in LEVELS:

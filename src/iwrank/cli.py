@@ -383,8 +383,12 @@ def cmd_padic_l(cfg, sigma0_specs=None):
             raise ConfigError(f"twist character ramified at {p}")
         if e:
             ap = -ap  # the twist multiplies a_p by chi(p) = -1
+    # each record reads its branch and the partner branch
+    wanted = {(j - 1) % span + 1 for j in range(lo, hi + 1)}
+    wanted |= {jj % span + 1 for jj in wanted}
     try:
-        alpha, _, series = branch_family(sym, ap, p, n, cfg.precision[0], factors)
+        alpha, _, series = branch_family(sym, ap, p, n, cfg.precision[0],
+                                         factors, branches=wanted)
     except (OrdinarityError, ValueError) as exc:
         # no unit root, or a sigma0 factor at p or repeated
         raise ConfigError(str(exc))

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .characters import DirichletCharacter, kronecker
-from .iwasawa import UndeterminedInvariants, mu_lambda
+from .iwasawa import mu_lambda, undetermined_text
 from .modsym import SymbolPair, build_space, eigen_functional, twist_symbol
 from .newforms import bundled, residual_eisenstein_partner
 from .padics import padic_valuation
@@ -289,12 +289,10 @@ def run_example(number, wild_level=1, M=8):
     expect_inv = _NONTRIVIAL_INVARIANTS[number]
     for j in branches:
         want_mu, want_lam = expect_inv.get(j, (0, 0))
-        try:
-            got = mu_lambda(ex["raw"][j].series)
-            got_s = f"(mu, lambda) = {got}"
-        except UndeterminedInvariants as exc:
-            got = None
-            got_s = f"undetermined: {exc}"
+        bs = ex["raw"][j]
+        got = bs.invariants
+        got_s = (f"(mu, lambda) = {got}" if got else
+                 f"undetermined: {undetermined_text(bs.M, len(bs.masses))}")
         rep.add(f"{tag}.series.j{j}.invariants",
                 f"branch {j} series has (mu, lambda) = "
                 f"({want_mu}, {want_lam})",

@@ -1,15 +1,17 @@
-"""Truncated power series over Z_p and their structure invariants.
+"""Iwasawa invariants over Z_p, read off integer coefficients.
 
-Series live in Z_p[[T]] modulo (p^M, T^D).  A series is stored as one
-tuple of ints with one valuation shift: coefficient i is
-p^shift * ints[i], known modulo p^M, with shift = min(0, least
-valuation).  A p-adic number is the one-term series (D = 1).  Beyond
-ring arithmetic the module reads mu (least coefficient valuation)
-and lambda (first index reaching it) off the ints, and from them the
-ideal a series generates modulo p: (0) when mu > 0, else (T^lambda), by
-Weierstrass preparation.  It also takes remainders modulo
-(1+T)^order - 1, in the group-element basis gamma = 1 + T of the cyclic
-group ring, where reduction is a fold of exponents.
+A truncated power series in Z_p[[T]] modulo (p^M, T^D) is one tuple of
+ints with one valuation shift: coefficient i is p^shift * ints[i], known
+modulo p^M, with shift = min(0, least valuation).  A p-adic number is
+the one-term series (D = 1).  mu is the least coefficient valuation and
+lambda the first index reaching it; the ideal a series generates modulo
+p is (0) when mu > 0, else (T^lambda), by Weierstrass preparation.
+
+An element of the cyclic group ring Z_p[Z/p^n] is kept in the same shape
+in the basis of group elements gamma^c, gamma = 1 + T: masses[c] is the
+coefficient of gamma^c.  Its mu and lambda are read off the masses with
+no change of basis (`mass_mu_lambda`): the shift gamma -> 1 + T is
+unimodular over Z, and mod p the ring is F_p[T]/(T^(p^n)).
 """
 
 from fractions import Fraction
@@ -21,47 +23,16 @@ from .padics import PadicPrecisionError
 __all__ = [
     "PadicSeries",
     "mu_lambda",
+    "mass_mu_lambda",
     "padic_ints",
     "ideal_mod_pi",
-    "gamma_to_t",
-    "t_to_gamma",
-    "fold",
+    "ideal_text",
     "UndeterminedInvariants",
 ]
 
 
 class UndeterminedInvariants(ArithmeticError):
     """The working precision cannot certify mu/lambda."""
-
-
-# -- the two bases of the cyclic group ring ------------------------------
-
-
-def gamma_to_t(masses):
-    """T-basis coefficients of sum_c masses[c] (1+T)^c: the Taylor shift
-    x -> x + 1, exact on ints."""
-    rev = list(masses)[::-1]
-    n = len(rev)
-    # pass k replaces the coefficients of degree >= k by their suffix sums
-    for k in range(n - 1):
-        rev[:n - k] = accumulate(rev[:n - k])
-    return rev[::-1]
-
-
-def t_to_gamma(coeffs):
-    """Group-basis masses of sum_k coeffs[k] (gamma - 1)^k: the Taylor
-    shift x -> x - 1, as x -> x + 1 between two sign flips of the odd
-    coefficients."""
-    flip = [-c if k & 1 else c for k, c in enumerate(coeffs)]
-    return [-c if k & 1 else c for k, c in enumerate(gamma_to_t(flip))]
-
-
-def fold(vec, order):
-    """Reduction of a polynomial in gamma modulo gamma^order - 1."""
-    out = list(vec[:order]) + [0] * (order - len(vec))
-    for i in range(order, len(vec)):
-        out[i % order] += vec[i]
-    return out
 
 
 # -- series ---------------------------------------------------------------
@@ -87,6 +58,29 @@ def padic_ints(values, p, M):
     m = p ** (M + e)
     return -e, [n * p ** (e - k) * (pow(d, -1, m) if d != 1 else 1) % m
                 for n, d, k in parts]
+
+
+def reduce_ints(p, M, shift, ints):
+    """(shift, ints) reduced mod p^(M - shift), the shift raised to
+    min(0, least valuation); refuses shift > 0."""
+    if shift > 0:
+        raise ValueError("the valuation shift must be <= 0")
+    m = p ** (M - shift)
+    ints = [x % m for x in ints]
+    while shift < 0 and all(x % p == 0 for x in ints):
+        ints = [x // p for x in ints]
+        shift += 1
+    return shift, tuple(ints)
+
+
+def refuse_lost_digits(M, shift_a, shift_b):
+    """Refuse a product of factors known mod p^M that is not known mod
+    p^M: a factor of negative valuation scales the other's error up."""
+    lost = -min(shift_a, shift_b)
+    if lost:
+        raise PadicPrecisionError(
+            f"product of series known mod p^{M} is known only mod "
+            f"p^{M - lost}: a factor has valuation {-lost}")
 
 
 class PadicSeries:
@@ -117,17 +111,9 @@ class PadicSeries:
             raise ValueError("need M >= 1 and D >= 1")
         if len(ints) > D:
             raise ValueError(f"{len(ints)} coefficients for T-degree bound {D}")
-        if shift > 0:
-            raise ValueError("the valuation shift must be <= 0")
-        m = p ** (M - shift)
-        ints = [x % m for x in ints]
-        ints += [0] * (D - len(ints))
-        while shift < 0 and all(x % p == 0 for x in ints):
-            ints = [x // p for x in ints]
-            shift += 1
         self.p, self.M, self.D = p, M, D
-        self.shift = shift
-        self.ints = tuple(ints)
+        self.shift, self.ints = reduce_ints(p, M, shift,
+                                            list(ints) + [0] * (D - len(ints)))
 
     # -- ring structure ------------------------------------------------
 
@@ -139,15 +125,9 @@ class PadicSeries:
             )
 
     def check_product(self, other: "PadicSeries"):
-        """Refuse a product that is not known mod p^M: an error O(p^M) in
-        one factor is scaled by the other, so a factor of negative
-        valuation costs digits."""
+        """Refuse a product that is not known mod p^M."""
         self._check_match(other)
-        lost = -min(self.shift, other.shift)
-        if lost:
-            raise PadicPrecisionError(
-                f"product of series known mod p^{self.M} is known only mod "
-                f"p^{self.M - lost}: a factor has valuation {-lost}")
+        refuse_lost_digits(self.M, self.shift, other.shift)
 
     def __mul__(self, other):
         if not isinstance(other, PadicSeries):
@@ -174,44 +154,64 @@ class PadicSeries:
     def is_zero(self) -> bool:
         return not any(self.ints)
 
-    def reduce_gamma(self, order: int) -> "PadicSeries":
-        """Remainder modulo (1+T)^order - 1, returned with T-bound = order.
-
-        This is the projection from the length-D truncation onto the
-        group ring of a cyclic quotient of order `order`.
-        """
-        ints = list(self.ints)
-        if self.D > order:
-            ints = gamma_to_t(fold(t_to_gamma(ints), order))
-        return PadicSeries.from_ints(self.p, self.M, order, ints, self.shift)
-
 
 # -- invariants --------------------------------------------------------
+
+
+def _least_valuation(p, ints):
+    """Least p-adic valuation of nonzero ints, not all zero."""
+    q, k = p, 0
+    while all(x % q == 0 for x in ints):
+        q *= p
+        k += 1
+    return k
+
+
+def undetermined_text(M, D):
+    """Why mu/lambda of a series vanishing mod (p^M, T^D) are unknown."""
+    return f"series vanishes mod (p^{M}, T^{D}); mu/lambda undetermined"
 
 
 def mu_lambda(f: PadicSeries) -> tuple[int, int]:
     """(mu, lambda) of f: its least coefficient valuation and the first
     index reaching it; raises when f vanishes to working precision."""
     if f.is_zero():
-        raise UndeterminedInvariants(
-            f"series vanishes mod (p^{f.M}, T^{f.D}); mu/lambda undetermined"
-        )
-    q, k = f.p, 0
-    while True:
-        for i, x in enumerate(f.ints):
-            if x % q:
-                return f.shift + k, i
-        q *= f.p
-        k += 1
+        raise UndeterminedInvariants(undetermined_text(f.M, f.D))
+    k = _least_valuation(f.p, f.ints)
+    q = f.p ** (k + 1)
+    return f.shift + k, next(i for i, x in enumerate(f.ints) if x % q)
 
 
-def ideal_mod_pi(f: PadicSeries) -> str:
-    """The ideal f generates in F_p[[T]] after reducing mod p, as printed:
-    "(0)" when f vanishes or mu > 0, else (T^lambda), written "(1)",
-    "(T)" or "(T^k)" (Weierstrass preparation)."""
-    if f.is_zero():
-        return "(0)"
-    mu, lam = mu_lambda(f)
+def mass_mu_lambda(p, shift, masses):
+    """(mu, lambda) of sum_c p^shift * masses[c] gamma^c in Z_p[Z/p^n],
+    or None when every mass vanishes.  The T-coefficients
+    t_k = sum_c masses[c] C(c, k) are an invertible integer change of
+    basis, so mu is shift plus the least valuation of the masses; lambda,
+    the first k with t_k / p^mu a unit, is the multiplicity of the root
+    gamma = 1 of the masses over p^mu mod p, found by synthetic division.
+    """
+    if not any(masses):
+        return None
+    k = _least_valuation(p, masses)
+    q = p**k
+    red = [x // q % p for x in masses]
+    lam = 0
+    while sum(red) % p == 0:
+        # quotient by gamma - 1: coefficient i is the sum of red[i + 1:]
+        red = [x % p for x in accumulate(red[:0:-1])][::-1]
+        lam += 1
+    return shift + k, lam
+
+
+def ideal_text(mu, lam):
+    """The ideal a series of invariants (mu, lambda) generates mod p, as
+    printed: "(0)" when mu > 0, else "(1)", "(T)" or "(T^k)"."""
     if mu > 0:
         return "(0)"
     return "(1)" if lam == 0 else "(T)" if lam == 1 else f"(T^{lam})"
+
+
+def ideal_mod_pi(f: PadicSeries) -> str:
+    """The ideal f generates in F_p[[T]] after reducing mod p, as printed
+    by `ideal_text`; "(0)" when f vanishes (Weierstrass preparation)."""
+    return "(0)" if f.is_zero() else ideal_text(*mu_lambda(f))

@@ -1,14 +1,17 @@
 """Branch values and branch power series of weight-2 eigensymbols.
 
 For a p-ordinary eigensymbol pair this module computes the single
-values of each tame branch at the trivial wild character, the
-Riemann-sum branch series in Z_p[T] mod ((1+T)^(p^n) - 1, p^M), the
-Euler-factor restoration at auxiliary primes, and the verdict for the
-product of two branches: the ideal it generates mod p, read off its mu
-and lambda.  `branch_family` builds alpha and every branch series of one
-symbol, raw and with the sigma0 factors, for both `padic-l` and the
-bundled runs; `format_report` is the one JSON line format of every
-report the CLI writes.
+values of each tame branch at the trivial wild character and the
+Riemann-sum branch series in Z/p^M[Z/p^n].  A branch series is kept in
+one basis, the masses of the group elements gamma^c that the sum adds
+up, and never converted to the T-basis (gamma = 1 + T): mu and lambda
+are read off the masses, a sigma0 Euler factor multiplies them by its
+few nonzero masses, and the verdict for the product of two branches
+comes from the factors' (mu, lambda) alone, as mod p the ring is
+F_p[T]/(T^(p^n)).  `branch_family` builds alpha and the requested branch
+series of one symbol, raw and with the sigma0 factors, for both
+`padic-l` and the bundled runs; `format_report` is the one JSON line
+format of every report the CLI writes.
 """
 
 import json
@@ -19,15 +22,13 @@ from .characters import DirichletCharacter
 from .cyclotomic import CyclotomicNumber
 from .iwasawa import (
     PadicSeries,
-    UndeterminedInvariants,
-    fold,
-    gamma_to_t,
-    ideal_mod_pi,
+    ideal_text,
+    mass_mu_lambda,
     mu_lambda,
     padic_ints,
-    t_to_gamma,
+    reduce_ints,
+    refuse_lost_digits,
 )
-from .kernels import convolve
 from .padics import (
     PadicPrecisionError,
     hensel_root,
@@ -45,7 +46,6 @@ __all__ = [
     "branch_value_trivial",
     "BranchSeries",
     "branch_series",
-    "group_ring_mul",
     "apply_sigma0",
     "branch_family",
     "product_congruence_verdict",
@@ -145,12 +145,21 @@ def branch_value_trivial(sym, p: int, alpha: PadicSeries, j: int,
 
 
 class BranchSeries:
-    """A tame-branch power series together with its provenance."""
+    """A tame-branch series in Z_p[Z/p^n] mod p^M with its provenance.
 
-    __slots__ = ("series", "j", "twist", "form", "alpha", "sigma0_factors")
+    p^shift * masses[c] is the mass of gamma^c, known mod p^M, with
+    shift = min(0, least valuation); `invariants` is its (mu, lambda),
+    or None when the masses vanish mod p^M.
+    """
 
-    def __init__(self, series, j, twist, form, alpha, sigma0_factors=()):
-        self.series = series
+    __slots__ = ("p", "M", "shift", "masses", "invariants", "j", "twist",
+                 "form", "alpha", "sigma0_factors")
+
+    def __init__(self, p, M, masses, shift, j, twist, form, alpha,
+                 sigma0_factors=()):
+        self.p, self.M = p, M
+        self.shift, self.masses = reduce_ints(p, M, shift, masses)
+        self.invariants = mass_mu_lambda(p, self.shift, self.masses)
         self.j = j
         self.twist = twist
         self.form = form
@@ -190,14 +199,13 @@ def working_precision(sym, p: int, n: int, M: int) -> int:
 
 def branch_series(sym, p: int, alpha: PadicSeries, j: int, n: int = 1,
                   M: int = 8, twist_label=None) -> BranchSeries:
-    """Riemann sum of branch j at wild level n, as a polynomial of
-    degree < p^n representing an element of Z_p[T]/((1+T)^(p^n)-1, p^M).
+    """Riemann sum of branch j at wild level n, as the masses of an
+    element of Z_p[Z/p^n] mod p^M.
 
     The measure of the ball a + p^(n+1)Z_p is
     alpha^-(n+1) x(a/p^(n+1)) - alpha^-(n+2) x(a/p^n), with the second
     term dropped when p divides the level (one-root case).  The masses,
-    twisted by omega^-j, are summed in the group-element basis of
-    Z/p^W[Z/p^n] and converted to the T-basis once.  W is M plus the
+    twisted by omega^-j, are summed in Z/p^W[Z/p^n].  W is M plus the
     p-power in the symbol values' denominators plus (n+2) v(alpha); the
     unit part of alpha must carry W digits.
     """
@@ -231,84 +239,58 @@ def branch_series(sym, p: int, alpha: PadicSeries, j: int, n: int = 1,
         if not steinberg:
             x -= a_lo * xs[hi_len + a % order]
         masses[c] += tw[a % p] * x
-    series = PadicSeries.from_ints(
-        p, M, order, gamma_to_t([x % m for x in masses]), M - W)
-    return BranchSeries(series, jj, twist_label, getattr(sym, "label", None),
-                        alpha)
-
-
-def group_ring_mul(a: PadicSeries, b: PadicSeries, order: int | None = None) -> PadicSeries:
-    """Product of two degree-<order representatives modulo
-    ((1+T)^order - 1, p^M): a cyclic convolution of their group-basis
-    masses, folded mod gamma^order - 1."""
-    if order is None:
-        order = a.D
-    if a.D != order or b.D != order:
-        raise ValueError("operands must be reduced representatives")
-    a.check_product(b)
-    m = a.p ** a.M
-    ga = [x % m for x in t_to_gamma(a.ints)]
-    gb = [x % m for x in t_to_gamma(b.ints)]
-    prod = fold(convolve(ga, gb), order)
-    return PadicSeries.from_ints(a.p, a.M, order, gamma_to_t([x % m for x in prod]))
-
-
-def _euler_factor_finite(poly, ell: int, j: int, p: int, M: int, order: int) -> PadicSeries:
-    """Euler substitution X -> ell^(-j-1) (1+T)^(c_ell mod p^n) inside
-    the cyclic group ring of order p^n: the wild exponent is an honest
-    integer here, so no binomial tails are truncated.  In the group
-    basis the factor is sum_k poly[k] ell^(-k(j+1)) gamma^(k c_ell)."""
-    if ell % p == 0:
-        raise ValueError("Euler substitution is only defined away from p")
-    n = 0
-    o = order
-    while o > 1:
-        o //= p
-        n += 1
-    if p**n != order:
-        raise ValueError("order must be a power of p")
-    if not poly:
-        raise ValueError("empty polynomial")
-    c = _wild_coordinates(p, n)[ell % (p ** (n + 1))]
-    x = Fraction(1, ell ** (j + 1))
-    masses = [Fraction(0)] * order
-    for k, a in enumerate(poly):
-        masses[k * c % order] += Fraction(a) * x**k
-    shift, ints = padic_ints(masses, p, M)
-    return PadicSeries.from_ints(p, M, order, gamma_to_t(ints), shift)
+    return BranchSeries(p, M, masses, M - W, jj, twist_label,
+                        getattr(sym, "label", None), alpha)
 
 
 def apply_sigma0(bs: BranchSeries, factors) -> BranchSeries:
-    """Multiply a branch series by the Euler-factor series of each
-    (ell, poly) in factors, recording them; refuses duplicates and
-    ell = p."""
-    series = bs.series
-    p, M, order = series.p, series.M, series.D
+    """Multiply a branch series by the Euler factor of each (ell, poly) in
+    factors, recording them; refuses duplicates, ell = p and a factor of
+    negative valuation.  X -> ell^(-j-1) gamma^c, with c the wild
+    coordinate of ell (an honest integer, so no binomial tail is cut),
+    makes the factor sum_k poly[k] ell^(-k(j+1)) gamma^(k c): at most
+    len(poly) group masses, each a cyclic shift-add of the masses."""
+    p, M, order = bs.p, bs.M, len(bs.masses)
+    n = 0
+    while p**n < order:
+        n += 1
+    shift, masses = bs.shift, bs.masses
     applied = {ell for ell, _ in bs.sigma0_factors}
     new_factors = list(bs.sigma0_factors)
     for ell, poly in factors:
-        if ell == p or ell % p == 0:
+        if ell % p == 0:
             raise ValueError("sigma0 factors must avoid p")
         if ell in applied:
             raise ValueError(f"duplicate sigma0 factor at {ell}")
         applied.add(ell)
-        fac = _euler_factor_finite(poly, ell, bs.j, p, M, order)
-        series = group_ring_mul(series, fac, order)
+        c = _wild_coordinates(p, n)[ell % p ** (n + 1)]
+        terms = {}
+        for k, a in enumerate(poly):
+            e = k * c % order
+            terms[e] = terms.get(e, 0) + Fraction(a, ell ** (k * (bs.j + 1)))
+        f_shift, fs = padic_ints(list(terms.values()), p, M)
+        refuse_lost_digits(M, shift, f_shift)
+        out = [0] * order
+        for e, f in zip(terms, fs):
+            # gamma^e moves the mass of gamma^c' to gamma^(c' + e)
+            rot = masses[order - e:] + masses[:order - e]
+            out = [y + f * x for y, x in zip(out, rot)]
+        shift, masses = reduce_ints(p, M, 0, out)
         new_factors.append((ell, tuple(poly)))
-    return BranchSeries(series, bs.j, bs.twist, bs.form, bs.alpha,
-                        sigma0_factors=tuple(new_factors))
+    return BranchSeries(p, M, masses, shift, bs.j, bs.twist, bs.form,
+                        bs.alpha, sigma0_factors=new_factors)
 
 
-def branch_family(sym, ap, p: int, n: int, M: int, sigma0=()):
-    """(alpha, raw, dressed) for the branches j = 1..p-1 of `sym` at wild
-    level n, mod p^M: alpha the unit root for a_p = ap to the digits the
-    series need (at least DEFAULT_DIGITS), raw[j] the branch series and
-    dressed[j] the series times the sigma0 Euler factors (raw[j] when
-    there are none)."""
+def branch_family(sym, ap, p: int, n: int, M: int, sigma0=(), branches=None):
+    """(alpha, raw, dressed) for the branches j in `branches` (default
+    1..p-1) of `sym` at wild level n, mod p^M: alpha the unit root for
+    a_p = ap to the digits the series need (at least DEFAULT_DIGITS),
+    raw[j] the branch series and dressed[j] the series times the sigma0
+    Euler factors (raw[j] when there are none)."""
     digits = max(DEFAULT_DIGITS, working_precision(sym, p, n, M))
     alpha = choose_alpha(ap, p, sym.level, prec=digits)
     raw = {j: branch_series(sym, p, alpha, j, n=n, M=M, twist_label=sym.label)
-           for j in range(1, p)}
+           for j in (range(1, p) if branches is None else sorted(branches))}
     if not sigma0:
         return alpha, raw, raw
     return alpha, raw, {j: apply_sigma0(bs, sigma0) for j, bs in raw.items()}
@@ -318,13 +300,22 @@ def branch_family(sym, ap, p: int, n: int, M: int, sigma0=()):
 
 
 def product_congruence_verdict(bs1: BranchSeries, bs2: BranchSeries) -> str:
-    """Residual ideal of the product of two branch series, as printed by
-    `ideal_mod_pi`.  A vanishing mod-p reduction (mu > 0) yields "(0)",
-    not an error."""
-    s1, s2 = bs1.series, bs2.series
-    if (s1.p, s1.M, s1.D) != (s2.p, s2.M, s2.D):
+    """Residual ideal of the product of two branch series in
+    F_p[T]/(T^(p^n)), as printed by `iwasawa.ideal_text`, read off the
+    factors' (mu, lambda) with no product built: "(0)" when a factor
+    vanishes, when mu1 + mu2 > 0 or when lambda1 + lambda2 >= p^n, else
+    (T^(lambda1 + lambda2)).  Refuses a factor of negative valuation, as
+    the product would not be known mod p^M."""
+    order = len(bs1.masses)
+    if (bs1.p, bs1.M, order) != (bs2.p, bs2.M, len(bs2.masses)):
         raise ValueError("branch series layouts differ")
-    return ideal_mod_pi(group_ring_mul(s1, s2))
+    refuse_lost_digits(bs1.M, bs1.shift, bs2.shift)
+    if bs1.invariants is None or bs2.invariants is None:
+        return "(0)"
+    (mu1, lam1), (mu2, lam2) = bs1.invariants, bs2.invariants
+    if lam1 + lam2 >= order:
+        return "(0)"  # T^(p^n) = 0 mod p
+    return ideal_text(mu1 + mu2, lam1 + lam2)
 
 
 def _value_record(value: PadicSeries | None, exact_zero: bool = False, digits: int = 6):
@@ -349,10 +340,7 @@ def _value_record(value: PadicSeries | None, exact_zero: bool = False, digits: i
 
 def branch_report(bs: BranchSeries, value: PadicSeries | None = None,
                   exact_zero: bool = False, verdict: str | None = None) -> dict:
-    try:
-        mu, lam = mu_lambda(bs.series)
-    except UndeterminedInvariants:
-        mu = lam = None
+    mu, lam = bs.invariants or (None, None)
     return {
         "form": bs.form,
         "twist": bs.twist,

@@ -5,11 +5,13 @@ under the test suite.
 """
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 
 from iwrank.cyclotomic import CyclotomicNumber
 from iwrank.modsym import _xgcd
 from iwrank.iwasawa import PadicSeries
+from iwrank.kernels import convolve
 from iwrank.qseries import bernoulli_number
 
 
@@ -111,3 +113,61 @@ def generalized_bernoulli(l: int, chi) -> CyclotomicNumber:
             continue
         acc = acc + v * bernoulli_poly_at(l, Fraction(a, F))
     return acc * Fraction(F) ** (l - 1)
+
+
+# -- the T-basis of the cyclic group ring ------------------------------
+
+
+def gamma_to_t(masses):
+    """T-basis coefficients of sum_c masses[c] (1+T)^c: the Taylor shift
+    x -> x + 1, exact on ints.  The oracle of `iwasawa.mass_mu_lambda`
+    (through `mu_lambda` of the converted series)."""
+    rev = list(masses)[::-1]
+    n = len(rev)
+    # pass k replaces the coefficients of degree >= k by their suffix sums
+    for k in range(n - 1):
+        rev[:n - k] = accumulate(rev[:n - k])
+    return rev[::-1]
+
+
+def t_to_gamma(coeffs):
+    """Group-basis masses of sum_k coeffs[k] (gamma - 1)^k: the Taylor
+    shift x -> x - 1, as x -> x + 1 between two sign flips of the odd
+    coefficients."""
+    flip = [-c if k & 1 else c for k, c in enumerate(coeffs)]
+    return [-c if k & 1 else c for k, c in enumerate(gamma_to_t(flip))]
+
+
+def fold(vec, order):
+    """Reduction of a polynomial in gamma modulo gamma^order - 1."""
+    out = list(vec[:order]) + [0] * (order - len(vec))
+    for i in range(order, len(vec)):
+        out[i % order] += vec[i]
+    return out
+
+
+def t_series(bs) -> PadicSeries:
+    """The T-basis series of a branch series' group masses."""
+    return PadicSeries.from_ints(bs.p, bs.M, len(bs.masses),
+                                 gamma_to_t(bs.masses), bs.shift)
+
+
+def reduce_gamma(f: PadicSeries, order: int) -> PadicSeries:
+    """Remainder of a T-series modulo (1+T)^order - 1, with T-bound
+    order: the projection onto the group ring of a cyclic quotient."""
+    ints = list(f.ints)
+    if f.D > order:
+        ints = gamma_to_t(fold(t_to_gamma(ints), order))
+    return PadicSeries.from_ints(f.p, f.M, order, ints, f.shift)
+
+
+def group_ring_mul(a: PadicSeries, b: PadicSeries) -> PadicSeries:
+    """Product of two T-series of length D = order modulo
+    ((1+T)^order - 1, p^M): a cyclic convolution of their group masses,
+    folded mod gamma^order - 1.  The oracle of the verdict rule and of
+    `padic_l.apply_sigma0`."""
+    a.check_product(b)
+    m = a.p ** a.M
+    ga, gb = ([x % m for x in t_to_gamma(s.ints)] for s in (a, b))
+    prod = fold(convolve(ga, gb), a.D)
+    return PadicSeries.from_ints(a.p, a.M, a.D, gamma_to_t([x % m for x in prod]))

@@ -29,6 +29,7 @@ from iwrank.padic_l import (
 from iwrank.padics import padic_valuation
 from iwrank.qseries import check_congruence, eisenstein_series, \
     mazur_eisenstein, sturm_bound
+from reference import t_series
 
 F = Fraction
 
@@ -165,8 +166,12 @@ def test_criterion_4_branch_series_invariants(series_all):
     problems = []
     for n, branch_map in series_all.items():
         for j, bs in branch_map.items():
-            got = mu_lambda(bs.series)
+            got = mu_lambda(t_series(bs))
             want = expected[n].get(j, (0, 0))
+            if bs.invariants != got:
+                problems.append(
+                    f"example {n} branch {j}: masses give {bs.invariants}, "
+                    f"the T-basis series {got}")
             if got != want:
                 problems.append(
                     f"example {n} branch {j}: computed (mu, lambda) = "

@@ -103,6 +103,31 @@ def test_padic_l(capsys):
         assert "note" in r
 
 
+@pytest.mark.parametrize("p", [7, 11, 13])
+def test_padic_l_single_branches_match_full_run(p, capsys, monkeypatch):
+    # a record needs only its branch and the partner j % (p - 1) + 1
+    import iwrank.padic_l as padic_l
+
+    built = []
+    branch_series = padic_l.branch_series
+
+    def counted(sym, p, alpha, j, **kw):
+        built.append(j)
+        return branch_series(sym, p, alpha, j, **kw)
+
+    monkeypatch.setattr(padic_l, "branch_series", counted)
+    argv = ["padic-l", "--newform", "11.2.a.a", "--prime", str(p),
+            "--sigma0", "2:1,2,2"]
+    assert main(argv) == 0
+    full = _lines(capsys)
+    assert len(full) == p - 1 and sorted(built) == list(range(1, p))
+    for j in range(1, p):
+        built.clear()
+        assert main(argv + ["--branches", f"{j}..{j}"]) == 0
+        assert _lines(capsys) == [full[j - 1]], j
+        assert sorted(built) == sorted({j, j % (p - 1) + 1}), j
+
+
 def test_iwasawa(capsys):
     assert main(["iwasawa", "--prime", "5", "--precision", "8,5",
                  "--coeffs", "5,10,3,1"]) == 0

@@ -17,7 +17,13 @@ runs at negative and positive mu, at lambda = 1, at a unit and with too
 many coefficients were recorded before mu, lambda and the residual ideal
 came to be read straight off the integer series; the `padic-l` run at
 p = 601, beyond the stored coefficients, was recorded after that change,
-as it ended in a traceback before it.
+as it ended in a traceback before it.  The `padic-l` runs at wild orders
+625 to 3125 (with and without two sigma0 factors, and at 16 digits), the
+run refused for a sigma0 factor of negative valuation and the two
+`eisenstein` runs at weight 0 with a trivial phi were recorded before
+the branch series came to be kept as group masses and before weights
+below 1 were refused; the weight-0 and weight -1 runs that ended in a
+traceback were recorded after that refusal.
 """
 
 import io
@@ -101,6 +107,27 @@ TEXT_RUNS = {
     "iwasawa_p5_unit": ["iwasawa", "--prime", "5", "--coeffs", "2,5"],
     "iwasawa_p5_8,2_long": ["iwasawa", "--prime", "5", "--precision", "8,2",
                             "--coeffs", "1,2,3"],
+    **{f"padic-l_11.2.a.a_p5_8,{D}": ["padic-l", "--newform", "11.2.a.a",
+                                      "--prime", "5", "--precision", f"8,{D}"]
+       for D in (625, 3125)},
+    "padic-l_11.2.a.a_p5_8,625_sigma0_11_7": [
+        "padic-l", "--newform", "11.2.a.a", "--prime", "5", "--precision",
+        "8,625", "--sigma0", "11:1,-1,11", "--sigma0", "7:1,-2,7"],
+    **{f"padic-l_19.2.a.a_p3_8,{D}": ["padic-l", "--newform", "19.2.a.a",
+                                      "--prime", "3", "--precision", f"8,{D}"]
+       for D in (729, 2187)},
+    "padic-l_52.2.a.a_p5_16,625": ["padic-l", "--newform", "52.2.a.a",
+                                   "--prime", "5", "--precision", "16,625"],
+    "padic-l_11.2.a.a_p5_2..2_sigma0_7_negative": [
+        "padic-l", "--newform", "11.2.a.a", "--prime", "5", "--branches",
+        "2..2", "--sigma0", "7:1,1/5"],
+    **{f"eisenstein_{theta}_triv1_w0": ["eisenstein", "--char", theta, "--char",
+                                        "triv1", "--weight", "0", "--terms", "6"]
+       for theta in ("triv1", "quad5")},
+    "eisenstein_quad-3_quad-4_w0": ["eisenstein", "--char", "quad-3", "--char",
+                                    "quad-4", "--weight", "0", "--terms", "6"],
+    "eisenstein_quad5_quad-4_w-1": ["eisenstein", "--char", "quad5", "--char",
+                                    "quad-4", "--weight", "-1", "--terms", "6"],
 }
 
 

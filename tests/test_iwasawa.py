@@ -10,13 +10,12 @@ from iwrank.cyclotomic import zeta
 from iwrank.iwasawa import (
     PadicSeries,
     UndeterminedInvariants,
-    gamma_to_t,
     ideal_mod_pi,
     mu_lambda,
-    t_to_gamma,
 )
-from iwrank.padic_l import _euler_factor_finite, group_ring_mul
+from iwrank.padic_l import BranchSeries, apply_sigma0
 from iwrank.padics import PadicPrecisionError, padic_valuation
+from reference import gamma_to_t, group_ring_mul, reduce_gamma, t_series, t_to_gamma
 
 
 def _series(coeffs, M=8, D=11):
@@ -102,8 +101,10 @@ def test_mismatched_layouts_refuse():
 
 
 def _euler11(poly, ell, j):
-    """The Euler factor in the group ring of order 11 at p = 11, u = 12."""
-    return _euler_factor_finite(poly, ell, j, 11, 8, 11)
+    """The Euler factor in the group ring of order 11 at p = 11, u = 12,
+    as a T-series: the unit element times the factor."""
+    unit = BranchSeries(11, 8, [1] + [0] * 10, 0, j, None, "unit", None)
+    return t_series(apply_sigma0(unit, [(ell, poly)]))
 
 
 def test_euler_substitution_values():
@@ -119,8 +120,9 @@ def test_euler_substitution_values():
     x = Fraction(1, ell ** (j + 1))
     expect = Fraction(1) - 3 * x + 5 * x * x
     assert v == PadicSeries(11, 8, 1, [expect])
-    with pytest.raises(ValueError):
-        _euler11([1, -1], 22, 0)
+    unit = BranchSeries(11, 8, [1] + [0] * 10, 0, 0, None, "unit", None)
+    with pytest.raises(ValueError, match="avoid p"):
+        apply_sigma0(unit, [(22, (1, -1))])
 
 
 def test_euler_series_against_cyclotomic_evaluation():
@@ -152,7 +154,7 @@ def test_euler_series_against_cyclotomic_evaluation():
 def test_reduce_gamma_respects_evaluation():
     rng = random.Random(88)
     s = _series([rng.randrange(0, 11**8) for _ in range(90)], D=90)
-    r = s.reduce_gamma(11)
+    r = reduce_gamma(s, 11)
     assert r.D == 11
     zm1 = zeta(11) - 1
     accs, accr = [0] * 10, [0] * 10

@@ -1,4 +1,5 @@
 import cmath
+import random
 from fractions import Fraction
 from math import comb, isclose, sqrt
 
@@ -9,6 +10,7 @@ from iwrank.cyclotomic import zeta
 from iwrank.iwasawa import (
     PadicSeries,
     UndeterminedInvariants,
+    ideal_mod_pi,
     mu_lambda,
 )
 from iwrank.modsym import SymbolPair
@@ -28,13 +30,19 @@ from iwrank.padic_l import (
     branch_value_trivial,
     choose_alpha,
     format_report,
-    group_ring_mul,
     omega_twist_sum,
     product_congruence_verdict,
     _wild_coordinates,
     working_precision,
 )
-from reference import padic_log
+from reference import (
+    gamma_to_t,
+    group_ring_mul,
+    padic_log,
+    reduce_gamma,
+    t_series,
+    t_to_gamma,
+)
 
 F = Fraction
 
@@ -139,13 +147,13 @@ def test_branch_series_19a(pair19, a19):
     vals = {j: branch_value_trivial(pair19, 5, a19, j) for j in range(1, 5)}
     bss = {j: branch_series(pair19, 5, a19, j, n=1) for j in range(1, 5)}
     for j in range(1, 5):
-        assert mu_lambda(bss[j].series) == (0, 0), j
+        assert mu_lambda(t_series(bss[j])) == (0, 0), j
         # series(0)/value is 2 on a nontrivial branch, 1 on the trivial one
-        got = bss[j].series.coefficient(0)
+        got = t_series(bss[j]).coefficient(0)
         assert _agree(got, _scaled(2 if j < 4 else 1, vals[j]), 6), j
     # wild level 2 projects down exactly
     deeper = branch_series(pair19, 5, a19, 2, n=2)
-    assert deeper.series.reduce_gamma(5) == bss[2].series
+    assert reduce_gamma(t_series(deeper), 5) == t_series(bss[2])
 
 
 def test_unit_root_boundedness(pair19, a19):
@@ -155,10 +163,10 @@ def test_unit_root_boundedness(pair19, a19):
 
     beta = PadicSeries(5, 14, 1, [3 - a19.ints[0]])
     assert _val(beta) == 1
-    mv_a1 = min_val(branch_series(pair19, 5, a19, 2, n=1).series)
-    mv_a2 = min_val(branch_series(pair19, 5, a19, 2, n=2).series)
-    mv_b1 = min_val(branch_series(pair19, 5, beta, 2, n=1).series)
-    mv_b2 = min_val(branch_series(pair19, 5, beta, 2, n=2).series)
+    mv_a1 = min_val(t_series(branch_series(pair19, 5, a19, 2, n=1)))
+    mv_a2 = min_val(t_series(branch_series(pair19, 5, a19, 2, n=2)))
+    mv_b1 = min_val(t_series(branch_series(pair19, 5, beta, 2, n=1)))
+    mv_b2 = min_val(t_series(branch_series(pair19, 5, beta, 2, n=2)))
     assert mv_a2 >= mv_a1 >= 0
     assert mv_b2 < mv_b1 < 0  # the measure is unbounded at the wrong root
 
@@ -184,14 +192,14 @@ def test_branch_series_52a(pair52, a52):
     # vanishing branch: exact gamma-basis masses are a unit multiple of
     # (-4,-8,8,4,0); their finite differences leave T^0..T^2 divisible by
     # 5 and the T^3 coefficient a unit, so (mu, lambda) = (0, 3)
-    assert mu_lambda(bss[2].series) == (0, 3)
-    assert bss[2].series.coefficient(0).is_zero()
+    assert mu_lambda(t_series(bss[2])) == (0, 3)
+    assert t_series(bss[2]).coefficient(0).is_zero()
     for j in (1, 3, 4):
-        assert mu_lambda(bss[j].series) == (0, 0), j
-        assert _agree(bss[j].series.coefficient(0),
+        assert mu_lambda(t_series(bss[j])) == (0, 0), j
+        assert _agree(t_series(bss[j]).coefficient(0),
                       _scaled(2 if j < 4 else 1, vals[j]), 6), j
     deeper = branch_series(pair52, 5, a52, 2, n=2)
-    assert deeper.series.reduce_gamma(5) == bss[2].series
+    assert reduce_gamma(t_series(deeper), 5) == t_series(bss[2])
 
 
 def _tail_period(an, z):
@@ -293,7 +301,7 @@ def test_sigma0_and_verdicts_p5(pair19, pair52, a19, a52):
     with pytest.raises(ValueError):
         apply_sigma0(bs52[1], [(5, (1, 1))])  # ell = p refused
     # the factor is a unit at T = 0 (1+2+11 = 14), so invariants survive
-    assert mu_lambda(d52[2].series) == (0, 3)
+    assert mu_lambda(t_series(d52[2])) == (0, 3)
 
     v52 = _verdicts(d52, 4)
     assert v52 == {1: "(T^3)", 2: "(T^3)", 3: "(1)", 4: "(1)"}
@@ -335,19 +343,19 @@ def test_twisted_branch_series_and_verdicts(twisted11, alpha_tw):
             for j in range(1, 11)}
     bss = {j: branch_series(twisted11, 11, alpha_tw, j, n=1)
            for j in range(1, 11)}
-    assert mu_lambda(bss[5].series) == (0, 1)
+    assert mu_lambda(t_series(bss[5])) == (0, 1)
     # one-root trivial branch: series(0)/value = 1/(1 - 1/alpha) = 1/2
     assert (1 - pow(alpha_tw.ints[0], -1, 11**12)) % 11**12 == 2
     for j in range(1, 11):
         if j == 5:
             continue
-        assert mu_lambda(bss[j].series) == (0, 0), j
-        assert _agree(bss[j].series.coefficient(0),
+        assert mu_lambda(t_series(bss[j])) == (0, 0), j
+        assert _agree(t_series(bss[j]).coefficient(0),
                       _scaled(2 if j < 10 else F(1, 2), vals[j]), 6), j
 
     dressed = {j: apply_sigma0(bss[j], [(23, (1,))]) for j in bss}
     for j in bss:
-        assert dressed[j].series == bss[j].series  # constant factor 1
+        assert t_series(dressed[j]) == t_series(bss[j])  # constant factor 1
         assert dressed[j].sigma0_factors == ((23, (1,)),)
     verdicts = _verdicts(dressed, 10)
     for j in range(1, 11):
@@ -355,7 +363,7 @@ def test_twisted_branch_series_and_verdicts(twisted11, alpha_tw):
 
 
 def test_mu_positive_product_gives_zero_class(a52):
-    dead = BranchSeries(PadicSeries(5, 8, 5, [5, 10, 25, 0, 5]),
+    dead = BranchSeries(5, 8, t_to_gamma([5, 10, 25, 0, 5]), 0,
                         1, None, "dead", a52)
     assert product_congruence_verdict(dead, dead) == "(0)"
 
@@ -390,8 +398,8 @@ def test_exceptional_zero_ratio_is_undefined(pair11):
     value = branch_value_trivial(pair11, 11, alpha, 10)
     assert value.is_zero() and value.M == 28 + padic_valuation(x0, 11)
     bs = branch_series(pair11, 11, alpha, 10)
-    assert bs.series.coefficient(0).is_zero()
-    assert not bs.series.is_zero()
+    assert t_series(bs).coefficient(0).is_zero()
+    assert not t_series(bs).is_zero()
 
 
 def test_short_alpha_raises(pair52, a52):
@@ -453,11 +461,12 @@ def test_series_stable_across_precision(case, pair11, pair19, pair52,
                    for j in range(1, p)}
             for j, bs in bss.items():
                 try:
-                    inv = mu_lambda(bs.series)
+                    inv = mu_lambda(t_series(bs))
                 except UndeterminedInvariants:
                     inv = None
+                assert bs.invariants == inv, (case, n, M, j)
                 verdict = product_congruence_verdict(bs, bss[j % (p - 1) + 1])
-                got = (_series_mod(bs.series, 8), inv, verdict)
+                got = (_series_mod(t_series(bs), 8), inv, verdict)
                 if j in seen:
                     low, low_inv, low_verdict = seen[j]
                     assert got[0] == low, (case, n, M, j)
@@ -466,3 +475,110 @@ def test_series_stable_across_precision(case, pair11, pair19, pair52,
                         assert got[2] == low_verdict, (case, n, M, j)
                 else:
                     seen[j] = got
+
+
+# -- group masses against the T-basis oracle ---------------------------
+
+
+def _masses_with(rng, p, M, D, mu, lam):
+    """Group masses of a T-series with invariants (mu, lam) mod p^M:
+    p^(mu+1) multiples below T^lam, p^mu times a unit at T^lam and
+    p^mu multiples above it."""
+    t = [p ** (mu + 1) * rng.randrange(p**M) for _ in range(lam)]
+    t.append(p**mu * rng.choice([x for x in range(1, p * p) if x % p]))
+    t += [p**mu * rng.randrange(p**M) for _ in range(D - lam - 1)]
+    return t_to_gamma(t)
+
+
+def _random_branch(rng, p, M, D, j, kind=None):
+    """A branch series with seeded random masses: invariants of every
+    kind, a vanishing one, or one of negative valuation."""
+    kind = kind or rng.choice(["random", "random", "mu0", "mu+", "zero",
+                               "negative"])
+    shift = 0
+    if kind == "random":
+        masses = [rng.randrange(p**M) for _ in range(D)]
+    elif kind == "zero":
+        masses = [p**M * rng.randrange(3) for _ in range(D)]
+    elif kind == "negative":
+        shift = -rng.randrange(1, 3)
+        masses = [rng.randrange(p ** (M + 2)) for _ in range(D)]
+        masses[rng.randrange(D)] = 1
+    else:
+        mu = 0 if kind == "mu0" else rng.randrange(1, M)
+        masses = _masses_with(rng, p, M, D, mu, rng.randrange(D))
+    return BranchSeries(p, M, masses, shift, j, None, "random", None)
+
+
+def _edge_pair(rng, p, M, D, j, edge):
+    """Two branch series at one edge of the verdict rule."""
+    if edge == "zero and negative":
+        return [_random_branch(rng, p, M, D, j, kind)
+                for kind in ("zero", "negative")]
+    if edge in ("zero", "negative"):
+        return [_random_branch(rng, p, M, D, j, edge),
+                _random_branch(rng, p, M, D, j)]
+    l1 = rng.randrange(1, D)
+    invariants = {"lambda sum p^n - 1": ((0, l1), (0, D - 1 - l1)),
+                  "lambda sum p^n": ((0, l1), (0, D - l1)),
+                  "mu > 0": ((1, 0), (0, 0))}[edge]
+    return [BranchSeries(p, M, _masses_with(rng, p, M, D, mu, lam), 0, j,
+                         None, "edge", None) for mu, lam in invariants]
+
+
+EDGES = ("lambda sum p^n - 1", "lambda sum p^n", "mu > 0", "zero",
+         "negative", "zero and negative")
+
+
+def _euler_oracle(poly, ell, j, p, M, D):
+    """The Euler factor as a T-series, summed densely in Fractions."""
+    n = next(k for k in range(1, 8) if p**k == D)
+    c = _wild_coordinates(p, n)[ell % p ** (n + 1)]
+    masses = [F(0)] * D
+    for k, a in enumerate(poly):
+        masses[k * c % D] += F(a) / ell ** (k * (j + 1))
+    return PadicSeries(p, M, D, gamma_to_t(masses))
+
+
+def _or_refusal(fn):
+    """fn(), or the message of its precision refusal."""
+    try:
+        return fn()
+    except PadicPrecisionError as exc:
+        return f"refused: {exc}"
+
+
+def test_group_masses_against_t_basis_oracle():
+    """(mu, lambda) read off the masses, the verdict rule and the sparse
+    sigma0 product agree with the T-basis oracle: `mu_lambda` of the
+    Taylor-shifted series, `ideal_mod_pi` of the product built by cyclic
+    convolution, and that product with the dense Euler factor.  Refusals
+    for a factor of negative valuation carry the same message."""
+    rng = random.Random(20261018)
+    for p in (3, 5, 7):
+        for n in (1, 2, 3):
+            D = p**n
+            for trial in range(48 if D < 100 else 12):
+                M = rng.randrange(2, 6)
+                j = rng.randrange(p - 1)
+                if trial < len(EDGES):
+                    pair = _edge_pair(rng, p, M, D, j, EDGES[trial])
+                else:
+                    pair = [_random_branch(rng, p, M, D, j) for _ in range(2)]
+                where = (p, n, trial)
+                t1, t2 = (t_series(bs) for bs in pair)
+                for bs, t in zip(pair, (t1, t2)):
+                    try:
+                        want = mu_lambda(t)
+                    except UndeterminedInvariants:
+                        want = None
+                    assert bs.invariants == want, where
+                assert _or_refusal(lambda: product_congruence_verdict(*pair)) \
+                    == _or_refusal(lambda: ideal_mod_pi(group_ring_mul(t1, t2))), where
+                ell = rng.choice([x for x in (2, 7, 11, 13, 31) if x % p])
+                poly = [F(rng.randrange(-30, 30), rng.choice([1, 1, 2, p]))
+                        for _ in range(rng.randrange(1, 4))]
+                fac = _euler_oracle(poly, ell, j, p, M, D)
+                assert _or_refusal(
+                    lambda: t_series(apply_sigma0(pair[0], [(ell, poly)]))) \
+                    == _or_refusal(lambda: group_ring_mul(t1, fac)), where
