@@ -1,5 +1,5 @@
 """Symbol-space microbenchmark: the P^1 table, the Manin-symbol quotient,
-Hecke images and one eigenfunctional.
+Hecke images, eigenfunctionals and the cuspidal restriction.
 
 Usage: python benchmarks/bench_modsym.py [--repeat N]
 
@@ -10,18 +10,26 @@ on a fresh space, and one rational `eigen_functional` (plus sign, the
 T_ell eigenvalue in `TARGETS`).  It prints the best of `--repeat` rounds
 together with |P^1(Z/N)| and the quotient dimension; the last column is
 Hecke plus eigenfunctional as a multiple of the build.
+
+Then it times `restrict_to_cuspidal(T_2)` at the levels in `CUSPIDAL`
+(the boundary kernel, the images of its basis and the check that they
+stay cuspidal), and the plus eigenfunctional of 23.2.a over Q(sqrt 5)
+(a_2 = (-1 - sqrt 5)/2), with T_2 memoized in both.
 """
 
 import argparse
 import time
+from fractions import Fraction
 
 from iwrank import modsym
+from iwrank.numfield import NumberField
 
 LEVELS = (52, 389, 997)
 HECKE = (2, 3, 5, 7)
 # (ell, a_ell) cutting a line out of each level's plus space: the bundled
 # 52.2.a.a at 5, and rational newforms of levels 389 and 997 at 2
 TARGETS = {52: (5, 2), 389: (2, -2), 997: (2, 0)}
+CUSPIDAL = (52, 389)
 
 
 def best_time(fn, repeat):
@@ -63,6 +71,21 @@ def main():
         print(f"{N:>5} {len(space.p1):>6} {space.dim:>5} "
               f"{tp * 1e3:>8.1f}ms {tb * 1e3:>10.1f}ms "
               f"{th * 1e3:>8.1f}ms {te * 1e3:>8.1f}ms {(th + te) / tb:>7.2f}")
+
+    print()
+    for N in CUSPIDAL:
+        space = modsym.build_space(N)
+        t2 = space.hecke_images(2)
+        tr = best_time(lambda: space.restrict_to_cuspidal(t2), args.repeat)
+        print(f"restrict_to_cuspidal(T2) N={N:<4} "
+              f"(cuspidal dim {space.cuspidal_dimension():>3}) {tr * 1e3:>8.2f}ms")
+    K = NumberField((-5, 0, 1))
+    a2 = K.one() * Fraction(-1, 2) + K.gen() * Fraction(-1, 2)
+    space = modsym.build_space(23)
+    space.hecke_images(2)
+    tf = best_time(lambda: modsym.eigen_functional(space, [(2, a2)], +1),
+                   args.repeat)
+    print(f"eigen_functional 23.2.a over Q(sqrt5)            {tf * 1e3:>8.2f}ms")
 
 
 if __name__ == "__main__":

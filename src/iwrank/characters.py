@@ -52,16 +52,18 @@ def unit_group_generators(modulus: int) -> tuple[UnitGenerator, ...]:
                 g += r
             locals_.append((g, (r - 1) * r ** (e - 1)))
         for g, d in locals_:
-            if rest > 1:
-                # CRT lift: g at this component, 1 elsewhere
-                inv = pow(rest % q, -1, q) if q > 1 else 0
-                lifted = (1 + rest * ((g - 1) * inv % q)) % modulus
-            else:
-                lifted = g % modulus
-            gens.append(UnitGenerator(r, q, lifted, d))
+            gens.append(UnitGenerator(r, q, _crt_unit_lift(g, q, rest), d))
     out = tuple(gens)
     _structure_cache[modulus] = out
     return out
+
+
+def _crt_unit_lift(a: int, q: int, rest: int) -> int:
+    """The integer in [0, q rest) that is a mod q and 1 mod rest, for
+    coprime q and rest."""
+    if rest == 1:
+        return a % q
+    return 1 + rest * ((a - 1) * pow(rest, -1, q) % q)
 
 
 _dlog_cache: dict[tuple[int, int, int], dict[int, int]] = {}
@@ -295,14 +297,9 @@ class DirichletCharacter:
                 rest *= r**e
         exps = []
         for ug in gens_m:
-            a = ug.gen % m
-            # lift to a unit mod modulus: a mod m, 1 mod primes away from m
-            if rest > 1:
-                inv = pow(rest % m, -1, m) if m > 1 else 0
-                lifted = (1 + rest * ((a - 1) * inv % m)) % self.modulus
-            else:
-                lifted = a % self.modulus
-            k = self.value_exponent(lifted)
+            # lift to a unit mod modulus: the generator mod m, 1 mod the
+            # primes away from m
+            k = self.value_exponent(_crt_unit_lift(ug.gen, m, rest))
             if k is None:
                 raise ArithmeticError("lift landed on a non-unit")
             exps.append(k)

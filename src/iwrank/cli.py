@@ -24,6 +24,7 @@ from .modsym import twist_symbol
 from .newforms import (
     IngestionError,
     NewformData,
+    _prime_to_p,
     bundled,
     bundled_labels,
     residual_eisenstein_partner,
@@ -259,10 +260,7 @@ def cmd_congruence(cfg):
         dep = check_congruence(hq.deplete(p), g.deplete(p), ideal, bound)
     except (IngestionError, ValueError) as exc:
         raise ConfigError(str(exc))
-    lvl = h.level
-    while lvl % p == 0:
-        lvl //= p
-    sigma0 = list(sigma0_and_m(lvl, 1)[0])
+    sigma0 = list(sigma0_and_m(_prime_to_p(h.level, p), 1)[0])
     rep = VerificationReport(h.label)
     rep.add("congruence.m", "congruence multiplier", True, m, m, "exact")
     rep.add("congruence.sigma0", "primes needing imprimitive Euler factors",

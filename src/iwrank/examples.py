@@ -1,23 +1,26 @@
 """Bundled verification runs for the three reference congruence pairs,
-and the symbol pair of a bundled form.
+and the symbol pair of a rational form.
 
-`symbol_pair` cuts a bundled rational form's plus and minus eigensymbols
-out of its symbol space with the stored Hecke probes; the symbol commands
-of the CLI use it too.  Each run builds the (twisted) symbol, its branch
-family (`padic_l.branch_family`, as `padic-l` does), the branch values at
-the trivial character and the residual Eisenstein partner of the
-congruent form, and checks every recorded expectation.  Failures do not
-abort the run; every check ends up in the report with a
-pass/fail/skipped status.
+`symbol_pair` cuts a rational form's plus and minus eigensymbols out of
+its symbol space with Hecke probes it picks from the form's stored
+coefficients; the symbol commands of the CLI use it too.  Each run
+builds the (twisted) symbol, its branch family (`padic_l.branch_family`,
+as `padic-l` does), the branch values at the trivial character and the
+residual Eisenstein partner of the congruent form, and checks every
+recorded expectation.  Failures do not abort the run; every check ends
+up in the report with a pass/fail/skipped status.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .arith import is_prime
 from .characters import DirichletCharacter, kronecker
 from .iwasawa import mu_lambda, undetermined_text
-from .modsym import SymbolPair, build_space, eigen_functional, twist_symbol
+from .modsym import (
+    EigenspaceError, SymbolPair, build_space, eigen_functional, twist_symbol,
+)
 from .newforms import bundled, residual_eisenstein_partner
 from .padics import padic_valuation
 from .padic_l import (
@@ -84,13 +87,6 @@ class VerificationReport:
 
 # --- configuration ----------------------------------------------------
 
-# Hecke probes that cut the bundled forms out of their symbol spaces.
-_TARGET_PRIMES = {
-    "11.2.a.a": (2,),
-    "19.2.a.a": (2,),
-    "52.2.a.a": (5,),
-}
-
 EXAMPLES = {
     1: {
         "p": 11,
@@ -146,17 +142,43 @@ _T_VERDICTS = {1: (4, 5), 2: (1, 2), 3: ()}
 
 
 def symbol_pair(nf):
-    """The plus and minus eigensymbols of a bundled rational form, cut out
-    by its stored Hecke probes."""
-    if nf.label not in _TARGET_PRIMES:
+    """The plus and minus eigensymbols of a rational form, cut out of its
+    symbol space by the stored a_l at the primes l prime to the level,
+    taken in increasing order until each sign's eigenspace is a line.
+
+    Raises ValueError when an eigenspace is 0 (no eigensymbol has these
+    eigenvalues) or the stored primes run out first.
+    """
+    if not nf.is_rational:
+        # the p-adic layer reads rational symbols only; a Hecke field
+        # first needs its embedding into Z_p
         raise ValueError(
             f"no stored Hecke probes for {nf.label}; symbol commands "
             f"currently cover the bundled rational forms")
+    if nf.weight != 2 or not nf.nebentypus.is_trivial():
+        raise ValueError(f"{nf.label}: the symbols are those of weight 2 on "
+                         f"Gamma0(N), so the form needs weight 2 and a "
+                         f"trivial character")
     space = build_space(nf.level)
-    targets = [(ell, Fraction(nf.a(ell))) for ell in _TARGET_PRIMES[nf.label]]
-    plus = eigen_functional(space, targets, +1)
-    minus = eigen_functional(space, targets, -1)
-    return SymbolPair(plus, minus, nf.level, label=nf.label)
+    targets = []
+    for ell in range(2, nf.n_max + 1):
+        if nf.level % ell == 0 or not is_prime(ell):
+            continue
+        targets.append((ell, nf.a(ell)))
+        found = []
+        for sign in (1, -1):
+            try:
+                found.append(eigen_functional(space, targets, sign))
+            except EigenspaceError as exc:
+                if not exc.dim:
+                    ells = ", ".join(str(q) for q, _ in targets)
+                    raise ValueError(f"{nf.label}: no eigensymbol has the "
+                                     f"stored a_l at l = {ells} ({exc})") from None
+        if len(found) == 2:
+            return SymbolPair(*found, nf.level, label=nf.label)
+    raise ValueError(
+        f"{nf.label}: the stored a_l at the primes l <= {nf.n_max} prime to "
+        f"{nf.level} do not cut out one eigensymbol per sign")
 
 
 def build_example(number, wild_level=1, M=8):

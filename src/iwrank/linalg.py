@@ -1,97 +1,80 @@
-"""Dense exact linear algebra over Fraction, cyclotomic, or number-field
-entries.
+"""Exact integer elimination on sparse rows, and the kernel read off it.
 
-It serves the small dim x dim problems on a symbol space: Hecke
-eigenspaces over a number field, the cuspidal subspace and restrictions
-to it.  The Manin-symbol quotient and the rational eigenfunctionals are
-a sparse integer elimination in `modsym`, not an RREF here.
+A row is a dict {column: nonzero int}.  `rref` reduces a list of rows to
+the reduced row echelon form of their span, each row scaled to coprime
+integers; `kernel` reads the right kernel off that form as integer
+vectors over one common scale.  Every solve on a symbol space goes
+through these two functions: the Manin-symbol quotient, the boundary
+kernel (the cuspidal subspace) and the Hecke eigenfunctionals, whose
+number-field systems are first written over Q by restriction of scalars.
 
-Everything scans in a fixed order (first nonzero pivot, left to right), so
-bases come out the same on every run.  Matrices are plain lists of lists.
+Pivots are taken at each row's smallest column and rows are reduced in
+the order given, so the output is the same on every run.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-
-def is_zero(x) -> bool:
-    z = getattr(x, "is_zero", None)
-    if z is not None:
-        return z()
-    return x == 0
-
-
-def inv(x):
-    f = getattr(x, "inverse", None)
-    if f is not None:
-        return f()
-    return Fraction(1) / x
+from math import gcd, lcm
 
 
 def rref(rows):
-    """Reduced row echelon form (copy); returns (matrix, pivot columns)."""
-    m = [list(r) for r in rows]
-    if not m:
-        return m, []
-    ncols = len(m[0])
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        src = None
-        for i in range(rank, len(m)):
-            if not is_zero(m[i][col]):
-                src = i
+    """Sparse Gauss-Jordan elimination of integer rows {column: entry}.
+
+    Each row is reduced against the pivots found so far, always at its
+    smallest column, and becomes a new pivot row if anything is left;
+    back substitution then clears every pivot column from the other rows.
+    Returns {pivot: row}: the reduced row echelon form of the row space,
+    each row scaled to coprime integers.
+    """
+    pivots = {}
+    for row in rows:
+        while row:
+            p = min(row)
+            if p not in pivots:
+                g = gcd(*row.values())
+                pivots[p] = {k: x // g for k, x in row.items()} if g > 1 else row
                 break
-        if src is None:
-            continue
-        m[rank], m[src] = m[src], m[rank]
-        piv = inv(m[rank][col])
-        m[rank] = [piv * x for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and not is_zero(m[i][col]):
-                c = m[i][col]
-                m[i] = [a - c * b for a, b in zip(m[i], m[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(m):
-            break
-    return m, pivots
+            row = _eliminate(row, pivots[p], p)
+    for p in sorted(pivots, reverse=True):
+        row = pivots[p]
+        for q in sorted(c for c in row if c != p and c in pivots):
+            row = _eliminate(row, pivots[q], q)
+        pivots[p] = row
+    return pivots
 
 
-def right_kernel(rows, ncols, one):
-    """Basis of {v : rows . v = 0}; `one` is the multiplicative identity of
-    the entry field (sets the ring of the output)."""
-    zero = one - one
-    if not rows:
-        basis = []
-        for j in range(ncols):
-            v = [zero] * ncols
-            v[j] = one
-            basis.append(v)
-        return basis
-    r, pivots = rref(rows)
-    pivset = set(pivots)
-    free = [j for j in range(ncols) if j not in pivset]
-    basis = []
-    for j in free:
-        v = [zero] * ncols
-        v[j] = one
-        for i, pc in enumerate(pivots):
-            v[pc] = zero - r[i][j]
-        basis.append(v)
-    return basis
+def _eliminate(row, prow, c):
+    """prow[c] * row - row[c] * prow (column c cleared), divided by the
+    gcd of its entries."""
+    a, b = row[c], prow[c]
+    out = {k: b * x for k, x in row.items()}
+    for k, x in prow.items():
+        y = out.get(k, 0) - a * x
+        if y:
+            out[k] = y
+        else:
+            out.pop(k, None)
+    g = gcd(*out.values()) if out else 1
+    return {k: x // g for k, x in out.items()} if g > 1 else out
 
 
-def solve_right(rows, b):
-    """One solution of rows . x = b, or None."""
-    aug = [list(r) + [bv] for r, bv in zip(rows, b)]
-    ncols = len(rows[0])
-    r, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    zero = b[0] - b[0]
-    x = [zero] * ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = r[i][-1]
-    return x
+def kernel(reduced, columns):
+    """The right kernel, on the given columns, of rows reduced by `rref`;
+    `columns` lists every column of the rows, in order.
+
+    Returns (free, scale, basis): the columns that lead no row, the lcm
+    of the row leads, and one integer vector {column: entry} per free
+    column f, with `scale` at f, 0 at the other free columns and
+    -row[f] scale / lead at each pivot.  So a kernel vector v is the sum
+    of v[f] / scale times the basis vector of f.
+    """
+    free = [c for c in columns if c not in reduced]
+    scale = lcm(*(abs(row[p]) for p, row in reduced.items()))
+    basis = [{f: scale} for f in free]
+    at = dict(zip(free, basis))
+    for p, row in reduced.items():
+        lead = row[p]
+        for c, x in row.items():
+            if c != p:
+                at[c][p] = -x * scale // lead
+    return free, scale, basis

@@ -9,10 +9,10 @@ The points of P^1(Z/N) sit in one flat table indexed by (u mod N, v mod N),
 so locating a symbol is a single lookup.  The relation quotient is built
 sparsely: the 2-term relations x + Sx = 0 pair the symbols off (an S-fixed
 symbol is 0), one 3-term relation x + Tx + T^2x = 0 per T-orbit is written
-over the pair representatives, and a sparse integer Gauss-Jordan
-elimination finishes the job.  See Cremona, *Algorithms for Modular
-Elliptic Curves* (1997), section 2.2, and Stein, *Modular Forms: A
-Computational Approach* (2007), chapters 3 and 8.
+over the pair representatives, and the sparse integer Gauss-Jordan
+elimination of `linalg` finishes the job.  See Cremona, *Algorithms for
+Modular Elliptic Curves* (1997), section 2.2, and Stein, *Modular Forms:
+A Computational Approach* (2007), chapters 3 and 8.
 
 The quotient is kept as integer rows over one denominator `den`: the
 vector of each Manin symbol, the Hecke images and the star images are all
@@ -22,8 +22,10 @@ integer rows, and the true coordinates are those rows divided by `den`
 A symbol functional is a linear map on the relation quotient; its value on
 the path {oo -> r} is what the p-adic layer integrates against.  Normalized
 rational functionals keep integer generator values, so a path sum is a sum
-of ints.  A rational eigenfunctional is found by the same sparse integer
-elimination as the quotient.
+of ints.  Every kernel here is read off that one elimination
+(`linalg.rref`, then `linalg.kernel`): the quotient, the cuspidal
+subspace (the kernel of the boundary map) and the eigenfunctionals, whose
+number-field systems are first written over Q by restriction of scalars.
 
 The p-adic layer reads values as rows: `evaluate_row(den, sign)` holds the
 values at a/den for a = 0..den-1.  A twisted symbol has rows only: its row
@@ -39,12 +41,16 @@ from math import gcd, lcm
 
 from .arith import euler_phi, prime_divisors
 from .cyclotomic import CyclotomicNumber
-from .linalg import inv, is_zero, right_kernel, solve_right
-from .linalg import rref  # noqa: F401  (perfbench's tracer selftest wraps it here)
+from .linalg import kernel, rref
+from .numfield import NFElement
 
 
 class EigenspaceError(RuntimeError):
-    pass
+    """An eigenspace that is not a line; `dim` is its dimension."""
+
+    def __init__(self, message, dim):
+        super().__init__(message)
+        self.dim = dim
 
 
 def _xgcd(a, b):
@@ -209,31 +215,20 @@ class ModularSymbolSpace:
             row = {c: x for c, x in row.items() if x}
             if row:
                 rows.append(row)
-        reduced = _reduce_rows(rows)
         # A 2-term relation leads with the smaller index of its pair, so
         # the free columns of the RREF of all the relations are the
-        # representatives that lead no reduced 3-term row.
-        self.basis_cols = [r for r in range(len(rep))
-                           if rep[r] == r and r not in reduced]
-        self.dim = len(self.basis_cols)
-        # integer rows over one denominator: den e_k at the k-th basis
-        # column, -x den / lead off a reduced row
-        self.den = lcm(*(abs(row[p]) for p, row in reduced.items()))
-        pos = {c: k for k, c in enumerate(self.basis_cols)}
-        zero = (0,) * self.dim
-        rep_vec = {}
-        for c, k in pos.items():
-            w = list(zero)
-            w[k] = self.den
-            rep_vec[c] = tuple(w)
-        for p, row in reduced.items():
-            w = list(zero)
-            scale = self.den // row[p]
-            for c, x in row.items():
-                if c != p:
-                    w[pos[c]] = -x * scale
-            rep_vec[p] = tuple(w)
-        self.vectors = [zero if r is None else
+        # representatives that lead no reduced 3-term row.  The quotient
+        # vector of a representative is its entry in each kernel basis
+        # vector: integer rows over one denominator, the kernel's scale.
+        reps = [r for r, x in enumerate(rep) if x == r]
+        self.basis_cols, self.den, basis = kernel(rref(rows), reps)
+        self.dim = len(basis)
+        rep_vec = {r: [0] * self.dim for r in reps}
+        for k, v in enumerate(basis):
+            for r, x in v.items():
+                rep_vec[r][k] = x
+        rep_vec = {r: tuple(w) for r, w in rep_vec.items()}
+        self.vectors = [(0,) * self.dim if r is None else
                         rep_vec[r] if s > 0 else tuple(-x for x in rep_vec[r])
                         for r, s in zip(rep, sign)]
         expected = 2 * genus_gamma0(N) + num_cusps(N) - 1
@@ -282,7 +277,8 @@ class ModularSymbolSpace:
     # --- boundary ---
 
     def boundary_data(self):
-        """(cusp representatives, matrix rows over cusp classes x basis)."""
+        """(cusp representatives, integer rows {basis index: entry}, one
+        per cusp class): the boundary map on the basis symbols."""
         if self._boundary is not None:
             return self._boundary
         cusps = []
@@ -293,10 +289,11 @@ class ModularSymbolSpace:
             e1 = self._cusp_class(cusps, _cusp_reduce(a, c))
             e2 = self._cusp_class(cusps, _cusp_reduce(b, d))
             cols.append((e1, e2))
-        rows = [[Fraction(0)] * self.dim for _ in cusps]
+        rows = [{} for _ in cusps]
         for j, (e1, e2) in enumerate(cols):
-            rows[e1][j] += 1
-            rows[e2][j] -= 1
+            if e1 != e2:
+                rows[e1][j] = 1
+                rows[e2][j] = -1
         self._boundary = (cusps, rows)
         return self._boundary
 
@@ -308,74 +305,35 @@ class ModularSymbolSpace:
         return len(cusps) - 1
 
     def cuspidal_basis(self):
+        """The cuspidal subspace, the kernel of the boundary map, as
+        `linalg.kernel` reads it: (free basis indices, scale, integer
+        basis vectors {basis index: entry})."""
         _, rows = self.boundary_data()
-        return right_kernel(rows, self.dim, Fraction(1))
+        return kernel(rref(rows), range(self.dim))
 
     def cuspidal_dimension(self) -> int:
-        return len(self.cuspidal_basis())
+        return len(self.cuspidal_basis()[0])
 
     def restrict_to_cuspidal(self, images):
         """Matrix (rows = images) of an operator on the cuspidal subspace,
-        in the cuspidal_basis coordinates."""
-        K = self.cuspidal_basis()
-        cols = [list(c) for c in zip(*K)] if K else []
+        in the basis of `cuspidal_basis` divided by its scale: the
+        coordinates of an image are its entries at the free indices."""
+        free, scale, basis = self.cuspidal_basis()
+        _, boundary = self.boundary_data()
         out = []
-        for k in K:
-            img = [Fraction(0)] * self.dim
-            for j, coeff in enumerate(k):
-                if coeff:
-                    row = images[j]
-                    for t in range(self.dim):
-                        img[t] += coeff * row[t]
-            x = solve_right(cols, img)
-            if x is None:
+        for v in basis:
+            img = [0] * self.dim
+            for j, coeff in v.items():
+                for t, x in enumerate(images[j]):
+                    img[t] += coeff * x
+            if any(sum(x * img[t] for t, x in row.items()) for row in boundary):
                 raise ValueError("operator does not preserve the cuspidal subspace")
-            out.append(x)
+            out.append([Fraction(img[f], scale) for f in free])
         return out
 
 
 def build_space(N: int) -> ModularSymbolSpace:
     return ModularSymbolSpace(N)
-
-
-def _reduce_rows(rows):
-    """Sparse Gauss-Jordan elimination of integer rows {column: entry}.
-
-    Each row is reduced against the pivots found so far, always at its
-    smallest column, and becomes a new pivot row if anything is left;
-    back substitution then clears every pivot column from the other rows.
-    Returns {pivot: row}: the reduced row echelon form of the row space,
-    each row scaled to coprime integers.
-    """
-    pivots = {}
-    for row in rows:
-        while row:
-            p = min(row)
-            if p not in pivots:
-                pivots[p] = row
-                break
-            row = _eliminate(row, pivots[p], p)
-    for p in sorted(pivots, reverse=True):
-        row = pivots[p]
-        for q in sorted(c for c in row if c != p and c in pivots):
-            row = _eliminate(row, pivots[q], q)
-        pivots[p] = row
-    return pivots
-
-
-def _eliminate(row, prow, c):
-    """prow[c] * row - row[c] * prow (column c cleared), divided by the
-    gcd of its entries."""
-    a, b = row[c], prow[c]
-    out = {k: b * x for k, x in row.items()}
-    for k, x in prow.items():
-        y = out.get(k, 0) - a * x
-        if y:
-            out[k] = y
-        else:
-            out.pop(k, None)
-    g = gcd(*out.values()) if out else 1
-    return {k: x // g for k, x in out.items()} if g > 1 else out
 
 
 def _cusp_reduce(p, q):
@@ -501,82 +459,81 @@ def _signed_content(values):
     return c if lead > 0 else -c
 
 
-def eigen_functional(space, targets, sign, one=Fraction(1)):
+def eigen_functional(space, targets, sign):
     """The unique (up to scalar) functional with Phi(T_l x) = a_l Phi(x) for
     the given (l, a_l) pairs and star sign; returned normalized: generator
     values of content 1, the first nonzero one positive.
 
-    `one` fixes the coefficient field (Fraction(1), or a number-field 1).
-    Rational targets are solved by the sparse integer elimination of the
-    quotient; others by the dense `linalg.right_kernel`.
+    The eigenvalues are rationals, or lie in one number field K: the
+    field of the first `NFElement` among them.  Over K the system is
+    written over Q by restriction of scalars (each K-coordinate of Phi
+    becomes deg K rational unknowns), and both cases are solved by the
+    integer elimination of `linalg`, as the quotient is.  Over K the line
+    is fixed by setting its first free K-coordinate to 1 before the
+    content is taken.  Generator values are ints over Q and field
+    elements over K.
     """
+    field = next((a.field for _, a in targets if isinstance(a, NFElement)), None)
+    deg = 1 if field is None else field.degree
     den = space.den
-    # Phi(M e_j) = a Phi(e_j) for each operator M and eigenvalue a: one
-    # row M[j] - a den e_j on the integer rows over den.  The sparse star
+    # Phi(M e_j) = a Phi(e_j) for each operator M and eigenvalue a: row
+    # (j, t) is the x^t coefficient of d (M[j] - a den e_j), on the
+    # unknowns x^i of K-coordinate k at column k deg + i.  The sparse star
     # rows go first, so the dense Hecke rows meet each other only on the
     # sign eigenspace (3-5 times faster at N = 389 and 997).
     systems = [(space.star_images(), sign)]
     systems += [(space.hecke_images(ell), a) for ell, a in targets]
-    if not all(isinstance(x, (int, Fraction))
-               for x in [one] + [a for _, a in systems]):
-        return _field_eigen_functional(space, systems, sign, one)
     rows = []
     for imgs, a in systems:
-        a = Fraction(a)
-        n, d = a.numerator, a.denominator
+        d, mult = _scalar_matrix(a, field)
         for j, img in enumerate(imgs):
-            row = {k: d * x for k, x in enumerate(img) if x}
-            x = row.get(j, 0) - n * den
-            if x:
-                row[j] = x
-            else:
-                row.pop(j, None)
-            rows.append(row)
-    reduced = _reduce_rows(rows)
-    free = [k for k in range(space.dim) if k not in reduced]
-    _check_eigenspace(space, sign, len(free))
-    # the kernel line: scale at the free column f, and -row[f] scale / lead
-    # at each pivot, integral with scale the lcm of the leads
-    f = free[0]
-    scale = lcm(*(abs(row[p]) for p, row in reduced.items()))
-    coords = {f: scale}
-    for p, row in reduced.items():
-        if f in row:
-            coords[p] = -row[f] * scale // row[p]
-    values = [sum(w[k] * c for k, c in coords.items()) for w in space.vectors]
-    g = gcd(*values)
-    if next(v for v in values if v) < 0:
+            for t, mrow in enumerate(mult):
+                row = {k * deg + t: d * x for k, x in enumerate(img) if x}
+                for i, m in enumerate(mrow):
+                    c = j * deg + i
+                    x = row.get(c, 0) - m * den
+                    if x:
+                        row[c] = x
+                    else:
+                        row.pop(c, None)
+                rows.append(row)
+    free, _, basis = kernel(rref(rows), range(space.dim * deg))
+    _check_eigenspace(space, sign, len(free) // deg)
+    # the first free column is x^0 of a K-coordinate, whose other x^i are
+    # free too: basis[0] sets that coordinate to its scale
+    parts = [{} for _ in range(deg)]
+    for c, x in basis[0].items():
+        parts[c % deg][c // deg] = x
+    # coeffs[t][i]: the x^t coefficient of generator value i
+    coeffs = [[sum(w[k] * x for k, x in part.items()) for w in space.vectors]
+              for part in parts]
+    g = gcd(*(gcd(*col) for col in coeffs))
+    if next(x for value in zip(*coeffs) for x in value if x) < 0:
         g = -g
-    return SymbolFunctional(space, sign, [v // g for v in values])
+    if field is None:
+        return SymbolFunctional(space, sign, [x // g for x in coeffs[0]])
+    return SymbolFunctional(space, sign, [NFElement(field, [x // g for x in value], 1)
+                                          for value in zip(*coeffs)])
 
 
-def _field_eigen_functional(space, systems, sign, one):
-    den = space.den
-    rows = []
-    for imgs, a in systems:
-        for j, img in enumerate(imgs):
-            row = [one * x for x in img]
-            row[j] = row[j] - a * den
-            rows.append(row)
-    ker = right_kernel(rows, space.dim, one)
-    _check_eigenspace(space, sign, len(ker))
-    zero = one - one
-    values = []
-    for w in space.vectors:
-        acc = zero
-        for c, x in zip(ker[0], w):
-            if x:
-                acc = acc + c * x
-        values.append(acc)
-    scale = 1 / _signed_content(values)
-    return SymbolFunctional(space, sign, [v * scale for v in values])
+def _scalar_matrix(a, field):
+    """(d, m): m[t][i] is the x^t coefficient of d a x^i, an integer, so m
+    is multiplication by a on the power basis of the field (of Q when
+    field is None) with its denominators cleared by d."""
+    if field is None:
+        a = Fraction(a)
+        return a.denominator, [[a.numerator]]
+    images = [a * field.element([0] * i + [1]) for i in range(field.degree)]
+    d = lcm(*(y.den for y in images))
+    return d, [[y.nums[t] * (d // y.den) for y in images]
+               for t in range(field.degree)]
 
 
 def _check_eigenspace(space, sign, dim):
     if dim != 1:
         raise EigenspaceError(
             f"level {space.N} sign {sign:+d}: eigenspace has dimension "
-            f"{dim}, expected 1")
+            f"{dim}, expected 1", dim)
 
 
 def functional_eigenvalue(phi: SymbolFunctional, ell: int, probes=(0, Fraction(1, 2), Fraction(1, 3))):
@@ -586,7 +543,7 @@ def functional_eigenvalue(phi: SymbolFunctional, ell: int, probes=(0, Fraction(1
     N = phi.space.N
     for r in probes:
         base = phi.evaluate(r)
-        if is_zero(base):
+        if base == 0:
             continue
         r = Fraction(r)
         acc = None
@@ -595,7 +552,7 @@ def functional_eigenvalue(phi: SymbolFunctional, ell: int, probes=(0, Fraction(1
             acc = t if acc is None else acc + t
         if N % ell != 0:
             acc = acc + phi.evaluate(ell * r)
-        return acc * inv(base)
+        return acc / base
     raise ValueError("all probe values vanish; supply better probes")
 
 

@@ -15,6 +15,117 @@ from iwrank.kernels import convolve
 from iwrank.qseries import bernoulli_number
 
 
+# -- dense exact linear algebra ------------------------------------------
+#
+# The oracle of `linalg.rref`/`linalg.kernel` and of the solves built on
+# them: a textbook Gauss-Jordan elimination over any exact field
+# (Fraction or number-field entries), on dense lists of lists.
+
+
+def is_zero(x) -> bool:
+    z = getattr(x, "is_zero", None)
+    if z is not None:
+        return z()
+    return x == 0
+
+
+def inv(x):
+    f = getattr(x, "inverse", None)
+    if f is not None:
+        return f()
+    return Fraction(1) / x
+
+
+def rref(rows):
+    """Reduced row echelon form (copy); returns (matrix, pivot columns)."""
+    m = [list(r) for r in rows]
+    if not m:
+        return m, []
+    ncols = len(m[0])
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        src = None
+        for i in range(rank, len(m)):
+            if not is_zero(m[i][col]):
+                src = i
+                break
+        if src is None:
+            continue
+        m[rank], m[src] = m[src], m[rank]
+        piv = inv(m[rank][col])
+        m[rank] = [piv * x for x in m[rank]]
+        for i in range(len(m)):
+            if i != rank and not is_zero(m[i][col]):
+                c = m[i][col]
+                m[i] = [a - c * b for a, b in zip(m[i], m[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == len(m):
+            break
+    return m, pivots
+
+
+def right_kernel(rows, ncols, one):
+    """Basis of {v : rows . v = 0}, 1 at each free column; `one` is the
+    multiplicative identity of the entry field (sets the ring of the
+    output)."""
+    zero = one - one
+    if not rows:
+        basis = []
+        for j in range(ncols):
+            v = [zero] * ncols
+            v[j] = one
+            basis.append(v)
+        return basis
+    r, pivots = rref(rows)
+    pivset = set(pivots)
+    free = [j for j in range(ncols) if j not in pivset]
+    basis = []
+    for j in free:
+        v = [zero] * ncols
+        v[j] = one
+        for i, pc in enumerate(pivots):
+            v[pc] = zero - r[i][j]
+        basis.append(v)
+    return basis
+
+
+def solve_right(rows, b):
+    """One solution of rows . x = b, or None."""
+    aug = [list(r) + [bv] for r, bv in zip(rows, b)]
+    ncols = len(rows[0])
+    r, pivots = rref(aug)
+    if ncols in pivots:
+        return None
+    zero = b[0] - b[0]
+    x = [zero] * ncols
+    for i, pc in enumerate(pivots):
+        x[pc] = r[i][-1]
+    return x
+
+
+def restrict_to_cuspidal(space, images):
+    """The matrix of an operator on the cuspidal subspace of a symbol
+    space, in the dense Fraction basis of the boundary kernel: each
+    image solved against that basis.  The oracle of
+    `ModularSymbolSpace.restrict_to_cuspidal`."""
+    _, boundary = space.boundary_data()
+    dense = [[Fraction(row.get(j, 0)) for j in range(space.dim)]
+             for row in boundary]
+    K = right_kernel(dense, space.dim, Fraction(1))
+    cols = [list(c) for c in zip(*K)] if K else []
+    out = []
+    for k in K:
+        img = [sum(c * row[t] for c, row in zip(k, images))
+               for t in range(space.dim)]
+        x = solve_right(cols, img)
+        if x is None:
+            raise ValueError("operator does not preserve the cuspidal subspace")
+        out.append(x)
+    return out
+
+
 def p1_normalize(N: int, u: int, v: int) -> tuple[int, int]:
     """Canonical representative of (u:v) in P^1(Z/N): first entry a divisor
     g of N, second minimal over the stabilizing unit orbit.  The oracle of

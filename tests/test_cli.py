@@ -319,3 +319,54 @@ def test_verify_example_rejects_other_primes(argv, example_runs, capsys):
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
     assert example_runs == []
+
+
+def _form_file(tmp_path, **edits):
+    """11.2.a.a's bundled record with some fields replaced, as a file."""
+    from importlib import resources
+    payload = json.loads(resources.files("iwrank.data")
+                         .joinpath("11.2.a.a.json").read_text())
+    payload.update(edits)
+    path = tmp_path / f"{payload['label']}.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["modsym-table", "padic-l"])
+def test_newform_file_picks_its_own_probes(command, tmp_path, capsys):
+    # a copy of 11.2.a.a under another label is cut out of its symbol
+    # space by the same computed probe, so it prints the bundled bytes
+    argv = [command, "--prime", "5", "--newform"]
+    assert main(argv + ["11.2.a.a"]) == 0
+    bundled = capsys.readouterr().out
+    assert main(argv + [_form_file(tmp_path, label="copy-of-11a")]) == 0
+    copy = capsys.readouterr().out
+    assert "copy-of-11a" in copy
+    assert copy.replace("copy-of-11a", "11.2.a.a") == bundled
+
+
+@pytest.mark.parametrize("command", ["modsym-table", "padic-l"])
+@pytest.mark.parametrize("edits,msg", [
+    # 11.2.a.a's coefficients declared at level 13, where the only symbol
+    # is Eisenstein (T_2 eigenvalue 3, not a_2 = -2): the plus eigenspace
+    # is 0
+    ({"label": "triv13", "level": 13, "nebentypus": "triv13"},
+     "triv13: no eigensymbol has the stored a_l at l = 2 (level 13 sign "
+     "+1: eigenspace has dimension 0, expected 1)"),
+    # at level 22 the form is old, a plane on each sign that T_3 and T_5
+    # (the stored primes l not dividing 22) do not split
+    ({"label": "old22", "level": 22, "nebentypus": "triv22",
+      "an": [["1"], ["-2"], ["-1"], ["4"], ["1"]]},
+     "old22: the stored a_l at the primes l <= 5 prime to 22 do not cut "
+     "out one eigensymbol per sign"),
+    # a weight-4 form has no weight-2 eigensymbol to compare against
+    ({"label": "w4", "level": 5, "weight": 4, "nebentypus": "triv5",
+      "an": [["1"], ["-4"], ["2"], ["8"], ["-5"]]},
+     "w4: the symbols are those of weight 2 on Gamma0(N), so the form "
+     "needs weight 2 and a trivial character"),
+])
+def test_newform_file_without_a_line_exits_2(command, edits, msg, tmp_path,
+                                             capsys):
+    path = _form_file(tmp_path, **edits)
+    assert main([command, "--prime", "5", "--newform", path]) == 2
+    assert capsys.readouterr().err == f"error: {msg}\n"

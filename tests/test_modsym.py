@@ -5,7 +5,6 @@ from math import gcd, lcm
 import pytest
 
 from iwrank.characters import DirichletCharacter
-from iwrank.linalg import right_kernel, rref
 from iwrank.modsym import (
     EigenspaceError,
     ModularSymbolSpace,
@@ -21,7 +20,8 @@ from iwrank.modsym import (
     num_cusps,
 )
 from iwrank.numfield import NumberField
-from reference import p1_normalize
+import reference
+from reference import p1_normalize, right_kernel, rref
 
 F = Fraction
 
@@ -194,25 +194,27 @@ def test_tables_52a(pair52):
     proportional(vm, [1, 1, -1, -1])
 
 
-def _dense_eigen_values(sp, targets, sign):
-    """Generator values of the eigenfunctional from the dense Fraction
-    right_kernel, scaled to content 1 with the first nonzero value
-    positive; None when the eigenspace is not a line."""
+def _dense_eigen_values(sp, targets, sign, one=F(1)):
+    """Generator values of the eigenfunctional from the dense right_kernel
+    over the field of `one`, scaled to content 1 (over the rational parts
+    of the values) with the first nonzero part positive; None when the
+    eigenspace is not a line."""
     rows = []
     for imgs, a in [(sp.hecke_images(ell), a) for ell, a in targets] + \
             [(sp.star_images(), sign)]:
         for j, img in enumerate(imgs):
-            row = [F(x, sp.den) for x in img]
-            row[j] -= a
+            row = [one * F(x, sp.den) for x in img]
+            row[j] = row[j] - a
             rows.append(row)
-    ker = right_kernel(rows, sp.dim, F(1))
+    ker = right_kernel(rows, sp.dim, one)
     if len(ker) != 1:
         return None
-    vals = [sum(F(x, sp.den) * c for x, c in zip(w, ker[0]))
+    vals = [sum((c * F(x, sp.den) for x, c in zip(w, ker[0])), one - one)
             for w in sp.vectors]
-    content = F(gcd(*(v.numerator for v in vals)),
-                lcm(*(v.denominator for v in vals)))
-    if next(v for v in vals if v) < 0:
+    parts = [f for v in vals for f in getattr(v, "coeffs", [v])]
+    content = F(gcd(*(f.numerator for f in parts)),
+                lcm(*(f.denominator for f in parts)))
+    if next(f for f in parts if f) < 0:
         content = -content
     return [v / content for v in vals]
 
@@ -242,8 +244,8 @@ def test_eigenvalues_over_number_field(sp23):
     K = NumberField((-5, 0, 1))
     r5 = K.gen()
     a2 = (K.one() * F(-1, 2)) + (r5 * F(-1, 2))
-    plus23 = eigen_functional(sp23, [(2, a2)], +1, one=K.one())
-    minus23 = eigen_functional(sp23, [(2, a2)], -1, one=K.one())
+    plus23 = eigen_functional(sp23, [(2, a2)], +1)
+    minus23 = eigen_functional(sp23, [(2, a2)], -1)
     a3 = functional_eigenvalue(plus23, 3)
     assert a3 == functional_eigenvalue(
         minus23, 3, probes=(F(1, 3), F(1, 7), F(2, 7), F(1, 9)))
@@ -259,6 +261,46 @@ def test_eigenvalues_over_number_field(sp23):
     # mod (11, sqrt5 - 4) the eigenvalues are Eisenstein: a_l = 1 + l
     for ell, val in [(2, a2), (3, a3), (5, functional_eigenvalue(plus23, 5))]:
         assert val.reduce_mod(4, 11) == (1 + ell) % 11, ell
+
+
+@pytest.mark.parametrize("root_sign", [1, -1])
+def test_field_functionals_match_dense_oracle(sp23, root_sign):
+    # a_2 is either root (-1 +- sqrt5)/2 of x^2 + x - 1: the form 23.2.a
+    # and its Galois conjugate
+    K = NumberField((-5, 0, 1))
+    a2 = (K.one() * F(-1, 2)) + (K.gen() * F(root_sign, 2))
+    assert (a2 * a2 + a2 - 1).is_zero()
+    for sign in (1, -1):
+        got = eigen_functional(sp23, [(2, a2)], sign).generator_values()
+        want = _dense_eigen_values(sp23, [(2, a2)], sign, one=K.one())
+        assert got == want, sign
+        assert all(type(v) is type(a2) for v in got)
+
+
+def test_cuspidal_subspace_matches_dense_oracle():
+    for N in range(2, 120):
+        sp = ModularSymbolSpace(N)
+        assert sp.cuspidal_dimension() == 2 * genus_gamma0(N), N
+        if N in (11, 37, 52, 97):
+            for images in (sp.hecke_images(2), sp.hecke_images(3),
+                           sp.star_images()):
+                got = sp.restrict_to_cuspidal(images)
+                assert got == reference.restrict_to_cuspidal(sp, images), N
+                assert all(type(x) is Fraction for row in got for x in row)
+
+
+@pytest.mark.parametrize("N", [11, 37, 52])
+def test_restriction_refuses_operator_leaving_cuspidal_subspace(N):
+    # every basis symbol to one with a nonzero boundary: no cuspidal
+    # vector with nonzero coordinate sum stays cuspidal
+    sp = ModularSymbolSpace(N)
+    _, boundary = sp.boundary_data()
+    j0 = min(c for row in boundary for c in row)
+    images = [[int(t == j0) for t in range(sp.dim)] for _ in range(sp.dim)]
+    for restrict in (sp.restrict_to_cuspidal,
+                     lambda im: reference.restrict_to_cuspidal(sp, im)):
+        with pytest.raises(ValueError, match="does not preserve the cuspidal"):
+            restrict(images)
 
 
 def _random_rationals(seed, count=30, max_den=10**4):
@@ -308,7 +350,7 @@ def field_pair23(sp23):
     """The 23.2.a pair over Q(sqrt 5): generator values are field elements."""
     K = NumberField((-5, 0, 1))
     a2 = (K.one() * F(-1, 2)) + (K.gen() * F(-1, 2))
-    return SymbolPair(*(eigen_functional(sp23, [(2, a2)], sign, one=K.one())
+    return SymbolPair(*(eigen_functional(sp23, [(2, a2)], sign)
                         for sign in (1, -1)), 23, label="23a")
 
 

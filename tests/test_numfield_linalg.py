@@ -1,7 +1,7 @@
 from fractions import Fraction
 
-from iwrank.linalg import right_kernel, rref, solve_right
 from iwrank.numfield import NumberField
+from reference import right_kernel, rref, solve_right
 
 F = Fraction
 

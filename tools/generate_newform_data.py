@@ -156,8 +156,8 @@ def write_form(filename, label, level, an, field_poly=(0, 1), seed=None, source=
     print(f"wrote {path}")
 
 
-def symbol_ap(space, ells, targets, one=Fraction(1), probes=(0, Fraction(1, 3), Fraction(2, 7))):
-    phi = eigen_functional(space, targets, +1, one=one)
+def symbol_ap(space, ells, targets, probes=(0, Fraction(1, 3), Fraction(2, 7))):
+    phi = eigen_functional(space, targets, +1)
     return {ell: functional_eigenvalue(phi, ell, probes=probes) for ell in ells}
 
 
@@ -223,7 +223,7 @@ def main():
     r5 = K.gen()
     a2 = one * Fraction(-1, 2) + r5 * Fraction(-1, 2)  # the root with a2 = 3 mod (11, sqrt5-4)
     sp23 = ModularSymbolSpace(23)
-    phi23 = eigen_functional(sp23, [(2, a2)], +1, one=one)
+    phi23 = eigen_functional(sp23, [(2, a2)], +1)
     ap23 = {}
     for ell in ells:
         ap23[ell] = functional_eigenvalue(phi23, ell)
