@@ -16,14 +16,16 @@ first length from which Kronecker substitution stays faster.
 The third row set times, per field, both paths of `numfield`: the list
 path (`convolve` and a reduction of the coefficient list) and the packed
 path (one packed int from the first pack to the last unpack), each
-forced on a fresh field.  The shapes are the reduction of one root of
-unity x^(n-1) (every reduction of `verify` is one), of a random vector of
-length n (a sum of roots of unity, as `CyclotomicNumber.from_monomials`
-reduces a Gauss sum), and one product of two random reduced elements;
-without a period n is 2d - 1, a product's length.  The last column is the
-path the field takes.  The fields are those of `verify`, small
-cyclotomic ones, and the orders 1711, 2756 and 3422, the largest of the
-Gauss-sum workload.
+forced on a fresh copy of the field.  A cyclotomic field is built as
+`cyclotomic._ring` builds it, so it folds through the binomial the code
+uses (x^n - 1, or x^(n/2) + 1 for even n).  The shapes are the reduction
+of one root of unity x^(n-1) (every reduction of `verify` is one), of a
+random vector of length n (a sum of roots of unity, as
+`CyclotomicNumber.from_monomials` reduces a Gauss sum), and one product
+of two random reduced elements; without an order n is 2d - 1, a
+product's length.  The last column is the path the field takes.  The
+fields are those of `verify`, small cyclotomic ones, and the orders
+1711, 2162, 2756 and 3422, the largest of the Gauss-sum workload.
 """
 
 import argparse
@@ -31,7 +33,7 @@ import random
 import time
 
 from iwrank import kernels, numfield
-from iwrank.cyclotomic import cyclotomic_polynomial
+from iwrank.cyclotomic import _ring
 
 # coefficients are drawn from [-COEFF_BOUND, COEFF_BOUND]
 COEFF_BOUND = 8
@@ -40,12 +42,12 @@ EQUAL_LENGTHS = list(range(1, 41)) + [48, 64, 96, 128, 192, 256, 384, 512,
                                       768, 1024, 1624]
 SHORT_LENGTHS = list(range(1, 17))
 LONG_LENGTH = 1624
-# (name, defining polynomial, period): the fields of `verify` (Q(sqrt 5)
-# is the coefficient field of 23.2.a), small cyclotomic fields, and the
-# largest orders of the Gauss-sum workload
-FIELDS = ([("sqrt5", [-5, 0, 1], None)]
-          + [(f"zeta{n}", cyclotomic_polynomial(n), n)
-             for n in (2, 4, 10, 5, 7, 9, 11, 13, 15, 1711, 2756, 3422)])
+# (name, field, order or None): the fields of `verify` (Q(sqrt 5) is the
+# coefficient field of 23.2.a), small cyclotomic fields, and the largest
+# orders of the Gauss-sum workload
+FIELDS = ([("sqrt5", numfield.NumberField([-5, 0, 1]), None)]
+          + [(f"zeta{n}", _ring(n), n)
+             for n in (2, 4, 10, 5, 7, 9, 11, 13, 15, 1711, 2162, 2756, 3422)])
 
 
 def best_time(fn, a, b, repeat):
@@ -100,8 +102,9 @@ def field_rows(rng, repeat):
     print("reduction and product: list path against packed path")
     print(f"{'field':>8} {'d':>5} {'shape':>8} {'list':>12} {'packed':>12} "
           f"{'speedup':>8} {'takes':>7}")
-    for name, poly, n in FIELDS:
-        paths = [numfield.NumberField(poly, n) for _ in range(2)]
+    for name, field, n in FIELDS:
+        paths = [numfield.NumberField(field.poly, field.period, field.sign)
+                 for _ in range(2)]
         takes = "packed" if paths[0]._packed else "list"
         paths[0]._packed, paths[1]._packed = False, True
         d = paths[0].degree

@@ -51,10 +51,12 @@ def cyclotomic_polynomial(n: int) -> list[int]:
 
 
 def _ring(n: int) -> NumberField:
-    """Q(zeta_n) as the number field of Phi_n, with period n."""
+    """Q(zeta_n) as the number field of Phi_n, folded by x^n = 1, or for
+    even n by x^(n/2) = -1 (true of every primitive n-th root of unity)."""
     ring = _ring_cache.get(n)
     if ring is None:
-        ring = _ring_cache[n] = NumberField(cyclotomic_polynomial(n), period=n)
+        binomial = (n // 2, -1) if n % 2 == 0 else (n, 1)
+        ring = _ring_cache[n] = NumberField(cyclotomic_polynomial(n), *binomial)
     return ring
 
 

@@ -4,22 +4,23 @@ An element is a tuple of integer numerators over one positive common
 denominator, in lowest terms, on the power basis 1, x, ..., x^(d-1).
 Products multiply the numerators and reduce modulo f by Barrett
 division with m = x^k div f, cached per field (von zur Gathen & Gerhard,
-*Modern Computer Algebra*, 9.1).  The cyclotomic fields Q(zeta_n) are
-the case f = Phi_n (see `cyclotomic`).
+*Modern Computer Algebra*, 9.1), after a fold below x^h by x^h = e
+when f divides x^h - e.  Q(zeta_n) is f = Phi_n, h = n/2, e = -1 for
+even n, else h = n, e = 1 (see `cyclotomic`).
 
 A product of two reduced vectors takes one of two paths, by the cost
 model of `kernels.convolve` at length d:
 
 - Small fields (every product of `verify`) multiply through `convolve`
-  and reduce the coefficient list: a fold below x^n, then the Barrett
+  and reduce the coefficient list: a fold below x^h, then the Barrett
   products q = ((v div x^d) m) div x^(k-d) and v - q f through
   `convolve`.
 - Large fields run the product and its reduction on one Kronecker-packed
   int V = v(2^s): the operands are packed once, multiplied once, and V
   is folded, divided and finally unpacked once.  With slots of s bits,
   `high(V, j)` = (V + bias_j) >> (s j) is v div x^j exactly, for the
-  bias of j half-full slots.  The fold below x^n is V - (H << s n) + H
-  for H = high(V, n); the quotient is Q = high(high(V, d) M, k - d);
+  bias of j half-full slots.  The fold below x^h is V - (H << s h) + e H
+  for H = high(V, h); the quotient is Q = high(high(V, d) M, k - d);
   and V - Q F holds the remainder in its d low slots.  Every slot these
   steps read is at most vmax (1 + |m|_1 |f|_1) in size, for vmax the
   largest coefficient after the fold, so one slot width chosen from
@@ -56,19 +57,19 @@ def _xk_div(poly, k: int) -> list[int]:
 class NumberField:
     """Q[x]/(poly), poly monic with integer coefficients, low degree first.
 
-    A `period` n says that poly divides x^n - 1, as Phi_n does: vectors
-    are then folded below x^n before the division, and k = n.  Otherwise
+    A `period` h with `sign` e says that poly divides x^h - e: vectors are
+    then folded below x^h before the division, and k = h.  Otherwise
     k = 2d - 2, the degree of a product of two reduced vectors.
     """
 
-    def __init__(self, poly, period: int | None = None):
+    def __init__(self, poly, period: int | None = None, sign: int = 1):
         self.poly = tuple(int(c) for c in poly)
         if len(self.poly) < 2:
             raise ValueError("defining polynomial must have degree >= 1")
         if self.poly[-1] != 1:
             raise ValueError("defining polynomial must be monic")
         self.degree = len(self.poly) - 1
-        self.period = period
+        self.period, self.sign = period, sign
         self.k = period if period is not None else 2 * self.degree - 2
         self.barrett = _xk_div(self.poly, self.k)
         # products (and so reductions) run packed where convolve would
@@ -95,7 +96,7 @@ class NumberField:
         return NFElement(self, [_ZERO, _ONE])
 
     def _constants(self, width: int):
-        """The biases of n, d and k - d slots and the packed f and m, in
+        """The biases of h, d and k - d slots and the packed f and m, in
         slots of `width` bytes."""
         out = self._slot_constants.get(width)
         if out is None:
@@ -120,20 +121,20 @@ def _reduce(vec: list[int], field: NumberField) -> list[int]:
 
     With m = x^k div f, the quotient of v (degree at most k) by f is
     coefficients k.. of (v div x^d) m, so the remainder is the low d
-    coefficients of v - q f.  For Phi_n, v is first folded below x^n,
-    and m = Psi_n = (x^n - 1)/Phi_n.  A large field packs v once and
-    reduces it packed (see the module docstring).
+    coefficients of v - q f.  With a period h and sign e, v is first
+    folded below x^h, and m = (x^h - e)/f.  A large field packs v once
+    and reduces it packed (see the module docstring).
     """
     d = field.degree
     if field._packed and len(vec) > d:
         width = _packed_width(field, max(map(abs, vec)), len(vec))
         packed = kernels._pack(vec, width, 1 << (8 * width - 1))
         return _packed_remainder(packed, len(vec), width, field)
-    n = field.period
-    if n is not None and len(vec) > n:
-        folded = vec[:n]
-        for k in range(n, len(vec)):
-            folded[k % n] += vec[k]
+    h, sign = field.period, field.sign
+    if h is not None and len(vec) > h:
+        folded = vec[:h]
+        for k in range(h, len(vec)):
+            folded[k % h] += sign ** (k // h) * vec[k]
         vec = folded
     if len(vec) <= d:
         return vec + [0] * (d - len(vec))
@@ -159,10 +160,10 @@ def _product(a, b, field: NumberField) -> list[int]:
 
 def _packed_width(field: NumberField, vmax: int, length: int) -> int:
     """Slot bytes for a packed reduction of `length` coefficients of
-    size at most vmax: folding below x^n adds up ceil(length / n) of
+    size at most vmax: folding below x^h adds up ceil(length / h) of
     them, and the Barrett steps grow the sum by `field._growth`."""
-    n = field.period
-    folds = 1 if n is None else -(-length // n)
+    h = field.period
+    folds = 1 if h is None else -(-length // h)
     return kernels._slot_width(vmax * folds * field._growth)
 
 
@@ -171,13 +172,13 @@ def _packed_remainder(packed: int, length: int, width: int,
     """v mod field.poly for packed = v(2^s), v of `length` coefficients
     in slots of s = 8 width bits (see the module docstring)."""
     s = 8 * width
-    bias_n, bias_d, bias_q, f, m = field._constants(width)
-    n = field.period
-    if n is not None:
-        while length > n:
-            high = (packed + bias_n) >> (s * n)
-            packed += high - (high << (s * n))
-            length = max(n, length - n)
+    bias_h, bias_d, bias_q, f, m = field._constants(width)
+    h = field.period
+    if h is not None:
+        while length > h:
+            high = (packed + bias_h) >> (s * h)
+            packed -= (high << (s * h)) - field.sign * high
+            length = max(h, length - h)
     d = field.degree
     if length > d:
         q = (((packed + bias_d) >> (s * d)) * m + bias_q) >> (s * (field.k - d))

@@ -189,16 +189,17 @@ def _symbol_rows(sym, p, n, sgn):
     return hi if sym.level % p == 0 else hi + sym.evaluate_row(p ** n, sgn)
 
 
-def working_precision(sym, p: int, n: int, M: int) -> int:
+def working_precision(sym, p: int, n: int, M: int, rows=None) -> int:
     """Digits a unit alpha must carry for the branch series of `sym` at
     wild level n to come out mod p^M: M plus the largest p-power in a
-    denominator of the symbol values they sum."""
-    return M - min(padic_ints(_symbol_rows(sym, p, n, sgn), p, 1)[0]
-                   for sgn in (1, -1))
+    denominator of the symbol values they sum (`rows`: by sign, their
+    `padic_ints` at any precision, if at hand)."""
+    rows = rows or {sgn: padic_ints(_symbol_rows(sym, p, n, sgn), p, 1) for sgn in (1, -1)}
+    return M - min(shift for shift, _ in rows.values())
 
 
 def branch_series(sym, p: int, alpha: PadicSeries, j: int, n: int = 1,
-                  M: int = 8, twist_label=None) -> BranchSeries:
+                  M: int = 8, twist_label=None, rows=None) -> BranchSeries:
     """Riemann sum of branch j at wild level n, as the masses of an
     element of Z_p[Z/p^n] mod p^M.
 
@@ -207,7 +208,8 @@ def branch_series(sym, p: int, alpha: PadicSeries, j: int, n: int = 1,
     term dropped when p divides the level (one-root case).  The masses,
     twisted by omega^-j, are summed in Z/p^W[Z/p^n].  W is M plus the
     p-power in the symbol values' denominators plus (n+2) v(alpha); the
-    unit part of alpha must carry W digits.
+    unit part of alpha must carry W digits.  `rows`, if at hand, holds by
+    sign the values' `padic_ints` mod p^(M + (n+2) v(alpha)).
     """
     if n < 1:
         raise ValueError("wild level n >= 1 required")
@@ -217,7 +219,8 @@ def branch_series(sym, p: int, alpha: PadicSeries, j: int, n: int = 1,
     sgn = 1 if jj % 2 == 0 else -1
     v = mu_lambda(alpha)[0]
     loss = (n + 2) * v  # the powers of 1/alpha
-    shift, xs = padic_ints(_symbol_rows(sym, p, n, sgn), p, M + loss)
+    shift, xs = (rows[sgn] if rows else
+                 padic_ints(_symbol_rows(sym, p, n, sgn), p, M + loss))
     W = M + loss - shift
     if alpha.M - v < W:
         raise PadicPrecisionError(
@@ -287,9 +290,12 @@ def branch_family(sym, ap, p: int, n: int, M: int, sigma0=(), branches=None):
     a_p = ap to the digits the series need (at least DEFAULT_DIGITS),
     raw[j] the branch series and dressed[j] the series times the sigma0
     Euler factors (raw[j] when there are none)."""
-    digits = max(DEFAULT_DIGITS, working_precision(sym, p, n, M))
-    alpha = choose_alpha(ap, p, sym.level, prec=digits)
-    raw = {j: branch_series(sym, p, alpha, j, n=n, M=M, twist_label=sym.label)
+    # each sign's rows are converted once, mod p^M, as alpha is a unit
+    rows = {sgn: padic_ints(_symbol_rows(sym, p, n, sgn), p, M) for sgn in (1, -1)}
+    alpha = choose_alpha(ap, p, sym.level, prec=max(
+        DEFAULT_DIGITS, working_precision(sym, p, n, M, rows)))
+    raw = {j: branch_series(sym, p, alpha, j, n=n, M=M, twist_label=sym.label,
+                            rows=rows)
            for j in (range(1, p) if branches is None else sorted(branches))}
     if not sigma0:
         return alpha, raw, raw

@@ -93,12 +93,14 @@ def test_kronecker_long_and_degenerate():
 
 
 def test_psi_is_the_cofactor_of_phi():
-    # the Barrett quotient of Phi_n is x^n div Phi_n = Psi_n
-    for n in list(range(1, 61)) + [1711, 3422]:
+    # the Barrett quotient of Phi_n is the cofactor of Phi_n in the
+    # binomial it folds through: x^n - 1 for odd n, x^(n/2) + 1 for even n
+    for n in list(range(1, 61)) + [1711, 2162, 2756, 3422]:
         ring = _ring(n)
-        x_n_minus_1 = [-1] + [0] * (n - 1) + [1]
-        assert ring.k == n
-        assert kernels.convolve(ring.barrett, ring.poly) == x_n_minus_1
+        k, sign = (n // 2, -1) if n % 2 == 0 else (n, 1)
+        assert (ring.k, ring.period, ring.sign) == (k, k, sign)
+        binomial = [-sign] + [0] * (k - 1) + [1]
+        assert kernels.convolve(ring.barrett, ring.poly) == binomial
 
 
 def _check_reduction(n, rng, lengths):
@@ -157,15 +159,15 @@ PACKED_BOUNDS = (1, 2**31, 2**63, 10**40)
 PACKED_ORDERS = list(range(1, 301)) + [1711, 2756, 3422]
 
 
-def _sparse_remainder(vec, poly, period=None):
+def _sparse_remainder(vec, poly, period=None, sign=1):
     # long division by a monic polynomial, over its nonzero terms; with a
-    # period n (poly divides x^n - 1), after folding x^n to 1
+    # period h and sign e (poly divides x^h - e), after folding x^h to e
     d = len(poly) - 1
     rem = list(vec) + [0] * max(d - len(vec), 0)
     if period is not None and len(rem) > period:
         rem, tail = rem[:period], rem[period:]
         for k, c in enumerate(tail):
-            rem[k % period] += c
+            rem[k % period] += sign ** (k // period + 1) * c
     terms = [(t, c) for t, c in enumerate(poly[:d]) if c]
     for j in range(len(rem) - 1, d - 1, -1):
         c = rem[j]
@@ -186,21 +188,25 @@ def _edge_vectors(rng, length, bound):
 def _packed_fields():
     """(field forced onto the packed path, the reference remainder): long
     division, or at the three large orders (where it takes seconds) the
-    list path of `_reduce`, checked against long division once."""
-    polys = [(cyclotomic_polynomial(n), n) for n in PACKED_ORDERS]
-    polys += [([-5, 0, 1], None),         # Q(sqrt 5)
-              ([-2, -1, 0, 1], None)]     # x^3 - x - 2
+    list path of `_reduce`, checked against long division once.  The
+    cyclotomic fields fold through the binomial that `_ring` gives them."""
+    fields = [_ring(n) for n in PACKED_ORDERS]
+    fields += [NumberField([-5, 0, 1]),        # Q(sqrt 5)
+               NumberField([-2, -1, 0, 1])]    # x^3 - x - 2
     rng = random.Random(3)
-    for poly, n in polys:
-        packed, listed = NumberField(poly, n), NumberField(poly, n)
+    for field in fields:
+        poly = field.poly
+        packed, listed = (NumberField(poly, field.period, field.sign)
+                          for _ in range(2))
         packed._packed, listed._packed = True, False
         d = listed.degree
-        if n is not None and n > 300:
+        if d > 300:
             vec = _random_vec(rng, 2 * d - 1, 1)
             assert _reduce(vec, listed) == _sparse_remainder(vec, poly)
             yield packed, lambda vec, f=listed: _reduce(vec, f)
         else:
-            yield packed, lambda vec, p=poly, n=n: _sparse_remainder(vec, p, n)
+            yield packed, lambda vec, f=field: _sparse_remainder(
+                vec, f.poly, f.period, f.sign)
 
 
 def test_packed_reduction_matches_long_division():
@@ -223,6 +229,37 @@ def test_packed_reduction_matches_long_division():
                                   (alternating, [bound * c for c in signs]),
                                   (rand, reference(rand))):
                     assert _reduce(vec, packed) == want, (packed, length, bound)
+
+
+NEGACYCLIC_ORDERS = list(range(1, 301)) + [1806, 2162, 2756, 3422]
+
+
+def test_binomial_fold_matches_long_division():
+    # every field of `_ring`, on the list path and forced packed, against
+    # long division by Phi_n with no fold at all; the lengths are just
+    # above the fold x^h, a monomial sum, a product and a double fold
+    rng = random.Random(18)
+    for n in NEGACYCLIC_ORDERS:
+        ring = _ring(n)
+        poly, h, d = list(ring.poly), ring.period, ring.degree
+        paths = [NumberField(poly, h, ring.sign) for _ in range(2)]
+        paths[0]._packed, paths[1]._packed = False, True
+        for length in sorted({h + 1, n, 2 * d - 1, 2 * n}):
+            # the remainder is linear: those of the +-bound vectors are
+            # multiples of these two, and one random vector per length
+            # fills the widest slots
+            ones = _sparse_remainder([1] * length, poly)
+            signs = _sparse_remainder([1 if i % 2 else -1 for i in range(length)], poly)
+            rand = _random_vec(rng, length, PACKED_BOUNDS[-1])
+            cases = [(rand, _sparse_remainder(rand, poly))]
+            for bound in PACKED_BOUNDS:
+                cases += [([bound] * length, [bound * c for c in ones]),
+                          ([-bound] * length, [-bound * c for c in ones]),
+                          ([bound if i % 2 else -bound for i in range(length)],
+                           [bound * c for c in signs])]
+            for field in paths:
+                for vec, want in cases:
+                    assert _reduce(vec, field) == want, (n, length, field._packed)
 
 
 def test_packed_product_matches_long_division():

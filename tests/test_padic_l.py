@@ -25,6 +25,7 @@ from iwrank.padic_l import (
     OrdinarityError,
     PRODUCT_NOTE,
     apply_sigma0,
+    branch_family,
     branch_report,
     branch_series,
     branch_value_trivial,
@@ -444,7 +445,9 @@ def _series_mod(series, k):
 def test_series_stable_across_precision(case, pair11, pair19, pair52,
                                         twisted11):
     """Every bundled pair and branch: the series at M = 8, 14, 16, 30
-    agree mod p^8 and mu/lambda and the verdicts do not change."""
+    agree mod p^8 and mu/lambda and the verdicts do not change, and
+    `branch_family`, which reads each sign's rows once for all its
+    branches, gives the very masses of a lone `branch_series`."""
     sym, p, ap, level = {
         "11a@5": (pair11, 5, 1, 11),
         "19a@5": (pair19, 5, 3, 19),
@@ -459,6 +462,9 @@ def test_series_stable_across_precision(case, pair11, pair19, pair52,
                                  prec=max(14, working_precision(sym, p, n, M)))
             bss = {j: branch_series(sym, p, alpha, j, n=n, M=M)
                    for j in range(1, p)}
+            family = branch_family(sym, ap, p, n, M)[1]
+            assert [(bs.shift, bs.masses) for bs in family.values()] == \
+                [(bs.shift, bs.masses) for bs in bss.values()], (case, n, M)
             for j, bs in bss.items():
                 try:
                     inv = mu_lambda(t_series(bs))
