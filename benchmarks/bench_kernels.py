@@ -1,31 +1,41 @@
-"""Kernel microbenchmark: Kronecker substitution against schoolbook, and
-the reduction in Q(zeta_n).
+"""Kernel microbenchmark: Kronecker substitution against schoolbook, the
+reduction in Q(zeta_n), and the group-ring products of `cyclotomic`.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 
 It times the two ways `iwrank.kernels.convolve` can multiply two random
-vectors with coefficients in [-8, 8]: the schoolbook loop and Kronecker
-substitution.  The first row set has equal operand lengths from 1 to 1624
-(the largest field degree of the Gauss-sum workload).  The second has a
-short operand of length 1 to 16 against one of length 1624, the shape of
-the quotient-times-Phi_n products of the list path in
-`numfield._reduce`.  Each row gives both times, their ratio and the
-method `convolve` picks; each set ends with its measured crossover, the
-first length from which Kronecker substitution stays faster.
+vectors with coefficients in [-8, 8]: the schoolbook loop over the
+nonzero terms and Kronecker substitution.  The first row set has equal
+operand lengths from 1 to 1624 (the largest field degree of the
+Gauss-sum workload).  The second has a short operand of length 1 to 16
+against one of length 1624, the shape of the quotient-times-Phi_n
+products of the list path in `numfield._reduce`.  Each row gives both
+times, their ratio and the method `convolve` picks; each set ends with
+its measured crossover, the first length from which Kronecker
+substitution stays faster.
 
-The third row set times, per field, both paths of `numfield`: the list
-path (`convolve` and a reduction of the coefficient list) and the packed
-path (one packed int from the first pack to the last unpack), each
-forced on a fresh copy of the field.  A cyclotomic field is built as
-`cyclotomic._ring` builds it, so it folds through the binomial the code
-uses (x^n - 1, or x^(n/2) + 1 for even n).  The shapes are the reduction
-of one root of unity x^(n-1) (every reduction of `verify` is one), of a
-random vector of length n (a sum of roots of unity, as
-`CyclotomicNumber.from_monomials` reduces a Gauss sum), and one product
-of two random reduced elements; without an order n is 2d - 1, a
-product's length.  The last column is the path the field takes.  The
-fields are those of `verify`, small cyclotomic ones, and the orders
-1711, 2162, 2756 and 3422, the largest of the Gauss-sum workload.
+The third row set times, per field, both paths of `numfield._reduce`:
+the list path and the packed path (one packed int from the first pack
+to the last unpack), each forced on a fresh copy of the field.  A
+cyclotomic field is built as `cyclotomic._ring` builds it, so its
+Barrett quotient is (x^h - e)/Phi_n for the binomial the code folds
+through (x^n - 1, or x^(n/2) + 1 for even n).  The shapes are the
+reduction of one root of unity x^(h-1), of a random vector of h slots (a
+dense group-ring element, as `CyclotomicNumber` reads one), and of one
+product of two random reduced elements (`convolve`, then the
+reduction); without a period h is 2d - 1, a product's length.  The last
+column is the path the field takes.  The fields are those of `verify`,
+small cyclotomic ones, and the orders 1711, 2162, 2756 and 3422, the
+largest of the Gauss-sum workload.
+
+The last row set times `CyclotomicNumber` as the Gauss-sum workload
+uses it: g(chi) g(chibar) for a character of each of the four largest
+orders, split into building the two Gauss sums, their group-ring
+product, and the first read of the product (one reduction modulo Phi_n
+and its repr, on a fresh copy).  Its last rows are a product of two
+dense random elements at 210 and 903, where h (105 and 903) is well
+above phi(n) (48 and 504), and its first read: a dense product pays for
+the group ring's longer vectors.
 """
 
 import argparse
@@ -33,7 +43,8 @@ import random
 import time
 
 from iwrank import kernels, numfield
-from iwrank.cyclotomic import _ring
+from iwrank.characters import parse_descriptor
+from iwrank.cyclotomic import CyclotomicNumber, _ring
 
 # coefficients are drawn from [-COEFF_BOUND, COEFF_BOUND]
 COEFF_BOUND = 8
@@ -42,12 +53,17 @@ EQUAL_LENGTHS = list(range(1, 41)) + [48, 64, 96, 128, 192, 256, 384, 512,
                                       768, 1024, 1624]
 SHORT_LENGTHS = list(range(1, 17))
 LONG_LENGTH = 1624
-# (name, field, order or None): the fields of `verify` (Q(sqrt 5) is the
-# coefficient field of 23.2.a), small cyclotomic fields, and the largest
-# orders of the Gauss-sum workload
-FIELDS = ([("sqrt5", numfield.NumberField([-5, 0, 1]), None)]
-          + [(f"zeta{n}", _ring(n), n)
+# (name, field): the fields of `verify` (Q(sqrt 5) is the coefficient
+# field of 23.2.a), small cyclotomic fields, and the largest orders of the
+# Gauss-sum workload
+FIELDS = ([("sqrt5", numfield.NumberField([-5, 0, 1]))]
+          + [(f"zeta{n}", _ring(n))
              for n in (2, 4, 10, 5, 7, 9, 11, 13, 15, 1711, 2162, 2756, 3422)])
+# characters of the Gauss-sum workload whose sums live in Q(zeta_n) for
+# its four largest orders n = lcm(conductor, order)
+GAUSS_CHARACTERS = ("mod=59;gens=2:2;ord=29", "mod=47;gens=5:1;ord=46",
+                    "mod=53;gens=2:1;ord=52", "mod=59;gens=2:1;ord=58")
+DENSE_ORDERS = (210, 903)
 
 
 def best_time(fn, a, b, repeat):
@@ -84,7 +100,8 @@ def row_set(title, shapes, rng, repeat):
         ts = best_time(kernels._schoolbook, a, b, repeat)
         tk = best_time(kernels._kronecker, a, b, repeat)
         faster.append(tk < ts)
-        pick = ("kronecker" if kernels._prefers_kronecker(la, lb)
+        terms = (la - a.count(0)) * (lb - b.count(0))
+        pick = ("kronecker" if kernels._prefers_kronecker(la, lb, terms)
                 else "schoolbook")
         print(f"{la:>5} {lb:>5} {ts * 1e6:>10.1f}us {tk * 1e6:>10.1f}us "
               f"{ts / tk:>7.2f}x {pick:>10}")
@@ -92,7 +109,7 @@ def row_set(title, shapes, rng, repeat):
     crossover = next((la for i, (la, _) in enumerate(shapes)
                       if all(faster[i:])), None)
     first_pick = next((la for la, lb in shapes
-                       if kernels._prefers_kronecker(la, lb)), None)
+                       if kernels._prefers_kronecker(la, lb, la * lb)), None)
     print(f"measured crossover: {crossover}; convolve switches at "
           f"{first_pick}\n")
 
@@ -102,27 +119,57 @@ def field_rows(rng, repeat):
     print("reduction and product: list path against packed path")
     print(f"{'field':>8} {'d':>5} {'shape':>8} {'list':>12} {'packed':>12} "
           f"{'speedup':>8} {'takes':>7}")
-    for name, field, n in FIELDS:
+    for name, field in FIELDS:
         paths = [numfield.NumberField(field.poly, field.period, field.sign)
                  for _ in range(2)]
         takes = "packed" if paths[0]._packed else "list"
         paths[0]._packed, paths[1]._packed = False, True
         d = paths[0].degree
-        length = n or 2 * d - 1
+        length = field.period or 2 * d - 1
         root = [0] * (length - 1) + [1]
         dense = [rng.randint(-COEFF_BOUND, COEFF_BOUND) for _ in range(length)]
         a, b = ([rng.randint(-COEFF_BOUND, COEFF_BOUND) for _ in range(d)]
                 for _ in range(2))
-        for shape, fn, x, y in (("root", numfield._reduce, root, None),
-                                ("dense", numfield._reduce, dense, None),
-                                ("product", numfield._product, a, b)):
+        for shape, x, y in (("root", root, None), ("dense", dense, None),
+                            ("product", a, b)):
             if y is None:
-                tl, tp = (best_time(fn, x, f, repeat) for f in paths)
+                tl, tp = (best_time(numfield._reduce, x, f, repeat) for f in paths)
             else:
-                tl, tp = (best_time(lambda u, v, f=f: fn(u, v, f), x, y, repeat)
-                          for f in paths)
+                tl, tp = (best_time(lambda u, v, f=f: numfield._reduce(
+                    kernels.convolve(u, v), f), x, y, repeat) for f in paths)
             print(f"{name:>8} {d:>5} {shape:>8} {tl * 1e6:>10.1f}us "
                   f"{tp * 1e6:>10.1f}us {tl / tp:>7.2f}x {takes:>7}")
+    print()
+
+
+def cyclotomic_rows(rng, repeat):
+    """Time the group-ring steps of g(chi) g(chibar), and of a product of
+    two dense elements."""
+    print("Q(zeta_n) products: build, group-ring product, first read")
+    print(f"{'n':>5} {'h':>5} {'d':>5} {'terms':>11} {'build':>12} "
+          f"{'product':>12} {'read':>12}")
+    cases = []
+    for desc in GAUSS_CHARACTERS:
+        chi = parse_descriptor(desc)
+        chibar = chi.conjugate()
+        cases.append((lambda u, v: (u.gauss_sum(), v.gauss_sum()), chi, chibar))
+    for n in DENSE_ORDERS:
+        d = _ring(n).degree
+        x, y = ([rng.randint(-COEFF_BOUND, COEFF_BOUND) for _ in range(d)]
+                for _ in range(2))
+        cases.append((lambda u, v, n=n: (CyclotomicNumber(n, u, 1),
+                                         CyclotomicNumber(n, v, 1)), x, y))
+    for build, u, v in cases:
+        a, b = build(u, v)
+        prod = a * b
+        n, field = prod.order, prod.field
+        terms = "x".join(str(len(w.vec) - w.vec.count(0)) for w in (a, b))
+        tb = best_time(build, u, v, repeat)
+        tm = best_time(lambda x, y: x * y, a, b, repeat)
+        tr = best_time(lambda w, den: repr(CyclotomicNumber(n, w, den)),
+                       prod.vec, prod.vden, repeat)
+        print(f"{n:>5} {field.period:>5} {field.degree:>5} {terms:>11} "
+              f"{tb * 1e6:>10.1f}us {tm * 1e6:>10.1f}us {tr * 1e6:>10.1f}us")
     print()
 
 
@@ -140,6 +187,7 @@ def main():
     row_set(f"short against {LONG_LENGTH}",
             [(n, LONG_LENGTH) for n in SHORT_LENGTHS], rng, args.repeat)
     field_rows(rng, args.repeat)
+    cyclotomic_rows(rng, args.repeat)
 
 
 if __name__ == "__main__":

@@ -1,19 +1,31 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_n), power-basis representation.
+"""Exact arithmetic in cyclotomic fields Q(zeta_n), as sums of roots of unity.
 
-Q(zeta_n) is the number field Q[x]/Phi_n(x), and `CyclotomicNumber` is the
-`NFElement` of that field: integer numerators over one denominator on the
-basis 1, x, ..., x^(phi(n)-1).  This module adds what is particular to
-the Phi_n case: the order n, roots of unity and sums of them, the
-embeddings Q(zeta_n) -> Q(zeta_m) for n | m, and the Galois action.
+Every primitive n-th root of unity x has x^h = e, with h = n and e = 1
+for odd n, h = n/2 and e = -1 for even n.  A `CyclotomicNumber` is kept
+in the group ring Z[x]/(x^h - e): an integer vector `vec` of at most h
+slots over one denominator `vden`.  Sums and scalar products act slot by
+slot, a product is one cyclic or negacyclic convolution (`kernels.convolve`,
+which loops over sparse operands' nonzero terms) and one fold below x^h,
+and the Galois action and the embeddings Q(zeta_n) -> Q(zeta_m), n | m,
+map exponents.  None of these divides by Phi_n, so a Gauss sum of c
+terms keeps c unit slots, where on the power basis it is dense.
+
+It is the `NFElement` of Q[x]/Phi_n (`_ring(n)`) whose power-basis
+numerators `nums` and denominator `den`, in lowest terms, are computed
+by one Barrett reduction (`numfield._reduce`) when first read, and kept.
+That form is unique, so `==`, `repr`, `is_rational`, `inverse` and every
+other read are those of the field.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, zip_longest
 from math import gcd, lcm
 
+from iwrank import kernels
 from iwrank.arith import euler_phi, prime_divisors
-from iwrank.numfield import NFElement, NumberField, _reduce
+from iwrank.numfield import NFElement, NumberField, _fold, _reduce
 
 _ONE = Fraction(1)
 
@@ -60,24 +72,116 @@ def _ring(n: int) -> NumberField:
     return ring
 
 
-class CyclotomicNumber(NFElement):
-    """Element of Q(zeta_order) in the power basis."""
+def _group_vector(order: int, terms) -> list[int]:
+    """sum c x^k over the (k, c) in terms, as the vector of h slots of
+    Z[x]/(x^h - e) for Q(zeta_order): k mod order, then x^h = e."""
+    field = _ring(order)
+    h, sign = field.period, field.sign
+    vec = [0] * h
+    for k, c in terms:
+        k %= order
+        if k < h:
+            vec[k] += c
+        else:
+            vec[k - h] += sign * c
+    return vec
 
-    __slots__ = ("order",)
+
+class CyclotomicNumber(NFElement):
+    """Element of Q(zeta_order): sum vec[j] zeta^j / vden in the group
+    ring.  `nums` and `den`, slots of an `NFElement`, are properties
+    here: the power-basis form, computed on the first read (see the
+    module docstring)."""
+
+    __slots__ = ("order", "vec", "vden", "_read")
 
     def __init__(self, order: int, coeffs, den: int | None = None):
-        super().__init__(_ring(order), coeffs, den)
-        self.order = order
+        """sum coeffs[j] zeta^j, or with `den` given, sum coeffs[j] zeta^j
+        / den for integers coeffs and den > 0; coeffs beyond h are folded
+        by zeta^h = e."""
+        field = _ring(order)
+        if den is None:
+            coeffs = [Fraction(c) for c in coeffs]
+            den = lcm(*(c.denominator for c in coeffs))
+            coeffs = [c.numerator * (den // c.denominator) for c in coeffs]
+        vec = _fold(list(coeffs), field)
+        if den != 1:
+            g = gcd(den, *vec)
+            if g != 1:
+                vec = [c // g for c in vec]
+                den //= g
+        self.field, self.order = field, order
+        self.vec, self.vden = vec, den
+        self._read = None
 
-    def _new(self, nums, den: int) -> "CyclotomicNumber":
-        return CyclotomicNumber(self.order, nums, den)
+    def _new(self, vec, den: int) -> "CyclotomicNumber":
+        return CyclotomicNumber(self.order, vec, den)
+
+    def _power_basis(self) -> tuple[tuple[int, ...], int]:
+        """(nums, den): vec reduced modulo Phi_n once, in lowest terms."""
+        if self._read is None:
+            nums, den = _reduce(self.vec, self.field), self.vden
+            g = gcd(den, *nums) if den != 1 else 1
+            if g != 1:
+                nums = [c // g for c in nums]
+                den //= g
+            self._read = (tuple(nums), den)
+        return self._read
+
+    @property
+    def nums(self) -> tuple[int, ...]:
+        return self._power_basis()[0]
+
+    @property
+    def den(self) -> int:
+        return self._power_basis()[1]
 
     def _pair(self, other):
-        # elements of different orders meet in Q(zeta_lcm)
-        if isinstance(other, CyclotomicNumber) and other.field is not self.field:
+        if isinstance(other, (int, Fraction)):
+            return self, self._new([other.numerator], other.denominator)
+        if isinstance(other, CyclotomicNumber):
+            if other.order == self.order:
+                return self, other
+            # elements of different orders meet in Q(zeta_lcm)
             m = lcm(self.order, other.order)
             return self.lift_to(m), other.lift_to(m)
-        return super()._pair(other)
+        return None
+
+    # group-ring arithmetic --------------------------------------------
+
+    def _combine(self, other, sign: int):
+        """self + sign * other, slot by slot."""
+        pair = self._pair(other)
+        if pair is None:
+            return NotImplemented
+        a, b = pair
+        den = lcm(a.vden, b.vden)
+        ka, kb = den // a.vden, sign * (den // b.vden)
+        return a._new([x * ka + y * kb for x, y in zip_longest(a.vec, b.vec, fillvalue=0)],
+                      den)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return self._new([-c for c in self.vec], self.vden)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            num = other.numerator
+            return self._new([c * num for c in self.vec], self.vden * other.denominator)
+        pair = self._pair(other)
+        if pair is None:
+            return NotImplemented
+        a, b = pair
+        return a._new(kernels.convolve(a.vec, b.vec), a.vden * b.vden)
+
+    __rmul__ = __mul__
 
     # construction -----------------------------------------------------
 
@@ -95,10 +199,15 @@ class CyclotomicNumber(NFElement):
         int or a Fraction."""
         items = list(items)
         den = lcm(*(coeff.denominator for _, coeff in items))
-        vec = [0] * order
-        for exp, coeff in items:
-            vec[exp % order] += coeff.numerator * (den // coeff.denominator)
-        return cls(order, _reduce(vec, _ring(order)), den)
+        return cls(order, _group_vector(order, [
+            (exp, coeff.numerator * (den // coeff.denominator)) for exp, coeff in items]),
+            den)
+
+    def _mapped(self, order: int, t: int) -> "CyclotomicNumber":
+        """sum vec[j] zeta_order^(j t) / vden."""
+        terms = compress(enumerate(self.vec), self.vec)
+        return CyclotomicNumber(order, _group_vector(order, ((j * t, c) for j, c in terms)),
+                                self.vden)
 
     def lift_to(self, order: int) -> "CyclotomicNumber":
         """Image under Q(zeta_n) -> Q(zeta_m), zeta_n = zeta_m^(m/n)."""
@@ -106,22 +215,15 @@ class CyclotomicNumber(NFElement):
             return self
         if order % self.order != 0:
             raise ValueError(f"no embedding of order {self.order} into order {order}")
-        step = order // self.order
-        vec = [0] * ((len(self.nums) - 1) * step + 1)
-        vec[::step] = self.nums
-        return CyclotomicNumber(order, _reduce(vec, _ring(order)), self.den)
+        return self._mapped(order, order // self.order)
 
     # galois -----------------------------------------------------------
 
     def galois(self, t: int) -> "CyclotomicNumber":
         """Action of zeta -> zeta^t, gcd(t, order) = 1."""
-        n = self.order
-        if gcd(t, n) != 1:
+        if gcd(t, self.order) != 1:
             raise ValueError("galois exponent must be coprime to the order")
-        vec = [0] * n
-        for j, c in enumerate(self.nums):
-            vec[j * t % n] = c
-        return CyclotomicNumber(n, _reduce(vec, self.field), self.den)
+        return self._mapped(self.order, t)
 
     def conjugate(self) -> "CyclotomicNumber":
         if self.order <= 2:

@@ -41,6 +41,10 @@ class UndeterminedInvariants(ArithmeticError):
 def padic_ints(values, p, M):
     """(shift, ints) with values[i] = p^shift * ints[i] mod p^M and
     -shift the largest p-power in a denominator, for exact rationals."""
+    if all(type(c) is int or (type(c) is Fraction and c.denominator == 1)
+           for c in values):
+        m = p ** M
+        return 0, [c.numerator % m for c in values]
     parts = []  # numerator, p-free denominator, p-power of the denominator
     for c in values:
         if type(c) is int or (type(c) is Fraction and c.denominator == 1):

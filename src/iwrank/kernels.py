@@ -1,27 +1,31 @@
 """Integer polynomial kernel: multiplication and the packed slots.
 
 All inputs are lists of Python ints, low degree first: arithmetic must
-stay arbitrary-precision.  `convolve` multiplies by Kronecker
-substitution (Harvey, J. Symb. Comp. 44, 2009): each vector is packed
-into one Python int, CPython's Karatsuba multiplies the two, and the
-product's coefficients are read back out of its bytes.
+stay arbitrary-precision.  `convolve` multiplies either by a loop over
+the pairs of nonzero terms or by Kronecker substitution (Harvey, J.
+Symb. Comp. 44, 2009): each vector is packed into one Python int,
+CPython's Karatsuba multiplies the two, and the product's coefficients
+are read back out of its bytes.  Sparse operands, such as sums of a few
+dozen roots of unity in a ring of a thousand slots, take the loop.
 
 The private helpers are the packing itself: `_slot_width` sizes a slot
 for a coefficient bound, `_pack` and `_unpack` move a vector into and
 out of one int of such slots, and `_bias` is the int that fills `count`
-slots with half their range.  `numfield` runs a whole product and its
-reduction modulo the field polynomial on one packed int through them,
-so that a product is packed once per operand and unpacked once.
+slots with half their range.  `numfield` runs a whole reduction modulo
+the field polynomial on one packed int through them, so that a vector
+is packed once and unpacked once.
 """
 
 import sys
 from array import array
+from itertools import compress
 
 # Pure Python; kept so that tools reporting the kernel build can read it.
 COMPILED = False
 
 # Cost model for the choice of method, in schoolbook multiply-adds: the
-# schoolbook loop makes la*lb of them, and Kronecker substitution costs
+# schoolbook loop makes one per pair of nonzero terms (la*lb of them for
+# dense operands), and Kronecker substitution costs
 # about KRONECKER_SETUP + KRONECKER_PER_COEFF*(la + lb) of them.  Both
 # constants are a least-squares fit to timings of equal and unequal
 # operand lengths (benchmarks/bench_kernels.py prints both row sets).  The
@@ -41,13 +45,13 @@ _WORDS = ({array(code).itemsize: code for code in "BHIQ"}
 
 
 def _schoolbook(a, b):
+    """Product of two non-empty vectors over their nonzero terms."""
     out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
-                out[i + j] += ai * bj
+    terms = [(j, b[j]) for j in compress(range(len(b)), b)]
+    for i in compress(range(len(a)), a):
+        ai = a[i]
+        for j, bj in terms:
+            out[i + j] += ai * bj
     return out
 
 
@@ -96,16 +100,18 @@ def _kronecker(a, b):
     return _unpack(prod.to_bytes(width * n, "little"), width, half)
 
 
-def _prefers_kronecker(la, lb):
-    """The cost model's choice for operands of lengths la and lb."""
-    return la * lb > KRONECKER_SETUP + KRONECKER_PER_COEFF * (la + lb)
+def _prefers_kronecker(la, lb, terms):
+    """The cost model's choice for operands of lengths la and lb whose
+    nonzero terms make `terms` products."""
+    return terms > KRONECKER_SETUP + KRONECKER_PER_COEFF * (la + lb)
 
 
 def convolve(a, b):
     """Product of two integer polynomials given as coefficient lists."""
     if not a or not b:
         return []
-    if _prefers_kronecker(len(a), len(b)):
+    la, lb = len(a), len(b)
+    if _prefers_kronecker(la, lb, (la - a.count(0)) * (lb - b.count(0))):
         return _kronecker(a, b)
     return _schoolbook(a, b)
 

@@ -2,36 +2,37 @@
 
 An element is a tuple of integer numerators over one positive common
 denominator, in lowest terms, on the power basis 1, x, ..., x^(d-1).
-Products multiply the numerators and reduce modulo f by Barrett
-division with m = x^k div f, cached per field (von zur Gathen & Gerhard,
-*Modern Computer Algebra*, 9.1), after a fold below x^h by x^h = e
-when f divides x^h - e.  Q(zeta_n) is f = Phi_n, h = n/2, e = -1 for
-even n, else h = n, e = 1 (see `cyclotomic`).
+Products multiply the numerators (`kernels.convolve`) and reduce modulo
+f by Barrett division with m = x^k div f, cached per field (von zur
+Gathen & Gerhard, *Modern Computer Algebra*, 9.1).  When f divides
+x^h - e the field has a period h and sign e: a vector is first folded
+below x^h by x^h = e (`_fold`), and k = h.  Q(zeta_n) is f = Phi_n,
+h = n/2, e = -1 for even n, else h = n, e = 1; `cyclotomic` keeps its
+elements folded in Z[x]/(x^h - e) and reduces one modulo Phi_n only
+when its power-basis coefficients are read.
 
-A product of two reduced vectors takes one of two paths, by the cost
-model of `kernels.convolve` at length d:
+A reduction takes one of two paths, by the cost model of
+`kernels.convolve` for two dense vectors of length d:
 
-- Small fields (every product of `verify`) multiply through `convolve`
-  and reduce the coefficient list: a fold below x^h, then the Barrett
-  products q = ((v div x^d) m) div x^(k-d) and v - q f through
-  `convolve`.
-- Large fields run the product and its reduction on one Kronecker-packed
-  int V = v(2^s): the operands are packed once, multiplied once, and V
-  is folded, divided and finally unpacked once.  With slots of s bits,
-  `high(V, j)` = (V + bias_j) >> (s j) is v div x^j exactly, for the
-  bias of j half-full slots.  The fold below x^h is V - (H << s h) + e H
-  for H = high(V, h); the quotient is Q = high(high(V, d) M, k - d);
-  and V - Q F holds the remainder in its d low slots.  Every slot these
+- Small fields (every product of `verify`) reduce the coefficient list:
+  the Barrett products q = ((v div x^d) m) div x^(k-d) and v - q f
+  through `convolve`.
+- Large fields reduce on one Kronecker-packed int V = v(2^s), packed
+  and unpacked once.  With slots of s bits, `high(V, j)` =
+  (V + bias_j) >> (s j) is v div x^j exactly, for the bias of j
+  half-full slots.  The quotient is Q = high(high(V, d) M, k - d), and
+  V - Q F holds the remainder in its d low slots.  Every slot these
   steps read is at most vmax (1 + |m|_1 |f|_1) in size, for vmax the
-  largest coefficient after the fold, so one slot width chosen from
-  that bound serves the whole reduction.  The field caches the two
-  norms, and per slot width the packed M and F and the three biases.
+  largest coefficient of v, so one slot width chosen from that bound
+  serves the whole reduction.  The field caches the two norms, and per
+  slot width the packed M and F and the two biases.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, sub
 
 from iwrank import kernels
 
@@ -72,11 +73,12 @@ class NumberField:
         self.period, self.sign = period, sign
         self.k = period if period is not None else 2 * self.degree - 2
         self.barrett = _xk_div(self.poly, self.k)
-        # products (and so reductions) run packed where convolve would
-        # take Kronecker substitution for two reduced vectors; the list
-        # path is the faster one at degree <= 4, the packed one from 12 on
+        # reductions run packed where convolve would take Kronecker
+        # substitution for two dense reduced vectors; the list path is
+        # the faster one at degree <= 4, the packed one from 12 on
         # (benchmarks/bench_kernels.py times both)
-        self._packed = kernels._prefers_kronecker(self.degree, self.degree)
+        d = self.degree
+        self._packed = kernels._prefers_kronecker(d, d, d * d)
         # a packed reduction of v keeps every slot below max|v| times this
         self._growth = 1 + sum(map(abs, self.barrett)) * sum(map(abs, self.poly))
         self._slot_constants = {}
@@ -96,15 +98,14 @@ class NumberField:
         return NFElement(self, [_ZERO, _ONE])
 
     def _constants(self, width: int):
-        """The biases of h, d and k - d slots and the packed f and m, in
+        """The biases of d and k - d slots and the packed f and m, in
         slots of `width` bytes."""
         out = self._slot_constants.get(width)
         if out is None:
             half = 1 << (8 * width - 1)
             d = self.degree
             out = self._slot_constants[width] = (
-                kernels._bias(width, self.period or 0), kernels._bias(width, d),
-                kernels._bias(width, self.k - d),
+                kernels._bias(width, d), kernels._bias(width, self.k - d),
                 kernels._pack(self.poly, width, half),
                 kernels._pack(self.barrett, width, half))
         return out
@@ -116,6 +117,21 @@ class NumberField:
         return f"NumberField({list(self.poly)})"
 
 
+def _fold(vec: list[int], field: NumberField) -> list[int]:
+    """vec folded below x^h by x^h = e, for a field with a period h and
+    sign e; any other vector as it is."""
+    h = field.period
+    if h is None or len(vec) <= h:
+        return vec
+    out = list(vec[:h])
+    for start in range(h, len(vec), h):
+        tail = vec[start:start + h]
+        # x^(qh + r) = e^q x^r
+        op = sub if field.sign == -1 and start // h % 2 else add
+        out[:len(tail)] = map(op, out, tail)
+    return out
+
+
 def _reduce(vec: list[int], field: NumberField) -> list[int]:
     """An integer vector modulo field.poly, as its d low coefficients.
 
@@ -125,64 +141,26 @@ def _reduce(vec: list[int], field: NumberField) -> list[int]:
     folded below x^h, and m = (x^h - e)/f.  A large field packs v once
     and reduces it packed (see the module docstring).
     """
+    vec = _fold(vec, field)
     d = field.degree
-    if field._packed and len(vec) > d:
-        width = _packed_width(field, max(map(abs, vec)), len(vec))
-        packed = kernels._pack(vec, width, 1 << (8 * width - 1))
-        return _packed_remainder(packed, len(vec), width, field)
-    h, sign = field.period, field.sign
-    if h is not None and len(vec) > h:
-        folded = vec[:h]
-        for k in range(h, len(vec)):
-            folded[k % h] += sign ** (k // h) * vec[k]
-        vec = folded
     if len(vec) <= d:
-        return vec + [0] * (d - len(vec))
+        return list(vec) + [0] * (d - len(vec))
+    if field._packed:
+        width = kernels._slot_width(max(max(vec), -min(vec)) * field._growth)
+        packed = kernels._pack(vec, width, 1 << (8 * width - 1))
+        return _packed_remainder(packed, width, field)
     q = kernels.convolve(vec[d:], field.barrett)[field.k - d:]
     return [v - w for v, w in zip(vec[:d], kernels.convolve(q, field.poly))]
 
 
-def _product(a, b, field: NumberField) -> list[int]:
-    """The reduced product of two reduced vectors of field."""
-    if not field._packed:
-        return _reduce(kernels.convolve(a, b), field)
-    d = field.degree
-    # every product coefficient is at most |a|_1 max|b| in size
-    vmax = sum(map(abs, a)) * max(map(abs, b))
-    if not vmax:
-        return [0] * d
-    width = _packed_width(field, vmax, 2 * d - 1)
-    half = 1 << (8 * width - 1)
-    packed = kernels._pack(a, width, half)
-    packed *= packed if a is b else kernels._pack(b, width, half)
-    return _packed_remainder(packed, 2 * d - 1, width, field)
-
-
-def _packed_width(field: NumberField, vmax: int, length: int) -> int:
-    """Slot bytes for a packed reduction of `length` coefficients of
-    size at most vmax: folding below x^h adds up ceil(length / h) of
-    them, and the Barrett steps grow the sum by `field._growth`."""
-    h = field.period
-    folds = 1 if h is None else -(-length // h)
-    return kernels._slot_width(vmax * folds * field._growth)
-
-
-def _packed_remainder(packed: int, length: int, width: int,
-                      field: NumberField) -> list[int]:
-    """v mod field.poly for packed = v(2^s), v of `length` coefficients
-    in slots of s = 8 width bits (see the module docstring)."""
+def _packed_remainder(packed: int, width: int, field: NumberField) -> list[int]:
+    """v mod field.poly for packed = v(2^s), v of degree at most k in
+    slots of s = 8 width bits (see the module docstring)."""
     s = 8 * width
-    bias_h, bias_d, bias_q, f, m = field._constants(width)
-    h = field.period
-    if h is not None:
-        while length > h:
-            high = (packed + bias_h) >> (s * h)
-            packed -= (high << (s * h)) - field.sign * high
-            length = max(h, length - h)
+    bias_d, bias_q, f, m = field._constants(width)
     d = field.degree
-    if length > d:
-        q = (((packed + bias_d) >> (s * d)) * m + bias_q) >> (s * (field.k - d))
-        packed -= q * f
+    q = (((packed + bias_d) >> (s * d)) * m + bias_q) >> (s * (field.k - d))
+    packed -= q * f
     raw = (packed + bias_d).to_bytes(width * d, "little")
     return kernels._unpack(raw, width, 1 << (s - 1))
 
@@ -265,7 +243,8 @@ class NFElement:
         if pair is None:
             return NotImplemented
         a, b = pair
-        return a._new(_product(a.nums, b.nums, a.field), a.den * b.den)
+        return a._new(_reduce(kernels.convolve(a.nums, b.nums), a.field),
+                      a.den * b.den)
 
     __rmul__ = __mul__
 

@@ -6,9 +6,9 @@ under the test suite.
 
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd
+from math import gcd, lcm
 
-from iwrank.cyclotomic import CyclotomicNumber
+from iwrank.cyclotomic import CyclotomicNumber, cyclotomic_polynomial
 from iwrank.modsym import _xgcd
 from iwrank.iwasawa import PadicSeries
 from iwrank.kernels import convolve
@@ -282,3 +282,122 @@ def group_ring_mul(a: PadicSeries, b: PadicSeries) -> PadicSeries:
     ga, gb = ([x % m for x in t_to_gamma(s.ints)] for s in (a, b))
     prod = fold(convolve(ga, gb), a.D)
     return PadicSeries.from_ints(a.p, a.M, a.D, gamma_to_t([x % m for x in prod]))
+
+
+# -- Q(zeta_n) reduced at every step -----------------------------------
+
+
+class EagerCyclotomic:
+    """Element of Q(zeta_order) reduced modulo Phi_order after every
+    operation: integer numerators `nums` on the power basis over one
+    denominator `den`, in lowest terms.  A vector is taken mod
+    x^order - 1 (`fold`) and then divided by Phi_order by long division:
+    no fold by x^(order/2) = -1 and no Barrett quotient.  The oracle of
+    `cyclotomic.CyclotomicNumber`, which stays in a group ring and reduces
+    only when read."""
+
+    def __init__(self, order, nums, den=1):
+        poly = cyclotomic_polynomial(order)
+        d = len(poly) - 1
+        rem = fold(list(nums), order)
+        terms = [(t, c) for t, c in enumerate(poly[:d]) if c]
+        for j in range(len(rem) - 1, d - 1, -1):
+            c = rem[j]
+            if c:
+                for t, pt in terms:
+                    rem[j - d + t] -= c * pt
+        g = gcd(den, *rem[:d])
+        self.order = order
+        self.nums = tuple(c // g for c in rem[:d])
+        self.den = den // g
+
+    @classmethod
+    def from_monomials(cls, order, items):
+        """sum c zeta^e over (e, c) pairs, c an int or a Fraction."""
+        items = [(e, Fraction(c)) for e, c in items]
+        den = lcm(*(c.denominator for _, c in items))
+        vec = [0] * order
+        for e, c in items:
+            vec[e % order] += c.numerator * (den // c.denominator)
+        return cls(order, vec, den)
+
+    def _mapped(self, order, t):
+        """sum nums[j] zeta_order^(j t) / den."""
+        return EagerCyclotomic.from_monomials(
+            order, [(j * t, Fraction(c, self.den)) for j, c in enumerate(self.nums)])
+
+    def lift_to(self, order):
+        return self._mapped(order, order // self.order)
+
+    def galois(self, t):
+        return self._mapped(self.order, t)
+
+    def conjugate(self):
+        return self.galois(-1)
+
+    def _pair(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = EagerCyclotomic.from_monomials(self.order, [(0, other)])
+        m = lcm(self.order, other.order)
+        return self.lift_to(m), other.lift_to(m)
+
+    def __add__(self, other):
+        a, b = self._pair(other)
+        return EagerCyclotomic(a.order, [x * b.den + y * a.den
+                                         for x, y in zip(a.nums, b.nums)], a.den * b.den)
+
+    def __neg__(self):
+        return EagerCyclotomic(self.order, [-x for x in self.nums], self.den)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        a, b = self._pair(other)
+        return EagerCyclotomic(a.order, convolve(a.nums, b.nums), a.den * b.den)
+
+    def __pow__(self, e):
+        base = self if e >= 0 else self.inverse()
+        out = EagerCyclotomic.from_monomials(self.order, [(0, 1)])
+        for _ in range(abs(e)):
+            out = out * base
+        return out
+
+    def inverse(self):
+        """The solution x of self * x = 1, by dense elimination on the
+        matrix of multiplication by self."""
+        d = len(self.nums)
+        cols = [(self * EagerCyclotomic.from_monomials(self.order, [(j, 1)])).coeffs
+                for j in range(d)]
+        x = solve_right([list(r) for r in zip(*cols)], [Fraction(1)] + [Fraction(0)] * (d - 1))
+        if x is None:
+            raise ZeroDivisionError("inverse of zero")
+        return EagerCyclotomic.from_monomials(self.order, list(enumerate(x)))
+
+    @property
+    def coeffs(self):
+        return tuple(Fraction(c, self.den) for c in self.nums)
+
+    def is_rational(self):
+        return not any(self.nums[1:])
+
+    def rational_value(self):
+        if not self.is_rational():
+            raise ValueError("not a rational number")
+        return Fraction(self.nums[0], self.den)
+
+    def __eq__(self, other):
+        a, b = self._pair(other)
+        return (a.nums, a.den) == (b.nums, b.den)
+
+    def __repr__(self):
+        terms = []
+        for j, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            if j == 0:
+                terms.append(str(c))
+            else:
+                z = f"z{self.order}" + (f"^{j}" if j > 1 else "")
+                terms.append(z if c == 1 else f"{c}*{z}")
+        return " + ".join(terms) if terms else "0"

@@ -6,6 +6,7 @@ import pytest
 
 from iwrank.arith import euler_phi
 from iwrank.cyclotomic import CyclotomicNumber, cyclotomic_polynomial, zeta
+from reference import EagerCyclotomic
 
 F = Fraction
 
@@ -113,3 +114,94 @@ def test_arithmetic_with_rationals():
     assert z * 2 - z == z
     assert (z + F(1, 3)) - F(1, 3) == z
     assert (z * F(0)).is_zero()
+
+
+# the group ring against the reduce-at-every-step oracle ----------------
+
+# odd and even orders, with short and long Barrett quotients: h - phi(n)
+# runs from 0 (n = 1, 2, 4) through 87 (1711, 3422) to 399 (903)
+EAGER_ORDERS = (1, 2, 3, 4, 5, 12, 15, 60, 210, 903, 1711, 2162, 3422)
+# an order to mix with each, meeting it in Q(zeta_lcm); the orders up to
+# 1711 are also lifted to 2n, odd ones onto the negacyclic fold
+EAGER_PARTNER = {1: 3, 2: 3, 3: 4, 4: 3, 5: 4, 12: 8, 15: 6, 60: 9, 210: 4,
+                 903: 2, 1711: 2, 2162: 1081, 3422: 1711}
+
+
+def _random_items(rng, n, dense):
+    """(exponent, coefficient) pairs: a few unit or small terms, as in a
+    Gauss sum, or about n terms; exponents also beyond [0, n), and a
+    third of the elements over a denominator."""
+    count = rng.randrange(n // 2, n + 1) if dense else rng.randrange(1, 9)
+    over = rng.randrange(1, 7) if rng.random() < 1 / 3 else 1
+    return [(rng.randrange(-n, 2 * n), F(rng.choice([1, -1, rng.randrange(-9, 10)]), over))
+            for _ in range(count)]
+
+
+def _agrees(x, ref):
+    assert (x.nums, x.den) == (ref.nums, ref.den)
+    assert repr(x) == repr(ref)
+    assert x.is_rational() == ref.is_rational()
+    if ref.is_rational():
+        assert x.rational_value() == ref.rational_value()
+
+
+@pytest.mark.parametrize("n", EAGER_ORDERS)
+def test_group_ring_matches_eager_reference(n):
+    rng = random.Random(n)
+    d = euler_phi(n)
+    k = EAGER_PARTNER[n]
+    units = [t for t in range(1, n + 1) if gcd(t, n) == 1]
+    for round_ in range(2 if d > 100 else 12):
+        pairs = []
+        for dense in (False, True, round_ % 2 == 1):
+            items = _random_items(rng, n, dense)
+            pairs.append((CyclotomicNumber.from_monomials(n, items),
+                          EagerCyclotomic.from_monomials(n, items)))
+        # an element given by its power-basis coefficients
+        coeffs = [F(rng.randrange(-9, 10), rng.randrange(1, 4)) for _ in range(d)]
+        pairs.append((CyclotomicNumber(n, coeffs),
+                      EagerCyclotomic.from_monomials(n, list(enumerate(coeffs)))))
+        # rational values of nonzero group-ring vectors: the sum of all
+        # n-th roots of unity, and zeta^j zeta^-j
+        j = rng.randrange(n)
+        all_roots = [(e, 1) for e in range(n)]
+        pairs.append((CyclotomicNumber.from_monomials(n, all_roots),
+                      EagerCyclotomic.from_monomials(n, all_roots)))
+        pairs.append((zeta(n, j) * zeta(n, -j) * F(5, 3),
+                      EagerCyclotomic.from_monomials(n, [(0, F(5, 3))])))
+        for x, ref in pairs:
+            _agrees(x, ref)
+        (a, ra), (b, rb), (c, rc) = pairs[:3]
+        s = F(rng.randrange(1, 10), rng.randrange(1, 7)) * rng.choice([1, -1])
+        _agrees(a + b, ra + rb)
+        _agrees(a - c, ra - rc)
+        _agrees(-b, -rb)
+        _agrees(a * s + s, ra * s + s)
+        _agrees(s - c, -rc + s)
+        _agrees(a * b, ra * rb)
+        _agrees(b * c, rb * rc)
+        # a product of products: group-ring vectors of h slots each
+        _agrees(a * b * c, ra * rb * rc)
+        power = 3 if d <= 100 else 2
+        _agrees(a ** power, ra ** power)
+        t = rng.choice(units)
+        _agrees(b.galois(t), rb.galois(t))
+        _agrees(c.conjugate(), rc.conjugate())
+        _agrees((a * b).galois(t), (ra * rb).galois(t))
+        if n <= 1711:
+            _agrees(a.lift_to(2 * n), ra.lift_to(2 * n))
+        # elements of two orders meet in Q(zeta_lcm)
+        items = _random_items(rng, k, round_ % 2 == 0)
+        w, rw = CyclotomicNumber.from_monomials(k, items), EagerCyclotomic.from_monomials(k, items)
+        _agrees(a * w, ra * rw)
+        _agrees(w + c, rw + rc)
+        # equal values compare equal however they were built
+        assert (a == b) == (ra == rb) and (a == w) == (ra == rw)
+        assert (a + b) - b == a and a * b == b * a
+        assert (b * c == a) == (rb * rc == ra)
+        for x, ref in pairs[-2:]:
+            assert x == ref.rational_value()
+        if (d <= 16 or round_ == 0 and d <= 48) and any(ra.nums):
+            inverse = ra.inverse()
+            _agrees(a.inverse(), inverse)
+            _agrees(a ** -1 * b, inverse * rb)

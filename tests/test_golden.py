@@ -1,7 +1,10 @@
-"""Byte-for-byte golden output of the CLI.
+"""Byte-for-byte golden output of the CLI and of the Gauss-sum pool.
 
 `verify-example 1..3` must reproduce the benchmark's references in
-perfbench/refs/ (read here, never written).  The symbol-table and
+perfbench/refs/ (read here, never written), and so must the Gauss sums
+of the benchmark's pool: the repr of g(chi) g(chibar) for each of its
+characters, and the factorisation g(chi psi) = chi(q) psi(m) g(chi)
+g(psi) for each of its pairs of coprime moduli m, q.  The symbol-table and
 branch-series runs below must reproduce tests/golden/, recorded before
 the twisted symbols were moved onto rows.  The help, usage-error,
 Eisenstein and congruence runs must reproduce their stdout, stderr and
@@ -33,6 +36,7 @@ from pathlib import Path
 
 import pytest
 
+from iwrank.characters import parse_descriptor
 from iwrank.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -149,6 +153,22 @@ def test_verify_example_matches_reference(number, tmp_path):
     codes = json.loads((REFS / "exit_codes.json").read_text())
     assert rc == codes[f"verify/{number}"]
     assert out.read_bytes() == (REFS / "verify" / f"{number}.jsonl").read_bytes()
+
+
+def test_gauss_pool_matches_reference():
+    pool = json.loads((REFS / "gauss_pool.json").read_text())
+    for c in pool["characters"]:
+        chi = parse_descriptor(c["descriptor"])
+        got = repr(chi.gauss_sum() * chi.conjugate().gauss_sum())
+        assert got == c["expected"], c["descriptor"]
+
+
+def test_gauss_pool_factorisation_pairs():
+    pool = json.loads((REFS / "gauss_pool.json").read_text())
+    for a, b in pool["pairs"]:
+        chi, psi = parse_descriptor(a), parse_descriptor(b)
+        assert (chi * psi).gauss_sum() == (chi(psi.modulus) * psi(chi.modulus)
+                                           * chi.gauss_sum() * psi.gauss_sum()), (a, b)
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))

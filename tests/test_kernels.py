@@ -270,7 +270,7 @@ def test_packed_product_matches_long_division():
         assert (zero * big).is_zero() and (big * zero).is_zero()
         for bound in PACKED_BOUNDS:
             plus, minus, alternating, rand = _edge_vectors(rng, d, bound)
-            # a square packs its operand once
+            # a square too: the product of one vector with itself
             for a, b in ((plus, minus), (alternating, rand), (rand, rand)):
                 x, y = NFElement(packed, a, 1), NFElement(packed, b, 1)
                 prod = x * x if a is b else x * y

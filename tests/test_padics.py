@@ -38,6 +38,21 @@ def test_from_rational_and_lift():
     assert (5 * z.ints[0] - 3 * 5) % 5**7 == 0
 
 
+def test_padic_ints_integer_fast_path():
+    # lists of ints and integral Fractions take a fast path; one p-unit
+    # denominator more sends the same values down the general path
+    rng = random.Random(599)
+    p, M = 599, 3
+    ints = [rng.randrange(-10**12, 10**12) for _ in range(300)] + [0, p**M, -p]
+    for values in (ints, [F(x) for x in ints],
+                   [F(x) if i % 3 else x for i, x in enumerate(ints)]):
+        fast = padic_ints(values, p, M)
+        assert fast == (0, [int(x) % p**M for x in values])
+        assert all(type(x) is int for x in fast[1])
+        assert padic_ints(values + [F(1, 2)], p, M) == (0, fast[1] + [pow(2, -1, p**M)])
+    assert padic_ints([], p, M) == (0, [])
+
+
 def test_zero_to_and_eq():
     z = PadicSeries(5, 6, 1, [0])
     assert z.is_zero() and z.M == 6
