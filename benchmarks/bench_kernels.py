@@ -9,24 +9,22 @@ nonzero terms and Kronecker substitution.  The first row set has equal
 operand lengths from 1 to 1624 (the largest field degree of the
 Gauss-sum workload).  The second has a short operand of length 1 to 16
 against one of length 1624, the shape of the quotient-times-Phi_n
-products of the list path in `numfield._reduce`.  Each row gives both
+products of `numfield._reduce`.  Each row gives both
 times, their ratio and the method `convolve` picks; each set ends with
 its measured crossover, the first length from which Kronecker
 substitution stays faster.
 
-The third row set times, per field, both paths of `numfield._reduce`:
-the list path and the packed path (one packed int from the first pack
-to the last unpack), each forced on a fresh copy of the field.  A
-cyclotomic field is built as `cyclotomic._ring` builds it, so its
-Barrett quotient is (x^h - e)/Phi_n for the binomial the code folds
-through (x^n - 1, or x^(n/2) + 1 for even n).  The shapes are the
-reduction of one root of unity x^(h-1), of a random vector of h slots (a
-dense group-ring element, as `CyclotomicNumber` reads one), and of one
-product of two random reduced elements (`convolve`, then the
-reduction); without a period h is 2d - 1, a product's length.  The last
-column is the path the field takes.  The fields are those of `verify`,
-small cyclotomic ones, and the orders 1711, 2162, 2756 and 3422, the
-largest of the Gauss-sum workload.
+The third row set times `numfield._reduce`, the one reduction modulo
+the field polynomial, per field.  A cyclotomic field is built as
+`cyclotomic._ring` builds it, so its Barrett quotient is
+(x^h - e)/Phi_n for the binomial the code folds through (x^n - 1, or
+x^(n/2) + 1 for even n).  The shapes are the reduction of one root of
+unity x^(h-1), of a random vector of h slots (a dense group-ring
+element, as `CyclotomicNumber` reads one), and of one product of two
+random reduced elements (`convolve`, then the reduction); without a
+period h is 2d - 1, a product's length.  The fields are those of
+`verify`, small cyclotomic ones, and the orders 1711, 2162, 2756 and
+3422, the largest of the Gauss-sum workload.
 
 The last row set times `CyclotomicNumber` as the Gauss-sum workload
 uses it: g(chi) g(chibar) for a character of each of the four largest
@@ -115,30 +113,21 @@ def row_set(title, shapes, rng, repeat):
 
 
 def field_rows(rng, repeat):
-    """Time both paths of a reduction and a product, per field."""
-    print("reduction and product: list path against packed path")
-    print(f"{'field':>8} {'d':>5} {'shape':>8} {'list':>12} {'packed':>12} "
-          f"{'speedup':>8} {'takes':>7}")
+    """Time the reduction of a root of unity, a dense vector and a
+    product, per field."""
+    print("reduction modulo the field polynomial")
+    print(f"{'field':>8} {'d':>5} {'root':>12} {'dense':>12} {'product':>12}")
     for name, field in FIELDS:
-        paths = [numfield.NumberField(field.poly, field.period, field.sign)
-                 for _ in range(2)]
-        takes = "packed" if paths[0]._packed else "list"
-        paths[0]._packed, paths[1]._packed = False, True
-        d = paths[0].degree
+        d = field.degree
         length = field.period or 2 * d - 1
         root = [0] * (length - 1) + [1]
         dense = [rng.randint(-COEFF_BOUND, COEFF_BOUND) for _ in range(length)]
         a, b = ([rng.randint(-COEFF_BOUND, COEFF_BOUND) for _ in range(d)]
                 for _ in range(2))
-        for shape, x, y in (("root", root, None), ("dense", dense, None),
-                            ("product", a, b)):
-            if y is None:
-                tl, tp = (best_time(numfield._reduce, x, f, repeat) for f in paths)
-            else:
-                tl, tp = (best_time(lambda u, v, f=f: numfield._reduce(
-                    kernels.convolve(u, v), f), x, y, repeat) for f in paths)
-            print(f"{name:>8} {d:>5} {shape:>8} {tl * 1e6:>10.1f}us "
-                  f"{tp * 1e6:>10.1f}us {tl / tp:>7.2f}x {takes:>7}")
+        times = [best_time(numfield._reduce, x, field, repeat) for x in (root, dense)]
+        times.append(best_time(lambda u, v: numfield._reduce(
+            kernels.convolve(u, v), field), a, b, repeat))
+        print(f"{name:>8} {d:>5} " + " ".join(f"{t * 1e6:>10.1f}us" for t in times))
     print()
 
 

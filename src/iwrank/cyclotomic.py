@@ -25,7 +25,7 @@ from math import gcd, lcm
 
 from iwrank import kernels
 from iwrank.arith import euler_phi, prime_divisors
-from iwrank.numfield import NFElement, NumberField, _fold, _reduce
+from iwrank.numfield import NFElement, NumberField, _fold, _lowest_terms, _reduce
 
 _ONE = Fraction(1)
 
@@ -101,17 +101,9 @@ class CyclotomicNumber(NFElement):
         by zeta^h = e."""
         field = _ring(order)
         if den is None:
-            coeffs = [Fraction(c) for c in coeffs]
-            den = lcm(*(c.denominator for c in coeffs))
-            coeffs = [c.numerator * (den // c.denominator) for c in coeffs]
-        vec = _fold(list(coeffs), field)
-        if den != 1:
-            g = gcd(den, *vec)
-            if g != 1:
-                vec = [c // g for c in vec]
-                den //= g
+            coeffs, den = _lowest_terms(coeffs)
         self.field, self.order = field, order
-        self.vec, self.vden = vec, den
+        self.vec, self.vden = _lowest_terms(_fold(list(coeffs), field), den)
         self._read = None
 
     def _new(self, vec, den: int) -> "CyclotomicNumber":
@@ -120,11 +112,7 @@ class CyclotomicNumber(NFElement):
     def _power_basis(self) -> tuple[tuple[int, ...], int]:
         """(nums, den): vec reduced modulo Phi_n once, in lowest terms."""
         if self._read is None:
-            nums, den = _reduce(self.vec, self.field), self.vden
-            g = gcd(den, *nums) if den != 1 else 1
-            if g != 1:
-                nums = [c // g for c in nums]
-                den //= g
+            nums, den = _lowest_terms(_reduce(self.vec, self.field), self.vden)
             self._read = (tuple(nums), den)
         return self._read
 
@@ -159,17 +147,6 @@ class CyclotomicNumber(NFElement):
         ka, kb = den // a.vden, sign * (den // b.vden)
         return a._new([x * ka + y * kb for x, y in zip_longest(a.vec, b.vec, fillvalue=0)],
                       den)
-
-    def __add__(self, other):
-        return self._combine(other, 1)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._combine(other, -1)
-
-    def __neg__(self):
-        return self._new([-c for c in self.vec], self.vden)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -1,4 +1,4 @@
-"""Integer polynomial kernel: multiplication and the packed slots.
+"""Integer polynomial kernel: multiplication, on a loop or packed slots.
 
 All inputs are lists of Python ints, low degree first: arithmetic must
 stay arbitrary-precision.  `convolve` multiplies either by a loop over
@@ -8,12 +8,11 @@ CPython's Karatsuba multiplies the two, and the product's coefficients
 are read back out of its bytes.  Sparse operands, such as sums of a few
 dozen roots of unity in a ring of a thousand slots, take the loop.
 
-The private helpers are the packing itself: `_slot_width` sizes a slot
-for a coefficient bound, `_pack` and `_unpack` move a vector into and
-out of one int of such slots, and `_bias` is the int that fills `count`
-slots with half their range.  `numfield` runs a whole reduction modulo
-the field polynomial on one packed int through them, so that a vector
-is packed once and unpacked once.
+`_kronecker` owns the slot format: it sizes the slots for a bound on
+the product's coefficients, `_pack` moves a vector into one int of such
+slots, `_bias` is the int that fills `count` slots with half their
+range, and the product is read back out of its bytes.  No other module
+of the package reads them.
 """
 
 import sys
@@ -69,21 +68,6 @@ def _pack(vec, width, half):
     return int.from_bytes(raw, "little") - _bias(width, len(vec))
 
 
-def _unpack(raw, width, half):
-    if width in _WORDS:
-        return [u - half for u in memoryview(raw).cast(_WORDS[width])]
-    return [int.from_bytes(raw[k:k + width], "little") - half
-            for k in range(0, len(raw), width)]
-
-
-def _slot_width(bound):
-    """Bytes per slot for signed coefficients of size at most `bound`:
-    the bound plus a sign bit, in whole bytes, and a machine word if one
-    is wide enough."""
-    width = bound.bit_length() // 8 + 1
-    return min((w for w in _WORDS if w >= width), default=width)
-
-
 def _kronecker(a, b):
     """Product of two non-empty vectors by Kronecker substitution."""
     la, lb = len(a), len(b)
@@ -92,12 +76,19 @@ def _kronecker(a, b):
     bound = max(map(abs, a)) * max(map(abs, b)) * min(la, lb)
     if not bound:
         return [0] * n
-    width = _slot_width(bound)
+    # a slot holds the bound and a sign bit, in whole bytes, and is a
+    # machine word if one is wide enough
+    width = bound.bit_length() // 8 + 1
+    width = min((w for w in _WORDS if w >= width), default=width)
     half = 1 << (8 * width - 1)
     # biasing each slot by `half` makes every digit of the product
     # non-negative, so its bytes split into the slots directly
     prod = _pack(a, width, half) * _pack(b, width, half) + _bias(width, n)
-    return _unpack(prod.to_bytes(width * n, "little"), width, half)
+    raw = prod.to_bytes(width * n, "little")
+    if width in _WORDS:
+        return [u - half for u in memoryview(raw).cast(_WORDS[width])]
+    return [int.from_bytes(raw[k:k + width], "little") - half
+            for k in range(0, len(raw), width)]
 
 
 def _prefers_kronecker(la, lb, terms):

@@ -13,12 +13,15 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from functools import cache
 from importlib import resources
 from itertools import chain
 from math import lcm
+from operator import mul
 
+from . import kernels
 from .characters import DirichletCharacter, parse_descriptor
-from .numfield import NFElement, NumberField
+from .numfield import NFElement, NumberField, _reduce
 from .qseries import (
     CongruenceIdealSpec, QExpansion, eisenstein_series, sigma0_and_m,
 )
@@ -61,6 +64,41 @@ def _parse_vectors(raw_an, deg: int) -> tuple[list[int], list[int]]:
                 f"coefficient {i + 1} has {len(vec)} entries, expected {deg}")
         fracs += map(_parse_frac, vec)
     return [c.numerator for c in fracs], [c.denominator for c in fracs]
+
+
+def _check_integrality(an, field: NumberField):
+    """Raise IngestionError at the first (nums, den) in `an` that is not an
+    algebraic integer of `field`: nums/den is one when the coefficients
+    e_k / den^k of its characteristic polynomial are integers, for e_k
+    those of nums, which Newton's identities give from tr(nums^k).  Z[x]
+    holds only algebraic integers, so nums mod den decides it."""
+    f, d = field.poly, field.degree
+    # the trace is linear, so tr(nums^k) is read off the product
+    # nums^(k-1) nums before its reduction, through tr x^m for m <= 2d - 2:
+    # the power sums of the roots of f, by Newton's identities on f
+    traces = [d]
+    for m in range(1, 2 * d - 1):
+        traces.append((-m * f[d - m] if m <= d else 0)
+                      - sum(f[d - i] * traces[m - i] for i in range(1, min(m, d + 1))))
+
+    @cache
+    def integral(nums, den):
+        product, p, e = nums, [], [1]
+        for k in range(1, d + 1):
+            if k > 1:
+                product = kernels.convolve(_reduce(product, field), nums)
+            p.append(sum(map(mul, product, traces)))
+            # k e_k = sum over i < k of (-1)^i e_(k-1-i) p_(i+1)
+            e.append(sum((-1) ** i * e[k - 1 - i] * p[i] for i in range(k)) // k)
+            if e[k] % den ** k:
+                return False
+        return True
+
+    for index, (nums, den) in enumerate(an):
+        if den != 1 and not integral(tuple(c % den for c in nums), den):
+            value = ", ".join(str(Fraction(c, den)) for c in nums)
+            raise IngestionError(f"coefficient {index + 1} is not an algebraic "
+                                 f"integer: entries {value}")
 
 
 class NewformData:
@@ -110,6 +148,7 @@ class NewformData:
             scaled = [n * (common[i // deg] // d)
                       for i, (n, d) in enumerate(zip(nums, dens))]
             an = list(zip(zip(*[iter(scaled)] * deg), common))
+            _check_integrality(an, NumberField(poly))
         seeds = {int(p): int(r) for p, r in payload.get("seed_root_mod_p", {}).items()}
         return cls(label, level, weight, neb, poly, an,
                    seed_root_mod_p=seeds, source=payload.get("source", ""))

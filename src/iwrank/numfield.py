@@ -10,22 +10,6 @@ below x^h by x^h = e (`_fold`), and k = h.  Q(zeta_n) is f = Phi_n,
 h = n/2, e = -1 for even n, else h = n, e = 1; `cyclotomic` keeps its
 elements folded in Z[x]/(x^h - e) and reduces one modulo Phi_n only
 when its power-basis coefficients are read.
-
-A reduction takes one of two paths, by the cost model of
-`kernels.convolve` for two dense vectors of length d:
-
-- Small fields (every product of `verify`) reduce the coefficient list:
-  the Barrett products q = ((v div x^d) m) div x^(k-d) and v - q f
-  through `convolve`.
-- Large fields reduce on one Kronecker-packed int V = v(2^s), packed
-  and unpacked once.  With slots of s bits, `high(V, j)` =
-  (V + bias_j) >> (s j) is v div x^j exactly, for the bias of j
-  half-full slots.  The quotient is Q = high(high(V, d) M, k - d), and
-  V - Q F holds the remainder in its d low slots.  Every slot these
-  steps read is at most vmax (1 + |m|_1 |f|_1) in size, for vmax the
-  largest coefficient of v, so one slot width chosen from that bound
-  serves the whole reduction.  The field caches the two norms, and per
-  slot width the packed M and F and the two biases.
 """
 
 from __future__ import annotations
@@ -73,15 +57,6 @@ class NumberField:
         self.period, self.sign = period, sign
         self.k = period if period is not None else 2 * self.degree - 2
         self.barrett = _xk_div(self.poly, self.k)
-        # reductions run packed where convolve would take Kronecker
-        # substitution for two dense reduced vectors; the list path is
-        # the faster one at degree <= 4, the packed one from 12 on
-        # (benchmarks/bench_kernels.py times both)
-        d = self.degree
-        self._packed = kernels._prefers_kronecker(d, d, d * d)
-        # a packed reduction of v keeps every slot below max|v| times this
-        self._growth = 1 + sum(map(abs, self.barrett)) * sum(map(abs, self.poly))
-        self._slot_constants = {}
 
     def element(self, coeffs) -> "NFElement":
         return NFElement(self, coeffs)
@@ -96,19 +71,6 @@ class NumberField:
         if self.degree == 1:
             return NFElement(self, [Fraction(-self.poly[0])])
         return NFElement(self, [_ZERO, _ONE])
-
-    def _constants(self, width: int):
-        """The biases of d and k - d slots and the packed f and m, in
-        slots of `width` bytes."""
-        out = self._slot_constants.get(width)
-        if out is None:
-            half = 1 << (8 * width - 1)
-            d = self.degree
-            out = self._slot_constants[width] = (
-                kernels._bias(width, d), kernels._bias(width, self.k - d),
-                kernels._pack(self.poly, width, half),
-                kernels._pack(self.barrett, width, half))
-        return out
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.poly == other.poly
@@ -138,31 +100,28 @@ def _reduce(vec: list[int], field: NumberField) -> list[int]:
     With m = x^k div f, the quotient of v (degree at most k) by f is
     coefficients k.. of (v div x^d) m, so the remainder is the low d
     coefficients of v - q f.  With a period h and sign e, v is first
-    folded below x^h, and m = (x^h - e)/f.  A large field packs v once
-    and reduces it packed (see the module docstring).
+    folded below x^h, and m = (x^h - e)/f.  Both products go through
+    `kernels.convolve`, which picks its method by their size.
     """
     vec = _fold(vec, field)
     d = field.degree
     if len(vec) <= d:
         return list(vec) + [0] * (d - len(vec))
-    if field._packed:
-        width = kernels._slot_width(max(max(vec), -min(vec)) * field._growth)
-        packed = kernels._pack(vec, width, 1 << (8 * width - 1))
-        return _packed_remainder(packed, width, field)
     q = kernels.convolve(vec[d:], field.barrett)[field.k - d:]
     return [v - w for v, w in zip(vec[:d], kernels.convolve(q, field.poly))]
 
 
-def _packed_remainder(packed: int, width: int, field: NumberField) -> list[int]:
-    """v mod field.poly for packed = v(2^s), v of degree at most k in
-    slots of s = 8 width bits (see the module docstring)."""
-    s = 8 * width
-    bias_d, bias_q, f, m = field._constants(width)
-    d = field.degree
-    q = (((packed + bias_d) >> (s * d)) * m + bias_q) >> (s * (field.k - d))
-    packed -= q * f
-    raw = (packed + bias_d).to_bytes(width * d, "little")
-    return kernels._unpack(raw, width, 1 << (s - 1))
+def _lowest_terms(coeffs, den: int | None = None) -> tuple[list[int], int]:
+    """(vector, den) in lowest terms, den > 0, for the rationals coeffs,
+    or with `den` given, for the integers coeffs over den."""
+    if den is None:
+        coeffs = [Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in coeffs))
+        return [c.numerator * (den // c.denominator) for c in coeffs], den
+    g = gcd(den, *coeffs) if den != 1 else 1
+    if g != 1:
+        return [c // g for c in coeffs], den // g
+    return coeffs, den
 
 
 class NFElement:
@@ -173,17 +132,10 @@ class NFElement:
     def __init__(self, field: NumberField, coeffs, den: int | None = None):
         """sum coeffs[j] x^j, or with `den` given, sum coeffs[j] x^j / den
         for integers coeffs and den > 0."""
-        if den is None:
-            coeffs = [Fraction(c) for c in coeffs]
-            den = lcm(*(c.denominator for c in coeffs))
-            coeffs = [c.numerator * (den // c.denominator) for c in coeffs]
+        coeffs, den = _lowest_terms(coeffs, den)
         d = field.degree
         if len(coeffs) > d:
             raise ValueError(f"expected at most {d} coefficients")
-        g = gcd(den, *coeffs)
-        if g != 1:
-            coeffs = [c // g for c in coeffs]
-            den //= g
         self.field = field
         self.nums = tuple(coeffs) + (0,) * (d - len(coeffs))
         self.den = den
@@ -207,30 +159,26 @@ class NFElement:
 
     # arithmetic -------------------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int):
+        """self + sign * other, coefficient by coefficient."""
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
         a, b = pair
-        if a.den == b.den:
-            return a._new([x + y for x, y in zip(a.nums, b.nums)], a.den)
-        ad, bd = a.den, b.den
-        return a._new([x * bd + y * ad for x, y in zip(a.nums, b.nums)], ad * bd)
+        den = lcm(a.den, b.den)
+        ka, kb = den // a.den, sign * (den // b.den)
+        return a._new([x * ka + y * kb for x, y in zip(a.nums, b.nums)], den)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return self._new([-c for c in self.nums], self.den)
-
     def __sub__(self, other):
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        if a.den == b.den:
-            return a._new([x - y for x, y in zip(a.nums, b.nums)], a.den)
-        ad, bd = a.den, b.den
-        return a._new([x * bd - y * ad for x, y in zip(a.nums, b.nums)], ad * bd)
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return self * -1
 
     def __rsub__(self, other):
         return (-self) + other
@@ -281,8 +229,7 @@ class NFElement:
             raise ZeroDivisionError("not invertible (reducible defining polynomial?)")
         # s1 * self = c / den modulo f, and deg s1 < d
         inv = [x * self.den / c for x in s1[: self.field.degree]]
-        den = lcm(*(x.denominator for x in inv))
-        return self._new([x.numerator * (den // x.denominator) for x in inv], den)
+        return self._new(*_lowest_terms(inv))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):

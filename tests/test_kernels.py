@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -139,26 +141,6 @@ def _monic_remainder(vec, poly):
     return (rem[:d] + [0] * d)[:d]
 
 
-def test_barrett_matches_long_division():
-    # x^k div f with k = 2d - 2 reduces every product of two reduced
-    # vectors, up to length k + 1
-    rng = random.Random(2026)
-    for d in range(1, 7):
-        for _ in range(40):
-            poly = _random_vec(rng, d, 50) + [1]
-            field = NumberField(poly)
-            assert field.k == 2 * d - 2
-            for length in range(0, 2 * d):
-                vec = _random_vec(rng, length, 10**9)
-                assert _reduce(vec, field) == _monic_remainder(vec, poly), (poly, vec)
-
-
-# the packed reduction against long division --------------------------
-
-PACKED_BOUNDS = (1, 2**31, 2**63, 10**40)
-PACKED_ORDERS = list(range(1, 301)) + [1711, 2756, 3422]
-
-
 def _sparse_remainder(vec, poly, period=None, sign=1):
     # long division by a monic polynomial, over its nonzero terms; with a
     # period h and sign e (poly divides x^h - e), after folding x^h to e
@@ -177,6 +159,73 @@ def _sparse_remainder(vec, poly, period=None, sign=1):
     return rem[:d]
 
 
+# coefficient sizes on and beyond the machine-word slot edges of
+# `kernels._kronecker`, which the reductions of large fields run through
+EDGE_BOUNDS = (1, 2**31, 2**63, 10**40)
+
+
+def _edge_cases(rng, length, remainder, rand_bounds=EDGE_BOUNDS):
+    """(vec, remainder(vec)) for the zero vector, vectors of +-bound at
+    each edge bound and a random vector at each of rand_bounds.  The
+    remainder is linear: those of the +-bound vectors are multiples of
+    those of the all-ones and the alternating vector."""
+    ones = remainder([1] * length)
+    signs = remainder([1 if i % 2 else -1 for i in range(length)])
+    cases = [([0] * length, [0] * len(ones))]
+    for bound in EDGE_BOUNDS:
+        cases += [([bound] * length, [bound * c for c in ones]),
+                  ([-bound] * length, [-bound * c for c in ones]),
+                  ([bound if i % 2 else -bound for i in range(length)],
+                   [bound * c for c in signs])]
+    for bound in rand_bounds:
+        vec = _random_vec(rng, length, bound)
+        cases.append((vec, remainder(vec)))
+    return cases
+
+
+def test_barrett_matches_long_division():
+    # x^k div f with k = 2d - 2 reduces every product of two reduced
+    # vectors, up to length k + 1
+    rng = random.Random(2026)
+    for d in range(1, 7):
+        for _ in range(40):
+            poly = _random_vec(rng, d, 50) + [1]
+            field = NumberField(poly)
+            assert field.k == 2 * d - 2
+            for length in range(0, 2 * d):
+                vec = _random_vec(rng, length, 10**9)
+                assert _reduce(vec, field) == _monic_remainder(vec, poly), (poly, vec)
+    # Q(sqrt 5) and x^3 - x - 2 at the edge bounds, just above d and at
+    # a product's length 2d - 1
+    for poly in ([-5, 0, 1], [-2, -1, 0, 1]):
+        field, d = NumberField(poly), len(poly) - 1
+        for length in sorted({d + 1, 2 * d - 1}):
+            for vec, want in _edge_cases(
+                    rng, length, lambda v, f=poly: _monic_remainder(v, f)):
+                assert _reduce(vec, field) == want, (poly, length)
+
+
+RING_ORDERS = list(range(1, 301)) + [1711, 1806, 2162, 2756, 3422]
+
+
+def test_binomial_fold_matches_long_division():
+    # every field of `_ring` against long division by Phi_n with no fold
+    # at all; the lengths are just above d (a one-term quotient), just
+    # above the fold x^h, a monomial sum, a product and a double fold;
+    # one random vector per length fills the widest slots
+    rng = random.Random(18)
+    for n in RING_ORDERS:
+        ring = _ring(n)
+        poly, h, d = list(ring.poly), ring.period, ring.degree
+        for length in sorted({d + 1, h + 1, n, 2 * d - 1, 2 * n}):
+            for vec, want in _edge_cases(
+                    rng, length, lambda v: _sparse_remainder(v, poly), EDGE_BOUNDS[-1:]):
+                assert _reduce(vec, ring) == want, (n, length)
+
+
+PRODUCT_ORDERS = list(range(1, 301)) + [1711, 2756, 3422]
+
+
 def _edge_vectors(rng, length, bound):
     # vectors of +-bound, on the slot edge the width is chosen for, and a
     # random one
@@ -185,94 +234,41 @@ def _edge_vectors(rng, length, bound):
             _random_vec(rng, length, bound)]
 
 
-def _packed_fields():
-    """(field forced onto the packed path, the reference remainder): long
-    division, or at the three large orders (where it takes seconds) the
-    list path of `_reduce`, checked against long division once.  The
-    cyclotomic fields fold through the binomial that `_ring` gives them."""
-    fields = [_ring(n) for n in PACKED_ORDERS]
-    fields += [NumberField([-5, 0, 1]),        # Q(sqrt 5)
-               NumberField([-2, -1, 0, 1])]    # x^3 - x - 2
-    rng = random.Random(3)
-    for field in fields:
-        poly = field.poly
-        packed, listed = (NumberField(poly, field.period, field.sign)
-                          for _ in range(2))
-        packed._packed, listed._packed = True, False
-        d = listed.degree
-        if d > 300:
-            vec = _random_vec(rng, 2 * d - 1, 1)
-            assert _reduce(vec, listed) == _sparse_remainder(vec, poly)
-            yield packed, lambda vec, f=listed: _reduce(vec, f)
-        else:
-            yield packed, lambda vec, f=field: _sparse_remainder(
-                vec, f.poly, f.period, f.sign)
-
-
-def test_packed_reduction_matches_long_division():
-    # lengths just above d, the monomial sums of length n and a double
-    # fold at 2n (2d - 1, the product's, is the next test's)
-    rng = random.Random(8)
-    for packed, reference in _packed_fields():
-        d, n = packed.degree, packed.period
-        lengths = {d + 1} | ({n, 2 * n} if n else {2 * d - 1})
-        for length in sorted(x for x in lengths if x > d):
-            assert _reduce([0] * length, packed) == [0] * d
-            # the remainder is linear: those of the +-bound vectors are
-            # multiples of these two
-            ones = reference([1] * length)
-            signs = reference([1 if i % 2 else -1 for i in range(length)])
-            for bound in PACKED_BOUNDS:
-                plus, minus, alternating, rand = _edge_vectors(rng, length, bound)
-                for vec, want in ((plus, [bound * c for c in ones]),
-                                  (minus, [-bound * c for c in ones]),
-                                  (alternating, [bound * c for c in signs]),
-                                  (rand, reference(rand))):
-                    assert _reduce(vec, packed) == want, (packed, length, bound)
-
-
-NEGACYCLIC_ORDERS = list(range(1, 301)) + [1806, 2162, 2756, 3422]
-
-
-def test_binomial_fold_matches_long_division():
-    # every field of `_ring`, on the list path and forced packed, against
-    # long division by Phi_n with no fold at all; the lengths are just
-    # above the fold x^h, a monomial sum, a product and a double fold
-    rng = random.Random(18)
-    for n in NEGACYCLIC_ORDERS:
-        ring = _ring(n)
-        poly, h, d = list(ring.poly), ring.period, ring.degree
-        paths = [NumberField(poly, h, ring.sign) for _ in range(2)]
-        paths[0]._packed, paths[1]._packed = False, True
-        for length in sorted({h + 1, n, 2 * d - 1, 2 * n}):
-            # the remainder is linear: those of the +-bound vectors are
-            # multiples of these two, and one random vector per length
-            # fills the widest slots
-            ones = _sparse_remainder([1] * length, poly)
-            signs = _sparse_remainder([1 if i % 2 else -1 for i in range(length)], poly)
-            rand = _random_vec(rng, length, PACKED_BOUNDS[-1])
-            cases = [(rand, _sparse_remainder(rand, poly))]
-            for bound in PACKED_BOUNDS:
-                cases += [([bound] * length, [bound * c for c in ones]),
-                          ([-bound] * length, [-bound * c for c in ones]),
-                          ([bound if i % 2 else -bound for i in range(length)],
-                           [bound * c for c in signs])]
-            for field in paths:
-                for vec, want in cases:
-                    assert _reduce(vec, field) == want, (n, length, field._packed)
-
-
-def test_packed_product_matches_long_division():
+def test_product_matches_long_division():
+    # NFElement products in the fields of `_ring`, Q(sqrt 5) and
+    # x^3 - x - 2, against long division of the product (after the fold
+    # by x^h = e where the field has one)
+    fields = [_ring(n) for n in PRODUCT_ORDERS]
+    fields += [NumberField([-5, 0, 1]), NumberField([-2, -1, 0, 1])]
     rng = random.Random(88)
-    for packed, reference in _packed_fields():
-        d = packed.degree
-        zero, big = NFElement(packed, [0] * d, 1), NFElement(packed, [10**40] * d, 1)
+    for field in fields:
+        d = field.degree
+        zero, big = NFElement(field, [0] * d, 1), NFElement(field, [10**40] * d, 1)
         assert (zero * big).is_zero() and (big * zero).is_zero()
-        for bound in PACKED_BOUNDS:
+        for bound in EDGE_BOUNDS:
             plus, minus, alternating, rand = _edge_vectors(rng, d, bound)
             # a square too: the product of one vector with itself
             for a, b in ((plus, minus), (alternating, rand), (rand, rand)):
-                x, y = NFElement(packed, a, 1), NFElement(packed, b, 1)
+                x, y = NFElement(field, a, 1), NFElement(field, b, 1)
                 prod = x * x if a is b else x * y
-                assert list(prod.nums) == reference(kernels.convolve(a, b)), \
-                    (packed, bound)
+                want = _sparse_remainder(kernels.convolve(a, b), field.poly,
+                                         field.period, field.sign)
+                assert list(prod.nums) == want, (field, bound)
+
+
+def test_only_kernels_reads_its_private_names():
+    # the slot format (`_kronecker`, `_pack`, `_bias`) and the cost
+    # model's choice (`_prefers_kronecker`) belong to `kernels`: no other
+    # module of the package names a private attribute of it
+    for path in sorted(Path(kernels.__file__).parent.glob("*.py")):
+        if path.name == "kernels.py":
+            continue
+        tree = ast.parse(path.read_text())
+        names = [node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                 and isinstance(node.value, ast.Name) and node.value.id == "kernels"]
+        names += [alias.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.module or "").split(".")[-1] == "kernels"
+                  for alias in node.names if alias.name.startswith("_")]
+        assert not names, (path.name, names)

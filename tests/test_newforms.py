@@ -1,7 +1,9 @@
 import importlib.util
 import json
+import random
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -13,10 +15,12 @@ from iwrank.newforms import (
     IngestionError,
     NewformData,
     bundled,
+    _check_integrality,
     _parse_frac,
     bundled_labels,
     residual_eisenstein_partner,
 )
+from iwrank.numfield import NFElement, NumberField
 from iwrank.qseries import check_congruence, mazur_eisenstein, sturm_bound
 
 
@@ -163,27 +167,75 @@ _BAD_ENTRIES = [
 ]
 
 
-# a rational form's coefficients are integers; a field form's entries may
-# be halves (23.2.a over Q(sqrt 5)), so 2.5 is bad for the rational ones
+# a rational form's coefficients are integers, so 2.5 is bad for the
+# rational ones.  Over Q(sqrt 5), (u + v sqrt 5)/2 with u = v mod 2 is an
+# algebraic integer (23.2.a holds a(2) = (-1 - sqrt 5)/2), but its last
+# a(600) = 5 + 10 sqrt 5 is none with the 10 made 1/3 or 2.5
 @pytest.mark.parametrize("bad,message,label", [
     (bad, message, label) for label in _RATIONAL + ["23.2.a"]
     for bad, message in _BAD_ENTRIES] + [
     (bad, "coefficient 600 is not an integer: 5/2", label)
-    for label in _RATIONAL for bad in (2.5, "5/2")])
-def test_bad_last_entry_fails_at_load(label, bad, message, tmp_path):
+    for label in _RATIONAL for bad in (2.5, "5/2")] + [
+    (bad, f"coefficient 600 is not an algebraic integer: entries 5, {value}", "23.2.a")
+    for bad, value in (("1/3", "1/3"), (2.5, "5/2"))])
+def test_bad_last_entry_fails_at_load(label, bad, message, tmp_path, capsys):
     payload = _last_entry_bad(_bundled_payload(label), bad)
     with pytest.raises(IngestionError, match=message):
         NewformData.from_dict(payload)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
     assert cli.main(["congruence", "--newform", str(path), "--prime", "5"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot ingest newform file {path}: ")
+
+
+def _charpoly(nums, den, field):
+    # det(t - M), M the matrix of multiplication by nums/den on the power
+    # basis, by Faddeev-LeVerrier over the rationals
+    value, d = NFElement(field, nums, den), field.degree
+    cols = [(value * NFElement(field, [0] * j + [1], 1)).coeffs for j in range(d)]
+    m = [[cols[j][i] for j in range(d)] for i in range(d)]
+    coeffs, acc = [Fraction(1)], [[Fraction(0)] * d for _ in range(d)]
+    for k in range(1, d + 1):
+        acc = [[sum(m[i][t] * acc[t][j] for t in range(d)) + (coeffs[-1] if i == j else 0)
+                for j in range(d)] for i in range(d)]
+        coeffs.append(-sum(m[i][t] * acc[t][i] for i in range(d) for t in range(d)) / k)
+    return coeffs
+
+
+# x^2 - 5, and x^3 - 4x - 8 and x^4 - 8x - 16, whose root x is twice one
+# of x^3 - x - 1 and x^4 - x - 1, so that x/2 is an algebraic integer
+@pytest.mark.parametrize("poly", [(-5, 0, 1), (-8, -4, 0, 1), (-16, -8, 0, 0, 1)])
+def test_integrality_is_that_of_the_characteristic_polynomial(poly):
+    field, d = NumberField(poly), len(poly) - 1
+    rng = random.Random(str(poly))
+    fractional_integers = 0
+    for _ in range(200):
+        if rng.random() < 0.5:
+            nums = tuple(rng.randrange(-20, 21) for _ in range(d))
+            den = rng.choice([1, 2, 3, 4, 6, 9])
+        else:
+            # sum c_j (x/2)^j
+            nums = tuple(rng.randrange(-9, 10) << (d - 1 - j) for j in range(d))
+            den = 1 << (d - 1)
+        integral = all(c.denominator == 1 for c in _charpoly(nums, den, field))
+        if integral:
+            _check_integrality([(nums, den)], field)
+        else:
+            with pytest.raises(IngestionError, match="coefficient 1 is not an algebraic"):
+                _check_integrality([(nums, den)], field)
+        fractional_integers += integral and gcd(den, *nums) < den
+    # not only the plain integer vectors pass
+    assert fractional_integers > 0
 
 
 @pytest.mark.parametrize("label", ["11.2.a.a", "23.2.a"])
 def test_float_entry_is_read_exactly(label):
-    # a JSON float is a value Fraction reads exactly, never truncated
+    # a JSON float is a value Fraction reads exactly, never truncated; the
+    # 23.2.a copy ends in a(600) = (5 + 5 sqrt 5)/2, an algebraic integer
     entry = 7.0 if label == "11.2.a.a" else 2.5
     payload = _last_entry_bad(_bundled_payload(label), entry)
+    if label == "23.2.a":
+        payload["an"][-1][0] = "5/2"
     f = NewformData.from_dict(payload)
     last = f.a(f.n_max)
     assert (last if f.is_rational else last.coeffs[-1]) == Fraction(entry)
