@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .arith import is_prime
 from .characters import DirichletCharacter, kronecker
+from .cyclotomic import CyclotomicNumber
 from .iwasawa import mu_lambda, undetermined_text
 from .modsym import (
     EigenspaceError, SymbolPair, build_space, eigen_functional, twist_symbol,
@@ -28,7 +29,6 @@ from .padic_l import (
     branch_family,
     branch_value_trivial,
     format_report,
-    omega_twist_sum,
     product_congruence_verdict,
 )
 from .qseries import check_congruence, mazur_eisenstein, sturm_bound
@@ -37,6 +37,7 @@ __all__ = [
     "EXAMPLES",
     "VerificationReport",
     "build_example",
+    "omega_twist_sum",
     "run_example",
     "symbol_pair",
 ]
@@ -250,6 +251,19 @@ def _fmt_value(v):
 
 def _is_unit(v):
     return not v.is_zero() and mu_lambda(v)[0] == 0
+
+
+def omega_twist_sum(sym, p: int, j: int) -> CyclotomicNumber:
+    """Sum over b of omegabar^j(b) x^{sgn}(b/p), exact in Q(zeta_{p-1}).
+
+    sgn = (-1)^j: summing against the opposite eigencomponent cancels
+    pairwise under b -> -b, so only this parity carries content.
+    """
+    jj = j % (p - 1)
+    exps = DirichletCharacter.teichmuller(p).exponent_table()
+    row = sym.evaluate_row(p, 1 if jj % 2 == 0 else -1)
+    return CyclotomicNumber.from_monomials(
+        p - 1, [(-jj * exps[b], row[b]) for b in range(1, p)])
 
 
 def run_example(number, wild_level=1, M=8):

@@ -401,11 +401,6 @@ class SymbolFunctional:
             self._cache[key] = hit
         return hit
 
-    def evaluate_from_zero(self, r):
-        """Value on the path {0 -> r}; the convention used for printed
-        symbol tables (the measure itself integrates paths based at oo)."""
-        return self.evaluate(r) - self.evaluate(0)
-
 
 def _path_sum(flat, N, a, b):
     """Value on {oo -> a/b}, 0 <= a < b (not necessarily coprime): the sum
@@ -572,9 +567,6 @@ class SymbolPair:
     def evaluate(self, r, sign):
         return (self.plus if sign > 0 else self.minus).evaluate(r)
 
-    def evaluate_from_zero(self, r, sign):
-        return self.evaluate(r, sign) - self.evaluate(0, sign)
-
     def evaluate_row(self, den, sign):
         """Values on {oo -> a/den} for a = 0..den-1, as raw path sums (ints
         for a normalized rational functional, else Fractions or field
@@ -672,9 +664,6 @@ class TwistedSymbol:
     def evaluate(self, r, sign):
         r = Fraction(r)
         return self.evaluate_row(r.denominator, sign)[r.numerator % r.denominator]
-
-    def evaluate_from_zero(self, r, sign):
-        return self.evaluate(r, sign) - self.evaluate(0, sign)
 
     def evaluate_row(self, den, sign):
         """evaluate(b/den, sign) for b = 0..den-1; both signs are filled

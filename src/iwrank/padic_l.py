@@ -2,24 +2,25 @@
 
 For a p-ordinary eigensymbol pair this module computes the single
 values of each tame branch at the trivial wild character and the
-Riemann-sum branch series in Z/p^M[Z/p^n].  A branch series is kept in
-one basis, the masses of the group elements gamma^c that the sum adds
-up, and never converted to the T-basis (gamma = 1 + T): mu and lambda
-are read off the masses, a sigma0 Euler factor multiplies them by its
-few nonzero masses, and the verdict for the product of two branches
-comes from the factors' (mu, lambda) alone, as mod p the ring is
-F_p[T]/(T^(p^n)).  `branch_family` builds alpha and the requested branch
-series of one symbol, raw and with the sigma0 factors, for both
-`padic-l` and the bundled runs; `format_report` is the one JSON line
-format of every report the CLI writes.
+Riemann-sum branch series in Z/p^M[Z/p^n], with integers mod p-powers
+only: every symbol value is read off a row (`evaluate_row`), and the
+tame twist omega^-j comes from one cached table of Teichmuller lifts per
+(p, digits).  A branch series is kept in one basis, the masses of the
+group elements gamma^c that the sum adds up, and never converted to the
+T-basis (gamma = 1 + T): mu and lambda are read off the masses, a sigma0
+Euler factor multiplies them by its few nonzero masses, and the verdict
+for the product of two branches comes from the factors' (mu, lambda)
+alone, as mod p the ring is F_p[T]/(T^(p^n)).  `branch_family` builds
+alpha and the requested branch series of one symbol, raw and with the
+sigma0 factors, for both `padic-l` and the bundled runs;
+`format_report` is the one JSON line format of every report the CLI
+writes.
 """
 
 import json
 from fractions import Fraction
 from functools import lru_cache
 
-from .characters import DirichletCharacter
-from .cyclotomic import CyclotomicNumber
 from .iwasawa import (
     PadicSeries,
     ideal_text,
@@ -33,7 +34,6 @@ from .padics import (
     PadicPrecisionError,
     hensel_root,
     padic_valuation,
-    smallest_primitive_root,
     teichmuller_lift,
 )
 
@@ -42,7 +42,6 @@ __all__ = [
     "DEFAULT_DIGITS",
     "working_precision",
     "choose_alpha",
-    "omega_twist_sum",
     "branch_value_trivial",
     "BranchSeries",
     "branch_series",
@@ -84,49 +83,39 @@ def choose_alpha(ap, p: int, level: int, prec: int = DEFAULT_DIGITS) -> PadicSer
     return PadicSeries.from_ints(p, prec, 1, [a])
 
 
-# -- tame twists of symbol values --------------------------------------
+# -- branch values -----------------------------------------------------
 
 
-def omega_twist_sum(sym, p: int, j: int) -> CyclotomicNumber:
-    """Sum over b of omegabar^j(b) x^{sgn}(b/p), exact in Q(zeta_{p-1}).
-
-    sgn = (-1)^j: summing against the opposite eigencomponent cancels
-    pairwise under b -> -b, so only this parity carries content.
-    """
-    jj = j % (p - 1)
-    exps = DirichletCharacter.teichmuller(p).exponent_table()
-    row = sym.evaluate_row(p, 1 if jj % 2 == 0 else -1)
-    return CyclotomicNumber.from_monomials(
-        p - 1, [(-jj * exps[b], row[b]) for b in range(1, p)])
+@lru_cache(maxsize=32)
+def _teichmuller_table(p: int, W: int) -> tuple:
+    """omega(b) mod p^W for b mod p, the Teichmuller lifts (0 at b = 0)."""
+    return (0,) + tuple(teichmuller_lift(b, p, W) for b in range(1, p))
 
 
-def branch_value_trivial(sym, p: int, alpha: PadicSeries, j: int,
-                         prec: int | None = None) -> PadicSeries:
+def branch_value_trivial(sym, p: int, alpha: PadicSeries, j: int) -> PadicSeries:
     """Value of branch j at the trivial wild character, a one-term series
-    known mod p^W, W = prec or the digits of the unit alpha.
+    known mod p^W, W the digits of the unit alpha, read off the symbol row
+    x^sgn(b/p), b = 0..p-1, sgn = (-1)^j (summing against the opposite
+    sign cancels pairwise under b -> -b).
 
-    Nontrivial tame branch: (1/2 alpha) * omega_twist_sum, with zeta_{p-1}
-    sent to the Teichmuller lift of the least primitive root, so that
-    character values built from discrete logs land on their Teichmuller
-    counterparts.  Trivial branch: (1 - 1/alpha)^2 * x^+(0).  Values are
-    meaningful up to the unit ambiguity of the symbol normalization, so
-    callers compare valuations, vanishing and ratios.
+    Nontrivial tame branch: (1/2 alpha) sum_b omega^-j(b) x^sgn(b/p), half
+    the sum of the branch masses.  Trivial branch: (1 - 1/alpha)^2 x^+(0).
+    Values are meaningful up to the unit ambiguity of the symbol
+    normalization, so callers compare valuations, vanishing and ratios.
     """
-    W = alpha.M if prec is None else prec
-    if W > alpha.M:
-        raise PadicPrecisionError(
-            f"alpha carries {alpha.M} digits, the value needs {W}")
+    W = alpha.M
     m = p**W
     ainv = pow(alpha.ints[0], -1, m)
     jj = j % (p - 1)
+    row = sym.evaluate_row(p, 1 if jj % 2 == 0 else -1)
     if jj:
-        # p^shift * cs[k] are the coefficients; the root is known mod p^W
-        shift, cs = padic_ints(omega_twist_sum(sym, p, jj).coeffs, p, W)
-        root = teichmuller_lift(smallest_primitive_root(p), p, W)
-        s = sum(c * pow(root, k, m) for k, c in enumerate(cs))
+        # x(b/p) = p^shift * xs[b - 1] mod p^W
+        shift, xs = padic_ints(row[1:], p, W)
+        s = sum(pow(t, -jj, m) * x
+                for t, x in zip(_teichmuller_table(p, W)[1:], xs))
         return PadicSeries.from_ints(p, W + shift, 1,
                                      [s * ainv * pow(2, -1, m)], shift)
-    x0 = sym.evaluate(Fraction(0), 1)
+    x0 = row[0]
     e = (1 - ainv) % m
     if e == 0 or x0 == 0:
         # a factor vanishing mod p^W is O(p^W) (alpha = 1 exactly at an
@@ -230,7 +219,7 @@ def branch_series(sym, p: int, alpha: PadicSeries, j: int, n: int = 1,
     ainv = pow(alpha.ints[0] // p ** (v - alpha.shift), -1, m)
     a_hi = p**v * pow(ainv, n + 1, m) % m
     a_lo = pow(ainv, n + 2, m)
-    tw = [0] + [pow(teichmuller_lift(b, p, W), -jj, m) for b in range(1, p)]
+    tw = [pow(t, -jj, m) if t else 0 for t in _teichmuller_table(p, W)]
     coord = _wild_coordinates(p, n)
     masses = [0] * order
     hi_len = p * order

@@ -132,6 +132,8 @@ def eisenstein_series(
         raise ValueError("l = 1 with both characters trivial is excluded")
     if theta.parity() * phi.parity() != (-1) ** l:
         raise ValueError("parity mismatch: theta(-1)phi(-1) must equal (-1)^l")
+    if l < 1:
+        raise ValueError(f"weight must be >= 1, got {l}")
 
     order = lcm(theta.order, phi.order)
     coeffs = [CyclotomicNumber(order, [])]
@@ -139,10 +141,6 @@ def eisenstein_series(
         coeffs[0] = coeffs[0] + l_value_nonpositive(0, phi) * Fraction(1, 2)
     if v == 1:
         coeffs[0] = coeffs[0] + l_value_nonpositive(1 - l, theta) * Fraction(1, 2)
-    if l < 1:
-        # d^(l-1) is an integer only for l >= 1 (a trivial phi has
-        # already refused l <= 0 through L(1-l, theta) above)
-        raise ValueError(f"weight must be >= 1, got {l}")
     # theta(d) phi(n/d) = zeta_order^(kt + kp) with the exponents read
     # over Q(zeta_order) from one table per character, so each a(n) is one
     # sum of roots of unity over the divisors d of n

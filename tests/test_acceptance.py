@@ -14,7 +14,7 @@ import pytest
 import iwrank
 import iwrank.padic_l as padic_l_module
 from iwrank.characters import DirichletCharacter, all_characters
-from iwrank.examples import build_example
+from iwrank.examples import build_example, omega_twist_sum
 from iwrank.iwasawa import PadicSeries, mu_lambda
 from iwrank.newforms import bundled, residual_eisenstein_partner
 from iwrank.padic_l import (
@@ -23,7 +23,6 @@ from iwrank.padic_l import (
     branch_report,
     branch_series,
     branch_value_trivial,
-    omega_twist_sum,
     product_congruence_verdict,
 )
 from iwrank.padics import padic_valuation
@@ -90,8 +89,8 @@ def _table_matches(got, want, p):
 
 def test_criterion_1_twisted_symbol_tables(ex_all):
     sym = ex_all[1]["sym"]
-    plus = [sym.evaluate_from_zero(F(b, 11), 1) for b in range(1, 11)]
-    minus = [sym.evaluate_from_zero(F(b, 11), -1) for b in range(1, 11)]
+    plus, minus = ([row[b] - row[0] for b in range(1, 11)]
+                   for row in (sym.evaluate_row(11, s) for s in (1, -1)))
     okp, dp = _table_matches(plus, [2, 0, 5, 5, 0, 0, 5, 5, 0, 2], 11)
     okm, dm = _table_matches(minus, [0, 0, -5, 5, 0, 0, -5, 5, 0, 0], 11)
     fast = BUILD_TIMES[1] < 60.0
@@ -112,8 +111,8 @@ def test_criterion_2_untwisted_symbol_tables(ex_all):
     problems = []
     for n, (wp, wm) in cases.items():
         sym = ex_all[n]["sym"]
-        plus = [sym.evaluate_from_zero(F(b, 5), 1) for b in range(1, 5)]
-        minus = [sym.evaluate_from_zero(F(b, 5), -1) for b in range(1, 5)]
+        plus, minus = ([row[b] - row[0] for b in range(1, 5)]
+                       for row in (sym.evaluate_row(5, s) for s in (1, -1)))
         okp, dp = _table_matches(plus, wp, 5)
         okm, dm = _table_matches(minus, wm, 5)
         if not okp:
@@ -128,8 +127,7 @@ def test_criterion_2_untwisted_symbol_tables(ex_all):
 def test_criterion_3_branch_values(ex_all):
     ex = ex_all[1]
     sym, alpha = ex["sym"], ex["alpha"]
-    vals = {j: branch_value_trivial(sym, 11, alpha, j, prec=8)
-            for j in range(0, 10)}
+    vals = {j: branch_value_trivial(sym, 11, alpha, j) for j in range(0, 10)}
     problems = []
     if not vals[5].is_zero():
         problems.append(f"branch 5 value {vals[5].ints} is not exactly zero")
@@ -142,8 +140,8 @@ def test_criterion_3_branch_values(ex_all):
         problems.append("branch sums at j = 4 and j = 6 differ")
     if vals[4] != vals[6]:
         problems.append(f"value(4)/value(6) != 1: {vals[4].ints} vs "
-                        f"{vals[6].ints} mod 11^8")
-    prod = PadicSeries(11, 8, 1, [1])
+                        f"{vals[6].ints} mod 11^{alpha.M}")
+    prod = PadicSeries(11, alpha.M, 1, [1])
     for j in range(0, 10):
         if j == 5:
             continue
@@ -151,7 +149,8 @@ def test_criterion_3_branch_values(ex_all):
     if mu_lambda(prod)[0] != 0:
         problems.append(f"product over non-vanishing branches has "
                         f"valuation {mu_lambda(prod)[0]}")
-    _line("criterion 3: branch values at working precision 8", not problems,
+    _line(f"criterion 3: branch values at working precision {alpha.M}",
+          not problems,
           "; ".join(problems) or
           "j=5 exact zero, nine units, ratio(4,6)=1, unit product")
     assert not problems, problems

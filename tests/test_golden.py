@@ -21,12 +21,12 @@ many coefficients were recorded before mu, lambda and the residual ideal
 came to be read straight off the integer series; the `padic-l` run at
 p = 601, beyond the stored coefficients, was recorded after that change,
 as it ended in a traceback before it.  The `padic-l` runs at wild orders
-625 to 3125 (with and without two sigma0 factors, and at 16 digits), the
-run refused for a sigma0 factor of negative valuation and the two
-`eisenstein` runs at weight 0 with a trivial phi were recorded before
-the branch series came to be kept as group masses and before weights
-below 1 were refused; the weight-0 and weight -1 runs that ended in a
-traceback were recorded after that refusal.
+625 to 3125 (with and without two sigma0 factors, and at 16 digits) and
+the run refused for a sigma0 factor of negative valuation were recorded
+before the branch series came to be kept as group masses.  The
+`eisenstein` runs at weights 0 and -1 were recorded after weights below
+1 came to be refused, the two with a trivial phi once that refusal came
+before any L-value.
 """
 
 import io

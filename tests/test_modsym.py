@@ -179,8 +179,8 @@ def test_eigen_system_determinacy(sp11, pair11):
 
 def test_tables_19a(pair19):
     assert functional_eigenvalue(pair19.plus, 5) == 3
-    vp = [pair19.plus.evaluate_from_zero(F(b, 5)) for b in range(1, 5)]
-    vm = [pair19.minus.evaluate_from_zero(F(b, 5)) for b in range(1, 5)]
+    vp, vm = ([row[b] - row[0] for b in range(1, 5)]
+              for row in (pair19.evaluate_row(5, s) for s in (1, -1)))
     proportional(vp, [F(-1, 2), 1, 1, F(-1, 2)])
     proportional(vm, [F(1, 2), 0, 0, F(-1, 2)])
 
@@ -188,8 +188,8 @@ def test_tables_19a(pair19):
 def test_tables_52a(pair52):
     for ell, a in [(2, 0), (3, 0), (5, 2), (7, -2), (11, -2)]:
         assert functional_eigenvalue(pair52.plus, ell) == a, ell
-    vp = [pair52.plus.evaluate_from_zero(F(b, 5)) for b in range(1, 5)]
-    vm = [pair52.minus.evaluate_from_zero(F(b, 5)) for b in range(1, 5)]
+    vp, vm = ([row[b] - row[0] for b in range(1, 5)]
+              for row in (pair52.evaluate_row(5, s) for s in (1, -1)))
     proportional(vp, [1, 1, 1, 1])
     proportional(vm, [1, 1, -1, -1])
 
@@ -384,8 +384,8 @@ def test_evaluate_row_matches_evaluate(name, request):
 
 def test_twisted_tables(twisted11):
     tw = twisted11
-    tp = [tw.evaluate_from_zero(F(b, 11), +1) for b in range(1, 11)]
-    tm = [tw.evaluate_from_zero(F(b, 11), -1) for b in range(1, 11)]
+    tp, tm = ([row[b] - row[0] for b in range(1, 11)]
+              for row in (tw.evaluate_row(11, s) for s in (1, -1)))
     proportional(tp, [2, 0, 5, 5, 0, 0, 5, 5, 0, 2])
     proportional(tm, [0, 0, -5, 5, 0, 0, -5, 5, 0, 0])
     assert tw.evaluate(F(0), +1) != 0

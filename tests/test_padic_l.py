@@ -1,12 +1,16 @@
+import ast
 import cmath
 import random
 from fractions import Fraction
 from math import comb, isclose, sqrt
+from pathlib import Path
 
 import pytest
 
+import iwrank.padic_l as padic_l_module
 from iwrank.characters import DirichletCharacter, kronecker
 from iwrank.cyclotomic import zeta
+from iwrank.examples import EXAMPLES, build_example, omega_twist_sum, symbol_pair
 from iwrank.iwasawa import (
     PadicSeries,
     UndeterminedInvariants,
@@ -31,7 +35,6 @@ from iwrank.padic_l import (
     branch_value_trivial,
     choose_alpha,
     format_report,
-    omega_twist_sum,
     product_congruence_verdict,
     _wild_coordinates,
     working_precision,
@@ -401,6 +404,71 @@ def test_exceptional_zero_ratio_is_undefined(pair11):
     bs = branch_series(pair11, 11, alpha, 10)
     assert t_series(bs).coefficient(0).is_zero()
     assert not t_series(bs).is_zero()
+
+
+def _branch_families(n):
+    """(symbol, p, alpha, raw branch series) at wild level n mod p^8, for
+    11.2.a.a, 19.2.a.a and 52.2.a.a at every odd p <= 19 where they are
+    ordinary, then for the three bundled examples."""
+    for label in ("11.2.a.a", "19.2.a.a", "52.2.a.a"):
+        nf = bundled(label)
+        sym = symbol_pair(nf)
+        for p in (3, 5, 7, 11, 13, 17, 19):
+            if nf.a(p) % p:
+                yield (sym, p) + branch_family(sym, nf.a(p), p, n, 8)[:2]
+    for number in EXAMPLES:
+        ex = build_example(number, wild_level=n, M=8)
+        yield ex["sym"], ex["p"], ex["alpha"], ex["raw"]
+
+
+def test_branch_values_are_mass_sums():
+    # the value at the trivial wild character is the total mass of the
+    # branch, up to the 1/2 of the nontrivial branches, at every wild level
+    def agree(x, y, p):
+        return x == y or padic_valuation(x - y, p) >= 8
+
+    for n in (1, 2):
+        for sym, p, alpha, raw in _branch_families(n):
+            for j, bs in raw.items():
+                value = branch_value_trivial(sym, p, alpha, j)
+                assert value.M >= 8
+                got = F(value.ints[0]) * F(p) ** value.shift
+                total = F(sum(bs.masses)) * F(p) ** bs.shift
+                if bs.j:
+                    want = total / 2
+                elif sym.level % p:
+                    want = total
+                else:
+                    # not a tolerance: at p | N the closed form
+                    # (1 - 1/alpha)^2 x(0) carries one Euler factor more
+                    # than the masses (1 - 1/alpha) x(0), a recorded
+                    # finding that the printed values still pin
+                    want = (1 - F(1, alpha.ints[0])) * total
+                assert agree(got, want, p), (sym.label, p, n, j)
+
+
+def test_padic_l_reads_rows_in_integers():
+    # branch values and series are integer sums over symbol rows: the
+    # module builds no cyclotomic number or character, reads no single
+    # symbol point, and lifts to Teichmuller only in its one cached table
+    tree = ast.parse(Path(padic_l_module.__file__).read_text())
+    imported = [getattr(node, "module", None) or alias.name
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names]
+    assert not [m for m in imported
+                if m.split(".")[-1] in ("cyclotomic", "characters")]
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert not [node.lineno for node in calls
+                if isinstance(node.func, ast.Attribute)
+                and node.func.attr == "evaluate"]
+    lifting = {fn.name for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn) if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Name)
+               and node.func.id == "teichmuller_lift"}
+    assert lifting == {"_teichmuller_table"}
+    assert padic_l_module._teichmuller_table.cache_info().maxsize
 
 
 def test_short_alpha_raises(pair52, a52):

@@ -6,7 +6,6 @@ import pytest
 from iwrank.cyclotomic import cyclotomic_polynomial
 from iwrank.iwasawa import PadicSeries, mu_lambda, padic_ints
 from iwrank.padics import (
-    PadicPrecisionError,
     hensel_root,
     padic_valuation,
     smallest_primitive_root,
@@ -104,9 +103,8 @@ def test_primitive_roots():
 
 
 def test_cyclotomic_embedding(pair19):
-    # branch values send zeta_{p-1} to the Teichmuller lift of the least
-    # primitive root, so that omega(b) lands on teichmuller_lift(b):
-    # value_j = (1/2 alpha) sum_b omega(b)^(-j) x^sgn(b/p) mod p^W
+    # a branch value is the symbol row summed against the Teichmuller
+    # lifts: value_j = (1/2 alpha) sum_b omega(b)^(-j) x^sgn(b/p) mod p^W
     p, W = 5, 14
     m = p**W
     alpha = choose_alpha(3, p, 19)
@@ -129,10 +127,3 @@ def test_embedding_root_of_poly():
     acc = sum(c * pow(root, k, m)
               for k, c in enumerate(cyclotomic_polynomial(10)))
     assert acc % m == 0
-
-
-def test_precision_error_on_exhausted_digits(pair19):
-    # alpha known mod 5^2 cannot give a value mod 5^3
-    with pytest.raises(PadicPrecisionError):
-        branch_value_trivial(pair19, 5, choose_alpha(3, 5, 19, prec=2), 1,
-                             prec=3)
