@@ -14,7 +14,7 @@ import os
 import shutil
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
 from .arith import is_prime
 from .characters import DirichletCharacter, parse_descriptor
@@ -481,9 +481,10 @@ def _add_common(parser, suppress, labels):
                         help="branch range (reduced mod p-1)")
 
 
-def _build_parser():
-    # one terminal-width probe, not one per HelpFormatter (per add_argument)
-    fmt = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+@lru_cache(maxsize=1)  # rebuilt only when the terminal width changes
+def _build_parser(columns):
+    # one terminal-width probe in main, not one per HelpFormatter
+    fmt = partial(argparse.HelpFormatter, width=columns - 2)
     ap = argparse.ArgumentParser(
         prog="iwrank",
         description="analytic Iwasawa invariants at Eisenstein primes",
@@ -525,7 +526,7 @@ def _build_parser():
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    args = _build_parser(shutil.get_terminal_size().columns).parse_args(argv)
     try:
         return args.run(_config_from(args), args)
     except (ConfigError, IngestionError, PadicPrecisionError) as exc:

@@ -142,6 +142,15 @@ _NONTRIVIAL_INVARIANTS = {1: {5: (0, 1)}, 2: {2: (0, 1)}, 3: {}}
 _T_VERDICTS = {1: (4, 5), 2: (1, 2), 3: ()}
 
 
+def _poly_text(poly):
+    """A monic polynomial from its ascending coefficients: x^2 - 5 for
+    (-5, 0, 1)."""
+    terms = [(c, "" if k == 0 else "x" if k == 1 else f"x^{k}")
+             for k, c in enumerate(poly) if c][::-1]
+    return " ".join(f"{'-' if c < 0 else '+'} {abs(c) if abs(c) != 1 or not x else ''}{x}"
+                    for c, x in terms)[2:]
+
+
 def symbol_pair(nf):
     """The plus and minus eigensymbols of a rational form, cut out of its
     symbol space by the stored a_l at the primes l prime to the level,
@@ -151,11 +160,10 @@ def symbol_pair(nf):
     eigenvalues) or the stored primes run out first.
     """
     if not nf.is_rational:
-        # the p-adic layer reads rational symbols only; a Hecke field
-        # first needs its embedding into Z_p
+        # a Hecke field first needs its embedding into Z_p
         raise ValueError(
-            f"no stored Hecke probes for {nf.label}; symbol commands "
-            f"currently cover the bundled rational forms")
+            f"{nf.label} has Hecke field Q[x]/({_poly_text(nf.field_poly)}); "
+            f"the p-adic layer reads rational symbols only")
     if nf.weight != 2 or not nf.nebentypus.is_trivial():
         raise ValueError(f"{nf.label}: the symbols are those of weight 2 on "
                          f"Gamma0(N), so the form needs weight 2 and a "

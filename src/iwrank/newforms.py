@@ -18,6 +18,7 @@ from importlib import resources
 from itertools import chain
 from math import lcm
 from operator import mul
+from types import MappingProxyType
 
 from . import kernels
 from .characters import DirichletCharacter, parse_descriptor
@@ -103,7 +104,8 @@ def _check_integrality(an, field: NumberField):
 
 class NewformData:
     """Validated coefficients a(1..n_max) of one newform: ints in `an` (or
-    (numerators, denominator) pairs over a field), elements from `a`."""
+    (numerators, denominator) pairs over a field), elements from `a`.
+    `an` and `seed_root_mod_p` are read-only: a bundled form is shared."""
 
     def __init__(self, label, level, weight, nebentypus, field_poly, an,
                  seed_root_mod_p=None, source=""):
@@ -113,8 +115,8 @@ class NewformData:
         self.nebentypus = nebentypus
         self.field_poly = tuple(int(c) for c in field_poly)
         self.field = None if len(self.field_poly) == 2 else NumberField(self.field_poly)
-        self.an = list(an)
-        self.seed_root_mod_p = dict(seed_root_mod_p or {})
+        self.an = tuple(an)
+        self.seed_root_mod_p = MappingProxyType(dict(seed_root_mod_p or {}))
         self.source = source
         self._validate()
 
@@ -227,6 +229,7 @@ def bundled_labels():
     return sorted(name[:-5] for name in names if name.endswith(".json"))
 
 
+@cache  # once per process; a failed load raises and is not cached
 def bundled(label: str) -> NewformData:
     res = resources.files("iwrank.data").joinpath(f"{label}.json")
     try:

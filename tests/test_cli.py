@@ -370,3 +370,29 @@ def test_newform_file_without_a_line_exits_2(command, edits, msg, tmp_path,
     path = _form_file(tmp_path, **edits)
     assert main([command, "--prime", "5", "--newform", path]) == 2
     assert capsys.readouterr().err == f"error: {msg}\n"
+
+
+def test_unknown_newform_exits_2_on_every_run(capsys):
+    for _ in range(2):
+        assert main(["padic-l", "--newform", "bogus", "--prime", "5"]) == 2
+        assert capsys.readouterr().err.startswith("error: no bundled newform 'bogus'")
+
+
+def test_newform_file_is_read_on_every_run(tmp_path, capsys):
+    # a bundled form is loaded once per process, a --newform FILE on every
+    # run: the same path, rewritten with a(600) = 5 + (1/3) sqrt 5 (not an
+    # algebraic integer), is refused the second time
+    from importlib import resources
+    payload = json.loads(resources.files("iwrank.data")
+                         .joinpath("23.2.a.json").read_text())
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(payload))
+    argv = ["congruence", "--newform", str(path), "--prime", "11"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    payload["an"][-1][-1] = "1/3"
+    path.write_text(json.dumps(payload))
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot ingest newform file {path}: coefficient 600 is not "
+        f"an algebraic integer")

@@ -26,11 +26,16 @@ the run refused for a sigma0 factor of negative valuation were recorded
 before the branch series came to be kept as group masses.  The
 `eisenstein` runs at weights 0 and -1 were recorded after weights below
 1 came to be refused, the two with a trivial phi once that refusal came
-before any L-value.
+before any L-value.  The `padic-l` run on 23.2.a was re-recorded once its
+refusal came to name the form's Hecke field.  A process parses the
+bundled newforms and the CLI parser once: every pinned run above must
+give the same bytes and exit code when run twice in one process, in a
+shuffled order, after help runs at another width.
 """
 
 import io
 import json
+import random
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -186,3 +191,33 @@ def test_cli_text_matches_golden(name, monkeypatch):
     assert code == codes[name]
     assert out == (GOLDEN / f"{name}.stdout").read_text()
     assert err == (GOLDEN / f"{name}.stderr").read_text()
+
+
+def test_pinned_runs_repeat_in_one_process(tmp_path, monkeypatch):
+    # help at 120 columns first: a parser frozen at its first width, or
+    # carrying --newform/--char/--sigma0 values from one run into the
+    # next, breaks the runs after it
+    monkeypatch.setenv("COLUMNS", "120")
+    for name, argv in TEXT_RUNS.items():
+        if name.startswith("help"):
+            wide = run_captured(argv)
+            assert wide[0] != (GOLDEN / f"{name}.stdout").read_text(), name
+    monkeypatch.setenv("COLUMNS", "80")
+    text_codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    ref_codes = json.loads((REFS / "exit_codes.json").read_text())
+    runs = ([("text", name) for name in TEXT_RUNS] + [("out", name) for name in RUNS]
+            + [("verify", number) for number in (1, 2, 3)]) * 2
+    random.Random(22).shuffle(runs)
+    out = tmp_path / "out.jsonl"
+    for kind, name in runs:
+        if kind == "text":
+            assert run_captured(TEXT_RUNS[name]) == (
+                (GOLDEN / f"{name}.stdout").read_text(),
+                (GOLDEN / f"{name}.stderr").read_text(), text_codes[name]), name
+        elif kind == "out":
+            assert main(RUNS[name] + ["--out", str(out)]) == 0, name
+            assert out.read_bytes() == (GOLDEN / f"{name}.jsonl").read_bytes(), name
+        else:
+            argv = ["verify-example", str(name), "--out", str(out)]
+            assert main(argv) == ref_codes[f"verify/{name}"], name
+            assert out.read_bytes() == (REFS / "verify" / f"{name}.jsonl").read_bytes(), name

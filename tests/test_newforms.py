@@ -26,8 +26,20 @@ from iwrank.qseries import check_congruence, mazur_eisenstein, sturm_bound
 
 def test_bundled_labels():
     assert bundled_labels() == ["11.2.a.a", "19.2.a.a", "23.2.a", "52.2.a.a"]
-    with pytest.raises(IngestionError):
-        bundled("37.2.a.a")
+    for _ in range(2):  # a failed load is not cached
+        with pytest.raises(IngestionError, match="no bundled newform '37.2.a.a'"):
+            bundled("37.2.a.a")
+
+
+@pytest.mark.parametrize("label", bundled_labels())
+def test_bundled_form_is_loaded_once_and_read_only(label):
+    # one shared form per process, so no caller may change it
+    f = bundled(label)
+    assert bundled(label) is f
+    with pytest.raises(TypeError):
+        f.an[0] = 2
+    with pytest.raises(TypeError):
+        f.seed_root_mod_p[11] = 3
 
 
 def test_bundled_rational_forms():
