@@ -34,6 +34,12 @@ and its repr, on a fresh copy).  Its last rows are a product of two
 dense random elements at 210 and 903, where h (105 and 903) is well
 above phi(n) (48 and 504), and its first read: a dense product pays for
 the group ring's longer vectors.
+
+The last row set times `NFElement.inverse`, which solves the
+multiplication matrix of an element through `linalg`, on random dense
+elements of Q(sqrt 5), Q(zeta_5), Q(zeta_16), Q(zeta_45) and
+Q(zeta_100), of degrees 2, 4, 8, 24 and 40.  The large `FIELDS` are
+left out: an inverse in degree 1624 is out of reach.
 """
 
 import argparse
@@ -62,6 +68,8 @@ FIELDS = ([("sqrt5", numfield.NumberField([-5, 0, 1]))]
 GAUSS_CHARACTERS = ("mod=59;gens=2:2;ord=29", "mod=47;gens=5:1;ord=46",
                     "mod=53;gens=2:1;ord=52", "mod=59;gens=2:1;ord=58")
 DENSE_ORDERS = (210, 903)
+# (name, field) of the inverse rows, of degrees 2, 4, 8, 24 and 40
+INVERSE_FIELDS = FIELDS[:1] + [(f"zeta{n}", _ring(n)) for n in (5, 16, 45, 100)]
 
 
 def best_time(fn, a, b, repeat):
@@ -162,6 +170,20 @@ def cyclotomic_rows(rng, repeat):
     print()
 
 
+def inverse_rows(rng, repeat):
+    """Time the inverse of a random dense element, per field."""
+    print("field inverses")
+    print(f"{'field':>8} {'d':>5} {'inverse':>12}")
+    for name, field in INVERSE_FIELDS:
+        d = field.degree
+        a = field.element([rng.randint(-COEFF_BOUND, COEFF_BOUND) or 1
+                           for _ in range(d)])
+        assert a * a.inverse() == 1
+        t = best_time(lambda x, _: x.inverse(), a, None, repeat)
+        print(f"{name:>8} {d:>5} {t * 1e6:>10.1f}us")
+    print()
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeat", type=int, default=5,
@@ -177,6 +199,7 @@ def main():
             [(n, LONG_LENGTH) for n in SHORT_LENGTHS], rng, args.repeat)
     field_rows(rng, args.repeat)
     cyclotomic_rows(rng, args.repeat)
+    inverse_rows(rng, args.repeat)
 
 
 if __name__ == "__main__":

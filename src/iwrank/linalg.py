@@ -3,10 +3,12 @@
 A row is a dict {column: nonzero int}.  `rref` reduces a list of rows to
 the reduced row echelon form of their span, each row scaled to coprime
 integers; `kernel` reads the right kernel off that form as integer
-vectors over one common scale.  Every solve on a symbol space goes
-through these two functions: the Manin-symbol quotient, the boundary
-kernel (the cuspidal subspace) and the Hecke eigenfunctionals, whose
-number-field systems are first written over Q by restriction of scalars.
+vectors over one common scale.  Every exact solve of the package goes
+through these two functions: on a symbol space the Manin-symbol
+quotient, the boundary kernel (the cuspidal subspace) and the Hecke
+eigenfunctionals, whose number-field systems are first written over Q
+by restriction of scalars; and every inverse in a number field
+(`NFElement.inverse`), a solve of the element's multiplication matrix.
 
 Pivots are taken at each row's smallest column and rows are reduced in
 the order given, so the output is the same on every run.

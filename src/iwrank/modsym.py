@@ -42,7 +42,7 @@ from math import gcd, lcm
 from .arith import euler_phi, prime_divisors
 from .cyclotomic import CyclotomicNumber
 from .linalg import kernel, rref
-from .numfield import NFElement
+from .numfield import NFElement, _scalar_matrix
 
 
 class EigenspaceError(RuntimeError):
@@ -509,19 +509,6 @@ def eigen_functional(space, targets, sign):
         return SymbolFunctional(space, sign, [x // g for x in coeffs[0]])
     return SymbolFunctional(space, sign, [NFElement(field, [x // g for x in value], 1)
                                           for value in zip(*coeffs)])
-
-
-def _scalar_matrix(a, field):
-    """(d, m): m[t][i] is the x^t coefficient of d a x^i, an integer, so m
-    is multiplication by a on the power basis of the field (of Q when
-    field is None) with its denominators cleared by d."""
-    if field is None:
-        a = Fraction(a)
-        return a.denominator, [[a.numerator]]
-    images = [a * field.element([0] * i + [1]) for i in range(field.degree)]
-    d = lcm(*(y.den for y in images))
-    return d, [[y.nums[t] * (d // y.den) for y in images]
-               for t in range(field.degree)]
 
 
 def _check_eigenspace(space, sign, dim):

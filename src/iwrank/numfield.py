@@ -10,6 +10,10 @@ below x^h by x^h = e (`_fold`), and k = h.  Q(zeta_n) is f = Phi_n,
 h = n/2, e = -1 for even n, else h = n, e = 1; `cyclotomic` keeps its
 elements folded in Z[x]/(x^h - e) and reduces one modulo Phi_n only
 when its power-basis coefficients are read.
+
+Division solves the multiplication matrix of the divisor
+(`_scalar_matrix`, which `modsym` also writes its eigen-systems with)
+by the integer elimination of `linalg`.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add, sub
 
-from iwrank import kernels
+from iwrank import kernels, linalg
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -124,6 +128,19 @@ def _lowest_terms(coeffs, den: int | None = None) -> tuple[list[int], int]:
     return coeffs, den
 
 
+def _scalar_matrix(a, field):
+    """(d, m): m[t][i] is the x^t coefficient of d a x^i, an integer, so m
+    is multiplication by a on the power basis of the field (of Q when
+    field is None) with its denominators cleared by d."""
+    if field is None:
+        a = Fraction(a)
+        return a.denominator, [[a.numerator]]
+    images = [a * field.element([0] * i + [1]) for i in range(field.degree)]
+    d = lcm(*(y.den for y in images))
+    return d, [[y.nums[t] * (d // y.den) for y in images]
+               for t in range(field.degree)]
+
+
 class NFElement:
     """Element of a NumberField: integer numerators `nums` over `den`."""
 
@@ -210,26 +227,19 @@ class NFElement:
         return out
 
     def inverse(self):
-        """Inverse via the extended Euclidean algorithm with f in Q[x]."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        r0 = [Fraction(c) for c in self.field.poly]
-        r1 = [Fraction(c) for c in self.nums]
-        s0, s1 = [_ZERO], [_ONE]
-        while True:
-            while len(r1) > 1 and r1[-1] == 0:
-                r1.pop()
-            if len(r1) == 1:
-                break
-            q, r = _poly_divmod_frac(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul_frac(q, s1))
-        c = r1[0]
-        if c == 0:
-            raise ZeroDivisionError("not invertible (reducible defining polynomial?)")
-        # s1 * self = c / den modulo f, and deg s1 < d
-        inv = [x * self.den / c for x in s1[: self.field.degree]]
-        return self._new(*_lowest_terms(inv))
+        """The v with self v = 1, read off `linalg`.  With (d, m) the
+        multiplication matrix of self (`_scalar_matrix`), m v = d e_0: the
+        kernel of m beside a column holding -d in row 0 has that column
+        free, and its basis vector over the kernel's scale is (v, 1).  Any
+        other free column makes self a zero divisor."""
+        d, m = _scalar_matrix(self, self.field)
+        deg = self.field.degree
+        rows = [{i: x for i, x in enumerate(mrow) if x} for mrow in m]
+        rows[0][deg] = -d
+        free, scale, basis = linalg.kernel(linalg.rref(rows), range(deg + 1))
+        if free != [deg]:
+            raise ZeroDivisionError("no inverse: zero or a zero divisor")
+        return self._new([basis[0].get(i, 0) for i in range(deg)], scale)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -279,41 +289,3 @@ class NFElement:
 
     def __repr__(self):
         return f"NF{list(self.coeffs)}"
-
-
-# rational-coefficient polynomial helpers (used by inverse) ------------
-
-
-def _poly_divmod_frac(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    if len(num) - 1 < dd:
-        return [_ZERO], num
-    q = [_ZERO] * (len(num) - dd)
-    for k in range(len(num) - 1, dd - 1, -1):
-        c = num[k] / lead
-        q[k - dd] = c
-        if c:
-            for t in range(dd + 1):
-                num[k - dd + t] -= c * den[t]
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return q, num
-
-
-def _poly_mul_frac(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [_ZERO] * (n - len(a))
-    b = b + [_ZERO] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]

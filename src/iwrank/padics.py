@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .arith import prime_divisors
+from .numfield import _lowest_terms
 
 
 class PadicPrecisionError(ArithmeticError):
@@ -47,16 +48,6 @@ def teichmuller_lift(a: int, p: int, prec: int) -> int:
     raise ArithmeticError("Teichmuller iteration failed to stabilize")
 
 
-def _poly_ints(coeffs) -> tuple[list[int], int]:
-    from math import gcd
-
-    cs = [Fraction(c) for c in coeffs]
-    den = 1
-    for c in cs:
-        den = den // gcd(den, c.denominator) * c.denominator
-    return [int(c * den) for c in cs], den
-
-
 def hensel_root(coeffs, seed: int, p: int, prec: int) -> int:
     """Root of the polynomial in Z_p lifting `seed`, via Newton iteration.
 
@@ -64,7 +55,7 @@ def hensel_root(coeffs, seed: int, p: int, prec: int) -> int:
     denominators are p-units.  Requires f(seed) = 0 mod p and f'(seed) a
     unit mod p.
     """
-    ints, den = _poly_ints(coeffs)
+    ints, den = _lowest_terms(coeffs)
     if den % p == 0:
         raise ValueError("coefficient denominators must be p-units")
     der = [k * c for k, c in enumerate(ints)][1:]

@@ -169,3 +169,18 @@ def test_core_matches_fraction_reference(kind, arg):
         _check(c + a, [x + y for x, y in zip(here, lifted)])
         assert (a == c) == (here == lifted)
         assert a == a.lift_to(m) and a.lift_to(m) == a
+
+
+def test_zero_divisors_are_refused():
+    """inverse raises on zero and, over a reducible polynomial, on a zero
+    divisor, and inverts every other element."""
+    K = NumberField((-5, 0, 1))
+    with pytest.raises(ZeroDivisionError):
+        K.zero().inverse()
+    with pytest.raises(ZeroDivisionError):
+        K.one() / K.zero()
+    R = NumberField((-1, 0, 1))          # x^2 - 1 = (x - 1)(x + 1)
+    x = R.gen()
+    with pytest.raises(ZeroDivisionError):
+        (x - 1).inverse()
+    assert (x + 2) * (x + 2).inverse() == 1
