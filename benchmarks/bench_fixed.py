@@ -5,8 +5,9 @@ Usage: python benchmarks/bench_fixed.py
 Prints best and median wall time (ms) of: loading each bundled newform
 and building the CLI parser, both cold (through `__wrapped__`, past the
 caches that serve every later call in a process), the residual
-Eisenstein partner plus the Mazur series of each bundled example
-(through the Sturm bound, as `verify` builds them), and one warm
+Eisenstein partner and its check (`examples.eisenstein_partner`, the
+function `verify` calls) plus the Mazur series through the same Sturm
+bound, for each bundled example, and one warm
 `verify-example 1..3` round, which reads the forms and the parser from
 those caches.
 """
@@ -18,10 +19,9 @@ import tempfile
 import time
 
 from iwrank import cli
-from iwrank.characters import DirichletCharacter
-from iwrank.examples import EXAMPLES
-from iwrank.newforms import bundled, bundled_labels, residual_eisenstein_partner
-from iwrank.qseries import mazur_eisenstein, sturm_bound
+from iwrank.examples import EXAMPLES, eisenstein_partner
+from iwrank.newforms import bundled, bundled_labels
+from iwrank.qseries import mazur_eisenstein
 
 REPEAT = 50
 
@@ -38,11 +38,12 @@ def report(name, fn):
 
 def eisenstein_side(cfg):
     h, p = bundled(cfg["h"]), cfg["p"]
-    bound = sturm_bound(2, h.level)
-    # the characters are built inside the timed call, as each run builds them
-    return lambda: (residual_eisenstein_partner(
-        p, DirichletCharacter.teichmuller(p), DirichletCharacter.trivial(1),
-        h.level, 2, bound), mazur_eisenstein(cfg["mazur_t"], bound))
+
+    def run():
+        # the ideal is built inside the timed call, as each run builds it
+        bound = eisenstein_partner(h, p, h.congruence_ideal(p))[0]
+        return mazur_eisenstein(cfg["mazur_t"], bound)
+    return run
 
 
 def main():

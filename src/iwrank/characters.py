@@ -115,6 +115,8 @@ class DirichletCharacter:
     __slots__ = ("modulus", "order", "exponents", "_cond")
 
     def __init__(self, modulus: int, exponents, order: int):
+        if order < 1:
+            raise ValueError(f"character order must be positive, got {order}")
         gens = unit_group_generators(modulus)
         exps = tuple(int(e) % order for e in exponents)
         if len(exps) != len(gens):

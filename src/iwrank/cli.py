@@ -1,6 +1,11 @@
 """Command-line surface: character and Eisenstein inspection, congruence
 checks, symbol tables, branch L-series, and the bundled verification runs.
 
+Each `cmd_*` takes the parsed command line and returns its exit code and
+its records, one dict each.  `main` alone checks the shared flags, writes
+the records (one `padic_l.format_report` line each, to stdout or
+`--out`) and turns a refused input into `error: ...` on stderr.
+
 Exit codes: 0 all checks pass, 1 a verification check failed, 2 the
 configuration or an input file could not be used, or the requested
 p-adic precision could not be reached.
@@ -17,18 +22,18 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 from .arith import is_prime
-from .characters import DirichletCharacter, parse_descriptor
-from .examples import EXAMPLES, VerificationReport, run_example, symbol_pair
+from .characters import parse_descriptor
+from .examples import (
+    EXAMPLES,
+    VerificationReport,
+    add_partner_check,
+    eisenstein_partner,
+    run_example,
+    symbol_pair,
+)
 from .iwasawa import PadicSeries, UndeterminedInvariants, ideal_mod_pi, mu_lambda
 from .modsym import twist_symbol
-from .newforms import (
-    IngestionError,
-    NewformData,
-    _prime_to_p,
-    bundled,
-    bundled_labels,
-    residual_eisenstein_partner,
-)
+from .newforms import IngestionError, NewformData, _prime_to_p, bundled, bundled_labels
 from .padic_l import (
     OrdinarityError,
     branch_family,
@@ -38,79 +43,82 @@ from .padic_l import (
     product_congruence_verdict,
 )
 from .padics import PadicPrecisionError
-from .qseries import (
-    check_congruence,
-    eisenstein_series,
-    sigma0_and_m,
-    sturm_bound,
-)
+from .qseries import check_congruence, eisenstein_series, sigma0_and_m
 
 
 class ConfigError(Exception):
     pass
 
 
-# --- configuration ----------------------------------------------------
+# --- shared flags -----------------------------------------------------
 
 
-class JobConfig:
-    """Validated run parameters shared by the computing commands."""
-
-    def __init__(self, prime=None, precision=None, newforms=(), chars=(),
-                 branches=None, out=None):
-        if prime is not None:
-            if prime < 3 or prime % 2 == 0:
-                raise ConfigError(f"prime must be odd, got {prime}")
-            if not is_prime(prime):
-                raise ConfigError(f"{prime} is not prime")
-        self.prime = prime
-        if precision is None:
-            precision = (8, prime if prime else 8)
-        m, d = precision
-        if m < 1 or d < 1:
-            raise ConfigError(f"precision components must be positive: {m},{d}")
-        self.precision = (m, d)
-        self.newforms = tuple(newforms)
-        self.chars = tuple(chars)
-        if branches is not None and prime is not None:
-            a, b = branches
-            if a > b:
-                raise ConfigError(f"empty branch range {a}..{b}")
-            if b - a > prime - 2:
-                raise ConfigError(
-                    f"branch range {a}..{b} repeats residues mod {prime - 1}")
-        self.branches = branches
-        self.out = out
-
-    def wild_level(self, p=None):
-        """D must be p^n (p defaults to --prime) for the branch-series
-        layout; return n."""
-        p = p or self.prime
-        d = self.precision[1]
-        n = 0
-        while d % p == 0:
-            d //= p
-            n += 1
-        if d != 1 or n < 1:
-            raise ConfigError(
-                f"series length {self.precision[1]} is not a power of {p}")
-        return n
-
-
-def _parse_precision(text):
+def _pair(text, flag, shape):
+    """The two integers of a --precision M,D or --branches a..b value."""
     try:
-        m, d = text.split(",")
-        return int(m), int(d)
-    except ValueError as exc:
-        raise ConfigError(f"--precision wants M,D, got {text!r}") from exc
-
-
-def _parse_branches(text):
-    try:
-        a, b = text.split("..")
+        a, b = text.split(shape[1:-1])
         return int(a), int(b)
     except ValueError as exc:
-        raise ConfigError(f"--branches wants a..b, got {text!r}") from exc
+        raise ConfigError(f"{flag} wants {shape}, got {text!r}") from exc
+
+
+def _checked(args):
+    """Check the shared flags of a parsed command line, in place: a given
+    --precision and --branches become integer pairs, --prime must be an
+    odd prime and the branch range must not repeat residues mod p - 1."""
+    if args.precision:
+        args.precision = _pair(args.precision, "--precision", "M,D")
+    if args.branches:
+        args.branches = _pair(args.branches, "--branches", "a..b")
+    p = args.prime
+    if p is not None:
+        if p < 3 or p % 2 == 0:
+            raise ConfigError(f"prime must be odd, got {p}")
+        if not is_prime(p):
+            raise ConfigError(f"{p} is not prime")
+    if args.precision and min(args.precision) < 1:
+        raise ConfigError("precision components must be positive: "
+                          f"{args.precision[0]},{args.precision[1]}")
+    if args.branches and p is not None:
+        a, b = args.branches
+        if a > b:
+            raise ConfigError(f"empty branch range {a}..{b}")
+        if b - a > p - 2:
+            raise ConfigError(f"branch range {a}..{b} repeats residues mod {p - 1}")
+    return args
+
+
+def _precision(args):
+    """(M, D): --precision, else 8 digits and D = --prime (8 without one)."""
+    return args.precision or (8, args.prime or 8)
+
+
+def _wild_level(args, p):
+    """n with D = p^n, D the series length; the branch series need it."""
+    d = D = _precision(args)[1]
+    n = 0
+    while d % p == 0:
+        d //= p
+        n += 1
+    if d != 1 or n < 1:
+        raise ConfigError(f"series length {D} is not a power of {p}")
+    return n
+
+
+def _fractions(text):
+    """The rationals of a comma list c0,c1,...; ValueError on an entry
+    that is none, n/0 included."""
+    try:
+        return [Fraction(c) for c in text.split(",")]
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def _character(desc, prefix="bad character descriptor"):
+    try:
+        return parse_descriptor(desc)
+    except (ValueError, KeyError) as exc:
+        raise ConfigError(f"{prefix}: {exc}")
 
 
 def _load_newform(ref):
@@ -128,101 +136,60 @@ def _load_newform(ref):
         raise ConfigError(str(exc))
 
 
-def _config_from(args):
-    prec = _parse_precision(args.precision) if args.precision else None
-    branches = _parse_branches(args.branches) if args.branches else None
-    return JobConfig(
-        prime=args.prime,
-        precision=prec,
-        newforms=tuple(args.newform or ()),
-        chars=tuple(args.char or ()),
-        branches=branches,
-        out=args.out,
-    )
+def _one_newform(args):
+    """(p, form): the --prime and the one --newform the command needs."""
+    if args.prime is None:
+        raise ConfigError(f"{args.command} needs --prime")
+    if len(args.newform or ()) != 1:
+        raise ConfigError(f"{args.command} needs exactly one --newform")
+    return args.prime, _load_newform(args.newform[0])
 
 
-class _Sink:
-    """Collects report lines and writes them to --out or stdout."""
-
-    def __init__(self, out=None):
-        self.out = out
-        self.lines = []
-
-    def emit(self, line):
-        self.lines.append(line)
-
-    def emit_json(self, obj):
-        self.emit(format_report(obj))
-
-    def close(self):
-        text = "\n".join(self.lines) + "\n"
-        if self.out:
-            try:
-                with open(self.out, "w") as fh:
-                    fh.write(text)
-            except OSError as exc:
-                raise ConfigError(f"cannot write --out {self.out}: {exc}")
-        else:
-            sys.stdout.write(text)
+# --- commands: each maps the checked flags to (exit code, records) ------
 
 
-# --- commands ---------------------------------------------------------
-
-
-def cmd_chars(cfg):
-    if not cfg.chars:
+def cmd_chars(args):
+    if not args.char:
         raise ConfigError("chars needs at least one --char descriptor")
-    sink = _Sink(cfg.out)
-    for desc in cfg.chars:
-        try:
-            chi = parse_descriptor(desc)
-        except (ValueError, KeyError) as exc:
-            raise ConfigError(f"bad character descriptor {desc!r}: {exc}")
-        prim = chi.primitive_part()
+    records = []
+    for desc in args.char:
+        chi = _character(desc, f"bad character descriptor {desc!r}")
         values = {}
         for a in range(1, min(chi.modulus, 20) + 1):
             e = chi.value_exponent(a)
             if e is not None:
                 values[str(a)] = e
-        sink.emit_json({
+        records.append({
             "descriptor": desc,
             "modulus": chi.modulus,
             "order": chi.order,
             "conductor": chi.conductor(),
             "parity": chi.parity(),
             "trivial": chi.is_trivial(),
-            "primitive_modulus": prim.modulus,
+            "primitive_modulus": chi.primitive_part().modulus,
             "value_exponents": values,
             "value_convention": f"exponent k means zeta_{chi.order}^k",
         })
-    sink.close()
-    return 0
+    return 0, records
 
 
-def cmd_eisenstein(cfg, weight, terms):
-    if len(cfg.chars) != 2:
+def cmd_eisenstein(args):
+    if len(args.char or ()) != 2:
         raise ConfigError("eisenstein needs exactly two --char descriptors "
                           "(theta and phi)")
-    if terms < 0:
-        raise ConfigError(f"--terms must be >= 0, got {terms}")
+    if args.terms < 0:
+        raise ConfigError(f"--terms must be >= 0, got {args.terms}")
+    theta, phi = map(_character, args.char)
     try:
-        theta = parse_descriptor(cfg.chars[0])
-        phi = parse_descriptor(cfg.chars[1])
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"bad character descriptor: {exc}")
-    try:
-        series = eisenstein_series(theta, phi, weight, terms)
+        series = eisenstein_series(theta, phi, args.weight, args.terms)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    sink = _Sink(cfg.out)
-    sink.emit_json({
+    return 0, [{
         "label": series.label,
         "weight": series.weight,
         "level": series.level,
-        "coefficients": [str(series.a(n)) for n in range(terms + 1)],
-    })
-    sink.close()
-    return 0
+        "coefficients": [str(series.a(n)) for n in range(args.terms + 1)],
+    }]
 
 
 def _check_cyclotomic_pattern(h, p):
@@ -241,23 +208,12 @@ def _check_cyclotomic_pattern(h, p):
                 f"residual pair")
 
 
-def cmd_congruence(cfg):
-    if cfg.prime is None:
-        raise ConfigError("congruence needs --prime")
-    if len(cfg.newforms) != 1:
-        raise ConfigError("congruence needs exactly one --newform")
-    h = _load_newform(cfg.newforms[0])
-    p = cfg.prime
-    # the series are compared through the Sturm bound, so built that far
-    bound = sturm_bound(h.weight, h.level)
+def cmd_congruence(args):
+    p, h = _one_newform(args)
     try:
         ideal = h.congruence_ideal(p)
         _check_cyclotomic_pattern(h, p)
-        g, m = residual_eisenstein_partner(
-            p, DirichletCharacter.teichmuller(p), DirichletCharacter.trivial(1),
-            h.level, h.weight, bound)
-        hq = h.q_expansion(bound)
-        dep = check_congruence(hq.deplete(p), g.deplete(p), ideal, bound)
+        bound, _, g, m, dep = eisenstein_partner(h, p, ideal)
     except (IngestionError, ValueError) as exc:
         raise ConfigError(str(exc))
     sigma0 = list(sigma0_and_m(_prime_to_p(h.level, p), 1)[0])
@@ -265,59 +221,41 @@ def cmd_congruence(cfg):
     rep.add("congruence.m", "congruence multiplier", True, m, m, "exact")
     rep.add("congruence.sigma0", "primes needing imprimitive Euler factors",
             True, sigma0, sigma0, "exact")
-    rep.add("congruence.partner",
-            f"{h.label} matches its residual Eisenstein partner through the "
-            f"Sturm bound away from {p}",
-            dep.ok, f"checked={dep.checked} mismatches={len(dep.mismatches)}",
-            "0 mismatches", "exact")
+    add_partner_check(rep, "congruence.partner", h, p, dep)
     try:
-        own = check_congruence(g, g, ideal, bound)
-        rep.add("congruence.self", "the partner matches itself", own.ok,
-                f"checked={own.checked} mismatches={len(own.mismatches)}",
-                "0 mismatches", "exact")
+        rep.add_match("congruence.self", "the partner matches itself",
+                      check_congruence(g, g, ideal, bound))
     except ValueError as exc:
         # a coefficient that does not reduce mod the ideal (the partner's
         # a(0) = (p - 1)/24 at p = 3) leaves the self-check undefined
         rep.skip("congruence.self", "the partner matches itself", exc)
-    sink = _Sink(cfg.out)
-    for line in rep.to_lines():
-        sink.emit(line)
-    sink.close()
-    return 1 if rep.failures() else 0
+    return (1 if rep.failures() else 0), rep.records
 
 
-def _symbol_for(cfg, nf):
-    """Build the (possibly twisted) symbol pair for a table or L-series."""
+def _symbol_for(args, nf):
+    """The (possibly twisted) symbol pair for a table or L-series, and the
+    --char twist (None without one)."""
     try:
         pair = symbol_pair(nf)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    if not cfg.chars:
-        return pair
-    if len(cfg.chars) > 1:
+    if not args.char:
+        return pair, None
+    if len(args.char) > 1:
         raise ConfigError("at most one --char twist is supported here")
+    chi = _character(args.char[0])
     try:
-        chi = parse_descriptor(cfg.chars[0])
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"bad character descriptor: {exc}")
-    try:
-        return twist_symbol(pair, chi, cfg.prime,
-                            label=f"{nf.label}x{cfg.chars[0]}")
+        return twist_symbol(pair, chi, args.prime,
+                            label=f"{nf.label}x{args.char[0]}"), chi
     except ValueError as exc:
         raise ConfigError(str(exc))
 
 
-def cmd_modsym_table(cfg):
-    if cfg.prime is None:
-        raise ConfigError("modsym-table needs --prime")
-    if len(cfg.newforms) != 1:
-        raise ConfigError("modsym-table needs exactly one --newform")
-    nf = _load_newform(cfg.newforms[0])
-    sym = _symbol_for(cfg, nf)
-    p = cfg.prime
-    sink = _Sink(cfg.out)
+def cmd_modsym_table(args):
+    p, nf = _one_newform(args)
+    sym, _ = _symbol_for(args, nf)
     scales = getattr(sym, "scales", None)
-    sink.emit_json({
+    records = [{
         "form": getattr(sym, "label", nf.label),
         "prime": p,
         "convention": "values of the symbol at b/p relative to its value "
@@ -328,16 +266,15 @@ def cmd_modsym_table(cfg):
                           "path to 1"),
         "scales": {"plus": str(scales[1]), "minus": str(scales[-1])}
         if scales else None,
-    })
+    }]
     plus, minus = sym.evaluate_row(p, +1), sym.evaluate_row(p, -1)
     for b in range(1, p):
-        sink.emit_json({
+        records.append({
             "b": b,
             "plus": str(plus[b] - plus[0]),
             "minus": str(minus[b] - minus[0]),
         })
-    sink.close()
-    return 0
+    return 0, records
 
 
 def _sigma0_factors(specs):
@@ -345,37 +282,29 @@ def _sigma0_factors(specs):
     for text in specs or ():
         try:
             ell_s, coeff_s = text.split(":")
-            ell = int(ell_s)
-            coeffs = tuple(Fraction(c) for c in coeff_s.split(","))
+            out.append((int(ell_s), tuple(_fractions(coeff_s))))
         except ValueError as exc:
             raise ConfigError(
                 f"--sigma0 wants ell:c0,c1,..., got {text!r}") from exc
-        out.append((ell, coeffs))
     return tuple(out)
 
 
-def cmd_padic_l(cfg, sigma0_specs=None):
-    if cfg.prime is None:
-        raise ConfigError("padic-l needs --prime")
-    if len(cfg.newforms) != 1:
-        raise ConfigError("padic-l needs exactly one --newform")
-    nf = _load_newform(cfg.newforms[0])
-    p = cfg.prime
+def cmd_padic_l(args):
+    p, nf = _one_newform(args)
     if p > nf.n_max:
         raise ConfigError(
             f"{nf.label} stores a(1..{nf.n_max}), so a({p}) is unknown")
     ap = nf.a(p)
-    sym = _symbol_for(cfg, nf)
-    n = cfg.wild_level()
+    sym, chi = _symbol_for(args, nf)
+    n = _wild_level(args, p)
     span = p - 1
-    lo, hi = cfg.branches if cfg.branches else (1, span)
-    factors = _sigma0_factors(sigma0_specs)
-    if cfg.chars:
-        chi = parse_descriptor(cfg.chars[0])
+    lo, hi = args.branches or (1, span)
+    factors = _sigma0_factors(args.sigma0)
+    if chi is not None:
         if chi.order > 2:
             raise ConfigError(
                 "only quadratic twists keep the Hecke data rational; "
-                f"{cfg.chars[0]} has order {chi.order}")
+                f"{args.char[0]} has order {chi.order}")
         e = chi.value_exponent(p)
         if e is None:
             raise ConfigError(f"twist character ramified at {p}")
@@ -385,77 +314,65 @@ def cmd_padic_l(cfg, sigma0_specs=None):
     wanted = {(j - 1) % span + 1 for j in range(lo, hi + 1)}
     wanted |= {jj % span + 1 for jj in wanted}
     try:
-        alpha, _, series = branch_family(sym, ap, p, n, cfg.precision[0],
+        alpha, _, series = branch_family(sym, ap, p, n, _precision(args)[0],
                                          factors, branches=wanted)
     except (OrdinarityError, ValueError) as exc:
         # no unit root, or a sigma0 factor at p or repeated
         raise ConfigError(str(exc))
-    sink = _Sink(cfg.out)
+    records = []
     for j in range(lo, hi + 1):
         jj = (j - 1) % span + 1
         value = branch_value_trivial(sym, p, alpha, jj)
         verdict = product_congruence_verdict(series[jj], series[jj % span + 1])
-        sink.emit(format_report(branch_report(
-            series[jj], value=value, exact_zero=value.is_zero(), verdict=verdict)))
-    sink.close()
-    return 0
+        records.append(branch_report(
+            series[jj], value=value, exact_zero=value.is_zero(), verdict=verdict))
+    return 0, records
 
 
-def cmd_iwasawa(cfg, coeff_text):
-    if cfg.prime is None:
+def cmd_iwasawa(args):
+    if args.prime is None:
         raise ConfigError("iwasawa needs --prime")
-    if not coeff_text:
+    if not args.coeffs:
         raise ConfigError("iwasawa needs --coeffs c0,c1,...")
     try:
-        coeffs = [Fraction(c) for c in coeff_text.split(",")]
+        coeffs = _fractions(args.coeffs)
     except ValueError as exc:
         raise ConfigError(f"bad --coeffs: {exc}")
-    m, d = cfg.precision
+    m, d = _precision(args)
     if len(coeffs) > d:
         raise ConfigError(
             f"{len(coeffs)} coefficients exceed series length {d}")
-    f = PadicSeries(cfg.prime, m, d, coeffs)
-    sink = _Sink(cfg.out)
-    code = 0
+    f = PadicSeries(args.prime, m, d, coeffs)
     try:
         mu, lam = mu_lambda(f)
-        sink.emit_json({
-            "mu": mu,
-            "lambda": lam,
-            "precision": str(f.M - mu),  # digits left after dividing by p^mu
-            "ideal_mod_pi": ideal_mod_pi(f),
-        })
     except UndeterminedInvariants as exc:
-        sink.emit_json({"undetermined": str(exc)})
-        code = 1
-    sink.close()
-    return code
+        return 1, [{"undetermined": str(exc)}]
+    return 0, [{
+        "mu": mu,
+        "lambda": lam,
+        "precision": str(f.M - mu),  # digits left after dividing by p^mu
+        "ideal_mod_pi": ideal_mod_pi(f),
+    }]
 
 
-def cmd_verify_example(cfg, number, precision_given):
-    if number not in EXAMPLES:
-        raise ConfigError(f"verify-example wants 1, 2, or 3, got {number}")
+def cmd_verify_example(args):
+    number = args.number
     p = EXAMPLES[number]["p"]
-    if cfg.prime not in (None, p):
+    if args.prime not in (None, p):
         raise ConfigError(
-            f"example {number} runs at p = {p}, not at --prime {cfg.prime}")
+            f"example {number} runs at p = {p}, not at --prime {args.prime}")
     M, wild = 8, 1
-    if precision_given:
-        M, wild = cfg.precision[0], cfg.wild_level(p)
+    if args.precision is not None:
+        M, wild = _precision(args)[0], _wild_level(args, p)
     rep = run_example(number, wild_level=wild, M=M)
-    sink = _Sink(cfg.out)
-    for line in rep.to_lines():
-        sink.emit(line)
     npass, nfail, nskip = rep.counts()
-    sink.emit_json({
+    return (0 if rep.ok else 1), rep.records + [{
         "example": number,
         "pass": npass,
         "fail": nfail,
         "skipped": nskip,
         "ok": rep.ok,
-    })
-    sink.close()
-    return 0 if rep.ok else 1
+    }]
 
 
 # --- entry point ------------------------------------------------------
@@ -498,28 +415,23 @@ def _build_parser(columns):
 
     def command(name, run, **kw):
         p = sub.add_parser(name, parents=[common], formatter_class=fmt, **kw)
-        p.set_defaults(run=run)  # run(cfg, args) is the command's exit code
+        p.set_defaults(run=run)
         return p
 
-    command("chars", lambda cfg, a: cmd_chars(cfg), help="describe Dirichlet characters")
-    eis = command("eisenstein", lambda cfg, a: cmd_eisenstein(cfg, a.weight, a.terms),
-                  help="Eisenstein q-expansion")
+    command("chars", cmd_chars, help="describe Dirichlet characters")
+    eis = command("eisenstein", cmd_eisenstein, help="Eisenstein q-expansion")
     eis.add_argument("--weight", type=int, required=True)
     eis.add_argument("--terms", type=int, default=20)
-    command("congruence", lambda cfg, a: cmd_congruence(cfg),
-            help="residual Eisenstein congruence")
-    command("modsym-table", lambda cfg, a: cmd_modsym_table(cfg),
+    command("congruence", cmd_congruence, help="residual Eisenstein congruence")
+    command("modsym-table", cmd_modsym_table,
             help="symbol values at the p-division points")
-    pl = command("padic-l", lambda cfg, a: cmd_padic_l(cfg, a.sigma0),
-                 help="branch L-values and series")
+    pl = command("padic-l", cmd_padic_l, help="branch L-values and series")
     pl.add_argument("--sigma0", action="append", default=None,
                     metavar="ELL:C0,C1,...",
                     help="imprimitive Euler factor at ELL")
-    iw = command("iwasawa", lambda cfg, a: cmd_iwasawa(cfg, a.coeffs),
-                 help="invariants of a power series")
+    iw = command("iwasawa", cmd_iwasawa, help="invariants of a power series")
     iw.add_argument("--coeffs", default=None, metavar="C0,C1,...")
-    ver = command("verify-example",
-                  lambda cfg, a: cmd_verify_example(cfg, a.number, a.precision is not None),
+    ver = command("verify-example", cmd_verify_example,
                   help="full bundled verification")
     ver.add_argument("number", type=int, choices=(1, 2, 3))
     return ap
@@ -528,10 +440,20 @@ def _build_parser(columns):
 def main(argv=None):
     args = _build_parser(shutil.get_terminal_size().columns).parse_args(argv)
     try:
-        return args.run(_config_from(args), args)
+        code, records = args.run(_checked(args))
+        text = "\n".join(map(format_report, records)) + "\n"
+        if args.out:
+            try:
+                with open(args.out, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ConfigError(f"cannot write --out {args.out}: {exc}")
+        else:
+            sys.stdout.write(text)
     except (ConfigError, IngestionError, PadicPrecisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -8,7 +8,9 @@ builds the (twisted) symbol, its branch family (`padic_l.branch_family`,
 as `padic-l` does), the branch values at the trivial character and the
 residual Eisenstein partner of the congruent form, and checks every
 recorded expectation.  Failures do not abort the run; every check ends
-up in the report with a pass/fail/skipped status.
+up in the report with a pass/fail/skipped status.  `eisenstein_partner`
+builds that partner for `congruence` too, and `add_partner_check` writes
+the record of its check for both.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .padic_l import (
     _value_record,
     branch_family,
     branch_value_trivial,
-    format_report,
     product_congruence_verdict,
 )
 from .qseries import check_congruence, mazur_eisenstein, sturm_bound
@@ -36,14 +37,16 @@ from .qseries import check_congruence, mazur_eisenstein, sturm_bound
 __all__ = [
     "EXAMPLES",
     "VerificationReport",
+    "add_partner_check",
     "build_example",
+    "eisenstein_partner",
     "omega_twist_sum",
     "run_example",
     "symbol_pair",
 ]
 
 class VerificationReport:
-    """Ordered list of check records; serializes one JSON object per line."""
+    """Ordered list of check records, one dict each."""
 
     def __init__(self, example: int):
         self.example = example
@@ -58,6 +61,13 @@ class VerificationReport:
             "expected": str(expected),
             "tolerance_kind": tolerance_kind,
         })
+
+    def add_match(self, check_id, claim, cmp):
+        """A check that two q-series agree; `cmp` is their
+        `qseries.check_congruence` report."""
+        self.add(check_id, claim, cmp.ok,
+                 f"checked={cmp.checked} mismatches={len(cmp.mismatches)}",
+                 "0 mismatches", "exact")
 
     def skip(self, check_id, claim, reason):
         self.records.append({
@@ -78,9 +88,6 @@ class VerificationReport:
         for r in self.records:
             c[r["status"]] += 1
         return c["pass"], c["fail"], c["skipped"]
-
-    def to_lines(self):
-        return [format_report(r) for r in self.records]
 
     def failures(self):
         return [r for r in self.records if r["status"] == "fail"]
@@ -188,6 +195,30 @@ def symbol_pair(nf):
     raise ValueError(
         f"{nf.label}: the stored a_l at the primes l <= {nf.n_max} prime to "
         f"{nf.level} do not cut out one eigensymbol per sign")
+
+
+def eisenstein_partner(h, p, ideal):
+    """The residual Eisenstein partner of h at p, for the residual pair
+    (omega_bar, 1), and its check: (bound, hq, g, m, dep).
+
+    bound is h's Sturm bound (agreement that far is agreement), so h's
+    q-expansion hq and the partner g with multiplier m are built only
+    that far; dep compares hq and g with their coefficients at multiples
+    of p dropped, modulo `ideal`, h's congruence ideal above p.
+    """
+    bound = sturm_bound(h.weight, h.level)
+    g, m = residual_eisenstein_partner(
+        p, DirichletCharacter.teichmuller(p), DirichletCharacter.trivial(1),
+        h.level, h.weight, bound)
+    hq = h.q_expansion(bound)
+    dep = check_congruence(hq.deplete(p), g.deplete(p), ideal, bound)
+    return bound, hq, g, m, dep
+
+
+def add_partner_check(rep, check_id, h, p, dep):
+    """The record of `eisenstein_partner`'s check dep."""
+    rep.add_match(check_id, f"{h.label} matches its residual Eisenstein "
+                  f"partner through the Sturm bound away from {p}", dep)
 
 
 def build_example(number, wild_level=1, M=8):
@@ -355,30 +386,17 @@ def run_example(number, wild_level=1, M=8):
                 verdict == want, verdict, want, "up-to-unit")
 
     # --- Eisenstein congruence of the companion form ---
-    # (Sturm: agreement through the bound is agreement, so the series
-    # are built only that far)
     h = ex["h"]
-    bound = sturm_bound(2, h.level)
-    hq = h.q_expansion(bound)
-    g, m = residual_eisenstein_partner(p, DirichletCharacter.teichmuller(p),
-                                       DirichletCharacter.trivial(1), h.level,
-                                       2, bound)
+    ideal = h.congruence_ideal(p)
+    bound, hq, _, m, dep = eisenstein_partner(h, p, ideal)
     rep.add(f"{tag}.congruence.m",
             f"residual partner of {h.label} has multiplier m = {h.level}",
             m == h.level, m, h.level, "exact")
-    ideal = h.congruence_ideal(p)
-    dep = check_congruence(hq.deplete(p), g.deplete(p), ideal, bound)
-    rep.add(f"{tag}.congruence.partner",
-            f"{h.label} matches its residual Eisenstein partner through the "
-            f"Sturm bound away from {p}",
-            dep.ok, f"checked={dep.checked} mismatches={len(dep.mismatches)}",
-            "0 mismatches", "exact")
+    add_partner_check(rep, f"{tag}.congruence.partner", h, p, dep)
     t = ex["mazur_t"]
-    mz = check_congruence(hq, mazur_eisenstein(t, bound), ideal, bound,
-                          coprime_to=p)
-    rep.add(f"{tag}.congruence.mazur",
-            f"{h.label} matches E2(z) - {t} E2({t}z) through the Sturm "
-            f"bound including the constant term",
-            mz.ok, f"checked={mz.checked} mismatches={len(mz.mismatches)}",
-            "0 mismatches", "exact")
+    rep.add_match(f"{tag}.congruence.mazur",
+                  f"{h.label} matches E2(z) - {t} E2({t}z) through the Sturm "
+                  f"bound including the constant term",
+                  check_congruence(hq, mazur_eisenstein(t, bound), ideal,
+                                   bound, coprime_to=p))
     return rep

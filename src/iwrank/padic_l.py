@@ -1,20 +1,20 @@
 """Branch values and branch power series of weight-2 eigensymbols.
 
-For a p-ordinary eigensymbol pair this module computes the single
-values of each tame branch at the trivial wild character and the
-Riemann-sum branch series in Z/p^M[Z/p^n], with integers mod p-powers
-only: every symbol value is read off a row (`evaluate_row`), and the
-tame twist omega^-j comes from one cached table of Teichmuller lifts per
-(p, digits).  A branch series is kept in one basis, the masses of the
-group elements gamma^c that the sum adds up, and never converted to the
-T-basis (gamma = 1 + T): mu and lambda are read off the masses, a sigma0
-Euler factor multiplies them by its few nonzero masses, and the verdict
-for the product of two branches comes from the factors' (mu, lambda)
-alone, as mod p the ring is F_p[T]/(T^(p^n)).  `branch_family` builds
-alpha and the requested branch series of one symbol, raw and with the
-sigma0 factors, for both `padic-l` and the bundled runs;
-`format_report` is the one JSON line format of every report the CLI
-writes.
+For a p-ordinary eigensymbol pair this module computes the single values
+of each tame branch at the trivial wild character and the Riemann-sum
+branch series in Z/p^M[Z/p^n], with integers mod p-powers only: every
+symbol value is read off a row (`evaluate_row`), and the tame twist
+omega^-j comes from one cached table per (p, digits, j), built from the
+cached Teichmuller lifts.  A branch series is kept in one basis, the
+masses of the group elements gamma^c that the sum adds up, and never
+converted to the T-basis (gamma = 1 + T): mu and lambda are read off the
+masses, a sigma0 Euler factor multiplies them by its few nonzero masses,
+and the verdict for the product of two branches comes from the factors'
+(mu, lambda) alone, as mod p the ring is F_p[T]/(T^(p^n)).
+`branch_family` builds alpha and the requested branch series of one
+symbol, raw and with the sigma0 factors, for both `padic-l` and the
+bundled runs; `format_report` is the one JSON line format of every
+report the CLI writes.
 """
 
 import json
@@ -92,6 +92,13 @@ def _teichmuller_table(p: int, W: int) -> tuple:
     return (0,) + tuple(teichmuller_lift(b, p, W) for b in range(1, p))
 
 
+@lru_cache(maxsize=128)
+def _omega_table(p: int, W: int, j: int) -> tuple:
+    """omega^-j(b) mod p^W for b mod p (0 at b = 0)."""
+    m = p**W
+    return tuple(pow(t, -j, m) if t else 0 for t in _teichmuller_table(p, W))
+
+
 def branch_value_trivial(sym, p: int, alpha: PadicSeries, j: int) -> PadicSeries:
     """Value of branch j at the trivial wild character, a one-term series
     known mod p^W, W the digits of the unit alpha, read off the symbol row
@@ -111,8 +118,7 @@ def branch_value_trivial(sym, p: int, alpha: PadicSeries, j: int) -> PadicSeries
     if jj:
         # x(b/p) = p^shift * xs[b - 1] mod p^W
         shift, xs = padic_ints(row[1:], p, W)
-        s = sum(pow(t, -jj, m) * x
-                for t, x in zip(_teichmuller_table(p, W)[1:], xs))
+        s = sum(w * x for w, x in zip(_omega_table(p, W, jj)[1:], xs))
         return PadicSeries.from_ints(p, W + shift, 1,
                                      [s * ainv * pow(2, -1, m)], shift)
     x0 = row[0]
@@ -219,7 +225,7 @@ def branch_series(sym, p: int, alpha: PadicSeries, j: int, n: int = 1,
     ainv = pow(alpha.ints[0] // p ** (v - alpha.shift), -1, m)
     a_hi = p**v * pow(ainv, n + 1, m) % m
     a_lo = pow(ainv, n + 2, m)
-    tw = [pow(t, -jj, m) if t else 0 for t in _teichmuller_table(p, W)]
+    tw = _omega_table(p, W, jj)
     coord = _wild_coordinates(p, n)
     masses = [0] * order
     hi_len = p * order

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from iwrank.examples import EXAMPLES, VerificationReport, build_example, run_example
+from iwrank.padic_l import format_report
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +29,7 @@ def test_report_bookkeeping():
     assert rep.counts() == (1, 1, 1)
     assert not rep.ok
     assert [r["check_id"] for r in rep.failures()] == ["b"]
-    lines = rep.to_lines()
+    lines = [format_report(r) for r in rep.records]
     assert len(lines) == 3
     for line in lines:
         rec = json.loads(line)
@@ -70,7 +71,7 @@ def test_example2_known_failures(rep2):
 
 def test_reports_deterministic(rep3):
     again = run_example(3)
-    assert rep3.to_lines() == again.to_lines()
+    assert rep3.records == again.records
 
 
 def test_build_example_shapes():

@@ -27,7 +27,13 @@ before the branch series came to be kept as group masses.  The
 `eisenstein` runs at weights 0 and -1 were recorded after weights below
 1 came to be refused, the two with a trivial phi once that refusal came
 before any L-value.  The `padic-l` run on 23.2.a was re-recorded once its
-refusal came to name the form's Hecke field.  A process parses the
+refusal came to name the form's Hecke field.  The `chars` run of two
+characters (through --out) and the `iwasawa` run whose invariants are
+undetermined (exit 1) were recorded before the commands came to return
+their records to `main`, which alone writes them; the `iwasawa --coeffs
+1/0`, `padic-l --sigma0 11:1/0` and order-0 and order -6 `chars` runs
+were recorded after that change, as the first three ended in a traceback
+before it and the last printed a negative order.  A process parses the
 bundled newforms and the CLI parser once: every pinned run above must
 give the same bytes and exit code when run twice in one process, in a
 shuffled order, after help runs at another width.
@@ -55,6 +61,7 @@ RUNS = {
                                     "--prime", "5", "--char", "quad-23"],
     "modsym-table_19.2.a.a_p5": ["modsym-table", "--newform", "19.2.a.a",
                                  "--prime", "5"],
+    "chars_quad-23_teich5^2": ["chars", "--char", "quad-23", "--char", "teich5^2"],
 }
 
 COMMANDS = ("chars", "eisenstein", "congruence", "modsym-table", "padic-l",
@@ -116,6 +123,7 @@ TEXT_RUNS = {
     "iwasawa_p5_unit": ["iwasawa", "--prime", "5", "--coeffs", "2,5"],
     "iwasawa_p5_8,2_long": ["iwasawa", "--prime", "5", "--precision", "8,2",
                             "--coeffs", "1,2,3"],
+    "iwasawa_p5_coeffs0": ["iwasawa", "--prime", "5", "--coeffs", "0"],
     **{f"padic-l_11.2.a.a_p5_8,{D}": ["padic-l", "--newform", "11.2.a.a",
                                       "--prime", "5", "--precision", f"8,{D}"]
        for D in (625, 3125)},
@@ -137,6 +145,11 @@ TEXT_RUNS = {
                                     "quad-4", "--weight", "0", "--terms", "6"],
     "eisenstein_quad5_quad-4_w-1": ["eisenstein", "--char", "quad5", "--char",
                                     "quad-4", "--weight", "-1", "--terms", "6"],
+    "iwasawa_p5_coeffs_zero-denominator": ["iwasawa", "--prime", "5", "--coeffs", "1/0"],
+    "padic-l_11.2.a.a_p5_sigma0_zero-denominator": [
+        "padic-l", "--newform", "11.2.a.a", "--prime", "5", "--sigma0", "11:1/0"],
+    **{f"chars_order{k}": ["chars", "--char", f"mod=7;gens=3:1;ord={k}"]
+       for k in (0, -6)},
 }
 
 
