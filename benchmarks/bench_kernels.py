@@ -3,19 +3,25 @@ reduction in Q(zeta_n), and the group-ring products of `cyclotomic`.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 
-It times the two ways `iwrank.kernels.convolve` can multiply two random
-vectors with coefficients in [-8, 8]: the schoolbook loop over the
-nonzero terms and Kronecker substitution.  The first row set has equal
-operand lengths from 1 to 1624 (the largest field degree of the
-Gauss-sum workload).  The second has a short operand of length 1 to 16
-against one of length 1624, the shape of the quotient-times-Phi_n
-products of `numfield._reduce`.  Each row gives both
-times, their ratio and the method `convolve` picks; each set ends with
-its measured crossover, the first length from which Kronecker
-substitution stays faster.
+The first three row sets time the two ways `iwrank.kernels` can
+multiply: the schoolbook loop over the nonzero terms and Kronecker
+substitution.  Each row gives both times, their ratio and the method
+the cost model picks; each set ends with the number of rows on which
+that pick is the faster method.  The first set has two random vectors
+with coefficients in [-8, 8] of equal lengths from 1 to 1624 (the
+largest field degree of the Gauss-sum workload), and ends with its
+measured crossover, the first length from which Kronecker substitution
+stays faster.  The second set has a random vector of length 1 to 16,
+and 24 to 87 (the quotient's length at n = 1711), against Phi_1711 of
+1625 slots and 113 nonzero terms, packed ahead: the shape of the
+quotient-times-Phi_n products of `numfield._reduce`, which go through
+`kernels.convolve_fixed`.  It ends with its crossover too.  The third
+set has two sparse vectors of h slots with c unit terms each, the shape
+of a product of two Gauss sums in the group ring.
 
-The third row set times `numfield._reduce`, the one reduction modulo
-the field polynomial, per field.  A cyclotomic field is built as
+The fourth row set times `numfield._reduce`, the one reduction modulo
+the field polynomial, per field, after a first reduction has packed the
+field's constants.  A cyclotomic field is built as
 `cyclotomic._ring` builds it, so its Barrett quotient is
 (x^h - e)/Phi_n for the binomial the code folds through (x^n - 1, or
 x^(n/2) + 1 for even n).  The shapes are the reduction of one root of
@@ -26,7 +32,7 @@ period h is 2d - 1, a product's length.  The fields are those of
 `verify`, small cyclotomic ones, and the orders 1711, 2162, 2756 and
 3422, the largest of the Gauss-sum workload.
 
-The last row set times `CyclotomicNumber` as the Gauss-sum workload
+The fifth row set times `CyclotomicNumber` as the Gauss-sum workload
 uses it: g(chi) g(chibar) for a character of each of the four largest
 orders, split into building the two Gauss sums, their group-ring
 product, and the first read of the product (one reduction modulo Phi_n
@@ -55,8 +61,13 @@ COEFF_BOUND = 8
 
 EQUAL_LENGTHS = list(range(1, 41)) + [48, 64, 96, 128, 192, 256, 384, 512,
                                       768, 1024, 1624]
-SHORT_LENGTHS = list(range(1, 17))
-LONG_LENGTH = 1624
+SHORT_LENGTHS = list(range(1, 17)) + [24, 32, 48, 64, 87]
+# the field whose Phi_n the short vectors are multiplied by
+LONG_ORDER = 1711
+# (h, c): the group-ring slots and unit terms of Gauss sums at orders of
+# the Gauss-sum workload, from h = 155 up to two sums at n = 1711
+SPARSE_SHAPES = [(155, 30), (300, 40), (465, 46), (689, 52), (1081, 46),
+                 (1378, 52), (1711, 58), (1711, 113)]
 # (name, field): the fields of `verify` (Q(sqrt 5) is the coefficient
 # field of 23.2.a), small cyclotomic fields, and the largest orders of the
 # Gauss-sum workload
@@ -93,31 +104,49 @@ def best_time(fn, a, b, repeat):
     return best
 
 
-def row_set(title, shapes, rng, repeat):
-    """Time each (la, lb) shape; print the rows and the crossover in la."""
+def _random(rng, length):
+    return [rng.randint(-COEFF_BOUND, COEFF_BOUND) for _ in range(length)]
+
+
+def _sparse(rng, h, c):
+    vec = [0] * h
+    for k in rng.sample(range(h), c):
+        vec[k] = rng.choice((-1, 1))
+    return vec
+
+
+def row_set(title, pairs, repeat, fixed=False, crossover=True):
+    """Time both methods on each (a, b) of pairs and print the rows, the
+    number of rows on which the cost model picks the faster method and,
+    with `crossover`, the measured crossover in la.  With `fixed`, b is
+    packed ahead, as `kernels.convolve_fixed` keeps it."""
     print(title)
-    print(f"{'la':>5} {'lb':>5} {'schoolbook':>12} {'kronecker':>12} "
-          f"{'speedup':>8} {'picks':>10}")
-    faster = []
-    for la, lb in shapes:
-        a = [rng.randint(-COEFF_BOUND, COEFF_BOUND) for _ in range(la)]
-        b = [rng.randint(-COEFF_BOUND, COEFF_BOUND) for _ in range(lb)]
-        assert kernels._kronecker(a, b) == kernels._schoolbook(a, b)
+    print(f"{'la':>5} {'lb':>5} {'terms':>7} {'schoolbook':>12} "
+          f"{'kronecker':>12} {'speedup':>8} {'picks':>10}")
+    faster, right = [], 0
+    for a, b in pairs:
+        la, lb = len(a), len(b)
+        if fixed:
+            top, packed = max(map(abs, b)), {}
+            kronecker = lambda u, v: kernels._kronecker(u, v, top, packed)
+            slots = la
+        else:
+            kronecker, slots = kernels._kronecker, la + lb
+        assert kronecker(a, b) == kernels._schoolbook(a, b)
         ts = best_time(kernels._schoolbook, a, b, repeat)
-        tk = best_time(kernels._kronecker, a, b, repeat)
+        tk = best_time(kronecker, a, b, repeat)
         faster.append(tk < ts)
         terms = (la - a.count(0)) * (lb - b.count(0))
-        pick = ("kronecker" if kernels._prefers_kronecker(la, lb, terms)
-                else "schoolbook")
-        print(f"{la:>5} {lb:>5} {ts * 1e6:>10.1f}us {tk * 1e6:>10.1f}us "
-              f"{ts / tk:>7.2f}x {pick:>10}")
-    # the first length from which Kronecker substitution stays faster
-    crossover = next((la for i, (la, _) in enumerate(shapes)
-                      if all(faster[i:])), None)
-    first_pick = next((la for la, lb in shapes
-                       if kernels._prefers_kronecker(la, lb, la * lb)), None)
-    print(f"measured crossover: {crossover}; convolve switches at "
-          f"{first_pick}\n")
+        picks = kernels._prefers_kronecker(terms, slots)
+        right += picks == (tk < ts)
+        print(f"{la:>5} {lb:>5} {terms:>7} {ts * 1e6:>10.1f}us {tk * 1e6:>10.1f}us "
+              f"{ts / tk:>7.2f}x {'kronecker' if picks else 'schoolbook':>10}")
+    print(f"the model picks the faster method on {right} of {len(pairs)} rows")
+    if crossover:
+        # the first length from which Kronecker substitution stays faster
+        print("measured crossover:", next((len(a) for i, (a, _) in enumerate(pairs)
+                                           if all(faster[i:])), None))
+    print()
 
 
 def field_rows(rng, repeat):
@@ -129,9 +158,8 @@ def field_rows(rng, repeat):
         d = field.degree
         length = field.period or 2 * d - 1
         root = [0] * (length - 1) + [1]
-        dense = [rng.randint(-COEFF_BOUND, COEFF_BOUND) for _ in range(length)]
-        a, b = ([rng.randint(-COEFF_BOUND, COEFF_BOUND) for _ in range(d)]
-                for _ in range(2))
+        dense = _random(rng, length)
+        a, b = _random(rng, d), _random(rng, d)
         times = [best_time(numfield._reduce, x, field, repeat) for x in (root, dense)]
         times.append(best_time(lambda u, v: numfield._reduce(
             kernels.convolve(u, v), field), a, b, repeat))
@@ -152,8 +180,7 @@ def cyclotomic_rows(rng, repeat):
         cases.append((lambda u, v: (u.gauss_sum(), v.gauss_sum()), chi, chibar))
     for n in DENSE_ORDERS:
         d = _ring(n).degree
-        x, y = ([rng.randint(-COEFF_BOUND, COEFF_BOUND) for _ in range(d)]
-                for _ in range(2))
+        x, y = _random(rng, d), _random(rng, d)
         cases.append((lambda u, v, n=n: (CyclotomicNumber(n, u, 1),
                                          CyclotomicNumber(n, v, 1)), x, y))
     for build, u, v in cases:
@@ -192,11 +219,16 @@ def main():
 
     rng = random.Random(2024)
     print(f"cost model: KRONECKER_SETUP = {kernels.KRONECKER_SETUP}, "
-          f"KRONECKER_PER_COEFF = {kernels.KRONECKER_PER_COEFF}\n")
-    row_set("equal lengths", [(n, n) for n in EQUAL_LENGTHS], rng,
-            args.repeat)
-    row_set(f"short against {LONG_LENGTH}",
-            [(n, LONG_LENGTH) for n in SHORT_LENGTHS], rng, args.repeat)
+          f"KRONECKER_PER_SLOT = {kernels.KRONECKER_PER_SLOT}\n")
+    row_set("equal lengths", [(_random(rng, n), _random(rng, n))
+                              for n in EQUAL_LENGTHS], args.repeat)
+    phi = _ring(LONG_ORDER).poly
+    row_set(f"short against Phi_{LONG_ORDER}, packed ahead",
+            [(_random(rng, n), phi) for n in SHORT_LENGTHS], args.repeat,
+            fixed=True)
+    row_set("sparse: c unit terms in h slots",
+            [(_sparse(rng, h, c), _sparse(rng, h, c)) for h, c in SPARSE_SHAPES],
+            args.repeat, crossover=False)
     field_rows(rng, args.repeat)
     cyclotomic_rows(rng, args.repeat)
     inverse_rows(rng, args.repeat)

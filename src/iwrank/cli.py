@@ -2,9 +2,10 @@
 checks, symbol tables, branch L-series, and the bundled verification runs.
 
 Each `cmd_*` takes the parsed command line and returns its exit code and
-its records, one dict each.  `main` alone checks the shared flags, writes
-the records (one `padic_l.format_report` line each, to stdout or
-`--out`) and turns a refused input into `error: ...` on stderr.
+its records, one dict each.  `main` alone checks the shared flags
+(refusing one that the command does not read), writes the records (one
+`padic_l.format_report` line each, to stdout or `--out`) and turns a
+refused input into `error: ...` on stderr.
 
 Exit codes: 0 all checks pass, 1 a verification check failed, 2 the
 configuration or an input file could not be used, or the requested
@@ -63,9 +64,13 @@ def _pair(text, flag, shape):
 
 
 def _checked(args):
-    """Check the shared flags of a parsed command line, in place: a given
+    """Check the shared flags of a parsed command line, in place: the
+    command must read every one given (--out is read by `main`), a given
     --precision and --branches become integer pairs, --prime must be an
     odd prime and the branch range must not repeat residues mod p - 1."""
+    for flag in ("prime", "precision", "newform", "char", "branches"):
+        if getattr(args, flag) is not None and flag not in args.reads:
+            raise ConfigError(f"{args.command} does not read --{flag}")
     if args.precision:
         args.precision = _pair(args.precision, "--precision", "M,D")
     if args.branches:
@@ -413,25 +418,30 @@ def _build_parser(columns):
     _add_common(common, suppress=True, labels=labels)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def command(name, run, **kw):
+    def command(name, run, reads, **kw):
         p = sub.add_parser(name, parents=[common], formatter_class=fmt, **kw)
-        p.set_defaults(run=run)
+        p.set_defaults(run=run, reads=reads)
         return p
 
-    command("chars", cmd_chars, help="describe Dirichlet characters")
-    eis = command("eisenstein", cmd_eisenstein, help="Eisenstein q-expansion")
+    command("chars", cmd_chars, {"char"}, help="describe Dirichlet characters")
+    eis = command("eisenstein", cmd_eisenstein, {"char"},
+                  help="Eisenstein q-expansion")
     eis.add_argument("--weight", type=int, required=True)
     eis.add_argument("--terms", type=int, default=20)
-    command("congruence", cmd_congruence, help="residual Eisenstein congruence")
-    command("modsym-table", cmd_modsym_table,
+    command("congruence", cmd_congruence, {"prime", "newform"},
+            help="residual Eisenstein congruence")
+    command("modsym-table", cmd_modsym_table, {"prime", "newform", "char"},
             help="symbol values at the p-division points")
-    pl = command("padic-l", cmd_padic_l, help="branch L-values and series")
+    pl = command("padic-l", cmd_padic_l,
+                 {"prime", "newform", "char", "precision", "branches"},
+                 help="branch L-values and series")
     pl.add_argument("--sigma0", action="append", default=None,
                     metavar="ELL:C0,C1,...",
                     help="imprimitive Euler factor at ELL")
-    iw = command("iwasawa", cmd_iwasawa, help="invariants of a power series")
+    iw = command("iwasawa", cmd_iwasawa, {"prime", "precision"},
+                 help="invariants of a power series")
     iw.add_argument("--coeffs", default=None, metavar="C0,C1,...")
-    ver = command("verify-example", cmd_verify_example,
+    ver = command("verify-example", cmd_verify_example, {"prime", "precision"},
                   help="full bundled verification")
     ver.add_argument("number", type=int, choices=(1, 2, 3))
     return ap

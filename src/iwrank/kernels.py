@@ -8,11 +8,21 @@ CPython's Karatsuba multiplies the two, and the product's coefficients
 are read back out of its bytes.  Sparse operands, such as sums of a few
 dozen roots of unity in a ring of a thousand slots, take the loop.
 
+`convolve_fixed` multiplies by an operand that many products share: a
+tuple, such as a number field's defining polynomial f or its Barrett
+quotient x^k div f, by which every reduction in the field multiplies
+(`numfield._reduce`).  Such an operand is scanned and packed on its
+first product and kept (`_FIXED`), so a later product packs only the
+other vector.  At n = 1711, packing Phi_n and scanning it for its bound
+take about 100 of the 175 us that the quotient-times-Phi_n product
+takes without the memo.  A product of two varying vectors, such as two
+field elements, goes through `convolve` and keeps nothing.
+
 `_kronecker` owns the slot format: it sizes the slots for a bound on
 the product's coefficients, `_pack` moves a vector into one int of such
 slots, `_bias` is the int that fills `count` slots with half their
 range, and the product is read back out of its bytes.  No other module
-of the package reads them.
+of the package reads them, nor the packed forms kept in `_FIXED`.
 """
 
 import sys
@@ -24,22 +34,34 @@ COMPILED = False
 
 # Cost model for the choice of method, in schoolbook multiply-adds: the
 # schoolbook loop makes one per pair of nonzero terms (la*lb of them for
-# dense operands), and Kronecker substitution costs
-# about KRONECKER_SETUP + KRONECKER_PER_COEFF*(la + lb) of them.  Both
-# constants are a least-squares fit to timings of equal and unequal
-# operand lengths (benchmarks/bench_kernels.py prints both row sets).  The
-# model switches at length 11 for equal lengths (measured 10-12) and at
-# length 2 against 1624 (measured 2).
-KRONECKER_SETUP = 80
-KRONECKER_PER_COEFF = 1.5
+# dense operands), and Kronecker substitution costs about
+# KRONECKER_SETUP + KRONECKER_PER_SLOT*slots of them more, where `slots`
+# counts the slots it packs: la + lb, or la when b comes packed (reading
+# the product back costs about what the loop's walk over the operands and
+# its output does).  Both constants are a fit to timings of dense, sparse
+# and pre-packed operands (benchmarks/bench_kernels.py prints the three
+# row sets): the model switches at length 9 for equal dense lengths
+# (measured 10) and at length 1 against a packed Phi_1711 (measured 1),
+# and keeps the loop for Gauss sums of about 50 unit terms in 1081 slots
+# or more.
+KRONECKER_SETUP = 50
+KRONECKER_PER_SLOT = 1.3
+
+# The operands of `convolve_fixed`, by id: each entry holds the operand
+# (so that no other object takes its id while it is kept), its nonzero
+# count, its max |coefficient| and its packed form for each slot width
+# used so far.  A field that reduces keeps two, f and its Barrett
+# quotient; past FIXED_LIMIT entries the oldest goes.
+FIXED_LIMIT = 256
+_FIXED = {}
 
 # Slots of a machine word's size pack and unpack through one array call;
-# array type code of each unsigned word size (none on big-endian hosts,
+# array type code of each signed word size (none on big-endian hosts,
 # whose words do not line up with the little-endian slots).  Against the
 # per-slot to_bytes/from_bytes path it makes `_kronecker` 1.3-2.3x faster
 # at lengths 16..1624 and the `gauss` workload's jobs 1.5x faster
 # (Xeon, 2 cores, CPython 3.11).
-_WORDS = ({array(code).itemsize: code for code in "BHIQ"}
+_WORDS = ({array(code).itemsize: code for code in "bhiq"}
           if sys.byteorder == "little" else {})
 
 
@@ -55,46 +77,59 @@ def _schoolbook(a, b):
 
 
 def _bias(width, count):
-    """The int whose `count` slots of `width` bytes each hold 2^(8 width - 1)."""
+    """The int whose `count` slots of `width` bytes each hold 2^(8 width - 1).
+
+    XOR with it flips the sign bit of every slot, which takes a slot in
+    two's complement, c mod 2^(8 width), to c + 2^(8 width - 1), and back."""
     return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
 
 
-def _pack(vec, width, half):
-    """sum vec[i] 2^(8 width i), through slots biased by `half`."""
+def _pack(vec, width):
+    """sum vec[i] 2^(8 width i), for |vec[i]| < 2^(8 width - 1)."""
     if width in _WORDS:
-        raw = array(_WORDS[width], [c + half for c in vec]).tobytes()
+        raw = array(_WORDS[width], vec).tobytes()
     else:
-        raw = b"".join((c + half).to_bytes(width, "little") for c in vec)
-    return int.from_bytes(raw, "little") - _bias(width, len(vec))
+        raw = b"".join(c.to_bytes(width, "little", signed=True) for c in vec)
+    bias = _bias(width, len(vec))
+    return (int.from_bytes(raw, "little") ^ bias) - bias
 
 
-def _kronecker(a, b):
-    """Product of two non-empty vectors by Kronecker substitution."""
+def _kronecker(a, b, b_max=None, b_packed=None):
+    """Product of two non-empty vectors by Kronecker substitution.  b's
+    max |coefficient| may be given, and a dict b_packed in which b's
+    packed forms are read and kept, by slot width."""
     la, lb = len(a), len(b)
     n = la + lb - 1
     # every product coefficient is at most max|a| max|b| min(la, lb) in size
-    bound = max(map(abs, a)) * max(map(abs, b)) * min(la, lb)
+    if b_max is None:
+        b_max = max(map(abs, b))
+    bound = max(map(abs, a)) * b_max * min(la, lb)
     if not bound:
         return [0] * n
     # a slot holds the bound and a sign bit, in whole bytes, and is a
     # machine word if one is wide enough
     width = bound.bit_length() // 8 + 1
     width = min((w for w in _WORDS if w >= width), default=width)
-    half = 1 << (8 * width - 1)
-    # biasing each slot by `half` makes every digit of the product
-    # non-negative, so its bytes split into the slots directly
-    prod = _pack(a, width, half) * _pack(b, width, half) + _bias(width, n)
-    raw = prod.to_bytes(width * n, "little")
+    if b_packed is None:
+        b_packed = {}
+    packed = b_packed.get(width)
+    if packed is None:
+        packed = b_packed[width] = _pack(b, width)
+    # biasing every slot by half its range makes every digit of the
+    # product non-negative, so its bytes split into the slots directly;
+    # flipping the sign bits then leaves each slot in two's complement
+    bias = _bias(width, n)
+    raw = ((_pack(a, width) * packed + bias) ^ bias).to_bytes(width * n, "little")
     if width in _WORDS:
-        return [u - half for u in memoryview(raw).cast(_WORDS[width])]
-    return [int.from_bytes(raw[k:k + width], "little") - half
+        return memoryview(raw).cast(_WORDS[width]).tolist()
+    return [int.from_bytes(raw[k:k + width], "little", signed=True)
             for k in range(0, len(raw), width)]
 
 
-def _prefers_kronecker(la, lb, terms):
-    """The cost model's choice for operands of lengths la and lb whose
-    nonzero terms make `terms` products."""
-    return terms > KRONECKER_SETUP + KRONECKER_PER_COEFF * (la + lb)
+def _prefers_kronecker(terms, slots):
+    """The cost model's choice for a product whose nonzero terms make
+    `terms` pairs, where Kronecker substitution would pack `slots` slots."""
+    return terms > KRONECKER_SETUP + KRONECKER_PER_SLOT * slots
 
 
 def convolve(a, b):
@@ -102,7 +137,24 @@ def convolve(a, b):
     if not a or not b:
         return []
     la, lb = len(a), len(b)
-    if _prefers_kronecker(la, lb, (la - a.count(0)) * (lb - b.count(0))):
+    if _prefers_kronecker((la - a.count(0)) * (lb - b.count(0)), la + lb):
         return _kronecker(a, b)
     return _schoolbook(a, b)
 
+
+def convolve_fixed(a, fixed):
+    """convolve(a, fixed) for a tuple `fixed` that many products share,
+    such as a field's defining polynomial, which is kept packed."""
+    if not a or not fixed:
+        return []
+    entry = _FIXED.get(id(fixed))
+    if entry is None:
+        if len(_FIXED) >= FIXED_LIMIT:
+            del _FIXED[next(iter(_FIXED))]
+        entry = _FIXED[id(fixed)] = (fixed, len(fixed) - fixed.count(0),
+                                     max(map(abs, fixed)), {})
+    _, nonzero, top, packed = entry
+    la = len(a)
+    if _prefers_kronecker((la - a.count(0)) * nonzero, la):
+        return _kronecker(a, fixed, top, packed)
+    return _schoolbook(a, fixed)

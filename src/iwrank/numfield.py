@@ -4,12 +4,15 @@ An element is a tuple of integer numerators over one positive common
 denominator, in lowest terms, on the power basis 1, x, ..., x^(d-1).
 Products multiply the numerators (`kernels.convolve`) and reduce modulo
 f by Barrett division with m = x^k div f, cached per field (von zur
-Gathen & Gerhard, *Modern Computer Algebra*, 9.1).  When f divides
-x^h - e the field has a period h and sign e: a vector is first folded
-below x^h by x^h = e (`_fold`), and k = h.  Q(zeta_n) is f = Phi_n,
-h = n/2, e = -1 for even n, else h = n, e = 1; `cyclotomic` keeps its
-elements folded in Z[x]/(x^h - e) and reduces one modulo Phi_n only
-when its power-basis coefficients are read.
+Gathen & Gerhard, *Modern Computer Algebra*, 9.1).  The reduction's two
+products, by m and by f, go through `kernels.convolve_fixed`, which
+keeps both constants packed from one reduction to the next; the field
+holds them as plain tuples, and only `kernels` knows the packed form.
+When f divides x^h - e the field has a period h and sign e: a vector is
+first folded below x^h by x^h = e (`_fold`), and k = h.  Q(zeta_n) is
+f = Phi_n, h = n/2, e = -1 for even n, else h = n, e = 1; `cyclotomic`
+keeps its elements folded in Z[x]/(x^h - e) and reduces one modulo
+Phi_n only when its power-basis coefficients are read.
 
 Division solves the multiplication matrix of the divisor
 (`_scalar_matrix`, which `modsym` also writes its eigen-systems with)
@@ -28,19 +31,21 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _xk_div(poly, k: int) -> list[int]:
+def _xk_div(poly, k: int) -> tuple[int, ...]:
     """x^k div poly, for poly monic with integer coefficients."""
     d = len(poly) - 1
     rem = [0] * k + [1]
     q = [0] * (k - d + 1)
-    terms = [(t, c) for t, c in enumerate(poly[:d]) if c]
+    # the quotient reads rem[d..k] only, which the terms of poly below
+    # x^(2d - k) never reach
+    terms = [(t, poly[t]) for t in range(max(2 * d - k, 0), d) if poly[t]]
     for j in range(k, d - 1, -1):
         c = rem[j]
         if c:
             q[j - d] = c
             for t, ct in terms:
                 rem[j - d + t] -= c * ct
-    return q
+    return tuple(q)
 
 
 class NumberField:
@@ -52,7 +57,7 @@ class NumberField:
     """
 
     def __init__(self, poly, period: int | None = None, sign: int = 1):
-        self.poly = tuple(int(c) for c in poly)
+        self.poly = tuple(map(int, poly))
         if len(self.poly) < 2:
             raise ValueError("defining polynomial must have degree >= 1")
         if self.poly[-1] != 1:
@@ -105,14 +110,15 @@ def _reduce(vec: list[int], field: NumberField) -> list[int]:
     coefficients k.. of (v div x^d) m, so the remainder is the low d
     coefficients of v - q f.  With a period h and sign e, v is first
     folded below x^h, and m = (x^h - e)/f.  Both products go through
-    `kernels.convolve`, which picks its method by their size.
+    `kernels.convolve_fixed`, which picks its method by their size and
+    packs m and f once.
     """
     vec = _fold(vec, field)
     d = field.degree
     if len(vec) <= d:
         return list(vec) + [0] * (d - len(vec))
-    q = kernels.convolve(vec[d:], field.barrett)[field.k - d:]
-    return [v - w for v, w in zip(vec[:d], kernels.convolve(q, field.poly))]
+    q = kernels.convolve_fixed(vec[d:], field.barrett)[field.k - d:]
+    return [v - w for v, w in zip(vec[:d], kernels.convolve_fixed(q, field.poly))]
 
 
 def _lowest_terms(coeffs, den: int | None = None) -> tuple[list[int], int]:

@@ -208,8 +208,8 @@ def test_exceptional_zero(form, p, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["--prime", "4", "chars", "--char", "triv1"],
-    ["--prime", "9", "chars", "--char", "triv1"],
+    ["--prime", "4", "iwasawa", "--coeffs", "1"],
+    ["--prime", "9", "iwasawa", "--coeffs", "1"],
     ["chars", "--char", "bogus^^"],
     ["padic-l", "--newform", "52.2.a.a", "--prime", "5",
      "--branches", "1..9"],

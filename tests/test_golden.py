@@ -33,7 +33,9 @@ undetermined (exit 1) were recorded before the commands came to return
 their records to `main`, which alone writes them; the `iwasawa --coeffs
 1/0`, `padic-l --sigma0 11:1/0` and order-0 and order -6 `chars` runs
 were recorded after that change, as the first three ended in a traceback
-before it and the last printed a negative order.  A process parses the
+before it and the last printed a negative order.  The `verify-example
+--char` and `chars --prime` runs were recorded once a shared flag that
+the command does not read came to be refused: both exited 0 before.  A process parses the
 bundled newforms and the CLI parser once: every pinned run above must
 give the same bytes and exit code when run twice in one process, in a
 shuffled order, after help runs at another width.
@@ -150,6 +152,8 @@ TEXT_RUNS = {
         "padic-l", "--newform", "11.2.a.a", "--prime", "5", "--sigma0", "11:1/0"],
     **{f"chars_order{k}": ["chars", "--char", f"mod=7;gens=3:1;ord={k}"]
        for k in (0, -6)},
+    "verify-example_3_char_teich4": ["verify-example", "3", "--char", "teich4"],
+    "chars_teich5_prime7": ["chars", "--char", "teich5", "--prime", "7"],
 }
 
 

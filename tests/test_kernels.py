@@ -212,7 +212,8 @@ def test_binomial_fold_matches_long_division():
     # every field of `_ring` against long division by Phi_n with no fold
     # at all; the lengths are just above d (a one-term quotient), just
     # above the fold x^h, a monomial sum, a product and a double fold;
-    # one random vector per length fills the widest slots
+    # one random vector per length fills the widest slots; each vector is
+    # read twice, the second time through the packed forms the first kept
     rng = random.Random(18)
     for n in RING_ORDERS:
         ring = _ring(n)
@@ -220,7 +221,7 @@ def test_binomial_fold_matches_long_division():
         for length in sorted({d + 1, h + 1, n, 2 * d - 1, 2 * n}):
             for vec, want in _edge_cases(
                     rng, length, lambda v: _sparse_remainder(v, poly), EDGE_BOUNDS[-1:]):
-                assert _reduce(vec, ring) == want, (n, length)
+                assert _reduce(vec, ring) == want == _reduce(vec, ring), (n, length)
 
 
 PRODUCT_ORDERS = list(range(1, 301)) + [1711, 2756, 3422]
@@ -240,6 +241,8 @@ def test_product_matches_long_division():
     # by x^h = e where the field has one)
     fields = [_ring(n) for n in PRODUCT_ORDERS]
     fields += [NumberField([-5, 0, 1]), NumberField([-2, -1, 0, 1])]
+    # each product is taken twice, the second time through the packed
+    # forms the first kept
     rng = random.Random(88)
     for field in fields:
         d = field.degree
@@ -249,16 +252,46 @@ def test_product_matches_long_division():
             plus, minus, alternating, rand = _edge_vectors(rng, d, bound)
             # a square too: the product of one vector with itself
             for a, b in ((plus, minus), (alternating, rand), (rand, rand)):
-                x, y = NFElement(field, a, 1), NFElement(field, b, 1)
-                prod = x * x if a is b else x * y
                 want = _sparse_remainder(kernels.convolve(a, b), field.poly,
                                          field.period, field.sign)
-                assert list(prod.nums) == want, (field, bound)
+                for _ in range(2):
+                    x, y = NFElement(field, a, 1), NFElement(field, b, 1)
+                    prod = x * x if a is b else x * y
+                    assert list(prod.nums) == want, (field, bound)
+
+
+def test_fixed_operand_keeps_a_packed_form_per_slot_width():
+    # one constant operand, first against small coefficients (one-byte
+    # slots), then against vectors at each edge bound, which need wider
+    # slots: a form packed for one width must not serve another
+    rng = random.Random(25)
+    fixed = tuple(_random_vec(rng, 300, 1))
+    small = _random_vec(rng, 60, 1)
+    assert kernels.convolve_fixed(small, fixed) == kernels._schoolbook(small, fixed)
+    for bound in EDGE_BOUNDS:
+        for vec in _edge_vectors(rng, 60, bound):
+            assert kernels.convolve_fixed(vec, fixed) == kernels._schoolbook(vec, fixed), bound
+    # every product took the packed path, which kept one form per width
+    assert sorted(kernels._FIXED[id(fixed)][3]) == [1, 8, 9, 18]
+
+
+def test_fixed_memo_stays_bounded():
+    # a read in every field of order up to 300 packs two constants of
+    # each field whose elements are longer than its degree: more than the
+    # memo holds
+    reduced = 0
+    for n in range(1, 301):
+        ring = _ring(n)
+        _reduce(list(range(1, ring.period + 1)), ring)
+        reduced += ring.period > ring.degree
+    assert 2 * reduced > kernels.FIXED_LIMIT
+    assert len(kernels._FIXED) <= kernels.FIXED_LIMIT
 
 
 def test_only_kernels_reads_its_private_names():
-    # the slot format (`_kronecker`, `_pack`, `_bias`) and the cost
-    # model's choice (`_prefers_kronecker`) belong to `kernels`: no other
+    # the slot format (`_kronecker`, `_pack`, `_bias`), the packed forms
+    # it keeps (`_FIXED`) and the cost model's choice
+    # (`_prefers_kronecker`) belong to `kernels`: no other
     # module of the package names a private attribute of it
     for path in sorted(Path(kernels.__file__).parent.glob("*.py")):
         if path.name == "kernels.py":
