@@ -6,8 +6,11 @@ For each series length D = 5^n it times one `padic-l --newform 11.2.a.a
 --prime 5 --precision 8,D` run in-process (the symbol space, alpha,
 the four branch series, their values at the trivial character and the
 four product verdicts), and at the largest D it times reading (mu,
-lambda) off the group masses of the branch-2 series.  Each figure is the
-best of `--repeat` rounds.
+lambda) off the group masses of the branch-2 series.  Last it times the
+symbol rows of both signs as the branch series read them
+(`padic_l._symbol_rows`): at 5^(n+1), and 5^n as a slice of it, for
+11.2.a.a; at 11^(n+1) alone for its twist by quad(-23), as 11 divides
+the twist's level.  Each figure is the best of `--repeat` rounds.
 """
 
 import argparse
@@ -18,7 +21,7 @@ from iwrank import cli
 from iwrank.characters import DirichletCharacter
 from iwrank.iwasawa import mass_mu_lambda
 from iwrank.modsym import SymbolPair, TwistedSymbol, build_space, eigen_functional
-from iwrank.padic_l import branch_series, choose_alpha, working_precision
+from iwrank.padic_l import _symbol_rows, branch_series, choose_alpha, working_precision
 
 # wild levels n; the series length is D = 5^n
 LEVELS = (2, 3, 4, 5, 6)
@@ -52,16 +55,15 @@ def twist11():
     return TwistedSymbol(pair11(), chi, 11)
 
 
-def rows_time(make, dens, repeat):
+def rows_time(make, p, n, repeat):
     """Best time, over `repeat` fresh symbols from `make`, of reading both
-    signs of the rows at every denominator in `dens`."""
+    signs of the rows a branch series at p and wild level n sums."""
     best = None
     for _ in range(repeat):
         sym = make()
         t0 = time.perf_counter()
-        for den in dens:
-            for sign in (1, -1):
-                sym.evaluate_row(den, sign)
+        for sign in (1, -1):
+            _symbol_rows(sym, p, n, sign)
         dt = time.perf_counter() - t0
         best = dt if best is None else min(best, dt)
     return best
@@ -96,11 +98,11 @@ def main():
 
     print("symbol rows (both signs)")
     for n in LEVELS:
-        t = rows_time(pair11, (5**(n + 1), 5**n), args.repeat)
+        t = rows_time(pair11, 5, n, args.repeat)
         print(f"  11.2.a.a at {5**(n + 1)}, {5**n}: {t * 1e3:.2f}ms")
     for n in TWIST_LEVELS:
-        t = rows_time(twist11, (11**(n + 1), 11), args.repeat)
-        print(f"  11.2.a.a x quad(-23) at {11**(n + 1)}, 11: {t * 1e3:.2f}ms")
+        t = rows_time(twist11, 11, n, args.repeat)
+        print(f"  11.2.a.a x quad(-23) at {11**(n + 1)}: {t * 1e3:.2f}ms")
 
 
 if __name__ == "__main__":

@@ -410,8 +410,8 @@ def all_characters(modulus: int):
 
 
 def parse_descriptor(text: str) -> DirichletCharacter:
-    """Character descriptors: triv<N>, quad<D>, teich<p>^<r>, or
-    mod=<N>;gens=<g:e,...>;ord=<n> (canonical generators)."""
+    """Character descriptors: triv<N>, quad<D>, teich<p>[^<r>], or
+    mod=<N>;gens=<g>:<e>,...;ord=<n> (canonical generators)."""
     s = text.strip()
     if s.startswith("triv"):
         return DirichletCharacter.trivial(int(s[4:]))
@@ -423,18 +423,18 @@ def parse_descriptor(text: str) -> DirichletCharacter:
             p_s, r_s = body.split("^", 1)
             return DirichletCharacter.teichmuller(int(p_s), int(r_s))
         return DirichletCharacter.teichmuller(int(body))
-    parts = dict(kv.split("=", 1) for kv in s.split(";") if kv)
     try:
+        parts = dict(kv.split("=", 1) for kv in s.split(";") if kv)
         modulus = int(parts["mod"])
         order = int(parts["ord"])
-        pairs = []
+        given = {}
         if parts.get("gens"):
-            pairs = [tuple(map(int, kv.split(":"))) for kv in parts["gens"].split(",")]
+            given = dict(map(int, kv.split(":")) for kv in parts["gens"].split(","))
     except (KeyError, ValueError) as exc:
-        raise ValueError(f"bad character descriptor {text!r}") from exc
+        raise ValueError("expected triv<N>, quad<D>, teich<p>[^<r>] or "
+                         "mod=<N>;gens=<g>:<e>,...;ord=<n>") from exc
     gens = unit_group_generators(modulus)
     expected = [ug.gen for ug in gens]
-    given = {g: e for g, e in pairs}
     if set(given) - set(expected):
         raise ValueError(
             f"descriptor generators {sorted(given)} do not match canonical "

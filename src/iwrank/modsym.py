@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, sub
 
 from .arith import euler_phi, prime_divisors
 from .cyclotomic import CyclotomicNumber
@@ -560,27 +561,39 @@ class SymbolPair:
         elements).  Both signs are filled and cached in one pass: one
         continued-fraction walk per a <= den/2 feeds both functionals, and
         the star involution gives x(1 - r) = x(-r) = s x(r) for the other
-        half (s the functional's star sign)."""
+        half (s the functional's star sign).
+
+        The walk is `_path_sum` with the signs taken out of the index: a
+        functional of star sign s has x_(u:-v) = s x_(u:v), so every step
+        reads flat[q_k N + q_(k-1)] (q kept mod N), added as is on the
+        plus side and with sign (-1)^(k+1) on the minus side.  Step 0 is
+        always (1:0); the loop takes steps 2k+1 (sign +) and 2k+2 (sign -)
+        per turn."""
         rows = self._rows.get(den)
         if rows is None:
             N = self.plus.space.N
             fp, fm = self.plus._flat_values(), self.minus._flat_values()
+            one = 1 % N
+            first_p, first_m = fp[one * N], fm[one * N]  # step 0: x_(1:0)
             hp, hm = [], []
             for a in range(den // 2 + 1):
-                # _path_sum(flat, N, a, den) for both flat tables at once
-                b, sp, sm = den, 0, 0
-                q0, q1 = 1, 0
-                s = -1
-                while b:
-                    d = a // b
-                    a, b = b, a - d * b
-                    q0, q1 = q1, d * q1 + q0
-                    i = q1 % N * N + s * q0 % N
+                x, y, u, v = den, a, one, 0  # after step 0: q_0 = 1, q_(-1) = 0
+                sp, odd, even = first_p, 0, 0
+                while y:
+                    v = (x // y * u + v) % N
+                    x %= y
+                    i = v * N + u
                     sp += fp[i]
-                    sm += fm[i]
-                    s = -s
+                    odd += fm[i]
+                    if not x:
+                        break
+                    u = (y // x * v + u) % N
+                    y %= x
+                    i = u * N + v
+                    sp += fp[i]
+                    even += fm[i]
                 hp.append(sp)
-                hm.append(sm)
+                hm.append(first_m + odd - even)
             rows = []
             for h, phi in ((hp, self.plus), (hm, self.minus)):
                 tail = h[(den - 1) // 2:0:-1]  # a < den/2 down to 1, for den - a
@@ -630,20 +643,23 @@ class TwistedSymbol:
     def _raw_rows(self, den):
         """The unscaled sums at b/den for b = 0..den-1, both signs, read
         off the pair's rows at den C, which hold x(b/den + a/C) at
-        (b C + a den) mod den C."""
+        (b C + a den) mod den C: for each unit a, the slice of the row
+        from a den mod C in steps of C, rotated by a den // C."""
         raw = self._raw.get(den)
         if raw is None:
-            C, dC = self.C, den * self.C
-            shifts = [(a * den, cv) for a, cv in self._chibar.items()]
+            C = self.C
             raw = []
             for s in (1, -1):
-                base = self.pair.evaluate_row(dC, s * self.eps)
-                row = []
-                for bC in range(0, dC, C):
-                    acc = 0
-                    for ad, cv in shifts:
-                        acc += cv * base[(bC + ad) % dC]
-                    row.append(acc)
+                base = self.pair.evaluate_row(den * C, s * self.eps)
+                row = [0] * den
+                for a, cv in self._chibar.items():
+                    col = base[a * den % C::C]
+                    t = a * den // C
+                    col = col[t:] + col[:t]
+                    if type(cv) is int and cv in (1, -1):
+                        row = list(map(add if cv == 1 else sub, row, col))
+                    else:
+                        row = [acc + cv * x for acc, x in zip(row, col)]
                 raw.append(tuple(row))
             raw = self._raw[den] = tuple(raw)
         return raw
@@ -658,9 +674,17 @@ class TwistedSymbol:
         rows = self._rows.get(den)
         if rows is None:
             rows = self._rows[den] = tuple(
-                tuple(x / self.scales[s] for x in raw)
+                _divided(raw, self.scales[s])
                 for s, raw in zip((1, -1), self._raw_rows(den)))
         return rows[0] if sign > 0 else rows[1]
+
+
+def _divided(raw, c):
+    """The entries of raw over the Fraction c, as Fractions: one exact
+    integer division for each int entry that c divides."""
+    n, d = c.numerator, c.denominator
+    return tuple(Fraction(x * d // n) if type(x) is int and not x * d % n
+                 else x / c for x in raw)
 
 
 def twist_symbol(pair, chi, den, label=""):

@@ -179,9 +179,9 @@ def _wild_coordinates(p: int, n: int) -> tuple:
 
 def _symbol_rows(sym, p, n, sgn):
     """x(a/p^(n+1)) for a mod p^(n+1), then, unless p divides the level
-    (one-root case), x(b/p^n) for b mod p^n."""
+    (one-root case), x(b/p^n) = x(bp/p^(n+1)) for b mod p^n."""
     hi = sym.evaluate_row(p ** (n + 1), sgn)
-    return hi if sym.level % p == 0 else hi + sym.evaluate_row(p ** n, sgn)
+    return hi if sym.level % p == 0 else hi + hi[::p]
 
 
 def working_precision(sym, p: int, n: int, M: int, rows=None) -> int:

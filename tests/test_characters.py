@@ -123,6 +123,8 @@ def test_descriptor_round_trip():
     assert parse_descriptor("triv9").is_trivial()
     assert parse_descriptor("quad-23").conductor() == 23
     assert parse_descriptor("teich7^2").order == 3
+    # the README's example of the generator form
+    assert parse_descriptor("mod=9;gens=2:1;ord=6").order == 6
     with pytest.raises((ValueError, KeyError)):
         parse_descriptor("nonsense!!")
 

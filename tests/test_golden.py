@@ -35,7 +35,10 @@ their records to `main`, which alone writes them; the `iwasawa --coeffs
 were recorded after that change, as the first three ended in a traceback
 before it and the last printed a negative order.  The `verify-example
 --char` and `chars --prime` runs were recorded once a shared flag that
-the command does not read came to be refused: both exited 0 before.  A process parses the
+the command does not read came to be refused: both exited 0 before.
+The `chars` run of the malformed descriptor `mod9:g2^1` was recorded once
+its refusal came to name the accepted forms: it printed Python's
+dictionary message before.  A process parses the
 bundled newforms and the CLI parser once: every pinned run above must
 give the same bytes and exit code when run twice in one process, in a
 shuffled order, after help runs at another width.
@@ -154,6 +157,7 @@ TEXT_RUNS = {
        for k in (0, -6)},
     "verify-example_3_char_teich4": ["verify-example", "3", "--char", "teich4"],
     "chars_teich5_prime7": ["chars", "--char", "teich5", "--prime", "7"],
+    "chars_mod9_g2^1": ["chars", "--char", "mod9:g2^1"],
 }
 
 

@@ -327,22 +327,30 @@ def test_hecke_path_identity(pair_name, a_ell, request):
 
 
 def test_twisted_raw_value_matches_fraction_sum(sp11):
-    # a pair and twist of its own: the rows it fills, at denominators up
-    # to about 10^4, die with the test instead of with the session
+    # a pair and twists of its own: the rows they fill, at denominators up
+    # to about 10^4, die with the test instead of with the session.  The
+    # quad(-3) twist's minus scale, 25, does not divide its raw values at
+    # thirds, so those values come out as proper fractions.
     pair = SymbolPair(*(eigen_functional(sp11, [(2, F(-2))], sign)
                         for sign in (1, -1)), 11, label="11a")
-    tw = TwistedSymbol(pair, DirichletCharacter.quadratic_by_discriminant(-23),
-                       11, label="11a-tw23")
-    chibar = tw.chi.conjugate()
-    for r in _random_rationals(seed=23) + [F(b, 23) for b in range(23)]:
-        for sign in (1, -1):
-            expected = sum(chibar(a).rational_value()
-                           * tw.pair.evaluate(r + F(a, tw.C), sign * tw.eps)
-                           for a in range(1, tw.C) if gcd(a, tw.C) == 1)
-            # read off the row at r's denominator; the oracle is unscaled
-            got = tw.evaluate(r, sign)
-            assert type(got) is Fraction, (r, sign)
-            assert got * tw.scales[sign] == expected, (r, sign)
+    proper = 0
+    for disc, den, points in (
+            (-23, 11, _random_rationals(seed=23) + [F(b, 23) for b in range(23)]),
+            (-3, 5, [F(b, d) for d in (3, 6, 9) for b in range(d)])):
+        tw = TwistedSymbol(pair, DirichletCharacter.quadratic_by_discriminant(disc),
+                           den, label=f"11a-tw{disc}")
+        chibar = tw.chi.conjugate()
+        for r in points:
+            for sign in (1, -1):
+                expected = sum(chibar(a).rational_value()
+                               * tw.pair.evaluate(r + F(a, tw.C), sign * tw.eps)
+                               for a in range(1, tw.C) if gcd(a, tw.C) == 1)
+                # read off the row at r's denominator; the oracle is unscaled
+                got = tw.evaluate(r, sign)
+                assert type(got) is Fraction, (r, sign)
+                assert got * tw.scales[sign] == expected, (r, sign)
+                proper += got.denominator > 1
+    assert proper
 
 
 @pytest.fixture(scope="module")
@@ -365,6 +373,18 @@ def teich_twisted11(pair11):
                                   "twisted11", "teich_twisted11"])
 def test_evaluate_row_matches_evaluate(name, request):
     sym = request.getfixturevalue(name)
+    if isinstance(sym, SymbolPair):
+        # the row walk reads x_(u:-v) as s x_(u:v), s the star sign
+        for phi in (sym.plus, sym.minus):
+            flat, N = phi._flat_values(), phi.space.N
+            for i, x in enumerate(flat):
+                u, v = divmod(i, N)
+                if x is not None:
+                    assert flat[u * N + -v % N] == phi.sign * x, (phi.sign, u, v)
+    for p, n in ((5, 0), (5, 1), (11, 0), (11, 1)):
+        # padic_l reads the row at p^n as a slice of the row at p^(n+1)
+        for sign in (1, -1):
+            assert sym.evaluate_row(p**(n + 1), sign)[::p] == sym.evaluate_row(p**n, sign)
     for den in (1, 5, 25, 121, 242, 2783):
         for sign in (1, -1):
             row = sym.evaluate_row(den, sign)

@@ -447,6 +447,27 @@ def test_branch_values_are_mass_sums():
                 assert agree(got, want, p), (sym.label, p, n, j)
 
 
+@pytest.mark.parametrize("case", ["11a@5", "11a@7", "19a@3", "52a@5",
+                                  "11a-tw23@11"])
+def test_distribution_relation(case, pair11, pair19, pair52, twisted11):
+    # the masses at wild level 2, summed over c mod p, are the level-1
+    # masses mod p^8: the T_p (p not dividing N) or U_p (p | N) relation
+    # of the symbol, read through alpha, for every branch
+    sym, p, ap = {
+        "11a@5": (pair11, 5, 1),
+        "11a@7": (pair11, 7, -2),
+        "19a@3": (pair19, 3, -2),
+        "52a@5": (pair52, 5, 2),
+        "11a-tw23@11": (twisted11, 11, kronecker(-23, 11)),
+    }[case]
+    low, high = (branch_family(sym, ap, p, n, 8)[1] for n in (1, 2))
+    for j, bs in high.items():
+        for c, y in enumerate(low[j].masses):
+            diff = (F(sum(bs.masses[c::p])) * F(p) ** bs.shift
+                    - F(y) * F(p) ** low[j].shift)
+            assert diff == 0 or padic_valuation(diff, p) >= 8, (case, j, c)
+
+
 def test_padic_l_reads_rows_in_integers():
     # branch values and series are integer sums over symbol rows: the
     # module builds no cyclotomic number or character, reads no single
