@@ -1,5 +1,5 @@
 """Trial-division arithmetic of small integers: factorization, prime
-divisors, Euler's phi and primality.
+divisors, Euler's phi, the index of Gamma_0(N) and primality.
 
 The numbers factored here are levels, moduli, character orders and p - 1,
 so trial division up to the square root is all that is needed.
@@ -26,16 +26,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
 
 def prime_divisors(n: int) -> list[int]:
-    out, r = [], 2
-    while r * r <= n:
-        if n % r == 0:
-            out.append(r)
-            while n % r == 0:
-                n //= r
-        r += 1
-    if n > 1:
-        out.append(n)
-    return out
+    return [r for r, _ in factorize(n)]
 
 
 def euler_phi(n: int) -> int:
@@ -44,6 +35,13 @@ def euler_phi(n: int) -> int:
     for p in prime_divisors(n):
         n = n // p * (p - 1)
     return n
+
+
+def gamma0_index(N: int) -> int:
+    """[SL2(Z) : Gamma_0(N)] = N prod_(r | N) (1 + 1/r)."""
+    for r in prime_divisors(N):
+        N = N // r * (r + 1)
+    return N
 
 
 def is_prime(n: int) -> bool:

@@ -2,9 +2,10 @@
 
 A character mod N is stored by its values on the canonical generators of
 (Z/N)^x (CRT over prime powers; for 2^e >= 8 the pair -1, 5).  Values are
-roots of unity zeta_order^k kept as exponents, so products, conjugation,
-conductor and restriction are integer bookkeeping; actual cyclotomic
-numbers only appear on evaluation and in Gauss sums.
+roots of unity zeta_order^k kept as exponents.  One table per character,
+built on first read by a walk over the unit group, holds k for every
+a mod N; single values, parity, conductor and restriction are read off
+it, and cyclotomic numbers only appear on evaluation and in Gauss sums.
 """
 
 from __future__ import annotations
@@ -12,17 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from iwrank.arith import factorize
+from iwrank.arith import factorize, is_prime
 from iwrank.cyclotomic import CyclotomicNumber
 from iwrank.padics import smallest_primitive_root
 
 
 @dataclass(frozen=True)
 class UnitGenerator:
-    prime: int
-    prime_power: int  # r^e part of the modulus
-    gen: int          # generator of (Z/N)^x supported at this component
-    order: int        # multiplicative order of gen
+    gen: int    # generator of (Z/N)^x supported at one prime-power component
+    order: int  # multiplicative order of gen
 
 
 _structure_cache: dict[int, tuple[UnitGenerator, ...]] = {}
@@ -52,7 +51,7 @@ def unit_group_generators(modulus: int) -> tuple[UnitGenerator, ...]:
                 g += r
             locals_.append((g, (r - 1) * r ** (e - 1)))
         for g, d in locals_:
-            gens.append(UnitGenerator(r, q, _crt_unit_lift(g, q, rest), d))
+            gens.append(UnitGenerator(_crt_unit_lift(g, q, rest), d))
     out = tuple(gens)
     _structure_cache[modulus] = out
     return out
@@ -66,53 +65,10 @@ def _crt_unit_lift(a: int, q: int, rest: int) -> int:
     return 1 + rest * ((a - 1) * pow(rest, -1, q) % q)
 
 
-_dlog_cache: dict[tuple[int, int, int], dict[int, int]] = {}
-
-
-def _dlog_table(g: int, order: int, q: int) -> dict[int, int]:
-    key = (g, order, q)
-    tab = _dlog_cache.get(key)
-    if tab is None:
-        tab = {}
-        x = 1 % q
-        for i in range(order):
-            tab[x] = i
-            x = x * g % q
-        _dlog_cache[key] = tab
-    return tab
-
-
-def unit_exponents(a: int, modulus: int) -> tuple[int, ...] | None:
-    """Write a = prod gen_i^{t_i} mod modulus; None when gcd(a, modulus) > 1."""
-    if modulus == 1:
-        return ()
-    a %= modulus
-    if gcd(a, modulus) != 1:
-        return None
-    gens = unit_group_generators(modulus)
-    exps = []
-    for ug in gens:
-        q = ug.prime_power
-        aq = a % q
-        if ug.prime == 2 and q >= 8:
-            if ug.gen % q == q - 1:
-                # sign component: a = (-1)^s 5^t mod 2^e; s by a mod 4
-                exps.append(0 if aq % 4 == 1 else 1)
-                continue
-            if aq % 4 == 3:
-                aq = (-aq) % q
-            tab = _dlog_table(5 % q, ug.order, q)
-            exps.append(tab[aq])
-            continue
-        tab = _dlog_table(ug.gen % q, ug.order, q)
-        exps.append(tab[aq])
-    return tuple(exps)
-
-
 class DirichletCharacter:
     """chi mod `modulus` with chi(gen_i) = zeta_order^{exponents[i]}."""
 
-    __slots__ = ("modulus", "order", "exponents", "_cond")
+    __slots__ = ("modulus", "order", "exponents", "_table", "_cond")
 
     def __init__(self, modulus: int, exponents, order: int):
         if order < 1:
@@ -127,6 +83,7 @@ class DirichletCharacter:
         self.modulus = modulus
         self.order = order
         self.exponents = exps
+        self._table = None
         self._cond = None
 
     # constructors -----------------------------------------------------
@@ -157,8 +114,8 @@ class DirichletCharacter:
     def teichmuller(cls, p: int, power: int = 1) -> "DirichletCharacter":
         """omega_p^power: modulus p, omega_p(g) = zeta_{p-1} on the least
         primitive root g."""
-        if p < 3:
-            raise ValueError("need an odd prime")
+        if p < 3 or not is_prime(p):
+            raise ValueError(f"teich<p> needs an odd prime p, got {p}")
         k = power % (p - 1)
         if k == 0:
             return cls.trivial(p)
@@ -181,40 +138,39 @@ class DirichletCharacter:
         exps = [k * o // self.order for k in self.exponents]
         return DirichletCharacter(self.modulus, exps, o)
 
+    def _value_exponents(self) -> tuple:
+        """k with chi(a) = zeta_order^k for a = 0..modulus-1, None off the
+        units: one walk over the unit group, a = prod gen_i^t_i running
+        through every unit once with k = sum t_i k_i, kept on first read."""
+        if self._table is None:
+            modulus, order = self.modulus, self.order
+            units = [(1 % modulus, 0)]
+            for ug, k in zip(self.generators(), self.exponents):
+                powers = []
+                g, x = ug.gen, 1
+                for t in range(ug.order):
+                    powers.append((x, t * k))
+                    x = x * g % modulus
+                units = [(a * x % modulus, e + ex) for a, e in units for x, ex in powers]
+            table = [None] * modulus
+            for a, e in units:
+                table[a] = e % order
+            self._table = tuple(table)
+        return self._table
+
     def value_exponent(self, a: int) -> int | None:
         """k with chi(a) = zeta_order^k, or None when gcd(a, modulus) > 1."""
-        t = unit_exponents(a, self.modulus)
-        if t is None:
-            return None
-        acc = 0
-        for ti, ki in zip(t, self.exponents):
-            acc += ti * ki
-        return acc % self.order
+        return self._value_exponents()[a % self.modulus]
 
     def exponent_table(self, order: int | None = None) -> list:
         """k with chi(a) = zeta_order^k for a = 0..modulus-1, or None
         where gcd(a, modulus) > 1; `order` is a multiple of chi's and
-        defaults to it.
-
-        One walk over the unit group: a = prod gen_i^t_i runs through
-        every unit once, with k = sum t_i k_i, so no discrete logs.
-        """
-        if order is None:
-            order = self.order
-        scale = order // self.order
-        modulus = self.modulus
-        units = [(1 % modulus, 0)]
-        for ug, k in zip(self.generators(), self.exponents):
-            powers = []
-            g, x = ug.gen, 1
-            for t in range(ug.order):
-                powers.append((x, t * k * scale))
-                x = x * g % modulus
-            units = [(a * x % modulus, e + ex) for a, e in units for x, ex in powers]
-        table = [None] * modulus
-        for a, e in units:
-            table[a] = e % order
-        return table
+        defaults to it."""
+        table = self._value_exponents()
+        scale = 1 if order is None else order // self.order
+        if scale == 1:
+            return list(table)
+        return [None if k is None else k * scale for k in table]
 
     def __call__(self, a: int) -> CyclotomicNumber:
         k = self.value_exponent(a)
@@ -227,9 +183,7 @@ class DirichletCharacter:
 
     def parity(self) -> int:
         """chi(-1) as +1 or -1."""
-        if self.modulus <= 2:
-            return 1
-        k = self.value_exponent(self.modulus - 1)
+        k = self.value_exponent(-1)
         if k == 0:
             return 1
         if 2 * k % self.order == 0:
@@ -239,45 +193,18 @@ class DirichletCharacter:
     # conductor / primitivity -------------------------------------------
 
     def conductor(self) -> int:
-        if self._cond is not None:
-            return self._cond
-        cond = 1
-        gens = self.generators()
-        by_prime: dict[int, list[tuple[UnitGenerator, int]]] = {}
-        for ug, k in zip(gens, self.exponents):
-            by_prime.setdefault(ug.prime, []).append((ug, k))
-        for r, items in by_prime.items():
-            if r == 2:
-                q = items[0][0].prime_power
-                if q == 4:
-                    (ug, k) = items[0]
-                    cond *= 4 if k else 1
-                else:  # q >= 8: items are (sign gen, five gen)
-                    sign_k = five_k = 0
-                    five_order = 1
-                    for ug, k in items:
-                        if ug.gen % ug.prime_power == ug.prime_power - 1:
-                            sign_k = k
-                        else:
-                            five_k = k
-                            five_order = ug.order
-                    if five_k:
-                        # order of chi(5) = order/gcd(order, five_k)
-                        t = self.order // gcd(self.order, five_k)
-                        cond *= 4 * t
-                    elif sign_k:
-                        cond *= 4
-            else:
-                (ug, k) = items[0]
-                if k:
-                    t = self.order // gcd(self.order, k)  # order of chi(gen)
-                    vr = 0
-                    while t % r == 0:
-                        t //= r
-                        vr += 1
-                    cond *= r ** (1 + vr)
-        self._cond = cond
-        return cond
+        """The least c | modulus with chi trivial on the units = 1 mod c:
+        for each r^e || modulus = r^e s, the least r^f with chi trivial on
+        the units = 1 mod s r^f."""
+        if self._cond is None:
+            table, cond = self._value_exponents(), 1
+            for r, e in factorize(self.modulus):
+                step = self.modulus // r**e  # s r^f; stops by f = e, as chi(1) = 1
+                while any(table[1::step]):
+                    step *= r
+                    cond *= r
+            self._cond = cond
+        return self._cond
 
     def is_primitive(self) -> bool:
         return self.conductor() == self.modulus
@@ -292,19 +219,11 @@ class DirichletCharacter:
         """The character mod m inducing this one; needs conductor | m | modulus."""
         if self.modulus % m != 0 or m % self.conductor() != 0:
             raise ValueError("restriction target must sit between conductor and modulus")
-        gens_m = unit_group_generators(m)
-        rest = 1
-        for r, e in factorize(self.modulus):
-            if m % r != 0:
-                rest *= r**e
-        exps = []
-        for ug in gens_m:
-            # lift to a unit mod modulus: the generator mod m, 1 mod the
-            # primes away from m
-            k = self.value_exponent(_crt_unit_lift(ug.gen, m, rest))
-            if k is None:
-                raise ArithmeticError("lift landed on a non-unit")
-            exps.append(k)
+        # chi is trivial on the units = 1 mod m, so every unit = gen mod m
+        # carries the value at gen; the first one in the table will do
+        table = self._value_exponents()
+        exps = [next(k for k in table[ug.gen::m] if k is not None)
+                for ug in unit_group_generators(m)]
         return DirichletCharacter(m, exps, self.order)
 
     def extend_to(self, m: int) -> "DirichletCharacter":
@@ -413,26 +332,27 @@ def parse_descriptor(text: str) -> DirichletCharacter:
     """Character descriptors: triv<N>, quad<D>, teich<p>[^<r>], or
     mod=<N>;gens=<g>:<e>,...;ord=<n> (canonical generators)."""
     s = text.strip()
-    if s.startswith("triv"):
-        return DirichletCharacter.trivial(int(s[4:]))
-    if s.startswith("quad"):
-        return DirichletCharacter.quadratic_by_discriminant(int(s[4:]))
-    if s.startswith("teich"):
-        body = s[5:]
-        if "^" in body:
-            p_s, r_s = body.split("^", 1)
-            return DirichletCharacter.teichmuller(int(p_s), int(r_s))
-        return DirichletCharacter.teichmuller(int(body))
     try:
-        parts = dict(kv.split("=", 1) for kv in s.split(";") if kv)
-        modulus = int(parts["mod"])
-        order = int(parts["ord"])
-        given = {}
-        if parts.get("gens"):
-            given = dict(map(int, kv.split(":")) for kv in parts["gens"].split(","))
+        if s.startswith("triv"):
+            make, args = DirichletCharacter.trivial, [s[4:]]
+        elif s.startswith("quad"):
+            make, args = DirichletCharacter.quadratic_by_discriminant, [s[4:]]
+        elif s.startswith("teich"):
+            make, args = DirichletCharacter.teichmuller, s[5:].split("^", 1)
+        else:
+            make, args = None, []
+            parts = dict(kv.split("=", 1) for kv in s.split(";") if kv)
+            modulus = int(parts["mod"])
+            order = int(parts["ord"])
+            given = {}
+            if parts.get("gens"):
+                given = dict(map(int, kv.split(":")) for kv in parts["gens"].split(","))
+        args = [int(x) for x in args]
     except (KeyError, ValueError) as exc:
         raise ValueError("expected triv<N>, quad<D>, teich<p>[^<r>] or "
                          "mod=<N>;gens=<g>:<e>,...;ord=<n>") from exc
+    if make is not None:
+        return make(*args)
     gens = unit_group_generators(modulus)
     expected = [ug.gen for ug in gens]
     if set(given) - set(expected):
@@ -491,8 +411,4 @@ def _is_fundamental_discriminant(d: int) -> bool:
 
 
 def _squarefree(n: int) -> bool:
-    n = abs(n)
-    for r, e in factorize(n):
-        if e > 1:
-            return False
-    return True
+    return all(e == 1 for _, e in factorize(abs(n)))

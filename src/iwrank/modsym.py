@@ -40,7 +40,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add, sub
 
-from .arith import euler_phi, prime_divisors
+from .arith import euler_phi, gamma0_index, prime_divisors
 from .cyclotomic import CyclotomicNumber
 from .linalg import kernel, rref
 from .numfield import NFElement, _scalar_matrix
@@ -129,13 +129,6 @@ def lift_to_sl2(u: int, v: int, N: int) -> tuple[int, int, int, int]:
 
 
 # genus bookkeeping for Gamma0(N) ------------------------------------
-
-
-def gamma0_index(N: int) -> int:
-    idx = N
-    for p in prime_divisors(N):
-        idx = idx // p * (p + 1)
-    return idx
 
 
 def num_cusps(N: int) -> int:
@@ -419,12 +412,6 @@ def _path_sum(flat, N, a, b):
     return acc
 
 
-def _int_if_integral(v):
-    if isinstance(v, Fraction) and v.denominator == 1:
-        return v.numerator
-    return v
-
-
 def _as_fraction(v):
     return Fraction(v) if isinstance(v, int) else v
 
@@ -623,18 +610,13 @@ class TwistedSymbol:
         self.eps = chi.parity()
         self.level = pair.level * C * C
         self.label = label or (pair.label + "_twist")
-        chibar = chi.conjugate()
-        vals = {}
-        if C == 1:
-            vals[0] = 1
-        else:
-            for a in range(C):
-                if gcd(a, C) == 1:
-                    cv = chibar(a)
-                    if isinstance(cv, CyclotomicNumber) and cv.is_rational():
-                        cv = _int_if_integral(cv.rational_value())
-                    vals[a] = cv
-        self._chibar = vals
+        # the Birch weights conj(chi)(a) = zeta_n^k: the int +-1 where
+        # 2k = 0 mod n, else a cyclotomic number
+        n = chi.order
+        self._chibar = {a: (-1 if k else 1) if 2 * k % n == 0
+                        else CyclotomicNumber.zeta(n, k)
+                        for a, k in enumerate(chi.conjugate().exponent_table())
+                        if k is not None}
         self._raw = {}
         self._rows = {}
         self.scales = {s: _signed_content(raw) or Fraction(1)

@@ -166,14 +166,16 @@ class BranchSeries:
 def _wild_coordinates(p: int, n: int) -> tuple:
     """c(a) mod p^n with <a> = u^c(a), u = 1 + p, for every a mod p^(n+1)
     (-1 where p | a).  <a> = a / omega(a) is the 1-unit part, and
-    omega(a) = a^(p^n) mod p^(n+1)."""
+    omega(a) = a^(p^n) mod p^(n+1) depends on a mod p alone, so its
+    inverse is read off one list of the p - 1 inverses."""
     mod, q, u = p ** (n + 1), p ** n, 1 + p
     log = {}
     x = 1
     for c in range(q):
         log[x] = c
         x = x * u % mod
-    return tuple(log[a * pow(a, -q, mod) % mod] if a % p else -1
+    inv = [0] + [pow(b, -q, mod) for b in range(1, p)]
+    return tuple(log[a * inv[a % p] % mod] if a % p else -1
                  for a in range(mod))
 
 

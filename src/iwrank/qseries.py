@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from iwrank.arith import factorize
+from iwrank.arith import factorize, gamma0_index
 from iwrank.characters import DirichletCharacter
 from iwrank.cyclotomic import CyclotomicNumber
 from iwrank.numfield import NFElement
@@ -176,11 +176,7 @@ def mazur_eisenstein(t: int, n_max: int) -> QExpansion:
 
 def sturm_bound(weight: int, level: int) -> int:
     """ceil(weight * [SL2(Z) : Gamma_0(level)] / 12)."""
-    idx = Fraction(level)
-    for r, _ in factorize(level):
-        idx *= Fraction(r + 1, r)
-    b = Fraction(weight) * idx / 12
-    return int(b) if b.denominator == 1 else int(b) + 1
+    return -(-weight * gamma0_index(level) // 12)
 
 
 def sigma0_and_m(level_prime_to_p: int, residual_tame_conductor: int) -> tuple[tuple[int, ...], int]:

@@ -70,18 +70,34 @@ def test_value_exponent_and_call():
     assert w(14).is_zero()
 
 
-def test_exponent_table_matches_value_exponent():
-    # every character of modulus <= 130, the moduli 8, 16, 32 and 64 of
-    # the (-1, 5) generator pair among them
+def test_exponent_table_against_an_oracle():
+    # every character of modulus <= 130, the moduli 8, 16, 32, 64 and 128
+    # of the (-1, 5) generator pair among them, checked as a homomorphism
+    # (Z/N)^x -> Z/order by integer arithmetic alone
+    rng = random.Random(28)
     count = 0
     for modulus in range(1, 131):
+        units = [a for a in range(modulus) if gcd(a, modulus) == 1]
+        gens = [ug.gen for ug in unit_group_generators(modulus)]
+        divisors = [c for c in range(1, modulus + 1) if modulus % c == 0]
         for chi in all_characters(modulus):
-            want = [chi.value_exponent(a) for a in range(modulus)]
-            assert chi.exponent_table() == want, chi
+            table, n = chi.exponent_table(), chi.order
+            assert [k is None for k in table] == [
+                gcd(a, modulus) != 1 for a in range(modulus)], chi
+            for b in gens + rng.sample(units, min(3, len(units))):
+                for a in units:
+                    assert table[a * b % modulus] == (table[a] + table[b]) % n, chi
+            assert [table[g] for g in gens] == list(chi.exponents), chi
+            assert chi.conductor() == next(
+                c for c in divisors
+                if all(table[a] == 0 for a in units if a % c == 1 % c)), chi
+            k = table[modulus - 1]
+            assert 2 * k % n == 0 and chi.parity() == (1 if k == 0 else -1), chi
+            assert [chi.value_exponent(a) for a in range(modulus)] == table
+            # over a larger root of unity, the exponents scale
+            assert chi.exponent_table(3 * n) == [
+                None if k is None else 3 * k for k in table]
             count += 1
-        # over a larger root of unity, the exponents scale
-        assert chi.exponent_table(3 * chi.order) == [
-            None if k is None else 3 * k for k in want]
     assert count == sum(euler_phi(m) for m in range(1, 131))
 
 

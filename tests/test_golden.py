@@ -38,7 +38,11 @@ before it and the last printed a negative order.  The `verify-example
 the command does not read came to be refused: both exited 0 before.
 The `chars` run of the malformed descriptor `mod9:g2^1` was recorded once
 its refusal came to name the accepted forms: it printed Python's
-dictionary message before.  A process parses the
+dictionary message before.  The `chars` runs of `teich5^x` and `quadx`
+were recorded once a bad integer in a named descriptor came to be refused
+the same way (they printed Python's `int()` message before), and the run
+of `teich9` once a composite p came to be refused by name (it blamed the
+generator order before).  A process parses the
 bundled newforms and the CLI parser once: every pinned run above must
 give the same bytes and exit code when run twice in one process, in a
 shuffled order, after help runs at another width.
@@ -158,6 +162,7 @@ TEXT_RUNS = {
     "verify-example_3_char_teich4": ["verify-example", "3", "--char", "teich4"],
     "chars_teich5_prime7": ["chars", "--char", "teich5", "--prime", "7"],
     "chars_mod9_g2^1": ["chars", "--char", "mod9:g2^1"],
+    **{f"chars_{c}": ["chars", "--char", c] for c in ("teich5^x", "quadx", "teich9")},
 }
 
 

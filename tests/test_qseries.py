@@ -90,6 +90,15 @@ def test_sturm_bounds():
     assert sturm_bound(2, 11) == 2
     assert sturm_bound(2, 52) == 14
     assert sturm_bound(2, 19) == 4
+    # the integer ceiling agrees with k N prod_(r | N) (1 + 1/r) / 12 in Fractions
+    for N in range(1, 301):
+        idx = F(N)
+        for r in range(2, N + 1):
+            if N % r == 0 and all(r % d for d in range(2, r)):
+                idx *= 1 + F(1, r)
+        for k in (1, 2, 4, 12):
+            b = k * idx / 12
+            assert sturm_bound(k, N) == -(-b.numerator // b.denominator), (k, N)
 
 
 def test_sigma0_and_m():
