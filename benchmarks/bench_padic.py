@@ -9,8 +9,10 @@ four product verdicts), and at the largest D it times reading (mu,
 lambda) off the group masses of the branch-2 series.  Last it times the
 symbol rows of both signs as the branch series read them
 (`padic_l._symbol_rows`): at 5^(n+1), and 5^n as a slice of it, for
-11.2.a.a; at 11^(n+1) alone for its twist by quad(-23), as 11 divides
-the twist's level.  Each figure is the best of `--repeat` rounds.
+11.2.a.a; at 3^8 and 3^7 for 19.2.a.a; at 11^(n+1) alone for the twist
+of 11.2.a.a by quad(-23), as 11 divides the twist's level, with the
+twist itself (its scales included) built inside the timing.  Each
+figure is the best of `--repeat` rounds.
 """
 
 import argparse
@@ -41,27 +43,33 @@ def best_time(fn, repeat):
     return best
 
 
+def fresh_pair(N, targets):
+    """A fresh symbol pair at level N: nothing evaluated, nothing cached."""
+    space = build_space(N)
+    return SymbolPair(*(eigen_functional(space, targets, sign)
+                        for sign in (1, -1)), N)
+
+
 def pair11():
-    """A fresh 11.2.a.a symbol pair: nothing evaluated, nothing cached."""
-    space = build_space(11)
-    return SymbolPair(*(eigen_functional(space, [(2, -2)], sign)
-                        for sign in (1, -1)), 11)
+    return fresh_pair(11, [(2, -2)])
 
 
-def twist11():
-    """A fresh copy of verify-example 1's symbol: 11.2.a.a twisted by
-    quad(-23), renormalized on its row at den 11."""
-    chi = DirichletCharacter.quadratic_by_discriminant(-23)
-    return TwistedSymbol(pair11(), chi, 11)
+def pair19():
+    return fresh_pair(19, [(2, 0)])
 
 
-def rows_time(make, p, n, repeat):
+def rows_time(make, p, n, repeat, chi=None):
     """Best time, over `repeat` fresh symbols from `make`, of reading both
-    signs of the rows a branch series at p and wild level n sums."""
+    signs of the rows a branch series at p and wild level n sums.  With a
+    character chi, the fresh pair is twisted by chi inside the timing
+    (scales on the row at p, as `verify-example 1` does) and the twist's
+    rows are read."""
     best = None
     for _ in range(repeat):
         sym = make()
         t0 = time.perf_counter()
+        if chi is not None:
+            sym = TwistedSymbol(sym, chi, p)
         for sign in (1, -1):
             _symbol_rows(sym, p, n, sign)
         dt = time.perf_counter() - t0
@@ -100,8 +108,11 @@ def main():
     for n in LEVELS:
         t = rows_time(pair11, 5, n, args.repeat)
         print(f"  11.2.a.a at {5**(n + 1)}, {5**n}: {t * 1e3:.2f}ms")
+    t = rows_time(pair19, 3, 7, args.repeat)
+    print(f"  19.2.a.a at {3**8}, {3**7}: {t * 1e3:.2f}ms")
+    chi = DirichletCharacter.quadratic_by_discriminant(-23)
     for n in TWIST_LEVELS:
-        t = rows_time(twist11, 11, n, args.repeat)
+        t = rows_time(pair11, 11, n, args.repeat, chi)
         print(f"  11.2.a.a x quad(-23) at {11**(n + 1)}: {t * 1e3:.2f}ms")
 
 

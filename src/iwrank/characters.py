@@ -138,24 +138,30 @@ class DirichletCharacter:
         exps = [k * o // self.order for k in self.exponents]
         return DirichletCharacter(self.modulus, exps, o)
 
-    def _value_exponents(self) -> tuple:
+    def _value_exponents(self) -> list:
         """k with chi(a) = zeta_order^k for a = 0..modulus-1, None off the
         units: one walk over the unit group, a = prod gen_i^t_i running
-        through every unit once with k = sum t_i k_i, kept on first read."""
+        through every unit once with k = sum t_i k_i, kept on first read.
+        The generator g of largest order goes last: the units of the
+        others are listed with their k, and each coset u g^t is written
+        into the table as it is walked, so no list of every unit is made."""
         if self._table is None:
             modulus, order = self.modulus, self.order
-            units = [(1 % modulus, 0)]
-            for ug, k in zip(self.generators(), self.exponents):
-                powers = []
-                g, x = ug.gen, 1
-                for t in range(ug.order):
-                    powers.append((x, t * k))
-                    x = x * g % modulus
-                units = [(a * x % modulus, e + ex) for a, e in units for x, ex in powers]
+            gens = sorted(zip(self.generators(), self.exponents), key=lambda gk: gk[0].order)
+            # (Z/N)^x is trivial for N <= 2: walk the generator 1 of order 1
+            *rest, (last, k) = gens or [(UnitGenerator(1, 1), 0)]
+            sub = [(1 % modulus, 0)]
+            for ug, kg in rest:
+                powers = [(pow(ug.gen, t, modulus), t * kg) for t in range(ug.order)]
+                sub = [(a * x % modulus, (e + ex) % order) for a, e in sub for x, ex in powers]
             table = [None] * modulus
-            for a, e in units:
-                table[a] = e % order
-            self._table = tuple(table)
+            g = last.gen
+            for a, e in sub:
+                for _ in range(last.order):
+                    table[a] = e
+                    a = a * g % modulus
+                    e = (e + k) % order
+            self._table = table
         return self._table
 
     def value_exponent(self, a: int) -> int | None:

@@ -28,10 +28,15 @@ subspace (the kernel of the boundary map) and the eigenfunctionals, whose
 number-field systems are first written over Q by restriction of scalars.
 
 The p-adic layer reads values as rows: `evaluate_row(den, sign)` holds the
-values at a/den for a = 0..den-1.  A twisted symbol has rows only: its row
-at den is a Birch sum over the pair's row at den C, a single value is an
-entry of the row at its denominator, and its per-sign scale is fixed on
-one row.
+values at a/den for a = 0..den-1, one continued-fraction walk per a <=
+den/2 for both signs.  At a prime level N the walk's state is the ratio
+q_(k-1)/q_k in F_N or oo, so a step is three list reads on tables of O(N)
+entries; at a composite level it is the pair (q_k, q_(k-1)) mod N, read
+in the N^2 flat table.  A twisted symbol has rows only: its row at den is
+a Birch sum over the pair's row at den C, or every k-th entry of its own
+row at k den when that is built, a single value is an entry of the row at
+its denominator, and its per-sign scale is fixed on one row on first use.
+Entries that the scale divides stay ints.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add, sub
 
-from .arith import euler_phi, gamma0_index, prime_divisors
+from .arith import euler_phi, gamma0_index, is_prime, prime_divisors
 from .cyclotomic import CyclotomicNumber
 from .linalg import kernel, rref
 from .numfield import NFElement, _scalar_matrix
@@ -538,6 +543,7 @@ class SymbolPair:
         self.level = level
         self.label = label
         self._rows = {}
+        self._ratio = None
 
     def evaluate(self, r, sign):
         return (self.plus if sign > 0 else self.minus).evaluate(r)
@@ -551,42 +557,95 @@ class SymbolPair:
         half (s the functional's star sign).
 
         The walk is `_path_sum` with the signs taken out of the index: a
-        functional of star sign s has x_(u:-v) = s x_(u:v), so every step
-        reads flat[q_k N + q_(k-1)] (q kept mod N), added as is on the
-        plus side and with sign (-1)^(k+1) on the minus side.  Step 0 is
-        always (1:0); the loop takes steps 2k+1 (sign +) and 2k+2 (sign -)
-        per turn."""
+        functional of star sign s has x_(u:-v) = s x_(u:v), so step k
+        reads x_(q_k : q_(k-1)), added as is on the plus side and with
+        sign (-1)^(k+1) on the minus side.  Step 0 is always (1:0); the
+        loop takes steps 2k+1 (sign +) and 2k+2 (sign -) per turn.  At a
+        prime level the walk keeps the ratio of the point (`_ratio_sums`),
+        at a composite level the point itself (`_flat_sums`)."""
         rows = self._rows.get(den)
         if rows is None:
-            N = self.plus.space.N
-            fp, fm = self.plus._flat_values(), self.minus._flat_values()
-            one = 1 % N
-            first_p, first_m = fp[one * N], fm[one * N]  # step 0: x_(1:0)
-            hp, hm = [], []
-            for a in range(den // 2 + 1):
-                x, y, u, v = den, a, one, 0  # after step 0: q_0 = 1, q_(-1) = 0
-                sp, odd, even = first_p, 0, 0
-                while y:
-                    v = (x // y * u + v) % N
-                    x %= y
-                    i = v * N + u
-                    sp += fp[i]
-                    odd += fm[i]
-                    if not x:
-                        break
-                    u = (y // x * v + u) % N
-                    y %= x
-                    i = u * N + v
-                    sp += fp[i]
-                    even += fm[i]
-                hp.append(sp)
-                hm.append(first_m + odd - even)
+            sums = self._ratio_sums if is_prime(self.plus.space.N) else self._flat_sums
             rows = []
-            for h, phi in ((hp, self.plus), (hm, self.minus)):
+            for h, phi in zip(sums(den), (self.plus, self.minus)):
                 tail = h[(den - 1) // 2:0:-1]  # a < den/2 down to 1, for den - a
                 rows.append(tuple(h + (tail if phi.sign > 0 else [-x for x in tail])))
             rows = self._rows[den] = tuple(rows)
         return rows[0] if sign > 0 else rows[1]
+
+    def _flat_sums(self, den):
+        """The path sums at a/den, a = 0..den/2, of both functionals, with
+        q_k and q_(k-1) kept mod N and x_(q_k : q_(k-1)) read at
+        flat[q_k N + q_(k-1)]."""
+        N = self.plus.space.N
+        fp, fm = self.plus._flat_values(), self.minus._flat_values()
+        one = 1 % N
+        first_p, first_m = fp[one * N], fm[one * N]  # step 0: x_(1:0)
+        hp, hm = [], []
+        for a in range(den // 2 + 1):
+            x, y, u, v = den, a, one, 0  # after step 0: q_0 = 1, q_(-1) = 0
+            sp, odd, even = first_p, 0, 0
+            while y:
+                v = (x // y * u + v) % N
+                x %= y
+                i = v * N + u
+                sp += fp[i]
+                odd += fm[i]
+                if not x:
+                    break
+                u = (y // x * v + u) % N
+                y %= x
+                i = u * N + v
+                sp += fp[i]
+                even += fm[i]
+            hp.append(sp)
+            hm.append(first_m + odd - even)
+        return hp, hm
+
+    def _ratio_tables(self):
+        """(nxt, vp, vm) for the ratio walk at prime N, kept on first use.
+
+        Over F_N the point (q_k : q_(k-1)) is (1 : t), t = q_(k-1)/q_k, or
+        oo = (0 : 1) when N | q_k, stored as t = 2N.  As q_(k+1) =
+        d q_k + q_(k-1), the next ratio is 1/(d + t), and 0 after oo:
+        nxt[d % N + t], with nxt[s] the inverse of s mod N for s < 2N (2N
+        for s = 0 mod N) and nxt[2N..3N-1] = 0.  vp[t] and vm[t] are the
+        functionals' values on (1 : t), and on oo at 2N."""
+        if self._ratio is None:
+            p1 = self.plus.space.p1
+            N = p1.N
+            inv = [2 * N] + [pow(s, -1, N) for s in range(1, N)]
+            points = [p1.index(1, t) for t in range(N)] * 2 + [p1.index(0, 1)]
+            self._ratio = (inv + inv + [0] * N,
+                           *([phi.generator_values()[i] for i in points]
+                             for phi in (self.plus, self.minus)))
+        return self._ratio
+
+    def _ratio_sums(self, den):
+        """The path sums at a/den, a = 0..den/2, of both functionals, with
+        the ratio t of each point as the walk's state: a step is two list
+        reads for the values and one for the next ratio."""
+        N = self.plus.space.N
+        nxt, vp, vm = self._ratio_tables()
+        first_p, first_m = vp[0], vm[0]  # step 0: x_(1:0), t = 0
+        hp, hm = [], []
+        for a in range(den // 2 + 1):
+            x, y, t = den, a, 0
+            sp, odd, even = first_p, 0, 0
+            while y:
+                t = nxt[x // y % N + t]
+                x %= y
+                sp += vp[t]
+                odd += vm[t]
+                if not x:
+                    break
+                t = nxt[y // x % N + t]
+                y %= x
+                sp += vp[t]
+                even += vm[t]
+            hp.append(sp)
+            hm.append(first_m + odd - even)
+        return hp, hm
 
 
 class TwistedSymbol:
@@ -595,8 +654,8 @@ class TwistedSymbol:
     value at r, sign s:  sum_a conj(chi)(a) x^{s*chi(-1)}(r + a/C), divided
     by a per-sign scalar recorded in .scales: the one that gives the values
     at b/den, b = 0..den-1, content 1 with the first nonzero one positive
-    (1 when they all vanish).  Every value is read off a row: evaluate(r)
-    is entry r mod 1 of the row at r's denominator.
+    (1 when they all vanish), fixed on first use.  Every value is read off
+    a row: evaluate(r) is entry r mod 1 of the row at r's denominator.
     """
 
     def __init__(self, pair, chi, den, label=""):
@@ -619,32 +678,50 @@ class TwistedSymbol:
                         if k is not None}
         self._raw = {}
         self._rows = {}
-        self.scales = {s: _signed_content(raw) or Fraction(1)
-                       for s, raw in zip((1, -1), self._raw_rows(den))}
+        self._scale_den = den
+        self._scales = None
+
+    @property
+    def scales(self):
+        """The per-sign scalars, fixed on the raw rows at the constructor's
+        den when first read: after the rows the caller asked for, so the
+        rows at den are a slice of a row already built when they can be."""
+        if self._scales is None:
+            self._scales = {s: _signed_content(raw) or Fraction(1)
+                            for s, raw in zip((1, -1), self._raw_rows(self._scale_den))}
+        return self._scales
 
     def _raw_rows(self, den):
-        """The unscaled sums at b/den for b = 0..den-1, both signs, read
+        """The unscaled sums at b/den for b = 0..den-1, both signs.  When
+        a row at a multiple k den is built, these are its every k-th
+        entries, as x(b/den) = x(kb/(k den)).  Otherwise they are read
         off the pair's rows at den C, which hold x(b/den + a/C) at
         (b C + a den) mod den C: for each unit a, the slice of the row
         from a den mod C in steps of C, rotated by a den // C."""
         raw = self._raw.get(den)
         if raw is None:
-            C = self.C
-            raw = []
-            for s in (1, -1):
-                base = self.pair.evaluate_row(den * C, s * self.eps)
-                row = [0] * den
-                for a, cv in self._chibar.items():
-                    col = base[a * den % C::C]
-                    t = a * den // C
-                    col = col[t:] + col[:t]
-                    if type(cv) is int and cv in (1, -1):
-                        row = list(map(add if cv == 1 else sub, row, col))
-                    else:
-                        row = [acc + cv * x for acc, x in zip(row, col)]
-                raw.append(tuple(row))
-            raw = self._raw[den] = tuple(raw)
+            big = next((d for d in self._raw if d % den == 0), None)
+            if big is not None:
+                raw = tuple(r[::big // den] for r in self._raw[big])
+            else:
+                raw = tuple(self._birch_row(den, s) for s in (1, -1))
+            self._raw[den] = raw
         return raw
+
+    def _birch_row(self, den, s):
+        """The unscaled sums of sign s at b/den, b = 0..den-1."""
+        C = self.C
+        base = self.pair.evaluate_row(den * C, s * self.eps)
+        row = [0] * den
+        for a, cv in self._chibar.items():
+            col = base[a * den % C::C]
+            t = a * den // C
+            col = col[t:] + col[:t]
+            if type(cv) is int and cv in (1, -1):
+                row = list(map(add if cv == 1 else sub, row, col))
+            else:
+                row = [acc + cv * x for acc, x in zip(row, col)]
+        return tuple(row)
 
     def evaluate(self, r, sign):
         r = Fraction(r)
@@ -662,11 +739,11 @@ class TwistedSymbol:
 
 
 def _divided(raw, c):
-    """The entries of raw over the Fraction c, as Fractions: one exact
-    integer division for each int entry that c divides."""
+    """The entries of raw over the Fraction c: the int x d // n (c = n/d)
+    for each int entry x that c divides, else x / c."""
     n, d = c.numerator, c.denominator
-    return tuple(Fraction(x * d // n) if type(x) is int and not x * d % n
-                 else x / c for x in raw)
+    return tuple(x * d // n if type(x) is int and not x * d % n else x / c
+                 for x in raw)
 
 
 def twist_symbol(pair, chi, den, label=""):

@@ -358,6 +358,10 @@ def branch_report(bs: BranchSeries, value: PadicSeries | None = None,
     }
 
 
+# json.dumps would build an encoder per call
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(", ", ": "))
+
+
 def format_report(rec: dict) -> str:
     """One report line: the record's keys sorted, ", " and ": " between."""
-    return json.dumps(rec, sort_keys=True, separators=(", ", ": "))
+    return _ENCODER.encode(rec)

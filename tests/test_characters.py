@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -99,6 +100,21 @@ def test_exponent_table_against_an_oracle():
                 None if k is None else 3 * k for k in table]
             count += 1
     assert count == sum(euler_phi(m) for m in range(1, 131))
+
+
+def test_table_walk_memory():
+    # the table of quad(-100003) is one list of 100,003 slots (0.8 MB);
+    # listing every unit on the way took 27 MB
+    chi = DirichletCharacter.quadratic_by_discriminant(-100003)
+    tracemalloc.start()
+    try:
+        table = chi.exponent_table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000, peak
+    assert table[:4] == [None, 0, 1, 1] and table.count(None) == 1
+    assert chi.parity() == -1
 
 
 def test_multiplication_and_powers():

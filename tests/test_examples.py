@@ -69,6 +69,20 @@ def test_example2_known_failures(rep2):
     assert failed["ex2.verdict.j2"]["computed"] == "(T^3)"
 
 
+def test_example1_walks_the_pair_once():
+    # the branch family reads the twist's rows at 121, off the pair's row
+    # at 121 * 23; the scales and the rows at 11 are slices of those
+    sym = build_example(1)["sym"]
+    pair = sym.pair
+    assert list(pair._rows) == [2783]
+    # 11 is prime: the ratio walk, no flat table
+    assert pair.plus._flat is None and pair.minus._flat is None
+    for s in (1, -1):
+        assert sym.evaluate_row(11, s) == sym.evaluate_row(121, s)[::11]
+        assert all(type(x) is int for x in sym.evaluate_row(121, s))
+    assert list(pair._rows) == [2783]
+
+
 def test_reports_deterministic(rep3):
     again = run_example(3)
     assert rep3.records == again.records

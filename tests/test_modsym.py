@@ -9,6 +9,7 @@ from iwrank.modsym import (
     EigenspaceError,
     ModularSymbolSpace,
     P1List,
+    SymbolFunctional,
     SymbolPair,
     TwistedSymbol,
     _path_sum,
@@ -330,10 +331,11 @@ def test_twisted_raw_value_matches_fraction_sum(sp11):
     # a pair and twists of its own: the rows they fill, at denominators up
     # to about 10^4, die with the test instead of with the session.  The
     # quad(-3) twist's minus scale, 25, does not divide its raw values at
-    # thirds, so those values come out as proper fractions.
+    # thirds, so those values come out as proper fractions; the others
+    # are ints.
     pair = SymbolPair(*(eigen_functional(sp11, [(2, F(-2))], sign)
                         for sign in (1, -1)), 11, label="11a")
-    proper = 0
+    proper = ints = 0
     for disc, den, points in (
             (-23, 11, _random_rationals(seed=23) + [F(b, 23) for b in range(23)]),
             (-3, 5, [F(b, d) for d in (3, 6, 9) for b in range(d)])):
@@ -347,10 +349,14 @@ def test_twisted_raw_value_matches_fraction_sum(sp11):
                                for a in range(1, tw.C) if gcd(a, tw.C) == 1)
                 # read off the row at r's denominator; the oracle is unscaled
                 got = tw.evaluate(r, sign)
-                assert type(got) is Fraction, (r, sign)
-                assert got * tw.scales[sign] == expected, (r, sign)
+                scale = tw.scales[sign]
+                # an int where the scale divides the int raw value
+                divides = (expected / scale).denominator == 1
+                assert type(got) is (int if divides else Fraction), (r, sign)
+                assert got * scale == expected, (r, sign)
                 proper += got.denominator > 1
-    assert proper
+                ints += type(got) is int
+    assert proper and ints
 
 
 @pytest.fixture(scope="module")
@@ -369,8 +375,27 @@ def teich_twisted11(pair11):
                          label="11a-teich5")
 
 
-@pytest.mark.parametrize("name", ["pair11", "pair19", "pair52", "field_pair23",
-                                  "twisted11", "teich_twisted11"])
+def _genus0_pair(N):
+    """At N = 2 and 3 the quotient is a line of star sign +1, spanned by
+    the functional with x_(0:1) = 1, x_(1:0) = -1; the minus side is 0.
+    At these levels the walk passes through oo = (0:1) often."""
+    space = ModularSymbolSpace(N)
+    return SymbolPair(eigen_functional(space, [], +1),
+                      SymbolFunctional(space, -1, [0] * len(space.p1)), N)
+
+
+@pytest.fixture(scope="module")
+def pair2():
+    return _genus0_pair(2)
+
+
+@pytest.fixture(scope="module")
+def pair3():
+    return _genus0_pair(3)
+
+
+@pytest.mark.parametrize("name", ["pair2", "pair3", "pair11", "pair19", "pair52",
+                                  "field_pair23", "twisted11", "teich_twisted11"])
 def test_evaluate_row_matches_evaluate(name, request):
     sym = request.getfixturevalue(name)
     if isinstance(sym, SymbolPair):
