@@ -9,10 +9,11 @@ four product verdicts), and at the largest D it times reading (mu,
 lambda) off the group masses of the branch-2 series.  Last it times the
 symbol rows of both signs as the branch series read them
 (`padic_l._symbol_rows`): at 5^(n+1), and 5^n as a slice of it, for
-11.2.a.a; at 3^8 and 3^7 for 19.2.a.a; at 11^(n+1) alone for the twist
-of 11.2.a.a by quad(-23), as 11 divides the twist's level, with the
-twist itself (its scales included) built inside the timing.  Each
-figure is the best of `--repeat` rounds.
+11.2.a.a and for 52.2.a.a (a composite level); at 3^8 and 3^7 for
+19.2.a.a; at 11^(n+1) alone for the twist of 11.2.a.a by quad(-23), as
+11 divides the twist's level, with the twist itself (its scales
+included) built inside the timing.  Each figure is the best of
+`--repeat` rounds.
 """
 
 import argparse
@@ -56,6 +57,10 @@ def pair11():
 
 def pair19():
     return fresh_pair(19, [(2, 0)])
+
+
+def pair52():
+    return fresh_pair(52, [(5, 2)])
 
 
 def rows_time(make, p, n, repeat, chi=None):
@@ -105,9 +110,10 @@ def main():
           f"in {ti * 1e3:.3f}ms")
 
     print("symbol rows (both signs)")
-    for n in LEVELS:
-        t = rows_time(pair11, 5, n, args.repeat)
-        print(f"  11.2.a.a at {5**(n + 1)}, {5**n}: {t * 1e3:.2f}ms")
+    for make, label in ((pair11, "11.2.a.a"), (pair52, "52.2.a.a")):
+        for n in LEVELS:
+            t = rows_time(make, 5, n, args.repeat)
+            print(f"  {label} at {5**(n + 1)}, {5**n}: {t * 1e3:.2f}ms")
     t = rows_time(pair19, 3, 7, args.repeat)
     print(f"  19.2.a.a at {3**8}, {3**7}: {t * 1e3:.2f}ms")
     chi = DirichletCharacter.quadratic_by_discriminant(-23)

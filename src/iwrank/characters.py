@@ -334,9 +334,16 @@ def all_characters(modulus: int):
     yield from rec(0, [])
 
 
+# A descriptor's modulus is refused above this: a character's exponent
+# table holds one slot per residue (triv9999991 takes 2.7 s and 170 MB),
+# and factoring a modulus of 19 digits is a trial division that never ends.
+MAX_MODULUS = 10**7
+
+
 def parse_descriptor(text: str) -> DirichletCharacter:
     """Character descriptors: triv<N>, quad<D>, teich<p>[^<r>], or
-    mod=<N>;gens=<g>:<e>,...;ord=<n> (canonical generators)."""
+    mod=<N>;gens=<g>:<e>,...;ord=<n> (canonical generators), of modulus
+    |N|, |D| or p at most MAX_MODULUS."""
     s = text.strip()
     try:
         if s.startswith("triv"):
@@ -357,6 +364,9 @@ def parse_descriptor(text: str) -> DirichletCharacter:
     except (KeyError, ValueError) as exc:
         raise ValueError("expected triv<N>, quad<D>, teich<p>[^<r>] or "
                          "mod=<N>;gens=<g>:<e>,...;ord=<n>") from exc
+    size = abs(args[0] if make is not None else modulus)
+    if size > MAX_MODULUS:
+        raise ValueError(f"modulus {size} is above the bound {MAX_MODULUS}")
     if make is not None:
         return make(*args)
     gens = unit_group_generators(modulus)

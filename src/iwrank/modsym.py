@@ -29,10 +29,11 @@ number-field systems are first written over Q by restriction of scalars.
 
 The p-adic layer reads values as rows: `evaluate_row(den, sign)` holds the
 values at a/den for a = 0..den-1, one continued-fraction walk per a <=
-den/2 for both signs.  At a prime level N the walk's state is the ratio
-q_(k-1)/q_k in F_N or oo, so a step is three list reads on tables of O(N)
-entries; at a composite level it is the pair (q_k, q_(k-1)) mod N, read
-in the N^2 flat table.  A twisted symbol has rows only: its row at den is
+den/2 for both signs.  The walk's state is the point (q_k : q_(k-1)) of
+P^1(Z/N), and a step is three list reads on one successor table
+(`P1List.successors`), built the same way at every level: 3N entries at a
+prime level, one block of N more per point (u : v) with u not a unit at a
+composite one.  A twisted symbol has rows only: its row at den is
 a Birch sum over the pair's row at den C, or every k-th entry of its own
 row at k den when that is built, a single value is an entry of the row at
 its denominator, and its per-sign scale is fixed on one row on first use.
@@ -45,7 +46,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add, sub
 
-from .arith import euler_phi, gamma0_index, is_prime, prime_divisors
+from .arith import euler_phi, gamma0_index, prime_divisors
 from .cyclotomic import CyclotomicNumber
 from .linalg import kernel, rref
 from .numfield import NFElement, _scalar_matrix
@@ -96,6 +97,7 @@ class P1List:
                     where[t * u % N * N + t * v % N] = i
         self.pairs = pairs
         self.where = where
+        self._successors = None
 
     def __len__(self):
         return len(self.pairs)
@@ -109,6 +111,34 @@ class P1List:
         if i < 0:
             raise ValueError(f"({u}:{v}) is not a point of P1(Z/{N})")
         return i
+
+    def successors(self):
+        """(nxt, state), built on first use: the continued-fraction step
+        (u : v) -> (d u + v : u), d the partial quotient, as one table.
+        (1 : t) has state t < N, the k-th point (u : v) with u not a unit
+        has state (2 + k) N, and state[i] is the state of point i.  From
+        state t the next one is nxt[d % N + t]: for s < 2N, nxt[s] is the
+        state of (s : 1), the inverse of s mod N when s is a unit; the N
+        entries from (2 + k) N on have period N / gcd(u, N).  At a prime
+        level the one other point is oo = (0 : 1), at 2N, its entries 0."""
+        if self._successors is None:
+            N, where = self.N, self.where
+            one = 1 % N
+            state, k = [], 2 * N
+            for u, v in self.pairs:
+                if u == one:
+                    state.append(v)
+                else:
+                    state.append(k)
+                    k += N
+            nxt = [state[where[s % N * N + one]] for s in range(2 * N)]
+            for u, v in self.pairs:
+                if u != one:
+                    m = N // gcd(u, N)
+                    nxt += [state[where[(d * u + v) % N * N + u]]
+                            for d in range(m)] * (N // m)
+            self._successors = (nxt, state)
+        return self._successors
 
 
 def lift_to_sl2(u: int, v: int, N: int) -> tuple[int, int, int, int]:
@@ -543,7 +573,7 @@ class SymbolPair:
         self.level = level
         self.label = label
         self._rows = {}
-        self._ratio = None
+        self._walk = None
 
     def evaluate(self, r, sign):
         return (self.plus if sign > 0 else self.minus).evaluate(r)
@@ -560,74 +590,31 @@ class SymbolPair:
         functional of star sign s has x_(u:-v) = s x_(u:v), so step k
         reads x_(q_k : q_(k-1)), added as is on the plus side and with
         sign (-1)^(k+1) on the minus side.  Step 0 is always (1:0); the
-        loop takes steps 2k+1 (sign +) and 2k+2 (sign -) per turn.  At a
-        prime level the walk keeps the ratio of the point (`_ratio_sums`),
-        at a composite level the point itself (`_flat_sums`)."""
+        loop takes steps 2k+1 (sign +) and 2k+2 (sign -) per turn.  The
+        walk's state is the point (q_k : q_(k-1)) in the successor table of
+        `P1List.successors`, the same at every level."""
         rows = self._rows.get(den)
         if rows is None:
-            sums = self._ratio_sums if is_prime(self.plus.space.N) else self._flat_sums
             rows = []
-            for h, phi in zip(sums(den), (self.plus, self.minus)):
+            for h, phi in zip(self._walk_sums(den), (self.plus, self.minus)):
                 tail = h[(den - 1) // 2:0:-1]  # a < den/2 down to 1, for den - a
                 rows.append(tuple(h + (tail if phi.sign > 0 else [-x for x in tail])))
             rows = self._rows[den] = tuple(rows)
         return rows[0] if sign > 0 else rows[1]
 
-    def _flat_sums(self, den):
-        """The path sums at a/den, a = 0..den/2, of both functionals, with
-        q_k and q_(k-1) kept mod N and x_(q_k : q_(k-1)) read at
-        flat[q_k N + q_(k-1)]."""
+    def _walk_sums(self, den):
+        """The path sums at a/den, a = 0..den/2, of both functionals: a
+        step is two list reads for the values and one for the next state.
+        The values are laid out by state on first use."""
         N = self.plus.space.N
-        fp, fm = self.plus._flat_values(), self.minus._flat_values()
-        one = 1 % N
-        first_p, first_m = fp[one * N], fm[one * N]  # step 0: x_(1:0)
-        hp, hm = [], []
-        for a in range(den // 2 + 1):
-            x, y, u, v = den, a, one, 0  # after step 0: q_0 = 1, q_(-1) = 0
-            sp, odd, even = first_p, 0, 0
-            while y:
-                v = (x // y * u + v) % N
-                x %= y
-                i = v * N + u
-                sp += fp[i]
-                odd += fm[i]
-                if not x:
-                    break
-                u = (y // x * v + u) % N
-                y %= x
-                i = u * N + v
-                sp += fp[i]
-                even += fm[i]
-            hp.append(sp)
-            hm.append(first_m + odd - even)
-        return hp, hm
-
-    def _ratio_tables(self):
-        """(nxt, vp, vm) for the ratio walk at prime N, kept on first use.
-
-        Over F_N the point (q_k : q_(k-1)) is (1 : t), t = q_(k-1)/q_k, or
-        oo = (0 : 1) when N | q_k, stored as t = 2N.  As q_(k+1) =
-        d q_k + q_(k-1), the next ratio is 1/(d + t), and 0 after oo:
-        nxt[d % N + t], with nxt[s] the inverse of s mod N for s < 2N (2N
-        for s = 0 mod N) and nxt[2N..3N-1] = 0.  vp[t] and vm[t] are the
-        functionals' values on (1 : t), and on oo at 2N."""
-        if self._ratio is None:
-            p1 = self.plus.space.p1
-            N = p1.N
-            inv = [2 * N] + [pow(s, -1, N) for s in range(1, N)]
-            points = [p1.index(1, t) for t in range(N)] * 2 + [p1.index(0, 1)]
-            self._ratio = (inv + inv + [0] * N,
-                           *([phi.generator_values()[i] for i in points]
-                             for phi in (self.plus, self.minus)))
-        return self._ratio
-
-    def _ratio_sums(self, den):
-        """The path sums at a/den, a = 0..den/2, of both functionals, with
-        the ratio t of each point as the walk's state: a step is two list
-        reads for the values and one for the next ratio."""
-        N = self.plus.space.N
-        nxt, vp, vm = self._ratio_tables()
-        first_p, first_m = vp[0], vm[0]  # step 0: x_(1:0), t = 0
+        nxt, state = self.plus.space.p1.successors()
+        if self._walk is None:
+            self._walk = [[0] * (max(state) + 1) for _ in range(2)]
+            for vals, phi in zip(self._walk, (self.plus, self.minus)):
+                for s, x in zip(state, phi.generator_values()):
+                    vals[s] = x
+        vp, vm = self._walk
+        first_p, first_m = vp[0], vm[0]  # step 0: x_(1:0), state 0
         hp, hm = [], []
         for a in range(den // 2 + 1):
             x, y, t = den, a, 0

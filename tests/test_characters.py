@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 
 from iwrank.characters import (
+    MAX_MODULUS,
     DirichletCharacter,
     all_characters,
     kronecker,
@@ -159,6 +160,17 @@ def test_descriptor_round_trip():
     assert parse_descriptor("mod=9;gens=2:1;ord=6").order == 6
     with pytest.raises((ValueError, KeyError)):
         parse_descriptor("nonsense!!")
+
+
+def test_descriptor_modulus_bound():
+    # the bound is checked on the parsed integer, before any factoring:
+    # these would be trial divisions of 19 digits, or tables of 10^8 slots
+    assert parse_descriptor(f"triv{MAX_MODULUS}").modulus == MAX_MODULUS
+    for text in (f"triv{MAX_MODULUS + 1}", "triv100000007", f"quad-{MAX_MODULUS + 3}",
+                 "teich1000000000000000003", "teich1000000000000000003^2",
+                 "mod=1000000000000000003;gens=;ord=1"):
+        with pytest.raises(ValueError, match=f"above the bound {MAX_MODULUS}"):
+            parse_descriptor(text)
 
 
 def test_gauss_sum_quadratic():

@@ -221,6 +221,11 @@ def test_exceptional_zero(form, p, capsys):
     ["verify-example", "1", "--prime", "11", "--precision", "8,7"],
     ["eisenstein", "--weight", "1", "--char", "triv1", "--char", "quad-3",
      "--terms", "-3"],
+    # moduli above characters.MAX_MODULUS: refused before any factoring
+    ["chars", "--char", "triv1000000007"],
+    ["chars", "--char", "teich1000000000000000003"],
+    ["padic-l", "--newform", "11.2.a.a", "--prime", "5",
+     "--char", "mod=1000000000000000003;gens=;ord=1"],
 ])
 def test_config_errors(argv, capsys):
     assert main(argv) == 2

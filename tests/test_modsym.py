@@ -4,6 +4,7 @@ from math import gcd, lcm
 
 import pytest
 
+from iwrank.arith import is_prime
 from iwrank.characters import DirichletCharacter
 from iwrank.modsym import (
     EigenspaceError,
@@ -425,6 +426,39 @@ def test_evaluate_row_matches_evaluate(name, request):
                            for a in range(den)), (den, sign)
             assert [type(x) for x in row] == [type(x) for x in want]
             assert sym.evaluate_row(den, sign) is row
+
+
+def _seeded_pair(N, seed):
+    """Both signs of a random functional that satisfies the relations at
+    level N: x = vectors . c for random c, then y_i = x_i +- x_(star i)."""
+    space = ModularSymbolSpace(N)
+    rng = random.Random(seed)
+    c = [rng.randint(-9, 9) for _ in range(space.dim)]
+    x = [sum(a * b for a, b in zip(v, c)) for v in space.vectors]
+    star = [space.p1.index(-u, v) for u, v in space.p1.pairs]
+    return SymbolPair(*(SymbolFunctional(space, s, [xi + s * x[j] for xi, j in zip(x, star)])
+                        for s in (1, -1)), N)
+
+
+@pytest.mark.parametrize("N", list(range(1, 81)) + [121, 125, 128, 210, 243])
+def test_one_walk_at_every_level(N):
+    # prime, prime-power and composite levels walk the same successor
+    # table, and their rows are the single-point path sums
+    pair = _seeded_pair(N, seed=N)
+    dens = (1, 2, 7, 25, 64, 97, 360, 1001)
+    rows = {(den, s): pair.evaluate_row(den, s) for den in dens for s in (1, -1)}
+    assert pair.plus._flat is None and pair.minus._flat is None
+    nxt, state = pair.plus.space.p1.successors()
+    if is_prime(N):
+        # (1 : t) at t, oo at 2N: inverses mod N, then the N zeros after oo
+        inv = [2 * N] + [pow(s, -1, N) for s in range(1, N)]
+        assert nxt == inv + inv + [0] * N
+    assert sorted(state) == list(range(N)) + [k * N for k in range(2, len(state) - N + 2)]
+    for phi in (pair.plus, pair.minus):
+        flat = phi._flat_values()
+        for den in dens:
+            want = tuple(_path_sum(flat, N, a, den) for a in range(den))
+            assert rows[den, phi.sign] == want, (den, phi.sign)
 
 
 def test_twisted_tables(twisted11):

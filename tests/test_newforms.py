@@ -216,6 +216,17 @@ def _charpoly(nums, den, field):
 
 # x^2 - 5, and x^3 - 4x - 8 and x^4 - 8x - 16, whose root x is twice one
 # of x^3 - x - 1 and x^4 - x - 1, so that x/2 is an algebraic integer
+def test_huge_nebentypus_modulus_fails_at_load(tmp_path, capsys):
+    payload = _bundled_payload("11.2.a.a")
+    payload["nebentypus"] = "triv1000000000000000003"
+    with pytest.raises(IngestionError, match="modulus 1000000000000000003 is above the bound"):
+        NewformData.from_dict(payload)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(payload))
+    assert cli.main(["congruence", "--newform", str(path), "--prime", "5"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot ingest newform file {path}: ")
+
+
 @pytest.mark.parametrize("poly", [(-5, 0, 1), (-8, -4, 0, 1), (-16, -8, 0, 0, 1)])
 def test_integrality_is_that_of_the_characteristic_polynomial(poly):
     field, d = NumberField(poly), len(poly) - 1

@@ -18,6 +18,9 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "iwrank")
 sys.path.insert(0, os.path.join(ROOT, "src"))
+# the in-process import would leave .pyc files in the tree, and a timed
+# set-up that later reads them no longer times compilation
+sys.dont_write_bytecode = True
 
 
 def readme_runs():
