@@ -3,13 +3,16 @@ Hecke images, eigenfunctionals and the cuspidal restriction.
 
 Usage: python benchmarks/bench_modsym.py [--repeat N]
 
-For each level N it times `iwrank.modsym.P1List(N)` (the flat point
-table), `iwrank.modsym.build_space(N)` (the table, the sparse quotient
-and the dimension check), the Hecke images T_2, T_3, T_5, T_7 together
-on a fresh space, and one rational `eigen_functional` (plus sign, the
-T_ell eigenvalue in `TARGETS`).  It prints the best of `--repeat` rounds
-together with |P^1(Z/N)| and the quotient dimension; the last column is
-Hecke plus eigenfunctional as a multiple of the build.
+For each level N it times `iwrank.modsym.P1List(N)` (the points and
+their divisor index), `iwrank.modsym.build_space(N)` (the index, the
+sparse quotient and the dimension check), the Hecke images T_2, T_3,
+T_5, T_7 together on a fresh space, and, at the levels in `TARGETS`, one
+rational `eigen_functional` (plus sign, the T_ell eigenvalue there).  It
+prints the best of `--repeat` rounds together with |P^1(Z/N)| and the
+quotient dimension; `/build` is Hecke plus eigenfunctional as a multiple
+of the build, and `peak` the most memory that Python allocations (per
+`tracemalloc`) held at once in one untimed build of the space and its
+four Hecke images.
 
 Then it times `restrict_to_cuspidal(T_2)` at the levels in `CUSPIDAL`
 (the boundary kernel, the images of its basis and the check that they
@@ -19,15 +22,17 @@ stay cuspidal), and the plus eigenfunctional of 23.2.a over Q(sqrt 5)
 
 import argparse
 import time
+import tracemalloc
 from fractions import Fraction
 
 from iwrank import modsym
 from iwrank.numfield import NumberField
 
-LEVELS = (52, 389, 997)
+LEVELS = (52, 389, 997, 2003, 4001)
 HECKE = (2, 3, 5, 7)
-# (ell, a_ell) cutting a line out of each level's plus space: the bundled
-# 52.2.a.a at 5, and rational newforms of levels 389 and 997 at 2
+# (ell, a_ell) cutting a line out of a level's plus space: the bundled
+# 52.2.a.a at 5, and rational newforms of levels 389 and 997 at 2 (none is
+# given at 2003 and 4001, which time no eigenfunctional)
 TARGETS = {52: (5, 2), 389: (2, -2), 997: (2, 0)}
 CUSPIDAL = (52, 389)
 
@@ -52,6 +57,19 @@ def hecke_on_fresh_space(N):
     return time.perf_counter() - t0
 
 
+def peak_mb(N):
+    """Peak traced memory, in MB, of building the space at N and its
+    Hecke images T_2, T_3, T_5, T_7."""
+    tracemalloc.start()
+    try:
+        space = modsym.build_space(N)
+        for ell in HECKE:
+            space.hecke_images(ell)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeat", type=int, default=5,
@@ -59,18 +77,20 @@ def main():
     args = ap.parse_args()
 
     print(f"{'N':>5} {'|P1|':>6} {'dim':>5} {'P1List':>10} {'build_space':>12} "
-          f"{'T2,3,5,7':>10} {'eigen':>10} {'/build':>7}")
+          f"{'T2,3,5,7':>10} {'eigen':>10} {'/build':>7} {'peak':>9}")
     for N in LEVELS:
         space = modsym.build_space(N)
         tp = best_time(lambda: modsym.P1List(N), args.repeat)
         tb = best_time(lambda: modsym.build_space(N), args.repeat)
         th = min(hecke_on_fresh_space(N) for _ in range(args.repeat))
-        ell, a = TARGETS[N]
-        te = best_time(lambda: modsym.eigen_functional(space, [(ell, a)], +1),
-                       args.repeat)
+        eigen = ratio = "-"
+        if N in TARGETS:
+            te = best_time(lambda: modsym.eigen_functional(space, [TARGETS[N]], +1),
+                           args.repeat)
+            eigen, ratio = f"{te * 1e3:.1f}ms", f"{(th + te) / tb:.2f}"
         print(f"{N:>5} {len(space.p1):>6} {space.dim:>5} "
-              f"{tp * 1e3:>8.1f}ms {tb * 1e3:>10.1f}ms "
-              f"{th * 1e3:>8.1f}ms {te * 1e3:>8.1f}ms {(th + te) / tb:>7.2f}")
+              f"{tp * 1e3:>8.2f}ms {tb * 1e3:>10.1f}ms "
+              f"{th * 1e3:>8.1f}ms {eigen:>10} {ratio:>7} {peak_mb(N):>7.2f}MB")
 
     print()
     for N in CUSPIDAL:

@@ -5,14 +5,17 @@ Merel matrices, eigen-functional extraction over an exact coefficient field,
 evaluation at rationals along continued-fraction (unimodular) paths, and
 Birch-sum character twisting.
 
-The points of P^1(Z/N) sit in one flat table indexed by (u mod N, v mod N),
-so locating a symbol is a single lookup.  The relation quotient is built
-sparsely: the 2-term relations x + Sx = 0 pair the symbols off (an S-fixed
-symbol is 0), one 3-term relation x + Tx + T^2x = 0 per T-orbit is written
-over the pair representatives, and the sparse integer Gauss-Jordan
-elimination of `linalg` finishes the job.  See Cremona, *Algorithms for
-Modular Elliptic Curves* (1997), section 2.2, and Stein, *Modular Forms:
-A Computational Approach* (2007), chapters 3 and 8.
+A point (u:v) of P^1(Z/N) is found through its first entry: a unit t
+with t u = g = gcd(u, N) turns it into (g : t v), and one table of N
+entries per divisor g of N maps t v to the point's index (for a unit u
+that index is 1 + v/u), so the index holds N d(N) entries, not N^2.  The
+relation quotient is built sparsely: the 2-term relations x + Sx = 0
+pair the symbols off (an S-fixed symbol is 0), one 3-term relation
+x + Tx + T^2x = 0 per T-orbit is written over the pair representatives,
+and the sparse integer Gauss-Jordan elimination of `linalg` finishes the
+job.  See Cremona, *Algorithms for Modular Elliptic Curves* (1997),
+section 2.2, and Stein, *Modular Forms: A Computational Approach*
+(2007), chapters 3 and 8 (section 8.7 for P^1(Z/N)).
 
 The quotient is kept as integer rows over one denominator `den`: the
 vector of each Manin symbol, the Hecke images and the star images are all
@@ -26,6 +29,9 @@ of ints.  Every kernel here is read off that one elimination
 (`linalg.rref`, then `linalg.kernel`): the quotient, the cuspidal
 subspace (the kernel of the boundary map) and the eigenfunctionals, whose
 number-field systems are first written over Q by restriction of scalars.
+An eigenfunctional's system is its star rows, reduced first, and the
+Hecke rows of only the columns that lead no reduced star row: the others
+add nothing on the sign eigenspace, as T_l commutes with star.
 
 The p-adic layer reads values as rows: `evaluate_row(den, sign)` holds the
 values at a/den for a = 0..den-1, one continued-fraction walk per a <=
@@ -74,30 +80,49 @@ def _xgcd(a, b):
 
 class P1List:
     """The points of P^1(Z/N), each as the least pair (u, v) of its orbit
-    under the units (so u divides N), sorted, with a flat lookup table:
-    `where[(u % N) * N + v % N]` is the index of the point (u:v), or -1
-    when (u, v) is not a point."""
+    under the units, sorted: (0, 1), then (1, v) for every v, then for
+    each divisor 1 < g < N the pairs (g, v) with v least in its orbit
+    under the units s = 1 mod N/g.
+
+    The index is a table per divisor, not per pair.  `norm[u]` is a unit
+    t with t u = gcd(u, N) mod N (the inverse when u is a unit), so (u:v)
+    is the point (g : t v) with g = gcd(u, N), and `table[u]`, shared by
+    every u of that gcd, maps t v to the index of (g : t v), or to -1
+    when (u, v) is not a point: 1 + t v for a unit u, 0 for a unit t v
+    when u = 0.  That is N entries per divisor of N."""
 
     def __init__(self, N: int):
         self.N = N
-        units = [t for t in range(1, N) if gcd(t, N) == 1] or [0]
-        where = [-1] * (N * N)
-        pairs = []
-        # In lexicographic order, the first cell of each unit orbit is the
-        # orbit's minimum, i.e. its canonical form; pairs come out sorted.
-        for u in range(N):
-            gu = gcd(u, N)
-            row = u * N
-            for v in range(N):
-                if where[row + v] >= 0 or gcd(gu, v) != 1:
-                    continue
-                i = len(pairs)
-                pairs.append((u, v))
-                for t in units:
-                    where[t * u % N * N + t * v % N] = i
-        self.pairs = pairs
-        self.where = where
         self._successors = None
+        if N == 1:
+            self.pairs, self.norm, self.table = [(0, 0)], [0], [[0]]
+            return
+        units = [t for t in range(1, N) if gcd(t, N) == 1]
+        norm, at_zero = [1] * N, [-1] * N
+        for t in units:
+            norm[t], at_zero[t] = pow(t, -1, N), 0
+        table = [at_zero] + [list(range(1, N + 1))] * (N - 1)
+        pairs = [(0, 1)] + [(1, v) for v in range(N)]
+        for g in range(2, N):
+            if N % g:
+                continue
+            m = N // g
+            # the stabilizer of g acts freely on the v prime to g, so the
+            # first v met of each orbit is its least
+            stab = [s for s in units if s % m == 1]
+            at_g = [-1] * N
+            for v in range(N):
+                if at_g[v] < 0 and gcd(v, g) == 1:
+                    at_g[v] = i = len(pairs)
+                    pairs.append((g, v))
+                    for s in stab:
+                        at_g[s * v % N] = i
+            for t in units:
+                u = t * g % N
+                norm[u], table[u] = norm[t], at_g
+        self.pairs = pairs
+        self.norm = norm
+        self.table = table
 
     def __len__(self):
         return len(self.pairs)
@@ -107,7 +132,7 @@ class P1List:
 
     def index(self, u: int, v: int) -> int:
         N = self.N
-        i = self.where[u % N * N + v % N]
+        i = self.table[u % N][self.norm[u % N] * v % N]
         if i < 0:
             raise ValueError(f"({u}:{v}) is not a point of P1(Z/{N})")
         return i
@@ -122,7 +147,7 @@ class P1List:
         entries from (2 + k) N on have period N / gcd(u, N).  At a prime
         level the one other point is oo = (0 : 1), at 2N, its entries 0."""
         if self._successors is None:
-            N, where = self.N, self.where
+            N, norm, table = self.N, self.norm, self.table
             one = 1 % N
             state, k = [], 2 * N
             for u, v in self.pairs:
@@ -131,12 +156,20 @@ class P1List:
                 else:
                     state.append(k)
                     k += N
-            nxt = [state[where[s % N * N + one]] for s in range(2 * N)]
+            nxt = [state[table[s][norm[s]]] for s in range(N)] * 2
+            rows = {}  # rows[u][w]: the state of (w : u), read for w prime to u
             for u, v in self.pairs:
-                if u != one:
-                    m = N // gcd(u, N)
-                    nxt += [state[where[(d * u + v) % N * N + u]]
-                            for d in range(m)] * (N // m)
+                if u == one:
+                    continue
+                if u == 0:  # oo = (0 : 1) goes to (1 : 0), of state 0
+                    nxt += [0] * N
+                    continue
+                if u not in rows:
+                    rows[u] = [state[table[w][norm[w] * u % N]] for w in range(N)]
+                # u divides N: (d u + v : u) for d < N/u, the w = v mod u
+                # from v on, and the block repeats them u times
+                col = rows[u][v % u::u]
+                nxt += (col[v // u:] + col[:v // u]) * u
             self._successors = (nxt, state)
         return self._successors
 
@@ -291,14 +324,16 @@ class ModularSymbolSpace:
         if out is not None:
             return out
         mats = merel_matrices(n)
-        where, N, vectors = self.p1.where, self.N, self.vectors
+        norm, table, N, vectors = self.p1.norm, self.p1.table, self.N, self.vectors
         out = []
         for col in self.basis_cols:
             u, v = self.p1.pairs[col]
-            hits = [vectors[i] for i in
-                    (where[(u * a + v * c) % N * N + (u * b + v * d) % N]
-                     for a, b, c, d in mats)
-                    if i >= 0]  # i < 0: not a point of P^1
+            hits = []
+            for a, b, c, d in mats:
+                x = (u * a + v * c) % N
+                i = table[x][norm[x] * (u * b + v * d) % N]
+                if i >= 0:  # i < 0: not a point of P^1
+                    hits.append(vectors[i])
             out.append([sum(x) for x in zip(*hits)] if hits else [0] * self.dim)
         self._hecke[n] = out
         return out
@@ -399,7 +434,7 @@ class SymbolFunctional:
         self.space = space
         self.sign = sign
         self._values = list(values)
-        self._flat = None
+        self._by_state = None
         self._cache = {}
 
     def generator_values(self):
@@ -410,41 +445,45 @@ class SymbolFunctional:
         """The values on the basis symbols: the functional's coordinates."""
         return [self._values[c] for c in self.space.basis_cols]
 
-    def _flat_values(self):
-        """The generator values laid out like the P^1 table: x_(u:v) at
-        (u % N) * N + v % N."""
-        if self._flat is None:
-            vals = self.generator_values()
-            self._flat = [vals[i] if i >= 0 else None
-                          for i in self.space.p1.where]
-        return self._flat
+    def values_by_state(self):
+        """The generator values laid out by the states of
+        `P1List.successors`, 0 at the states of no point; built on first
+        use."""
+        if self._by_state is None:
+            state = self.space.p1.successors()[1]
+            self._by_state = [0] * (max(state) + 1)
+            for s, x in zip(state, self._values):
+                self._by_state[s] = x
+        return self._by_state
 
     def evaluate(self, r):
         """Value on {oo -> r} by summing generator symbols along the
-        continued-fraction convergents of r."""
+        continued-fraction convergents of r: the walk of
+        `SymbolPair.evaluate_row` for one entry and one sign."""
         r = Fraction(r)
         key = (r.numerator % r.denominator, r.denominator)
         hit = self._cache.get(key)
         if hit is None:
-            hit = _as_fraction(_path_sum(self._flat_values(), self.space.N, *key))
-            self._cache[key] = hit
+            hit = self._cache[key] = _as_fraction(self._walk_sum(*key))
         return hit
 
-
-def _path_sum(flat, N, a, b):
-    """Value on {oo -> a/b}, 0 <= a < b (not necessarily coprime): the sum
-    of x_(q_k : (-1)^(k+1) q_(k-1)) over the continued-fraction convergents
-    p_k/q_k of a/b, with flat[(u % N) * N + v % N] = x_(u:v)."""
-    acc = 0
-    q0, q1 = 1, 0  # q_(k-2), q_(k-1)
-    s = -1
-    while b:
-        d = a // b
-        a, b = b, a - d * b
-        q0, q1 = q1, d * q1 + q0
-        acc += flat[q1 % N * N + s * q0 % N]
-        s = -s
-    return acc
+    def _walk_sum(self, a, den):
+        """The path sum at a/den, 0 <= a < den."""
+        N = self.space.N
+        nxt = self.space.p1.successors()[0]
+        vals = self.values_by_state()
+        x, y, t = den, a, 0
+        odd, even = 0, 0
+        while y:
+            t = nxt[x // y % N + t]
+            x %= y
+            odd += vals[t]
+            if not x:
+                break
+            t = nxt[y // x % N + t]
+            y %= x
+            even += vals[t]
+        return vals[0] + odd + even if self.sign > 0 else vals[0] + odd - even
 
 
 def _as_fraction(v):
@@ -493,28 +532,18 @@ def eigen_functional(space, targets, sign):
     """
     field = next((a.field for _, a in targets if isinstance(a, NFElement)), None)
     deg = 1 if field is None else field.degree
-    den = space.den
-    # Phi(M e_j) = a Phi(e_j) for each operator M and eigenvalue a: row
-    # (j, t) is the x^t coefficient of d (M[j] - a den e_j), on the
+    # Phi(M e_j) = a Phi(e_j) for each operator M and eigenvalue a, on the
     # unknowns x^i of K-coordinate k at column k deg + i.  The sparse star
-    # rows go first, so the dense Hecke rows meet each other only on the
-    # sign eigenspace (3-5 times faster at N = 389 and 997).
-    systems = [(space.star_images(), sign)]
-    systems += [(space.hecke_images(ell), a) for ell, a in targets]
-    rows = []
-    for imgs, a in systems:
-        d, mult = _scalar_matrix(a, field)
-        for j, img in enumerate(imgs):
-            for t, mrow in enumerate(mult):
-                row = {k * deg + t: d * x for k, x in enumerate(img) if x}
-                for i, m in enumerate(mrow):
-                    c = j * deg + i
-                    x = row.get(c, 0) - m * den
-                    if x:
-                        row[c] = x
-                    else:
-                        row.pop(c, None)
-                rows.append(row)
+    # rows are reduced first.  Hecke rows are built only for the columns j
+    # that lead no star row: T_l commutes with star, so for Phi of sign s
+    # the functional Phi (T_l - a_l) has sign s too, and it vanishes once
+    # it vanishes at those columns.  The system keeps its solutions, so
+    # its reduced form and kernel, with about half the dense rows.
+    star = rref(_eigen_rows(space.star_images(), sign, field, space.den, range(space.dim)))
+    hecke_cols = [j for j in range(space.dim) if j * deg not in star]
+    rows = list(star.values())
+    for ell, a in targets:
+        rows += _eigen_rows(space.hecke_images(ell), a, field, space.den, hecke_cols)
     free, _, basis = kernel(rref(rows), range(space.dim * deg))
     _check_eigenspace(space, sign, len(free) // deg)
     # the first free column is x^0 of a K-coordinate, whose other x^i are
@@ -532,6 +561,27 @@ def eigen_functional(space, targets, sign):
         return SymbolFunctional(space, sign, [x // g for x in coeffs[0]])
     return SymbolFunctional(space, sign, [NFElement(field, [x // g for x in value], 1)
                                           for value in zip(*coeffs)])
+
+
+def _eigen_rows(imgs, a, field, den, cols):
+    """The rows of Phi(M e_j) = a Phi(e_j) for j in cols, imgs[j] the
+    integer row of M e_j over den: row (j, t) is the x^t coefficient of
+    d (M[j] - a den e_j)."""
+    deg = 1 if field is None else field.degree
+    d, mult = _scalar_matrix(a, field)
+    rows = []
+    for j in cols:
+        for t, mrow in enumerate(mult):
+            row = {k * deg + t: d * x for k, x in enumerate(imgs[j]) if x}
+            for i, m in enumerate(mrow):
+                c = j * deg + i
+                x = row.get(c, 0) - m * den
+                if x:
+                    row[c] = x
+                else:
+                    row.pop(c, None)
+            rows.append(row)
+    return rows
 
 
 def _check_eigenspace(space, sign, dim):
@@ -573,7 +623,6 @@ class SymbolPair:
         self.level = level
         self.label = label
         self._rows = {}
-        self._walk = None
 
     def evaluate(self, r, sign):
         return (self.plus if sign > 0 else self.minus).evaluate(r)
@@ -586,8 +635,10 @@ class SymbolPair:
         the star involution gives x(1 - r) = x(-r) = s x(r) for the other
         half (s the functional's star sign).
 
-        The walk is `_path_sum` with the signs taken out of the index: a
-        functional of star sign s has x_(u:-v) = s x_(u:v), so step k
+        The path sum at a/den adds x_(q_k : (-1)^(k+1) q_(k-1)) over the
+        continued-fraction convergents p_k/q_k of a/den.  The walk takes
+        the signs out of the index: a functional of star sign s has
+        x_(u:-v) = s x_(u:v), so step k
         reads x_(q_k : q_(k-1)), added as is on the plus side and with
         sign (-1)^(k+1) on the minus side.  Step 0 is always (1:0); the
         loop takes steps 2k+1 (sign +) and 2k+2 (sign -) per turn.  The
@@ -604,16 +655,10 @@ class SymbolPair:
 
     def _walk_sums(self, den):
         """The path sums at a/den, a = 0..den/2, of both functionals: a
-        step is two list reads for the values and one for the next state.
-        The values are laid out by state on first use."""
+        step is two list reads for the values and one for the next state."""
         N = self.plus.space.N
-        nxt, state = self.plus.space.p1.successors()
-        if self._walk is None:
-            self._walk = [[0] * (max(state) + 1) for _ in range(2)]
-            for vals, phi in zip(self._walk, (self.plus, self.minus)):
-                for s, x in zip(state, phi.generator_values()):
-                    vals[s] = x
-        vp, vm = self._walk
+        nxt = self.plus.space.p1.successors()[0]
+        vp, vm = self.plus.values_by_state(), self.minus.values_by_state()
         first_p, first_m = vp[0], vm[0]  # step 0: x_(1:0), state 0
         hp, hm = [], []
         for a in range(den // 2 + 1):

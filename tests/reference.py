@@ -158,6 +158,23 @@ def p1_normalize(N: int, u: int, v: int) -> tuple[int, int]:
     return g, v
 
 
+def path_sum(flat, N, a, b):
+    """Value on {oo -> a/b}, 0 <= a < b (not necessarily coprime): the sum
+    of x_(q_k : (-1)^(k+1) q_(k-1)) over the continued-fraction convergents
+    p_k/q_k of a/b, with flat[(u % N) * N + v % N] = x_(u:v).  The oracle
+    of the successor-table walks of `modsym`."""
+    acc = 0
+    q0, q1 = 1, 0  # q_(k-2), q_(k-1)
+    s = -1
+    while b:
+        d = a // b
+        a, b = b, a - d * b
+        q0, q1 = q1, d * q1 + q0
+        acc += flat[q1 % N * N + s * q0 % N]
+        s = -s
+    return acc
+
+
 def padic_log(u: int, p: int, abs_prec: int) -> PadicSeries:
     """log of a 1-unit known mod p^abs_prec (p odd), as a one-term series
     mod the digits it keeps, by its power series.  The oracle of

@@ -75,8 +75,6 @@ def test_example1_walks_the_pair_once():
     sym = build_example(1)["sym"]
     pair = sym.pair
     assert list(pair._rows) == [2783]
-    # the walk reads the successor table, no flat table
-    assert pair.plus._flat is None and pair.minus._flat is None
     for s in (1, -1):
         assert sym.evaluate_row(11, s) == sym.evaluate_row(121, s)[::11]
         assert all(type(x) is int for x in sym.evaluate_row(121, s))

@@ -13,7 +13,6 @@ from iwrank.modsym import (
     SymbolFunctional,
     SymbolPair,
     TwistedSymbol,
-    _path_sum,
     eigen_functional,
     functional_eigenvalue,
     genus_gamma0,
@@ -21,9 +20,10 @@ from iwrank.modsym import (
     merel_matrices,
     num_cusps,
 )
+from iwrank.newforms import bundled
 from iwrank.numfield import NumberField
 import reference
-from reference import p1_normalize, right_kernel, rref
+from reference import p1_normalize, path_sum, right_kernel, rref
 
 F = Fraction
 
@@ -110,6 +110,52 @@ def test_p1_table_matches_normalize():
                 points.add(canon)
                 assert pl[pl.index(u, v)] == canon, (N, u, v)
         assert pl.pairs == sorted(points), N
+
+
+@pytest.mark.parametrize("levels", [range(61, 301), range(301, 601), (997, 2003, 4001)],
+                         ids=["61-300", "301-600", "997-4001"])
+def test_p1_index_matches_normalize_sampled(levels):
+    # past the exhaustive range: seeded pairs, half of them with a first
+    # entry sharing a factor with N, so that non-points are drawn too
+    rng = random.Random(levels[0])
+    for N in levels:
+        pl = P1List(N)
+        divisors = [g for g in range(2, N) if N % g == 0] or [N]
+        for _ in range(60):
+            u = rng.choice(divisors) * rng.randrange(N) if rng.random() < 0.5 \
+                else rng.randrange(-N, 2 * N)
+            v = rng.randrange(-N, 2 * N)
+            try:
+                canon = p1_normalize(N, u, v)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    pl.index(u, v)
+                continue
+            assert pl[pl.index(u, v)] == canon, (N, u, v)
+
+
+def test_p1_pairs_and_successors_match_normalize():
+    # the points are the canonical forms of the pairs (g, v), g a divisor
+    # of N or 0; the successor of (u : v) by d is (d u + v : u), the same
+    # point as (u' : v') exactly when u' u - v' (d u + v) = 0 mod N
+    for N in range(1, 201):
+        pl = P1List(N)
+        firsts = [0] + [g for g in range(1, N + 1) if N % g == 0]
+        points = set()
+        for g in firsts:
+            for v in range(N):
+                try:
+                    points.add(p1_normalize(N, g, v))
+                except ValueError:
+                    pass
+        assert pl.pairs == sorted(points), N
+        nxt, state = pl.successors()
+        point_at = dict(zip(state, pl.pairs))
+        assert len(point_at) == len(state) and len(nxt) == 2 * N + N * sum(
+            1 for u, _ in pl.pairs if u != 1 % N), N
+        for s, (u, v) in zip(state, pl.pairs):
+            assert all((x * u - y * (d * u + v)) % N == 0 for d, (x, y) in
+                       enumerate(map(point_at.__getitem__, nxt[s:s + N]))), (N, u, v)
 
 
 def test_relations_and_star(sp23):
@@ -279,6 +325,33 @@ def test_field_functionals_match_dense_oracle(sp23, root_sign):
         assert all(type(v) is type(a2) for v in got)
 
 
+def _hecke_defects(phi, ell, a):
+    """The basis columns j at which Phi(T_l e_j) = a Phi(e_j) fails."""
+    sp, w = phi.space, phi.coords
+    return [j for j, img in enumerate(sp.hecke_images(ell))
+            if sum((x * c for x, c in zip(img, w) if x), 0) != a * sp.den * w[j]]
+
+
+@pytest.mark.parametrize("label,ell", [("11.2.a.a", 2), ("19.2.a.a", 2),
+                                       ("52.2.a.a", 5), ("23.2.a", 2)])
+def test_eigen_relation_at_columns_without_hecke_rows(label, ell):
+    # eigen_functional builds Hecke rows only at the columns that lead no
+    # reduced star row; the eigen-relation holds at the others as well,
+    # for every T_l, and a wrong a_l breaks it
+    form = bundled(label)
+    sp = ModularSymbolSpace(form.level)
+    for sign in (1, -1):
+        star = [[F(x, sp.den) - sign * (k == j) for k, x in enumerate(img)]
+                for j, img in enumerate(sp.star_images())]
+        _, dropped = rref(star)
+        assert dropped, (label, sign)
+        phi = eigen_functional(sp, [(ell, form.a(ell))], sign)
+        for q in (2, 3, 5, 7):
+            assert _hecke_defects(phi, q, form.a(q)) == [], (label, sign, q)
+        q = next(q for q in (2, 3, 5, 7) if form.a(q) != 0)
+        assert _hecke_defects(phi, q, -form.a(q)), (label, sign, q)
+
+
 def test_cuspidal_subspace_matches_dense_oracle():
     for N in range(2, 120):
         sp = ModularSymbolSpace(N)
@@ -395,6 +468,20 @@ def pair3():
     return _genus0_pair(3)
 
 
+def _flat_values(phi):
+    """The generator values laid out for `reference.path_sum`: x_(u:v) at
+    u N + v for 0 <= u, v < N, None where (u, v) is not a point."""
+    p1, vals = phi.space.p1, phi.generator_values()
+    flat = []
+    for u in range(p1.N):
+        for v in range(p1.N):
+            try:
+                flat.append(vals[p1.index(u, v)])
+            except ValueError:
+                flat.append(None)
+    return flat
+
+
 @pytest.mark.parametrize("name", ["pair2", "pair3", "pair11", "pair19", "pair52",
                                   "field_pair23", "twisted11", "teich_twisted11"])
 def test_evaluate_row_matches_evaluate(name, request):
@@ -402,7 +489,7 @@ def test_evaluate_row_matches_evaluate(name, request):
     if isinstance(sym, SymbolPair):
         # the row walk reads x_(u:-v) as s x_(u:v), s the star sign
         for phi in (sym.plus, sym.minus):
-            flat, N = phi._flat_values(), phi.space.N
+            flat, N = _flat_values(phi), phi.space.N
             for i, x in enumerate(flat):
                 u, v = divmod(i, N)
                 if x is not None:
@@ -420,8 +507,9 @@ def test_evaluate_row_matches_evaluate(name, request):
             if isinstance(sym, SymbolPair):
                 # raw path sums, mirrored by the star involution
                 phi = sym.plus if sign > 0 else sym.minus
-                flat, N = phi._flat_values(), phi.space.N
-                want = tuple(_path_sum(flat, N, a, den) for a in range(den))
+                flat, N = _flat_values(phi), phi.space.N
+                want = tuple(path_sum(flat, N, a, den) for a in range(den))
+                assert row == want, (den, sign)
                 assert all(row[(den - a) % den] == sign * row[a]
                            for a in range(den)), (den, sign)
             assert [type(x) for x in row] == [type(x) for x in want]
@@ -447,7 +535,6 @@ def test_one_walk_at_every_level(N):
     pair = _seeded_pair(N, seed=N)
     dens = (1, 2, 7, 25, 64, 97, 360, 1001)
     rows = {(den, s): pair.evaluate_row(den, s) for den in dens for s in (1, -1)}
-    assert pair.plus._flat is None and pair.minus._flat is None
     nxt, state = pair.plus.space.p1.successors()
     if is_prime(N):
         # (1 : t) at t, oo at 2N: inverses mod N, then the N zeros after oo
@@ -455,9 +542,9 @@ def test_one_walk_at_every_level(N):
         assert nxt == inv + inv + [0] * N
     assert sorted(state) == list(range(N)) + [k * N for k in range(2, len(state) - N + 2)]
     for phi in (pair.plus, pair.minus):
-        flat = phi._flat_values()
+        flat = _flat_values(phi)
         for den in dens:
-            want = tuple(_path_sum(flat, N, a, den) for a in range(den))
+            want = tuple(path_sum(flat, N, a, den) for a in range(den))
             assert rows[den, phi.sign] == want, (den, phi.sign)
 
 
