@@ -1,5 +1,6 @@
 """Trial-division arithmetic of small integers: factorization, prime
-divisors, Euler's phi, the index of Gamma_0(N) and primality.
+divisors, Euler's phi, the index of Gamma_0(N) and primality, and the
+value of an integer polynomial modulo m.
 
 The numbers factored here are levels, moduli, character orders and p - 1,
 so trial division up to the square root is all that is needed.
@@ -42,6 +43,14 @@ def gamma0_index(N: int) -> int:
     for r in prime_divisors(N):
         N = N // r * (r + 1)
     return N
+
+
+def poly_eval_mod(coeffs, x: int, m: int) -> int:
+    """sum coeffs[i] x^i mod m, for integer coefficients low degree first."""
+    out = 0
+    for c in reversed(coeffs):
+        out = (out * x + c) % m
+    return out
 
 
 def is_prime(n: int) -> bool:

@@ -34,7 +34,7 @@ from .examples import (
 )
 from .iwasawa import PadicSeries, UndeterminedInvariants, ideal_mod_pi, mu_lambda
 from .modsym import twist_symbol
-from .newforms import IngestionError, NewformData, _prime_to_p, bundled, bundled_labels
+from .newforms import IngestionError, NewformData, bundled, bundled_labels
 from .padic_l import (
     OrdinarityError,
     branch_family,
@@ -43,7 +43,7 @@ from .padic_l import (
     format_report,
     product_congruence_verdict,
 )
-from .padics import PadicPrecisionError
+from .padics import PadicPrecisionError, padic_valuation
 from .qseries import check_congruence, eisenstein_series, sigma0_and_m
 
 
@@ -100,12 +100,9 @@ def _precision(args):
 
 def _wild_level(args, p):
     """n with D = p^n, D the series length; the branch series need it."""
-    d = D = _precision(args)[1]
-    n = 0
-    while d % p == 0:
-        d //= p
-        n += 1
-    if d != 1 or n < 1:
+    D = _precision(args)[1]
+    n = padic_valuation(D, p)
+    if D != p**n or n < 1:
         raise ConfigError(f"series length {D} is not a power of {p}")
     return n
 
@@ -221,7 +218,7 @@ def cmd_congruence(args):
         bound, _, g, m, dep = eisenstein_partner(h, p, ideal)
     except (IngestionError, ValueError) as exc:
         raise ConfigError(str(exc))
-    sigma0 = list(sigma0_and_m(_prime_to_p(h.level, p), 1)[0])
+    sigma0 = list(sigma0_and_m(h.level // p ** padic_valuation(h.level, p), 1)[0])
     rep = VerificationReport(h.label)
     rep.add("congruence.m", "congruence multiplier", True, m, m, "exact")
     rep.add("congruence.sigma0", "primes needing imprimitive Euler factors",
@@ -267,8 +264,8 @@ def cmd_modsym_table(args):
                       "at 0; one row per sign",
         "normalization": ("per-sign scalar clearing denominators, first "
                           "nonzero value positive"
-                          if scales else "eigenfunctional sends its pivot "
-                          "path to 1"),
+                          if scales else "eigenfunctional generator values "
+                          "of content 1, the first nonzero one positive"),
         "scales": {"plus": str(scales[1]), "minus": str(scales[-1])}
         if scales else None,
     }]

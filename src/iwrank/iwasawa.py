@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .kernels import convolve
-from .padics import PadicPrecisionError
+from .padics import PadicPrecisionError, padic_valuation
 
 __all__ = [
     "PadicSeries",
@@ -53,11 +53,8 @@ def padic_ints(values, p, M):
         if not isinstance(c, (int, Fraction)):
             raise TypeError(f"cannot use {type(c).__name__} as a series coefficient")
         x = Fraction(c)
-        d, k = x.denominator, 0
-        while d % p == 0:
-            d //= p
-            k += 1
-        parts.append((x.numerator, d, k))
+        k = padic_valuation(x.denominator, p)
+        parts.append((x.numerator, x.denominator // p**k, k))
     e = max((k for _, _, k in parts), default=0)
     m = p ** (M + e)
     return -e, [n * p ** (e - k) * (pow(d, -1, m) if d != 1 else 1) % m

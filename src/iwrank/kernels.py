@@ -8,21 +8,23 @@ CPython's Karatsuba multiplies the two, and the product's coefficients
 are read back out of its bytes.  Sparse operands, such as sums of a few
 dozen roots of unity in a ring of a thousand slots, take the loop.
 
-`convolve_fixed` multiplies by an operand that many products share: a
-tuple, such as a number field's defining polynomial f or its Barrett
-quotient x^k div f, by which every reduction in the field multiplies
-(`numfield._reduce`).  Such an operand is scanned and packed on its
-first product and kept (`_FIXED`), so a later product packs only the
-other vector.  At n = 1711, packing Phi_n and scanning it for its bound
-take about 100 of the 175 us that the quotient-times-Phi_n product
-takes without the memo.  A product of two varying vectors, such as two
-field elements, goes through `convolve` and keeps nothing.
+`convolve_fixed` multiplies by a `FixedOperand`, an operand that many
+products share, such as a number field's defining polynomial f or its
+Barrett quotient x^k div f, by which every reduction in the field
+multiplies (`numfield._reduce`).  The operand is scanned for its
+nonzero count and bound once, when it is made, and keeps its packed
+form for each slot width from its first product at that width for as
+long as it lives, so a later product packs only the other vector.  At
+n = 1711, packing Phi_n and scanning it for its bound take about 100 of
+the 175 us that the quotient-times-Phi_n product takes without them.  A
+product of two varying vectors, such as two field elements, goes
+through `convolve` and keeps nothing.
 
 `_kronecker` owns the slot format: it sizes the slots for a bound on
 the product's coefficients, `_pack` moves a vector into one int of such
 slots, `_bias` is the int that fills `count` slots with half their
 range, and the product is read back out of its bytes.  No other module
-of the package reads them, nor the packed forms kept in `_FIXED`.
+of the package reads them, nor the packed forms an operand keeps.
 """
 
 import sys
@@ -46,14 +48,6 @@ COMPILED = False
 # or more.
 KRONECKER_SETUP = 50
 KRONECKER_PER_SLOT = 1.3
-
-# The operands of `convolve_fixed`, by id: each entry holds the operand
-# (so that no other object takes its id while it is kept), its nonzero
-# count, its max |coefficient| and its packed form for each slot width
-# used so far.  A field that reduces keeps two, f and its Barrett
-# quotient; past FIXED_LIMIT entries the oldest goes.
-FIXED_LIMIT = 256
-_FIXED = {}
 
 # Slots of a machine word's size pack and unpack through one array call;
 # array type code of each signed word size (none on big-endian hosts,
@@ -142,19 +136,25 @@ def convolve(a, b):
     return _schoolbook(a, b)
 
 
+class FixedOperand(tuple):
+    """A tuple of ints that many products share, with its nonzero count,
+    its max |coefficient| and its packed form for each slot width used
+    so far (`packed`, filled by `convolve_fixed`)."""
+
+    def __new__(cls, coeffs):
+        self = super().__new__(cls, map(int, coeffs))
+        self.nonzero = len(self) - self.count(0)
+        self.top = max(map(abs, self), default=0)
+        self.packed = {}
+        return self
+
+
 def convolve_fixed(a, fixed):
-    """convolve(a, fixed) for a tuple `fixed` that many products share,
-    such as a field's defining polynomial, which is kept packed."""
+    """convolve(a, fixed) for a `FixedOperand` fixed, packed once per slot
+    width."""
     if not a or not fixed:
         return []
-    entry = _FIXED.get(id(fixed))
-    if entry is None:
-        if len(_FIXED) >= FIXED_LIMIT:
-            del _FIXED[next(iter(_FIXED))]
-        entry = _FIXED[id(fixed)] = (fixed, len(fixed) - fixed.count(0),
-                                     max(map(abs, fixed)), {})
-    _, nonzero, top, packed = entry
     la = len(a)
-    if _prefers_kronecker((la - a.count(0)) * nonzero, la):
-        return _kronecker(a, fixed, top, packed)
+    if _prefers_kronecker((la - a.count(0)) * fixed.nonzero, la):
+        return _kronecker(a, fixed, fixed.top, fixed.packed)
     return _schoolbook(a, fixed)

@@ -33,17 +33,20 @@ An eigenfunctional's system is its star rows, reduced first, and the
 Hecke rows of only the columns that lead no reduced star row: the others
 add nothing on the sign eigenspace, as T_l commutes with star.
 
-The p-adic layer reads values as rows: `evaluate_row(den, sign)` holds the
-values at a/den for a = 0..den-1, one continued-fraction walk per a <=
-den/2 for both signs.  The walk's state is the point (q_k : q_(k-1)) of
+Every value is read off one continued-fraction walk (`_walk`), over the
+numerators a of a/den.  Its state is the point (q_k : q_(k-1)) of
 P^1(Z/N), and a step is three list reads on one successor table
 (`P1List.successors`), built the same way at every level: 3N entries at a
 prime level, one block of N more per point (u : v) with u not a unit at a
-composite one.  A twisted symbol has rows only: its row at den is
-a Birch sum over the pair's row at den C, or every k-th entry of its own
-row at k den when that is built, a single value is an entry of the row at
-its denominator, and its per-sign scale is fixed on one row on first use.
-Entries that the scale divides stay ints.
+composite one.  A single value walks its one a.  The p-adic layer reads
+rows: `evaluate_row(den, sign)` holds the values at a/den for
+a = 0..den-1, and both symbol classes keep them by one rule
+(`_cached_row`): a row at den is every k-th entry of a kept row at k den
+when one is kept, and is built otherwise.  A pair builds both signs' rows
+from one walk per a <= den/2.  A twisted symbol builds its row at den
+from Birch sums over the pair's row at den C, divided by its per-sign
+scales, which are fixed on its first row's den when first read; entries
+that the scale divides stay ints.
 """
 
 from __future__ import annotations
@@ -457,33 +460,55 @@ class SymbolFunctional:
         return self._by_state
 
     def evaluate(self, r):
-        """Value on {oo -> r} by summing generator symbols along the
-        continued-fraction convergents of r: the walk of
-        `SymbolPair.evaluate_row` for one entry and one sign."""
+        """Value on {oo -> r}: `_walk` at the one numerator of r, fed this
+        functional's values on both sides; by the star-sign identity, the
+        side of its sign is its path sum."""
         r = Fraction(r)
         key = (r.numerator % r.denominator, r.denominator)
         hit = self._cache.get(key)
         if hit is None:
-            hit = self._cache[key] = _as_fraction(self._walk_sum(*key))
+            vals = self.values_by_state()
+            (plus,), (minus,) = _walk(self.space, vals, vals, key[1], key[:1])
+            hit = self._cache[key] = _as_fraction(plus if self.sign > 0 else minus)
         return hit
 
-    def _walk_sum(self, a, den):
-        """The path sum at a/den, 0 <= a < den."""
-        N = self.space.N
-        nxt = self.space.p1.successors()[0]
-        vals = self.values_by_state()
+
+def _walk(space, vp, vm, den, numerators):
+    """(plus, minus): the path sums at a/den, for each a in numerators
+    (0 <= a < den), of the functionals of star sign +1 and -1 whose values
+    by state (`values_by_state`) are vp and vm.
+
+    The path sum at a/den adds x_(q_k : (-1)^(k+1) q_(k-1)) over the
+    continued-fraction convergents p_k/q_k of a/den.  The walk takes the
+    signs out of the index: a functional of star sign s has
+    x_(u:-v) = s x_(u:v), so step k reads x_(q_k : q_(k-1)), added as is
+    on the plus side and with sign (-1)^(k+1) on the minus side.  Step 0
+    is always (1:0), of state 0; the loop takes steps 2k+1 (sign +) and
+    2k+2 (sign -) per turn.  The walk's state is the point
+    (q_k : q_(k-1)) in the successor table of `P1List.successors`, the
+    same at every level, so a step is two list reads for the values and
+    one for the next state."""
+    N = space.N
+    nxt = space.p1.successors()[0]
+    first_p, first_m = vp[0], vm[0]
+    hp, hm = [], []
+    for a in numerators:
         x, y, t = den, a, 0
-        odd, even = 0, 0
+        sp, odd, even = first_p, 0, 0
         while y:
             t = nxt[x // y % N + t]
             x %= y
-            odd += vals[t]
+            sp += vp[t]
+            odd += vm[t]
             if not x:
                 break
             t = nxt[y // x % N + t]
             y %= x
-            even += vals[t]
-        return vals[0] + odd + even if self.sign > 0 else vals[0] + odd - even
+            sp += vp[t]
+            even += vm[t]
+        hp.append(sp)
+        hm.append(first_m + odd - even)
+    return hp, hm
 
 
 def _as_fraction(v):
@@ -611,7 +636,20 @@ def functional_eigenvalue(phi: SymbolFunctional, ell: int, probes=(0, Fraction(1
     raise ValueError("all probe values vanish; supply better probes")
 
 
-# twisting -----------------------------------------------------------
+# rows and twisting --------------------------------------------------
+
+
+def _cached_row(rows, den, sign, build):
+    """The row of `sign` at den out of `rows`, which keeps both signs'
+    rows by den: every k-th entry of a kept row at k den when one is kept,
+    as x(b/den) = x(kb/(k den)), else the pair of rows build(den).  The
+    row at den is kept too."""
+    got = rows.get(den)
+    if got is None:
+        big = next((d for d in rows if d % den == 0), None)
+        got = rows[den] = (build(den) if big is None else
+                           tuple(r[::big // den] for r in rows[big]))
+    return got[0] if sign > 0 else got[1]
 
 
 class SymbolPair:
@@ -630,54 +668,21 @@ class SymbolPair:
     def evaluate_row(self, den, sign):
         """Values on {oo -> a/den} for a = 0..den-1, as raw path sums (ints
         for a normalized rational functional, else Fractions or field
-        elements).  Both signs are filled and cached in one pass: one
-        continued-fraction walk per a <= den/2 feeds both functionals, and
-        the star involution gives x(1 - r) = x(-r) = s x(r) for the other
-        half (s the functional's star sign).
+        elements), kept for both signs by `_cached_row`."""
+        return _cached_row(self._rows, den, sign, self._walk_rows)
 
-        The path sum at a/den adds x_(q_k : (-1)^(k+1) q_(k-1)) over the
-        continued-fraction convergents p_k/q_k of a/den.  The walk takes
-        the signs out of the index: a functional of star sign s has
-        x_(u:-v) = s x_(u:v), so step k
-        reads x_(q_k : q_(k-1)), added as is on the plus side and with
-        sign (-1)^(k+1) on the minus side.  Step 0 is always (1:0); the
-        loop takes steps 2k+1 (sign +) and 2k+2 (sign -) per turn.  The
-        walk's state is the point (q_k : q_(k-1)) in the successor table of
-        `P1List.successors`, the same at every level."""
-        rows = self._rows.get(den)
-        if rows is None:
-            rows = []
-            for h, phi in zip(self._walk_sums(den), (self.plus, self.minus)):
-                tail = h[(den - 1) // 2:0:-1]  # a < den/2 down to 1, for den - a
-                rows.append(tuple(h + (tail if phi.sign > 0 else [-x for x in tail])))
-            rows = self._rows[den] = tuple(rows)
-        return rows[0] if sign > 0 else rows[1]
-
-    def _walk_sums(self, den):
-        """The path sums at a/den, a = 0..den/2, of both functionals: a
-        step is two list reads for the values and one for the next state."""
-        N = self.plus.space.N
-        nxt = self.plus.space.p1.successors()[0]
-        vp, vm = self.plus.values_by_state(), self.minus.values_by_state()
-        first_p, first_m = vp[0], vm[0]  # step 0: x_(1:0), state 0
-        hp, hm = [], []
-        for a in range(den // 2 + 1):
-            x, y, t = den, a, 0
-            sp, odd, even = first_p, 0, 0
-            while y:
-                t = nxt[x // y % N + t]
-                x %= y
-                sp += vp[t]
-                odd += vm[t]
-                if not x:
-                    break
-                t = nxt[y // x % N + t]
-                y %= x
-                sp += vp[t]
-                even += vm[t]
-            hp.append(sp)
-            hm.append(first_m + odd - even)
-        return hp, hm
+    def _walk_rows(self, den):
+        """Both signs' rows at den: one walk (`_walk`) per a <= den/2 feeds
+        both functionals, and the star involution gives
+        x(1 - r) = x(-r) = s x(r) for the other half (s the functional's
+        star sign)."""
+        plus, minus = self.plus, self.minus
+        rows = []
+        for h, phi in zip(_walk(plus.space, plus.values_by_state(), minus.values_by_state(),
+                                den, range(den // 2 + 1)), (plus, minus)):
+            tail = h[(den - 1) // 2:0:-1]  # a < den/2 down to 1, for den - a
+            rows.append(tuple(h + (tail if phi.sign > 0 else [-x for x in tail])))
+        return tuple(rows)
 
 
 class TwistedSymbol:
@@ -708,40 +713,25 @@ class TwistedSymbol:
                         else CyclotomicNumber.zeta(n, k)
                         for a, k in enumerate(chi.conjugate().exponent_table())
                         if k is not None}
-        self._raw = {}
         self._rows = {}
         self._scale_den = den
         self._scales = None
 
     @property
     def scales(self):
-        """The per-sign scalars, fixed on the raw rows at the constructor's
-        den when first read: after the rows the caller asked for, so the
-        rows at den are a slice of a row already built when they can be."""
+        """The per-sign scalars, fixed on the Birch sums at the
+        constructor's den when first read: after the first row is built,
+        so those sums read a slice of the pair's row when they can."""
         if self._scales is None:
-            self._scales = {s: _signed_content(raw) or Fraction(1)
-                            for s, raw in zip((1, -1), self._raw_rows(self._scale_den))}
+            self._scales = {s: _signed_content(self._birch_row(self._scale_den, s))
+                            or Fraction(1) for s in (1, -1)}
         return self._scales
 
-    def _raw_rows(self, den):
-        """The unscaled sums at b/den for b = 0..den-1, both signs.  When
-        a row at a multiple k den is built, these are its every k-th
-        entries, as x(b/den) = x(kb/(k den)).  Otherwise they are read
-        off the pair's rows at den C, which hold x(b/den + a/C) at
+    def _birch_row(self, den, s):
+        """The unscaled sums of sign s at b/den, b = 0..den-1, read off
+        the pair's row at den C, which holds x(b/den + a/C) at
         (b C + a den) mod den C: for each unit a, the slice of the row
         from a den mod C in steps of C, rotated by a den // C."""
-        raw = self._raw.get(den)
-        if raw is None:
-            big = next((d for d in self._raw if d % den == 0), None)
-            if big is not None:
-                raw = tuple(r[::big // den] for r in self._raw[big])
-            else:
-                raw = tuple(self._birch_row(den, s) for s in (1, -1))
-            self._raw[den] = raw
-        return raw
-
-    def _birch_row(self, den, s):
-        """The unscaled sums of sign s at b/den, b = 0..den-1."""
         C = self.C
         base = self.pair.evaluate_row(den * C, s * self.eps)
         row = [0] * den
@@ -755,19 +745,19 @@ class TwistedSymbol:
                 row = [acc + cv * x for acc, x in zip(row, col)]
         return tuple(row)
 
+    def _birch_rows(self, den):
+        """Both signs' rows at den: the Birch sums over the scales."""
+        raw = [self._birch_row(den, s) for s in (1, -1)]
+        return tuple(_divided(r, self.scales[s]) for s, r in zip((1, -1), raw))
+
     def evaluate(self, r, sign):
         r = Fraction(r)
         return self.evaluate_row(r.denominator, sign)[r.numerator % r.denominator]
 
     def evaluate_row(self, den, sign):
-        """evaluate(b/den, sign) for b = 0..den-1; both signs are filled
-        and cached at once."""
-        rows = self._rows.get(den)
-        if rows is None:
-            rows = self._rows[den] = tuple(
-                _divided(raw, self.scales[s])
-                for s, raw in zip((1, -1), self._raw_rows(den)))
-        return rows[0] if sign > 0 else rows[1]
+        """evaluate(b/den, sign) for b = 0..den-1, kept for both signs by
+        `_cached_row`."""
+        return _cached_row(self._rows, den, sign, self._birch_rows)
 
 
 def _divided(raw, c):

@@ -23,6 +23,7 @@ from types import MappingProxyType
 from . import kernels
 from .characters import DirichletCharacter, parse_descriptor
 from .numfield import NFElement, NumberField, _reduce
+from .padics import padic_valuation
 from .qseries import (
     CongruenceIdealSpec, QExpansion, eisenstein_series, sigma0_and_m,
 )
@@ -243,12 +244,6 @@ def bundled(label: str) -> NewformData:
 # residual Eisenstein partner ------------------------------------------
 
 
-def _prime_to_p(n: int, p: int) -> int:
-    while n % p == 0:
-        n //= p
-    return n
-
-
 def residual_eisenstein_partner(p: int, xi1: DirichletCharacter,
                                 xi2: DirichletCharacter, level: int, l: int,
                                 n_max: int):
@@ -270,5 +265,5 @@ def residual_eisenstein_partner(p: int, xi1: DirichletCharacter,
         theta = theta.primitive_part()
     g = eisenstein_series(theta, xi2.primitive_part(), l, n_max)
     # the residual pair is unramified away from p: tame conductor 1
-    _, m = sigma0_and_m(_prime_to_p(level, p), 1)
+    _, m = sigma0_and_m(level // p ** padic_valuation(level, p), 1)
     return g, m

@@ -5,9 +5,9 @@ denominator, in lowest terms, on the power basis 1, x, ..., x^(d-1).
 Products multiply the numerators (`kernels.convolve`) and reduce modulo
 f by Barrett division with m = x^k div f, cached per field (von zur
 Gathen & Gerhard, *Modern Computer Algebra*, 9.1).  The reduction's two
-products, by m and by f, go through `kernels.convolve_fixed`, which
-keeps both constants packed from one reduction to the next; the field
-holds them as plain tuples, and only `kernels` knows the packed form.
+products, by m and by f, go through `kernels.convolve_fixed`: the field
+holds both as `kernels.FixedOperand` tuples, which keep their packed
+forms from one reduction to the next, and only `kernels` reads those.
 When f divides x^h - e the field has a period h and sign e: a vector is
 first folded below x^h by x^h = e (`_fold`), and k = h.  Q(zeta_n) is
 f = Phi_n, h = n/2, e = -1 for even n, else h = n, e = 1; `cyclotomic`
@@ -26,6 +26,7 @@ from math import gcd, lcm
 from operator import add, sub
 
 from iwrank import kernels, linalg
+from iwrank.arith import poly_eval_mod
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -57,7 +58,7 @@ class NumberField:
     """
 
     def __init__(self, poly, period: int | None = None, sign: int = 1):
-        self.poly = tuple(map(int, poly))
+        self.poly = kernels.FixedOperand(poly)
         if len(self.poly) < 2:
             raise ValueError("defining polynomial must have degree >= 1")
         if self.poly[-1] != 1:
@@ -65,7 +66,7 @@ class NumberField:
         self.degree = len(self.poly) - 1
         self.period, self.sign = period, sign
         self.k = period if period is not None else 2 * self.degree - 2
-        self.barrett = _xk_div(self.poly, self.k)
+        self.barrett = kernels.FixedOperand(_xk_div(self.poly, self.k))
 
     def element(self, coeffs) -> "NFElement":
         return NFElement(self, coeffs)
@@ -111,7 +112,7 @@ def _reduce(vec: list[int], field: NumberField) -> list[int]:
     coefficients of v - q f.  With a period h and sign e, v is first
     folded below x^h, and m = (x^h - e)/f.  Both products go through
     `kernels.convolve_fixed`, which picks its method by their size and
-    packs m and f once.
+    packs m and f once per slot width.
     """
     vec = _fold(vec, field)
     d = field.degree
@@ -276,12 +277,7 @@ class NFElement:
         """Image in F_p under x -> seed; the denominator must be a p-unit."""
         if self.den % p == 0:
             raise ValueError("denominator not a p-unit")
-        acc = 0
-        s = 1
-        for c in self.nums:
-            acc = (acc + c * s) % p
-            s = s * seed % p
-        return acc * pow(self.den, -1, p) % p
+        return poly_eval_mod(self.nums, seed, p) * pow(self.den, -1, p) % p
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

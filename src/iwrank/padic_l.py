@@ -147,16 +147,14 @@ class BranchSeries:
     or None when the masses vanish mod p^M.
     """
 
-    __slots__ = ("p", "M", "shift", "masses", "invariants", "j", "twist",
-                 "form", "alpha", "sigma0_factors")
+    __slots__ = ("p", "M", "shift", "masses", "invariants", "j", "form",
+                 "alpha", "sigma0_factors")
 
-    def __init__(self, p, M, masses, shift, j, twist, form, alpha,
-                 sigma0_factors=()):
+    def __init__(self, p, M, masses, shift, j, form, alpha, sigma0_factors=()):
         self.p, self.M = p, M
         self.shift, self.masses = reduce_ints(p, M, shift, masses)
         self.invariants = mass_mu_lambda(p, self.shift, self.masses)
         self.j = j
-        self.twist = twist
         self.form = form
         self.alpha = alpha
         self.sigma0_factors = tuple(sigma0_factors)
@@ -181,9 +179,11 @@ def _wild_coordinates(p: int, n: int) -> tuple:
 
 def _symbol_rows(sym, p, n, sgn):
     """x(a/p^(n+1)) for a mod p^(n+1), then, unless p divides the level
-    (one-root case), x(b/p^n) = x(bp/p^(n+1)) for b mod p^n."""
+    (one-root case), x(b/p^n) for b mod p^n: the symbol's rows at p^(n+1)
+    and p^n.  The symbol keeps the first, so the second, and the row at p
+    that `branch_value_trivial` reads later, are slices of it."""
     hi = sym.evaluate_row(p ** (n + 1), sgn)
-    return hi if sym.level % p == 0 else hi + hi[::p]
+    return hi if sym.level % p == 0 else hi + sym.evaluate_row(p ** n, sgn)
 
 
 def working_precision(sym, p: int, n: int, M: int, rows=None) -> int:
@@ -196,7 +196,7 @@ def working_precision(sym, p: int, n: int, M: int, rows=None) -> int:
 
 
 def branch_series(sym, p: int, alpha: PadicSeries, j: int, n: int = 1,
-                  M: int = 8, twist_label=None, rows=None) -> BranchSeries:
+                  M: int = 8, rows=None) -> BranchSeries:
     """Riemann sum of branch j at wild level n, as the masses of an
     element of Z_p[Z/p^n] mod p^M.
 
@@ -239,8 +239,7 @@ def branch_series(sym, p: int, alpha: PadicSeries, j: int, n: int = 1,
         if not steinberg:
             x -= a_lo * xs[hi_len + a % order]
         masses[c] += tw[a % p] * x
-    return BranchSeries(p, M, masses, M - W, jj, twist_label,
-                        getattr(sym, "label", None), alpha)
+    return BranchSeries(p, M, masses, M - W, jj, getattr(sym, "label", None), alpha)
 
 
 def apply_sigma0(bs: BranchSeries, factors) -> BranchSeries:
@@ -251,9 +250,7 @@ def apply_sigma0(bs: BranchSeries, factors) -> BranchSeries:
     makes the factor sum_k poly[k] ell^(-k(j+1)) gamma^(k c): at most
     len(poly) group masses, each a cyclic shift-add of the masses."""
     p, M, order = bs.p, bs.M, len(bs.masses)
-    n = 0
-    while p**n < order:
-        n += 1
+    n = padic_valuation(order, p)
     shift, masses = bs.shift, bs.masses
     applied = {ell for ell, _ in bs.sigma0_factors}
     new_factors = list(bs.sigma0_factors)
@@ -277,8 +274,8 @@ def apply_sigma0(bs: BranchSeries, factors) -> BranchSeries:
             out = [y + f * x for y, x in zip(out, rot)]
         shift, masses = reduce_ints(p, M, 0, out)
         new_factors.append((ell, tuple(poly)))
-    return BranchSeries(p, M, masses, shift, bs.j, bs.twist, bs.form,
-                        bs.alpha, sigma0_factors=new_factors)
+    return BranchSeries(p, M, masses, shift, bs.j, bs.form, bs.alpha,
+                        sigma0_factors=new_factors)
 
 
 def branch_family(sym, ap, p: int, n: int, M: int, sigma0=(), branches=None):
@@ -291,8 +288,7 @@ def branch_family(sym, ap, p: int, n: int, M: int, sigma0=(), branches=None):
     rows = {sgn: padic_ints(_symbol_rows(sym, p, n, sgn), p, M) for sgn in (1, -1)}
     alpha = choose_alpha(ap, p, sym.level, prec=max(
         DEFAULT_DIGITS, working_precision(sym, p, n, M, rows)))
-    raw = {j: branch_series(sym, p, alpha, j, n=n, M=M, twist_label=sym.label,
-                            rows=rows)
+    raw = {j: branch_series(sym, p, alpha, j, n=n, M=M, rows=rows)
            for j in (range(1, p) if branches is None else sorted(branches))}
     if not sigma0:
         return alpha, raw, raw
@@ -346,7 +342,7 @@ def branch_report(bs: BranchSeries, value: PadicSeries | None = None,
     mu, lam = bs.invariants or (None, None)
     return {
         "form": bs.form,
-        "twist": bs.twist,
+        "twist": bs.form,  # the symbol's label, twisted or not
         "j": bs.j,
         "alpha": _value_record(bs.alpha),
         "value_at_trivial": _value_record(value, exact_zero),

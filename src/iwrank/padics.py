@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import prime_divisors
+from .arith import poly_eval_mod, prime_divisors
 from .numfield import _lowest_terms
 
 
@@ -59,24 +59,17 @@ def hensel_root(coeffs, seed: int, p: int, prec: int) -> int:
     if den % p == 0:
         raise ValueError("coefficient denominators must be p-units")
     der = [k * c for k, c in enumerate(ints)][1:]
-
-    def ev(poly, x, m):
-        out = 0
-        for c in reversed(poly):
-            out = (out * x + c) % m
-        return out
-
     x = seed % p
-    if ev(ints, x, p) != 0:
+    if poly_eval_mod(ints, x, p) != 0:
         raise ValueError("seed is not a root mod p")
-    if ev(der, x, p) == 0:
+    if poly_eval_mod(der, x, p) == 0:
         raise ValueError("derivative vanishes mod p: not a simple root")
     m = p
     target = p**prec
     while m < target:
         m = min(m * m, target)
-        fx = ev(ints, x, m)
-        dx = ev(der, x, m)
+        fx = poly_eval_mod(ints, x, m)
+        dx = poly_eval_mod(der, x, m)
         x = (x - fx * pow(dx, -1, m)) % m
     return x % target
 

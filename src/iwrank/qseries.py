@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from iwrank.arith import factorize, gamma0_index
+from iwrank.arith import factorize, gamma0_index, poly_eval_mod
 from iwrank.characters import DirichletCharacter
 from iwrank.cyclotomic import CyclotomicNumber
 from iwrank.numfield import NFElement
@@ -212,11 +212,7 @@ class CongruenceIdealSpec:
         if self.field_poly is not None:
             if self.seed is None:
                 raise ValueError("seed required with a field polynomial")
-            acc, s = 0, 1
-            for c in self.field_poly:
-                acc = (acc + int(c) * s) % self.p
-                s = s * self.seed % self.p
-            if acc % self.p != 0:
+            if poly_eval_mod([int(c) for c in self.field_poly], self.seed, self.p):
                 raise ValueError("seed is not a root of the field polynomial mod p")
 
     def reduce(self, x) -> int:

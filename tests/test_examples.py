@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from iwrank import modsym
 from iwrank.examples import EXAMPLES, VerificationReport, build_example, run_example
 from iwrank.padic_l import format_report
 
@@ -69,16 +70,25 @@ def test_example2_known_failures(rep2):
     assert failed["ex2.verdict.j2"]["computed"] == "(T^3)"
 
 
-def test_example1_walks_the_pair_once():
-    # the branch family reads the twist's rows at 121, off the pair's row
-    # at 121 * 23; the scales and the rows at 11 are slices of those
+def test_example1_walks_the_pair_once(monkeypatch):
+    # the whole run reads the twist's rows at 121, off the pair's row at
+    # 121 * 23; the scales and every row at 11 are slices of those, so the
+    # pair is walked once, over the numerators a <= 2783 / 2
+    walks = []
+    walk = modsym._walk
+
+    def counted(space, vp, vm, den, numerators):
+        walks.append((den, len(numerators)))
+        return walk(space, vp, vm, den, numerators)
+
+    monkeypatch.setattr(modsym, "_walk", counted)
+    assert run_example(1).ok
+    assert walks == [(2783, 1392)]
     sym = build_example(1)["sym"]
-    pair = sym.pair
-    assert list(pair._rows) == [2783]
     for s in (1, -1):
         assert sym.evaluate_row(11, s) == sym.evaluate_row(121, s)[::11]
         assert all(type(x) is int for x in sym.evaluate_row(121, s))
-    assert list(pair._rows) == [2783]
+    assert walks == [(2783, 1392)] * 2
 
 
 def test_reports_deterministic(rep3):

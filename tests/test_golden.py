@@ -42,7 +42,11 @@ dictionary message before.  The `chars` runs of `teich5^x` and `quadx`
 were recorded once a bad integer in a named descriptor came to be refused
 the same way (they printed Python's `int()` message before), and the run
 of `teich9` once a composite p came to be refused by name (it blamed the
-generator order before).  A process parses the
+generator order before).  The untwisted `modsym-table` run was
+re-recorded once its normalization record came to say what
+`eigen_functional` does (generator values of content 1, the first
+nonzero one positive): it claimed a path sent to 1 before.  A process
+parses the
 bundled newforms and the CLI parser once: every pinned run above must
 give the same bytes and exit code when run twice in one process, in a
 shuffled order, after help runs at another width.

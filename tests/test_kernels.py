@@ -265,33 +265,20 @@ def test_fixed_operand_keeps_a_packed_form_per_slot_width():
     # slots), then against vectors at each edge bound, which need wider
     # slots: a form packed for one width must not serve another
     rng = random.Random(25)
-    fixed = tuple(_random_vec(rng, 300, 1))
+    fixed = kernels.FixedOperand(_random_vec(rng, 300, 1))
     small = _random_vec(rng, 60, 1)
     assert kernels.convolve_fixed(small, fixed) == kernels._schoolbook(small, fixed)
     for bound in EDGE_BOUNDS:
         for vec in _edge_vectors(rng, 60, bound):
             assert kernels.convolve_fixed(vec, fixed) == kernels._schoolbook(vec, fixed), bound
     # every product took the packed path, which kept one form per width
-    assert sorted(kernels._FIXED[id(fixed)][3]) == [1, 8, 9, 18]
-
-
-def test_fixed_memo_stays_bounded():
-    # a read in every field of order up to 300 packs two constants of
-    # each field whose elements are longer than its degree: more than the
-    # memo holds
-    reduced = 0
-    for n in range(1, 301):
-        ring = _ring(n)
-        _reduce(list(range(1, ring.period + 1)), ring)
-        reduced += ring.period > ring.degree
-    assert 2 * reduced > kernels.FIXED_LIMIT
-    assert len(kernels._FIXED) <= kernels.FIXED_LIMIT
+    # on the operand
+    assert sorted(fixed.packed) == [1, 8, 9, 18]
 
 
 def test_only_kernels_reads_its_private_names():
-    # the slot format (`_kronecker`, `_pack`, `_bias`), the packed forms
-    # it keeps (`_FIXED`) and the cost model's choice
-    # (`_prefers_kronecker`) belong to `kernels`: no other
+    # the slot format (`_kronecker`, `_pack`, `_bias`) and the cost
+    # model's choice (`_prefers_kronecker`) belong to `kernels`: no other
     # module of the package names a private attribute of it
     for path in sorted(Path(kernels.__file__).parent.glob("*.py")):
         if path.name == "kernels.py":

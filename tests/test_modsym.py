@@ -4,6 +4,7 @@ from math import gcd, lcm
 
 import pytest
 
+from iwrank import modsym
 from iwrank.arith import is_prime
 from iwrank.characters import DirichletCharacter
 from iwrank.modsym import (
@@ -514,6 +515,52 @@ def test_evaluate_row_matches_evaluate(name, request):
                            for a in range(den)), (den, sign)
             assert [type(x) for x in row] == [type(x) for x in want]
             assert sym.evaluate_row(den, sign) is row
+
+
+def _fresh(name, request, den):
+    """A symbol of the fixture kind `name` that keeps no row yet: the
+    pair's functionals (which keep no rows) in a new pair, twisted anew
+    with the scales fixed at den."""
+    if name in ("pair52", "field_pair23"):
+        pair = request.getfixturevalue(name)
+        return SymbolPair(pair.plus, pair.minus, pair.level)
+    pair11 = request.getfixturevalue("pair11")
+    chi = (DirichletCharacter.quadratic_by_discriminant(-23) if name == "quad-23"
+           else DirichletCharacter.teichmuller(7))
+    return TwistedSymbol(SymbolPair(pair11.plus, pair11.minus, 11), chi, den)
+
+
+@pytest.mark.parametrize("name", ["pair52", "field_pair23", "quad-23", "teich7"])
+def test_rows_do_not_depend_on_the_order_asked(name, request, monkeypatch):
+    # rows at den asked before and after a row at a multiple k den, which
+    # then serves them as a slice: the same rows, of the same types, and
+    # in the second order the multiple is the one walk
+    walks = []
+    walk = modsym._walk
+
+    def counted(space, vp, vm, den, numerators):
+        walks.append(den)
+        return walk(space, vp, vm, den, numerators)
+
+    monkeypatch.setattr(modsym, "_walk", counted)
+    for den, k in ((5, 5), (5, 11), (11, 3)):
+        rows = []
+        for order in ((den, k * den), (k * den, den)):
+            sym = _fresh(name, request, den)
+            walks.clear()
+            rows.append({d: tuple(sym.evaluate_row(d, s) for s in (1, -1)) for d in order})
+        big = k * den * getattr(sym, "C", 1)
+        assert walks == [big], (den, k)
+        assert rows[0] == rows[1], (den, k)
+        for d in (den, k * den):
+            for first, second in zip(*(r[d] for r in rows)):
+                assert [type(x) for x in first] == [type(x) for x in second]
+        if isinstance(sym, SymbolPair):
+            for phi, sign in ((sym.plus, 1), (sym.minus, -1)):
+                flat, N = _flat_values(phi), phi.space.N
+                for d in (den, k * den):
+                    want = tuple(path_sum(flat, N, a, d) for a in range(d))
+                    assert rows[0][d][sign < 0] == want, (den, k, d, sign)
 
 
 def _seeded_pair(N, seed):

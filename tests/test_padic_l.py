@@ -368,7 +368,7 @@ def test_twisted_branch_series_and_verdicts(twisted11, alpha_tw):
 
 def test_mu_positive_product_gives_zero_class(a52):
     dead = BranchSeries(5, 8, t_to_gamma([5, 10, 25, 0, 5]), 0,
-                        1, None, "dead", a52)
+                        1, "dead", a52)
     assert product_congruence_verdict(dead, dead) == "(0)"
 
 
@@ -602,7 +602,7 @@ def _random_branch(rng, p, M, D, j, kind=None):
     else:
         mu = 0 if kind == "mu0" else rng.randrange(1, M)
         masses = _masses_with(rng, p, M, D, mu, rng.randrange(D))
-    return BranchSeries(p, M, masses, shift, j, None, "random", None)
+    return BranchSeries(p, M, masses, shift, j, "random", None)
 
 
 def _edge_pair(rng, p, M, D, j, edge):
@@ -618,7 +618,7 @@ def _edge_pair(rng, p, M, D, j, edge):
                   "lambda sum p^n": ((0, l1), (0, D - l1)),
                   "mu > 0": ((1, 0), (0, 0))}[edge]
     return [BranchSeries(p, M, _masses_with(rng, p, M, D, mu, lam), 0, j,
-                         None, "edge", None) for mu, lam in invariants]
+                         "edge", None) for mu, lam in invariants]
 
 
 EDGES = ("lambda sum p^n - 1", "lambda sum p^n", "mu > 0", "zero",
