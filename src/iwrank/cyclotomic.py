@@ -1,31 +1,25 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n), as sums of roots of unity.
 
-Every primitive n-th root of unity x has x^h = e, with h = n and e = 1
-for odd n, h = n/2 and e = -1 for even n.  A `CyclotomicNumber` is kept
-in the group ring Z[x]/(x^h - e): an integer vector `vec` of at most h
-slots over one denominator `vden`.  Sums and scalar products act slot by
-slot, a product is one cyclic or negacyclic convolution (`kernels.convolve`,
-which loops over sparse operands' nonzero terms) and one fold below x^h,
-and the Galois action and the embeddings Q(zeta_n) -> Q(zeta_m), n | m,
-map exponents.  None of these divides by Phi_n, so a Gauss sum of c
-terms keeps c unit slots, where on the power basis it is dense.
-
-It is the `NFElement` of Q[x]/Phi_n (`_ring(n)`) whose power-basis
-numerators `nums` and denominator `den`, in lowest terms, are computed
-by one Barrett reduction (`numfield._reduce`) when first read, and kept.
-That form is unique, so `==`, `repr`, `is_rational`, `inverse` and every
-other read are those of the field.
+Q(zeta_n) is the `NumberField` of Phi_n with the period of every
+primitive n-th root of unity x: x^h = e, with h = n and e = 1 for odd
+n, h = n/2 and e = -1 for even n (`_ring(n)`).  A `CyclotomicNumber` is
+the `NFElement` of that field, so it keeps its one storage there: a
+vector of at most h slots in the group ring Z[x]/(x^h - e), reduced
+modulo Phi_n only when its power-basis coefficients are read.  What
+this module adds is the order n: the constructors from roots of unity,
+the Galois action and the embeddings Q(zeta_n) -> Q(zeta_m), n | m,
+which map exponents, and the lift of two elements of different orders
+into Q(zeta_lcm) before they meet.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, zip_longest
+from itertools import compress
 from math import gcd, lcm
 
-from iwrank import kernels
 from iwrank.arith import euler_phi, prime_divisors
-from iwrank.numfield import NFElement, NumberField, _fold, _lowest_terms, _reduce
+from iwrank.numfield import NFElement, NumberField
 
 _ONE = Fraction(1)
 
@@ -89,76 +83,26 @@ def _group_vector(order: int, terms) -> list[int]:
 
 class CyclotomicNumber(NFElement):
     """Element of Q(zeta_order): sum vec[j] zeta^j / vden in the group
-    ring.  `nums` and `den`, slots of an `NFElement`, are properties
-    here: the power-basis form, computed on the first read (see the
-    module docstring)."""
+    ring (see the module docstring)."""
 
-    __slots__ = ("order", "vec", "vden", "_read")
+    __slots__ = ("order",)
 
     def __init__(self, order: int, coeffs, den: int | None = None):
         """sum coeffs[j] zeta^j, or with `den` given, sum coeffs[j] zeta^j
         / den for integers coeffs and den > 0; coeffs beyond h are folded
         by zeta^h = e."""
-        field = _ring(order)
-        if den is None:
-            coeffs, den = _lowest_terms(coeffs)
-        self.field, self.order = field, order
-        self.vec, self.vden = _lowest_terms(_fold(list(coeffs), field), den)
-        self._read = None
+        super().__init__(_ring(order), coeffs, den)
+        self.order = order
 
     def _new(self, vec, den: int) -> "CyclotomicNumber":
         return CyclotomicNumber(self.order, vec, den)
 
-    def _power_basis(self) -> tuple[tuple[int, ...], int]:
-        """(nums, den): vec reduced modulo Phi_n once, in lowest terms."""
-        if self._read is None:
-            nums, den = _lowest_terms(_reduce(self.vec, self.field), self.vden)
-            self._read = (tuple(nums), den)
-        return self._read
-
-    @property
-    def nums(self) -> tuple[int, ...]:
-        return self._power_basis()[0]
-
-    @property
-    def den(self) -> int:
-        return self._power_basis()[1]
-
     def _pair(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self, self._new([other.numerator], other.denominator)
-        if isinstance(other, CyclotomicNumber):
-            if other.order == self.order:
-                return self, other
+        if isinstance(other, CyclotomicNumber) and other.order != self.order:
             # elements of different orders meet in Q(zeta_lcm)
             m = lcm(self.order, other.order)
             return self.lift_to(m), other.lift_to(m)
-        return None
-
-    # group-ring arithmetic --------------------------------------------
-
-    def _combine(self, other, sign: int):
-        """self + sign * other, slot by slot."""
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        den = lcm(a.vden, b.vden)
-        ka, kb = den // a.vden, sign * (den // b.vden)
-        return a._new([x * ka + y * kb for x, y in zip_longest(a.vec, b.vec, fillvalue=0)],
-                      den)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            num = other.numerator
-            return self._new([c * num for c in self.vec], self.vden * other.denominator)
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return a._new(kernels.convolve(a.vec, b.vec), a.vden * b.vden)
-
-    __rmul__ = __mul__
+        return super()._pair(other)
 
     # construction -----------------------------------------------------
 

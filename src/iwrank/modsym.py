@@ -45,8 +45,8 @@ a = 0..den-1, and both symbol classes keep them by one rule
 when one is kept, and is built otherwise.  A pair builds both signs' rows
 from one walk per a <= den/2.  A twisted symbol builds its row at den
 from Birch sums over the pair's row at den C, divided by its per-sign
-scales, which are fixed on its first row's den when first read; entries
-that the scale divides stay ints.
+scales, which the first Birch sums built at the constructor's den fix;
+entries that the scale divides stay ints.
 """
 
 from __future__ import annotations
@@ -67,18 +67,6 @@ class EigenspaceError(RuntimeError):
     def __init__(self, message, dim):
         super().__init__(message)
         self.dim = dim
-
-
-def _xgcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
 
 
 class P1List:
@@ -195,8 +183,8 @@ def lift_to_sl2(u: int, v: int, N: int) -> tuple[int, int, int, int]:
             tries += 1
             if tries > N + 2:
                 raise ValueError(f"({u}:{v}) mod {N} not liftable")
-    _, x, y = _xgcd(c, d)
-    return y, -x, c, d
+    a = pow(d, -1, c)
+    return a, (a * d - 1) // c, c, d
 
 
 # genus bookkeeping for Gamma0(N) ------------------------------------
@@ -719,12 +707,10 @@ class TwistedSymbol:
 
     @property
     def scales(self):
-        """The per-sign scalars, fixed on the Birch sums at the
-        constructor's den when first read: after the first row is built,
-        so those sums read a slice of the pair's row when they can."""
+        """The per-sign scalars, fixed by the first rows built at the
+        constructor's den (`_birch_rows`), which this builds if need be."""
         if self._scales is None:
-            self._scales = {s: _signed_content(self._birch_row(self._scale_den, s))
-                            or Fraction(1) for s in (1, -1)}
+            self.evaluate_row(self._scale_den, 1)
         return self._scales
 
     def _birch_row(self, den, s):
@@ -746,8 +732,11 @@ class TwistedSymbol:
         return tuple(row)
 
     def _birch_rows(self, den):
-        """Both signs' rows at den: the Birch sums over the scales."""
+        """Both signs' rows at den: the Birch sums over the scales.  The
+        first sums at the constructor's den fix the scales."""
         raw = [self._birch_row(den, s) for s in (1, -1)]
+        if self._scales is None and den == self._scale_den:
+            self._scales = {s: _signed_content(r) or Fraction(1) for s, r in zip((1, -1), raw)}
         return tuple(_divided(r, self.scales[s]) for s, r in zip((1, -1), raw))
 
     def evaluate(self, r, sign):

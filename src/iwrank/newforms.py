@@ -20,9 +20,8 @@ from math import lcm
 from operator import mul
 from types import MappingProxyType
 
-from . import kernels
 from .characters import DirichletCharacter, parse_descriptor
-from .numfield import NFElement, NumberField, _reduce
+from .numfield import NFElement, NumberField
 from .padics import padic_valuation
 from .qseries import (
     CongruenceIdealSpec, QExpansion, eisenstein_series, sigma0_and_m,
@@ -75,21 +74,21 @@ def _check_integrality(an, field: NumberField):
     those of nums, which Newton's identities give from tr(nums^k).  Z[x]
     holds only algebraic integers, so nums mod den decides it."""
     f, d = field.poly, field.degree
-    # the trace is linear, so tr(nums^k) is read off the product
-    # nums^(k-1) nums before its reduction, through tr x^m for m <= 2d - 2:
-    # the power sums of the roots of f, by Newton's identities on f
+    # tr(nums^k) adds c tr(x^m) over the power-basis coefficients c of
+    # nums^k, and tr x^m for m < d are the power sums of the roots of f,
+    # by Newton's identities on f
     traces = [d]
-    for m in range(1, 2 * d - 1):
-        traces.append((-m * f[d - m] if m <= d else 0)
-                      - sum(f[d - i] * traces[m - i] for i in range(1, min(m, d + 1))))
+    for m in range(1, d):
+        traces.append(-m * f[d - m] - sum(f[d - i] * traces[m - i] for i in range(1, m)))
 
     @cache
     def integral(nums, den):
-        product, p, e = nums, [], [1]
+        x = NFElement(field, nums, 1)
+        power, p, e = x, [], [1]
         for k in range(1, d + 1):
             if k > 1:
-                product = kernels.convolve(_reduce(product, field), nums)
-            p.append(sum(map(mul, product, traces)))
+                power = power * x
+            p.append(sum(map(mul, power.nums, traces)))
             # k e_k = sum over i < k of (-1)^i e_(k-1-i) p_(i+1)
             e.append(sum((-1) ** i * e[k - 1 - i] * p[i] for i in range(k)) // k)
             if e[k] % den ** k:

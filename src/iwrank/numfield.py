@@ -1,18 +1,26 @@
 """Exact number fields Q[x]/(f) on one integer-vector core.
 
-An element is a tuple of integer numerators over one positive common
-denominator, in lowest terms, on the power basis 1, x, ..., x^(d-1).
-Products multiply the numerators (`kernels.convolve`) and reduce modulo
-f by Barrett division with m = x^k div f, cached per field (von zur
-Gathen & Gerhard, *Modern Computer Algebra*, 9.1).  The reduction's two
-products, by m and by f, go through `kernels.convolve_fixed`: the field
-holds both as `kernels.FixedOperand` tuples, which keep their packed
-forms from one reduction to the next, and only `kernels` reads those.
-When f divides x^h - e the field has a period h and sign e: a vector is
-first folded below x^h by x^h = e (`_fold`), and k = h.  Q(zeta_n) is
-f = Phi_n, h = n/2, e = -1 for even n, else h = n, e = 1; `cyclotomic`
-keeps its elements folded in Z[x]/(x^h - e) and reduces one modulo
-Phi_n only when its power-basis coefficients are read.
+An element is an integer vector `vec` over one positive denominator
+`vden`, in lowest terms, in the field's working ring.  When f divides
+x^h - e the field has a period h and sign e, and the working ring is
+Z[x]/(x^h - e): the constructor folds a vector below x^h by x^h = e
+(`_fold`), sums act slot by slot and a product is one convolution
+(`kernels.convolve`) that the constructor folds again.  Q(zeta_n) is
+f = Phi_n, h = n/2, e = -1 for even n, else h = n, e = 1 (`cyclotomic`),
+so a Gauss sum of c terms keeps c unit slots where on the power basis
+it is dense.  Any other field works on the power basis 1, x, ...,
+x^(d-1): the constructor refuses more than d coefficients and a product
+is reduced modulo f at once.
+
+The power-basis numerators `nums` over `den`, in lowest terms, are read
+once, by one reduction modulo f (`_reduce`), and kept.  That form is
+unique, so `==`, `repr`, `is_rational`, `inverse` and every other read
+go through it.  The reduction is Barrett division with m = x^k div f,
+k = h with a period and 2d - 2 without, cached per field (von zur
+Gathen & Gerhard, *Modern Computer Algebra*, 9.1).  Its two products,
+by m and by f, go through `kernels.convolve_fixed`: the field holds
+both as `kernels.FixedOperand` tuples, which keep their packed forms
+from one reduction to the next, and only `kernels` reads those.
 
 Division solves the multiplication matrix of the divisor
 (`_scalar_matrix`, which `modsym` also writes its eigen-systems with)
@@ -22,6 +30,7 @@ by the integer elimination of `linalg`.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
 from operator import add, sub
 
@@ -52,8 +61,8 @@ def _xk_div(poly, k: int) -> tuple[int, ...]:
 class NumberField:
     """Q[x]/(poly), poly monic with integer coefficients, low degree first.
 
-    A `period` h with `sign` e says that poly divides x^h - e: vectors are
-    then folded below x^h before the division, and k = h.  Otherwise
+    A `period` h with `sign` e says that poly divides x^h - e: elements
+    then keep their vectors folded below x^h, and k = h.  Otherwise
     k = 2d - 2, the degree of a product of two reduced vectors.
     """
 
@@ -149,24 +158,26 @@ def _scalar_matrix(a, field):
 
 
 class NFElement:
-    """Element of a NumberField: integer numerators `nums` over `den`."""
+    """Element of a NumberField: the integer vector `vec` over `vden` in
+    the field's working ring (see the module docstring), read on the
+    power basis as numerators `nums` over `den`."""
 
-    __slots__ = ("field", "nums", "den")
+    __slots__ = ("field", "vec", "vden", "_read")
 
     def __init__(self, field: NumberField, coeffs, den: int | None = None):
         """sum coeffs[j] x^j, or with `den` given, sum coeffs[j] x^j / den
-        for integers coeffs and den > 0."""
-        coeffs, den = _lowest_terms(coeffs, den)
-        d = field.degree
-        if len(coeffs) > d:
-            raise ValueError(f"expected at most {d} coefficients")
+        for integers coeffs and den > 0; coeffs beyond h are folded by
+        x^h = e in a field with a period h."""
+        vec = _fold(list(coeffs), field)
+        if field.period is None and len(vec) > field.degree:
+            raise ValueError(f"expected at most {field.degree} coefficients")
         self.field = field
-        self.nums = tuple(coeffs) + (0,) * (d - len(coeffs))
-        self.den = den
+        self.vec, self.vden = _lowest_terms(vec, den)
+        self._read = None
 
-    def _new(self, nums, den: int) -> "NFElement":
-        """An element of the same field and class: nums / den."""
-        return NFElement(self.field, nums, den)
+    def _new(self, vec, den: int) -> "NFElement":
+        """An element of the same field and class: vec / den."""
+        return NFElement(self.field, vec, den)
 
     def _pair(self, other):
         """self and other as elements of one field, or None."""
@@ -177,6 +188,21 @@ class NFElement:
             return self, other
         return None
 
+    def _power_basis(self) -> tuple[tuple[int, ...], int]:
+        """(nums, den): vec reduced modulo f once, in lowest terms."""
+        if self._read is None:
+            nums, den = _lowest_terms(_reduce(self.vec, self.field), self.vden)
+            self._read = (tuple(nums), den)
+        return self._read
+
+    @property
+    def nums(self) -> tuple[int, ...]:
+        return self._power_basis()[0]
+
+    @property
+    def den(self) -> int:
+        return self._power_basis()[1]
+
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(c, self.den) for c in self.nums)
@@ -184,14 +210,15 @@ class NFElement:
     # arithmetic -------------------------------------------------------
 
     def _combine(self, other, sign: int):
-        """self + sign * other, coefficient by coefficient."""
+        """self + sign * other, slot by slot."""
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
         a, b = pair
-        den = lcm(a.den, b.den)
-        ka, kb = den // a.den, sign * (den // b.den)
-        return a._new([x * ka + y * kb for x, y in zip(a.nums, b.nums)], den)
+        den = lcm(a.vden, b.vden)
+        ka, kb = den // a.vden, sign * (den // b.vden)
+        return a._new([x * ka + y * kb for x, y in zip_longest(a.vec, b.vec, fillvalue=0)],
+                      den)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -208,15 +235,19 @@ class NFElement:
         return (-self) + other
 
     def __mul__(self, other):
+        """One convolution of the vecs, reduced at once when the field has
+        no period; with a period the constructor folds it."""
         if isinstance(other, (int, Fraction)):
             num = other.numerator
-            return self._new([c * num for c in self.nums], self.den * other.denominator)
+            return self._new([c * num for c in self.vec], self.vden * other.denominator)
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
         a, b = pair
-        return a._new(_reduce(kernels.convolve(a.nums, b.nums), a.field),
-                      a.den * b.den)
+        vec = kernels.convolve(a.vec, b.vec)
+        if a.field.period is None:
+            vec = _reduce(vec, a.field)
+        return a._new(vec, a.vden * b.vden)
 
     __rmul__ = __mul__
 

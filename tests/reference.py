@@ -9,7 +9,6 @@ from itertools import accumulate
 from math import gcd, lcm
 
 from iwrank.cyclotomic import CyclotomicNumber, cyclotomic_polynomial
-from iwrank.modsym import _xgcd
 from iwrank.iwasawa import PadicSeries
 from iwrank.kernels import convolve
 from iwrank.qseries import bernoulli_number
@@ -138,7 +137,8 @@ def p1_normalize(N: int, u: int, v: int) -> tuple[int, int]:
         if gcd(v, N) != 1:
             raise ValueError(f"({u}:{v}) is not a point of P1(Z/{N})")
         return 0, 1
-    g, s, _ = _xgcd(u, N)
+    g = gcd(u, N)
+    s = pow(u // g, -1, N // g)  # s u = g mod N
     if gcd(g, v) != 1:
         raise ValueError(f"({u}:{v}) is not a point of P1(Z/{N})")
     s %= N

@@ -87,6 +87,24 @@ def test_modsym_table(capsys):
     assert [rows[b]["minus"] for b in (1, 2, 3, 4)] == ["1", "0", "0", "-1"]
 
 
+def test_modsym_table_twist_builds_each_birch_row_once(capsys, monkeypatch):
+    # the scales are fixed by the first rows at the constructor's den p,
+    # which are the rows the table prints: one Birch row per sign
+    from iwrank import modsym
+    calls = []
+    birch_row = modsym.TwistedSymbol._birch_row
+
+    def counted(self, den, s):
+        calls.append((den, s))
+        return birch_row(self, den, s)
+
+    monkeypatch.setattr(modsym.TwistedSymbol, "_birch_row", counted)
+    assert main(["modsym-table", "--newform", "11.2.a.a", "--prime", "5",
+                 "--char", "quad-23"]) == 0
+    assert _records(capsys)[0]["scales"] is not None
+    assert calls == [(5, 1), (5, -1)]
+
+
 def test_padic_l(capsys):
     assert main(["padic-l", "--newform", "52.2.a.a", "--prime", "5",
                  "--branches", "1..4", "--sigma0", "11:1,2,11"]) == 0

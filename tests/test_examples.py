@@ -81,9 +81,20 @@ def test_example1_walks_the_pair_once(monkeypatch):
         walks.append((den, len(numerators)))
         return walk(space, vp, vm, den, numerators)
 
+    # the rows at 121 need the scales, fixed by the first rows at the
+    # constructor's den 11: one Birch row per sign and den
+    birch = []
+    birch_row = modsym.TwistedSymbol._birch_row
+
+    def counted_birch(self, den, s):
+        birch.append((den, s))
+        return birch_row(self, den, s)
+
     monkeypatch.setattr(modsym, "_walk", counted)
+    monkeypatch.setattr(modsym.TwistedSymbol, "_birch_row", counted_birch)
     assert run_example(1).ok
     assert walks == [(2783, 1392)]
+    assert birch == [(121, 1), (121, -1), (11, 1), (11, -1)]
     sym = build_example(1)["sym"]
     for s in (1, -1):
         assert sym.evaluate_row(11, s) == sym.evaluate_row(121, s)[::11]

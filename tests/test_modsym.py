@@ -175,7 +175,7 @@ def test_relations_and_star(sp23):
     assert _mat_mul(star, star) == eye
 
 
-@pytest.mark.parametrize("N", [11, 52])
+@pytest.mark.parametrize("N", [2, 11, 52, 64, 210])
 def test_sl2_lifts(N):
     pl = P1List(N)
     for u, v in pl.pairs:

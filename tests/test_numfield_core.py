@@ -2,13 +2,16 @@
 reference that keeps one Fraction per coefficient and reduces by long
 division."""
 
+import ast
 import random
 from fractions import Fraction
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 
-from iwrank.cyclotomic import CyclotomicNumber, cyclotomic_polynomial
+from iwrank import numfield
+from iwrank.cyclotomic import CyclotomicNumber, cyclotomic_polynomial, zeta
 from iwrank.numfield import NumberField
 
 F = Fraction
@@ -184,3 +187,60 @@ def test_zero_divisors_are_refused():
     with pytest.raises(ZeroDivisionError):
         (x - 1).inverse()
     assert (x + 2) * (x + 2).inverse() == 1
+
+
+def test_only_numfield_folds_and_reduces():
+    # how an element is folded and reduced belongs to `numfield`: no other
+    # module of the package names its `_fold` or `_reduce`
+    private = {"_fold", "_reduce"}
+    for path in sorted(Path(numfield.__file__).parent.glob("*.py")):
+        if path.name == "numfield.py":
+            continue
+        tree = ast.parse(path.read_text())
+        names = [node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr in private
+                 and isinstance(node.value, ast.Name) and node.value.id == "numfield"]
+        names += [alias.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.module or "").split(".")[-1] == "numfield"
+                  for alias in node.names if alias.name in private]
+        assert not names, (path.name, names)
+
+
+def test_power_basis_is_read_once(monkeypatch):
+    # nums and den reduce vec once per element, however often they are read
+    K = NumberField((-5, 0, 1))
+    elements = [K.element([F(1, 2), F(3, 4)]) * K.element([2, -1]),
+                zeta(12) * F(1, 3) + zeta(12, 5) * zeta(8)]
+    calls = []
+    reduce = numfield._reduce
+
+    def counted(vec, field):
+        calls.append(field)
+        return reduce(vec, field)
+
+    monkeypatch.setattr(numfield, "_reduce", counted)
+    for count, x in enumerate(elements, 1):
+        for _ in range(3):
+            assert x.nums and x.den > 0
+            assert x.coeffs == tuple(F(c, x.den) for c in x.nums)
+            assert not x.is_zero() and x == x and repr(x)
+        assert len(calls) == count and calls[-1] is x.field
+
+
+def test_product_is_reduced_at_every_step():
+    # over a field with no period the stored vector is the power-basis
+    # form: each product of a chain is reduced when it is made, and
+    # equals the reference reduced at every step
+    poly = (-5, 0, 1)
+    K = NumberField(poly)
+    rng = random.Random("sqrt5-chain")
+    for _ in range(10):
+        ref = _random_ref(rng, 2, False)
+        x = K.element(ref)
+        for _ in range(8):
+            rb = _random_ref(rng, 2, False)
+            x, ref = x * K.element(rb), _ref_mul(ref, rb, poly)
+            _check(x, ref)
+            assert len(x.vec) <= 2
+            assert (tuple(x.vec) + (0,) * (2 - len(x.vec)), x.vden) == (x.nums, x.den)
