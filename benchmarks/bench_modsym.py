@@ -6,18 +6,19 @@ Usage: python benchmarks/bench_modsym.py [--repeat N]
 For each level N it times `iwrank.modsym.P1List(N)` (the points and
 their divisor index), `iwrank.modsym.build_space(N)` (the index, the
 sparse quotient and the dimension check), the Hecke images T_2, T_3,
-T_5, T_7 together on a fresh space, and, at the levels in `TARGETS`, one
-rational `eigen_functional` (plus sign, the T_ell eigenvalue there).  It
-prints the best of `--repeat` rounds together with |P^1(Z/N)| and the
-quotient dimension; `/build` is Hecke plus eigenfunctional as a multiple
-of the build, and `peak` the most memory that Python allocations (per
-`tracemalloc`) held at once in one untimed build of the space and its
-four Hecke images.
+T_5, T_7 together on a fresh space, and, at the levels in `TARGETS`, the
+rational `eigen_functional` of each sign (the T_ell eigenvalue there,
+its Hecke images memoized).  It prints the best of `--repeat` rounds
+together with |P^1(Z/N)| and the quotient dimension; `/build` is Hecke
+plus both eigenfunctionals as a multiple of the build, and `peak` the
+most memory that Python allocations (per `tracemalloc`) held at once in
+one untimed build of the space and its four Hecke images.
 
 Then it times `restrict_to_cuspidal(T_2)` at the levels in `CUSPIDAL`
 (the boundary kernel, the images of its basis and the check that they
-stay cuspidal), and the plus eigenfunctional of 23.2.a over Q(sqrt 5)
-(a_2 = (-1 - sqrt 5)/2), with T_2 memoized in both.
+stay cuspidal), the plus eigenfunctional of 23.2.a over Q(sqrt 5)
+(a_2 = (-1 - sqrt 5)/2), with T_2 memoized in both, and both signs of
+the three-target solve `MULTI` at level 364, its images memoized.
 """
 
 import argparse
@@ -35,6 +36,10 @@ HECKE = (2, 3, 5, 7)
 # given at 2003 and 4001, which time no eigenfunctional)
 TARGETS = {52: (5, 2), 389: (2, -2), 997: (2, 0)}
 CUSPIDAL = (52, 389)
+# the newform of level 364 congruent to 52.2.a.a mod 5: a line on both
+# signs only with all three targets, each one after the first cutting a
+# kernel of dimension 8 (then 4, on the plus sign) down
+MULTI = (364, [(3, 0), (5, -3), (11, -2)])
 
 
 def best_time(fn, repeat):
@@ -77,20 +82,21 @@ def main():
     args = ap.parse_args()
 
     print(f"{'N':>5} {'|P1|':>6} {'dim':>5} {'P1List':>10} {'build_space':>12} "
-          f"{'T2,3,5,7':>10} {'eigen':>10} {'/build':>7} {'peak':>9}")
+          f"{'T2,3,5,7':>10} {'eigen+':>10} {'eigen-':>10} {'/build':>7} {'peak':>9}")
     for N in LEVELS:
         space = modsym.build_space(N)
         tp = best_time(lambda: modsym.P1List(N), args.repeat)
         tb = best_time(lambda: modsym.build_space(N), args.repeat)
         th = min(hecke_on_fresh_space(N) for _ in range(args.repeat))
-        eigen = ratio = "-"
+        eigen, ratio = ["-", "-"], "-"
         if N in TARGETS:
-            te = best_time(lambda: modsym.eigen_functional(space, [TARGETS[N]], +1),
-                           args.repeat)
-            eigen, ratio = f"{te * 1e3:.1f}ms", f"{(th + te) / tb:.2f}"
+            te = [best_time(lambda: modsym.eigen_functional(space, [TARGETS[N]], sign),
+                            args.repeat) for sign in (1, -1)]
+            eigen, ratio = [f"{t * 1e3:.1f}ms" for t in te], f"{(th + sum(te)) / tb:.2f}"
         print(f"{N:>5} {len(space.p1):>6} {space.dim:>5} "
               f"{tp * 1e3:>8.2f}ms {tb * 1e3:>10.1f}ms "
-              f"{th * 1e3:>8.1f}ms {eigen:>10} {ratio:>7} {peak_mb(N):>7.2f}MB")
+              f"{th * 1e3:>8.1f}ms {eigen[0]:>10} {eigen[1]:>10} {ratio:>7} "
+              f"{peak_mb(N):>7.2f}MB")
 
     print()
     for N in CUSPIDAL:
@@ -106,6 +112,13 @@ def main():
     tf = best_time(lambda: modsym.eigen_functional(space, [(2, a2)], +1),
                    args.repeat)
     print(f"eigen_functional 23.2.a over Q(sqrt5)            {tf * 1e3:>8.2f}ms")
+    N, targets = MULTI
+    space = modsym.build_space(N)
+    for ell, _ in targets:
+        space.hecke_images(ell)
+    for sign in (1, -1):
+        tm = best_time(lambda: modsym.eigen_functional(space, targets, sign), args.repeat)
+        print(f"eigen_functional {N} {targets} sign {sign:+d} {tm * 1e3:>8.2f}ms")
 
 
 if __name__ == "__main__":

@@ -11,7 +11,10 @@ by restriction of scalars; and every inverse in a number field
 (`NFElement.inverse`), a solve of the element's multiplication matrix.
 
 Pivots are taken at each row's smallest column and rows are reduced in
-the order given, so the output is the same on every run.
+the order given, so the output is the same on every run.  The reduced
+form of a row space with coprime rows is unique up to the sign of each
+row, which `kernel` does not read: the kernel does not depend on the
+order of the rows or on which of them serve as pivots on the way.
 """
 
 from __future__ import annotations
@@ -23,8 +26,10 @@ def rref(rows):
     """Sparse Gauss-Jordan elimination of integer rows {column: entry}.
 
     Each row is reduced against the pivots found so far, always at its
-    smallest column, and becomes a new pivot row if anything is left;
-    back substitution then clears every pivot column from the other rows.
+    smallest column, and becomes a new pivot row if anything is left.  Of
+    two rows that lead at one column the shorter is kept as the pivot and
+    the other is reduced by it, which keeps the fill-in down.  Back
+    substitution then clears every pivot column from the other rows.
     Returns {pivot: row}: the reduced row echelon form of the row space,
     each row scaled to coprime integers.
     """
@@ -32,11 +37,15 @@ def rref(rows):
     for row in rows:
         while row:
             p = min(row)
-            if p not in pivots:
+            prow = pivots.get(p)
+            if prow is None or len(row) < len(prow):
                 g = gcd(*row.values())
                 pivots[p] = {k: x // g for k, x in row.items()} if g > 1 else row
-                break
-            row = _eliminate(row, pivots[p], p)
+                if prow is None:
+                    break
+                row = prow
+            else:
+                row = _eliminate(row, prow, p)
     for p in sorted(pivots, reverse=True):
         row = pivots[p]
         for q in sorted(c for c in row if c != p and c in pivots):
@@ -49,14 +58,14 @@ def _eliminate(row, prow, c):
     """prow[c] * row - row[c] * prow (column c cleared), divided by the
     gcd of its entries."""
     a, b = row[c], prow[c]
-    out = {k: b * x for k, x in row.items()}
+    out = dict(row) if b == 1 else {k: b * x for k, x in row.items()}
     for k, x in prow.items():
         y = out.get(k, 0) - a * x
         if y:
             out[k] = y
         else:
-            out.pop(k, None)
-    g = gcd(*out.values()) if out else 1
+            del out[k]  # y = 0 only where out has k, as a x != 0
+    g = gcd(*out.values())
     return {k: x // g for k, x in out.items()} if g > 1 else out
 
 

@@ -17,10 +17,12 @@ job.  See Cremona, *Algorithms for Modular Elliptic Curves* (1997),
 section 2.2, and Stein, *Modular Forms: A Computational Approach*
 (2007), chapters 3 and 8 (section 8.7 for P^1(Z/N)).
 
-The quotient is kept as integer rows over one denominator `den`: the
-vector of each Manin symbol, the Hecke images and the star images are all
-integer rows, and the true coordinates are those rows divided by `den`
-(which is 1 at every level N <= 400).
+The quotient is kept as sparse integer rows {basis index: entry}, the
+rows of `linalg`, over one denominator `den`: the vector of each Manin
+symbol, the star images and the Hecke images (each the sum of the
+vectors of a symbol's Merel hits) are all such rows, and the true
+coordinates are those rows divided by `den` (which is 1 at every level
+N <= 400).
 
 A symbol functional is a linear map on the relation quotient; its value on
 the path {oo -> r} is what the p-adic layer integrates against.  Normalized
@@ -29,9 +31,12 @@ of ints.  Every kernel here is read off that one elimination
 (`linalg.rref`, then `linalg.kernel`): the quotient, the cuspidal
 subspace (the kernel of the boundary map) and the eigenfunctionals, whose
 number-field systems are first written over Q by restriction of scalars.
-An eigenfunctional's system is its star rows, reduced first, and the
-Hecke rows of only the columns that lead no reduced star row: the others
-add nothing on the sign eigenspace, as T_l commutes with star.
+An eigenfunctional is solved on its sign subspace, the kernel of its star
+rows, reduced once.  Each T_l then restricts the kernel found so far,
+with rows at only the columns that lead no star row: the others add
+nothing on the sign subspace, as T_l commutes with star.  So no star row
+meets a Hecke pivot, and a second T_l meets only the few vectors the
+first one leaves.  The generator values are read once per S-orbit.
 
 Every value is read off one continued-fraction walk (`_walk`), over the
 numerators a of a/den.  Its state is the point (q_k : q_(k-1)) of
@@ -51,6 +56,7 @@ entries that the scale divides stay ints.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, sub
@@ -211,10 +217,10 @@ def genus_gamma0(N: int) -> int:
             if p == 3:
                 continue
             nu3 *= 1 + (1 if p % 3 == 1 else -1)
-    g = Fraction(gamma0_index(N), 12) - Fraction(nu2, 4) - Fraction(nu3, 3) \
-        - Fraction(num_cusps(N), 2) + 1
-    assert g.denominator == 1 and g >= 0
-    return int(g)
+    g, r = divmod(gamma0_index(N) - 3 * nu2 - 4 * nu3 - 6 * num_cusps(N) + 12, 12)
+    if r or g < 0:
+        raise AssertionError(f"level {N}: 12 g = {12 * g + r} is not 12 times a genus")
+    return g
 
 
 # Merel matrices -----------------------------------------------------
@@ -273,17 +279,18 @@ class ModularSymbolSpace:
         # representatives that lead no reduced 3-term row.  The quotient
         # vector of a representative is its entry in each kernel basis
         # vector: integer rows over one denominator, the kernel's scale.
-        reps = [r for r, x in enumerate(rep) if x == r]
+        self._reps = reps = [r for r, x in enumerate(rep) if x == r]
         self.basis_cols, self.den, basis = kernel(rref(rows), reps)
         self.dim = len(basis)
-        rep_vec = {r: [0] * self.dim for r in reps}
+        rep_vec = {r: {} for r in reps}
         for k, v in enumerate(basis):
             for r, x in v.items():
                 rep_vec[r][k] = x
-        rep_vec = {r: tuple(w) for r, w in rep_vec.items()}
-        self.vectors = [(0,) * self.dim if r is None else
-                        rep_vec[r] if s > 0 else tuple(-x for x in rep_vec[r])
-                        for r, s in zip(rep, sign)]
+        # symbol i is sign[i] times the representative rep[i] of its S-orbit
+        self._rep = list(zip(rep, sign))
+        self.vectors = [{} if r is None else
+                        rep_vec[r] if s > 0 else {k: -x for k, x in rep_vec[r].items()}
+                        for r, s in self._rep]
         expected = 2 * genus_gamma0(N) + num_cusps(N) - 1
         if self.dim != expected:
             raise AssertionError(
@@ -300,17 +307,16 @@ class ModularSymbolSpace:
         return S, T
 
     def star_images(self):
-        """Image of each basis symbol under (c:d) -> (-c:d), as integer
-        quotient rows over `den`."""
-        out = []
-        for col in self.basis_cols:
-            u, v = self.p1.pairs[col]
-            out.append(list(self.vectors[self.p1.index(-u, v)]))
-        return out
+        """Image of each basis symbol under (c:d) -> (-c:d), as a sparse
+        integer quotient row over `den`."""
+        pairs, idx = self.p1.pairs, self.p1.index
+        return [self.vectors[idx(-pairs[col][0], pairs[col][1])]
+                for col in self.basis_cols]
 
     def hecke_images(self, n: int):
         """Row j = image of basis symbol j under T_n (U_n when gcd(n,N)>1),
-        as an integer quotient row over `den`."""
+        as a sparse integer quotient row over `den`: the sum of the
+        vectors of its Merel hits."""
         out = self._hecke.get(n)
         if out is not None:
             return out
@@ -319,15 +325,28 @@ class ModularSymbolSpace:
         out = []
         for col in self.basis_cols:
             u, v = self.p1.pairs[col]
-            hits = []
+            row = {}
             for a, b, c, d in mats:
                 x = (u * a + v * c) % N
                 i = table[x][norm[x] * (u * b + v * d) % N]
                 if i >= 0:  # i < 0: not a point of P^1
-                    hits.append(vectors[i])
-            out.append([sum(x) for x in zip(*hits)] if hits else [0] * self.dim)
+                    for k, y in vectors[i].items():
+                        row[k] = row.get(k, 0) + y
+            out.append({k: y for k, y in row.items() if y})
         self._hecke[n] = out
         return out
+
+    def symbol_values(self, coords):
+        """The value on each Manin symbol of the functional with the
+        given values on the basis symbols (times `den`): one dot product
+        per S-orbit, as x_i = +-x_rep(i), and 0 where S fixes i."""
+        at, vectors = {}, self.vectors
+        for r in self._reps:
+            v = 0
+            for k, x in vectors[r].items():
+                v += x * coords[k]
+            at[r] = v
+        return [0 if r is None else at[r] if s > 0 else -at[r] for r, s in self._rep]
 
     # --- boundary ---
 
@@ -370,20 +389,18 @@ class ModularSymbolSpace:
         return len(self.cuspidal_basis()[0])
 
     def restrict_to_cuspidal(self, images):
-        """Matrix (rows = images) of an operator on the cuspidal subspace,
-        in the basis of `cuspidal_basis` divided by its scale: the
-        coordinates of an image are its entries at the free indices."""
+        """Matrix of an operator on the cuspidal subspace, images[j] the
+        sparse quotient row of the image of basis symbol j, in the basis
+        of `cuspidal_basis` divided by its scale: the coordinates of an
+        image are its entries at the free indices."""
         free, scale, basis = self.cuspidal_basis()
         _, boundary = self.boundary_data()
         out = []
         for v in basis:
-            img = [0] * self.dim
-            for j, coeff in v.items():
-                for t, x in enumerate(images[j]):
-                    img[t] += coeff * x
-            if any(sum(x * img[t] for t, x in row.items()) for row in boundary):
+            img = _combination(v, images)
+            if any(sum(x * img.get(t, 0) for t, x in row.items()) for row in boundary):
                 raise ValueError("operator does not preserve the cuspidal subspace")
-            out.append([Fraction(img[f], scale) for f in free])
+            out.append([Fraction(img.get(f, 0), scale) for f in free])
         return out
 
 
@@ -538,35 +555,39 @@ def eigen_functional(space, targets, sign):
     field of the first `NFElement` among them.  Over K the system is
     written over Q by restriction of scalars (each K-coordinate of Phi
     becomes deg K rational unknowns), and both cases are solved by the
-    integer elimination of `linalg`, as the quotient is.  Over K the line
-    is fixed by setting its first free K-coordinate to 1 before the
-    content is taken.  Generator values are ints over Q and field
-    elements over K.
+    integer elimination of `linalg`, as the quotient is, on the sign
+    subspace: the kernel of the star rows, reduced once, one vector per
+    column that leads no star row.  Each T_l then restricts the kernel
+    found so far (`_restrict`): its rows, built only at the columns that
+    lead no star row, are taken on the kernel's vectors and reduced among
+    themselves.  So no star row is reduced against a Hecke pivot, and a
+    second T_l is reduced on the few vectors the first one leaves.
+    Over K the line is fixed by setting its first free K-coordinate to 1
+    before the content is taken.  Generator values are ints over Q and
+    field elements over K, read once per S-orbit (`symbol_values`).
     """
     field = next((a.field for _, a in targets if isinstance(a, NFElement)), None)
     deg = 1 if field is None else field.degree
     # Phi(M e_j) = a Phi(e_j) for each operator M and eigenvalue a, on the
-    # unknowns x^i of K-coordinate k at column k deg + i.  The sparse star
-    # rows are reduced first.  Hecke rows are built only for the columns j
-    # that lead no star row: T_l commutes with star, so for Phi of sign s
-    # the functional Phi (T_l - a_l) has sign s too, and it vanishes once
-    # it vanishes at those columns.  The system keeps its solutions, so
-    # its reduced form and kernel, with about half the dense rows.
+    # unknowns x^i of K-coordinate k at column k deg + i.  T_l commutes
+    # with star, so for Phi of sign s the functional Phi (T_l - a_l) has
+    # sign s too, and it vanishes once it vanishes at the columns that
+    # lead no star row.
     star = rref(_eigen_rows(space.star_images(), sign, field, space.den, range(space.dim)))
+    free, _, basis = kernel(star, range(space.dim * deg))
     hecke_cols = [j for j in range(space.dim) if j * deg not in star]
-    rows = list(star.values())
     for ell, a in targets:
-        rows += _eigen_rows(space.hecke_images(ell), a, field, space.den, hecke_cols)
-    free, _, basis = kernel(rref(rows), range(space.dim * deg))
+        free, basis = _restrict(_eigen_rows(space.hecke_images(ell), a, field,
+                                            space.den, hecke_cols), free, basis)
     _check_eigenspace(space, sign, len(free) // deg)
     # the first free column is x^0 of a K-coordinate, whose other x^i are
-    # free too: basis[0] sets that coordinate to its scale
-    parts = [{} for _ in range(deg)]
+    # free too: basis[0] sets that coordinate to a positive int and the
+    # other free columns to 0
+    parts = [[0] * space.dim for _ in range(deg)]
     for c, x in basis[0].items():
         parts[c % deg][c // deg] = x
     # coeffs[t][i]: the x^t coefficient of generator value i
-    coeffs = [[sum(w[k] * x for k, x in part.items()) for w in space.vectors]
-              for part in parts]
+    coeffs = [space.symbol_values(part) for part in parts]
     g = gcd(*(gcd(*col) for col in coeffs))
     if next(x for value in zip(*coeffs) for x in value if x) < 0:
         g = -g
@@ -576,16 +597,41 @@ def eigen_functional(space, targets, sign):
                                           for value in zip(*coeffs)])
 
 
+def _restrict(rows, free, basis):
+    """(free, basis) of the vectors in the span of `basis` on which the
+    rows vanish: `kernel` of the rows taken on the basis vectors (its
+    columns, labelled by `free`), mapped back through them.  A `kernel`
+    vector ends at its free column, so the columns left free are those
+    that the whole system, reduced at once, would leave free."""
+    at = defaultdict(dict)  # at[c][f]: the entry of basis vector f at c
+    for f, v in zip(free, basis):
+        for c, x in v.items():
+            at[c][f] = x
+    taken = [_combination(row, at) for row in rows]
+    of = dict(zip(free, basis))
+    free, _, sub = kernel(rref(taken), free)
+    return free, [_combination(w, of) for w in sub]
+
+
+def _combination(coeffs, rows):
+    """The sparse row sum_k coeffs[k] rows[k], of sparse rows rows[k]."""
+    out = {}
+    for k, x in coeffs.items():
+        for c, y in rows[k].items():
+            out[c] = out.get(c, 0) + x * y
+    return {c: x for c, x in out.items() if x}
+
+
 def _eigen_rows(imgs, a, field, den, cols):
     """The rows of Phi(M e_j) = a Phi(e_j) for j in cols, imgs[j] the
-    integer row of M e_j over den: row (j, t) is the x^t coefficient of
-    d (M[j] - a den e_j)."""
+    sparse integer row of M e_j over den: row (j, t) is the x^t
+    coefficient of d (M[j] - a den e_j)."""
     deg = 1 if field is None else field.degree
     d, mult = _scalar_matrix(a, field)
     rows = []
     for j in cols:
         for t, mrow in enumerate(mult):
-            row = {k * deg + t: d * x for k, x in enumerate(imgs[j]) if x}
+            row = {k * deg + t: d * x for k, x in imgs[j].items()}
             for i, m in enumerate(mrow):
                 c = j * deg + i
                 x = row.get(c, 0) - m * den

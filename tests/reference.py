@@ -21,6 +21,11 @@ from iwrank.qseries import bernoulli_number
 # (Fraction or number-field entries), on dense lists of lists.
 
 
+def dense(row, dim):
+    """The sparse row {index: entry} as a list of its dim entries."""
+    return [row.get(k, 0) for k in range(dim)]
+
+
 def is_zero(x) -> bool:
     z = getattr(x, "is_zero", None)
     if z is not None:
@@ -123,6 +128,27 @@ def restrict_to_cuspidal(space, images):
             raise ValueError("operator does not preserve the cuspidal subspace")
         out.append(x)
     return out
+
+
+def genus_gamma0(N: int) -> int:
+    """The genus of X_0(N), 1 + index/12 - nu2/4 - nu3/3 - cusps/2 in
+    Fractions, with nu2 and nu3 counted as the roots of x^2 + 1 and of
+    x^2 + x + 1 mod N (Diamond and Shurman, *A First Course in Modular
+    Forms*, section 3.9).  The oracle of `modsym.genus_gamma0`."""
+    index, m, p = N, N, 2
+    while m > 1:
+        if m % p == 0:
+            index += index // p
+            while m % p == 0:
+                m //= p
+        p += 1
+    nu2 = sum(1 for x in range(N) if (x * x + 1) % N == 0)
+    nu3 = sum(1 for x in range(N) if (x * x + x + 1) % N == 0)
+    cusps = sum(sum(1 for t in range(g) if gcd(t, g) == 1)
+                for g in (gcd(d, N // d) for d in range(1, N + 1) if N % d == 0))
+    g = 1 + Fraction(index, 12) - Fraction(nu2, 4) - Fraction(nu3, 3) - Fraction(cusps, 2)
+    assert g.denominator == 1 and g >= 0, N
+    return int(g)
 
 
 def p1_normalize(N: int, u: int, v: int) -> tuple[int, int]:

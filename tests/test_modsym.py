@@ -24,7 +24,7 @@ from iwrank.modsym import (
 from iwrank.newforms import bundled
 from iwrank.numfield import NumberField
 import reference
-from reference import p1_normalize, path_sum, right_kernel, rref
+from reference import dense, p1_normalize, path_sum, right_kernel, rref
 
 F = Fraction
 
@@ -65,6 +65,20 @@ def test_sizes_and_dimensions(N, npts, g, nc, dim):
         assert sp.cuspidal_dimension() == 2 * g
 
 
+def test_genus_matches_fraction_formula():
+    for N in range(1, 501):
+        assert genus_gamma0(N) == reference.genus_gamma0(N), N
+
+
+@pytest.mark.parametrize("cusps", [3, 5, 6])
+def test_genus_refuses_a_count_that_is_no_genus(cusps, monkeypatch):
+    # at level 11 (index 12, no elliptic points) 12 g = 24 - 6 c: not a
+    # multiple of 12 at c = 3 and 5, and negative at c = 6
+    monkeypatch.setattr(modsym, "num_cusps", lambda N: cusps)
+    with pytest.raises(AssertionError, match="level 11"):
+        genus_gamma0(11)
+
+
 def _dense_quotient(N):
     """basis_cols and vectors from the dense RREF of all 2|P^1| Manin
     relation rows, the reference for the sparse quotient."""
@@ -92,9 +106,42 @@ def _dense_quotient(N):
 def test_sparse_quotient_matches_dense_rref():
     for N in list(range(2, 41)) + [44, 49, 52, 54, 64, 81]:
         sp = ModularSymbolSpace(N)
-        vectors = [tuple(F(x, sp.den) for x in w) for w in sp.vectors]
+        vectors = [tuple(F(x, sp.den) for x in dense(w, sp.dim)) for w in sp.vectors]
         assert (sp.basis_cols, vectors) == _dense_quotient(N), N
-        assert all(type(x) is int for w in sp.vectors for x in w)
+        assert all(type(x) is int and x for w in sp.vectors for x in w.values())
+
+
+@pytest.mark.parametrize("N", list(range(2, 61)) + [121])
+def test_sparse_images_match_dense_merel_sums(N):
+    # T_n (U_n where n divides N) and star, on the basis symbols: the
+    # dense sums, over the Merel matrices, of the vectors of the dense
+    # quotient at the P^1 points hit
+    sp = ModularSymbolSpace(N)
+    basis, vectors = _dense_quotient(N)
+    at = {pair: i for i, pair in enumerate(sp.p1.pairs)}
+
+    def vector(u, v):
+        try:
+            return vectors[at[p1_normalize(N, u, v)]]
+        except ValueError:  # not a point of P^1
+            return None
+
+    def as_dense(rows):
+        return [tuple(F(x, sp.den) for x in dense(w, sp.dim)) for w in rows]
+
+    zero = (F(0),) * sp.dim
+    for n in (2, 3, 5, 7, 11):
+        want = []
+        for col in basis:
+            u, v = sp.p1.pairs[col]
+            hits = [vector(u * a + v * c, u * b + v * d)
+                    for a, b, c, d in merel_matrices(n)]
+            want.append(tuple(map(sum, zip(zero, *(h for h in hits if h is not None)))))
+        assert as_dense(sp.hecke_images(n)) == want, (N, n)
+    star = [vector(-u, v) for u, v in (sp.p1.pairs[col] for col in basis)]
+    assert as_dense(sp.star_images()) == star, N
+    for rows in [sp.star_images()] + [sp.hecke_images(n) for n in (2, 3, 5, 7, 11)]:
+        assert all(type(x) is int and x for w in rows for x in w.values()), N
 
 
 def test_p1_table_matches_normalize():
@@ -162,14 +209,14 @@ def test_p1_pairs_and_successors_match_normalize():
 def test_relations_and_star(sp23):
     sp = sp23
     idx = sp.p1.index
+    vec = [dense(w, sp.dim) for w in sp.vectors]
     for i, (u, v) in enumerate(sp.p1.pairs):
-        two = [a + b for a, b in zip(sp.vectors[i], sp.vectors[idx(v, -u)])]
+        two = [a + b for a, b in zip(vec[i], vec[idx(v, -u)])]
         assert all(x == 0 for x in two)
         three = [a + b + c for a, b, c in
-                 zip(sp.vectors[i], sp.vectors[idx(v, -u - v)],
-                     sp.vectors[idx(-u - v, u)])]
+                 zip(vec[i], vec[idx(v, -u - v)], vec[idx(-u - v, u)])]
         assert all(x == 0 for x in three)
-    star = sp.star_images()
+    star = [dense(w, sp.dim) for w in sp.star_images()]
     eye = [[sp.den ** 2 if i == j else 0 for j in range(sp.dim)]
            for i in range(sp.dim)]
     assert _mat_mul(star, star) == eye
@@ -195,8 +242,7 @@ def test_hecke_on_level_11(sp11):
     # charpoly (x + 2)^2: trace -4, determinant 4
     assert t2c[0][0] + t2c[1][1] == -4
     assert t2c[0][0] * t2c[1][1] - t2c[0][1] * t2c[1][0] == 4
-    t2 = sp11.hecke_images(2)
-    t3 = sp11.hecke_images(3)
+    t2, t3 = ([dense(w, sp11.dim) for w in sp11.hecke_images(ell)] for ell in (2, 3))
     assert _mat_mul(t2, t3) == _mat_mul(t3, t2)
 
 
@@ -206,7 +252,7 @@ def test_eigen_functional_11a(sp11, pair11):
         assert functional_eigenvalue(plus11, ell) == a, ell
     # the coordinate vector really is a T_3 eigenvector
     v = plus11.coords
-    t3m = sp11.hecke_images(3)
+    t3m = [dense(w, sp11.dim) for w in sp11.hecke_images(3)]
     for j in range(sp11.dim):
         assert sum(t3m[j][k] * v[k] for k in range(sp11.dim)) == -sp11.den * v[j]
 
@@ -252,13 +298,13 @@ def _dense_eigen_values(sp, targets, sign, one=F(1)):
     for imgs, a in [(sp.hecke_images(ell), a) for ell, a in targets] + \
             [(sp.star_images(), sign)]:
         for j, img in enumerate(imgs):
-            row = [one * F(x, sp.den) for x in img]
+            row = [one * F(x, sp.den) for x in dense(img, sp.dim)]
             row[j] = row[j] - a
             rows.append(row)
     ker = right_kernel(rows, sp.dim, one)
     if len(ker) != 1:
         return None
-    vals = [sum((c * F(x, sp.den) for x, c in zip(w, ker[0])), one - one)
+    vals = [sum((c * F(x, sp.den) for x, c in zip(dense(w, sp.dim), ker[0])), one - one)
             for w in sp.vectors]
     parts = [f for v in vals for f in getattr(v, "coeffs", [v])]
     content = F(gcd(*(f.numerator for f in parts)),
@@ -299,7 +345,7 @@ def test_eigenvalues_over_number_field(sp23):
     assert a3 == functional_eigenvalue(
         minus23, 3, probes=(F(1, 3), F(1, 7), F(2, 7), F(1, 9)))
     # Merel-matrix cross-check
-    t3m = sp23.hecke_images(3)
+    t3m = [dense(w, sp23.dim) for w in sp23.hecke_images(3)]
     w = plus23.coords
     for j in range(sp23.dim):
         lhs = None
@@ -330,7 +376,7 @@ def _hecke_defects(phi, ell, a):
     """The basis columns j at which Phi(T_l e_j) = a Phi(e_j) fails."""
     sp, w = phi.space, phi.coords
     return [j for j, img in enumerate(sp.hecke_images(ell))
-            if sum((x * c for x, c in zip(img, w) if x), 0) != a * sp.den * w[j]]
+            if sum((x * c for x, c in zip(dense(img, sp.dim), w) if x), 0) != a * sp.den * w[j]]
 
 
 @pytest.mark.parametrize("label,ell", [("11.2.a.a", 2), ("19.2.a.a", 2),
@@ -342,7 +388,7 @@ def test_eigen_relation_at_columns_without_hecke_rows(label, ell):
     form = bundled(label)
     sp = ModularSymbolSpace(form.level)
     for sign in (1, -1):
-        star = [[F(x, sp.den) - sign * (k == j) for k, x in enumerate(img)]
+        star = [[F(x, sp.den) - sign * (k == j) for k, x in enumerate(dense(img, sp.dim))]
                 for j, img in enumerate(sp.star_images())]
         _, dropped = rref(star)
         assert dropped, (label, sign)
@@ -353,6 +399,27 @@ def test_eigen_relation_at_columns_without_hecke_rows(label, ell):
         assert _hecke_defects(phi, q, -form.a(q)), (label, sign, q)
 
 
+@pytest.fixture(scope="module")
+def sp364():
+    return ModularSymbolSpace(364)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_three_target_line_at_364(sp364, sign):
+    # the newform of level 364 congruent to 52.2.a.a mod 5: each further
+    # target restricts the kernel of the ones before it, and the
+    # dimensions it reports on the way are those of the whole system
+    targets = [(3, 0), (5, -3), (11, -2)]
+    phi = eigen_functional(sp364, [(ell, F(a)) for ell, a in targets], sign)
+    for ell, a in targets + [(7, 1), (13, -1)]:
+        assert _hecke_defects(phi, ell, a) == [], (sign, ell)
+    if sign > 0:
+        for k, dim in ((1, 8), (2, 4)):
+            with pytest.raises(EigenspaceError) as err:
+                eigen_functional(sp364, [(ell, F(a)) for ell, a in targets[:k]], sign)
+            assert err.value.dim == dim, k
+
+
 def test_cuspidal_subspace_matches_dense_oracle():
     for N in range(2, 120):
         sp = ModularSymbolSpace(N)
@@ -361,7 +428,8 @@ def test_cuspidal_subspace_matches_dense_oracle():
             for images in (sp.hecke_images(2), sp.hecke_images(3),
                            sp.star_images()):
                 got = sp.restrict_to_cuspidal(images)
-                assert got == reference.restrict_to_cuspidal(sp, images), N
+                want = reference.restrict_to_cuspidal(sp, [dense(w, sp.dim) for w in images])
+                assert got == want, N
                 assert all(type(x) is Fraction for row in got for x in row)
 
 
@@ -372,9 +440,10 @@ def test_restriction_refuses_operator_leaving_cuspidal_subspace(N):
     sp = ModularSymbolSpace(N)
     _, boundary = sp.boundary_data()
     j0 = min(c for row in boundary for c in row)
-    images = [[int(t == j0) for t in range(sp.dim)] for _ in range(sp.dim)]
+    images = [{j0: 1} for _ in range(sp.dim)]
     for restrict in (sp.restrict_to_cuspidal,
-                     lambda im: reference.restrict_to_cuspidal(sp, im)):
+                     lambda im: reference.restrict_to_cuspidal(
+                         sp, [dense(w, sp.dim) for w in im])):
         with pytest.raises(ValueError, match="does not preserve the cuspidal"):
             restrict(images)
 
@@ -569,7 +638,7 @@ def _seeded_pair(N, seed):
     space = ModularSymbolSpace(N)
     rng = random.Random(seed)
     c = [rng.randint(-9, 9) for _ in range(space.dim)]
-    x = [sum(a * b for a, b in zip(v, c)) for v in space.vectors]
+    x = [sum(a * b for a, b in zip(dense(v, space.dim), c)) for v in space.vectors]
     star = [space.p1.index(-u, v) for u, v in space.p1.pairs]
     return SymbolPair(*(SymbolFunctional(space, s, [xi + s * x[j] for xi, j in zip(x, star)])
                         for s in (1, -1)), N)
