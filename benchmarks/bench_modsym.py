@@ -18,7 +18,10 @@ Then it times `restrict_to_cuspidal(T_2)` at the levels in `CUSPIDAL`
 (the boundary kernel, the images of its basis and the check that they
 stay cuspidal), the plus eigenfunctional of 23.2.a over Q(sqrt 5)
 (a_2 = (-1 - sqrt 5)/2), with T_2 memoized in both, and both signs of
-the three-target solve `MULTI` at level 364, its images memoized.
+the three-target solve `MULTI` at level 364, its images memoized.  Last
+it times `merel_matrices(l)` at the l in `MEREL`, and on each sign of
+that level-364 line the eigenvalue reader (`SymbolFunctional.eigenvalue`,
+one Hecke row per l, none memoized) at the l in `READ`.
 """
 
 import argparse
@@ -40,6 +43,8 @@ CUSPIDAL = (52, 389)
 # signs only with all three targets, each one after the first cutting a
 # kernel of dimension 8 (then 4, on the plus sign) down
 MULTI = (364, [(3, 0), (5, -3), (11, -2)])
+MEREL = (97, 599)
+READ = (7, 13, 17, 19, 23, 29, 31, 97)
 
 
 def best_time(fn, repeat):
@@ -119,6 +124,15 @@ def main():
     for sign in (1, -1):
         tm = best_time(lambda: modsym.eigen_functional(space, targets, sign), args.repeat)
         print(f"eigen_functional {N} {targets} sign {sign:+d} {tm * 1e3:>8.2f}ms")
+
+    print()
+    for n in MEREL:
+        tm = best_time(lambda: modsym.merel_matrices(n), args.repeat)
+        print(f"merel_matrices({n:>3}) {len(modsym.merel_matrices(n)):>6} matrices {tm * 1e3:>8.2f}ms")
+    for sign in (1, -1):
+        phi = modsym.eigen_functional(space, targets, sign)
+        tr = best_time(lambda: [phi.eigenvalue(ell) for ell in READ], args.repeat)
+        print(f"eigenvalue at {N} sign {sign:+d}, l in {READ} {tr * 1e3:>8.2f}ms")
 
 
 if __name__ == "__main__":

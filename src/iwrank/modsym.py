@@ -36,22 +36,22 @@ rows, reduced once.  Each T_l then restricts the kernel found so far,
 with rows at only the columns that lead no star row: the others add
 nothing on the sign subspace, as T_l commutes with star.  So no star row
 meets a Hecke pivot, and a second T_l meets only the few vectors the
-first one leaves.  The generator values are read once per S-orbit.
+first one leaves.  The generator values are read once per S-orbit, and
+an eigenvalue a_l is read off one Hecke row (`SymbolFunctional.eigenvalue`).
 
-Every value is read off one continued-fraction walk (`_walk`), over the
-numerators a of a/den.  Its state is the point (q_k : q_(k-1)) of
-P^1(Z/N), and a step is three list reads on one successor table
-(`P1List.successors`), built the same way at every level: 3N entries at a
-prime level, one block of N more per point (u : v) with u not a unit at a
-composite one.  A single value walks its one a.  The p-adic layer reads
-rows: `evaluate_row(den, sign)` holds the values at a/den for
-a = 0..den-1, and both symbol classes keep them by one rule
-(`_cached_row`): a row at den is every k-th entry of a kept row at k den
+Values on paths are read as rows: `evaluate_row(den, sign)` holds the
+values at a/den for a = 0..den-1, and a single value is an entry of its
+denominator's row.  Both symbol classes keep rows by one rule
+(`RowSymbol`): a row at den is every k-th entry of a kept row at k den
 when one is kept, and is built otherwise.  A pair builds both signs' rows
-from one walk per a <= den/2.  A twisted symbol builds its row at den
-from Birch sums over the pair's row at den C, divided by its per-sign
-scales, which the first Birch sums built at the constructor's den fix;
-entries that the scale divides stay ints.
+from one continued-fraction walk (`_walk`) per a <= den/2.  The walk's
+state is the point (q_k : q_(k-1)) of P^1(Z/N), and a step is three list
+reads on one successor table (`P1List.successors`), built the same way at
+every level: 3N entries at a prime level, one block of N more per point
+(u : v) with u not a unit at a composite one.  A twisted symbol builds
+its row at den from Birch sums over the pair's row at den C, divided by
+its per-sign scales, which the first Birch sums built at the
+constructor's den fix; entries that the scale divides stay ints.
 """
 
 from __future__ import annotations
@@ -227,22 +227,21 @@ def genus_gamma0(N: int) -> int:
 
 
 def merel_matrices(n: int):
-    """All [a,b;c,d] with ad-bc=n, a>b>=0, d>c>=0."""
-    mats = []
+    """All [a,b;c,d] with ad-bc=n, a>b>=0, d>c>=0.  With k = a - b and
+    e = d - c the determinant is a e + k c = n, for 1 <= k <= a, e >= 1
+    and c >= 0: so for each k and c with k c < n, each divisor a >= k of
+    m = n - k c gives one matrix, O(n log^2 n) in all."""
+    divisors = [[] for _ in range(n + 1)]
     for a in range(1, n + 1):
-        for d in range(1, n + 1):
-            r = a * d - n
-            if r < 0:
-                continue
-            if r == 0:
-                for b in range(a):
-                    mats.append((a, b, 0, d))
-                for c in range(1, d):
-                    mats.append((a, 0, c, d))
-            else:
-                for c in range(1, d):
-                    if r % c == 0 and r // c < a:
-                        mats.append((a, r // c, c, d))
+        for m in range(a, n + 1, a):
+            divisors[m].append(a)
+    mats = []
+    for k in range(1, n + 1):
+        for c in range((n - 1) // k + 1):
+            m = n - k * c
+            for a in divisors[m]:
+                if a >= k:
+                    mats.append((a, a - k, c, c + m // a))
     return mats
 
 
@@ -313,28 +312,34 @@ class ModularSymbolSpace:
         return [self.vectors[idx(-pairs[col][0], pairs[col][1])]
                 for col in self.basis_cols]
 
+    def hecke_row(self, n: int, j: int):
+        """The image of basis symbol j under T_n (U_n when gcd(n,N)>1), as
+        a sparse integer quotient row over `den`: the sum of the vectors
+        of its Merel hits."""
+        return self._merel_row(merel_matrices(n), j)
+
     def hecke_images(self, n: int):
-        """Row j = image of basis symbol j under T_n (U_n when gcd(n,N)>1),
-        as a sparse integer quotient row over `den`: the sum of the
-        vectors of its Merel hits."""
+        """`hecke_row(n, j)` for every basis symbol j, kept per n; the
+        Merel matrices are enumerated once for all the rows."""
         out = self._hecke.get(n)
-        if out is not None:
-            return out
-        mats = merel_matrices(n)
-        norm, table, N, vectors = self.p1.norm, self.p1.table, self.N, self.vectors
-        out = []
-        for col in self.basis_cols:
-            u, v = self.p1.pairs[col]
-            row = {}
-            for a, b, c, d in mats:
-                x = (u * a + v * c) % N
-                i = table[x][norm[x] * (u * b + v * d) % N]
-                if i >= 0:  # i < 0: not a point of P^1
-                    for k, y in vectors[i].items():
-                        row[k] = row.get(k, 0) + y
-            out.append({k: y for k, y in row.items() if y})
-        self._hecke[n] = out
+        if out is None:
+            mats = merel_matrices(n)
+            out = self._hecke[n] = [self._merel_row(mats, j) for j in range(self.dim)]
         return out
+
+    def _merel_row(self, mats, j):
+        """The sum of the vectors of the points (u:v)M, for (u:v) basis
+        symbol j and M each matrix [a,b;c,d] in mats."""
+        norm, table, N, vectors = self.p1.norm, self.p1.table, self.N, self.vectors
+        u, v = self.p1.pairs[self.basis_cols[j]]
+        row = {}
+        for a, b, c, d in mats:
+            x = (u * a + v * c) % N
+            i = table[x][norm[x] * (u * b + v * d) % N]
+            if i >= 0:  # i < 0: not a point of P^1
+                for k, y in vectors[i].items():
+                    row[k] = row.get(k, 0) + y
+        return {k: y for k, y in row.items() if y}
 
     def symbol_values(self, coords):
         """The value on each Manin symbol of the functional with the
@@ -436,14 +441,14 @@ class SymbolFunctional:
     """Linear functional on the quotient, of fixed star sign, given by its
     generator values: x_i on the Manin symbol of P^1 point i (ints for a
     normalized rational functional, else Fractions or field elements).
-    evaluate(r) returns its value on the path {oo -> r}."""
+    Its values on paths {oo -> a/den} are read as rows, by `SymbolPair`;
+    eigenvalue(l) reads a_l off one Hecke row."""
 
     def __init__(self, space, sign, values):
         self.space = space
         self.sign = sign
         self._values = list(values)
         self._by_state = None
-        self._cache = {}
 
     def generator_values(self):
         return self._values
@@ -464,18 +469,18 @@ class SymbolFunctional:
                 self._by_state[s] = x
         return self._by_state
 
-    def evaluate(self, r):
-        """Value on {oo -> r}: `_walk` at the one numerator of r, fed this
-        functional's values on both sides; by the star-sign identity, the
-        side of its sign is its path sum."""
-        r = Fraction(r)
-        key = (r.numerator % r.denominator, r.denominator)
-        hit = self._cache.get(key)
-        if hit is None:
-            vals = self.values_by_state()
-            (plus,), (minus,) = _walk(self.space, vals, vals, key[1], key[:1])
-            hit = self._cache[key] = _as_fraction(plus if self.sign > 0 else minus)
-        return hit
+    def eigenvalue(self, ell):
+        """a_l, for a T_l (U_l when l divides the level) eigenfunctional:
+        Phi(T_l e_j) = a_l Phi(e_j) at the first basis column j with
+        Phi(e_j) != 0, the image of e_j being one Hecke row over `den`
+        (`hecke_row`).  Exact: a Fraction over Q, a field element over K."""
+        coords = self.coords
+        j = next((j for j, x in enumerate(coords) if x != 0), None)
+        if j is None:
+            raise ValueError("the functional vanishes: no eigenvalue to read")
+        total = sum(x * coords[k] for k, x in self.space.hecke_row(ell, j).items())
+        scale = self.space.den * coords[j]
+        return total / scale if isinstance(scale, NFElement) else Fraction(total, scale)
 
 
 def _walk(space, vp, vm, den, numerators):
@@ -514,10 +519,6 @@ def _walk(space, vp, vm, den, numerators):
         hp.append(sp)
         hm.append(first_m + odd - even)
     return hp, hm
-
-
-def _as_fraction(v):
-    return Fraction(v) if isinstance(v, int) else v
 
 
 def _frac_parts(v):
@@ -650,44 +651,37 @@ def _check_eigenspace(space, sign, dim):
             f"{dim}, expected 1", dim)
 
 
-def functional_eigenvalue(phi: SymbolFunctional, ell: int, probes=(0, Fraction(1, 2), Fraction(1, 3))):
-    """a_l recovered from the path identity
-    a_l x(r) = sum_b x((r+b)/l) + x(l r)   (the last term only for l
-    prime to the level): cheap for large l, no Hecke matrix needed."""
-    N = phi.space.N
-    for r in probes:
-        base = phi.evaluate(r)
-        if base == 0:
-            continue
-        r = Fraction(r)
-        acc = None
-        for b in range(ell):
-            t = phi.evaluate((r + b) / ell)
-            acc = t if acc is None else acc + t
-        if N % ell != 0:
-            acc = acc + phi.evaluate(ell * r)
-        return acc / base
-    raise ValueError("all probe values vanish; supply better probes")
-
-
 # rows and twisting --------------------------------------------------
 
 
-def _cached_row(rows, den, sign, build):
-    """The row of `sign` at den out of `rows`, which keeps both signs'
-    rows by den: every k-th entry of a kept row at k den when one is kept,
-    as x(b/den) = x(kb/(k den)), else the pair of rows build(den).  The
-    row at den is kept too."""
-    got = rows.get(den)
-    if got is None:
-        big = next((d for d in rows if d % den == 0), None)
-        got = rows[den] = (build(den) if big is None else
-                           tuple(r[::big // den] for r in rows[big]))
-    return got[0] if sign > 0 else got[1]
+class RowSymbol:
+    """A symbol of both star signs whose every value is read off a row:
+    `_build_rows(den)` gives both signs' rows at den, and `_rows` keeps
+    them by den."""
+
+    def evaluate(self, r, sign):
+        """Value on {oo -> r} of the given sign: entry r mod 1 of the row
+        at r's denominator."""
+        r = Fraction(r)
+        return self.evaluate_row(r.denominator, sign)[r.numerator % r.denominator]
+
+    def evaluate_row(self, den, sign):
+        """Values on {oo -> a/den} for a = 0..den-1, of the given sign:
+        every k-th entry of a kept row at k den when one is kept, as
+        x(b/den) = x(kb/(k den)), else built with the other sign's row by
+        `_build_rows(den)`.  Both signs' rows at den are kept."""
+        got = self._rows.get(den)
+        if got is None:
+            big = next((d for d in self._rows if d % den == 0), None)
+            got = self._rows[den] = (self._build_rows(den) if big is None else
+                                     tuple(r[::big // den] for r in self._rows[big]))
+        return got[0] if sign > 0 else got[1]
 
 
-class SymbolPair:
-    """x^+ and x^- of one form, presented to the p-adic layer."""
+class SymbolPair(RowSymbol):
+    """x^+ and x^- of one form, presented to the p-adic layer.  Its rows
+    hold raw path sums: ints for a normalized rational functional, else
+    Fractions or field elements."""
 
     def __init__(self, plus, minus, level, label=""):
         self.plus = plus
@@ -696,16 +690,7 @@ class SymbolPair:
         self.label = label
         self._rows = {}
 
-    def evaluate(self, r, sign):
-        return (self.plus if sign > 0 else self.minus).evaluate(r)
-
-    def evaluate_row(self, den, sign):
-        """Values on {oo -> a/den} for a = 0..den-1, as raw path sums (ints
-        for a normalized rational functional, else Fractions or field
-        elements), kept for both signs by `_cached_row`."""
-        return _cached_row(self._rows, den, sign, self._walk_rows)
-
-    def _walk_rows(self, den):
+    def _build_rows(self, den):
         """Both signs' rows at den: one walk (`_walk`) per a <= den/2 feeds
         both functionals, and the star involution gives
         x(1 - r) = x(-r) = s x(r) for the other half (s the functional's
@@ -719,14 +704,13 @@ class SymbolPair:
         return tuple(rows)
 
 
-class TwistedSymbol:
+class TwistedSymbol(RowSymbol):
     """Symbol pair of f tensor chi via Birch sums over a mod cond(chi).
 
     value at r, sign s:  sum_a conj(chi)(a) x^{s*chi(-1)}(r + a/C), divided
     by a per-sign scalar recorded in .scales: the one that gives the values
     at b/den, b = 0..den-1, content 1 with the first nonzero one positive
-    (1 when they all vanish), fixed on first use.  Every value is read off
-    a row: evaluate(r) is entry r mod 1 of the row at r's denominator.
+    (1 when they all vanish), fixed on first use.
     """
 
     def __init__(self, pair, chi, den, label=""):
@@ -754,7 +738,7 @@ class TwistedSymbol:
     @property
     def scales(self):
         """The per-sign scalars, fixed by the first rows built at the
-        constructor's den (`_birch_rows`), which this builds if need be."""
+        constructor's den (`_build_rows`), which this builds if need be."""
         if self._scales is None:
             self.evaluate_row(self._scale_den, 1)
         return self._scales
@@ -777,22 +761,13 @@ class TwistedSymbol:
                 row = [acc + cv * x for acc, x in zip(row, col)]
         return tuple(row)
 
-    def _birch_rows(self, den):
+    def _build_rows(self, den):
         """Both signs' rows at den: the Birch sums over the scales.  The
         first sums at the constructor's den fix the scales."""
         raw = [self._birch_row(den, s) for s in (1, -1)]
         if self._scales is None and den == self._scale_den:
             self._scales = {s: _signed_content(r) or Fraction(1) for s, r in zip((1, -1), raw)}
         return tuple(_divided(r, self.scales[s]) for s, r in zip((1, -1), raw))
-
-    def evaluate(self, r, sign):
-        r = Fraction(r)
-        return self.evaluate_row(r.denominator, sign)[r.numerator % r.denominator]
-
-    def evaluate_row(self, den, sign):
-        """evaluate(b/den, sign) for b = 0..den-1, kept for both signs by
-        `_cached_row`."""
-        return _cached_row(self._rows, den, sign, self._birch_rows)
 
 
 def _divided(raw, c):

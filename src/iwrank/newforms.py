@@ -41,6 +41,15 @@ def _parse_frac(s) -> Fraction:
         raise IngestionError(f"bad coefficient entry {s!r}") from exc
 
 
+def _integer(x, what) -> int:
+    """The field `what` read by int(), but a bool or a float with a
+    fractional part (which int() would read as 0/1 or truncate) is
+    refused."""
+    if isinstance(x, bool) or isinstance(x, float) and not x.is_integer():
+        raise ValueError(f"{what} {x!r} is not an integer")
+    return int(x)
+
+
 def _parse_vectors(raw_an, deg: int) -> tuple[list[int], list[int]]:
     """Numerators and denominators > 0 of all entries in order, the values
     _parse_frac gives them.  Lists of deg plain "n" or "n/d" strings, as
@@ -126,11 +135,18 @@ class NewformData:
     def from_dict(cls, payload) -> "NewformData":
         try:
             label = payload["label"]
-            level = int(payload["level"])
-            weight = int(payload["weight"])
+            level = _integer(payload["level"], "level")
+            weight = _integer(payload["weight"], "weight")
+            if type(payload["nebentypus"]) is not str:
+                raise TypeError(f"nebentypus {payload['nebentypus']!r} is not a string")
             neb = parse_descriptor(payload["nebentypus"])
-            poly = [int(c) for c in payload["field_poly"]]
+            poly = [_integer(c, "field_poly entry") for c in payload["field_poly"]]
             raw_an = list(payload["an"])
+            seeds = payload.get("seed_root_mod_p", {})
+            if type(seeds) is not dict:
+                raise TypeError(f"seed_root_mod_p {seeds!r} is not an object")
+            seeds = {_integer(p, "seed prime"): _integer(r, "seed root")
+                     for p, r in seeds.items()}
         except (KeyError, TypeError, ValueError) as exc:
             raise IngestionError(f"malformed newform record: {exc}") from exc
         if len(poly) < 2 or poly[-1] != 1:
@@ -151,7 +167,6 @@ class NewformData:
                       for i, (n, d) in enumerate(zip(nums, dens))]
             an = list(zip(zip(*[iter(scaled)] * deg), common))
             _check_integrality(an, NumberField(poly))
-        seeds = {int(p): int(r) for p, r in payload.get("seed_root_mod_p", {}).items()}
         return cls(label, level, weight, neb, poly, an,
                    seed_root_mod_p=seeds, source=payload.get("source", ""))
 

@@ -184,6 +184,28 @@ def p1_normalize(N: int, u: int, v: int) -> tuple[int, int]:
     return g, v
 
 
+def merel_matrices(n: int):
+    """All [a,b;c,d] with ad-bc=n, a>b>=0, d>c>=0, by a scan of every
+    (a, d) <= n and every c < d, cubic in n.  The oracle of
+    `modsym.merel_matrices`."""
+    mats = []
+    for a in range(1, n + 1):
+        for d in range(1, n + 1):
+            r = a * d - n
+            if r < 0:
+                continue
+            if r == 0:
+                for b in range(a):
+                    mats.append((a, b, 0, d))
+                for c in range(1, d):
+                    mats.append((a, 0, c, d))
+            else:
+                for c in range(1, d):
+                    if r % c == 0 and r // c < a:
+                        mats.append((a, r // c, c, d))
+    return mats
+
+
 def path_sum(flat, N, a, b):
     """Value on {oo -> a/b}, 0 <= a < b (not necessarily coprime): the sum
     of x_(q_k : (-1)^(k+1) q_(k-1)) over the continued-fraction convergents
@@ -199,6 +221,34 @@ def path_sum(flat, N, a, b):
         acc += flat[q1 % N * N + s * q0 % N]
         s = -s
     return acc
+
+
+def flat_values(phi):
+    """The generator values of a symbol functional laid out for
+    `path_sum`: x_(u:v) at u N + v for 0 <= u, v < N, None where (u, v)
+    is not a point."""
+    p1, vals = phi.space.p1, phi.generator_values()
+    flat = []
+    for u in range(p1.N):
+        for v in range(p1.N):
+            try:
+                flat.append(vals[p1.index(u, v)])
+            except ValueError:
+                flat.append(None)
+    return flat
+
+
+def point_values(phi):
+    """The value of the functional phi on {oo -> r}, as a function of r:
+    `path_sum` at r's numerator mod its denominator, one point at a time.
+    The single-point oracle of the rows of `modsym`."""
+    flat, N = flat_values(phi), phi.space.N
+
+    def value(r):
+        r = Fraction(r)
+        return path_sum(flat, N, r.numerator % r.denominator, r.denominator)
+
+    return value
 
 
 def padic_log(u: int, p: int, abs_prec: int) -> PadicSeries:

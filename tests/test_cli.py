@@ -250,21 +250,50 @@ def test_config_errors(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("edit", ["short", "null"])
+# fields that crashed outside the record check, or that int() would
+# misread (11.5 as 11, true as 1): each is a malformed record
+_MALFORMED = {
+    "nebentypus-null": ("nebentypus", None, "nebentypus None is not a string"),
+    "nebentypus-number": ("nebentypus", 11, "nebentypus 11 is not a string"),
+    "seeds-null": ("seed_root_mod_p", None, "seed_root_mod_p None is not an object"),
+    "seeds-list": ("seed_root_mod_p", [[5, 1]], r"seed_root_mod_p \[\[5, 1\]\] is not an object"),
+    "seed-float": ("seed_root_mod_p", {"5": 1.5}, "seed root 1.5 is not an integer"),
+    "seed-bool": ("seed_root_mod_p", {"5": True}, "seed root True is not an integer"),
+    "level-float": ("level", 11.5, "level 11.5 is not an integer"),
+    "level-bool": ("level", True, "level True is not an integer"),
+    "weight-float": ("weight", 2.5, "weight 2.5 is not an integer"),
+    "weight-bool": ("weight", True, "weight True is not an integer"),
+    "poly-float": ("field_poly", [0.5, 1], "field_poly entry 0.5 is not an integer"),
+    "poly-bool": ("field_poly", [0, True], "field_poly entry True is not an integer"),
+}
+
+
+@pytest.mark.parametrize("edit", ["short", "null"] + list(_MALFORMED))
 def test_unusable_newform_file_exits_2(edit, tmp_path, capsys):
-    # fewer coefficients than the Sturm bound (2 at level 11), or a null
-    # coefficient entry: a clean error, not a traceback
+    # fewer coefficients than the Sturm bound (2 at level 11), a null
+    # coefficient entry, or a malformed field: a clean error, not a
+    # traceback
     from importlib import resources
+    from iwrank.newforms import IngestionError, NewformData
     payload = json.loads(resources.files("iwrank.data")
                          .joinpath("11.2.a.a.json").read_text())
     if edit == "short":
         payload["an"] = payload["an"][:1]
-    else:
+    elif edit == "null":
         payload["an"][3] = [None]
+    else:
+        key, value, message = _MALFORMED[edit]
+        payload[key] = value
+        with pytest.raises(IngestionError, match=f"malformed newform record: {message}$"):
+            NewformData.from_dict(payload)
     path = tmp_path / "form.json"
     path.write_text(json.dumps(payload))
     assert main(["congruence", "--newform", str(path), "--prime", "5"]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    if edit in _MALFORMED:
+        assert err.startswith(f"error: cannot ingest newform file {path}: "
+                              "malformed newform record: "), err
 
 
 @pytest.mark.parametrize("m", [16, 30])

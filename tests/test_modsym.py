@@ -15,7 +15,6 @@ from iwrank.modsym import (
     SymbolPair,
     TwistedSymbol,
     eigen_functional,
-    functional_eigenvalue,
     genus_gamma0,
     lift_to_sl2,
     merel_matrices,
@@ -24,7 +23,8 @@ from iwrank.modsym import (
 from iwrank.newforms import bundled
 from iwrank.numfield import NumberField
 import reference
-from reference import dense, p1_normalize, path_sum, right_kernel, rref
+from reference import (dense, flat_values, p1_normalize, path_sum, point_values,
+                       right_kernel, rref)
 
 F = Fraction
 
@@ -236,6 +236,21 @@ def test_merel_matrices_n2():
         [(1, 0, 0, 2), (1, 0, 1, 2), (2, 0, 0, 1), (2, 1, 0, 1)]
 
 
+@pytest.mark.parametrize("levels", [range(1, 17), range(17, 201), (599,)],
+                         ids=["1-16", "17-200", "599"])
+def test_merel_matrices_match_definition_and_oracle(levels):
+    # each matrix once, the set of the cubic scan of `reference` and, up
+    # to 16, the definition read over all a, b, c, d < n + 1, a bound as
+    # n = ad - bc >= ad - (a - 1)(d - 1) = a + d - 1
+    for n in levels:
+        got = merel_matrices(n)
+        assert len(got) == len(set(got)) and set(got) == set(reference.merel_matrices(n)), n
+        if n <= 16:
+            assert set(got) == {(a, b, c, d) for a in range(1, n + 1) for b in range(a)
+                                for d in range(1, n + 1) for c in range(d)
+                                if a * d - b * c == n}, n
+
+
 def test_hecke_on_level_11(sp11):
     t2c = sp11.restrict_to_cuspidal(sp11.hecke_images(2))
     assert len(t2c) == 2
@@ -249,7 +264,7 @@ def test_hecke_on_level_11(sp11):
 def test_eigen_functional_11a(sp11, pair11):
     plus11 = pair11.plus
     for ell, a in [(2, -2), (3, -1), (5, 1), (7, -2), (11, 1), (13, 4)]:
-        assert functional_eigenvalue(plus11, ell) == a, ell
+        assert plus11.eigenvalue(ell) == a, ell
     # the coordinate vector really is a T_3 eigenvector
     v = plus11.coords
     t3m = [dense(w, sp11.dim) for w in sp11.hecke_images(3)]
@@ -258,11 +273,11 @@ def test_eigen_functional_11a(sp11, pair11):
 
 
 def test_parity_and_path_independence(pair11):
-    plus11, minus11 = pair11.plus, pair11.minus
-    assert plus11.evaluate(F(-2, 7)) == plus11.evaluate(F(2, 7))
-    assert minus11.evaluate(F(-2, 7)) == -minus11.evaluate(F(2, 7))
-    assert plus11.evaluate(F(3, 7) + 5) == plus11.evaluate(F(3, 7))
-    assert plus11.evaluate(F(3, 7) - 2) == plus11.evaluate(F(3, 7))
+    plus11, minus11 = point_values(pair11.plus), point_values(pair11.minus)
+    assert plus11(F(-2, 7)) == plus11(F(2, 7))
+    assert minus11(F(-2, 7)) == -minus11(F(2, 7))
+    assert plus11(F(3, 7) + 5) == plus11(F(3, 7))
+    assert plus11(F(3, 7) - 2) == plus11(F(3, 7))
 
 
 def test_eigen_system_determinacy(sp11, pair11):
@@ -273,7 +288,7 @@ def test_eigen_system_determinacy(sp11, pair11):
 
 
 def test_tables_19a(pair19):
-    assert functional_eigenvalue(pair19.plus, 5) == 3
+    assert pair19.plus.eigenvalue(5) == 3
     vp, vm = ([row[b] - row[0] for b in range(1, 5)]
               for row in (pair19.evaluate_row(5, s) for s in (1, -1)))
     proportional(vp, [F(-1, 2), 1, 1, F(-1, 2)])
@@ -282,7 +297,7 @@ def test_tables_19a(pair19):
 
 def test_tables_52a(pair52):
     for ell, a in [(2, 0), (3, 0), (5, 2), (7, -2), (11, -2)]:
-        assert functional_eigenvalue(pair52.plus, ell) == a, ell
+        assert pair52.plus.eigenvalue(ell) == a, ell
     vp, vm = ([row[b] - row[0] for b in range(1, 5)]
               for row in (pair52.evaluate_row(5, s) for s in (1, -1)))
     proportional(vp, [1, 1, 1, 1])
@@ -341,9 +356,8 @@ def test_eigenvalues_over_number_field(sp23):
     a2 = (K.one() * F(-1, 2)) + (r5 * F(-1, 2))
     plus23 = eigen_functional(sp23, [(2, a2)], +1)
     minus23 = eigen_functional(sp23, [(2, a2)], -1)
-    a3 = functional_eigenvalue(plus23, 3)
-    assert a3 == functional_eigenvalue(
-        minus23, 3, probes=(F(1, 3), F(1, 7), F(2, 7), F(1, 9)))
+    a3 = plus23.eigenvalue(3)
+    assert a3 == minus23.eigenvalue(3)
     # Merel-matrix cross-check
     t3m = [dense(w, sp23.dim) for w in sp23.hecke_images(3)]
     w = plus23.coords
@@ -354,7 +368,7 @@ def test_eigenvalues_over_number_field(sp23):
             lhs = term if lhs is None else lhs + term
         assert lhs == a3 * sp23.den * w[j]
     # mod (11, sqrt5 - 4) the eigenvalues are Eisenstein: a_l = 1 + l
-    for ell, val in [(2, a2), (3, a3), (5, functional_eigenvalue(plus23, 5))]:
+    for ell, val in [(2, a2), (3, a3), (5, plus23.eigenvalue(5))]:
         assert val.reduce_mod(4, 11) == (1 + ell) % 11, ell
 
 
@@ -413,6 +427,9 @@ def test_three_target_line_at_364(sp364, sign):
     phi = eigen_functional(sp364, [(ell, F(a)) for ell, a in targets], sign)
     for ell, a in targets + [(7, 1), (13, -1)]:
         assert _hecke_defects(phi, ell, a) == [], (sign, ell)
+    # read off one Hecke row each: a_l = a_l(52.2.a.a) mod 5 for l != 7
+    read = {7: 1, 13: -1, 17: -4, 19: -1, 23: -7, 29: 7, 31: -5, 97: -13}
+    assert {ell: phi.eigenvalue(ell) for ell in read} == read, sign
     if sign > 0:
         for k, dim in ((1, 8), (2, 4)):
             with pytest.raises(EigenspaceError) as err:
@@ -462,13 +479,14 @@ def test_hecke_path_identity(pair_name, a_ell, request):
     # a_l x(r) = sum_b x((r + b)/l) + x(l r), the last term only for l
     # prime to the level
     pair = request.getfixturevalue(pair_name)
+    values = [point_values(pair.plus), point_values(pair.minus)]
     for r in _random_rationals(seed=pair.level):
-        for phi in (pair.plus, pair.minus):
+        for phi in values:
             for ell, a in a_ell.items():
-                rhs = sum(phi.evaluate((r + b) / ell) for b in range(ell))
+                rhs = sum(phi((r + b) / ell) for b in range(ell))
                 if pair.level % ell:
-                    rhs += phi.evaluate(ell * r)
-                assert a * phi.evaluate(r) == rhs, (r, ell)
+                    rhs += phi(ell * r)
+                assert a * phi(r) == rhs, (r, ell)
 
 
 def test_twisted_raw_value_matches_fraction_sum(sp11):
@@ -538,20 +556,6 @@ def pair3():
     return _genus0_pair(3)
 
 
-def _flat_values(phi):
-    """The generator values laid out for `reference.path_sum`: x_(u:v) at
-    u N + v for 0 <= u, v < N, None where (u, v) is not a point."""
-    p1, vals = phi.space.p1, phi.generator_values()
-    flat = []
-    for u in range(p1.N):
-        for v in range(p1.N):
-            try:
-                flat.append(vals[p1.index(u, v)])
-            except ValueError:
-                flat.append(None)
-    return flat
-
-
 @pytest.mark.parametrize("name", ["pair2", "pair3", "pair11", "pair19", "pair52",
                                   "field_pair23", "twisted11", "teich_twisted11"])
 def test_evaluate_row_matches_evaluate(name, request):
@@ -559,7 +563,7 @@ def test_evaluate_row_matches_evaluate(name, request):
     if isinstance(sym, SymbolPair):
         # the row walk reads x_(u:-v) as s x_(u:v), s the star sign
         for phi in (sym.plus, sym.minus):
-            flat, N = _flat_values(phi), phi.space.N
+            flat, N = flat_values(phi), phi.space.N
             for i, x in enumerate(flat):
                 u, v = divmod(i, N)
                 if x is not None:
@@ -577,7 +581,7 @@ def test_evaluate_row_matches_evaluate(name, request):
             if isinstance(sym, SymbolPair):
                 # raw path sums, mirrored by the star involution
                 phi = sym.plus if sign > 0 else sym.minus
-                flat, N = _flat_values(phi), phi.space.N
+                flat, N = flat_values(phi), phi.space.N
                 want = tuple(path_sum(flat, N, a, den) for a in range(den))
                 assert row == want, (den, sign)
                 assert all(row[(den - a) % den] == sign * row[a]
@@ -626,7 +630,7 @@ def test_rows_do_not_depend_on_the_order_asked(name, request, monkeypatch):
                 assert [type(x) for x in first] == [type(x) for x in second]
         if isinstance(sym, SymbolPair):
             for phi, sign in ((sym.plus, 1), (sym.minus, -1)):
-                flat, N = _flat_values(phi), phi.space.N
+                flat, N = flat_values(phi), phi.space.N
                 for d in (den, k * den):
                     want = tuple(path_sum(flat, N, a, d) for a in range(d))
                     assert rows[0][d][sign < 0] == want, (den, k, d, sign)
@@ -658,7 +662,7 @@ def test_one_walk_at_every_level(N):
         assert nxt == inv + inv + [0] * N
     assert sorted(state) == list(range(N)) + [k * N for k in range(2, len(state) - N + 2)]
     for phi in (pair.plus, pair.minus):
-        flat = _flat_values(phi)
+        flat = flat_values(phi)
         for den in dens:
             want = tuple(path_sum(flat, N, a, den) for a in range(den))
             assert rows[den, phi.sign] == want, (den, phi.sign)
@@ -680,10 +684,9 @@ def test_double_twist_depletion(pair11):
     chi5 = DirichletCharacter.quadratic_by_discriminant(5)
     assert chi5.parity() == 1
     for r in (F(0), F(1, 3), F(2, 7), F(3, 11)):
-        for phi in (pair11.plus, pair11.minus):
+        for phi in map(point_values, (pair11.plus, pair11.minus)):
             lhs = sum(chi5(a).rational_value() * chi5(b).rational_value()
-                      * phi.evaluate(r + F(a + b, 5))
+                      * phi(r + F(a + b, 5))
                       for a in range(1, 5) for b in range(1, 5))
-            rhs = 5 * phi.evaluate(r) - phi.evaluate(5 * r) \
-                + phi.evaluate(25 * r)
+            rhs = 5 * phi(r) - phi(5 * r) + phi(25 * r)
             assert lhs == rhs, r

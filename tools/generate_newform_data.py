@@ -8,10 +8,14 @@ pipeline it will later be checked against:
   52.2.a.a  point counts on y^2 = x^3 + x - 10 over F_l
   23.2.a    Hecke eigen-functional on level-23 symbols over Q(sqrt5)
 
-Bad-prime coefficients come from U_l on the symbol space.  Every prime
-coefficient is cross-checked before writing (symbol eigenvalues for the
-rational forms, Hasse bounds + integrality + the level-23 Eisenstein
-congruence for 23.2.a).
+Symbol eigenvalues, the bad-prime coefficients among them (U_l), are
+read off one Hecke row of the eigen-functional
+(`SymbolFunctional.eigenvalue`).  Every prime coefficient is
+cross-checked before writing (symbol eigenvalues for the rational forms,
+Hasse bounds + integrality + the level-23 Eisenstein congruence for
+23.2.a).
+
+Usage: python3 tools/generate_newform_data.py
 """
 
 import json
@@ -22,7 +26,7 @@ from math import gcd, isqrt
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from iwrank.modsym import ModularSymbolSpace, eigen_functional, functional_eigenvalue
+from iwrank.modsym import ModularSymbolSpace, eigen_functional
 from iwrank.numfield import NumberField
 
 N_MAX = 600
@@ -156,9 +160,9 @@ def write_form(filename, label, level, an, field_poly=(0, 1), seed=None, source=
     print(f"wrote {path}")
 
 
-def symbol_ap(space, ells, targets, probes=(0, Fraction(1, 3), Fraction(2, 7))):
+def symbol_ap(space, ells, targets):
     phi = eigen_functional(space, targets, +1)
-    return {ell: functional_eigenvalue(phi, ell, probes=probes) for ell in ells}
+    return {ell: phi.eigenvalue(ell) for ell in ells}
 
 
 def main():
@@ -185,12 +189,12 @@ def main():
     ap19 = {}
     for ell in ells:
         if ell == 19:
-            ap19[ell] = functional_eigenvalue(phi19, 19)
+            ap19[ell] = phi19.eigenvalue(19)
         else:
             ap19[ell] = count_a_ell(curve19, ell)
             assert ap19[ell] * ap19[ell] <= 4 * ell
     for ell in [ell for ell in ells if ell <= 31]:
-        got = functional_eigenvalue(phi19, ell)
+        got = phi19.eigenvalue(ell)
         assert got == ap19[ell], f"19a mismatch at {ell}: {got} vs {ap19[ell]}"
     an19 = hecke_extend(ap19, 19, N_MAX)
     write_form("19.2.a.a.json", "19.2.a.a", 19, an19,
@@ -204,13 +208,13 @@ def main():
     ap52 = {}
     for ell in ells:
         if 52 % ell == 0:
-            ap52[ell] = functional_eigenvalue(phi52, ell)
+            ap52[ell] = phi52.eigenvalue(ell)
         else:
             ap52[ell] = count_a_ell(curve52, ell)
             assert ap52[ell] * ap52[ell] <= 4 * ell
     assert ap52[2] == 0 and ap52[5] == 2
     for ell in [ell for ell in ells if ell <= 31]:
-        got = functional_eigenvalue(phi52, ell)
+        got = phi52.eigenvalue(ell)
         assert got == ap52[ell], f"52a mismatch at {ell}: {got} vs {ap52[ell]}"
     an52 = hecke_extend(ap52, 52, N_MAX)
     write_form("52.2.a.a.json", "52.2.a.a", 52, an52,
@@ -226,7 +230,7 @@ def main():
     phi23 = eigen_functional(sp23, [(2, a2)], +1)
     ap23 = {}
     for ell in ells:
-        ap23[ell] = functional_eigenvalue(phi23, ell)
+        ap23[ell] = phi23.eigenvalue(ell)
         c0, c1 = ap23[ell].coeffs
         # integral in Z[(1+sqrt5)/2]: 2c0 in Z and c0 - c1 in Z
         assert (2 * c0).denominator == 1 and (c0 - c1).denominator == 1, ell
