@@ -4,15 +4,17 @@ Hecke images, eigenfunctionals and the cuspidal restriction.
 Usage: python benchmarks/bench_modsym.py [--repeat N]
 
 For each level N it times `iwrank.modsym.P1List(N)` (the points and
-their divisor index), `iwrank.modsym.build_space(N)` (the index, the
-sparse quotient and the dimension check), the Hecke images T_2, T_3,
-T_5, T_7 together on a fresh space, and, at the levels in `TARGETS`, the
-rational `eigen_functional` of each sign (the T_ell eigenvalue there,
-its Hecke images memoized).  It prints the best of `--repeat` rounds
-together with |P^1(Z/N)| and the quotient dimension; `/build` is Hecke
-plus both eigenfunctionals as a multiple of the build, and `peak` the
-most memory that Python allocations (per `tracemalloc`) held at once in
-one untimed build of the space and its four Hecke images.
+their divisor index), a fresh `iwrank.modsym.ModularSymbolSpace(N)` (the
+index, the sparse quotient and the dimension check), a second
+`build_space(N)` (`kept`: the lookup of the space kept for the level),
+the Hecke images T_2, T_3, T_5, T_7 together on a fresh space, and, at
+the levels in `TARGETS`, the rational `eigen_functional` of each sign
+on the kept space (the T_ell eigenvalue there, its Hecke images
+memoized).  It prints the best of `--repeat` rounds together with
+|P^1(Z/N)| and the quotient dimension; `/build` is Hecke plus both
+eigenfunctionals as a multiple of the fresh build, and `peak` the most
+memory that Python allocations (per `tracemalloc`) held at once in one
+untimed fresh build of the space and its four Hecke images.
 
 Then it times `restrict_to_cuspidal(T_2)` at the levels in `CUSPIDAL`
 (the boundary kernel, the images of its basis and the check that they
@@ -60,7 +62,7 @@ def best_time(fn, repeat):
 
 def hecke_on_fresh_space(N):
     """T_2, T_3, T_5, T_7 on a space with no memoized images."""
-    space = modsym.build_space(N)
+    space = modsym.ModularSymbolSpace(N)
     t0 = time.perf_counter()
     for ell in HECKE:
         space.hecke_images(ell)
@@ -68,11 +70,11 @@ def hecke_on_fresh_space(N):
 
 
 def peak_mb(N):
-    """Peak traced memory, in MB, of building the space at N and its
+    """Peak traced memory, in MB, of building a fresh space at N and its
     Hecke images T_2, T_3, T_5, T_7."""
     tracemalloc.start()
     try:
-        space = modsym.build_space(N)
+        space = modsym.ModularSymbolSpace(N)
         for ell in HECKE:
             space.hecke_images(ell)
         return tracemalloc.get_traced_memory()[1] / 2**20
@@ -86,12 +88,13 @@ def main():
                     help="timing rounds per level (the best is kept)")
     args = ap.parse_args()
 
-    print(f"{'N':>5} {'|P1|':>6} {'dim':>5} {'P1List':>10} {'build_space':>12} "
+    print(f"{'N':>5} {'|P1|':>6} {'dim':>5} {'P1List':>10} {'fresh':>10} {'kept':>8} "
           f"{'T2,3,5,7':>10} {'eigen+':>10} {'eigen-':>10} {'/build':>7} {'peak':>9}")
     for N in LEVELS:
         space = modsym.build_space(N)
         tp = best_time(lambda: modsym.P1List(N), args.repeat)
-        tb = best_time(lambda: modsym.build_space(N), args.repeat)
+        tb = best_time(lambda: modsym.ModularSymbolSpace(N), args.repeat)
+        tk = best_time(lambda: modsym.build_space(N), args.repeat)
         th = min(hecke_on_fresh_space(N) for _ in range(args.repeat))
         eigen, ratio = ["-", "-"], "-"
         if N in TARGETS:
@@ -99,7 +102,7 @@ def main():
                             args.repeat) for sign in (1, -1)]
             eigen, ratio = [f"{t * 1e3:.1f}ms" for t in te], f"{(th + sum(te)) / tb:.2f}"
         print(f"{N:>5} {len(space.p1):>6} {space.dim:>5} "
-              f"{tp * 1e3:>8.2f}ms {tb * 1e3:>10.1f}ms "
+              f"{tp * 1e3:>8.2f}ms {tb * 1e3:>8.1f}ms {tk * 1e6:>6.1f}us "
               f"{th * 1e3:>8.1f}ms {eigen[0]:>10} {eigen[1]:>10} {ratio:>7} "
               f"{peak_mb(N):>7.2f}MB")
 

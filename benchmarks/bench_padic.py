@@ -3,11 +3,12 @@
 Usage: python benchmarks/bench_padic.py [--repeat N]
 
 For each series length D = 5^n it times one `padic-l --newform 11.2.a.a
---prime 5 --precision 8,D` run in-process (the symbol space, alpha,
-the four branch series, their values at the trivial character and the
-four product verdicts), and at the largest D it times reading (mu,
-lambda) off the group masses of the branch-2 series.  Last it times the
-symbol rows of both signs as the branch series read them
+--prime 5 --precision 8,D` run in-process (alpha, the symbol pair, the
+four branch series, their values at the trivial character and the four
+product verdicts; the symbol space of level 11 is built once and then
+kept, as for every run in one process), and at the largest D it times
+reading (mu, lambda) off the group masses of the branch-2 series.  Last
+it times the symbol rows of both signs as the branch series read them
 (`padic_l._symbol_rows`): at 5^(n+1), and 5^n as a slice of it, for
 11.2.a.a and for 52.2.a.a (a composite level); at 3^8 and 3^7 for
 19.2.a.a; at 11^(n+1) alone for the twist of 11.2.a.a by quad(-23), as
@@ -23,7 +24,7 @@ import time
 from iwrank import cli
 from iwrank.characters import DirichletCharacter
 from iwrank.iwasawa import mass_mu_lambda
-from iwrank.modsym import SymbolPair, TwistedSymbol, build_space, eigen_functional
+from iwrank.modsym import ModularSymbolSpace, SymbolPair, TwistedSymbol, eigen_functional
 from iwrank.padic_l import _symbol_rows, branch_series, choose_alpha, working_precision
 
 # wild levels n; the series length is D = 5^n
@@ -45,8 +46,9 @@ def best_time(fn, repeat):
 
 
 def fresh_pair(N, targets):
-    """A fresh symbol pair at level N: nothing evaluated, nothing cached."""
-    space = build_space(N)
+    """A fresh symbol pair on a fresh space at level N: nothing evaluated,
+    nothing cached."""
+    space = ModularSymbolSpace(N)
     return SymbolPair(*(eigen_functional(space, targets, sign)
                         for sign in (1, -1)), N)
 

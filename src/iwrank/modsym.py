@@ -24,6 +24,16 @@ vectors of a symbol's Merel hits) are all such rows, and the true
 coordinates are those rows divided by `den` (which is 1 at every level
 N <= 400).
 
+What depends on the level alone is built once per level per process:
+`build_space(N)` hands out one kept space per level, for at most
+KEPT_LEVELS levels (the least recently used level goes first), and
+`ModularSymbolSpace(N)` builds a fresh one.  A kept space carries its
+quotient vectors, its Hecke images per n, its boundary data and its
+successor table; eigenfunctionals, symbol pairs, twists and their rows
+are built per run.  So the rows a space hands out (`vectors`,
+`star_images()`, `hecke_images(n)`, `P1List.successors()`) are shared,
+and no caller may mutate them.
+
 A symbol functional is a linear map on the relation quotient; its value on
 the path {oo -> r} is what the p-adic layer integrates against.  Normalized
 rational functionals keep integer generator values, so a path sum is a sum
@@ -409,8 +419,22 @@ class ModularSymbolSpace:
         return out
 
 
+# the most recently used spaces, least recent first (dicts keep order)
+KEPT_LEVELS = 8
+_kept = {}
+
+
 def build_space(N: int) -> ModularSymbolSpace:
-    return ModularSymbolSpace(N)
+    """The space of level N kept for this process, built on first use;
+    of the KEPT_LEVELS levels kept, the least recently used goes first.
+    `ModularSymbolSpace(N)` builds a fresh one."""
+    space = _kept.pop(N, None)
+    if space is None:
+        space = ModularSymbolSpace(N)
+        if len(_kept) >= KEPT_LEVELS:
+            del _kept[next(iter(_kept))]
+    _kept[N] = space
+    return space
 
 
 def _cusp_reduce(p, q):

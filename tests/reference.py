@@ -186,11 +186,12 @@ def p1_normalize(N: int, u: int, v: int) -> tuple[int, int]:
 
 def merel_matrices(n: int):
     """All [a,b;c,d] with ad-bc=n, a>b>=0, d>c>=0, by a scan of every
-    (a, d) <= n and every c < d, cubic in n.  The oracle of
-    `modsym.merel_matrices`."""
+    (a, d) with a + d <= n + 1 and every c < d, cubic in n.  The bound
+    holds as n = ad - bc >= ad - (a - 1)(d - 1) = a + d - 1.  The oracle
+    of `modsym.merel_matrices`."""
     mats = []
     for a in range(1, n + 1):
-        for d in range(1, n + 1):
+        for d in range(1, n + 2 - a):
             r = a * d - n
             if r < 0:
                 continue

@@ -7,6 +7,7 @@ import pytest
 from iwrank import modsym
 from iwrank.arith import is_prime
 from iwrank.characters import DirichletCharacter
+from iwrank.cli import main
 from iwrank.modsym import (
     EigenspaceError,
     ModularSymbolSpace,
@@ -690,3 +691,59 @@ def test_double_twist_depletion(pair11):
                       for a in range(1, 5) for b in range(1, 5))
             rhs = 5 * phi(r) - phi(5 * r) + phi(25 * r)
             assert lhs == rhs, r
+
+
+def test_build_space_keeps_one_space_per_level():
+    assert modsym.build_space(11) is modsym.build_space(11)
+    assert ModularSymbolSpace(11) is not modsym.build_space(11)
+
+
+def test_build_space_drops_the_least_recently_used_level(monkeypatch):
+    monkeypatch.setattr(modsym, "_kept", {})
+    levels = list(range(11, 12 + modsym.KEPT_LEVELS))
+    first = {N: modsym.build_space(N) for N in levels[:-1]}
+    # levels[0] used again, so levels[1] is the least recent when the
+    # one level too many comes in
+    assert modsym.build_space(levels[0]) is first[levels[0]]
+    last = modsym.build_space(levels[-1])
+    assert list(modsym._kept) == levels[2:-1] + [levels[0], levels[-1]]
+    for N in [levels[-1], levels[0]] + levels[2:-1]:
+        assert modsym.build_space(N) is (last if N == levels[-1] else first[N]), N
+    again = modsym.build_space(levels[1])
+    assert again is not first[levels[1]]
+    assert (again.basis_cols, again.vectors) == (first[levels[1]].basis_cols,
+                                                first[levels[1]].vectors)
+    assert len(modsym._kept) == modsym.KEPT_LEVELS
+
+
+KEPT_RUNS = ([["verify-example", str(k)] for k in (1, 2, 3)]
+             + [[cmd, "--newform", f, "--prime", "5"] for cmd in ("padic-l", "modsym-table")
+                for f in ("11.2.a.a", "19.2.a.a", "52.2.a.a")]
+             + [[cmd, "--newform", "11.2.a.a", "--prime", "5", "--char", "quad-23"]
+                for cmd in ("padic-l", "modsym-table")])
+
+
+def test_commands_leave_kept_spaces_as_built(tmp_path, monkeypatch):
+    # every command reads the rows of a kept space and mutates none: after
+    # two rounds in one process each kept space equals a fresh one, and
+    # the second round prints what the first did
+    monkeypatch.setattr(modsym, "_kept", {})
+    out = tmp_path / "out.jsonl"
+    rounds = []
+    for _ in range(2):
+        got = []
+        for argv in KEPT_RUNS:
+            code = main(argv + ["--out", str(out)])
+            got.append((code, out.read_bytes()))
+        rounds.append(got)
+    assert rounds[0] == rounds[1]
+    assert sorted(modsym._kept) == [11, 19, 52]
+    for N, kept in modsym._kept.items():
+        fresh = ModularSymbolSpace(N)
+        assert (kept.basis_cols, kept.den, kept.vectors) == (fresh.basis_cols, fresh.den,
+                                                             fresh.vectors), N
+        assert kept._hecke, N
+        for n, images in kept._hecke.items():
+            assert images == fresh.hecke_images(n), (N, n)
+        assert kept.p1._successors is not None, N
+        assert kept.p1._successors == fresh.p1.successors(), N
