@@ -9,20 +9,25 @@ index, the sparse quotient and the dimension check), a second
 `build_space(N)` (`kept`: the lookup of the space kept for the level),
 the Hecke images T_2, T_3, T_5, T_7 together on a fresh space, and, at
 the levels in `TARGETS`, the rational `eigen_functional` of each sign
-on the kept space (the T_ell eigenvalue there, its Hecke images
-memoized).  It prints the best of `--repeat` rounds together with
-|P^1(Z/N)| and the quotient dimension; `/build` is Hecke plus both
-eigenfunctionals as a multiple of the fresh build, and `peak` the most
-memory that Python allocations (per `tracemalloc`) held at once in one
-untimed fresh build of the space and its four Hecke images.
+(the T_ell eigenvalue there).  An eigenfunctional is timed cold, on a
+fresh space whose Hecke images are built outside the timing, as a space
+keeps what it solves; `kept` after the eigen columns is a repeat call
+of the plus one, a lookup of the functional the space kept.  It prints
+the best of `--repeat` rounds together with |P^1(Z/N)| and the quotient
+dimension; `/build` is Hecke plus both cold eigenfunctionals as a
+multiple of the fresh build, and `peak` the most memory that Python
+allocations (per `tracemalloc`) held at once in one untimed fresh build
+of the space and its four Hecke images.
 
 Then it times `restrict_to_cuspidal(T_2)` at the levels in `CUSPIDAL`
 (the boundary kernel, the images of its basis and the check that they
-stay cuspidal), the plus eigenfunctional of 23.2.a over Q(sqrt 5)
-(a_2 = (-1 - sqrt 5)/2), with T_2 memoized in both, and both signs of
-the three-target solve `MULTI` at level 364, its images memoized.  Last
-it times `merel_matrices(l)` at the l in `MEREL`, and on each sign of
-that level-364 line the eigenvalue reader (`SymbolFunctional.eigenvalue`,
+stay cuspidal), with T_2 memoized; the plus eigenfunctional of 23.2.a
+over Q(sqrt 5) (a_2 = (-1 - sqrt 5)/2), cold and kept; both signs of
+the three-target solve `MULTI` at level 364, cold and kept; and the
+loop of `examples.symbol_pair` over the prefixes of those targets,
+[:1], [:2], [:3], on both signs, cold.  Last it times
+`merel_matrices(l)` at the l in `MEREL`, and on each sign of that
+level-364 line the eigenvalue reader (`SymbolFunctional.eigenvalue`,
 one Hecke row per l, none memoized) at the l in `READ`.
 """
 
@@ -60,6 +65,32 @@ def best_time(fn, repeat):
     return best
 
 
+def cold_time(N, ells, fn, repeat):
+    """Best wall time of fn(space) over `repeat` rounds, each on a fresh
+    space at N whose Hecke images at the l in ells are built untimed."""
+    best = None
+    for _ in range(repeat):
+        space = modsym.ModularSymbolSpace(N)
+        for ell in ells:
+            space.hecke_images(ell)
+        t0 = time.perf_counter()
+        fn(space)
+        dt = time.perf_counter() - t0
+        best = dt if best is None else min(best, dt)
+    return best
+
+
+def prefix_loop(space, targets):
+    """`examples.symbol_pair`'s solves: each prefix of targets on both
+    signs, an eigenspace that is not a line included."""
+    for k in range(1, len(targets) + 1):
+        for sign in (1, -1):
+            try:
+                modsym.eigen_functional(space, targets[:k], sign)
+            except modsym.EigenspaceError:
+                pass
+
+
 def hecke_on_fresh_space(N):
     """T_2, T_3, T_5, T_7 on a space with no memoized images."""
     space = modsym.ModularSymbolSpace(N)
@@ -89,21 +120,27 @@ def main():
     args = ap.parse_args()
 
     print(f"{'N':>5} {'|P1|':>6} {'dim':>5} {'P1List':>10} {'fresh':>10} {'kept':>8} "
-          f"{'T2,3,5,7':>10} {'eigen+':>10} {'eigen-':>10} {'/build':>7} {'peak':>9}")
+          f"{'T2,3,5,7':>10} {'eigen+':>10} {'eigen-':>10} {'kept':>8} {'/build':>7} "
+          f"{'peak':>9}")
     for N in LEVELS:
         space = modsym.build_space(N)
         tp = best_time(lambda: modsym.P1List(N), args.repeat)
         tb = best_time(lambda: modsym.ModularSymbolSpace(N), args.repeat)
         tk = best_time(lambda: modsym.build_space(N), args.repeat)
         th = min(hecke_on_fresh_space(N) for _ in range(args.repeat))
-        eigen, ratio = ["-", "-"], "-"
+        eigen, kept, ratio = ["-", "-"], "-", "-"
         if N in TARGETS:
-            te = [best_time(lambda: modsym.eigen_functional(space, [TARGETS[N]], sign),
-                            args.repeat) for sign in (1, -1)]
+            target = [TARGETS[N]]
+            te = [cold_time(N, [target[0][0]],
+                            lambda sp: modsym.eigen_functional(sp, target, sign), args.repeat)
+                  for sign in (1, -1)]
+            modsym.eigen_functional(space, target, 1)
+            tr = best_time(lambda: modsym.eigen_functional(space, target, 1), args.repeat)
             eigen, ratio = [f"{t * 1e3:.1f}ms" for t in te], f"{(th + sum(te)) / tb:.2f}"
+            kept = f"{tr * 1e6:.1f}us"
         print(f"{N:>5} {len(space.p1):>6} {space.dim:>5} "
               f"{tp * 1e3:>8.2f}ms {tb * 1e3:>8.1f}ms {tk * 1e6:>6.1f}us "
-              f"{th * 1e3:>8.1f}ms {eigen[0]:>10} {eigen[1]:>10} {ratio:>7} "
+              f"{th * 1e3:>8.1f}ms {eigen[0]:>10} {eigen[1]:>10} {kept:>8} {ratio:>7} "
               f"{peak_mb(N):>7.2f}MB")
 
     print()
@@ -115,18 +152,25 @@ def main():
               f"(cuspidal dim {space.cuspidal_dimension():>3}) {tr * 1e3:>8.2f}ms")
     K = NumberField((-5, 0, 1))
     a2 = K.one() * Fraction(-1, 2) + K.gen() * Fraction(-1, 2)
-    space = modsym.build_space(23)
-    space.hecke_images(2)
-    tf = best_time(lambda: modsym.eigen_functional(space, [(2, a2)], +1),
+    tf = cold_time(23, [2], lambda sp: modsym.eigen_functional(sp, [(2, a2)], +1),
                    args.repeat)
-    print(f"eigen_functional 23.2.a over Q(sqrt5)            {tf * 1e3:>8.2f}ms")
+    space = modsym.build_space(23)
+    modsym.eigen_functional(space, [(2, a2)], +1)
+    tr = best_time(lambda: modsym.eigen_functional(space, [(2, a2)], +1), args.repeat)
+    print(f"eigen_functional 23.2.a over Q(sqrt5)            {tf * 1e3:>8.2f}ms "
+          f"kept {tr * 1e6:>6.1f}us")
     N, targets = MULTI
+    ells = [ell for ell, _ in targets]
     space = modsym.build_space(N)
-    for ell, _ in targets:
-        space.hecke_images(ell)
     for sign in (1, -1):
-        tm = best_time(lambda: modsym.eigen_functional(space, targets, sign), args.repeat)
-        print(f"eigen_functional {N} {targets} sign {sign:+d} {tm * 1e3:>8.2f}ms")
+        tm = cold_time(N, ells, lambda sp: modsym.eigen_functional(sp, targets, sign),
+                       args.repeat)
+        modsym.eigen_functional(space, targets, sign)
+        tr = best_time(lambda: modsym.eigen_functional(space, targets, sign), args.repeat)
+        print(f"eigen_functional {N} {targets} sign {sign:+d} {tm * 1e3:>8.2f}ms "
+              f"kept {tr * 1e6:>6.1f}us")
+    tl = cold_time(N, ells, lambda sp: prefix_loop(sp, targets), args.repeat)
+    print(f"prefixes [:1], [:2], [:3] of those, both signs   {tl * 1e3:>8.2f}ms")
 
     print()
     for n in MEREL:

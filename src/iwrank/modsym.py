@@ -29,10 +29,12 @@ What depends on the level alone is built once per level per process:
 KEPT_LEVELS levels (the least recently used level goes first), and
 `ModularSymbolSpace(N)` builds a fresh one.  A kept space carries its
 quotient vectors, its Hecke images per n, its boundary data and its
-successor table; eigenfunctionals, symbol pairs, twists and their rows
-are built per run.  So the rows a space hands out (`vectors`,
-`star_images()`, `hecke_images(n)`, `P1List.successors()`) are shared,
-and no caller may mutate them.
+successor table, and also its solved eigenspaces and eigenfunctionals
+(`eigen_functional`); symbol pairs, twists and their rows are still
+built per run.  So the rows a space hands out (`vectors`,
+`star_images()`, `hecke_images(n)`, `P1List.successors()`) and its
+functionals are shared, and no caller may mutate them: a functional's
+values are tuples.
 
 A symbol functional is a linear map on the relation quotient; its value on
 the path {oo -> r} is what the p-adic layer integrates against.  Normalized
@@ -262,6 +264,10 @@ class ModularSymbolSpace:
         self.N = N
         self.p1 = P1List(N)
         self._hecke = {}
+        # the eigenspaces kept by `eigen_functional`, by (sign, field
+        # polynomial, prefix of the targets): [free, basis, functional
+        # of a line or None]
+        self._eigen = {}
         self._boundary = None
         S, T = self._manin_maps()
         # the 2-term relations x_i + x_Si = 0: the larger index of each
@@ -471,11 +477,12 @@ class SymbolFunctional:
     def __init__(self, space, sign, values):
         self.space = space
         self.sign = sign
-        self._values = list(values)
+        self._values = tuple(values)
         self._by_state = None
 
     def generator_values(self):
-        return self._values
+        """A new list of the generator values."""
+        return list(self._values)
 
     @property
     def coords(self):
@@ -488,9 +495,10 @@ class SymbolFunctional:
         use."""
         if self._by_state is None:
             state = self.space.p1.successors()[1]
-            self._by_state = [0] * (max(state) + 1)
+            by_state = [0] * (max(state) + 1)
             for s, x in zip(state, self._values):
-                self._by_state[s] = x
+                by_state[s] = x
+            self._by_state = tuple(by_state)
         return self._by_state
 
     def eigenvalue(self, ell):
@@ -590,26 +598,61 @@ def eigen_functional(space, targets, sign):
     Over K the line is fixed by setting its first free K-coordinate to 1
     before the content is taken.  Generator values are ints over Q and
     field elements over K, read once per S-orbit (`symbol_values`).
+
+    The space keeps the kernel of every prefix of the targets that it
+    solves, the star kernel being that of the empty prefix, keyed by
+    the sign, the field's polynomial (None over Q) and the prefix, a
+    field eigenvalue by its power-basis numerators and denominator.  A
+    call starts from the longest kept prefix of its targets and
+    restricts by each target beyond it, keeping each new prefix; the
+    functional of a line is kept with its kernel.  So a repeat call
+    returns the same functional, or raises the same `EigenspaceError`.
     """
     field = next((a.field for _, a in targets if isinstance(a, NFElement)), None)
     deg = 1 if field is None else field.degree
+    poly = None if field is None else field.poly
+    named = tuple((ell, (tuple(a.nums), a.den) if isinstance(a, NFElement) else a)
+                  for ell, a in targets)
+    kept = space._eigen
+    k = len(named)
+    while k >= 0 and (sign, poly, named[:k]) not in kept:
+        k -= 1
     # Phi(M e_j) = a Phi(e_j) for each operator M and eigenvalue a, on the
     # unknowns x^i of K-coordinate k at column k deg + i.  T_l commutes
     # with star, so for Phi of sign s the functional Phi (T_l - a_l) has
     # sign s too, and it vanishes once it vanishes at the columns that
-    # lead no star row.
-    star = rref(_eigen_rows(space.star_images(), sign, field, space.den, range(space.dim)))
-    free, _, basis = kernel(star, range(space.dim * deg))
-    hecke_cols = [j for j in range(space.dim) if j * deg not in star]
-    for ell, a in targets:
-        free, basis = _restrict(_eigen_rows(space.hecke_images(ell), a, field,
-                                            space.den, hecke_cols), free, basis)
-    _check_eigenspace(space, sign, len(free) // deg)
+    # lead no star row: those the star kernel leaves free.
+    if k < 0:
+        star = rref(_eigen_rows(space.star_images(), sign, field, space.den, range(space.dim)))
+        free, _, basis = kernel(star, range(space.dim * deg))
+        kept[sign, poly, ()] = [free, basis, None]
+        k = 0
+    if k < len(named):
+        star_free = set(kept[sign, poly, ()][0])
+        hecke_cols = [j for j in range(space.dim) if j * deg in star_free]
+        free, basis, _ = kept[sign, poly, named[:k]]
+        for i in range(k, len(named)):
+            ell, a = targets[i]
+            free, basis = _restrict(_eigen_rows(space.hecke_images(ell), a, field,
+                                                space.den, hecke_cols), free, basis)
+            kept[sign, poly, named[:i + 1]] = [free, basis, None]
+    line = kept[sign, poly, named]
+    _check_eigenspace(space, sign, len(line[0]) // deg)
+    if line[2] is None:
+        line[2] = _line_functional(space, sign, field, line[1][0])
+    return line[2]
+
+
+def _line_functional(space, sign, field, v):
+    """The normalized functional of sign `sign` spanned by the kernel
+    vector v of `eigen_functional` (over Q, or over Q by restriction of
+    scalars from `field`)."""
+    deg = 1 if field is None else field.degree
     # the first free column is x^0 of a K-coordinate, whose other x^i are
-    # free too: basis[0] sets that coordinate to a positive int and the
-    # other free columns to 0
+    # free too: v sets that coordinate to a positive int and the other
+    # free columns to 0
     parts = [[0] * space.dim for _ in range(deg)]
-    for c, x in basis[0].items():
+    for c, x in v.items():
         parts[c % deg][c // deg] = x
     # coeffs[t][i]: the x^t coefficient of generator value i
     coeffs = [space.symbol_values(part) for part in parts]

@@ -387,6 +387,40 @@ def test_field_functionals_match_dense_oracle(sp23, root_sign):
         assert all(type(v) is type(a2) for v in got)
 
 
+def _sqrt5_root(root_sign):
+    """(-1 +- sqrt5)/2, built anew on each call."""
+    K = NumberField((-5, 0, 1))
+    return (K.one() * F(-1, 2)) + (K.gen() * F(root_sign, 2))
+
+
+def test_eigen_functional_is_kept_on_its_space(sp11):
+    # a repeat solve on a space hands back the functional it kept; a
+    # fresh space solves anew, to an equal functional.  What a caller
+    # reads of a kept functional is a copy or a tuple.
+    for sign in (1, -1):
+        phi = eigen_functional(sp11, [(2, F(-2))], sign)
+        assert eigen_functional(sp11, [(2, F(-2))], sign) is phi
+        fresh = eigen_functional(ModularSymbolSpace(11), [(2, F(-2))], sign)
+        assert fresh is not phi
+        assert fresh.generator_values() == phi.generator_values()
+        got = phi.generator_values()
+        got[0] += 1
+        assert phi.generator_values() == fresh.generator_values() != got
+        assert type(phi.values_by_state()) is tuple
+
+
+def test_conjugate_field_eigenvalues_keep_two_functionals(sp23):
+    # the two roots of x^2 + x - 1 key two eigenspaces of the one field;
+    # an equal eigenvalue built anew finds the kept one
+    for sign in (1, -1):
+        kept = [eigen_functional(sp23, [(2, _sqrt5_root(r))], sign) for r in (1, -1)]
+        assert kept[0].generator_values() != kept[1].generator_values()
+        for r, phi in zip((1, -1), kept):
+            assert eigen_functional(sp23, [(2, _sqrt5_root(r))], sign) is phi
+            fresh = eigen_functional(ModularSymbolSpace(23), [(2, _sqrt5_root(r))], sign)
+            assert fresh.generator_values() == phi.generator_values(), (sign, r)
+
+
 def _hecke_defects(phi, ell, a):
     """The basis columns j at which Phi(T_l e_j) = a Phi(e_j) fails."""
     sp, w = phi.space, phi.coords
@@ -436,6 +470,42 @@ def test_three_target_line_at_364(sp364, sign):
             with pytest.raises(EigenspaceError) as err:
                 eigen_functional(sp364, [(ell, F(a)) for ell, a in targets[:k]], sign)
             assert err.value.dim == dim, k
+
+
+def test_prefixes_at_364_restrict_once_each(monkeypatch):
+    # the loop of `examples.symbol_pair`, over the prefixes [:1], [:2],
+    # [:3] on both signs: each prefix restricts the kept kernel of the
+    # one before it by its last target alone, one restriction per prefix
+    # per sign, and a second loop restricts nothing and raises, or
+    # returns, what the first did
+    restricted = []
+    restrict = modsym._restrict
+
+    def counted(*args):
+        restricted.append(args)
+        return restrict(*args)
+
+    monkeypatch.setattr(modsym, "_restrict", counted)
+    sp = ModularSymbolSpace(364)
+    targets = [(3, F(0)), (5, F(-3)), (11, F(-2))]
+    rounds = []
+    for _ in range(2):
+        got = {}
+        for k in (1, 2, 3):
+            for sign in (1, -1):
+                try:
+                    got[k, sign] = eigen_functional(sp, targets[:k], sign)
+                except EigenspaceError as err:
+                    got[k, sign] = (str(err), err.dim)
+        assert len(restricted) == 6
+        rounds.append(got)
+    assert [rounds[0][k, 1][1] for k in (1, 2)] == [8, 4]
+    assert all(isinstance(rounds[0][3, sign], SymbolFunctional) for sign in (1, -1))
+    for key, first in rounds[0].items():
+        if isinstance(first, tuple):
+            assert rounds[1][key] == first, key
+        else:
+            assert rounds[1][key] is first, key
 
 
 def test_cuspidal_subspace_matches_dense_oracle():
@@ -747,3 +817,17 @@ def test_commands_leave_kept_spaces_as_built(tmp_path, monkeypatch):
             assert images == fresh.hecke_images(n), (N, n)
         assert kept.p1._successors is not None, N
         assert kept.p1._successors == fresh.p1.successors(), N
+        # every kept eigenspace, and every kept functional, is what a
+        # fresh space solves for the same sign and targets
+        assert kept._eigen, N
+        for sign, poly, targets in kept._eigen:
+            assert poly is None, N  # the commands solve rational forms only
+            try:
+                eigen_functional(fresh, list(targets), sign)
+            except EigenspaceError:
+                pass
+        assert fresh._eigen.keys() == kept._eigen.keys(), N
+        for key, (free, basis, phi) in kept._eigen.items():
+            assert fresh._eigen[key][:2] == [free, basis], (N, key)
+            if phi is not None:
+                assert phi.generator_values() == fresh._eigen[key][2].generator_values(), (N, key)
