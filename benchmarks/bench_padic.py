@@ -5,10 +5,17 @@ Usage: python benchmarks/bench_padic.py [--repeat N]
 For each series length D = 5^n it times one `padic-l --newform 11.2.a.a
 --prime 5 --precision 8,D` run in-process (alpha, the symbol pair, the
 four branch series, their values at the trivial character and the four
-product verdicts; the symbol space of level 11 is built once and then
-kept, as for every run in one process), and at the largest D it times
-reading (mu, lambda) off the group masses of the branch-2 series.  Last
-it times the symbol rows of both signs as the branch series read them
+product verdicts) in two columns.  The symbol space of level 11 and its
+eigenfunctionals are built once and then kept, as for every run in one
+process.  The first column drops the symbol pair kept on that space
+before each round, so every round walks the pair's rows; the second
+keeps it, so every round after the first reads its rows as kept.  At
+the largest D it times reading (mu, lambda) off the group masses of the
+branch-2 series.  It times `verify-example 1`'s symbol, cold (from an
+empty registry of kept spaces) and kept: `examples.symbol_pair` of
+11.2.a.a, `twist_symbol` by quad(-23) at 11 and its rows at 11^2 on
+both signs.  Last it times the symbol rows of both signs as the branch
+series read them
 (`padic_l._symbol_rows`): at 5^(n+1), and 5^n as a slice of it, for
 11.2.a.a and for 52.2.a.a (a composite level); at 3^8 and 3^7 for
 19.2.a.a; at 11^(n+1) alone for the twist of 11.2.a.a by quad(-23), as
@@ -21,10 +28,13 @@ import argparse
 import os
 import time
 
-from iwrank import cli
+from iwrank import cli, modsym
 from iwrank.characters import DirichletCharacter
+from iwrank.examples import symbol_pair
 from iwrank.iwasawa import mass_mu_lambda
-from iwrank.modsym import ModularSymbolSpace, SymbolPair, TwistedSymbol, eigen_functional
+from iwrank.modsym import (ModularSymbolSpace, SymbolPair, TwistedSymbol, eigen_functional,
+                           twist_symbol)
+from iwrank.newforms import bundled
 from iwrank.padic_l import _symbol_rows, branch_series, choose_alpha, working_precision
 
 # wild levels n; the series length is D = 5^n
@@ -34,10 +44,13 @@ TWIST_LEVELS = (1, 2)
 M = 8
 
 
-def best_time(fn, repeat):
-    """Best wall time of one call over `repeat` rounds."""
+def best_time(fn, repeat, before=None):
+    """Best wall time of one call over `repeat` rounds, each after a call
+    of `before` (untimed) if given."""
     best = None
     for _ in range(repeat):
+        if before is not None:
+            before()
         t0 = time.perf_counter()
         fn()
         dt = time.perf_counter() - t0
@@ -91,16 +104,34 @@ def padic_l(D):
         raise SystemExit(f"padic-l at D = {D} failed")
 
 
+def drop_kept_pairs():
+    """Drop the symbol pairs, with their rows and twists, kept on the
+    level-11 space; the space and its eigenfunctionals stay kept."""
+    modsym.build_space(11)._pairs.clear()
+
+
+def example1_symbol():
+    """`verify-example 1`'s symbol: the pair of 11.2.a.a twisted by
+    quad(-23), its scales at 11, and its rows at 11^2 on both signs."""
+    sym = twist_symbol(symbol_pair(bundled("11.2.a.a")),
+                       DirichletCharacter.quadratic_by_discriminant(-23), 11,
+                       label="11.2.a.ax-23")
+    for sign in (1, -1):
+        _symbol_rows(sym, 11, 1, sign)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeat", type=int, default=3,
                     help="timing rounds per figure (the best is kept)")
     args = ap.parse_args()
 
-    print(f"{'D':>5} {'padic-l':>10}")
+    print(f"{'D':>5} {'pair anew':>10} {'pair kept':>10}")
     for n in LEVELS:
-        t = best_time(lambda: padic_l(5**n), args.repeat)
-        print(f"{5**n:>5} {t * 1e3:>8.1f}ms")
+        cold = best_time(lambda: padic_l(5**n), args.repeat, drop_kept_pairs)
+        drop_kept_pairs()
+        kept = best_time(lambda: padic_l(5**n), args.repeat)
+        print(f"{5**n:>5} {cold * 1e3:>8.1f}ms {kept * 1e3:>8.1f}ms")
 
     n = LEVELS[-1]
     sym = pair11()
@@ -110,6 +141,11 @@ def main():
     ti = best_time(lambda: mass_mu_lambda(5, bs.shift, bs.masses), args.repeat)
     print(f"D = {5**n}: (mu, lambda) = {bs.invariants} off the masses "
           f"in {ti * 1e3:.3f}ms")
+
+    cold = best_time(example1_symbol, args.repeat, modsym._kept.clear)
+    kept = best_time(example1_symbol, args.repeat)
+    print(f"verify-example 1 symbol (11.2.a.a x quad(-23), rows at 121): "
+          f"{cold * 1e3:.2f}ms cold, {kept * 1e3:.3f}ms kept")
 
     print("symbol rows (both signs)")
     for make, label in ((pair11, "11.2.a.a"), (pair52, "52.2.a.a")):

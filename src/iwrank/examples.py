@@ -4,13 +4,13 @@ and the symbol pair of a rational form.
 `symbol_pair` cuts a rational form's plus and minus eigensymbols out of
 its symbol space with Hecke probes it picks from the form's stored
 coefficients; the symbol commands of the CLI use it too.  Each run
-builds the (twisted) symbol, its branch family (`padic_l.branch_family`,
-as `padic-l` does), the branch values at the trivial character and the
-residual Eisenstein partner of the congruent form, and checks every
-recorded expectation.  Failures do not abort the run; every check ends
-up in the report with a pass/fail/skipped status.  `eisenstein_partner`
-builds that partner for `congruence` too, and `add_partner_check` writes
-the record of its check for both.
+takes the (twisted) symbol kept on the space, builds its branch family
+(`padic_l.branch_family`, as `padic-l` does), the branch values at the
+trivial character and the residual Eisenstein partner of the congruent
+form, and checks every recorded expectation.  Failures do not abort the
+run; every check ends up in the report with a pass/fail/skipped status.
+`eisenstein_partner` builds that partner for `congruence` too, and
+`add_partner_check` writes the record of its check for both.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .characters import DirichletCharacter, kronecker
 from .cyclotomic import CyclotomicNumber
 from .iwasawa import mu_lambda, undetermined_text
 from .modsym import (
-    EigenspaceError, SymbolPair, build_space, eigen_functional, twist_symbol,
+    EigenspaceError, build_space, eigen_functional, kept_pair, twist_symbol,
 )
 from .newforms import bundled, residual_eisenstein_partner
 from .padics import padic_valuation
@@ -162,6 +162,8 @@ def symbol_pair(nf):
     """The plus and minus eigensymbols of a rational form, cut out of its
     symbol space by the stored a_l at the primes l prime to the level,
     taken in increasing order until each sign's eigenspace is a line.
+    The pair is kept on the space (`modsym.kept_pair`), so a repeat call
+    returns the same pair, with the rows it has built.
 
     Raises ValueError when an eigenspace is 0 (no eigensymbol has these
     eigenvalues) or the stored primes run out first.
@@ -191,7 +193,7 @@ def symbol_pair(nf):
                     raise ValueError(f"{nf.label}: no eigensymbol has the "
                                      f"stored a_l at l = {ells} ({exc})") from None
         if len(found) == 2:
-            return SymbolPair(*found, nf.level, label=nf.label)
+            return kept_pair(*found, label=nf.label)
     raise ValueError(
         f"{nf.label}: the stored a_l at the primes l <= {nf.n_max} prime to "
         f"{nf.level} do not cut out one eigensymbol per sign")

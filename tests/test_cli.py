@@ -91,6 +91,7 @@ def test_modsym_table_twist_builds_each_birch_row_once(capsys, monkeypatch):
     # the scales are fixed by the first rows at the constructor's den p,
     # which are the rows the table prints: one Birch row per sign
     from iwrank import modsym
+    monkeypatch.setattr(modsym, "_kept", {})  # else an earlier run's twist is kept
     calls = []
     birch_row = modsym.TwistedSymbol._birch_row
 

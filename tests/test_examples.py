@@ -73,7 +73,9 @@ def test_example2_known_failures(rep2):
 def test_example1_walks_the_pair_once(monkeypatch):
     # the whole run reads the twist's rows at 121, off the pair's row at
     # 121 * 23; the scales and every row at 11 are slices of those, so the
-    # pair is walked once, over the numerators a <= 2783 / 2
+    # pair is walked once, over the numerators a <= 2783 / 2.  From an
+    # empty registry: earlier runs would have left the pair kept
+    monkeypatch.setattr(modsym, "_kept", {})
     walks = []
     walk = modsym._walk
 
@@ -95,11 +97,15 @@ def test_example1_walks_the_pair_once(monkeypatch):
     assert run_example(1).ok
     assert walks == [(2783, 1392)]
     assert birch == [(121, 1), (121, -1), (11, 1), (11, -1)]
+    # a second run reads the twist and its rows kept on the level-11
+    # space: no walk and no Birch row more
+    assert run_example(1).ok
     sym = build_example(1)["sym"]
     for s in (1, -1):
         assert sym.evaluate_row(11, s) == sym.evaluate_row(121, s)[::11]
         assert all(type(x) is int for x in sym.evaluate_row(121, s))
-    assert walks == [(2783, 1392)] * 2
+    assert walks == [(2783, 1392)]
+    assert birch == [(121, 1), (121, -1), (11, 1), (11, -1)]
 
 
 def test_reports_deterministic(rep3):

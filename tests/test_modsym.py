@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -8,6 +10,7 @@ from iwrank import modsym
 from iwrank.arith import is_prime
 from iwrank.characters import DirichletCharacter
 from iwrank.cli import main
+from iwrank.examples import symbol_pair
 from iwrank.modsym import (
     EigenspaceError,
     ModularSymbolSpace,
@@ -20,6 +23,7 @@ from iwrank.modsym import (
     lift_to_sl2,
     merel_matrices,
     num_cusps,
+    twist_symbol,
 )
 from iwrank.newforms import bundled
 from iwrank.numfield import NumberField
@@ -786,6 +790,51 @@ def test_build_space_drops_the_least_recently_used_level(monkeypatch):
     assert len(modsym._kept) == modsym.KEPT_LEVELS
 
 
+def test_symbol_pair_and_its_twists_are_kept(monkeypatch):
+    monkeypatch.setattr(modsym, "_kept", {})
+    nf = bundled("11.2.a.a")
+    pair = symbol_pair(nf)
+    assert symbol_pair(nf) is pair
+    assert modsym.build_space(11)._pairs == {(pair.plus, pair.minus, nf.label): pair}
+    quad23, quad5 = (DirichletCharacter.quadratic_by_discriminant(d) for d in (-23, 5))
+    tw = twist_symbol(pair, quad23, 11, "a")
+    # keyed by the primitive character: quad(-23) induced mod 46 is the same
+    assert twist_symbol(pair, quad23.extend_to(46), 11, "a") is tw
+    # another character, den or label: another twist, kept too
+    others = {key: twist_symbol(pair, *key)
+              for key in ((quad5, 11, "a"), (quad23, 5, "a"), (quad23, 11, "b"))}
+    assert len({id(t) for t in [tw, *others.values()]}) == 4
+    assert all(twist_symbol(pair, *key) is t for key, t in others.items())
+    assert twist_symbol(pair, DirichletCharacter.trivial(3), 11, "a") is pair
+    # the constructors build fresh symbols, with no rows yet
+    tw.evaluate_row(121, 1)
+    assert pair._rows and tw._rows
+    assert SymbolPair(pair.plus, pair.minus, 11, nf.label)._rows == {}
+    assert TwistedSymbol(pair, quad23, 11, "a")._rows == {}
+    assert ModularSymbolSpace(11)._pairs == {}
+
+
+def test_kept_pairs_go_with_their_space(monkeypatch):
+    # a pair's rows are kept no longer than its space: once KEPT_LEVELS
+    # other levels evict the space, the pair and its rows are freed, and
+    # symbol_pair builds a new pair with rows of its own
+    monkeypatch.setattr(modsym, "_kept", {})
+    nf = bundled("11.2.a.a")
+    pair = symbol_pair(nf)
+    row = pair.evaluate_row(25, 1)
+    gone = weakref.ref(pair)
+    del pair
+    for N in range(12, 12 + modsym.KEPT_LEVELS):
+        modsym.build_space(N)
+    assert 11 not in modsym._kept
+    gc.collect()
+    assert gone() is None
+    again = symbol_pair(nf)
+    assert again._rows == {}
+    assert again.evaluate_row(25, 1) == row
+    assert len(modsym._kept) == modsym.KEPT_LEVELS
+
+
 KEPT_RUNS = ([["verify-example", str(k)] for k in (1, 2, 3)]
              + [[cmd, "--newform", f, "--prime", "5"] for cmd in ("padic-l", "modsym-table")
                 for f in ("11.2.a.a", "19.2.a.a", "52.2.a.a")]
@@ -794,9 +843,10 @@ KEPT_RUNS = ([["verify-example", str(k)] for k in (1, 2, 3)]
 
 
 def test_commands_leave_kept_spaces_as_built(tmp_path, monkeypatch):
-    # every command reads the rows of a kept space and mutates none: after
-    # two rounds in one process each kept space equals a fresh one, and
-    # the second round prints what the first did
+    # every command reads the rows of a kept space and of its kept symbols
+    # and mutates none: after two rounds in one process each kept space
+    # equals a fresh one, each kept pair and twist holds the rows of one
+    # built anew, and the second round prints what the first did
     monkeypatch.setattr(modsym, "_kept", {})
     out = tmp_path / "out.jsonl"
     rounds = []
@@ -808,6 +858,7 @@ def test_commands_leave_kept_spaces_as_built(tmp_path, monkeypatch):
         rounds.append(got)
     assert rounds[0] == rounds[1]
     assert sorted(modsym._kept) == [11, 19, 52]
+    twists = 0
     for N, kept in modsym._kept.items():
         fresh = ModularSymbolSpace(N)
         assert (kept.basis_cols, kept.den, kept.vectors) == (fresh.basis_cols, fresh.den,
@@ -831,3 +882,21 @@ def test_commands_leave_kept_spaces_as_built(tmp_path, monkeypatch):
             assert fresh._eigen[key][:2] == [free, basis], (N, key)
             if phi is not None:
                 assert phi.generator_values() == fresh._eigen[key][2].generator_values(), (N, key)
+        # every kept pair, and every twist kept on it, holds the rows and
+        # scales of one built anew on the fresh space's functionals
+        assert kept._pairs, N
+        anew = {phi: fresh._eigen[key][2] for key, (_, _, phi) in kept._eigen.items()
+                if phi is not None}
+        for (plus, minus, label), pair in kept._pairs.items():
+            assert pair._rows, (N, label)
+            fresh_pair = SymbolPair(anew[plus], anew[minus], N, label)
+            for den, rows in pair._rows.items():
+                assert rows == fresh_pair._build_rows(den), (N, label, den)
+            for (chi, den, tw_label), tw in pair._twists.items():
+                twists += 1
+                fresh_tw = TwistedSymbol(fresh_pair, chi, den, tw_label)
+                assert tw.scales == fresh_tw.scales, (N, tw_label)
+                for d, rows in tw._rows.items():
+                    assert rows == fresh_tw._build_rows(d), (N, tw_label, d)
+    # example 1's, and the one that both --char quad-23 commands share
+    assert twists == 2
