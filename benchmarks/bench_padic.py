@@ -5,17 +5,26 @@ Usage: python benchmarks/bench_padic.py [--repeat N]
 For each series length D = 5^n it times one `padic-l --newform 11.2.a.a
 --prime 5 --precision 8,D` run in-process (alpha, the symbol pair, the
 four branch series, their values at the trivial character and the four
-product verdicts) in two columns.  The symbol space of level 11 and its
-eigenfunctionals are built once and then kept, as for every run in one
-process.  The first column drops the symbol pair kept on that space
-before each round, so every round walks the pair's rows; the second
-keeps it, so every round after the first reads its rows as kept.  At
-the largest D it times reading (mu, lambda) off the group masses of the
-branch-2 series.  It times `verify-example 1`'s symbol, cold (from an
-empty registry of kept spaces) and kept: `examples.symbol_pair` of
-11.2.a.a, `twist_symbol` by quad(-23) at 11 and its rows at 11^2 on
-both signs.  Last it times the symbol rows of both signs as the branch
-series read them
+product verdicts) in three columns.  The symbol space of level 11 and
+its eigenfunctionals are built once and then kept, as for every run in
+one process.  The first column drops the symbol pair kept on that space
+before each round, so every round walks the pair's rows and builds the
+branch family; the second keeps the pair and its rows but drops the
+branch families kept on it, so every round builds the family from kept
+rows; the third keeps both, so every round after the first reads the
+family as kept and only writes the records.  Then it times
+`padic_l.branch_family` alone at each D, with a sigma0 factor at 2, on
+the kept pair: cold (the pair's families dropped before each round) and
+kept.  At the largest D it reports, by `tracemalloc`, the peak memory of
+one `padic-l` run that builds the family from kept rows and the memory
+the kept family holds after it, and times reading (mu, lambda) off the
+group masses of the branch-2 series.  It times `verify-example 2` warm,
+with the branch families of its symbol and the Eisenstein checks of its
+form 11.2.a.a dropped before each round, and with everything kept.  It
+times `verify-example 1`'s symbol, cold (from an empty registry of kept
+spaces) and kept: `examples.symbol_pair` of 11.2.a.a, `twist_symbol` by
+quad(-23) at 11 and its rows at 11^2 on both signs.  Last it times the
+symbol rows of both signs as the branch series read them
 (`padic_l._symbol_rows`): at 5^(n+1), and 5^n as a slice of it, for
 11.2.a.a and for 52.2.a.a (a composite level); at 3^8 and 3^7 for
 19.2.a.a; at 11^(n+1) alone for the twist of 11.2.a.a by quad(-23), as
@@ -27,6 +36,7 @@ included) built inside the timing.  Each figure is the best of
 import argparse
 import os
 import time
+import tracemalloc
 
 from iwrank import cli, modsym
 from iwrank.characters import DirichletCharacter
@@ -35,13 +45,16 @@ from iwrank.iwasawa import mass_mu_lambda
 from iwrank.modsym import (ModularSymbolSpace, SymbolPair, TwistedSymbol, eigen_functional,
                            twist_symbol)
 from iwrank.newforms import bundled
-from iwrank.padic_l import _symbol_rows, branch_series, choose_alpha, working_precision
+from iwrank.padic_l import (_symbol_rows, branch_family, branch_series, choose_alpha,
+                            working_precision)
 
 # wild levels n; the series length is D = 5^n
 LEVELS = (2, 3, 4, 5, 6)
 # wild levels of the twisted rows of verify-example 1 (p = 11)
 TWIST_LEVELS = (1, 2)
 M = 8
+# the sigma0 factor of the timed `branch_family` calls
+SIGMA0 = ((2, (1, 2, 2)),)
 
 
 def best_time(fn, repeat, before=None):
@@ -105,9 +118,30 @@ def padic_l(D):
 
 
 def drop_kept_pairs():
-    """Drop the symbol pairs, with their rows and twists, kept on the
-    level-11 space; the space and its eigenfunctionals stay kept."""
+    """Drop the symbol pairs, with their rows, twists and branch
+    families, kept on the level-11 space; the space and its
+    eigenfunctionals stay kept."""
     modsym.build_space(11)._pairs.clear()
+
+
+def drop_kept_families(N=11):
+    """Drop the branch families kept on the pairs of the level-N space;
+    the pairs and their rows stay kept."""
+    for pair in modsym.build_space(N)._pairs.values():
+        pair._families.clear()
+
+
+def verify2():
+    # exits 1: the contract's three level-52 claims fail, as recorded
+    cli.main(["verify-example", "2", "--out", os.devnull])
+
+
+def drop_example2_results():
+    """Drop what `verify-example 2` keeps beyond its symbol's rows: the
+    branch families of 52.2.a.a's pair and the Eisenstein checks of its
+    form 11.2.a.a."""
+    drop_kept_families(52)
+    bundled("11.2.a.a")._partners.clear()
 
 
 def example1_symbol():
@@ -126,14 +160,33 @@ def main():
                     help="timing rounds per figure (the best is kept)")
     args = ap.parse_args()
 
-    print(f"{'D':>5} {'pair anew':>10} {'pair kept':>10}")
+    print(f"padic-l: {'D':>5} {'pair anew':>10} {'family anew':>12} {'kept':>10}")
     for n in LEVELS:
-        cold = best_time(lambda: padic_l(5**n), args.repeat, drop_kept_pairs)
-        drop_kept_pairs()
+        anew = best_time(lambda: padic_l(5**n), args.repeat, drop_kept_pairs)
+        cold = best_time(lambda: padic_l(5**n), args.repeat, drop_kept_families)
         kept = best_time(lambda: padic_l(5**n), args.repeat)
-        print(f"{5**n:>5} {cold * 1e3:>8.1f}ms {kept * 1e3:>8.1f}ms")
+        print(f"         {5**n:>5} {anew * 1e3:>8.1f}ms {cold * 1e3:>10.1f}ms "
+              f"{kept * 1e3:>8.2f}ms")
+
+    pair = symbol_pair(bundled("11.2.a.a"))
+    print(f"branch_family, sigma0 at 2: {'D':>5} {'cold':>10} {'kept':>10}")
+    for n in LEVELS:
+        def family():
+            return branch_family(pair, 1, 5, n, M, SIGMA0)
+        cold = best_time(family, args.repeat, pair._families.clear)
+        kept = best_time(family, args.repeat)
+        print(f"                            {5**n:>5} {cold * 1e3:>8.2f}ms "
+              f"{kept * 1e6:>8.2f}us")
 
     n = LEVELS[-1]
+    drop_kept_families()
+    tracemalloc.start()
+    padic_l(5**n)
+    held, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    print(f"D = {5**n}: padic-l from kept rows peaks at {peak / 2**20:.2f} MiB "
+          f"traced; the kept family holds {held / 2**20:.2f} MiB")
+
     sym = pair11()
     # a_5 of 11.2.a.a, to the digits the series need
     alpha = choose_alpha(1, 5, 11, prec=max(14, working_precision(sym, 5, n, M)))
@@ -141,6 +194,12 @@ def main():
     ti = best_time(lambda: mass_mu_lambda(5, bs.shift, bs.masses), args.repeat)
     print(f"D = {5**n}: (mu, lambda) = {bs.invariants} off the masses "
           f"in {ti * 1e3:.3f}ms")
+
+    verify2()
+    cold = best_time(verify2, args.repeat, drop_example2_results)
+    kept = best_time(verify2, args.repeat)
+    print(f"verify-example 2, warm: {cold * 1e3:.3f}ms with its families and "
+          f"Eisenstein checks dropped, {kept * 1e3:.3f}ms kept")
 
     cold = best_time(example1_symbol, args.repeat, modsym._kept.clear)
     kept = best_time(example1_symbol, args.repeat)

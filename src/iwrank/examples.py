@@ -10,7 +10,10 @@ trivial character and the residual Eisenstein partner of the congruent
 form, and checks every recorded expectation.  Failures do not abort the
 run; every check ends up in the report with a pass/fail/skipped status.
 `eisenstein_partner` builds that partner for `congruence` too, and
-`add_partner_check` writes the record of its check for both.
+`add_partner_check` writes the record of its check for both.  The
+partner and its check, and a run's Mazur report, are kept on the form
+(a bundled form lives as long as the process), the branch family on the
+symbol, so a repeat run builds no q-series and no branch series.
 """
 
 from __future__ import annotations
@@ -206,15 +209,27 @@ def eisenstein_partner(h, p, ideal):
     bound is h's Sturm bound (agreement that far is agreement), so h's
     q-expansion hq and the partner g with multiplier m are built only
     that far; dep compares hq and g with their coefficients at multiples
-    of p dropped, modulo `ideal`, h's congruence ideal above p.
+    of p dropped, modulo `ideal`, h's congruence ideal above p.  The
+    tuple is kept on h by p and the ideal (`_ideal_key`), so a repeat
+    call returns it, and no caller may mutate it; a call that raises
+    keeps nothing.
     """
-    bound = sturm_bound(h.weight, h.level)
-    g, m = residual_eisenstein_partner(
-        p, DirichletCharacter.teichmuller(p), DirichletCharacter.trivial(1),
-        h.level, h.weight, bound)
-    hq = h.q_expansion(bound)
-    dep = check_congruence(hq.deplete(p), g.deplete(p), ideal, bound)
-    return bound, hq, g, m, dep
+    key = _ideal_key(p, ideal)
+    if key not in h._partners:
+        bound = sturm_bound(h.weight, h.level)
+        g, m = residual_eisenstein_partner(
+            p, DirichletCharacter.teichmuller(p), DirichletCharacter.trivial(1),
+            h.level, h.weight, bound)
+        hq = h.q_expansion(bound)
+        dep = check_congruence(hq.deplete(p), g.deplete(p), ideal, bound)
+        h._partners[key] = bound, hq, g, m, dep
+    return h._partners[key]
+
+
+def _ideal_key(p, ideal):
+    """p and the ideal's fields (a `CongruenceIdealSpec` is not hashable)."""
+    poly = ideal.field_poly
+    return p, ideal.p, None if poly is None else tuple(poly), ideal.seed
 
 
 def add_partner_check(rep, check_id, h, p, dep):
@@ -396,9 +411,12 @@ def run_example(number, wild_level=1, M=8):
             m == h.level, m, h.level, "exact")
     add_partner_check(rep, f"{tag}.congruence.partner", h, p, dep)
     t = ex["mazur_t"]
+    # kept on h next to the partner
+    key = _ideal_key(p, ideal) + (t,)
+    if key not in h._partners:
+        h._partners[key] = check_congruence(hq, mazur_eisenstein(t, bound), ideal,
+                                            bound, coprime_to=p)
     rep.add_match(f"{tag}.congruence.mazur",
                   f"{h.label} matches E2(z) - {t} E2({t}z) through the Sturm "
-                  f"bound including the constant term",
-                  check_congruence(hq, mazur_eisenstein(t, bound), ideal,
-                                   bound, coprime_to=p))
+                  f"bound including the constant term", h._partners[key])
     return rep

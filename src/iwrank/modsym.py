@@ -31,7 +31,8 @@ KEPT_LEVELS levels (the least recently used level goes first), and
 quotient vectors, its Hecke images per n, its boundary data and its
 successor table, its solved eigenspaces and eigenfunctionals
 (`eigen_functional`), and the symbol pairs cut out of it (`kept_pair`),
-each with its twists (`twist_symbol`) and both kinds with their rows.
+each with its twists (`twist_symbol`) and both kinds with their rows and
+branch families (`padic_l.branch_family`).
 So the rows a space hands out (`vectors`, `star_images()`,
 `hecke_images(n)`, `P1List.successors()`, `evaluate_row`), its
 functionals and its symbols are shared, and no caller may mutate them:
@@ -728,7 +729,8 @@ def _check_eigenspace(space, sign, dim):
 class RowSymbol:
     """A symbol of both star signs whose every value is read off a row:
     `_build_rows(den)` gives both signs' rows at den, and `_rows` keeps
-    them by den."""
+    them by den; `_families` keeps the branch families that
+    `padic_l.branch_family` builds on it, by its arguments."""
 
     def evaluate(self, r, sign):
         """Value on {oo -> r} of the given sign: entry r mod 1 of the row
@@ -760,6 +762,7 @@ class SymbolPair(RowSymbol):
         self.level = level
         self.label = label
         self._rows = {}
+        self._families = {}
         # the twists of `twist_symbol`, by (primitive character, den, label)
         self._twists = {}
 
@@ -805,6 +808,7 @@ class TwistedSymbol(RowSymbol):
                         for a, k in enumerate(chi.conjugate().exponent_table())
                         if k is not None}
         self._rows = {}
+        self._families = {}
         self._scale_den = den
         self._scales = None
 

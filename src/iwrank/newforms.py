@@ -127,6 +127,8 @@ class NewformData:
         self.an = tuple(an)
         self.seed_root_mod_p = MappingProxyType(dict(seed_root_mod_p or {}))
         self.source = source
+        # the Eisenstein checks of `examples`, kept with the form
+        self._partners = {}
         self._validate()
 
     # --- construction ---

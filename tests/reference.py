@@ -357,6 +357,19 @@ def t_series(bs) -> PadicSeries:
                                  gamma_to_t(bs.masses), bs.shift)
 
 
+def family_state(family):
+    """What a branch family (alpha, raw, dressed) holds, in plain values,
+    to compare two builds of it: alpha's ints and each series' masses,
+    shift, invariants and sigma0 factors."""
+    alpha, raw, dressed = family
+
+    def series(bss):
+        return {j: (bs.p, bs.M, bs.shift, bs.masses, bs.invariants, bs.j, bs.form,
+                    bs.alpha, bs.sigma0_factors) for j, bs in bss.items()}
+
+    return (alpha.p, alpha.M, alpha.shift, alpha.ints), series(raw), series(dressed)
+
+
 def reduce_gamma(f: PadicSeries, order: int) -> PadicSeries:
     """Remainder of a T-series modulo (1+T)^order - 1, with T-bound
     order: the projection onto the group ring of a cyclic quotient."""

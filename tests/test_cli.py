@@ -124,9 +124,13 @@ def test_padic_l(capsys):
 
 @pytest.mark.parametrize("p", [7, 11, 13])
 def test_padic_l_single_branches_match_full_run(p, capsys, monkeypatch):
-    # a record needs only its branch and the partner j % (p - 1) + 1
+    # a record needs only its branch and the partner j % (p - 1) + 1.
+    # From an empty registry: an earlier run may have left the families
+    # kept on the pair; a second round reads them all as kept
+    from iwrank import modsym
     import iwrank.padic_l as padic_l
 
+    monkeypatch.setattr(modsym, "_kept", {})
     built = []
     branch_series = padic_l.branch_series
 
@@ -145,6 +149,11 @@ def test_padic_l_single_branches_match_full_run(p, capsys, monkeypatch):
         assert main(argv + ["--branches", f"{j}..{j}"]) == 0
         assert _lines(capsys) == [full[j - 1]], j
         assert sorted(built) == sorted({j, j % (p - 1) + 1}), j
+    built.clear()
+    for j in [None, *range(1, p)]:
+        assert main(argv + ([] if j is None else ["--branches", f"{j}..{j}"])) == 0
+        assert _lines(capsys) == (full if j is None else [full[j - 1]]), j
+    assert built == []
 
 
 def test_iwasawa(capsys):

@@ -2,8 +2,12 @@ import json
 
 import pytest
 
-from iwrank import modsym
-from iwrank.examples import EXAMPLES, VerificationReport, build_example, run_example
+from iwrank import examples, modsym
+from iwrank.characters import DirichletCharacter
+from iwrank.examples import (
+    EXAMPLES, VerificationReport, build_example, eisenstein_partner, run_example,
+)
+from iwrank.newforms import IngestionError, NewformData, bundled
 from iwrank.padic_l import format_report
 
 
@@ -106,6 +110,43 @@ def test_example1_walks_the_pair_once(monkeypatch):
         assert all(type(x) is int for x in sym.evaluate_row(121, s))
     assert walks == [(2783, 1392)]
     assert birch == [(121, 1), (121, -1), (11, 1), (11, -1)]
+
+
+def test_eisenstein_checks_are_kept_on_the_form(monkeypatch):
+    # examples 2 and 3 check the same h = 11.2.a.a at p = 5 and t = 11:
+    # the partner and the Mazur report are built once and kept on h
+    h = bundled("11.2.a.a")
+    monkeypatch.setattr(h, "_partners", {})
+    built = []
+    mazur = examples.mazur_eisenstein
+
+    def counted(t, n_max):
+        built.append(t)
+        return mazur(t, n_max)
+
+    monkeypatch.setattr(examples, "mazur_eisenstein", counted)
+    first = run_example(2).records
+    partner = eisenstein_partner(h, 5, h.congruence_ideal(5))
+    assert sorted(h._partners, key=len) == [(5, 5, None, None), (5, 5, None, None, 11)]
+    kept = dict(h._partners)
+    assert eisenstein_partner(h, 5, h.congruence_ideal(5)) is partner
+    run_example(3)
+    assert run_example(2).records == first
+    assert built == [11]
+    assert h._partners.keys() == kept.keys()
+    assert all(h._partners[key] is value for key, value in kept.items())
+
+
+def test_a_failed_eisenstein_partner_keeps_nothing():
+    # one stored coefficient, short of the Sturm bound 2 at level 11
+    h = NewformData("short", 11, 2, DirichletCharacter.trivial(11), (0, 1), [1])
+    messages = []
+    for _ in range(2):
+        with pytest.raises(IngestionError) as exc:
+            eisenstein_partner(h, 5, h.congruence_ideal(5))
+        messages.append(str(exc.value))
+        assert h._partners == {}
+    assert messages[0] == messages[1]
 
 
 def test_reports_deterministic(rep3):

@@ -10,7 +10,7 @@ from iwrank import modsym
 from iwrank.arith import is_prime
 from iwrank.characters import DirichletCharacter
 from iwrank.cli import main
-from iwrank.examples import symbol_pair
+from iwrank.examples import eisenstein_partner, symbol_pair
 from iwrank.modsym import (
     EigenspaceError,
     ModularSymbolSpace,
@@ -25,11 +25,13 @@ from iwrank.modsym import (
     num_cusps,
     twist_symbol,
 )
-from iwrank.newforms import bundled
+from iwrank.newforms import NewformData, bundled, bundled_labels
 from iwrank.numfield import NumberField
+from iwrank.padic_l import branch_family
+from iwrank.qseries import CongruenceIdealSpec, check_congruence, mazur_eisenstein
 import reference
-from reference import (dense, flat_values, p1_normalize, path_sum, point_values,
-                       right_kernel, rref)
+from reference import (dense, family_state, flat_values, p1_normalize, path_sum,
+                       point_values, right_kernel, rref)
 
 F = Fraction
 
@@ -845,9 +847,12 @@ KEPT_RUNS = ([["verify-example", str(k)] for k in (1, 2, 3)]
 def test_commands_leave_kept_spaces_as_built(tmp_path, monkeypatch):
     # every command reads the rows of a kept space and of its kept symbols
     # and mutates none: after two rounds in one process each kept space
-    # equals a fresh one, each kept pair and twist holds the rows of one
-    # built anew, and the second round prints what the first did
+    # equals a fresh one, each kept pair and twist holds the rows and
+    # branch families of one built anew, each kept Eisenstein check is
+    # one built anew, and the second round prints what the first did
     monkeypatch.setattr(modsym, "_kept", {})
+    for label in bundled_labels():
+        monkeypatch.setattr(bundled(label), "_partners", {})
     out = tmp_path / "out.jsonl"
     rounds = []
     for _ in range(2):
@@ -858,7 +863,7 @@ def test_commands_leave_kept_spaces_as_built(tmp_path, monkeypatch):
         rounds.append(got)
     assert rounds[0] == rounds[1]
     assert sorted(modsym._kept) == [11, 19, 52]
-    twists = 0
+    twists = families = 0
     for N, kept in modsym._kept.items():
         fresh = ModularSymbolSpace(N)
         assert (kept.basis_cols, kept.den, kept.vectors) == (fresh.basis_cols, fresh.den,
@@ -892,11 +897,41 @@ def test_commands_leave_kept_spaces_as_built(tmp_path, monkeypatch):
             fresh_pair = SymbolPair(anew[plus], anew[minus], N, label)
             for den, rows in pair._rows.items():
                 assert rows == fresh_pair._build_rows(den), (N, label, den)
+            families += _check_families(pair, fresh_pair)
             for (chi, den, tw_label), tw in pair._twists.items():
                 twists += 1
                 fresh_tw = TwistedSymbol(fresh_pair, chi, den, tw_label)
                 assert tw.scales == fresh_tw.scales, (N, tw_label)
                 for d, rows in tw._rows.items():
                     assert rows == fresh_tw._build_rows(d), (N, tw_label, d)
+                families += _check_families(tw, fresh_tw)
     # example 1's, and the one that both --char quad-23 commands share
     assert twists == 2
+    # one per bundled example and one per padic-l command
+    assert families == 3 + 4
+    # every Eisenstein check kept on a bundled form is one built anew on
+    # a fresh copy of the form: example 1's on 23.2.a, and the one that
+    # examples 2 and 3 share on 11.2.a.a, each a partner and a Mazur report
+    checks = 0
+    for label in bundled_labels():
+        h = bundled(label)
+        fresh_h = NewformData(h.label, h.level, h.weight, h.nebentypus, h.field_poly,
+                              h.an, h.seed_root_mod_p)
+        for key, kept_check in h._partners.items():
+            checks += 1
+            p, ideal = key[0], CongruenceIdealSpec(*key[1:4])
+            bound, hq, *_ = fresh = eisenstein_partner(fresh_h, p, ideal)
+            if len(key) == 5:  # the Mazur report at t = key[4]
+                fresh = check_congruence(hq, mazur_eisenstein(key[4], bound), ideal,
+                                         bound, coprime_to=p)
+            assert kept_check == fresh, (label, key)
+    assert checks == 2 * 2
+
+
+def _check_families(sym, fresh_sym):
+    """Assert that every branch family kept on sym is the one built anew
+    on fresh_sym with the same arguments; the number of families."""
+    for (ap, p, n, M, sigma0, branches), family in sym._families.items():
+        fresh = branch_family(fresh_sym, ap, p, n, M, sigma0, branches)
+        assert family_state(family) == family_state(fresh), (sym.label, p, branches)
+    return len(sym._families)

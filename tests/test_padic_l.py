@@ -1,13 +1,17 @@
 import ast
 import cmath
+import gc
 import random
+import weakref
 from fractions import Fraction
 from math import comb, isclose, sqrt
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
 import iwrank.padic_l as padic_l_module
+from iwrank import modsym
 from iwrank.characters import DirichletCharacter, kronecker
 from iwrank.cyclotomic import zeta
 from iwrank.examples import EXAMPLES, build_example, omega_twist_sum, symbol_pair
@@ -40,6 +44,7 @@ from iwrank.padic_l import (
     working_precision,
 )
 from reference import (
+    family_state,
     gamma_to_t,
     group_ring_mul,
     padic_log,
@@ -570,6 +575,79 @@ def test_series_stable_across_precision(case, pair11, pair19, pair52,
                         assert got[2] == low_verdict, (case, n, M, j)
                 else:
                     seen[j] = got
+
+
+# -- kept branch families ----------------------------------------------
+
+SIGMA0_52 = ((11, (1, 2, 11)),)
+
+
+def test_branch_family_is_kept_on_its_symbol(monkeypatch):
+    monkeypatch.setattr(modsym, "_kept", {})
+    pair = symbol_pair(bundled("52.2.a.a"))
+    family = branch_family(pair, 2, 5, 1, 8, SIGMA0_52)
+    # the same arguments, as other types that hash alike: the same family
+    assert branch_family(pair, F(2), 5, 1, 8, list(SIGMA0_52)) is family
+    # a set, a list and a range of the same branches are one entry; the
+    # default is all of 1..p-1
+    assert branch_family(pair, 2, 5, 1, 8, SIGMA0_52, branches={4, 1, 3, 2}) is family
+    part = branch_family(pair, 2, 5, 1, 8, SIGMA0_52, branches={4, 3})
+    assert branch_family(pair, 2, 5, 1, 8, SIGMA0_52, branches=[3, 4]) is part
+    assert branch_family(pair, 2, 5, 1, 8, SIGMA0_52, branches=range(3, 5)) is part
+    assert list(part[2]) == [3, 4] and len(pair._families) == 2
+    assert family_state(part)[2] == {j: family_state(family)[2][j] for j in (3, 4)}
+    # a fresh pair of the same functionals keeps nothing yet, and builds
+    # the same family
+    fresh = SymbolPair(pair.plus, pair.minus, 52, pair.label)
+    assert fresh._families == {}
+    assert family_state(branch_family(fresh, 2, 5, 1, 8, SIGMA0_52)) == family_state(family)
+    # the kept mappings are read-only; with no factors dressed is raw
+    alpha, raw, dressed = family
+    assert type(raw) is type(dressed) is MappingProxyType
+    with pytest.raises(TypeError):
+        raw[1] = dressed[1]
+    bare = branch_family(pair, 2, 5, 1, 8)
+    assert bare[2] is bare[1] and family_state(bare)[1] == family_state(family)[1]
+
+
+@pytest.mark.parametrize("ap, sigma0, error", [
+    (5, (), OrdinarityError),  # a_5 = 0 mod 5
+    (2, ((11, (1,)), (11, (1, 2))), ValueError),  # a factor twice
+    (2, ((5, (1, 1)),), ValueError),  # a factor at p
+    (2, ((11, (F(1, 5),)),), PadicPrecisionError),  # a factor of valuation -1
+])
+def test_a_failed_branch_family_keeps_nothing(ap, sigma0, error):
+    kept = symbol_pair(bundled("52.2.a.a"))
+    pair = SymbolPair(kept.plus, kept.minus, 52, kept.label)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(error) as exc:
+            branch_family(pair, ap, 5, 1, 8, sigma0)
+        messages.append(str(exc.value))
+        assert pair._families == {}
+    assert messages[0] == messages[1]
+
+
+def test_kept_families_go_with_their_symbol(monkeypatch):
+    # a family lives as long as its symbol, and so as its space: once
+    # KEPT_LEVELS other levels evict the space, its series are freed
+    class Tracked(BranchSeries):
+        __slots__ = ("__weakref__",)
+
+    monkeypatch.setattr(modsym, "_kept", {})
+    monkeypatch.setattr(padic_l_module, "BranchSeries", Tracked)
+    nf = bundled("11.2.a.a")
+    _, raw, dressed = branch_family(symbol_pair(nf), 1, 5, 1, 8, ((2, (1, 2, 2)),))
+    refs = [weakref.ref(bs) for bss in (raw, dressed) for bs in bss.values()]
+    assert len(refs) == 8
+    del raw, dressed
+    gc.collect()
+    assert all(ref() is not None for ref in refs)  # kept on the pair
+    for N in range(12, 12 + modsym.KEPT_LEVELS):
+        modsym.build_space(N)
+    assert 11 not in modsym._kept
+    gc.collect()
+    assert all(ref() is None for ref in refs)
 
 
 # -- group masses against the T-basis oracle ---------------------------
