@@ -142,6 +142,7 @@ def drop_example2_results():
     form 11.2.a.a."""
     drop_kept_families(52)
     bundled("11.2.a.a")._partners.clear()
+    bundled("11.2.a.a")._mazur.clear()
 
 
 def example1_symbol():

@@ -11,9 +11,10 @@ form, and checks every recorded expectation.  Failures do not abort the
 run; every check ends up in the report with a pass/fail/skipped status.
 `eisenstein_partner` builds that partner for `congruence` too, and
 `add_partner_check` writes the record of its check for both.  The
-partner and its check, and a run's Mazur report, are kept on the form
-(a bundled form lives as long as the process), the branch family on the
-symbol, so a repeat run builds no q-series and no branch series.
+partner and its check, and a run's Mazur report (`mazur_check`), are
+kept on the form (a bundled form lives as long as the process), the
+branch series on the symbol, so a repeat run builds no q-series and no
+branch series.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ __all__ = [
     "add_partner_check",
     "build_example",
     "eisenstein_partner",
+    "mazur_check",
     "omega_twist_sum",
     "run_example",
     "symbol_pair",
@@ -210,26 +212,29 @@ def eisenstein_partner(h, p, ideal):
     q-expansion hq and the partner g with multiplier m are built only
     that far; dep compares hq and g with their coefficients at multiples
     of p dropped, modulo `ideal`, h's congruence ideal above p.  The
-    tuple is kept on h by p and the ideal (`_ideal_key`), so a repeat
-    call returns it, and no caller may mutate it; a call that raises
-    keeps nothing.
+    tuple is kept on h by (p, ideal), so a repeat call returns it, and no
+    caller may mutate it; a call that raises keeps nothing.
     """
-    key = _ideal_key(p, ideal)
-    if key not in h._partners:
+    if (p, ideal) not in h._partners:
         bound = sturm_bound(h.weight, h.level)
         g, m = residual_eisenstein_partner(
             p, DirichletCharacter.teichmuller(p), DirichletCharacter.trivial(1),
             h.level, h.weight, bound)
         hq = h.q_expansion(bound)
         dep = check_congruence(hq.deplete(p), g.deplete(p), ideal, bound)
-        h._partners[key] = bound, hq, g, m, dep
-    return h._partners[key]
+        h._partners[p, ideal] = bound, hq, g, m, dep
+    return h._partners[p, ideal]
 
 
-def _ideal_key(p, ideal):
-    """p and the ideal's fields (a `CongruenceIdealSpec` is not hashable)."""
-    poly = ideal.field_poly
-    return p, ideal.p, None if poly is None else tuple(poly), ideal.seed
+def mazur_check(h, p, ideal, t):
+    """h against E2(z) - t E2(tz) modulo `ideal` through h's Sturm bound,
+    the constant term included and indices prime to p only, on the hq of
+    `eisenstein_partner`; kept on h by (p, ideal, t) like the partner."""
+    if (p, ideal, t) not in h._mazur:
+        bound, hq, *_ = eisenstein_partner(h, p, ideal)
+        h._mazur[p, ideal, t] = check_congruence(hq, mazur_eisenstein(t, bound), ideal,
+                                                 bound, coprime_to=p)
+    return h._mazur[p, ideal, t]
 
 
 def add_partner_check(rep, check_id, h, p, dep):
@@ -405,18 +410,13 @@ def run_example(number, wild_level=1, M=8):
     # --- Eisenstein congruence of the companion form ---
     h = ex["h"]
     ideal = h.congruence_ideal(p)
-    bound, hq, _, m, dep = eisenstein_partner(h, p, ideal)
+    _, _, _, m, dep = eisenstein_partner(h, p, ideal)
     rep.add(f"{tag}.congruence.m",
             f"residual partner of {h.label} has multiplier m = {h.level}",
             m == h.level, m, h.level, "exact")
     add_partner_check(rep, f"{tag}.congruence.partner", h, p, dep)
     t = ex["mazur_t"]
-    # kept on h next to the partner
-    key = _ideal_key(p, ideal) + (t,)
-    if key not in h._partners:
-        h._partners[key] = check_congruence(hq, mazur_eisenstein(t, bound), ideal,
-                                            bound, coprime_to=p)
     rep.add_match(f"{tag}.congruence.mazur",
                   f"{h.label} matches E2(z) - {t} E2({t}z) through the Sturm "
-                  f"bound including the constant term", h._partners[key])
+                  f"bound including the constant term", mazur_check(h, p, ideal, t))
     return rep

@@ -32,7 +32,7 @@ quotient vectors, its Hecke images per n, its boundary data and its
 successor table, its solved eigenspaces and eigenfunctionals
 (`eigen_functional`), and the symbol pairs cut out of it (`kept_pair`),
 each with its twists (`twist_symbol`) and both kinds with their rows and
-branch families (`padic_l.branch_family`).
+branch series (`padic_l.branch_family`).
 So the rows a space hands out (`vectors`, `star_images()`,
 `hecke_images(n)`, `P1List.successors()`, `evaluate_row`), its
 functionals and its symbols are shared, and no caller may mutate them:
@@ -729,8 +729,8 @@ def _check_eigenspace(space, sign, dim):
 class RowSymbol:
     """A symbol of both star signs whose every value is read off a row:
     `_build_rows(den)` gives both signs' rows at den, and `_rows` keeps
-    them by den; `_families` keeps the branch families that
-    `padic_l.branch_family` builds on it, by its arguments."""
+    them by den; `_families` keeps the alpha and branch series that
+    `padic_l.branch_family` builds on it."""
 
     def evaluate(self, r, sign):
         """Value on {oo -> r} of the given sign: entry r mod 1 of the row

@@ -129,6 +129,7 @@ class NewformData:
         self.source = source
         # the Eisenstein checks of `examples`, kept with the form
         self._partners = {}
+        self._mazur = {}
         self._validate()
 
     # --- construction ---

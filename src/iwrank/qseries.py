@@ -200,7 +200,7 @@ def sigma0_and_m(level_prime_to_p: int, residual_tame_conductor: int) -> tuple[t
 # congruence ideals ----------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class CongruenceIdealSpec:
     """Degree-one prime above p in the coefficient field: x -> seed mod p."""
 

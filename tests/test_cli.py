@@ -125,8 +125,10 @@ def test_padic_l(capsys):
 @pytest.mark.parametrize("p", [7, 11, 13])
 def test_padic_l_single_branches_match_full_run(p, capsys, monkeypatch):
     # a record needs only its branch and the partner j % (p - 1) + 1.
-    # From an empty registry: an earlier run may have left the families
-    # kept on the pair; a second round reads them all as kept
+    # Each single run starts from an empty registry, as an earlier run may
+    # have left series kept on the pair; a full run then builds only the
+    # series the last one did not keep, and in a second round every run
+    # reads its series as kept
     from iwrank import modsym
     import iwrank.padic_l as padic_l
 
@@ -144,11 +146,15 @@ def test_padic_l_single_branches_match_full_run(p, capsys, monkeypatch):
     assert main(argv) == 0
     full = _lines(capsys)
     assert len(full) == p - 1 and sorted(built) == list(range(1, p))
+    built.clear()
     for j in range(1, p):
-        built.clear()
+        monkeypatch.setattr(modsym, "_kept", {})
         assert main(argv + ["--branches", f"{j}..{j}"]) == 0
         assert _lines(capsys) == [full[j - 1]], j
         assert sorted(built) == sorted({j, j % (p - 1) + 1}), j
+        built.clear()
+    assert main(argv) == 0
+    assert _lines(capsys) == full and sorted(built) == list(range(2, p - 1))
     built.clear()
     for j in [None, *range(1, p)]:
         assert main(argv + ([] if j is None else ["--branches", f"{j}..{j}"])) == 0

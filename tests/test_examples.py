@@ -5,7 +5,8 @@ import pytest
 from iwrank import examples, modsym
 from iwrank.characters import DirichletCharacter
 from iwrank.examples import (
-    EXAMPLES, VerificationReport, build_example, eisenstein_partner, run_example,
+    EXAMPLES, VerificationReport, build_example, eisenstein_partner, mazur_check,
+    run_example,
 )
 from iwrank.newforms import IngestionError, NewformData, bundled
 from iwrank.padic_l import format_report
@@ -117,6 +118,7 @@ def test_eisenstein_checks_are_kept_on_the_form(monkeypatch):
     # the partner and the Mazur report are built once and kept on h
     h = bundled("11.2.a.a")
     monkeypatch.setattr(h, "_partners", {})
+    monkeypatch.setattr(h, "_mazur", {})
     built = []
     mazur = examples.mazur_eisenstein
 
@@ -126,15 +128,17 @@ def test_eisenstein_checks_are_kept_on_the_form(monkeypatch):
 
     monkeypatch.setattr(examples, "mazur_eisenstein", counted)
     first = run_example(2).records
-    partner = eisenstein_partner(h, 5, h.congruence_ideal(5))
-    assert sorted(h._partners, key=len) == [(5, 5, None, None), (5, 5, None, None, 11)]
-    kept = dict(h._partners)
+    ideal = h.congruence_ideal(5)
+    partner = eisenstein_partner(h, 5, ideal)
+    report = mazur_check(h, 5, ideal, 11)
+    assert list(h._partners) == [(5, ideal)] and list(h._mazur) == [(5, ideal, 11)]
     assert eisenstein_partner(h, 5, h.congruence_ideal(5)) is partner
+    assert mazur_check(h, 5, h.congruence_ideal(5), 11) is report
     run_example(3)
     assert run_example(2).records == first
     assert built == [11]
-    assert h._partners.keys() == kept.keys()
-    assert all(h._partners[key] is value for key, value in kept.items())
+    assert list(h._partners) == [(5, ideal)] and list(h._mazur) == [(5, ideal, 11)]
+    assert h._partners[5, ideal] is partner and h._mazur[5, ideal, 11] is report
 
 
 def test_a_failed_eisenstein_partner_keeps_nothing():
@@ -146,6 +150,9 @@ def test_a_failed_eisenstein_partner_keeps_nothing():
             eisenstein_partner(h, 5, h.congruence_ideal(5))
         messages.append(str(exc.value))
         assert h._partners == {}
+    with pytest.raises(IngestionError):
+        mazur_check(h, 5, h.congruence_ideal(5), 11)
+    assert h._partners == h._mazur == {}
     assert messages[0] == messages[1]
 
 

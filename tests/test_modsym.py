@@ -10,7 +10,7 @@ from iwrank import modsym
 from iwrank.arith import is_prime
 from iwrank.characters import DirichletCharacter
 from iwrank.cli import main
-from iwrank.examples import eisenstein_partner, symbol_pair
+from iwrank.examples import eisenstein_partner, mazur_check, symbol_pair
 from iwrank.modsym import (
     EigenspaceError,
     ModularSymbolSpace,
@@ -28,7 +28,6 @@ from iwrank.modsym import (
 from iwrank.newforms import NewformData, bundled, bundled_labels
 from iwrank.numfield import NumberField
 from iwrank.padic_l import branch_family
-from iwrank.qseries import CongruenceIdealSpec, check_congruence, mazur_eisenstein
 import reference
 from reference import (dense, family_state, flat_values, p1_normalize, path_sum,
                        point_values, right_kernel, rref)
@@ -848,11 +847,12 @@ def test_commands_leave_kept_spaces_as_built(tmp_path, monkeypatch):
     # every command reads the rows of a kept space and of its kept symbols
     # and mutates none: after two rounds in one process each kept space
     # equals a fresh one, each kept pair and twist holds the rows and
-    # branch families of one built anew, each kept Eisenstein check is
-    # one built anew, and the second round prints what the first did
+    # branch series of one built anew, each kept Eisenstein check is one
+    # built anew, and the second round prints what the first did
     monkeypatch.setattr(modsym, "_kept", {})
     for label in bundled_labels():
         monkeypatch.setattr(bundled(label), "_partners", {})
+        monkeypatch.setattr(bundled(label), "_mazur", {})
     out = tmp_path / "out.jsonl"
     rounds = []
     for _ in range(2):
@@ -907,8 +907,10 @@ def test_commands_leave_kept_spaces_as_built(tmp_path, monkeypatch):
                 families += _check_families(tw, fresh_tw)
     # example 1's, and the one that both --char quad-23 commands share
     assert twists == 2
-    # one per bundled example and one per padic-l command
-    assert families == 3 + 4
+    # raw and dressed on the symbol of each bundled example (3 x 2), whose
+    # raw the padic-l commands of 19.2.a.a and 52.2.a.a share, and raw on
+    # the 11.2.a.a pair and the quad-23 twist of the other two padic-l
+    assert families == 3 * 2 + 2
     # every Eisenstein check kept on a bundled form is one built anew on
     # a fresh copy of the form: example 1's on 23.2.a, and the one that
     # examples 2 and 3 share on 11.2.a.a, each a partner and a Mazur report
@@ -917,21 +919,24 @@ def test_commands_leave_kept_spaces_as_built(tmp_path, monkeypatch):
         h = bundled(label)
         fresh_h = NewformData(h.label, h.level, h.weight, h.nebentypus, h.field_poly,
                               h.an, h.seed_root_mod_p)
-        for key, kept_check in h._partners.items():
+        for (p, ideal), partner in h._partners.items():
             checks += 1
-            p, ideal = key[0], CongruenceIdealSpec(*key[1:4])
-            bound, hq, *_ = fresh = eisenstein_partner(fresh_h, p, ideal)
-            if len(key) == 5:  # the Mazur report at t = key[4]
-                fresh = check_congruence(hq, mazur_eisenstein(key[4], bound), ideal,
-                                         bound, coprime_to=p)
-            assert kept_check == fresh, (label, key)
+            assert partner == eisenstein_partner(fresh_h, p, ideal), (label, p)
+        for (p, ideal, t), report in h._mazur.items():
+            checks += 1
+            assert report == mazur_check(fresh_h, p, ideal, t), (label, p, t)
     assert checks == 2 * 2
 
 
 def _check_families(sym, fresh_sym):
-    """Assert that every branch family kept on sym is the one built anew
-    on fresh_sym with the same arguments; the number of families."""
-    for (ap, p, n, M, sigma0, branches), family in sym._families.items():
-        fresh = branch_family(fresh_sym, ap, p, n, M, sigma0, branches)
-        assert family_state(family) == family_state(fresh), (sym.label, p, branches)
-    return len(sym._families)
+    """Assert that alpha and the branch series kept on sym under each
+    (a_p, p, n, M) and sigma0 factors are those built anew on fresh_sym
+    for the same arguments and branches; the number of such sets."""
+    sets = 0
+    for (ap, p, n, M), (alpha, kept) in sym._families.items():
+        for sigma0, series in kept.items():
+            sets += 1
+            fresh = branch_family(fresh_sym, ap, p, n, M, sigma0, series)
+            assert family_state((alpha, series, series))[::2] == family_state(fresh)[::2], (
+                sym.label, p, sigma0)
+    return sets

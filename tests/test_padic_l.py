@@ -582,32 +582,55 @@ def test_series_stable_across_precision(case, pair11, pair19, pair52,
 SIGMA0_52 = ((11, (1, 2, 11)),)
 
 
+def _objects(family):
+    """alpha and each series of a family (alpha, raw, dressed), by identity."""
+    alpha, raw, dressed = family
+    return [id(alpha)] + [(j, id(bs)) for bss in (raw, dressed) for j, bs in bss.items()]
+
+
+def _kept_state(sym):
+    """What sym._families holds, as plain dicts of the kept objects."""
+    return {key: (alpha, {sigma0: dict(series) for sigma0, series in kept.items()})
+            for key, (alpha, kept) in sym._families.items()}
+
+
 def test_branch_family_is_kept_on_its_symbol(monkeypatch):
     monkeypatch.setattr(modsym, "_kept", {})
     pair = symbol_pair(bundled("52.2.a.a"))
     family = branch_family(pair, 2, 5, 1, 8, SIGMA0_52)
-    # the same arguments, as other types that hash alike: the same family
-    assert branch_family(pair, F(2), 5, 1, 8, list(SIGMA0_52)) is family
-    # a set, a list and a range of the same branches are one entry; the
-    # default is all of 1..p-1
-    assert branch_family(pair, 2, 5, 1, 8, SIGMA0_52, branches={4, 1, 3, 2}) is family
-    part = branch_family(pair, 2, 5, 1, 8, SIGMA0_52, branches={4, 3})
-    assert branch_family(pair, 2, 5, 1, 8, SIGMA0_52, branches=[3, 4]) is part
-    assert branch_family(pair, 2, 5, 1, 8, SIGMA0_52, branches=range(3, 5)) is part
-    assert list(part[2]) == [3, 4] and len(pair._families) == 2
-    assert family_state(part)[2] == {j: family_state(family)[2][j] for j in (3, 4)}
-    # a fresh pair of the same functionals keeps nothing yet, and builds
-    # the same family
+    alpha, raw, dressed = family
+    # the same arguments, as other types that hash alike: the same alpha
+    # and series
+    assert _objects(branch_family(pair, F(2), 5, 1, 8, list(SIGMA0_52))) == _objects(family)
+    # a set of all branches is the default 1..p-1; a list, a range or a set
+    # of fewer branches hands out the series already kept for them
+    assert _objects(branch_family(pair, 2, 5, 1, 8, SIGMA0_52, branches={4, 1, 3, 2})
+                    ) == _objects(family)
+    part = {j: family_state(family)[2][j] for j in (3, 4)}
+    for branches in ({4, 3}, [3, 4], range(3, 5)):
+        got = branch_family(pair, 2, 5, 1, 8, SIGMA0_52, branches=branches)
+        assert list(got[1]) == list(got[2]) == [3, 4]
+        assert got[0] is alpha and family_state(got)[2] == part
+        assert all(got[1][j] is raw[j] and got[2][j] is dressed[j] for j in (3, 4))
+    # with no factors, dressed is raw, and raw is the kept raw
+    bare = branch_family(pair, 2, 5, 1, 8)
+    assert bare[2] is bare[1] and all(bare[1][j] is raw[j] for j in range(1, 5))
+    # one entry for (a_p, p, n, M), with the raw series and the dressed
+    assert list(pair._families) == [(2, 5, 1, 8)]
+    assert list(pair._families[2, 5, 1, 8][1]) == [(), SIGMA0_52]
+    # a fresh pair of the same functionals keeps nothing yet; a family
+    # for fewer branches first, then all of them, builds the same family
+    # and reuses the series it kept
     fresh = SymbolPair(pair.plus, pair.minus, 52, pair.label)
     assert fresh._families == {}
-    assert family_state(branch_family(fresh, 2, 5, 1, 8, SIGMA0_52)) == family_state(family)
-    # the kept mappings are read-only; with no factors dressed is raw
-    alpha, raw, dressed = family
+    first = branch_family(fresh, 2, 5, 1, 8, SIGMA0_52, branches=[2])
+    whole = branch_family(fresh, 2, 5, 1, 8, SIGMA0_52)
+    assert family_state(whole) == family_state(family)
+    assert whole[0] is first[0] and whole[1][2] is first[1][2] and whole[2][2] is first[2][2]
+    # the handed-out mappings are read-only
     assert type(raw) is type(dressed) is MappingProxyType
     with pytest.raises(TypeError):
         raw[1] = dressed[1]
-    bare = branch_family(pair, 2, 5, 1, 8)
-    assert bare[2] is bare[1] and family_state(bare)[1] == family_state(family)[1]
 
 
 @pytest.mark.parametrize("ap, sigma0, error", [
@@ -625,7 +648,14 @@ def test_a_failed_branch_family_keeps_nothing(ap, sigma0, error):
             branch_family(pair, ap, 5, 1, 8, sigma0)
         messages.append(str(exc.value))
         assert pair._families == {}
-    assert messages[0] == messages[1]
+    # nor beside what an earlier call kept: branch 1, raw
+    branch_family(pair, 2, 5, 1, 8, branches=[1])
+    before = _kept_state(pair)
+    with pytest.raises(error) as exc:
+        branch_family(pair, ap, 5, 1, 8, sigma0)
+    messages.append(str(exc.value))
+    assert _kept_state(pair) == before
+    assert messages[0] == messages[1] == messages[2]
 
 
 def test_kept_families_go_with_their_symbol(monkeypatch):

@@ -133,6 +133,10 @@ def test_congruence_ideal_and_checker():
     assert spec.reduce(CyclotomicNumber.from_rational(F(1, 2), 3)) == 6
     with pytest.raises(ValueError):
         spec.reduce(zeta(3))
+    # a spec is a value: equal specs hash alike, and its fields stay as built
+    assert {spec: 1}[CongruenceIdealSpec(11, (-5, 0, 1), 4)] == 1
+    with pytest.raises(AttributeError):
+        spec.seed = 9
 
     triv1 = DirichletCharacter.trivial(1)
     m11 = mazur_eisenstein(11, 40)
