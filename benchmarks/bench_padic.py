@@ -3,27 +3,21 @@
 Usage: python benchmarks/bench_padic.py [--repeat N]
 
 For each series length D = 5^n it times one `padic-l --newform 11.2.a.a
---prime 5 --precision 8,D` run in-process (alpha, the symbol pair, the
-four branch series, their values at the trivial character and the four
-product verdicts) in three columns.  The symbol space of level 11 and
-its eigenfunctionals are built once and then kept, as for every run in
-one process.  The first column drops the symbol pair kept on that space
-before each round, so every round walks the pair's rows and builds the
-branch family; the second keeps the pair and its rows but drops the
-branch families kept on it, so every round builds the family from kept
-rows; the third keeps both, so every round after the first reads the
-family as kept and only writes the records.  Then it times
+--prime 5 --precision 8,D` run in-process (alpha, the symbol pair and
+its rows, the four branch series, their values at the trivial character
+and the four product verdicts).  The symbol space of level 11 and its
+eigenfunctionals are built once and then kept, as for every run in one
+process; nothing else is kept between runs.  Then it times
 `padic_l.branch_family` alone at each D, with a sigma0 factor at 2, on
-the kept pair: cold (the pair's families dropped before each round) and
-kept.  At the largest D it reports, by `tracemalloc`, the peak memory of
-one `padic-l` run that builds the family from kept rows and the memory
-the kept family holds after it, and times reading (mu, lambda) off the
-group masses of the branch-2 series.  It times `verify-example 2` warm,
-with the branch families of its symbol and the Eisenstein checks of its
-form 11.2.a.a dropped before each round, and with everything kept.  It
-times `verify-example 1`'s symbol, cold (from an empty registry of kept
-spaces) and kept: `examples.symbol_pair` of 11.2.a.a, `twist_symbol` by
-quad(-23) at 11 and its rows at 11^2 on both signs.  Last it times the
+one pair whose rows the first round builds.  At the largest D it
+reports, by `tracemalloc`, the peak memory of one `padic-l` run and the
+memory still held after it, and times reading (mu, lambda) off the
+group masses of the branch-2 series.  It times `verify-example 2` cold
+(the kept bundled runs and symbol spaces dropped before each round) and
+with its run kept.  It times `verify-example 1`'s symbol, cold (from an
+empty registry of kept spaces) and on the kept space:
+`examples.symbol_pair` of 11.2.a.a, `twist_symbol` by quad(-23) at 11
+and its rows at 11^2 on both signs.  Last it times the
 symbol rows of both signs as the branch series read them
 (`padic_l._symbol_rows`): at 5^(n+1), and 5^n as a slice of it, for
 11.2.a.a and for 52.2.a.a (a composite level); at 3^8 and 3^7 for
@@ -40,7 +34,7 @@ import tracemalloc
 
 from iwrank import cli, modsym
 from iwrank.characters import DirichletCharacter
-from iwrank.examples import symbol_pair
+from iwrank.examples import build_example, symbol_pair
 from iwrank.iwasawa import mass_mu_lambda
 from iwrank.modsym import (ModularSymbolSpace, SymbolPair, TwistedSymbol, eigen_functional,
                            twist_symbol)
@@ -117,32 +111,15 @@ def padic_l(D):
         raise SystemExit(f"padic-l at D = {D} failed")
 
 
-def drop_kept_pairs():
-    """Drop the symbol pairs, with their rows, twists and branch
-    families, kept on the level-11 space; the space and its
-    eigenfunctionals stay kept."""
-    modsym.build_space(11)._pairs.clear()
-
-
-def drop_kept_families(N=11):
-    """Drop the branch families kept on the pairs of the level-N space;
-    the pairs and their rows stay kept."""
-    for pair in modsym.build_space(N)._pairs.values():
-        pair._families.clear()
-
-
 def verify2():
     # exits 1: the contract's three level-52 claims fail, as recorded
     cli.main(["verify-example", "2", "--out", os.devnull])
 
 
-def drop_example2_results():
-    """Drop what `verify-example 2` keeps beyond its symbol's rows: the
-    branch families of 52.2.a.a's pair and the Eisenstein checks of its
-    form 11.2.a.a."""
-    drop_kept_families(52)
-    bundled("11.2.a.a")._partners.clear()
-    bundled("11.2.a.a")._mazur.clear()
+def drop_kept():
+    """Drop the kept bundled runs and symbol spaces."""
+    build_example.cache_clear()
+    modsym._kept.clear()
 
 
 def example1_symbol():
@@ -161,32 +138,24 @@ def main():
                     help="timing rounds per figure (the best is kept)")
     args = ap.parse_args()
 
-    print(f"padic-l: {'D':>5} {'pair anew':>10} {'family anew':>12} {'kept':>10}")
+    print(f"padic-l: {'D':>5} {'time':>10}")
     for n in LEVELS:
-        anew = best_time(lambda: padic_l(5**n), args.repeat, drop_kept_pairs)
-        cold = best_time(lambda: padic_l(5**n), args.repeat, drop_kept_families)
-        kept = best_time(lambda: padic_l(5**n), args.repeat)
-        print(f"         {5**n:>5} {anew * 1e3:>8.1f}ms {cold * 1e3:>10.1f}ms "
-              f"{kept * 1e3:>8.2f}ms")
+        t = best_time(lambda: padic_l(5**n), args.repeat)
+        print(f"         {5**n:>5} {t * 1e3:>8.1f}ms")
 
     pair = symbol_pair(bundled("11.2.a.a"))
-    print(f"branch_family, sigma0 at 2: {'D':>5} {'cold':>10} {'kept':>10}")
+    print(f"branch_family, sigma0 at 2: {'D':>5} {'time':>10}")
     for n in LEVELS:
-        def family():
-            return branch_family(pair, 1, 5, n, M, SIGMA0)
-        cold = best_time(family, args.repeat, pair._families.clear)
-        kept = best_time(family, args.repeat)
-        print(f"                            {5**n:>5} {cold * 1e3:>8.2f}ms "
-              f"{kept * 1e6:>8.2f}us")
+        t = best_time(lambda: branch_family(pair, 1, 5, n, M, SIGMA0), args.repeat)
+        print(f"                            {5**n:>5} {t * 1e3:>8.2f}ms")
 
     n = LEVELS[-1]
-    drop_kept_families()
     tracemalloc.start()
     padic_l(5**n)
     held, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    print(f"D = {5**n}: padic-l from kept rows peaks at {peak / 2**20:.2f} MiB "
-          f"traced; the kept family holds {held / 2**20:.2f} MiB")
+    print(f"D = {5**n}: padic-l peaks at {peak / 2**20:.2f} MiB traced and "
+          f"holds {held / 2**20:.2f} MiB after it")
 
     sym = pair11()
     # a_5 of 11.2.a.a, to the digits the series need
@@ -197,15 +166,14 @@ def main():
           f"in {ti * 1e3:.3f}ms")
 
     verify2()
-    cold = best_time(verify2, args.repeat, drop_example2_results)
+    cold = best_time(verify2, args.repeat, drop_kept)
     kept = best_time(verify2, args.repeat)
-    print(f"verify-example 2, warm: {cold * 1e3:.3f}ms with its families and "
-          f"Eisenstein checks dropped, {kept * 1e3:.3f}ms kept")
+    print(f"verify-example 2: {cold * 1e3:.3f}ms cold, {kept * 1e3:.3f}ms with its run kept")
 
     cold = best_time(example1_symbol, args.repeat, modsym._kept.clear)
     kept = best_time(example1_symbol, args.repeat)
     print(f"verify-example 1 symbol (11.2.a.a x quad(-23), rows at 121): "
-          f"{cold * 1e3:.2f}ms cold, {kept * 1e3:.3f}ms kept")
+          f"{cold * 1e3:.2f}ms cold, {kept * 1e3:.2f}ms on the kept space")
 
     print("symbol rows (both signs)")
     for make, label in ((pair11, "11.2.a.a"), (pair52, "52.2.a.a")):

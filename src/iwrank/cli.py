@@ -41,6 +41,7 @@ from .padic_l import (
     branch_report,
     branch_value_trivial,
     format_report,
+    partner_branch,
     product_congruence_verdict,
 )
 from .padics import PadicPrecisionError, padic_valuation
@@ -314,7 +315,7 @@ def cmd_padic_l(args):
             ap = -ap  # the twist multiplies a_p by chi(p) = -1
     # each record reads its branch and the partner branch
     wanted = {(j - 1) % span + 1 for j in range(lo, hi + 1)}
-    wanted |= {jj % span + 1 for jj in wanted}
+    wanted |= {partner_branch(jj, p) for jj in wanted}
     try:
         alpha, _, series = branch_family(sym, ap, p, n, _precision(args)[0],
                                          factors, branches=wanted)
@@ -325,7 +326,7 @@ def cmd_padic_l(args):
     for j in range(lo, hi + 1):
         jj = (j - 1) % span + 1
         value = branch_value_trivial(sym, p, alpha, jj)
-        verdict = product_congruence_verdict(series[jj], series[jj % span + 1])
+        verdict = product_congruence_verdict(series[jj], series[partner_branch(jj, p)])
         records.append(branch_report(
             series[jj], value=value, exact_zero=value.is_zero(), verdict=verdict))
     return 0, records

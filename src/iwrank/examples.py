@@ -4,29 +4,30 @@ and the symbol pair of a rational form.
 `symbol_pair` cuts a rational form's plus and minus eigensymbols out of
 its symbol space with Hecke probes it picks from the form's stored
 coefficients; the symbol commands of the CLI use it too.  Each run
-takes the (twisted) symbol kept on the space, builds its branch family
-(`padic_l.branch_family`, as `padic-l` does), the branch values at the
-trivial character and the residual Eisenstein partner of the congruent
-form, and checks every recorded expectation.  Failures do not abort the
-run; every check ends up in the report with a pass/fail/skipped status.
+builds the (twisted) symbol, its branch family (`padic_l.branch_family`,
+as `padic-l` does), the branch values at the trivial character and the
+residual Eisenstein partner of the congruent form, and checks every
+recorded expectation.  Failures do not abort the run; every check ends
+up in the report with a pass/fail/skipped status.
 `eisenstein_partner` builds that partner for `congruence` too, and
-`add_partner_check` writes the record of its check for both.  The
-partner and its check, and a run's Mazur report (`mazur_check`), are
-kept on the form (a bundled form lives as long as the process), the
-branch series on the symbol, so a repeat run builds no q-series and no
-branch series.
+`add_partner_check` writes the record of its check for both.  What a
+run builds is kept by one rule: level data per space, rows per symbol,
+and the bundled run whole per (number, wild_level, M) (`build_example`),
+so a repeat run builds no symbol, no q-series and no branch series.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 
 from .arith import is_prime
 from .characters import DirichletCharacter, kronecker
 from .cyclotomic import CyclotomicNumber
 from .iwasawa import mu_lambda, undetermined_text
 from .modsym import (
-    EigenspaceError, build_space, eigen_functional, kept_pair, twist_symbol,
+    EigenspaceError, SymbolPair, build_space, eigen_functional, twist_symbol,
 )
 from .newforms import bundled, residual_eisenstein_partner
 from .padics import padic_valuation
@@ -34,6 +35,7 @@ from .padic_l import (
     _value_record,
     branch_family,
     branch_value_trivial,
+    partner_branch,
     product_congruence_verdict,
 )
 from .qseries import check_congruence, mazur_eisenstein, sturm_bound
@@ -44,7 +46,6 @@ __all__ = [
     "add_partner_check",
     "build_example",
     "eisenstein_partner",
-    "mazur_check",
     "omega_twist_sum",
     "run_example",
     "symbol_pair",
@@ -167,8 +168,8 @@ def symbol_pair(nf):
     """The plus and minus eigensymbols of a rational form, cut out of its
     symbol space by the stored a_l at the primes l prime to the level,
     taken in increasing order until each sign's eigenspace is a line.
-    The pair is kept on the space (`modsym.kept_pair`), so a repeat call
-    returns the same pair, with the rows it has built.
+    The space and its eigenfunctionals are kept (`modsym.build_space`);
+    the pair is new on each call.
 
     Raises ValueError when an eigenspace is 0 (no eigensymbol has these
     eigenvalues) or the stored primes run out first.
@@ -198,7 +199,7 @@ def symbol_pair(nf):
                     raise ValueError(f"{nf.label}: no eigensymbol has the "
                                      f"stored a_l at l = {ells} ({exc})") from None
         if len(found) == 2:
-            return kept_pair(*found, label=nf.label)
+            return SymbolPair(*found, nf.level, nf.label)
     raise ValueError(
         f"{nf.label}: the stored a_l at the primes l <= {nf.n_max} prime to "
         f"{nf.level} do not cut out one eigensymbol per sign")
@@ -211,30 +212,14 @@ def eisenstein_partner(h, p, ideal):
     bound is h's Sturm bound (agreement that far is agreement), so h's
     q-expansion hq and the partner g with multiplier m are built only
     that far; dep compares hq and g with their coefficients at multiples
-    of p dropped, modulo `ideal`, h's congruence ideal above p.  The
-    tuple is kept on h by (p, ideal), so a repeat call returns it, and no
-    caller may mutate it; a call that raises keeps nothing.
+    of p dropped, modulo `ideal`, h's congruence ideal above p.
     """
-    if (p, ideal) not in h._partners:
-        bound = sturm_bound(h.weight, h.level)
-        g, m = residual_eisenstein_partner(
-            p, DirichletCharacter.teichmuller(p), DirichletCharacter.trivial(1),
-            h.level, h.weight, bound)
-        hq = h.q_expansion(bound)
-        dep = check_congruence(hq.deplete(p), g.deplete(p), ideal, bound)
-        h._partners[p, ideal] = bound, hq, g, m, dep
-    return h._partners[p, ideal]
-
-
-def mazur_check(h, p, ideal, t):
-    """h against E2(z) - t E2(tz) modulo `ideal` through h's Sturm bound,
-    the constant term included and indices prime to p only, on the hq of
-    `eisenstein_partner`; kept on h by (p, ideal, t) like the partner."""
-    if (p, ideal, t) not in h._mazur:
-        bound, hq, *_ = eisenstein_partner(h, p, ideal)
-        h._mazur[p, ideal, t] = check_congruence(hq, mazur_eisenstein(t, bound), ideal,
-                                                 bound, coprime_to=p)
-    return h._mazur[p, ideal, t]
+    bound = sturm_bound(h.weight, h.level)
+    g, m = residual_eisenstein_partner(
+        p, DirichletCharacter.teichmuller(p), DirichletCharacter.trivial(1),
+        h.level, h.weight, bound)
+    hq = h.q_expansion(bound)
+    return bound, hq, g, m, check_congruence(hq.deplete(p), g.deplete(p), ideal, bound)
 
 
 def add_partner_check(rep, check_id, h, p, dep):
@@ -243,14 +228,14 @@ def add_partner_check(rep, check_id, h, p, dep):
                   f"partner through the Sturm bound away from {p}", dep)
 
 
+@lru_cache(maxsize=len(EXAMPLES))
 def build_example(number, wild_level=1, M=8):
-    """Assemble the working objects for one bundled run.
-
-    Returns a dict with the cuspidal symbol (twisted and renormalized when
-    the configuration says so), the congruent form, the sigma0 Euler
-    factors, and the branch family at this wild level and M: alpha, the
-    raw branch series and the series dressed with the sigma0 factors.
-    """
+    """The working objects of one bundled run in a read-only mapping, kept
+    per (number, wild_level, M): the symbol (twisted and renormalized when
+    the configuration says so), both forms, the sigma0 Euler factors, the
+    branch family (alpha, raw and dressed series) and h's Eisenstein
+    checks on one q-expansion through its Sturm bound: the partner's m and
+    check, and h against E2(z) - t E2(tz), at indices prime to p and 0."""
     if number not in EXAMPLES:
         raise ValueError(f"no bundled example {number!r}")
     cfg = EXAMPLES[number]
@@ -265,18 +250,25 @@ def build_example(number, wild_level=1, M=8):
         ap *= kronecker(disc, p)
     sigma0 = cfg["sigma0"] or ((11, (1, -f.a(11), 11)),)
     alpha, raw, dressed = branch_family(sym, ap, p, wild_level, M, sigma0)
-    return {
+    h, t = bundled(cfg["h"]), cfg["mazur_t"]
+    ideal = h.congruence_ideal(p)
+    bound, hq, _, m, partner = eisenstein_partner(h, p, ideal)
+    return MappingProxyType({
         "number": number,
         "p": p,
         "f": f,
-        "h": bundled(cfg["h"]),
+        "h": h,
         "sym": sym,
         "alpha": alpha,
         "sigma0": sigma0,
         "raw": raw,
         "dressed": dressed,
-        "mazur_t": cfg["mazur_t"],
-    }
+        "mazur_t": t,
+        "m": m,
+        "partner": partner,
+        "mazur": check_congruence(hq, mazur_eisenstein(t, bound), ideal, bound,
+                                  coprime_to=p),
+    })
 
 
 def _match_table(computed, pattern, p):
@@ -399,7 +391,7 @@ def run_example(number, wild_level=1, M=8):
     t_js = set(_T_VERDICTS[number])
     dressed = ex["dressed"]
     for j in branches:
-        partner = j % (p - 1) + 1
+        partner = partner_branch(j, p)
         verdict = product_congruence_verdict(dressed[j], dressed[partner])
         want = "(T)" if j in t_js else "(1)"
         rep.add(f"{tag}.verdict.j{j}",
@@ -408,15 +400,12 @@ def run_example(number, wild_level=1, M=8):
                 verdict == want, verdict, want, "up-to-unit")
 
     # --- Eisenstein congruence of the companion form ---
-    h = ex["h"]
-    ideal = h.congruence_ideal(p)
-    _, _, _, m, dep = eisenstein_partner(h, p, ideal)
+    h, m, t = ex["h"], ex["m"], ex["mazur_t"]
     rep.add(f"{tag}.congruence.m",
             f"residual partner of {h.label} has multiplier m = {h.level}",
             m == h.level, m, h.level, "exact")
-    add_partner_check(rep, f"{tag}.congruence.partner", h, p, dep)
-    t = ex["mazur_t"]
+    add_partner_check(rep, f"{tag}.congruence.partner", h, p, ex["partner"])
     rep.add_match(f"{tag}.congruence.mazur",
                   f"{h.label} matches E2(z) - {t} E2({t}z) through the Sturm "
-                  f"bound including the constant term", mazur_check(h, p, ideal, t))
+                  f"bound including the constant term", ex["mazur"])
     return rep

@@ -29,15 +29,14 @@ What depends on the level alone is built once per level per process:
 KEPT_LEVELS levels (the least recently used level goes first), and
 `ModularSymbolSpace(N)` builds a fresh one.  A kept space carries its
 quotient vectors, its Hecke images per n, its boundary data and its
-successor table, its solved eigenspaces and eigenfunctionals
-(`eigen_functional`), and the symbol pairs cut out of it (`kept_pair`),
-each with its twists (`twist_symbol`) and both kinds with their rows and
-branch series (`padic_l.branch_family`).
+successor table, and its solved eigenspaces and eigenfunctionals
+(`eigen_functional`).  A symbol keeps its own rows (`RowSymbol`) and no
+space keeps a symbol: a `SymbolPair` or `TwistedSymbol` (`twist_symbol`)
+lives as long as its caller holds it, as a kept bundled run does.
 So the rows a space hands out (`vectors`, `star_images()`,
-`hecke_images(n)`, `P1List.successors()`, `evaluate_row`), its
-functionals and its symbols are shared, and no caller may mutate them:
-values and rows are tuples.  `SymbolPair(...)` and `TwistedSymbol(...)`
-build fresh symbols, kept nowhere.
+`hecke_images(n)`, `P1List.successors()`), its functionals and the rows
+of a symbol (`evaluate_row`) are shared, and no caller may mutate them:
+values and rows are tuples.
 
 A symbol functional is a linear map on the relation quotient; its value on
 the path {oo -> r} is what the p-adic layer integrates against.  Normalized
@@ -271,8 +270,6 @@ class ModularSymbolSpace:
         # polynomial, prefix of the targets): [free, basis, functional
         # of a line or None]
         self._eigen = {}
-        # the symbol pairs of `kept_pair`, by (plus, minus, label)
-        self._pairs = {}
         self._boundary = None
         S, T = self._manin_maps()
         # the 2-term relations x_i + x_Si = 0: the larger index of each
@@ -729,8 +726,7 @@ def _check_eigenspace(space, sign, dim):
 class RowSymbol:
     """A symbol of both star signs whose every value is read off a row:
     `_build_rows(den)` gives both signs' rows at den, and `_rows` keeps
-    them by den; `_families` keeps the alpha and branch series that
-    `padic_l.branch_family` builds on it."""
+    them by den."""
 
     def evaluate(self, r, sign):
         """Value on {oo -> r} of the given sign: entry r mod 1 of the row
@@ -762,9 +758,6 @@ class SymbolPair(RowSymbol):
         self.level = level
         self.label = label
         self._rows = {}
-        self._families = {}
-        # the twists of `twist_symbol`, by (primitive character, den, label)
-        self._twists = {}
 
     def _build_rows(self, den):
         """Both signs' rows at den: one walk (`_walk`) per a <= den/2 feeds
@@ -808,7 +801,6 @@ class TwistedSymbol(RowSymbol):
                         for a, k in enumerate(chi.conjugate().exponent_table())
                         if k is not None}
         self._rows = {}
-        self._families = {}
         self._scale_den = den
         self._scales = None
 
@@ -855,25 +847,9 @@ def _divided(raw, c):
                  for x in raw)
 
 
-def kept_pair(plus, minus, label=""):
-    """The `SymbolPair` of the functionals plus and minus of one space,
-    kept on that space by (plus, minus, label): built on first use, so its
-    rows live as long as the space does."""
-    space = plus.space
-    pair = space._pairs.get((plus, minus, label))
-    if pair is None:
-        pair = space._pairs[plus, minus, label] = SymbolPair(plus, minus, space.N, label)
-    return pair
-
-
 def twist_symbol(pair, chi, den, label=""):
-    """pair twisted by chi, its scales fixed at den (pair itself when chi
-    has conductor 1): the `TwistedSymbol` kept on the pair by (chi's
-    primitive part, den, label), built on first use."""
+    """pair twisted by chi, its scales fixed at den: a new `TwistedSymbol`,
+    or pair itself when chi has conductor 1."""
     if chi.conductor() == 1:
         return pair
-    key = chi.primitive_part(), den, label
-    twist = pair._twists.get(key)
-    if twist is None:
-        twist = pair._twists[key] = TwistedSymbol(pair, chi, den, label=label)
-    return twist
+    return TwistedSymbol(pair, chi, den, label=label)

@@ -127,9 +127,6 @@ class NewformData:
         self.an = tuple(an)
         self.seed_root_mod_p = MappingProxyType(dict(seed_root_mod_p or {}))
         self.source = source
-        # the Eisenstein checks of `examples`, kept with the form
-        self._partners = {}
-        self._mazur = {}
         self._validate()
 
     # --- construction ---

@@ -13,10 +13,11 @@ and the verdict for the product of two branches comes from the factors'
 (mu, lambda) alone, as mod p the ring is F_p[T]/(T^(p^n)).
 `branch_family` builds alpha and the requested branch series of one
 symbol, raw and with the sigma0 factors, for both `padic-l` and the
-bundled runs, and keeps each series on the symbol (next to its rows),
-so a repeat request in one process, or one for fewer branches, builds
-no series; the kept series are shared and read-only.  `format_report`
-is the one JSON line format of every report the CLI writes.
+bundled runs; it keeps nothing, as the rows it reads are kept on the
+symbol and a bundled run is kept whole (`examples.build_example`).
+`partner_branch` names the branch each verdict pairs with.
+`format_report` is the one JSON line format of every report the CLI
+writes.
 """
 
 import json
@@ -50,6 +51,7 @@ __all__ = [
     "branch_series",
     "apply_sigma0",
     "branch_family",
+    "partner_branch",
     "product_congruence_verdict",
     "branch_report",
     "format_report",
@@ -287,32 +289,25 @@ def branch_family(sym, ap, p: int, n: int, M: int, sigma0=(), branches=None):
     a_p = ap to the digits the series need (at least DEFAULT_DIGITS),
     raw[j] the branch series and dressed[j] the series times the sigma0
     Euler factors (raw when there are none), both read-only mappings.
-    `sym._families` keeps alpha by (ap, p, n, M) with each series built
-    under it, by its sigma0 factors (raw under none) and its branch, so a
-    repeat call, or one for fewer branches, builds nothing again; a call
-    that raises keeps nothing."""
-    sigma0 = tuple((ell, tuple(poly)) for ell, poly in sigma0)
-    branches = sorted(range(1, p) if branches is None else branches)
-    alpha, kept = sym._families.get((ap, p, n, M), (None, {}))
-    raw = dict(kept.get((), {}))
-    if any(j not in raw for j in branches):
-        # each sign's rows are converted once, mod p^M, as alpha is a unit
-        rows = {sgn: padic_ints(_symbol_rows(sym, p, n, sgn), p, M) for sgn in (1, -1)}
-        if alpha is None:
-            alpha = choose_alpha(ap, p, sym.level, prec=max(
-                DEFAULT_DIGITS, working_precision(sym, p, n, M, rows)))
-        raw.update({j: branch_series(sym, p, alpha, j, n=n, M=M, rows=rows)
-                    for j in branches if j not in raw})
-    dressed = dict(kept.get(sigma0, {})) if sigma0 else raw
-    dressed.update({j: apply_sigma0(raw[j], sigma0) for j in branches if j not in dressed})
-    # kept only once every series is built
-    kept[()], kept[sigma0] = raw, dressed
-    sym._families[ap, p, n, M] = alpha, kept
-    raw = MappingProxyType({j: raw[j] for j in branches})
-    return alpha, raw, MappingProxyType({j: dressed[j] for j in branches}) if sigma0 else raw
+    Of the symbol it reads `evaluate_row`, `level` and `label` only."""
+    # each sign's rows are converted once, mod p^M, as alpha is a unit
+    rows = {sgn: padic_ints(_symbol_rows(sym, p, n, sgn), p, M) for sgn in (1, -1)}
+    alpha = choose_alpha(ap, p, sym.level, prec=max(
+        DEFAULT_DIGITS, working_precision(sym, p, n, M, rows)))
+    raw = MappingProxyType({j: branch_series(sym, p, alpha, j, n=n, M=M, rows=rows)
+                            for j in sorted(range(1, p) if branches is None else branches)})
+    if not sigma0:
+        return alpha, raw, raw
+    return alpha, raw, MappingProxyType({j: apply_sigma0(bs, sigma0) for j, bs in raw.items()})
 
 
 # -- verdicts and reports ----------------------------------------------
+
+
+def partner_branch(j: int, p: int) -> int:
+    """The branch whose series the verdict of branch j multiplies by
+    branch j's: j + 1, with p - 1 followed by 1."""
+    return j % (p - 1) + 1
 
 
 def product_congruence_verdict(bs1: BranchSeries, bs2: BranchSeries) -> str:

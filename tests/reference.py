@@ -370,6 +370,16 @@ def family_state(family):
     return (alpha.p, alpha.M, alpha.shift, alpha.ints), series(raw), series(dressed)
 
 
+def example_state(ex):
+    """What a bundled run (`examples.build_example`) holds, in plain
+    values, to compare two builds of it: the symbol's label, level and
+    rows at p, its branch family and every other entry as it is."""
+    sym, p = ex["sym"], ex["p"]
+    rest = {k: v for k, v in ex.items() if k not in ("sym", "alpha", "raw", "dressed")}
+    return (sym.label, sym.level, [sym.evaluate_row(p, s) for s in (1, -1)],
+            family_state((ex["alpha"], ex["raw"], ex["dressed"])), rest)
+
+
 def reduce_gamma(f: PadicSeries, order: int) -> PadicSeries:
     """Remainder of a T-series modulo (1+T)^order - 1, with T-bound
     order: the projection onto the group ring of a cyclic quotient."""
@@ -508,3 +518,24 @@ class EagerCyclotomic:
                 z = f"z{self.order}" + (f"^{j}" if j > 1 else "")
                 terms.append(z if c == 1 else f"{c}*{z}")
         return " + ".join(terms) if terms else "0"
+
+
+# -- the Bernoulli distribution as a symbol --------------------------------
+
+
+class B1Symbol:
+    """The Bernoulli distribution E_1(a + den Z_p) = B_1({a/den}), as a
+    duck-typed symbol of level p for `padic_l.branch_family`: its minus
+    rows are a/den - 1/2 for a = 1..den-1 and 0 at a = 0, its plus rows
+    0.  Branch j = 1 - k mod p - 1 of it is the Kubota-Leopoldt series
+    whose value at T = u^(m-1) - 1 is (1 - p^(m-1)) B_m/m for every
+    m = k mod p - 1 (Washington, GTM 83, ch. 7 and 12)."""
+
+    def __init__(self, p):
+        self.level = p
+        self.label = f"B1@{p}"
+
+    def evaluate_row(self, den, sign):
+        if sign > 0:
+            return (0,) * den
+        return (0,) + tuple(Fraction(2 * a - den, 2 * den) for a in range(1, den))

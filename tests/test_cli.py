@@ -1,4 +1,5 @@
 import json
+from math import gcd
 
 import pytest
 
@@ -91,7 +92,6 @@ def test_modsym_table_twist_builds_each_birch_row_once(capsys, monkeypatch):
     # the scales are fixed by the first rows at the constructor's den p,
     # which are the rows the table prints: one Birch row per sign
     from iwrank import modsym
-    monkeypatch.setattr(modsym, "_kept", {})  # else an earlier run's twist is kept
     calls = []
     birch_row = modsym.TwistedSymbol._birch_row
 
@@ -124,15 +124,11 @@ def test_padic_l(capsys):
 
 @pytest.mark.parametrize("p", [7, 11, 13])
 def test_padic_l_single_branches_match_full_run(p, capsys, monkeypatch):
-    # a record needs only its branch and the partner j % (p - 1) + 1.
-    # Each single run starts from an empty registry, as an earlier run may
-    # have left series kept on the pair; a full run then builds only the
-    # series the last one did not keep, and in a second round every run
-    # reads its series as kept
-    from iwrank import modsym
+    # a record needs only its branch and the partner j % (p - 1) + 1, so
+    # a single run builds those two series and prints its line of the
+    # full run; nothing is kept between runs, so a repeat builds them again
     import iwrank.padic_l as padic_l
 
-    monkeypatch.setattr(modsym, "_kept", {})
     built = []
     branch_series = padic_l.branch_series
 
@@ -143,23 +139,16 @@ def test_padic_l_single_branches_match_full_run(p, capsys, monkeypatch):
     monkeypatch.setattr(padic_l, "branch_series", counted)
     argv = ["padic-l", "--newform", "11.2.a.a", "--prime", str(p),
             "--sigma0", "2:1,2,2"]
-    assert main(argv) == 0
-    full = _lines(capsys)
-    assert len(full) == p - 1 and sorted(built) == list(range(1, p))
-    built.clear()
-    for j in range(1, p):
-        monkeypatch.setattr(modsym, "_kept", {})
-        assert main(argv + ["--branches", f"{j}..{j}"]) == 0
-        assert _lines(capsys) == [full[j - 1]], j
-        assert sorted(built) == sorted({j, j % (p - 1) + 1}), j
+    for _ in range(2):
+        assert main(argv) == 0
+        full = _lines(capsys)
+        assert len(full) == p - 1 and sorted(built) == list(range(1, p))
         built.clear()
-    assert main(argv) == 0
-    assert _lines(capsys) == full and sorted(built) == list(range(2, p - 1))
-    built.clear()
-    for j in [None, *range(1, p)]:
-        assert main(argv + ([] if j is None else ["--branches", f"{j}..{j}"])) == 0
-        assert _lines(capsys) == (full if j is None else [full[j - 1]]), j
-    assert built == []
+        for j in range(1, p):
+            assert main(argv + ["--branches", f"{j}..{j}"]) == 0
+            assert _lines(capsys) == [full[j - 1]], j
+            assert sorted(built) == sorted({j, padic_l.partner_branch(j, p)}), j
+            built.clear()
 
 
 def test_iwasawa(capsys):
@@ -464,3 +453,50 @@ def test_newform_file_is_read_on_every_run(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(
         f"error: cannot ingest newform file {path}: coefficient 600 is not "
         f"an algebraic integer")
+
+
+def _fundamental(d):
+    """d is a fundamental discriminant other than 1."""
+    m = d // 4 if d % 4 == 0 else d
+    if d == 1 or d % 4 not in (0, 1) or d % 4 == 0 and m % 4 not in (2, 3):
+        return False
+    return all(m % (q * q) for q in range(2, abs(m) + 1) if q * q <= abs(m))
+
+
+def test_padic_l_quadratic_twists_keep_the_functional_equation(tmp_path):
+    # f in {11.2.a.a, 19.2.a.a, 52.2.a.a} has root number w(f) = +1, and
+    # for a fundamental d prime to N, w(f x chi_d) = w(f) chi_d(-N).  The
+    # p-adic functional equation maps branch j to branch -j mod p - 1 by
+    # T -> (1 + T)^-1 - 1 up to a unit, so the pair (j, p - 1 - j) has one
+    # (mu, lambda), and on branch 0 the roots off T = 0 pair up, so
+    # (-1)^lambda is the sign of that equation: w(f x chi_d), times -1 at
+    # an exceptional zero (p | N and a_p(f x chi_d) = chi_d(p) a_p(f) = 1)
+    from iwrank.characters import kronecker
+    from iwrank.newforms import bundled
+
+    out = tmp_path / "out.jsonl"
+    parity = pairs = refused = 0
+    for label, N in (("11.2.a.a", 11), ("19.2.a.a", 19), ("52.2.a.a", 52)):
+        for p in (7, 13, 17, 19):
+            for d in range(-59, 60):
+                if not _fundamental(d) or gcd(d, N * p) != 1:
+                    continue
+                code = main(["padic-l", "--newform", label, "--prime", str(p),
+                             "--char", f"quad{d}", "--out", str(out)])
+                if code == 2:  # not ordinary, or a twist the series refuse
+                    refused += 1
+                    continue
+                assert code == 0, (label, p, d)
+                recs = {r["j"]: (r["mu"], r["lambda"])
+                        for r in map(json.loads, out.read_text().splitlines())}
+                assert sorted(recs) == list(range(p - 1)), (label, p, d)
+                lam = recs[0][1]
+                if lam is not None:
+                    parity += 1
+                    exceptional = N % p == 0 and kronecker(d, p) * bundled(label).a(p) == 1
+                    sign = kronecker(d, -N) * (-1 if exceptional else 1)
+                    assert (-1) ** lam == sign, (label, p, d)
+                for j in range(1, (p - 1) // 2):
+                    pairs += 1
+                    assert recs[j] == recs[p - 1 - j], (label, p, d, j)
+    assert (parity, pairs, refused) == (297, 1618, 40)

@@ -2,14 +2,15 @@ import json
 
 import pytest
 
-from iwrank import examples, modsym
+from iwrank import examples, modsym, newforms
 from iwrank.characters import DirichletCharacter
 from iwrank.examples import (
-    EXAMPLES, VerificationReport, build_example, eisenstein_partner, mazur_check,
-    run_example,
+    EXAMPLES, VerificationReport, build_example, eisenstein_partner, run_example,
 )
-from iwrank.newforms import IngestionError, NewformData, bundled
+from iwrank.newforms import IngestionError, NewformData
 from iwrank.padic_l import format_report
+
+from reference import example_state
 
 
 @pytest.fixture(scope="module")
@@ -79,8 +80,8 @@ def test_example1_walks_the_pair_once(monkeypatch):
     # the whole run reads the twist's rows at 121, off the pair's row at
     # 121 * 23; the scales and every row at 11 are slices of those, so the
     # pair is walked once, over the numerators a <= 2783 / 2.  From an
-    # empty registry: earlier runs would have left the pair kept
-    monkeypatch.setattr(modsym, "_kept", {})
+    # empty cache: an earlier run would have left the run kept
+    build_example.cache_clear()
     walks = []
     walk = modsym._walk
 
@@ -102,10 +103,10 @@ def test_example1_walks_the_pair_once(monkeypatch):
     assert run_example(1).ok
     assert walks == [(2783, 1392)]
     assert birch == [(121, 1), (121, -1), (11, 1), (11, -1)]
-    # a second run reads the twist and its rows kept on the level-11
-    # space: no walk and no Birch row more
+    # a second run reads the kept run, whose twist holds its rows: no
+    # walk and no Birch row more
     assert run_example(1).ok
-    sym = build_example(1)["sym"]
+    sym = build_example(1, 1, 8)["sym"]
     for s in (1, -1):
         assert sym.evaluate_row(11, s) == sym.evaluate_row(121, s)[::11]
         assert all(type(x) is int for x in sym.evaluate_row(121, s))
@@ -113,46 +114,64 @@ def test_example1_walks_the_pair_once(monkeypatch):
     assert birch == [(121, 1), (121, -1), (11, 1), (11, -1)]
 
 
-def test_eisenstein_checks_are_kept_on_the_form(monkeypatch):
+def test_eisenstein_checks_are_kept_with_the_bundled_run(monkeypatch):
     # examples 2 and 3 check the same h = 11.2.a.a at p = 5 and t = 11:
-    # the partner and the Mazur report are built once and kept on h
-    h = bundled("11.2.a.a")
-    monkeypatch.setattr(h, "_partners", {})
-    monkeypatch.setattr(h, "_mazur", {})
+    # each run builds its partner and Mazur series once, on one
+    # q-expansion of h, and a repeat run reads them kept with the run
+    build_example.cache_clear()
     built = []
     mazur = examples.mazur_eisenstein
+    partner = examples.residual_eisenstein_partner
+    q_expansion = newforms.NewformData.q_expansion
 
-    def counted(t, n_max):
-        built.append(t)
+    def counted_mazur(t, n_max):
+        built.append(("mazur", t, n_max))
         return mazur(t, n_max)
 
-    monkeypatch.setattr(examples, "mazur_eisenstein", counted)
+    def counted_partner(p, *args):
+        built.append(("partner", p, args[-1]))
+        return partner(p, *args)
+
+    def counted_q(h, n_max=None):
+        built.append(("hq", h.label, n_max))
+        return q_expansion(h, n_max)
+
+    monkeypatch.setattr(examples, "mazur_eisenstein", counted_mazur)
+    monkeypatch.setattr(examples, "residual_eisenstein_partner", counted_partner)
+    monkeypatch.setattr(newforms.NewformData, "q_expansion", counted_q)
     first = run_example(2).records
-    ideal = h.congruence_ideal(5)
-    partner = eisenstein_partner(h, 5, ideal)
-    report = mazur_check(h, 5, ideal, 11)
-    assert list(h._partners) == [(5, ideal)] and list(h._mazur) == [(5, ideal, 11)]
-    assert eisenstein_partner(h, 5, h.congruence_ideal(5)) is partner
-    assert mazur_check(h, 5, h.congruence_ideal(5), 11) is report
+    once = [("partner", 5, 2), ("hq", "11.2.a.a", 2), ("mazur", 11, 2)]
+    assert built == once
     run_example(3)
-    assert run_example(2).records == first
-    assert built == [11]
-    assert list(h._partners) == [(5, ideal)] and list(h._mazur) == [(5, ideal, 11)]
-    assert h._partners[5, ideal] is partner and h._mazur[5, ideal, 11] is report
+    assert built == once * 2
+    assert run_example(2).records == first and run_example(3).ok
+    assert built == once * 2
+
+
+def test_build_example_is_kept_read_only():
+    # the kept run is what a build anew holds, and no caller can change it
+    for number in EXAMPLES:
+        kept = build_example(number)
+        assert build_example(number) is kept
+        assert example_state(kept) == example_state(build_example.__wrapped__(number))
+        with pytest.raises(TypeError):
+            kept["p"] = 7
+        for key in ("raw", "dressed"):
+            with pytest.raises(TypeError):
+                kept[key][1] = kept[key][2]
 
 
 def test_a_failed_eisenstein_partner_keeps_nothing():
-    # one stored coefficient, short of the Sturm bound 2 at level 11
+    # one stored coefficient, short of the Sturm bound 2 at level 11: the
+    # same error on every call
     h = NewformData("short", 11, 2, DirichletCharacter.trivial(11), (0, 1), [1])
+    state = dict(vars(h))
     messages = []
     for _ in range(2):
         with pytest.raises(IngestionError) as exc:
             eisenstein_partner(h, 5, h.congruence_ideal(5))
         messages.append(str(exc.value))
-        assert h._partners == {}
-    with pytest.raises(IngestionError):
-        mazur_check(h, 5, h.congruence_ideal(5), 11)
-    assert h._partners == h._mazur == {}
+        assert vars(h) == state
     assert messages[0] == messages[1]
 
 

@@ -10,7 +10,7 @@ from iwrank import modsym
 from iwrank.arith import is_prime
 from iwrank.characters import DirichletCharacter
 from iwrank.cli import main
-from iwrank.examples import eisenstein_partner, mazur_check, symbol_pair
+from iwrank.examples import build_example, symbol_pair
 from iwrank.modsym import (
     EigenspaceError,
     ModularSymbolSpace,
@@ -25,11 +25,10 @@ from iwrank.modsym import (
     num_cusps,
     twist_symbol,
 )
-from iwrank.newforms import NewformData, bundled, bundled_labels
+from iwrank.newforms import bundled
 from iwrank.numfield import NumberField
-from iwrank.padic_l import branch_family
 import reference
-from reference import (dense, family_state, flat_values, p1_normalize, path_sum,
+from reference import (dense, example_state, flat_values, p1_normalize, path_sum,
                        point_values, right_kernel, rref)
 
 F = Fraction
@@ -791,33 +790,35 @@ def test_build_space_drops_the_least_recently_used_level(monkeypatch):
     assert len(modsym._kept) == modsym.KEPT_LEVELS
 
 
-def test_symbol_pair_and_its_twists_are_kept(monkeypatch):
-    monkeypatch.setattr(modsym, "_kept", {})
+def test_symbol_pair_and_its_twists_are_built_anew():
+    # the space keeps its eigenfunctionals, not the symbols: each call
+    # builds a new pair on the kept functionals, and each twist_symbol
+    # call a new twist, with the rows and scales of the first
     nf = bundled("11.2.a.a")
     pair = symbol_pair(nf)
-    assert symbol_pair(nf) is pair
-    assert modsym.build_space(11)._pairs == {(pair.plus, pair.minus, nf.label): pair}
-    quad23, quad5 = (DirichletCharacter.quadratic_by_discriminant(d) for d in (-23, 5))
+    again = symbol_pair(nf)
+    assert again is not pair and (again.plus, again.minus) == (pair.plus, pair.minus)
+    assert pair.plus.space is modsym.build_space(11)
+    assert (again.level, again.label) == (pair.level, pair.label) == (11, nf.label)
+    quad23 = DirichletCharacter.quadratic_by_discriminant(-23)
     tw = twist_symbol(pair, quad23, 11, "a")
-    # keyed by the primitive character: quad(-23) induced mod 46 is the same
-    assert twist_symbol(pair, quad23.extend_to(46), 11, "a") is tw
-    # another character, den or label: another twist, kept too
-    others = {key: twist_symbol(pair, *key)
-              for key in ((quad5, 11, "a"), (quad23, 5, "a"), (quad23, 11, "b"))}
-    assert len({id(t) for t in [tw, *others.values()]}) == 4
-    assert all(twist_symbol(pair, *key) is t for key, t in others.items())
+    assert type(tw) is TwistedSymbol and tw.label == "a"
+    # quad(-23) induced mod 46 twists by its primitive part
+    other = twist_symbol(again, quad23.extend_to(46), 11, "a")
+    assert other is not tw and other.C == tw.C == 23
+    assert other.scales == tw.scales
+    for s in (1, -1):
+        assert other.evaluate_row(121, s) == tw.evaluate_row(121, s)
+        assert again.evaluate_row(121 * 23, s) == pair.evaluate_row(121 * 23, s)
     assert twist_symbol(pair, DirichletCharacter.trivial(3), 11, "a") is pair
     # the constructors build fresh symbols, with no rows yet
-    tw.evaluate_row(121, 1)
-    assert pair._rows and tw._rows
     assert SymbolPair(pair.plus, pair.minus, 11, nf.label)._rows == {}
     assert TwistedSymbol(pair, quad23, 11, "a")._rows == {}
-    assert ModularSymbolSpace(11)._pairs == {}
 
 
 def test_kept_pairs_go_with_their_space(monkeypatch):
-    # a pair's rows are kept no longer than its space: once KEPT_LEVELS
-    # other levels evict the space, the pair and its rows are freed, and
+    # a pair's rows are kept no longer than the pair: the space keeps no
+    # pair, so one the caller drops is freed while its space is kept, and
     # symbol_pair builds a new pair with rows of its own
     monkeypatch.setattr(modsym, "_kept", {})
     nf = bundled("11.2.a.a")
@@ -825,15 +826,12 @@ def test_kept_pairs_go_with_their_space(monkeypatch):
     row = pair.evaluate_row(25, 1)
     gone = weakref.ref(pair)
     del pair
-    for N in range(12, 12 + modsym.KEPT_LEVELS):
-        modsym.build_space(N)
-    assert 11 not in modsym._kept
     gc.collect()
-    assert gone() is None
+    assert gone() is None and 11 in modsym._kept
     again = symbol_pair(nf)
     assert again._rows == {}
     assert again.evaluate_row(25, 1) == row
-    assert len(modsym._kept) == modsym.KEPT_LEVELS
+    assert list(modsym._kept) == [11]
 
 
 KEPT_RUNS = ([["verify-example", str(k)] for k in (1, 2, 3)]
@@ -844,15 +842,12 @@ KEPT_RUNS = ([["verify-example", str(k)] for k in (1, 2, 3)]
 
 
 def test_commands_leave_kept_spaces_as_built(tmp_path, monkeypatch):
-    # every command reads the rows of a kept space and of its kept symbols
-    # and mutates none: after two rounds in one process each kept space
-    # equals a fresh one, each kept pair and twist holds the rows and
-    # branch series of one built anew, each kept Eisenstein check is one
-    # built anew, and the second round prints what the first did
+    # every command reads the rows of a kept space and of the symbols it
+    # builds and mutates none: after two rounds in one process each kept
+    # space equals a fresh one, each kept bundled run is one built anew,
+    # and the second round prints what the first did
     monkeypatch.setattr(modsym, "_kept", {})
-    for label in bundled_labels():
-        monkeypatch.setattr(bundled(label), "_partners", {})
-        monkeypatch.setattr(bundled(label), "_mazur", {})
+    build_example.cache_clear()
     out = tmp_path / "out.jsonl"
     rounds = []
     for _ in range(2):
@@ -863,7 +858,6 @@ def test_commands_leave_kept_spaces_as_built(tmp_path, monkeypatch):
         rounds.append(got)
     assert rounds[0] == rounds[1]
     assert sorted(modsym._kept) == [11, 19, 52]
-    twists = families = 0
     for N, kept in modsym._kept.items():
         fresh = ModularSymbolSpace(N)
         assert (kept.basis_cols, kept.den, kept.vectors) == (fresh.basis_cols, fresh.den,
@@ -887,56 +881,9 @@ def test_commands_leave_kept_spaces_as_built(tmp_path, monkeypatch):
             assert fresh._eigen[key][:2] == [free, basis], (N, key)
             if phi is not None:
                 assert phi.generator_values() == fresh._eigen[key][2].generator_values(), (N, key)
-        # every kept pair, and every twist kept on it, holds the rows and
-        # scales of one built anew on the fresh space's functionals
-        assert kept._pairs, N
-        anew = {phi: fresh._eigen[key][2] for key, (_, _, phi) in kept._eigen.items()
-                if phi is not None}
-        for (plus, minus, label), pair in kept._pairs.items():
-            assert pair._rows, (N, label)
-            fresh_pair = SymbolPair(anew[plus], anew[minus], N, label)
-            for den, rows in pair._rows.items():
-                assert rows == fresh_pair._build_rows(den), (N, label, den)
-            families += _check_families(pair, fresh_pair)
-            for (chi, den, tw_label), tw in pair._twists.items():
-                twists += 1
-                fresh_tw = TwistedSymbol(fresh_pair, chi, den, tw_label)
-                assert tw.scales == fresh_tw.scales, (N, tw_label)
-                for d, rows in tw._rows.items():
-                    assert rows == fresh_tw._build_rows(d), (N, tw_label, d)
-                families += _check_families(tw, fresh_tw)
-    # example 1's, and the one that both --char quad-23 commands share
-    assert twists == 2
-    # raw and dressed on the symbol of each bundled example (3 x 2), whose
-    # raw the padic-l commands of 19.2.a.a and 52.2.a.a share, and raw on
-    # the 11.2.a.a pair and the quad-23 twist of the other two padic-l
-    assert families == 3 * 2 + 2
-    # every Eisenstein check kept on a bundled form is one built anew on
-    # a fresh copy of the form: example 1's on 23.2.a, and the one that
-    # examples 2 and 3 share on 11.2.a.a, each a partner and a Mazur report
-    checks = 0
-    for label in bundled_labels():
-        h = bundled(label)
-        fresh_h = NewformData(h.label, h.level, h.weight, h.nebentypus, h.field_poly,
-                              h.an, h.seed_root_mod_p)
-        for (p, ideal), partner in h._partners.items():
-            checks += 1
-            assert partner == eisenstein_partner(fresh_h, p, ideal), (label, p)
-        for (p, ideal, t), report in h._mazur.items():
-            checks += 1
-            assert report == mazur_check(fresh_h, p, ideal, t), (label, p, t)
-    assert checks == 2 * 2
-
-
-def _check_families(sym, fresh_sym):
-    """Assert that alpha and the branch series kept on sym under each
-    (a_p, p, n, M) and sigma0 factors are those built anew on fresh_sym
-    for the same arguments and branches; the number of such sets."""
-    sets = 0
-    for (ap, p, n, M), (alpha, kept) in sym._families.items():
-        for sigma0, series in kept.items():
-            sets += 1
-            fresh = branch_family(fresh_sym, ap, p, n, M, sigma0, series)
-            assert family_state((alpha, series, series))[::2] == family_state(fresh)[::2], (
-                sym.label, p, sigma0)
-    return sets
+    # the three verify-example runs, each kept once
+    assert build_example.cache_info().currsize == 3
+    for number in (1, 2, 3):
+        assert example_state(build_example(number, 1, 8)) == example_state(
+            build_example.__wrapped__(number)), number
+    assert build_example.cache_info().currsize == 3

@@ -11,7 +11,7 @@ from types import MappingProxyType
 import pytest
 
 import iwrank.padic_l as padic_l_module
-from iwrank import modsym
+from iwrank.arith import is_prime
 from iwrank.characters import DirichletCharacter, kronecker
 from iwrank.cyclotomic import zeta
 from iwrank.examples import EXAMPLES, build_example, omega_twist_sum, symbol_pair
@@ -43,7 +43,9 @@ from iwrank.padic_l import (
     _wild_coordinates,
     working_precision,
 )
+from iwrank.qseries import bernoulli_number
 from reference import (
+    B1Symbol,
     family_state,
     gamma_to_t,
     group_ring_mul,
@@ -577,60 +579,56 @@ def test_series_stable_across_precision(case, pair11, pair19, pair52,
                     seen[j] = got
 
 
-# -- kept branch families ----------------------------------------------
+# -- branch families ---------------------------------------------------
 
 SIGMA0_52 = ((11, (1, 2, 11)),)
 
 
-def _objects(family):
-    """alpha and each series of a family (alpha, raw, dressed), by identity."""
-    alpha, raw, dressed = family
-    return [id(alpha)] + [(j, id(bs)) for bss in (raw, dressed) for j, bs in bss.items()]
+def test_branch_family_builds_the_requested_branches(monkeypatch):
+    # each call builds alpha and the series of the branches it is asked
+    # for, and keeps none of them: a series is freed once its caller drops it
+    class Tracked(BranchSeries):
+        __slots__ = ("__weakref__",)
 
+    built = []
+    branch_series = padic_l_module.branch_series
 
-def _kept_state(sym):
-    """What sym._families holds, as plain dicts of the kept objects."""
-    return {key: (alpha, {sigma0: dict(series) for sigma0, series in kept.items()})
-            for key, (alpha, kept) in sym._families.items()}
+    def counted(sym, p, alpha, j, **kw):
+        built.append(j)
+        return branch_series(sym, p, alpha, j, **kw)
 
-
-def test_branch_family_is_kept_on_its_symbol(monkeypatch):
-    monkeypatch.setattr(modsym, "_kept", {})
+    monkeypatch.setattr(padic_l_module, "branch_series", counted)
+    monkeypatch.setattr(padic_l_module, "BranchSeries", Tracked)
     pair = symbol_pair(bundled("52.2.a.a"))
     family = branch_family(pair, 2, 5, 1, 8, SIGMA0_52)
     alpha, raw, dressed = family
-    # the same arguments, as other types that hash alike: the same alpha
-    # and series
-    assert _objects(branch_family(pair, F(2), 5, 1, 8, list(SIGMA0_52))) == _objects(family)
-    # a set of all branches is the default 1..p-1; a list, a range or a set
-    # of fewer branches hands out the series already kept for them
-    assert _objects(branch_family(pair, 2, 5, 1, 8, SIGMA0_52, branches={4, 1, 3, 2})
-                    ) == _objects(family)
-    part = {j: family_state(family)[2][j] for j in (3, 4)}
-    for branches in ({4, 3}, [3, 4], range(3, 5)):
+    assert built == [1, 2, 3, 4] and list(raw) == list(dressed) == [1, 2, 3, 4]
+    # the same arguments, as other types, or a set of all branches (the
+    # default 1..p-1): an equal family, built anew
+    for again in (branch_family(pair, F(2), 5, 1, 8, list(SIGMA0_52)),
+                  branch_family(pair, 2, 5, 1, 8, SIGMA0_52, branches={4, 1, 3, 2})):
+        assert again[1][1] is not raw[1] and family_state(again) == family_state(family)
+    built.clear()
+    # a list, a range or a set of fewer branches builds those alone, in order
+    for branches in ({4, 3}, [4, 3], range(3, 5)):
         got = branch_family(pair, 2, 5, 1, 8, SIGMA0_52, branches=branches)
-        assert list(got[1]) == list(got[2]) == [3, 4]
-        assert got[0] is alpha and family_state(got)[2] == part
-        assert all(got[1][j] is raw[j] and got[2][j] is dressed[j] for j in (3, 4))
-    # with no factors, dressed is raw, and raw is the kept raw
+        assert list(got[1]) == list(got[2]) == [3, 4] and built == [3, 4]
+        assert family_state(got)[0] == family_state(family)[0]
+        assert all(family_state(got)[k][j] == family_state(family)[k][j]
+                   for k in (1, 2) for j in (3, 4))
+        built.clear()
+    # with no factors, dressed is raw, and equals the raw above
     bare = branch_family(pair, 2, 5, 1, 8)
-    assert bare[2] is bare[1] and all(bare[1][j] is raw[j] for j in range(1, 5))
-    # one entry for (a_p, p, n, M), with the raw series and the dressed
-    assert list(pair._families) == [(2, 5, 1, 8)]
-    assert list(pair._families[2, 5, 1, 8][1]) == [(), SIGMA0_52]
-    # a fresh pair of the same functionals keeps nothing yet; a family
-    # for fewer branches first, then all of them, builds the same family
-    # and reuses the series it kept
-    fresh = SymbolPair(pair.plus, pair.minus, 52, pair.label)
-    assert fresh._families == {}
-    first = branch_family(fresh, 2, 5, 1, 8, SIGMA0_52, branches=[2])
-    whole = branch_family(fresh, 2, 5, 1, 8, SIGMA0_52)
-    assert family_state(whole) == family_state(family)
-    assert whole[0] is first[0] and whole[1][2] is first[1][2] and whole[2][2] is first[2][2]
+    assert bare[2] is bare[1] and family_state(bare)[1] == family_state(family)[1]
     # the handed-out mappings are read-only
     assert type(raw) is type(dressed) is MappingProxyType
     with pytest.raises(TypeError):
         raw[1] = dressed[1]
+    refs = [weakref.ref(bs) for bss in (raw, dressed) for bs in bss.values()]
+    assert len(refs) == 8
+    del family, raw, dressed, again, got, bare
+    gc.collect()
+    assert all(ref() is None for ref in refs)
 
 
 @pytest.mark.parametrize("ap, sigma0, error", [
@@ -640,6 +638,7 @@ def test_branch_family_is_kept_on_its_symbol(monkeypatch):
     (2, ((11, (F(1, 5),)),), PadicPrecisionError),  # a factor of valuation -1
 ])
 def test_a_failed_branch_family_keeps_nothing(ap, sigma0, error):
+    # the same error on every call, and the symbol holds its rows alone
     kept = symbol_pair(bundled("52.2.a.a"))
     pair = SymbolPair(kept.plus, kept.minus, 52, kept.label)
     messages = []
@@ -647,37 +646,37 @@ def test_a_failed_branch_family_keeps_nothing(ap, sigma0, error):
         with pytest.raises(error) as exc:
             branch_family(pair, ap, 5, 1, 8, sigma0)
         messages.append(str(exc.value))
-        assert pair._families == {}
-    # nor beside what an earlier call kept: branch 1, raw
-    branch_family(pair, 2, 5, 1, 8, branches=[1])
-    before = _kept_state(pair)
-    with pytest.raises(error) as exc:
-        branch_family(pair, ap, 5, 1, 8, sigma0)
-    messages.append(str(exc.value))
-    assert _kept_state(pair) == before
-    assert messages[0] == messages[1] == messages[2]
+        assert sorted(vars(pair)) == ["_rows", "label", "level", "minus", "plus"]
+    assert messages[0] == messages[1]
 
 
-def test_kept_families_go_with_their_symbol(monkeypatch):
-    # a family lives as long as its symbol, and so as its space: once
-    # KEPT_LEVELS other levels evict the space, its series are freed
-    class Tracked(BranchSeries):
-        __slots__ = ("__weakref__",)
+# -- Kubota-Leopoldt branches against the irregular primes --------------
 
-    monkeypatch.setattr(modsym, "_kept", {})
-    monkeypatch.setattr(padic_l_module, "BranchSeries", Tracked)
-    nf = bundled("11.2.a.a")
-    _, raw, dressed = branch_family(symbol_pair(nf), 1, 5, 1, 8, ((2, (1, 2, 2)),))
-    refs = [weakref.ref(bs) for bss in (raw, dressed) for bs in bss.values()]
-    assert len(refs) == 8
-    del raw, dressed
-    gc.collect()
-    assert all(ref() is not None for ref in refs)  # kept on the pair
-    for N in range(12, 12 + modsym.KEPT_LEVELS):
-        modsym.build_space(N)
-    assert 11 not in modsym._kept
-    gc.collect()
-    assert all(ref() is None for ref in refs)
+
+def test_kubota_leopoldt_branches_read_the_irregular_primes():
+    # branch j = 1 - k of the Bernoulli distribution is the Kubota-Leopoldt
+    # series of omega^k: mu = 0 (Ferrero-Washington), lambda = 0 when p
+    # does not divide B_k (Kummer), and when it does, lambda = 1 exactly
+    # when B_k/k and B_(k+p-1)/(k+p-1) differ mod p^2 (Washington, GTM 83,
+    # ch. 5 and 7); lambda >= 2 otherwise
+    irregular = []
+    for p in range(5, 60):
+        if not is_prime(p):
+            continue
+        sym = B1Symbol(p)
+        for k in range(2, p - 2, 2):
+            j = (1 - k) % (p - 1)
+            _, raw, _ = branch_family(sym, 1, p, 1, 4, branches=[j])
+            mu, lam = raw[j].invariants
+            assert mu == 0, (p, k)
+            b_k = bernoulli_number(k) / k
+            if b_k.numerator % p:
+                assert lam == 0, (p, k)
+                continue
+            irregular.append((p, k))
+            gap = padic_valuation(b_k - bernoulli_number(k + p - 1) / (k + p - 1), p)
+            assert (lam == 1) if gap == 1 else (lam >= 2), (p, k)
+    assert irregular == [(37, 32), (59, 44)]
 
 
 # -- group masses against the T-basis oracle ---------------------------
