@@ -10,6 +10,7 @@ from types import MappingProxyType
 
 import pytest
 
+import iwrank.modsym as modsym
 import iwrank.padic_l as padic_l_module
 from iwrank.arith import is_prime
 from iwrank.characters import DirichletCharacter, kronecker
@@ -585,11 +586,7 @@ SIGMA0_52 = ((11, (1, 2, 11)),)
 
 
 def test_branch_family_builds_the_requested_branches(monkeypatch):
-    # each call builds alpha and the series of the branches it is asked
-    # for, and keeps none of them: a series is freed once its caller drops it
-    class Tracked(BranchSeries):
-        __slots__ = ("__weakref__",)
-
+    # each call builds alpha and the series of the branches it is asked for
     built = []
     branch_series = padic_l_module.branch_series
 
@@ -598,7 +595,6 @@ def test_branch_family_builds_the_requested_branches(monkeypatch):
         return branch_series(sym, p, alpha, j, **kw)
 
     monkeypatch.setattr(padic_l_module, "branch_series", counted)
-    monkeypatch.setattr(padic_l_module, "BranchSeries", Tracked)
     pair = symbol_pair(bundled("52.2.a.a"))
     family = branch_family(pair, 2, 5, 1, 8, SIGMA0_52)
     alpha, raw, dressed = family
@@ -624,11 +620,25 @@ def test_branch_family_builds_the_requested_branches(monkeypatch):
     assert type(raw) is type(dressed) is MappingProxyType
     with pytest.raises(TypeError):
         raw[1] = dressed[1]
+
+
+def test_branch_series_go_with_their_caller(monkeypatch):
+    # neither the symbol nor its space keeps a family: its series are
+    # freed once the caller drops them, while the space is still kept
+    class Tracked(BranchSeries):
+        __slots__ = ("__weakref__",)
+
+    monkeypatch.setattr(modsym, "_kept", {})
+    monkeypatch.setattr(padic_l_module, "BranchSeries", Tracked)
+    nf = bundled("11.2.a.a")
+    pair = symbol_pair(nf)
+    _, raw, dressed = branch_family(pair, 1, 5, 1, 8, ((2, (1, 2, 2)),))
     refs = [weakref.ref(bs) for bss in (raw, dressed) for bs in bss.values()]
     assert len(refs) == 8
-    del family, raw, dressed, again, got, bare
+    del raw, dressed
     gc.collect()
     assert all(ref() is None for ref in refs)
+    assert pair.level == 11 and 11 in modsym._kept
 
 
 @pytest.mark.parametrize("ap, sigma0, error", [
