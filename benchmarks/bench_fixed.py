@@ -9,7 +9,7 @@ Eisenstein partner and its check (`examples.eisenstein_partner`, which
 keeps nothing) plus the Mazur series through the same Sturm bound, for
 each bundled example, and `verify-example 1`, `2`, `3` and the round of
 all three, each cold and kept side by side.  Cold drops the kept
-bundled runs (`examples.build_example`) and the kept symbol spaces
+bundled runs (`examples.kept_example`) and the kept symbol spaces
 (`modsym`) before each call; kept keeps both, so a call builds only its
 report.  Both read the forms and the parser from their caches.
 """
@@ -21,7 +21,7 @@ import tempfile
 import time
 
 from iwrank import cli, modsym
-from iwrank.examples import EXAMPLES, build_example, eisenstein_partner
+from iwrank.examples import EXAMPLES, eisenstein_partner, kept_example
 from iwrank.newforms import bundled, bundled_labels
 from iwrank.qseries import mazur_eisenstein
 
@@ -48,7 +48,7 @@ def report(name, *runs):
 
 
 def drop_kept():
-    build_example.cache_clear()
+    kept_example.cache_clear()
     modsym._kept.clear()
 
 

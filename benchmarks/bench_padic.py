@@ -34,7 +34,7 @@ import tracemalloc
 
 from iwrank import cli, modsym
 from iwrank.characters import DirichletCharacter
-from iwrank.examples import build_example, symbol_pair
+from iwrank.examples import kept_example, symbol_pair
 from iwrank.iwasawa import mass_mu_lambda
 from iwrank.modsym import (ModularSymbolSpace, SymbolPair, TwistedSymbol, eigen_functional,
                            twist_symbol)
@@ -118,7 +118,7 @@ def verify2():
 
 def drop_kept():
     """Drop the kept bundled runs and symbol spaces."""
-    build_example.cache_clear()
+    kept_example.cache_clear()
     modsym._kept.clear()
 
 

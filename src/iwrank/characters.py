@@ -292,9 +292,8 @@ class DirichletCharacter:
         n = chi0.order
         big = lcm(c, n)
         sa, sk = big // c, big // n
-        items = [(a * sa + k * sk, 1)
-                 for a, k in enumerate(chi0.exponent_table()) if k is not None]
-        return CyclotomicNumber.from_monomials(big, items)
+        return CyclotomicNumber.from_exponents(big, [
+            a * sa + k * sk for a, k in enumerate(chi0._value_exponents()) if k is not None])
 
     def __repr__(self):
         return f"DirichletCharacter({self.to_descriptor()})"

@@ -9,19 +9,21 @@ modulo Phi_n only when its power-basis coefficients are read.  What
 this module adds is the order n: the constructors from roots of unity,
 the Galois action and the embeddings Q(zeta_n) -> Q(zeta_m), n | m,
 which map exponents, and the lift of two elements of different orders
-into Q(zeta_lcm) before they meet.
+into Q(zeta_lcm) before they meet.  A sum of roots of unity goes
+straight into the group ring over denominator 1: `from_exponents` counts
+its exponents (a Gauss sum, a root of unity), and `from_monomials` adds
+integer coefficients as they are, clearing denominators only when some
+coefficient is a Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, repeat
 from math import gcd, lcm
 
 from iwrank.arith import euler_phi, prime_divisors
 from iwrank.numfield import NFElement, NumberField
-
-_ONE = Fraction(1)
 
 _cyclo_poly_cache: dict[int, list[int]] = {}
 _ring_cache: dict[int, NumberField] = {}
@@ -108,7 +110,12 @@ class CyclotomicNumber(NFElement):
 
     @classmethod
     def zeta(cls, order: int, power: int = 1) -> "CyclotomicNumber":
-        return cls.from_monomials(order, [(power, _ONE)])
+        return cls.from_exponents(order, (power,))
+
+    @classmethod
+    def from_exponents(cls, order: int, exps) -> "CyclotomicNumber":
+        """Sum of zeta_order^e over the ints e of exps, repeats counted."""
+        return cls(order, _group_vector(order, zip(exps, repeat(1))), 1)
 
     @classmethod
     def from_rational(cls, value, order: int = 1) -> "CyclotomicNumber":
@@ -117,8 +124,10 @@ class CyclotomicNumber(NFElement):
     @classmethod
     def from_monomials(cls, order: int, items) -> "CyclotomicNumber":
         """Sum of coeff * zeta_order^exp for (exp, coeff) pairs, coeff an
-        int or a Fraction."""
+        int or a Fraction; with int coeffs only, over denominator 1."""
         items = list(items)
+        if all(type(coeff) is int for _, coeff in items):
+            return cls(order, _group_vector(order, items), 1)
         den = lcm(*(coeff.denominator for _, coeff in items))
         return cls(order, _group_vector(order, [
             (exp, coeff.numerator * (den // coeff.denominator)) for exp, coeff in items]),
@@ -153,11 +162,10 @@ class CyclotomicNumber(NFElement):
 
     def __repr__(self):
         # each coefficient as str(Fraction(v, den)) would print it
-        den = self.den
+        nums, den = self._power_basis()
         terms = []
-        for j, v in enumerate(self.nums):
-            if not v:
-                continue
+        for j in compress(range(len(nums)), nums):
+            v = nums[j]
             g = gcd(v, den)
             c = str(v // g) if g == den else f"{v // g}/{den // g}"
             if j == 0:

@@ -228,14 +228,20 @@ def add_partner_check(rep, check_id, h, p, dep):
                   f"partner through the Sturm bound away from {p}", dep)
 
 
-@lru_cache(maxsize=len(EXAMPLES))
 def build_example(number, wild_level=1, M=8):
     """The working objects of one bundled run in a read-only mapping, kept
-    per (number, wild_level, M): the symbol (twisted and renormalized when
-    the configuration says so), both forms, the sigma0 Euler factors, the
+    per (number, wild_level, M) however the arguments are spelled
+    (`kept_example`): the symbol (twisted and renormalized when the
+    configuration says so), both forms, the sigma0 Euler factors, the
     branch family (alpha, raw and dressed series) and h's Eisenstein
     checks on one q-expansion through its Sturm bound: the partner's m and
     check, and h against E2(z) - t E2(tz), at indices prime to p and 0."""
+    return kept_example(number, wild_level, M)
+
+
+@lru_cache(maxsize=len(EXAMPLES))
+def kept_example(number, wild_level, M):
+    """`build_example` with every argument given, the key of its cache."""
     if number not in EXAMPLES:
         raise ValueError(f"no bundled example {number!r}")
     cfg = EXAMPLES[number]

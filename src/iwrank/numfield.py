@@ -128,7 +128,7 @@ def _reduce(vec: list[int], field: NumberField) -> list[int]:
     if len(vec) <= d:
         return list(vec) + [0] * (d - len(vec))
     q = kernels.convolve_fixed(vec[d:], field.barrett)[field.k - d:]
-    return [v - w for v, w in zip(vec[:d], kernels.convolve_fixed(q, field.poly))]
+    return list(map(sub, vec[:d], kernels.convolve_fixed(q, field.poly)))
 
 
 def _lowest_terms(coeffs, den: int | None = None) -> tuple[list[int], int]:

@@ -1,7 +1,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -14,7 +14,8 @@ from iwrank.characters import (
     unit_group_generators,
 )
 from iwrank.arith import euler_phi
-from iwrank.cyclotomic import zeta
+from iwrank.cyclotomic import CyclotomicNumber, zeta
+from reference import EagerCyclotomic
 
 F = Fraction
 
@@ -194,6 +195,43 @@ def test_gauss_sum_conjugate_identity():
             prod = g * gbar
             assert prod.is_rational()
             assert prod.rational_value() == chi.parity() * m, (m, chi.exponents)
+
+
+def test_gauss_sum_matches_the_fraction_path():
+    # gauss_sum counts its exponents a (n'/c) + k (n'/n) straight into the
+    # group ring of Q(zeta_n'), n' = lcm(c, n), over denominator 1; the
+    # Fraction coefficients of from_monomials clear denominators the long
+    # way, and EagerCyclotomic reduces modulo Phi_n' with no fold at all.
+    # Odd n' folds by x^n' = 1, even n' by x^(n'/2) = -1: both occur
+    parities = set()
+    for m in range(3, 61):
+        for chi in all_characters(m):
+            chi0 = chi.primitive_part()
+            c, n = chi0.modulus, chi0.order
+            g = chi.gauss_sum()
+            if c == 1:
+                assert g == 1
+                continue
+            big = lcm(c, n)
+            items = [(a * (big // c) + chi0.value_exponent(a) * (big // n), F(1))
+                     for a in range(c) if gcd(a, c) == 1]
+            ref = CyclotomicNumber.from_monomials(big, items)
+            assert (g.order, g.vec, g.vden) == (big, ref.vec, 1), (m, chi.exponents)
+            assert all(type(v) is int for v in g.vec)
+            eager = EagerCyclotomic.from_monomials(big, items)
+            assert (g.nums, g.den) == (eager.nums, eager.den), (m, chi.exponents)
+            parities.add(big % 2)
+    assert parities == {0, 1}
+    # int coefficients, and Fractions over 1, give one element over 1
+    rng = random.Random(42)
+    for n in (1, 2, 3, 4, 6, 9, 10, 15, 28):
+        items = [(rng.randrange(-3 * n, 3 * n), rng.randrange(-9, 10)) for _ in range(8)]
+        ints = CyclotomicNumber.from_monomials(n, items)
+        fracs = CyclotomicNumber.from_monomials(n, [(e, F(v, 1)) for e, v in items])
+        for x in (ints, fracs):
+            assert x.vden == 1 and all(type(v) is int for v in x.vec), n
+        assert ints.vec == fracs.vec and ints == fracs
+        assert ints == sum((zeta(n, e) * v for e, v in items), zeta(n, 0) * 0)
 
 
 def test_kronecker_values():

@@ -5,7 +5,8 @@ import pytest
 from iwrank import examples, modsym, newforms
 from iwrank.characters import DirichletCharacter
 from iwrank.examples import (
-    EXAMPLES, VerificationReport, build_example, eisenstein_partner, run_example,
+    EXAMPLES, VerificationReport, build_example, eisenstein_partner, kept_example,
+    run_example,
 )
 from iwrank.newforms import IngestionError, NewformData
 from iwrank.padic_l import format_report
@@ -81,7 +82,7 @@ def test_example1_walks_the_pair_once(monkeypatch):
     # 121 * 23; the scales and every row at 11 are slices of those, so the
     # pair is walked once, over the numerators a <= 2783 / 2.  From an
     # empty cache: an earlier run would have left the run kept
-    build_example.cache_clear()
+    kept_example.cache_clear()
     walks = []
     walk = modsym._walk
 
@@ -106,7 +107,7 @@ def test_example1_walks_the_pair_once(monkeypatch):
     # a second run reads the kept run, whose twist holds its rows: no
     # walk and no Birch row more
     assert run_example(1).ok
-    sym = build_example(1, 1, 8)["sym"]
+    sym = build_example(1)["sym"]
     for s in (1, -1):
         assert sym.evaluate_row(11, s) == sym.evaluate_row(121, s)[::11]
         assert all(type(x) is int for x in sym.evaluate_row(121, s))
@@ -118,7 +119,7 @@ def test_eisenstein_checks_are_kept_with_the_bundled_run(monkeypatch):
     # examples 2 and 3 check the same h = 11.2.a.a at p = 5 and t = 11:
     # each run builds its partner and Mazur series once, on one
     # q-expansion of h, and a repeat run reads them kept with the run
-    build_example.cache_clear()
+    kept_example.cache_clear()
     built = []
     mazur = examples.mazur_eisenstein
     partner = examples.residual_eisenstein_partner
@@ -153,12 +154,23 @@ def test_build_example_is_kept_read_only():
     for number in EXAMPLES:
         kept = build_example(number)
         assert build_example(number) is kept
-        assert example_state(kept) == example_state(build_example.__wrapped__(number))
+        assert example_state(kept) == example_state(kept_example.__wrapped__(number, 1, 8))
         with pytest.raises(TypeError):
             kept["p"] = 7
         for key in ("raw", "dressed"):
             with pytest.raises(TypeError):
                 kept[key][1] = kept[key][2]
+
+
+def test_build_example_keeps_one_run_however_it_is_called():
+    # the defaults, written out or as keywords, name the same kept run
+    kept_example.cache_clear()
+    kept = build_example(1)
+    assert build_example(1, 1, 8) is kept
+    assert build_example(1, wild_level=1, M=8) is kept
+    assert build_example(number=1, M=8) is kept
+    assert run_example(1).ok and build_example(1) is kept
+    assert kept_example.cache_info().currsize == 1
 
 
 def test_a_failed_eisenstein_partner_keeps_nothing():

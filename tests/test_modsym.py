@@ -10,7 +10,7 @@ from iwrank import modsym
 from iwrank.arith import is_prime
 from iwrank.characters import DirichletCharacter
 from iwrank.cli import main
-from iwrank.examples import build_example, symbol_pair
+from iwrank.examples import build_example, kept_example, symbol_pair
 from iwrank.modsym import (
     EigenspaceError,
     ModularSymbolSpace,
@@ -847,7 +847,7 @@ def test_commands_leave_kept_spaces_as_built(tmp_path, monkeypatch):
     # space equals a fresh one, each kept bundled run is one built anew,
     # and the second round prints what the first did
     monkeypatch.setattr(modsym, "_kept", {})
-    build_example.cache_clear()
+    kept_example.cache_clear()
     out = tmp_path / "out.jsonl"
     rounds = []
     for _ in range(2):
@@ -882,8 +882,8 @@ def test_commands_leave_kept_spaces_as_built(tmp_path, monkeypatch):
             if phi is not None:
                 assert phi.generator_values() == fresh._eigen[key][2].generator_values(), (N, key)
     # the three verify-example runs, each kept once
-    assert build_example.cache_info().currsize == 3
+    assert kept_example.cache_info().currsize == 3
     for number in (1, 2, 3):
-        assert example_state(build_example(number, 1, 8)) == example_state(
-            build_example.__wrapped__(number)), number
-    assert build_example.cache_info().currsize == 3
+        assert example_state(build_example(number)) == example_state(
+            kept_example.__wrapped__(number, 1, 8)), number
+    assert kept_example.cache_info().currsize == 3
