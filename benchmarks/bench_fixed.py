@@ -9,9 +9,9 @@ Eisenstein partner and its check (`examples.eisenstein_partner`, which
 keeps nothing) plus the Mazur series through the same Sturm bound, for
 each bundled example, and `verify-example 1`, `2`, `3` and the round of
 all three, each cold and kept side by side.  Cold drops the kept
-bundled runs (`examples.kept_example`) and the kept symbol spaces
-(`modsym`) before each call; kept keeps both, so a call builds only its
-report.  Both read the forms and the parser from their caches.
+bundled runs (`examples.kept_example`) before each call; kept keeps
+them, so a call builds only its report.  Both read the forms and the
+parser from their caches.
 """
 
 import os
@@ -20,7 +20,7 @@ import statistics
 import tempfile
 import time
 
-from iwrank import cli, modsym
+from iwrank import cli
 from iwrank.examples import EXAMPLES, eisenstein_partner, kept_example
 from iwrank.newforms import bundled, bundled_labels
 from iwrank.qseries import mazur_eisenstein
@@ -49,7 +49,6 @@ def report(name, *runs):
 
 def drop_kept():
     kept_example.cache_clear()
-    modsym._kept.clear()
 
 
 def eisenstein_side(cfg):

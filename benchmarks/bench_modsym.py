@@ -5,14 +5,14 @@ Usage: python benchmarks/bench_modsym.py [--repeat N]
 
 For each level N it times `iwrank.modsym.P1List(N)` (the points and
 their divisor index), a fresh `iwrank.modsym.ModularSymbolSpace(N)` (the
-index, the sparse quotient and the dimension check), a second
-`build_space(N)` (`kept`: the lookup of the space kept for the level),
-the Hecke images T_2, T_3, T_5, T_7 together on a fresh space, and, at
-the levels in `TARGETS`, the rational `eigen_functional` of each sign
-(the T_ell eigenvalue there).  An eigenfunctional is timed cold, on a
-fresh space whose Hecke images are built outside the timing, as a space
-keeps what it solves; `kept` after the eigen columns is a repeat call
-of the plus one, a lookup of the functional the space kept.  It prints
+index, the sparse quotient and the dimension check), the Hecke images
+T_2, T_3, T_5, T_7 together on a fresh space, and, at the levels in
+`TARGETS`, the rational `eigen_functional` of each sign (the T_ell
+eigenvalue there).  An eigenfunctional is timed cold, on a fresh space
+whose Hecke images are built outside the timing, as a space keeps what
+it solves; `repeat` after the eigen columns is a repeat call of the
+plus one on one space, which keeps the eigenspace kernel and builds the
+functional anew.  It prints
 the best of `--repeat` rounds together with |P^1(Z/N)| and the quotient
 dimension; `/build` is Hecke plus both cold eigenfunctionals as a
 multiple of the fresh build, and `peak` the most memory that Python
@@ -22,8 +22,8 @@ of the space and its four Hecke images.
 Then it times `restrict_to_cuspidal(T_2)` at the levels in `CUSPIDAL`
 (the boundary kernel, the images of its basis and the check that they
 stay cuspidal), with T_2 memoized; the plus eigenfunctional of 23.2.a
-over Q(sqrt 5) (a_2 = (-1 - sqrt 5)/2), cold and kept; both signs of
-the three-target solve `MULTI` at level 364, cold and kept; and the
+over Q(sqrt 5) (a_2 = (-1 - sqrt 5)/2), cold and repeated; both signs
+of the three-target solve `MULTI` at level 364, cold and repeated; and the
 loop of `examples.symbol_pair` over the prefixes of those targets,
 [:1], [:2], [:3], on both signs, cold.  Last it times
 `merel_matrices(l)` at the l in `MEREL`, and on each sign of that
@@ -119,16 +119,15 @@ def main():
                     help="timing rounds per level (the best is kept)")
     args = ap.parse_args()
 
-    print(f"{'N':>5} {'|P1|':>6} {'dim':>5} {'P1List':>10} {'fresh':>10} {'kept':>8} "
-          f"{'T2,3,5,7':>10} {'eigen+':>10} {'eigen-':>10} {'kept':>8} {'/build':>7} "
+    print(f"{'N':>5} {'|P1|':>6} {'dim':>5} {'P1List':>10} {'fresh':>10} "
+          f"{'T2,3,5,7':>10} {'eigen+':>10} {'eigen-':>10} {'repeat':>8} {'/build':>7} "
           f"{'peak':>9}")
     for N in LEVELS:
-        space = modsym.build_space(N)
+        space = modsym.ModularSymbolSpace(N)
         tp = best_time(lambda: modsym.P1List(N), args.repeat)
         tb = best_time(lambda: modsym.ModularSymbolSpace(N), args.repeat)
-        tk = best_time(lambda: modsym.build_space(N), args.repeat)
         th = min(hecke_on_fresh_space(N) for _ in range(args.repeat))
-        eigen, kept, ratio = ["-", "-"], "-", "-"
+        eigen, repeat, ratio = ["-", "-"], "-", "-"
         if N in TARGETS:
             target = [TARGETS[N]]
             te = [cold_time(N, [target[0][0]],
@@ -137,15 +136,15 @@ def main():
             modsym.eigen_functional(space, target, 1)
             tr = best_time(lambda: modsym.eigen_functional(space, target, 1), args.repeat)
             eigen, ratio = [f"{t * 1e3:.1f}ms" for t in te], f"{(th + sum(te)) / tb:.2f}"
-            kept = f"{tr * 1e6:.1f}us"
+            repeat = f"{tr * 1e6:.1f}us"
         print(f"{N:>5} {len(space.p1):>6} {space.dim:>5} "
-              f"{tp * 1e3:>8.2f}ms {tb * 1e3:>8.1f}ms {tk * 1e6:>6.1f}us "
-              f"{th * 1e3:>8.1f}ms {eigen[0]:>10} {eigen[1]:>10} {kept:>8} {ratio:>7} "
+              f"{tp * 1e3:>8.2f}ms {tb * 1e3:>8.1f}ms "
+              f"{th * 1e3:>8.1f}ms {eigen[0]:>10} {eigen[1]:>10} {repeat:>8} {ratio:>7} "
               f"{peak_mb(N):>7.2f}MB")
 
     print()
     for N in CUSPIDAL:
-        space = modsym.build_space(N)
+        space = modsym.ModularSymbolSpace(N)
         t2 = space.hecke_images(2)
         tr = best_time(lambda: space.restrict_to_cuspidal(t2), args.repeat)
         print(f"restrict_to_cuspidal(T2) N={N:<4} "
@@ -154,21 +153,21 @@ def main():
     a2 = K.one() * Fraction(-1, 2) + K.gen() * Fraction(-1, 2)
     tf = cold_time(23, [2], lambda sp: modsym.eigen_functional(sp, [(2, a2)], +1),
                    args.repeat)
-    space = modsym.build_space(23)
+    space = modsym.ModularSymbolSpace(23)
     modsym.eigen_functional(space, [(2, a2)], +1)
     tr = best_time(lambda: modsym.eigen_functional(space, [(2, a2)], +1), args.repeat)
     print(f"eigen_functional 23.2.a over Q(sqrt5)            {tf * 1e3:>8.2f}ms "
-          f"kept {tr * 1e6:>6.1f}us")
+          f"repeat {tr * 1e6:>6.1f}us")
     N, targets = MULTI
     ells = [ell for ell, _ in targets]
-    space = modsym.build_space(N)
+    space = modsym.ModularSymbolSpace(N)
     for sign in (1, -1):
         tm = cold_time(N, ells, lambda sp: modsym.eigen_functional(sp, targets, sign),
                        args.repeat)
         modsym.eigen_functional(space, targets, sign)
         tr = best_time(lambda: modsym.eigen_functional(space, targets, sign), args.repeat)
         print(f"eigen_functional {N} {targets} sign {sign:+d} {tm * 1e3:>8.2f}ms "
-              f"kept {tr * 1e6:>6.1f}us")
+              f"repeat {tr * 1e6:>6.1f}us")
     tl = cold_time(N, ells, lambda sp: prefix_loop(sp, targets), args.repeat)
     print(f"prefixes [:1], [:2], [:3] of those, both signs   {tl * 1e3:>8.2f}ms")
 

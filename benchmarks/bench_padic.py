@@ -5,19 +5,17 @@ Usage: python benchmarks/bench_padic.py [--repeat N]
 For each series length D = 5^n it times one `padic-l --newform 11.2.a.a
 --prime 5 --precision 8,D` run in-process (alpha, the symbol pair and
 its rows, the four branch series, their values at the trivial character
-and the four product verdicts).  The symbol space of level 11 and its
-eigenfunctionals are built once and then kept, as for every run in one
-process; nothing else is kept between runs.  Then it times
-`padic_l.branch_family` alone at each D, with a sigma0 factor at 2, on
-one pair whose rows the first round builds.  At the largest D it
+and the four product verdicts).  Nothing is kept between runs: each
+builds its symbol space of level 11 anew, as every command does.  Then
+it times `padic_l.branch_family` alone at each D, with a sigma0 factor
+at 2, on one pair whose rows the first round builds.  At the largest D it
 reports, by `tracemalloc`, the peak memory of one `padic-l` run and the
 memory still held after it, and times reading (mu, lambda) off the
 group masses of the branch-2 series.  It times `verify-example 2` cold
-(the kept bundled runs and symbol spaces dropped before each round) and
-with its run kept.  It times `verify-example 1`'s symbol, cold (from an
-empty registry of kept spaces) and on the kept space:
-`examples.symbol_pair` of 11.2.a.a, `twist_symbol` by quad(-23) at 11
-and its rows at 11^2 on both signs.  Last it times the
+(the kept bundled runs dropped before each round) and with its run
+kept.  It times `verify-example 1`'s symbol, which each call builds on
+a new space: `examples.symbol_pair` of 11.2.a.a, `twist_symbol` by
+quad(-23) at 11 and its rows at 11^2 on both signs.  Last it times the
 symbol rows of both signs as the branch series read them
 (`padic_l._symbol_rows`): at 5^(n+1), and 5^n as a slice of it, for
 11.2.a.a and for 52.2.a.a (a composite level); at 3^8 and 3^7 for
@@ -32,7 +30,7 @@ import os
 import time
 import tracemalloc
 
-from iwrank import cli, modsym
+from iwrank import cli
 from iwrank.characters import DirichletCharacter
 from iwrank.examples import kept_example, symbol_pair
 from iwrank.iwasawa import mass_mu_lambda
@@ -117,9 +115,8 @@ def verify2():
 
 
 def drop_kept():
-    """Drop the kept bundled runs and symbol spaces."""
+    """Drop the kept bundled runs."""
     kept_example.cache_clear()
-    modsym._kept.clear()
 
 
 def example1_symbol():
@@ -170,10 +167,8 @@ def main():
     kept = best_time(verify2, args.repeat)
     print(f"verify-example 2: {cold * 1e3:.3f}ms cold, {kept * 1e3:.3f}ms with its run kept")
 
-    cold = best_time(example1_symbol, args.repeat, modsym._kept.clear)
-    kept = best_time(example1_symbol, args.repeat)
-    print(f"verify-example 1 symbol (11.2.a.a x quad(-23), rows at 121): "
-          f"{cold * 1e3:.2f}ms cold, {kept * 1e3:.2f}ms on the kept space")
+    t = best_time(example1_symbol, args.repeat)
+    print(f"verify-example 1 symbol (11.2.a.a x quad(-23), rows at 121): {t * 1e3:.2f}ms")
 
     print("symbol rows (both signs)")
     for make, label in ((pair11, "11.2.a.a"), (pair52, "52.2.a.a")):

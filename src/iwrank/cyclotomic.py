@@ -25,7 +25,6 @@ from math import gcd, lcm
 from iwrank.arith import euler_phi, prime_divisors
 from iwrank.numfield import NFElement, NumberField
 
-_cyclo_poly_cache: dict[int, list[int]] = {}
 _ring_cache: dict[int, NumberField] = {}
 
 
@@ -37,24 +36,20 @@ def cyclotomic_polynomial(n: int) -> list[int]:
     factor multiplies or divides a power series by a binomial in O(phi(n))
     steps, and the product is a polynomial of degree phi(n).
     """
-    if n in _cyclo_poly_cache:
-        return list(_cyclo_poly_cache[n])
     if n == 1:
-        poly = [-1, 1]
-    else:
-        deg = euler_phi(n)
-        poly = [1] + [0] * deg
-        terms = [(n, 1)]        # (d, mu(n/d))
-        for p in prime_divisors(n):
-            terms += [(d // p, -mu) for d, mu in terms]
-        for d, mu in terms:
-            if mu > 0:
-                for k in range(deg, d - 1, -1):
-                    poly[k] -= poly[k - d]
-            else:
-                for k in range(d, deg + 1):
-                    poly[k] += poly[k - d]
-    _cyclo_poly_cache[n] = list(poly)
+        return [-1, 1]
+    deg = euler_phi(n)
+    poly = [1] + [0] * deg
+    terms = [(n, 1)]        # (d, mu(n/d))
+    for p in prime_divisors(n):
+        terms += [(d // p, -mu) for d, mu in terms]
+    for d, mu in terms:
+        if mu > 0:
+            for k in range(deg, d - 1, -1):
+                poly[k] -= poly[k - d]
+        else:
+            for k in range(d, deg + 1):
+                poly[k] += poly[k - d]
     return poly
 
 

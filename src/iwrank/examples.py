@@ -11,9 +11,10 @@ recorded expectation.  Failures do not abort the run; every check ends
 up in the report with a pass/fail/skipped status.
 `eisenstein_partner` builds that partner for `congruence` too, and
 `add_partner_check` writes the record of its check for both.  What a
-run builds is kept by one rule: level data per space, rows per symbol,
-and the bundled run whole per (number, wild_level, M) (`build_example`),
-so a repeat run builds no symbol, no q-series and no branch series.
+run builds is kept in one place: the bundled run whole per (number,
+wild_level, M) (`build_example`), so a repeat run builds no space, no
+symbol, no q-series and no branch series.  A symbol space lives as long
+as the pair `symbol_pair` cuts out of it, and a pair keeps its own rows.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .characters import DirichletCharacter, kronecker
 from .cyclotomic import CyclotomicNumber
 from .iwasawa import mu_lambda, undetermined_text
 from .modsym import (
-    EigenspaceError, SymbolPair, build_space, eigen_functional, twist_symbol,
+    EigenspaceError, ModularSymbolSpace, SymbolPair, eigen_functional, twist_symbol,
 )
 from .newforms import bundled, residual_eisenstein_partner
 from .padics import padic_valuation
@@ -168,8 +169,9 @@ def symbol_pair(nf):
     """The plus and minus eigensymbols of a rational form, cut out of its
     symbol space by the stored a_l at the primes l prime to the level,
     taken in increasing order until each sign's eigenspace is a line.
-    The space and its eigenfunctionals are kept (`modsym.build_space`);
-    the pair is new on each call.
+    The space, its eigenfunctionals and the pair are new on each call and
+    live as long as the pair; the prime-by-prime loop reuses the
+    eigenspace kernels the space keeps.
 
     Raises ValueError when an eigenspace is 0 (no eigensymbol has these
     eigenvalues) or the stored primes run out first.
@@ -183,7 +185,7 @@ def symbol_pair(nf):
         raise ValueError(f"{nf.label}: the symbols are those of weight 2 on "
                          f"Gamma0(N), so the form needs weight 2 and a "
                          f"trivial character")
-    space = build_space(nf.level)
+    space = ModularSymbolSpace(nf.level)
     targets = []
     for ell in range(2, nf.n_max + 1):
         if nf.level % ell == 0 or not is_prime(ell):

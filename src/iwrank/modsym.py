@@ -24,19 +24,17 @@ vectors of a symbol's Merel hits) are all such rows, and the true
 coordinates are those rows divided by `den` (which is 1 at every level
 N <= 400).
 
-What depends on the level alone is built once per level per process:
-`build_space(N)` hands out one kept space per level, for at most
-KEPT_LEVELS levels (the least recently used level goes first), and
-`ModularSymbolSpace(N)` builds a fresh one.  A kept space carries its
-quotient vectors, its Hecke images per n, its boundary data and its
-successor table, and its solved eigenspaces and eigenfunctionals
-(`eigen_functional`).  A symbol keeps its own rows (`RowSymbol`) and no
-space keeps a symbol: a `SymbolPair` or `TwistedSymbol` (`twist_symbol`)
-lives as long as its caller holds it, as a kept bundled run does.
-So the rows a space hands out (`vectors`, `star_images()`,
-`hecke_images(n)`, `P1List.successors()`), its functionals and the rows
-of a symbol (`evaluate_row`) are shared, and no caller may mutate them:
-values and rows are tuples.
+No space is kept for the process: a `ModularSymbolSpace(N)` lives as
+long as whatever holds it, its functionals, the symbols on them or a kept
+bundled run.  A space builds what it is asked for once: its quotient
+vectors, its Hecke images per n, its boundary data, its successor table
+and the kernel of each eigenspace it solves (`eigen_functional`).  A
+symbol keeps its own rows (`RowSymbol`) and no space keeps a functional
+or a symbol: a `SymbolPair` or `TwistedSymbol` (`twist_symbol`) lives as
+long as its caller holds it.  So the rows a space hands out (`vectors`,
+`star_images()`, `hecke_images(n)`, `P1List.successors()`), the values of
+a functional and the rows of a symbol (`evaluate_row`) are shared, and no
+caller may mutate them: values and rows are tuples.
 
 A symbol functional is a linear map on the relation quotient; its value on
 the path {oo -> r} is what the p-adic layer integrates against.  Normalized
@@ -266,9 +264,8 @@ class ModularSymbolSpace:
         self.N = N
         self.p1 = P1List(N)
         self._hecke = {}
-        # the eigenspaces kept by `eigen_functional`, by (sign, field
-        # polynomial, prefix of the targets): [free, basis, functional
-        # of a line or None]
+        # the eigenspace kernels kept by `eigen_functional`, by (sign,
+        # field polynomial, prefix of the targets): (free, basis)
         self._eigen = {}
         self._boundary = None
         S, T = self._manin_maps()
@@ -425,24 +422,6 @@ class ModularSymbolSpace:
                 raise ValueError("operator does not preserve the cuspidal subspace")
             out.append([Fraction(img.get(f, 0), scale) for f in free])
         return out
-
-
-# the most recently used spaces, least recent first (dicts keep order)
-KEPT_LEVELS = 8
-_kept = {}
-
-
-def build_space(N: int) -> ModularSymbolSpace:
-    """The space of level N kept for this process, built on first use;
-    of the KEPT_LEVELS levels kept, the least recently used goes first.
-    `ModularSymbolSpace(N)` builds a fresh one."""
-    space = _kept.pop(N, None)
-    if space is None:
-        space = ModularSymbolSpace(N)
-        if len(_kept) >= KEPT_LEVELS:
-            del _kept[next(iter(_kept))]
-    _kept[N] = space
-    return space
 
 
 def _cusp_reduce(p, q):
@@ -606,9 +585,9 @@ def eigen_functional(space, targets, sign):
     the sign, the field's polynomial (None over Q) and the prefix, a
     field eigenvalue by its power-basis numerators and denominator.  A
     call starts from the longest kept prefix of its targets and
-    restricts by each target beyond it, keeping each new prefix; the
-    functional of a line is kept with its kernel.  So a repeat call
-    returns the same functional, or raises the same `EigenspaceError`.
+    restricts by each target beyond it, keeping each new prefix.  So a
+    repeat call restricts nothing: it builds an equal functional anew
+    from the kept line, or raises the same `EigenspaceError`.
     """
     field = next((a.field for _, a in targets if isinstance(a, NFElement)), None)
     deg = 1 if field is None else field.degree
@@ -627,22 +606,19 @@ def eigen_functional(space, targets, sign):
     if k < 0:
         star = rref(_eigen_rows(space.star_images(), sign, field, space.den, range(space.dim)))
         free, _, basis = kernel(star, range(space.dim * deg))
-        kept[sign, poly, ()] = [free, basis, None]
+        kept[sign, poly, ()] = free, basis
         k = 0
+    free, basis = kept[sign, poly, named[:k]]
     if k < len(named):
         star_free = set(kept[sign, poly, ()][0])
         hecke_cols = [j for j in range(space.dim) if j * deg in star_free]
-        free, basis, _ = kept[sign, poly, named[:k]]
         for i in range(k, len(named)):
             ell, a = targets[i]
             free, basis = _restrict(_eigen_rows(space.hecke_images(ell), a, field,
                                                 space.den, hecke_cols), free, basis)
-            kept[sign, poly, named[:i + 1]] = [free, basis, None]
-    line = kept[sign, poly, named]
-    _check_eigenspace(space, sign, len(line[0]) // deg)
-    if line[2] is None:
-        line[2] = _line_functional(space, sign, field, line[1][0])
-    return line[2]
+            kept[sign, poly, named[:i + 1]] = free, basis
+    _check_eigenspace(space, sign, len(free) // deg)
+    return _line_functional(space, sign, field, basis[0])
 
 
 def _line_functional(space, sign, field, v):

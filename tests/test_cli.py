@@ -1,9 +1,13 @@
+import gc
 import json
+import weakref
 from math import gcd
 
 import pytest
 
 from iwrank.cli import main
+from iwrank.examples import build_example, kept_example
+from iwrank.modsym import ModularSymbolSpace
 
 
 def _lines(capsys):
@@ -500,3 +504,34 @@ def test_padic_l_quadratic_twists_keep_the_functional_equation(tmp_path):
                     pairs += 1
                     assert recs[j] == recs[p - 1 - j], (label, p, d, j)
     assert (parity, pairs, refused) == (297, 1618, 40)
+
+
+def test_commands_leave_only_the_spaces_kept_runs_hold(tmp_path, monkeypatch):
+    # a symbol space lives as long as whatever holds it: padic-l and
+    # modsym-table leave none behind once they return, and verify-example
+    # leaves the three that its kept bundled runs hold
+    built = []
+    init = ModularSymbolSpace.__init__
+
+    def tracked(self, N):
+        init(self, N)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(ModularSymbolSpace, "__init__", tracked)
+    out = str(tmp_path / "out.jsonl")
+    for cmd in ("padic-l", "modsym-table"):
+        for extra in (["--newform", "11.2.a.a"], ["--newform", "19.2.a.a"],
+                      ["--newform", "52.2.a.a"],
+                      ["--newform", "11.2.a.a", "--char", "quad-23"]):
+            assert main([cmd, "--prime", "5", "--out", out] + extra) == 0, (cmd, extra)
+    assert len(built) == 8
+    gc.collect()
+    assert [ref() for ref in built if ref() is not None] == []
+    built.clear()
+    kept_example.cache_clear()
+    assert [main(["verify-example", str(k), "--out", out]) for k in (1, 2, 3)] == [0, 1, 0]
+    gc.collect()
+    alive = [ref() for ref in built if ref() is not None]
+    syms = [build_example(k)["sym"] for k in (1, 2, 3)]
+    held = [syms[0].pair.plus.space] + [sym.plus.space for sym in syms[1:]]
+    assert len(alive) == 3 and {id(sp) for sp in alive} == {id(sp) for sp in held}

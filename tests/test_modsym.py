@@ -398,12 +398,13 @@ def _sqrt5_root(root_sign):
 
 
 def test_eigen_functional_is_kept_on_its_space(sp11):
-    # a repeat solve on a space hands back the functional it kept; a
-    # fresh space solves anew, to an equal functional.  What a caller
-    # reads of a kept functional is a copy or a tuple.
+    # a repeat solve on a space builds the functional anew from the kernel
+    # it kept, equal to the first; a fresh space solves anew, to an equal
+    # functional.  What a caller reads of a functional is a copy or a tuple.
     for sign in (1, -1):
         phi = eigen_functional(sp11, [(2, F(-2))], sign)
-        assert eigen_functional(sp11, [(2, F(-2))], sign) is phi
+        again = eigen_functional(sp11, [(2, F(-2))], sign)
+        assert again.generator_values() == phi.generator_values()
         fresh = eigen_functional(ModularSymbolSpace(11), [(2, F(-2))], sign)
         assert fresh is not phi
         assert fresh.generator_values() == phi.generator_values()
@@ -415,12 +416,13 @@ def test_eigen_functional_is_kept_on_its_space(sp11):
 
 def test_conjugate_field_eigenvalues_keep_two_functionals(sp23):
     # the two roots of x^2 + x - 1 key two eigenspaces of the one field;
-    # an equal eigenvalue built anew finds the kept one
+    # an equal eigenvalue built anew finds the kept kernel
     for sign in (1, -1):
         kept = [eigen_functional(sp23, [(2, _sqrt5_root(r))], sign) for r in (1, -1)]
         assert kept[0].generator_values() != kept[1].generator_values()
         for r, phi in zip((1, -1), kept):
-            assert eigen_functional(sp23, [(2, _sqrt5_root(r))], sign) is phi
+            again = eigen_functional(sp23, [(2, _sqrt5_root(r))], sign)
+            assert again.generator_values() == phi.generator_values(), (sign, r)
             fresh = eigen_functional(ModularSymbolSpace(23), [(2, _sqrt5_root(r))], sign)
             assert fresh.generator_values() == phi.generator_values(), (sign, r)
 
@@ -480,8 +482,8 @@ def test_prefixes_at_364_restrict_once_each(monkeypatch):
     # the loop of `examples.symbol_pair`, over the prefixes [:1], [:2],
     # [:3] on both signs: each prefix restricts the kept kernel of the
     # one before it by its last target alone, one restriction per prefix
-    # per sign, and a second loop restricts nothing and raises, or
-    # returns, what the first did
+    # per sign, and a second loop restricts nothing and raises what the
+    # first did, or returns a functional of equal generator values
     restricted = []
     restrict = modsym._restrict
 
@@ -509,7 +511,7 @@ def test_prefixes_at_364_restrict_once_each(monkeypatch):
         if isinstance(first, tuple):
             assert rounds[1][key] == first, key
         else:
-            assert rounds[1][key] is first, key
+            assert rounds[1][key].generator_values() == first.generator_values(), key
 
 
 def test_cuspidal_subspace_matches_dense_oracle():
@@ -767,38 +769,17 @@ def test_double_twist_depletion(pair11):
             assert lhs == rhs, r
 
 
-def test_build_space_keeps_one_space_per_level():
-    assert modsym.build_space(11) is modsym.build_space(11)
-    assert ModularSymbolSpace(11) is not modsym.build_space(11)
-
-
-def test_build_space_drops_the_least_recently_used_level(monkeypatch):
-    monkeypatch.setattr(modsym, "_kept", {})
-    levels = list(range(11, 12 + modsym.KEPT_LEVELS))
-    first = {N: modsym.build_space(N) for N in levels[:-1]}
-    # levels[0] used again, so levels[1] is the least recent when the
-    # one level too many comes in
-    assert modsym.build_space(levels[0]) is first[levels[0]]
-    last = modsym.build_space(levels[-1])
-    assert list(modsym._kept) == levels[2:-1] + [levels[0], levels[-1]]
-    for N in [levels[-1], levels[0]] + levels[2:-1]:
-        assert modsym.build_space(N) is (last if N == levels[-1] else first[N]), N
-    again = modsym.build_space(levels[1])
-    assert again is not first[levels[1]]
-    assert (again.basis_cols, again.vectors) == (first[levels[1]].basis_cols,
-                                                first[levels[1]].vectors)
-    assert len(modsym._kept) == modsym.KEPT_LEVELS
-
-
 def test_symbol_pair_and_its_twists_are_built_anew():
-    # the space keeps its eigenfunctionals, not the symbols: each call
-    # builds a new pair on the kept functionals, and each twist_symbol
-    # call a new twist, with the rows and scales of the first
+    # nothing is kept between calls: each call builds a new space and a
+    # new pair on equal functionals, and each twist_symbol call a new
+    # twist, with the rows and scales of the first
     nf = bundled("11.2.a.a")
     pair = symbol_pair(nf)
     again = symbol_pair(nf)
-    assert again is not pair and (again.plus, again.minus) == (pair.plus, pair.minus)
-    assert pair.plus.space is modsym.build_space(11)
+    assert again is not pair and again.plus.space is not pair.plus.space
+    assert again.minus.space is again.plus.space
+    for s in ("plus", "minus"):
+        assert getattr(again, s).generator_values() == getattr(pair, s).generator_values()
     assert (again.level, again.label) == (pair.level, pair.label) == (11, nf.label)
     quad23 = DirichletCharacter.quadratic_by_discriminant(-23)
     tw = twist_symbol(pair, quad23, 11, "a")
@@ -816,22 +797,20 @@ def test_symbol_pair_and_its_twists_are_built_anew():
     assert TwistedSymbol(pair, quad23, 11, "a")._rows == {}
 
 
-def test_kept_pairs_go_with_their_space(monkeypatch):
-    # a pair's rows are kept no longer than the pair: the space keeps no
-    # pair, so one the caller drops is freed while its space is kept, and
-    # symbol_pair builds a new pair with rows of its own
-    monkeypatch.setattr(modsym, "_kept", {})
+def test_kept_pairs_go_with_their_space():
+    # a pair's rows are kept no longer than the pair, and its space no
+    # longer than its functionals: one the caller drops is freed with its
+    # space, and symbol_pair builds a new pair with rows of its own
     nf = bundled("11.2.a.a")
     pair = symbol_pair(nf)
     row = pair.evaluate_row(25, 1)
-    gone = weakref.ref(pair)
+    gone = [weakref.ref(pair), weakref.ref(pair.plus.space)]
     del pair
     gc.collect()
-    assert gone() is None and 11 in modsym._kept
+    assert [ref() for ref in gone] == [None, None]
     again = symbol_pair(nf)
     assert again._rows == {}
     assert again.evaluate_row(25, 1) == row
-    assert list(modsym._kept) == [11]
 
 
 KEPT_RUNS = ([["verify-example", str(k)] for k in (1, 2, 3)]
@@ -841,12 +820,11 @@ KEPT_RUNS = ([["verify-example", str(k)] for k in (1, 2, 3)]
                 for cmd in ("padic-l", "modsym-table")])
 
 
-def test_commands_leave_kept_spaces_as_built(tmp_path, monkeypatch):
-    # every command reads the rows of a kept space and of the symbols it
-    # builds and mutates none: after two rounds in one process each kept
-    # space equals a fresh one, each kept bundled run is one built anew,
-    # and the second round prints what the first did
-    monkeypatch.setattr(modsym, "_kept", {})
+def test_commands_leave_kept_spaces_as_built(tmp_path):
+    # every command reads the rows of the spaces and symbols it builds and
+    # mutates none: after two rounds in one process each space a kept
+    # bundled run holds equals a fresh one, each kept bundled run is one
+    # built anew, and the second round prints what the first did
     kept_example.cache_clear()
     out = tmp_path / "out.jsonl"
     rounds = []
@@ -857,9 +835,12 @@ def test_commands_leave_kept_spaces_as_built(tmp_path, monkeypatch):
             got.append((code, out.read_bytes()))
         rounds.append(got)
     assert rounds[0] == rounds[1]
-    assert sorted(modsym._kept) == [11, 19, 52]
-    for N, kept in modsym._kept.items():
-        fresh = ModularSymbolSpace(N)
+    # run 1 holds the twist of a pair, runs 2 and 3 a pair
+    syms = [build_example(number)["sym"] for number in (1, 2, 3)]
+    spaces = [syms[0].pair.plus.space] + [sym.plus.space for sym in syms[1:]]
+    assert [space.N for space in spaces] == [11, 52, 19]
+    for kept in spaces:
+        N, fresh = kept.N, ModularSymbolSpace(kept.N)
         assert (kept.basis_cols, kept.den, kept.vectors) == (fresh.basis_cols, fresh.den,
                                                              fresh.vectors), N
         assert kept._hecke, N
@@ -867,8 +848,8 @@ def test_commands_leave_kept_spaces_as_built(tmp_path, monkeypatch):
             assert images == fresh.hecke_images(n), (N, n)
         assert kept.p1._successors is not None, N
         assert kept.p1._successors == fresh.p1.successors(), N
-        # every kept eigenspace, and every kept functional, is what a
-        # fresh space solves for the same sign and targets
+        # every kept eigenspace kernel is what a fresh space solves for the
+        # same sign and targets
         assert kept._eigen, N
         for sign, poly, targets in kept._eigen:
             assert poly is None, N  # the commands solve rational forms only
@@ -876,11 +857,7 @@ def test_commands_leave_kept_spaces_as_built(tmp_path, monkeypatch):
                 eigen_functional(fresh, list(targets), sign)
             except EigenspaceError:
                 pass
-        assert fresh._eigen.keys() == kept._eigen.keys(), N
-        for key, (free, basis, phi) in kept._eigen.items():
-            assert fresh._eigen[key][:2] == [free, basis], (N, key)
-            if phi is not None:
-                assert phi.generator_values() == fresh._eigen[key][2].generator_values(), (N, key)
+        assert fresh._eigen == kept._eigen, N
     # the three verify-example runs, each kept once
     assert kept_example.cache_info().currsize == 3
     for number in (1, 2, 3):

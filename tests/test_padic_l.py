@@ -10,7 +10,6 @@ from types import MappingProxyType
 
 import pytest
 
-import iwrank.modsym as modsym
 import iwrank.padic_l as padic_l_module
 from iwrank.arith import is_prime
 from iwrank.characters import DirichletCharacter, kronecker
@@ -624,11 +623,10 @@ def test_branch_family_builds_the_requested_branches(monkeypatch):
 
 def test_branch_series_go_with_their_caller(monkeypatch):
     # neither the symbol nor its space keeps a family: its series are
-    # freed once the caller drops them, while the space is still kept
+    # freed once the caller drops them, while the symbol is still held
     class Tracked(BranchSeries):
         __slots__ = ("__weakref__",)
 
-    monkeypatch.setattr(modsym, "_kept", {})
     monkeypatch.setattr(padic_l_module, "BranchSeries", Tracked)
     nf = bundled("11.2.a.a")
     pair = symbol_pair(nf)
@@ -638,7 +636,7 @@ def test_branch_series_go_with_their_caller(monkeypatch):
     del raw, dressed
     gc.collect()
     assert all(ref() is None for ref in refs)
-    assert pair.level == 11 and 11 in modsym._kept
+    assert pair.level == 11
 
 
 @pytest.mark.parametrize("ap, sigma0, error", [
