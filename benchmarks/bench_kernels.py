@@ -17,7 +17,11 @@ and 24 to 87 (the quotient's length at n = 1711), against Phi_1711 of
 quotient-times-Phi_n products of `numfield._reduce`, which go through
 `kernels.convolve_fixed`.  It ends with its crossover too.  The third
 set has two sparse vectors of h slots with c unit terms each, the shape
-of a product of two Gauss sums in the group ring.
+of a product of two Gauss sums in the group ring of Q(zeta_n), folded
+below x^h by x^h = e as `NFElement.__mul__` has `kernels.convolve` fold
+it: the loop with the list fold of its output against Kronecker
+substitution folded on the packed integer.  Its rows run from h = 41 to
+h = 1711 and from 10 to 113 terms.
 
 The fourth row set times `numfield._reduce`, the one reduction modulo
 the field polynomial, per field, after a first reduction has packed the
@@ -64,10 +68,12 @@ EQUAL_LENGTHS = list(range(1, 41)) + [48, 64, 96, 128, 192, 256, 384, 512,
 SHORT_LENGTHS = list(range(1, 17)) + [24, 32, 48, 64, 87]
 # the field whose Phi_n the short vectors are multiplied by
 LONG_ORDER = 1711
-# (h, c): the group-ring slots and unit terms of Gauss sums at orders of
-# the Gauss-sum workload, from h = 155 up to two sums at n = 1711
-SPARSE_SHAPES = [(155, 30), (300, 40), (465, 46), (689, 52), (1081, 46),
-                 (1378, 52), (1711, 58), (1711, 113)]
+# (n, c): c unit terms in the h slots of Q(zeta_n), the shape of Gauss
+# sums at orders of the Gauss-sum workload, from h = 41 up to two sums at
+# n = 1711, and sparser sums of 10 to 30 terms
+SPARSE_SHAPES = [(41, 10), (41, 40), (155, 30), (212, 52), (600, 40), (930, 46),
+                 (1378, 52), (2162, 46), (2756, 52), (3422, 10), (3422, 20),
+                 (3422, 30), (3422, 58), (1711, 113)]
 # (name, field): the fields of `verify` (Q(sqrt 5) is the coefficient
 # field of 23.2.a), small cyclotomic fields, and the largest orders of the
 # Gauss-sum workload
@@ -115,32 +121,38 @@ def _sparse(rng, h, c):
     return vec
 
 
-def row_set(title, pairs, repeat, fixed=False, crossover=True):
+def row_set(title, pairs, repeat, fixed=False, crossover=True, rings=None):
     """Time both methods on each (a, b) of pairs and print the rows, the
     number of rows on which the cost model picks the faster method and,
     with `crossover`, the measured crossover in la.  With `fixed`, b is
-    packed ahead, as `kernels.convolve_fixed` keeps it."""
+    packed ahead, as `kernels.convolve_fixed` keeps it.  With `rings`,
+    one field with a period h and sign e per pair, each product is folded
+    below x^h by x^h = e as `NFElement.__mul__` has it folded: the
+    loop's output by the list fold, Kronecker's on the packed integer."""
     print(title)
-    print(f"{'la':>5} {'lb':>5} {'terms':>7} {'schoolbook':>12} "
+    print(f"{'la':>5} {'lb':>5} {'h':>5} {'terms':>7} {'schoolbook':>12} "
           f"{'kronecker':>12} {'speedup':>8} {'picks':>10}")
     faster, right = [], 0
-    for a, b in pairs:
+    for row, (a, b) in enumerate(pairs):
         la, lb = len(a), len(b)
-        if fixed:
-            top, packed = max(map(abs, b)), {}
-            kronecker = lambda u, v: kernels._kronecker(u, v, top, packed)
-            slots = la
-        else:
-            kronecker, slots = kernels._kronecker, la + lb
-        assert kronecker(a, b) == kernels._schoolbook(a, b)
-        ts = best_time(kernels._schoolbook, a, b, repeat)
+        na, nb = la - a.count(0), lb - b.count(0)
+        n = la + lb - 1
+        h, sign = (rings[row].period, rings[row].sign) if rings else (None, 1)
+        count = min(n, h or n)
+        bound = kernels._top(a, na) * kernels._top(b, nb) * min(na, nb)
+        packed = {} if fixed else None
+        kronecker = lambda u, v: kernels._kronecker(u, v, bound, packed, h, sign)
+        loop = lambda u, v: kernels.fold(kernels._schoolbook(u, v), h, sign) if h \
+            else kernels._schoolbook(u, v)
+        assert kronecker(a, b) == loop(a, b)
+        ts = best_time(loop, a, b, repeat)
         tk = best_time(kronecker, a, b, repeat)
         faster.append(tk < ts)
-        terms = (la - a.count(0)) * (lb - b.count(0))
-        picks = kernels._prefers_kronecker(terms, slots)
+        picks = kernels._prefers_kronecker(na * nb, la if fixed else la + lb + count - n)
         right += picks == (tk < ts)
-        print(f"{la:>5} {lb:>5} {terms:>7} {ts * 1e6:>10.1f}us {tk * 1e6:>10.1f}us "
-              f"{ts / tk:>7.2f}x {'kronecker' if picks else 'schoolbook':>10}")
+        print(f"{la:>5} {lb:>5} {h or '-':>5} {na * nb:>7} {ts * 1e6:>10.1f}us "
+              f"{tk * 1e6:>10.1f}us {ts / tk:>7.2f}x "
+              f"{'kronecker' if picks else 'schoolbook':>10}")
     print(f"the model picks the faster method on {right} of {len(pairs)} rows")
     if crossover:
         # the first length from which Kronecker substitution stays faster
@@ -226,9 +238,11 @@ def main():
     row_set(f"short against Phi_{LONG_ORDER}, packed ahead",
             [(_random(rng, n), phi) for n in SHORT_LENGTHS], args.repeat,
             fixed=True)
-    row_set("sparse: c unit terms in h slots",
-            [(_sparse(rng, h, c), _sparse(rng, h, c)) for h, c in SPARSE_SHAPES],
-            args.repeat, crossover=False)
+    rings = [_ring(n) for n, _ in SPARSE_SHAPES]
+    row_set("sparse: c unit terms in the h slots of Q(zeta_n), folded",
+            [(_sparse(rng, ring.period, c), _sparse(rng, ring.period, c))
+             for ring, (_, c) in zip(rings, SPARSE_SHAPES)],
+            args.repeat, crossover=False, rings=rings)
     field_rows(rng, args.repeat)
     cyclotomic_rows(rng, args.repeat)
     inverse_rows(rng, args.repeat)

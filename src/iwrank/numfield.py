@@ -3,14 +3,14 @@
 An element is an integer vector `vec` over one positive denominator
 `vden`, in lowest terms, in the field's working ring.  When f divides
 x^h - e the field has a period h and sign e, and the working ring is
-Z[x]/(x^h - e): the constructor folds a vector below x^h by x^h = e
-(`_fold`), sums act slot by slot and a product is one convolution
-(`kernels.convolve`) that the constructor folds again.  Q(zeta_n) is
-f = Phi_n, h = n/2, e = -1 for even n, else h = n, e = 1 (`cyclotomic`),
-so a Gauss sum of c terms keeps c unit slots where on the power basis
-it is dense.  Any other field works on the power basis 1, x, ...,
-x^(d-1): the constructor refuses more than d coefficients and a product
-is reduced modulo f at once.
+Z[x]/(x^h - e): the constructor folds a longer vector below x^h by
+x^h = e (`kernels.fold`), sums act slot by slot and a product is one
+convolution that comes back folded (`kernels.convolve`, given h and
+e).  Q(zeta_n) is f = Phi_n, h = n/2, e = -1 for even n, else h = n,
+e = 1 (`cyclotomic`), so a Gauss sum of c terms keeps c unit slots where
+on the power basis it is dense.  Any other field works on the power
+basis 1, x, ..., x^(d-1): the constructor refuses more than d
+coefficients and a product is reduced modulo f at once.
 
 The power-basis numerators `nums` over `den`, in lowest terms, are read
 once, by one reduction modulo f (`_reduce`), and kept.  That form is
@@ -32,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
-from operator import add, sub
+from operator import sub
 
 from iwrank import kernels, linalg
 from iwrank.arith import poly_eval_mod
@@ -98,21 +98,6 @@ class NumberField:
         return f"NumberField({list(self.poly)})"
 
 
-def _fold(vec: list[int], field: NumberField) -> list[int]:
-    """vec folded below x^h by x^h = e, for a field with a period h and
-    sign e; any other vector as it is."""
-    h = field.period
-    if h is None or len(vec) <= h:
-        return vec
-    out = list(vec[:h])
-    for start in range(h, len(vec), h):
-        tail = vec[start:start + h]
-        # x^(qh + r) = e^q x^r
-        op = sub if field.sign == -1 and start // h % 2 else add
-        out[:len(tail)] = map(op, out, tail)
-    return out
-
-
 def _reduce(vec: list[int], field: NumberField) -> list[int]:
     """An integer vector modulo field.poly, as its d low coefficients.
 
@@ -123,7 +108,8 @@ def _reduce(vec: list[int], field: NumberField) -> list[int]:
     `kernels.convolve_fixed`, which picks its method by their size and
     packs m and f once per slot width.
     """
-    vec = _fold(vec, field)
+    if field.period is not None and len(vec) > field.period:
+        vec = kernels.fold(vec, field.period, field.sign)
     d = field.degree
     if len(vec) <= d:
         return list(vec) + [0] * (d - len(vec))
@@ -168,9 +154,12 @@ class NFElement:
         """sum coeffs[j] x^j, or with `den` given, sum coeffs[j] x^j / den
         for integers coeffs and den > 0; coeffs beyond h are folded by
         x^h = e in a field with a period h."""
-        vec = _fold(list(coeffs), field)
-        if field.period is None and len(vec) > field.degree:
-            raise ValueError(f"expected at most {field.degree} coefficients")
+        vec = list(coeffs)
+        if field.period is None:
+            if len(vec) > field.degree:
+                raise ValueError(f"expected at most {field.degree} coefficients")
+        elif len(vec) > field.period:
+            vec = kernels.fold(vec, field.period, field.sign)
         self.field = field
         self.vec, self.vden = _lowest_terms(vec, den)
         self._read = None
@@ -235,8 +224,8 @@ class NFElement:
         return (-self) + other
 
     def __mul__(self, other):
-        """One convolution of the vecs, reduced at once when the field has
-        no period; with a period the constructor folds it."""
+        """One convolution of the vecs: with a period h and sign e, folded
+        below x^h by the kernel; with none, reduced modulo f at once."""
         if isinstance(other, (int, Fraction)):
             num = other.numerator
             return self._new([c * num for c in self.vec], self.vden * other.denominator)
@@ -244,9 +233,10 @@ class NFElement:
         if pair is None:
             return NotImplemented
         a, b = pair
-        vec = kernels.convolve(a.vec, b.vec)
-        if a.field.period is None:
-            vec = _reduce(vec, a.field)
+        field = a.field
+        vec = kernels.convolve(a.vec, b.vec, period=field.period, sign=field.sign)
+        if field.period is None:
+            vec = _reduce(vec, field)
         return a._new(vec, a.vden * b.vden)
 
     __rmul__ = __mul__

@@ -1,4 +1,5 @@
 import ast
+import math
 import random
 from pathlib import Path
 
@@ -42,6 +43,13 @@ def _random_vec(rng, length, bound):
     return [rng.randrange(-bound, bound + 1) for _ in range(length)]
 
 
+def _sparse_units(rng, length, count):
+    vec = [0] * length
+    for k in rng.sample(range(length), count):
+        vec[k] = rng.choice((-1, 1))
+    return vec
+
+
 def test_convolve_known_values():
     assert kernels.convolve([1, 1], [1, -1]) == [1, 0, -1]
     assert kernels.convolve([2, 0, 3], [5]) == [10, 0, 15]
@@ -54,23 +62,58 @@ def test_selected_backend_exports():
     assert kernels.COMPILED is False
 
 
+def _wrap(vec, period, sign):
+    # the reference fold: x^k = sign^(k div period) x^(k mod period)
+    if period is None or len(vec) <= period:
+        return list(vec)
+    out = [0] * period
+    for k, c in enumerate(vec):
+        out[k % period] += sign ** (k // period) * c
+    return out
+
+
+@pytest.fixture
+def by_method(monkeypatch):
+    """convolve(a, b, **fold) with the cost model forced to the loop or to
+    Kronecker substitution, and the list fold of `_schoolbook` it must
+    equal, as run(a, b, **fold) -> (loop, kronecker, reference)."""
+    def run(a, b, period=None, sign=1):
+        out = []
+        for setup in (math.inf, -math.inf):
+            monkeypatch.setattr(kernels, "KRONECKER_SETUP", setup)
+            out.append(kernels.convolve(a, b, period=period, sign=sign))
+        monkeypatch.undo()
+        want = _wrap(kernels._schoolbook(a, b), period, sign) if a and b else []
+        return (*out, want)
+    return run
+
+
 @pytest.mark.parametrize("bound", [1, 9, 2**31, 2**63, 10**40])
-def test_kronecker_matches_schoolbook(bound):
-    # every pair of lengths 0..40, around the crossover, both signs;
-    # the bounds put the slots on and beyond the machine-word sizes
+def test_kronecker_matches_schoolbook(bound, by_method):
+    # every pair of lengths 0..40, around the crossover, both signs; the
+    # bounds put the slots on and beyond the machine-word sizes; each pair
+    # also folded by a period h of 1..40 with either sign, so products
+    # fit below x^h, wrap once, and wrap more than once from operands
+    # longer than 2h
     rng = random.Random(bound)
     for la in range(41):
         for lb in range(41):
             a, b = _random_vec(rng, la, bound), _random_vec(rng, lb, bound)
             if not (la and lb):
                 assert kernels.convolve(a, b) == []
+                assert kernels.convolve(a, b, period=3, sign=-1) == []
                 continue
             expect = kernels._schoolbook(a, b)
-            assert kernels._kronecker(a, b) == expect, (la, lb)
+            loop, kron, want = by_method(a, b)
+            assert loop == kron == want == expect, (la, lb)
             assert kernels.convolve(a, b) == expect, (la, lb)
+            h, sign = (la * 41 + lb) % 40 + 1, (-1) ** (la + lb)
+            loop, kron, want = by_method(a, b, h, sign)
+            assert loop == kron == want == kernels.convolve(a, b, period=h, sign=sign), \
+                (la, lb, h, sign)
 
 
-def test_kronecker_long_and_degenerate():
+def test_kronecker_long_and_degenerate(by_method):
     rng = random.Random(1624)
     a, b = _random_vec(rng, 1624, 8), _random_vec(rng, 1624, 8)
     assert kernels.convolve(a, b) == kernels._schoolbook(a, b)
@@ -82,16 +125,36 @@ def test_kronecker_long_and_degenerate():
         assert kernels.convolve(short, b) == kernels._schoolbook(short, b)
         assert kernels.convolve(b, short) == kernels._schoolbook(short, b)
     # product coefficients of +-bound with bound just below a slot's
-    # sign bit, for slots of 1, 2, 4 and 8 bytes and beyond
+    # sign bit, for slots of 1, 2, 4 and 8 bytes and beyond; folded by
+    # x^16 = +-1 every slot, or the top one, still reaches the bound
+    # max|a| max|b| min(nonzero counts) that sizes the slots
     for bits in (7, 15, 31, 63, 64, 100):
         m = (2**bits - 1) // 16
         for x, y in ((m, 1), (m, -1), (-m, -1)):
             a16, b16 = [x] * 16, [y] * 16
             assert kernels.convolve(a16, b16) == kernels._schoolbook(a16, b16)
+            for sign in (1, -1):
+                loop, kron, want = by_method(a16, b16, 16, sign)
+                assert loop == kron == want and abs(want[-1]) == 16 * m, (bits, sign)
     assert kernels.convolve([0] * 30, a) == [0] * 1653
     assert kernels.convolve(a, [0] * 30) == [0] * 1653
     assert kernels.convolve([], []) == []
     assert kernels.convolve([], a) == []
+    # group-ring products in the largest rings of the Gauss-sum workload:
+    # unit terms (a Gauss sum's shape) at each edge bound against unit
+    # terms, dense +-1 and dense random operands, and a zero operand
+    for n in (1711, 2756, 3422):
+        ring = _ring(n)
+        h, sign = ring.period, ring.sign
+        units = [_sparse_units(rng, h, 58) for _ in range(2)]
+        ones = [rng.choice((-1, 1)) for _ in range(h)]
+        dense = _random_vec(rng, h, 8)
+        pairs = [(units[0], units[1]), (units[0], ones), (ones, ones), (dense, units[1]),
+                 (dense, dense), ([0] * h, dense)]
+        pairs += [([bound * c for c in units[0]], units[1]) for bound in EDGE_BOUNDS[1:]]
+        for x, y in pairs:
+            loop, kron, want = by_method(x, y, h, sign)
+            assert loop == kron == want and len(want) == h, n
 
 
 def test_psi_is_the_cofactor_of_phi():
@@ -274,6 +337,17 @@ def test_fixed_operand_keeps_a_packed_form_per_slot_width():
     # every product took the packed path, which kept one form per width
     # on the operand
     assert sorted(fixed.packed) == [1, 8, 9, 18]
+
+
+def test_public_functions_are_the_kernels_own():
+    # perfbench's tracer wraps every public function `kernels` binds and
+    # puts the wrapper wherever another module binds the same object, so
+    # a function imported by name (operator.sub, say) would be traced,
+    # and billed as a kernel, in every module that uses it
+    public = {name: obj for name, obj in vars(kernels).items()
+              if not name.startswith("_") and callable(obj) and not isinstance(obj, type)}
+    assert {"convolve", "convolve_fixed", "fold"} <= public.keys()
+    assert all(obj.__module__ == kernels.__name__ for obj in public.values()), public
 
 
 def test_only_kernels_reads_its_private_names():

@@ -190,8 +190,9 @@ def test_zero_divisors_are_refused():
 
 
 def test_only_numfield_folds_and_reduces():
-    # how an element is folded and reduced belongs to `numfield`: no other
-    # module of the package names its `_fold` or `_reduce`
+    # how an element is reduced belongs to `numfield`, and its fold to
+    # `kernels.fold`: no other module of the package names a numfield
+    # `_fold` or `_reduce`
     private = {"_fold", "_reduce"}
     for path in sorted(Path(numfield.__file__).parent.glob("*.py")):
         if path.name == "numfield.py":
