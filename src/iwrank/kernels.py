@@ -51,10 +51,10 @@ COMPILED = False
 # slots costs about what the loop's walk over the operands and its output
 # does).  Both constants are a fit to timings of dense, pre-packed and
 # folded sparse operands (benchmarks/bench_kernels.py prints the three
-# row sets): the model switches at length 7 for equal dense lengths
-# (measured 7-8) and at length 1 against a packed Phi_1711 (measured 1),
+# row sets): the model switches at length 7-8 for equal dense lengths
+# (measured 7-9) and at length 1 against a packed Phi_1711 (measured 1),
 # and takes Kronecker substitution for two sums of c unit terms in h
-# slots once c^2 > 30 + 1.2 (h + 1): c = 58 at h = 1711, c = 10 at h = 41.
+# slots once c^2 > 30 + 1.2 (h + 1): from c = 9 at h = 41, c = 46 at h = 1711.
 KRONECKER_SETUP = 30
 KRONECKER_PER_SLOT = 1.2
 
