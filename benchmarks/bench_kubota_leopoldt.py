@@ -3,12 +3,12 @@ the Bernoulli distribution against the irregular-prime table.
 
 Usage: python benchmarks/bench_kubota_leopoldt.py
 
-For every prime 5 <= p < 500 it builds the branch series of
-`tests/reference.B1Symbol(p)` (the Bernoulli distribution
-E_1(a + den Z_p) = B_1({a/den}), a duck-typed symbol of level p) at wild
-level 1 mod p^4, all branches of a prime in one `padic_l.branch_family`
-call, and checks each even k in [2, p - 3] on branch j = 1 - k mod p - 1,
-the Kubota-Leopoldt series of omega^k, by the rules of
+For every prime 5 <= p < 500 it builds the ball masses
+`tests/reference.b1_balls(p, 1, 4)` (the Bernoulli distribution
+E_1(a + p^2 Z_p) = B_1({a/p^2}), with no level and no alpha) once,
+projects them with `padic_l.branch_series` at wild level 1 mod p^4, and
+checks each even k in [2, p - 3] on branch j = 1 - k mod p - 1, the
+Kubota-Leopoldt series of omega^k, by the rules of
 `tests/test_padic_l.py::test_kubota_leopoldt_branches_read_the_irregular_primes`:
 
 - mu = 0 (Ferrero-Washington);
@@ -32,10 +32,10 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from iwrank.arith import is_prime  # noqa: E402
-from iwrank.padic_l import branch_family  # noqa: E402
+from iwrank.padic_l import branch_series  # noqa: E402
 from iwrank.padics import padic_valuation  # noqa: E402
 from iwrank.qseries import bernoulli_number  # noqa: E402
-from reference import B1Symbol  # noqa: E402
+from reference import b1_balls  # noqa: E402
 
 BOUND = 500
 M = 4
@@ -48,10 +48,9 @@ TABLE_160 = [(37, 32), (59, 44), (67, 58), (101, 68), (103, 24), (131, 22),
 def check_prime(p, irregular, mismatches):
     """Check every even k in [2, p - 3] at p; the number of cases."""
     ks = range(2, p - 2, 2)
-    _, raw, _ = branch_family(B1Symbol(p), 1, p, 1, M,
-                              branches=[(1 - k) % (p - 1) for k in ks])
+    balls = b1_balls(p, 1, M)
     for k in ks:
-        mu, lam = raw[(1 - k) % (p - 1)].invariants
+        mu, lam = branch_series(balls, p, 1 - k, M).invariants
         b_k = bernoulli_number(k) / k
         if b_k.numerator % p:
             ok = mu == 0 and lam == 0

@@ -16,8 +16,8 @@ group masses of the branch-2 series.  It times `verify-example 2` cold
 kept.  It times `verify-example 1`'s symbol, which each call builds on
 a new space: `examples.symbol_pair` of 11.2.a.a, `twist_symbol` by
 quad(-23) at 11 and its rows at 11^2 on both signs.  Last it times the
-symbol rows of both signs as the branch series read them
-(`padic_l._symbol_rows`): at 5^(n+1), and 5^n as a slice of it, for
+symbol rows of both signs as the symbol measure reads them
+(`padic_l.symbol_measure`): at 5^(n+1), and 5^n as a slice of it, for
 11.2.a.a and for 52.2.a.a (a composite level); at 3^8 and 3^7 for
 19.2.a.a; at 11^(n+1) alone for the twist of 11.2.a.a by quad(-23), as
 11 divides the twist's level, with the twist itself (its scales
@@ -37,8 +37,7 @@ from iwrank.iwasawa import mass_mu_lambda
 from iwrank.modsym import (ModularSymbolSpace, SymbolPair, TwistedSymbol, eigen_functional,
                            twist_symbol)
 from iwrank.newforms import bundled
-from iwrank.padic_l import (_symbol_rows, branch_family, branch_series, choose_alpha,
-                            working_precision)
+from iwrank.padic_l import branch_family, branch_series, symbol_measure
 
 # wild levels n; the series length is D = 5^n
 LEVELS = (2, 3, 4, 5, 6)
@@ -83,6 +82,15 @@ def pair52():
     return fresh_pair(52, [(5, 2)])
 
 
+def read_rows(sym, p, n):
+    """Both signs of the rows `padic_l.symbol_measure` reads at p and wild
+    level n: at p^(n+1), and at p^n unless p divides the level."""
+    for sign in (1, -1):
+        sym.evaluate_row(p ** (n + 1), sign)
+        if sym.level % p:
+            sym.evaluate_row(p**n, sign)
+
+
 def rows_time(make, p, n, repeat, chi=None):
     """Best time, over `repeat` fresh symbols from `make`, of reading both
     signs of the rows a branch series at p and wild level n sums.  With a
@@ -95,8 +103,7 @@ def rows_time(make, p, n, repeat, chi=None):
         t0 = time.perf_counter()
         if chi is not None:
             sym = TwistedSymbol(sym, chi, p)
-        for sign in (1, -1):
-            _symbol_rows(sym, p, n, sign)
+        read_rows(sym, p, n)
         dt = time.perf_counter() - t0
         best = dt if best is None else min(best, dt)
     return best
@@ -125,8 +132,7 @@ def example1_symbol():
     sym = twist_symbol(symbol_pair(bundled("11.2.a.a")),
                        DirichletCharacter.quadratic_by_discriminant(-23), 11,
                        label="11.2.a.ax-23")
-    for sign in (1, -1):
-        _symbol_rows(sym, 11, 1, sign)
+    read_rows(sym, 11, 1)
 
 
 def main():
@@ -155,9 +161,8 @@ def main():
           f"holds {held / 2**20:.2f} MiB after it")
 
     sym = pair11()
-    # a_5 of 11.2.a.a, to the digits the series need
-    alpha = choose_alpha(1, 5, 11, prec=max(14, working_precision(sym, 5, n, M)))
-    bs = branch_series(sym, 5, alpha, 2, n=n, M=M)
+    # a_5 of 11.2.a.a is 1; branch 2 projects the plus balls
+    bs = branch_series(symbol_measure(sym, 1, 5, n, M)[1][1], 5, 2, M)
     ti = best_time(lambda: mass_mu_lambda(5, bs.shift, bs.masses), args.repeat)
     print(f"D = {5**n}: (mu, lambda) = {bs.invariants} off the masses "
           f"in {ti * 1e3:.3f}ms")

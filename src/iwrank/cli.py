@@ -328,7 +328,7 @@ def cmd_padic_l(args):
         value = branch_value_trivial(sym, p, alpha, jj)
         verdict = product_congruence_verdict(series[jj], series[partner_branch(jj, p)])
         records.append(branch_report(
-            series[jj], value=value, exact_zero=value.is_zero(), verdict=verdict))
+            series[jj], alpha, value=value, exact_zero=value.is_zero(), verdict=verdict))
     return 0, records
 
 

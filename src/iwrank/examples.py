@@ -26,7 +26,7 @@ from types import MappingProxyType
 from .arith import is_prime
 from .characters import DirichletCharacter, kronecker
 from .cyclotomic import CyclotomicNumber
-from .iwasawa import mu_lambda, undetermined_text
+from .iwasawa import undetermined_text
 from .modsym import (
     EigenspaceError, ModularSymbolSpace, SymbolPair, eigen_functional, twist_symbol,
 )
@@ -303,15 +303,13 @@ def _fmt_vals(vals):
     return "[" + ", ".join(str(v) for v in vals) + "]"
 
 
-def _fmt_value(v):
-    if v.is_zero():
-        return f"0 (to p^{v.M})"
+def _read_value(v):
+    """(valuation, text) of a one-term value, read once: the valuation is
+    None when v vanishes to its precision."""
     rec = _value_record(v)
-    return f"val={rec['valuation']} unit={rec['unit_digits']}"
-
-
-def _is_unit(v):
-    return not v.is_zero() and mu_lambda(v)[0] == 0
+    if rec["valuation"] is None:
+        return None, f"0 (to p^{rec['vanishes_to']})"
+    return rec["valuation"], f"val={rec['valuation']} unit={rec['unit_digits']}"
 
 
 def omega_twist_sum(sym, p: int, j: int) -> CyclotomicNumber:
@@ -355,32 +353,31 @@ def run_example(number, wild_level=1, M=8):
     zero_js = set(_ZERO_BRANCHES[number])
     values = {j: branch_value_trivial(sym, p, alpha, j) for j in branches}
     for j, v in values.items():
+        val, text = _read_value(v)
         if j in zero_js:
             rep.add(f"{tag}.value.j{j}",
                     f"branch {j} value at the trivial character vanishes",
-                    v.is_zero(), _fmt_value(v), "0 (exactly)", "exact")
+                    val is None, text, "0 (exactly)", "exact")
         else:
             rep.add(f"{tag}.value.j{j}",
                     f"branch {j} value at the trivial character is a p-adic "
                     f"unit",
-                    _is_unit(v), _fmt_value(v), "val=0",
-                    "valuation")
+                    val == 0, text, "val=0", "valuation")
 
     if number == 1:
-        s4 = omega_twist_sum(sym, p, 4)
-        s6 = omega_twist_sum(sym, p, 6)
+        same = (omega_twist_sum(sym, p, 4) - omega_twist_sum(sym, p, 6)).is_zero()
         rep.add(f"{tag}.ratio.j4j6",
                 "branch 4 and branch 6 values agree exactly",
-                (s4 - s6).is_zero(), "difference of twisted sums "
-                + ("0" if (s4 - s6).is_zero() else "nonzero"), "0", "exact")
+                same, "difference of twisted sums " + ("0" if same else "nonzero"),
+                "0", "exact")
         prod = None
         for j in branches:
             if j not in zero_js:
                 prod = values[j] if prod is None else prod * values[j]
+        val, text = _read_value(prod)
         rep.add(f"{tag}.product.nonzero-branches",
                 "product of the nonvanishing branch values is a p-adic unit",
-                _is_unit(prod), _fmt_value(prod), "val=0",
-                "valuation")
+                val == 0, text, "val=0", "valuation")
 
     # --- branch power series, invariants, and product verdicts ---
     expect_inv = _NONTRIVIAL_INVARIANTS[number]

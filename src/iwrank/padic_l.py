@@ -5,16 +5,21 @@ of each tame branch at the trivial wild character and the Riemann-sum
 branch series in Z/p^M[Z/p^n], with integers mod p-powers only: every
 symbol value is read off a row (`evaluate_row`), and the tame twist
 omega^-j comes from one cached table per (p, digits, j), built from the
-cached Teichmuller lifts.  A branch series is kept in one basis, the
-masses of the group elements gamma^c that the sum adds up, and never
-converted to the T-basis (gamma = 1 + T): mu and lambda are read off the
-masses, a sigma0 Euler factor multiplies them by its few nonzero masses,
-and the verdict for the product of two branches comes from the factors'
-(mu, lambda) alone, as mod p the ring is F_p[T]/(T^(p^n)).
-`branch_family` builds alpha and the requested branch series of one
-symbol, raw and with the sigma0 factors, for both `padic-l` and the
-bundled runs; it keeps nothing, as the rows it reads are kept on the
-symbol and a bundled run is kept whole (`examples.build_example`).
+cached Teichmuller lifts.  A branch series is built in two steps.
+`symbol_measure`, the one step that knows alpha and the one-root case
+p | N, gives each sign's masses of the balls a + p^(n+1)Z_p;
+`branch_series` projects ball masses of any measure onto branch j,
+through omega^-j and the wild coordinates.  A branch series is kept in
+one basis, the masses of the group elements gamma^c that the sum adds
+up, and never converted to the T-basis (gamma = 1 + T): mu and lambda
+are read off the masses, a sigma0 Euler factor multiplies them by its
+few nonzero masses, and the verdict for the product of two branches
+comes from the factors' (mu, lambda) alone, as mod p the ring is
+F_p[T]/(T^(p^n)).  `branch_family` composes the two steps, the balls
+once per sign, into alpha and the requested branch series of one symbol,
+raw and with the sigma0 factors, for both `padic-l` and the bundled
+runs; it keeps nothing, as the rows it reads are kept on the symbol and
+a bundled run is kept whole (`examples.build_example`).
 `partner_branch` names the branch each verdict pairs with.
 `format_report` is the one JSON line format of every report the CLI
 writes.
@@ -23,6 +28,7 @@ writes.
 import json
 from fractions import Fraction
 from functools import lru_cache
+from itertools import cycle
 from types import MappingProxyType
 
 from .iwasawa import (
@@ -44,10 +50,10 @@ from .padics import (
 __all__ = [
     "OrdinarityError",
     "DEFAULT_DIGITS",
-    "working_precision",
     "choose_alpha",
     "branch_value_trivial",
     "BranchSeries",
+    "symbol_measure",
     "branch_series",
     "apply_sigma0",
     "branch_family",
@@ -153,15 +159,14 @@ class BranchSeries:
     """
 
     __slots__ = ("p", "M", "shift", "masses", "invariants", "j", "form",
-                 "alpha", "sigma0_factors")
+                 "sigma0_factors")
 
-    def __init__(self, p, M, masses, shift, j, form, alpha, sigma0_factors=()):
+    def __init__(self, p, M, masses, shift, j, form, sigma0_factors=()):
         self.p, self.M = p, M
         self.shift, self.masses = reduce_ints(p, M, shift, masses)
         self.invariants = mass_mu_lambda(p, self.shift, self.masses)
         self.j = j
         self.form = form
-        self.alpha = alpha
         self.sigma0_factors = tuple(sigma0_factors)
 
 
@@ -182,69 +187,69 @@ def _wild_coordinates(p: int, n: int) -> tuple:
                  for a in range(mod))
 
 
-def _symbol_rows(sym, p, n, sgn):
-    """x(a/p^(n+1)) for a mod p^(n+1), then, unless p divides the level
-    (one-root case), x(b/p^n) for b mod p^n: the symbol's rows at p^(n+1)
-    and p^n.  The symbol keeps the first, so the second, and the row at p
-    that `branch_value_trivial` reads later, are slices of it."""
-    hi = sym.evaluate_row(p ** (n + 1), sgn)
-    return hi if sym.level % p == 0 else hi + sym.evaluate_row(p ** n, sgn)
+def symbol_measure(sym, ap, p: int, n: int, M: int, alpha: PadicSeries | None = None):
+    """(alpha, balls): the measure of `sym` at wild level n, mod p^M.
 
-
-def working_precision(sym, p: int, n: int, M: int, rows=None) -> int:
-    """Digits a unit alpha must carry for the branch series of `sym` at
-    wild level n to come out mod p^M: M plus the largest p-power in a
-    denominator of the symbol values they sum (`rows`: by sign, their
-    `padic_ints` at any precision, if at hand)."""
-    rows = rows or {sgn: padic_ints(_symbol_rows(sym, p, n, sgn), p, 1) for sgn in (1, -1)}
-    return M - min(shift for shift, _ in rows.values())
-
-
-def branch_series(sym, p: int, alpha: PadicSeries, j: int, n: int = 1,
-                  M: int = 8, rows=None) -> BranchSeries:
-    """Riemann sum of branch j at wild level n, as the masses of an
-    element of Z_p[Z/p^n] mod p^M.
-
-    The measure of the ball a + p^(n+1)Z_p is
-    alpha^-(n+1) x(a/p^(n+1)) - alpha^-(n+2) x(a/p^n), with the second
-    term dropped when p divides the level (one-root case).  The masses,
-    twisted by omega^-j, are summed in Z/p^W[Z/p^n].  W is M plus the
-    p-power in the symbol values' denominators plus (n+2) v(alpha); the
-    unit part of alpha must carry W digits.  `rows`, if at hand, holds by
-    sign the values' `padic_ints` mod p^(M + (n+2) v(alpha)).
-    """
+    alpha is the unit root for a_p = ap to the digits the balls need, at
+    least DEFAULT_DIGITS, unless a root is given (a non-unit one costs
+    (n+2) v(alpha) digits more).  balls[sgn], for sgn = +-1, is (shift,
+    masses): p^shift * masses[a] is the mass of the ball a + p^(n+1)Z_p,
+        alpha^-(n+1) x(a/p^(n+1)) - alpha^-(n+2) x(a/p^n),
+    known mod p^M, for a mod p^(n+1) (0 where p | a), with the second
+    term dropped when p divides the level (one-root case).  The masses are
+    reduced mod p^W, W = M - shift: M plus the p-power in the symbol
+    values' denominators plus (n+2) v(alpha).  Of the symbol it reads
+    `evaluate_row` and `level`; the symbol keeps its row at p^(n+1), so
+    the row at p^n, and the one at p that `branch_value_trivial` reads,
+    are slices of it."""
     if n < 1:
         raise ValueError("wild level n >= 1 required")
-    order = p**n
+    hi_len, order = p ** (n + 1), p**n
     steinberg = sym.level % p == 0
-    jj = j % (p - 1)
-    sgn = 1 if jj % 2 == 0 else -1
-    v = mu_lambda(alpha)[0]
+    v = 0 if alpha is None else mu_lambda(alpha)[0]
     loss = (n + 2) * v  # the powers of 1/alpha
-    shift, xs = (rows[sgn] if rows else
-                 padic_ints(_symbol_rows(sym, p, n, sgn), p, M + loss))
-    W = M + loss - shift
-    if alpha.M - v < W:
-        raise PadicPrecisionError(
-            f"alpha carries {alpha.M - v} digits, the series needs {W}")
-    m = p**W
-    # masses scaled by p^(W - M): a_hi x_hi - a_lo x_lo
-    ainv = pow(alpha.ints[0] // p ** (v - alpha.shift), -1, m)
-    a_hi = p**v * pow(ainv, n + 1, m) % m
-    a_lo = pow(ainv, n + 2, m)
-    tw = _omega_table(p, W, jj)
-    coord = _wild_coordinates(p, n)
+    rows = {}
+    for sgn in (1, -1):
+        hi = sym.evaluate_row(hi_len, sgn)
+        rows[sgn] = padic_ints(hi if steinberg else hi + sym.evaluate_row(order, sgn),
+                               p, M + loss)
+    if alpha is None:
+        alpha = choose_alpha(ap, p, sym.level, prec=max(
+            DEFAULT_DIGITS, M - min(shift for shift, _ in rows.values())))
+    balls = {}
+    for sgn in (1, -1):
+        shift, xs = rows.pop(sgn)  # each sign's rows go once its balls are built
+        W = M + loss - shift
+        if alpha.M - v < W:
+            raise PadicPrecisionError(
+                f"alpha carries {alpha.M - v} digits, the series needs {W}")
+        m = p**W
+        ainv = pow(alpha.ints[0] // p ** (v - alpha.shift), -1, m)
+        a_hi = p**v * pow(ainv, n + 1, m) % m
+        a_lo = pow(ainv, n + 2, m)
+        lo = [0] * order if steinberg else xs[hi_len:]
+        masses = [(a_hi * x - a_lo * y) % m for x, y in zip(xs, lo * p)]
+        masses[::p] = [0] * order
+        balls[sgn] = M - W, masses
+    return alpha, balls
+
+
+def branch_series(balls, p: int, j: int, M: int, form=None) -> BranchSeries:
+    """Branch j of a measure at wild level n, as the masses of an element
+    of Z_p[Z/p^n] mod p^M.  balls = (shift, masses) holds, as
+    `symbol_measure` gives them, the masses p^shift * masses[a] of the
+    balls a + p^(n+1)Z_p for a mod p^(n+1), reduced mod p^(M - shift);
+    they are twisted by omega^-j and summed by wild coordinate.  `form`
+    names the series' source in its report."""
+    shift, xs = balls
+    order = len(xs) // p
+    jj = j % (p - 1)
     masses = [0] * order
-    hi_len = p * order
-    for a in range(1, hi_len):
-        c = coord[a]
-        if c < 0:
-            continue
-        x = a_hi * xs[a]
-        if not steinberg:
-            x -= a_lo * xs[hi_len + a % order]
-        masses[c] += tw[a % p] * x
-    return BranchSeries(p, M, masses, M - W, jj, getattr(sym, "label", None), alpha)
+    # the twist vanishes where p | a, whose coordinate is -1
+    for c, w, x in zip(_wild_coordinates(p, padic_valuation(order, p)),
+                       cycle(_omega_table(p, M - shift, jj)), xs):
+        masses[c] += w * x
+    return BranchSeries(p, M, masses, shift, jj, form)
 
 
 def apply_sigma0(bs: BranchSeries, factors) -> BranchSeries:
@@ -279,22 +284,19 @@ def apply_sigma0(bs: BranchSeries, factors) -> BranchSeries:
             out = [y + f * x for y, x in zip(out, rot)]
         shift, masses = reduce_ints(p, M, 0, out)
         new_factors.append((ell, tuple(poly)))
-    return BranchSeries(p, M, masses, shift, bs.j, bs.form, bs.alpha,
-                        sigma0_factors=new_factors)
+    return BranchSeries(p, M, masses, shift, bs.j, bs.form, new_factors)
 
 
 def branch_family(sym, ap, p: int, n: int, M: int, sigma0=(), branches=None):
     """(alpha, raw, dressed) for the branches j in `branches` (default
-    1..p-1) of `sym` at wild level n, mod p^M: alpha the unit root for
-    a_p = ap to the digits the series need (at least DEFAULT_DIGITS),
-    raw[j] the branch series and dressed[j] the series times the sigma0
-    Euler factors (raw when there are none), both read-only mappings.
-    Of the symbol it reads `evaluate_row`, `level` and `label` only."""
-    # each sign's rows are converted once, mod p^M, as alpha is a unit
-    rows = {sgn: padic_ints(_symbol_rows(sym, p, n, sgn), p, M) for sgn in (1, -1)}
-    alpha = choose_alpha(ap, p, sym.level, prec=max(
-        DEFAULT_DIGITS, working_precision(sym, p, n, M, rows)))
-    raw = MappingProxyType({j: branch_series(sym, p, alpha, j, n=n, M=M, rows=rows)
+    1..p-1) of `sym` at wild level n, mod p^M: alpha and the balls of
+    `symbol_measure`, each sign's built once for all its branches, raw[j]
+    the projection of sign (-1)^j onto branch j (`branch_series`) and
+    dressed[j] that series times the sigma0 Euler factors (raw when there
+    are none), both read-only mappings.  Of the symbol it reads
+    `evaluate_row`, `level` and `label` only."""
+    alpha, balls = symbol_measure(sym, ap, p, n, M)
+    raw = MappingProxyType({j: branch_series(balls[(-1) ** (j % 2)], p, j, M, sym.label)
                             for j in sorted(range(1, p) if branches is None else branches)})
     if not sigma0:
         return alpha, raw, raw
@@ -349,14 +351,14 @@ def _value_record(value: PadicSeries | None, exact_zero: bool = False, digits: i
     }
 
 
-def branch_report(bs: BranchSeries, value: PadicSeries | None = None,
+def branch_report(bs: BranchSeries, alpha: PadicSeries, value: PadicSeries | None = None,
                   exact_zero: bool = False, verdict: str | None = None) -> dict:
     mu, lam = bs.invariants or (None, None)
     return {
         "form": bs.form,
         "twist": bs.form,  # the symbol's label, twisted or not
         "j": bs.j,
-        "alpha": _value_record(bs.alpha),
+        "alpha": _value_record(alpha),
         "value_at_trivial": _value_record(value, exact_zero),
         "mu": mu,
         "lambda": lam,

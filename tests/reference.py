@@ -9,7 +9,7 @@ from itertools import accumulate
 from math import gcd, lcm
 
 from iwrank.cyclotomic import CyclotomicNumber, cyclotomic_polynomial
-from iwrank.iwasawa import PadicSeries
+from iwrank.iwasawa import PadicSeries, padic_ints
 from iwrank.kernels import convolve
 from iwrank.qseries import bernoulli_number
 
@@ -365,7 +365,7 @@ def family_state(family):
 
     def series(bss):
         return {j: (bs.p, bs.M, bs.shift, bs.masses, bs.invariants, bs.j, bs.form,
-                    bs.alpha, bs.sigma0_factors) for j, bs in bss.items()}
+                    bs.sigma0_factors) for j, bs in bss.items()}
 
     return (alpha.p, alpha.M, alpha.shift, alpha.ints), series(raw), series(dressed)
 
@@ -520,22 +520,17 @@ class EagerCyclotomic:
         return " + ".join(terms) if terms else "0"
 
 
-# -- the Bernoulli distribution as a symbol --------------------------------
+# -- the Bernoulli distribution as ball masses ----------------------------
 
 
-class B1Symbol:
-    """The Bernoulli distribution E_1(a + den Z_p) = B_1({a/den}), as a
-    duck-typed symbol of level p for `padic_l.branch_family`: its minus
-    rows are a/den - 1/2 for a = 1..den-1 and 0 at a = 0, its plus rows
-    0.  Branch j = 1 - k mod p - 1 of it is the Kubota-Leopoldt series
-    whose value at T = u^(m-1) - 1 is (1 - p^(m-1)) B_m/m for every
-    m = k mod p - 1 (Washington, GTM 83, ch. 7 and 12)."""
-
-    def __init__(self, p):
-        self.level = p
-        self.label = f"B1@{p}"
-
-    def evaluate_row(self, den, sign):
-        if sign > 0:
-            return (0,) * den
-        return (0,) + tuple(Fraction(2 * a - den, 2 * den) for a in range(1, den))
+def b1_balls(p, n, M):
+    """The Bernoulli distribution E_1(a + p^(n+1)Z_p) = B_1({a/p^(n+1)}) as
+    ball masses for `padic_l.branch_series`, mod p^M: (shift, masses) with
+    p^shift * masses[a] = a/p^(n+1) - 1/2 for a mod p^(n+1), 0 where p | a,
+    reduced mod p^(M - shift).  It has no level and no alpha.  Branch
+    j = 1 - k mod p - 1 of it is the Kubota-Leopoldt series whose value at
+    T = u^(m-1) - 1 is (1 - p^(m-1)) B_m/m for every m = k mod p - 1
+    (Washington, GTM 83, ch. 7 and 12)."""
+    den = p ** (n + 1)
+    return padic_ints([Fraction(2 * a - den, 2 * den) if a % p else 0
+                       for a in range(den)], p, M)

@@ -24,6 +24,7 @@ from iwrank.padic_l import (
     branch_series,
     branch_value_trivial,
     product_congruence_verdict,
+    symbol_measure,
 )
 from iwrank.padics import padic_valuation
 from iwrank.qseries import check_congruence, eisenstein_series, \
@@ -58,8 +59,10 @@ def series_all(ex_all):
     out = {}
     for n, ex in ex_all.items():
         span = ex["p"] - 1
-        out[n] = {j: branch_series(ex["sym"], ex["p"], ex["alpha"], j,
-                                   n=1, M=8)
+        # the example's own alpha stands in for its a_p
+        balls = symbol_measure(ex["sym"], None, ex["p"], 1, 8, ex["alpha"])[1]
+        out[n] = {j: branch_series(balls[(-1) ** (j % 2)], ex["p"], j, 8,
+                                   ex["sym"].label)
                   for j in range(1, span + 1)}
     return out
 
@@ -401,8 +404,8 @@ def test_criterion_8_product_scope(ex_all, dressed_all):
         for j, bs in dressed.items():
             verdict = product_congruence_verdict(dressed[j],
                                                  dressed[j % span + 1])
-            rec = branch_report(bs, value=None, exact_zero=False,
-                                verdict=verdict)
+            rec = branch_report(bs, ex_all[n]["alpha"], value=None,
+                                exact_zero=False, verdict=verdict)
             if rec.get("note") != PRODUCT_NOTE:
                 problems.append(f"example {n} branch {j} report lacks the "
                                 f"product-scope note")

@@ -129,30 +129,40 @@ def test_padic_l(capsys):
 @pytest.mark.parametrize("p", [7, 11, 13])
 def test_padic_l_single_branches_match_full_run(p, capsys, monkeypatch):
     # a record needs only its branch and the partner j % (p - 1) + 1, so
-    # a single run builds those two series and prints its line of the
-    # full run; nothing is kept between runs, so a repeat builds them again
+    # a single run builds those two series, from one symbol measure, and
+    # prints its line of the full run; nothing is kept between runs, so a
+    # repeat builds them again
     import iwrank.padic_l as padic_l
 
-    built = []
-    branch_series = padic_l.branch_series
+    built, measured = [], []
+    branch_series, symbol_measure = padic_l.branch_series, padic_l.symbol_measure
 
-    def counted(sym, p, alpha, j, **kw):
+    def counted(balls, p, j, *args):
         built.append(j)
-        return branch_series(sym, p, alpha, j, **kw)
+        return branch_series(balls, p, j, *args)
+
+    def measure(*args):
+        measured.append(args)
+        return symbol_measure(*args)
 
     monkeypatch.setattr(padic_l, "branch_series", counted)
+    monkeypatch.setattr(padic_l, "symbol_measure", measure)
     argv = ["padic-l", "--newform", "11.2.a.a", "--prime", str(p),
             "--sigma0", "2:1,2,2"]
     for _ in range(2):
         assert main(argv) == 0
         full = _lines(capsys)
         assert len(full) == p - 1 and sorted(built) == list(range(1, p))
+        assert len(measured) == 1
         built.clear()
+        measured.clear()
         for j in range(1, p):
             assert main(argv + ["--branches", f"{j}..{j}"]) == 0
             assert _lines(capsys) == [full[j - 1]], j
             assert sorted(built) == sorted({j, padic_l.partner_branch(j, p)}), j
+            assert len(measured) == 1, j
             built.clear()
+            measured.clear()
 
 
 def test_iwasawa(capsys):

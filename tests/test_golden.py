@@ -42,7 +42,10 @@ dictionary message before.  The `chars` runs of `teich5^x` and `quadx`
 were recorded once a bad integer in a named descriptor came to be refused
 the same way (they printed Python's `int()` message before), and the run
 of `teich9` once a composite p came to be refused by name (it blamed the
-generator order before).  The untwisted `modsym-table` run was
+generator order before).  The `padic-l` runs of 19.2.a.a at 19 and
+52.2.a.a at 13, where p divides the level and the measure has one term,
+were recorded before the branch series came to project ball masses that
+one measure builds once per sign.  The untwisted `modsym-table` run was
 re-recorded once its normalization record came to say what
 `eigen_functional` does (generator values of content 1, the first
 nonzero one positive): it claimed a path sent to 1 before.  A process
@@ -106,6 +109,8 @@ TEXT_RUNS = {
         "8,125", "--sigma0", "11:1,-1,11", "--branches", "2..3"],
     "padic-l_19.2.a.a_p3": ["padic-l", "--newform", "19.2.a.a",
                             "--prime", "3"],
+    **{f"padic-l_{label}_p{p}": ["padic-l", "--newform", label, "--prime", str(p)]
+       for label, p in (("19.2.a.a", 19), ("52.2.a.a", 13))},
     "padic-l_52.2.a.a_p5_16,25": ["padic-l", "--newform", "52.2.a.a",
                                   "--prime", "5", "--precision", "16,25"],
     "padic-l_11.2.a.a_p5_3..6": ["padic-l", "--newform", "11.2.a.a",

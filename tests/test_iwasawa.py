@@ -103,7 +103,7 @@ def test_mismatched_layouts_refuse():
 def _euler11(poly, ell, j):
     """The Euler factor in the group ring of order 11 at p = 11, u = 12,
     as a T-series: the unit element times the factor."""
-    unit = BranchSeries(11, 8, [1] + [0] * 10, 0, j, "unit", None)
+    unit = BranchSeries(11, 8, [1] + [0] * 10, 0, j, "unit")
     return t_series(apply_sigma0(unit, [(ell, poly)]))
 
 
@@ -120,7 +120,7 @@ def test_euler_substitution_values():
     x = Fraction(1, ell ** (j + 1))
     expect = Fraction(1) - 3 * x + 5 * x * x
     assert v == PadicSeries(11, 8, 1, [expect])
-    unit = BranchSeries(11, 8, [1] + [0] * 10, 0, 0, "unit", None)
+    unit = BranchSeries(11, 8, [1] + [0] * 10, 0, 0, "unit")
     with pytest.raises(ValueError, match="avoid p"):
         apply_sigma0(unit, [(22, (1, -1))])
 

@@ -4,7 +4,7 @@ import gc
 import random
 import weakref
 from fractions import Fraction
-from math import comb, isclose, sqrt
+from math import comb, exp, isclose, pi, sqrt
 from pathlib import Path
 from types import MappingProxyType
 
@@ -41,11 +41,11 @@ from iwrank.padic_l import (
     format_report,
     product_congruence_verdict,
     _wild_coordinates,
-    working_precision,
+    symbol_measure,
 )
 from iwrank.qseries import bernoulli_number
 from reference import (
-    B1Symbol,
+    b1_balls,
     family_state,
     gamma_to_t,
     group_ring_mul,
@@ -82,6 +82,13 @@ def _agree(x, y, k):
 def _scaled(c, x):
     """The one-term series c * x mod p^(x.M), for c a p-integral rational."""
     return PadicSeries(x.p, x.M, 1, [c * x.ints[0]])
+
+
+def _branch(sym, p, alpha, j, n=1, M=8):
+    """Branch j of `sym` at wild level n mod p^M, with the root alpha: the
+    balls of sign (-1)^j of its symbol measure, projected onto branch j."""
+    balls = symbol_measure(sym, None, p, n, M, alpha)[1]
+    return branch_series(balls[(-1) ** (j % 2)], p, j, M, sym.label)
 
 
 def test_unit_roots(a19, a52):
@@ -156,14 +163,14 @@ def test_branch_values_19a(pair19, a19):
 
 def test_branch_series_19a(pair19, a19):
     vals = {j: branch_value_trivial(pair19, 5, a19, j) for j in range(1, 5)}
-    bss = {j: branch_series(pair19, 5, a19, j, n=1) for j in range(1, 5)}
+    bss = {j: _branch(pair19, 5, a19, j, n=1) for j in range(1, 5)}
     for j in range(1, 5):
         assert mu_lambda(t_series(bss[j])) == (0, 0), j
         # series(0)/value is 2 on a nontrivial branch, 1 on the trivial one
         got = t_series(bss[j]).coefficient(0)
         assert _agree(got, _scaled(2 if j < 4 else 1, vals[j]), 6), j
     # wild level 2 projects down exactly
-    deeper = branch_series(pair19, 5, a19, 2, n=2)
+    deeper = _branch(pair19, 5, a19, 2, n=2)
     assert reduce_gamma(t_series(deeper), 5) == t_series(bss[2])
 
 
@@ -174,10 +181,10 @@ def test_unit_root_boundedness(pair19, a19):
 
     beta = PadicSeries(5, 14, 1, [3 - a19.ints[0]])
     assert _val(beta) == 1
-    mv_a1 = min_val(t_series(branch_series(pair19, 5, a19, 2, n=1)))
-    mv_a2 = min_val(t_series(branch_series(pair19, 5, a19, 2, n=2)))
-    mv_b1 = min_val(t_series(branch_series(pair19, 5, beta, 2, n=1)))
-    mv_b2 = min_val(t_series(branch_series(pair19, 5, beta, 2, n=2)))
+    mv_a1 = min_val(t_series(_branch(pair19, 5, a19, 2, n=1)))
+    mv_a2 = min_val(t_series(_branch(pair19, 5, a19, 2, n=2)))
+    mv_b1 = min_val(t_series(_branch(pair19, 5, beta, 2, n=1)))
+    mv_b2 = min_val(t_series(_branch(pair19, 5, beta, 2, n=2)))
     assert mv_a2 >= mv_a1 >= 0
     assert mv_b2 < mv_b1 < 0  # the measure is unbounded at the wrong root
 
@@ -199,7 +206,7 @@ def test_branch_values_52a(pair52, a52):
 
 def test_branch_series_52a(pair52, a52):
     vals = {j: branch_value_trivial(pair52, 5, a52, j) for j in range(1, 5)}
-    bss = {j: branch_series(pair52, 5, a52, j, n=1) for j in range(1, 5)}
+    bss = {j: _branch(pair52, 5, a52, j, n=1) for j in range(1, 5)}
     # vanishing branch: exact gamma-basis masses are a unit multiple of
     # (-4,-8,8,4,0); their finite differences leave T^0..T^2 divisible by
     # 5 and the T^3 coefficient a unit, so (mu, lambda) = (0, 3)
@@ -209,7 +216,7 @@ def test_branch_series_52a(pair52, a52):
         assert mu_lambda(t_series(bss[j])) == (0, 0), j
         assert _agree(t_series(bss[j]).coefficient(0),
                       _scaled(2 if j < 4 else 1, vals[j]), 6), j
-    deeper = branch_series(pair52, 5, a52, 2, n=2)
+    deeper = _branch(pair52, 5, a52, 2, n=2)
     assert reduce_gamma(t_series(deeper), 5) == t_series(bss[2])
 
 
@@ -292,6 +299,89 @@ def test_period_integrals_52a(pair52):
     assert next(t for t, x in enumerate(coeffs) if x.numerator % p) == 3
 
 
+# Cremona's models [a1, a2, a3, a4, a6] of the isogeny classes 11a and
+# 19a, with each curve's L(E, 1)/Omega^+ (BSD: Tamagawa number over the
+# torsion squared) and Omega^+ x^+(0)/L(E, 1) for the content-1 symbol
+ISOGENY_CLASSES = {
+    "11.2.a.a": {"11a1": ([0, -1, 1, -10, -20], F(1, 5), -10),
+                 "11a2": ([0, -1, 1, -7820, -263580], F(1), -2),
+                 "11a3": ([0, -1, 1, 0, 0], F(1, 25), -50)},
+    "19.2.a.a": {"19a1": ([0, 1, 1, -9, -15], F(1, 3), -6),
+                 "19a2": ([0, 1, 1, -769, -8470], F(1), -2),
+                 "19a3": ([0, 1, 1, 1, 0], F(1, 9), -18)},
+}
+
+
+def _trace_of_frobenius(model, ell):
+    """ell + 1 - #E(F_ell), the points of the reduced Weierstrass model
+    counted one by one, its singular point included."""
+    a1, a2, a3, a4, a6 = model
+    affine = sum((y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % ell == 0
+                 for x in range(ell) for y in range(ell))
+    return ell - affine
+
+
+def _real_period(model):
+    """Omega^+ = the integral of |dx / (2y + a1 x + a3)| over E(R), by the
+    AGM (Cohen, GTM 138, Algorithm 7.4.7): pi / AGM(sqrt(e1 - e3),
+    sqrt(e1 - e2)) per component when 4x^3 + b2 x^2 + 2 b4 x + b6 has three
+    real roots e1 > e2 > e3, else 2 pi / AGM(2 sqrt(b), sqrt(2b + a)) with
+    a = 3 e1 + b2/4 and b = sqrt(3 e1^2 + b2 e1/2 + b4/2) at its real root."""
+    a1, a2, a3, a4, a6 = model
+    b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
+    roots = [complex(0.4, 0.9) ** k for k in range(3)]
+    for _ in range(200):  # Durand-Kerner on the monic cubic
+        roots = [r - (r**3 + b2 / 4 * r * r + b4 / 2 * r + b6 / 4)
+                 / ((r - roots[k - 1]) * (r - roots[k - 2]))
+                 for k, r in enumerate(roots)]
+    real = sorted((r.real for r in roots if abs(r.imag) < 1e-9), reverse=True)
+
+    def agm(x, y):
+        while abs(x - y) > 1e-15 * abs(x):
+            x, y = (x + y) / 2, sqrt(x * y)
+        return x
+
+    if len(real) == 3:
+        e1, e2, e3 = real
+        return 2 * pi / agm(sqrt(e1 - e3), sqrt(e1 - e2))
+    (e1,) = real
+    b = sqrt(3 * e1 * e1 + b2 * e1 / 2 + b4 / 2)
+    return 2 * pi / agm(2 * sqrt(b), sqrt(2 * b + 3 * e1 + b2 / 4))
+
+
+@pytest.mark.parametrize("label,p", [("11.2.a.a", 5), ("19.2.a.a", 3)])
+def test_isogeny_class_periods(label, p):
+    """The content-1 symbol against the periods of each curve of the
+    isogeny class, in floats, and the mu = 2 that those periods explain.
+
+    Each Cremona model's traces of Frobenius for ell < 50 are the bundled
+    a_ell, so the class is the bundled form's whatever the labels.
+    L(f, 1) = 2 sum a_n/n exp(-2 pi n / sqrt N) (root number +1), and
+    L/Omega^+ and Omega^+ x^+(0)/L are the small rationals of the table.
+    The even branches read (mu, lambda) = (2, 0) at wild levels 1 and 2,
+    and the masses over p^2 read (0, 0): p-integral, of unit total."""
+    nf = bundled(label)
+    pair = symbol_pair(nf)
+    x0 = pair.evaluate(F(0), 1)
+    L = 2 * sum(float(nf.a(n)) / n * exp(-2 * pi * n / sqrt(nf.level))
+                for n in range(1, 200))
+    for name, (model, ratio, scaled) in ISOGENY_CLASSES[label].items():
+        for ell in range(2, 50):
+            if is_prime(ell):
+                assert _trace_of_frobenius(model, ell) == nf.a(ell), (name, ell)
+        omega = _real_period(model)
+        assert isclose(L / omega, ratio, rel_tol=1e-9), (name, L / omega)
+        assert isclose(omega * x0 / L, scaled, rel_tol=1e-9), (name, omega * x0 / L)
+    for n in (1, 2):
+        raw = branch_family(pair, nf.a(p), p, n, 8)[1]
+        for j in range(2, p, 2):
+            bs = raw[j]
+            assert bs.invariants == mu_lambda(t_series(bs)) == (2, 0), (n, j)
+            over = [F(x) * F(p) ** (bs.shift - 2) for x in bs.masses]
+            assert all(x.denominator % p for x in over), (n, j)
+            assert sum(over).numerator % p, (n, j)
+
+
 def _verdicts(bss, span):
     out = {}
     for j in range(1, span + 1):
@@ -300,8 +390,8 @@ def _verdicts(bss, span):
 
 
 def test_sigma0_and_verdicts_p5(pair19, pair52, a19, a52):
-    bs52 = {j: branch_series(pair52, 5, a52, j, n=1) for j in range(1, 5)}
-    bs19 = {j: branch_series(pair19, 5, a19, j, n=1) for j in range(1, 5)}
+    bs52 = {j: _branch(pair52, 5, a52, j, n=1) for j in range(1, 5)}
+    bs19 = {j: _branch(pair19, 5, a19, j, n=1) for j in range(1, 5)}
     sig52 = [(11, (1, 2, 11))]
     sig19 = [(11, (1, -3, 11))]
     d52 = {j: apply_sigma0(bs52[j], sig52) for j in bs52}
@@ -352,7 +442,7 @@ def test_twisted_branch_values(twisted11, alpha_tw):
 def test_twisted_branch_series_and_verdicts(twisted11, alpha_tw):
     vals = {j: branch_value_trivial(twisted11, 11, alpha_tw, j)
             for j in range(1, 11)}
-    bss = {j: branch_series(twisted11, 11, alpha_tw, j, n=1)
+    bss = {j: _branch(twisted11, 11, alpha_tw, j, n=1)
            for j in range(1, 11)}
     assert mu_lambda(t_series(bss[5])) == (0, 1)
     # one-root trivial branch: series(0)/value = 1/(1 - 1/alpha) = 1/2
@@ -373,22 +463,21 @@ def test_twisted_branch_series_and_verdicts(twisted11, alpha_tw):
         assert verdicts[j] == ("(T)" if j in (4, 5) else "(1)"), j
 
 
-def test_mu_positive_product_gives_zero_class(a52):
-    dead = BranchSeries(5, 8, t_to_gamma([5, 10, 25, 0, 5]), 0,
-                        1, "dead", a52)
+def test_mu_positive_product_gives_zero_class():
+    dead = BranchSeries(5, 8, t_to_gamma([5, 10, 25, 0, 5]), 0, 1, "dead")
     assert product_congruence_verdict(dead, dead) == "(0)"
 
 
 def test_reports(pair52, a52):
-    bs = apply_sigma0(branch_series(pair52, 5, a52, 2, n=1),
+    bs = apply_sigma0(_branch(pair52, 5, a52, 2, n=1),
                       [(11, (1, 2, 11))])
-    partner = apply_sigma0(branch_series(pair52, 5, a52, 3, n=1),
+    partner = apply_sigma0(_branch(pair52, 5, a52, 3, n=1),
                            [(11, (1, 2, 11))])
     val = branch_value_trivial(pair52, 5, a52, 2)
     verdict = product_congruence_verdict(bs, partner)
-    rec = branch_report(bs, value=val, exact_zero=True, verdict=verdict)
+    rec = branch_report(bs, a52, value=val, exact_zero=True, verdict=verdict)
     line = format_report(rec)
-    assert line == format_report(branch_report(bs, value=val,
+    assert line == format_report(branch_report(bs, a52, value=val,
                                                exact_zero=True,
                                                verdict=verdict))
     assert '"note"' in line and PRODUCT_NOTE in line
@@ -408,7 +497,7 @@ def test_exceptional_zero_ratio_is_undefined(pair11):
     x0 = pair11.evaluate(F(0), 1)
     value = branch_value_trivial(pair11, 11, alpha, 10)
     assert value.is_zero() and value.M == 28 + padic_valuation(x0, 11)
-    bs = branch_series(pair11, 11, alpha, 10)
+    bs = _branch(pair11, 11, alpha, 10)
     assert t_series(bs).coefficient(0).is_zero()
     assert not t_series(bs).is_zero()
 
@@ -503,8 +592,8 @@ def test_short_alpha_raises(pair52, a52):
     # a52 carries the default 14 digits; a series mod 5^16 needs 16
     assert a52.M == 14
     with pytest.raises(PadicPrecisionError, match="digits"):
-        branch_series(pair52, 5, a52, 2, n=2, M=16)
-    assert working_precision(pair52, 5, 2, 16) == 16
+        symbol_measure(pair52, 2, 5, 2, 16, a52)
+    assert symbol_measure(pair52, 2, 5, 2, 16)[0].M == 16
 
 
 @pytest.mark.parametrize("p,n", [(5, 1), (5, 2), (11, 1), (7, 2)])
@@ -536,27 +625,56 @@ def _series_mod(series, k):
     return out
 
 
+def _ball_values(sym, p, n):
+    """By sign, x(a/p^(n+1)) for a mod p^(n+1) and x(b/p^n) for b mod p^n,
+    read one symbol point at a time."""
+    return {sgn: tuple([sym.evaluate(F(a, p**k), sgn) for a in range(p**k)]
+                       for k in (n + 1, n)) for sgn in (1, -1)}
+
+
+def _assert_balls_match_the_formula(balls, values, p, n, M, alpha, one_root):
+    """The ball masses are, mod p^M, alpha^-(n+1) x(a/p^(n+1))
+    - alpha^-(n+2) x(a/p^n), one term when p | N, 0 where p | a, from the
+    values of `_ball_values`; alpha^-1 is taken mod p^(alpha.M), as many
+    digits as the balls need."""
+    m = p**alpha.M
+    a_hi, a_lo = (pow(alpha.ints[0], -k, m) for k in (n + 1, n + 2))
+    for sgn, (shift, masses) in balls.items():
+        hi, lo = values[sgn]
+        assert len(masses) == p ** (n + 1)
+        for a, x in enumerate(masses):
+            want = 0 if a % p == 0 else a_hi * hi[a] - (0 if one_root else a_lo * lo[a % p**n])
+            diff = F(x) * F(p) ** shift - want
+            assert diff == 0 or padic_valuation(diff, p) >= M, (sgn, a)
+
+
 @pytest.mark.parametrize("case", ["11a@5", "19a@5", "52a@5", "11a-tw23@11",
-                                  "11a@11"])
+                                  "11a@11", "19a@19", "52a@13"])
 def test_series_stable_across_precision(case, pair11, pair19, pair52,
                                         twisted11):
     """Every bundled pair and branch: the series at M = 8, 14, 16, 30
-    agree mod p^8 and mu/lambda and the verdicts do not change, and
-    `branch_family`, which reads each sign's rows once for all its
-    branches, gives the very masses of a lone `branch_series`."""
+    agree mod p^8 and mu/lambda and the verdicts do not change; the
+    symbol measure's balls, two terms or one (p | N: the twist, 11a at
+    11, 19a at 19 and 52a at 13), are their formula read point by point;
+    and
+    `branch_family`, which builds each sign's balls once for all its
+    branches, gives the very masses of a lone projection."""
     sym, p, ap, level = {
         "11a@5": (pair11, 5, 1, 11),
         "19a@5": (pair19, 5, 3, 19),
         "52a@5": (pair52, 5, 2, 52),
         "11a-tw23@11": (twisted11, 11, kronecker(-23, 11), 11 * 23 * 23),
         "11a@11": (pair11, 11, 1, 11),
+        "19a@19": (pair19, 19, 1, 19),
+        "52a@13": (pair52, 13, -1, 52),
     }[case]
     for n in ((1, 2) if p == 5 else (1,)):
         seen = {}
+        values = _ball_values(sym, p, n)
         for M in (8, 14, 16, 30):
-            alpha = choose_alpha(ap, p, level,
-                                 prec=max(14, working_precision(sym, p, n, M)))
-            bss = {j: branch_series(sym, p, alpha, j, n=n, M=M)
+            alpha, balls = symbol_measure(sym, ap, p, n, M)
+            _assert_balls_match_the_formula(balls, values, p, n, M, alpha, level % p == 0)
+            bss = {j: branch_series(balls[(-1) ** (j % 2)], p, j, M, sym.label)
                    for j in range(1, p)}
             family = branch_family(sym, ap, p, n, M)[1]
             assert [(bs.shift, bs.masses) for bs in family.values()] == \
@@ -585,33 +703,50 @@ SIGMA0_52 = ((11, (1, 2, 11)),)
 
 
 def test_branch_family_builds_the_requested_branches(monkeypatch):
-    # each call builds alpha and the series of the branches it is asked for
-    built = []
-    branch_series = padic_l_module.branch_series
+    # each call builds alpha, each sign's balls once, and the series of
+    # the branches it is asked for, each from the balls of its sign
+    built, measured = [], []
+    branch_series, symbol_measure = padic_l_module.branch_series, padic_l_module.symbol_measure
 
-    def counted(sym, p, alpha, j, **kw):
-        built.append(j)
-        return branch_series(sym, p, alpha, j, **kw)
+    def counted(balls, p, j, *args):
+        built.append((j, id(balls)))
+        return branch_series(balls, p, j, *args)
+
+    def measure(*args):
+        alpha, balls = symbol_measure(*args)
+        measured.append({sgn: id(b) for sgn, b in balls.items()})
+        return alpha, balls
+
+    def built_once():
+        """The branches built since the last look, in order, once each
+        sign's balls are seen built once, by one measure, for them all."""
+        (signs,) = measured
+        assert [source for _, source in built] == [signs[(-1) ** j] for j, _ in built]
+        js = [j for j, _ in built]
+        built.clear()
+        measured.clear()
+        return js
 
     monkeypatch.setattr(padic_l_module, "branch_series", counted)
+    monkeypatch.setattr(padic_l_module, "symbol_measure", measure)
     pair = symbol_pair(bundled("52.2.a.a"))
     family = branch_family(pair, 2, 5, 1, 8, SIGMA0_52)
     alpha, raw, dressed = family
-    assert built == [1, 2, 3, 4] and list(raw) == list(dressed) == [1, 2, 3, 4]
+    assert built_once() == [1, 2, 3, 4] and list(raw) == list(dressed) == [1, 2, 3, 4]
     # the same arguments, as other types, or a set of all branches (the
     # default 1..p-1): an equal family, built anew
-    for again in (branch_family(pair, F(2), 5, 1, 8, list(SIGMA0_52)),
-                  branch_family(pair, 2, 5, 1, 8, SIGMA0_52, branches={4, 1, 3, 2})):
+    for build in (lambda: branch_family(pair, F(2), 5, 1, 8, list(SIGMA0_52)),
+                  lambda: branch_family(pair, 2, 5, 1, 8, SIGMA0_52, branches={4, 1, 3, 2})):
+        again = build()
+        assert built_once() == [1, 2, 3, 4]
         assert again[1][1] is not raw[1] and family_state(again) == family_state(family)
-    built.clear()
     # a list, a range or a set of fewer branches builds those alone, in order
     for branches in ({4, 3}, [4, 3], range(3, 5)):
         got = branch_family(pair, 2, 5, 1, 8, SIGMA0_52, branches=branches)
-        assert list(got[1]) == list(got[2]) == [3, 4] and built == [3, 4]
+        assert list(got[1]) == list(got[2]) == [3, 4] and built_once() == [3, 4]
         assert family_state(got)[0] == family_state(family)[0]
         assert all(family_state(got)[k][j] == family_state(family)[k][j]
                    for k in (1, 2) for j in (3, 4))
-        built.clear()
     # with no factors, dressed is raw, and equals the raw above
     bare = branch_family(pair, 2, 5, 1, 8)
     assert bare[2] is bare[1] and family_state(bare)[1] == family_state(family)[1]
@@ -671,11 +806,9 @@ def test_kubota_leopoldt_branches_read_the_irregular_primes():
     for p in range(5, 60):
         if not is_prime(p):
             continue
-        sym = B1Symbol(p)
+        balls = b1_balls(p, 1, 4)
         for k in range(2, p - 2, 2):
-            j = (1 - k) % (p - 1)
-            _, raw, _ = branch_family(sym, 1, p, 1, 4, branches=[j])
-            mu, lam = raw[j].invariants
+            mu, lam = branch_series(balls, p, 1 - k, 4).invariants
             assert mu == 0, (p, k)
             b_k = bernoulli_number(k) / k
             if b_k.numerator % p:
@@ -717,7 +850,7 @@ def _random_branch(rng, p, M, D, j, kind=None):
     else:
         mu = 0 if kind == "mu0" else rng.randrange(1, M)
         masses = _masses_with(rng, p, M, D, mu, rng.randrange(D))
-    return BranchSeries(p, M, masses, shift, j, "random", None)
+    return BranchSeries(p, M, masses, shift, j, "random")
 
 
 def _edge_pair(rng, p, M, D, j, edge):
@@ -732,8 +865,8 @@ def _edge_pair(rng, p, M, D, j, edge):
     invariants = {"lambda sum p^n - 1": ((0, l1), (0, D - 1 - l1)),
                   "lambda sum p^n": ((0, l1), (0, D - l1)),
                   "mu > 0": ((1, 0), (0, 0))}[edge]
-    return [BranchSeries(p, M, _masses_with(rng, p, M, D, mu, lam), 0, j,
-                         "edge", None) for mu, lam in invariants]
+    return [BranchSeries(p, M, _masses_with(rng, p, M, D, mu, lam), 0, j, "edge")
+            for mu, lam in invariants]
 
 
 EDGES = ("lambda sum p^n - 1", "lambda sum p^n", "mu > 0", "zero",
