@@ -28,7 +28,8 @@ from .characters import DirichletCharacter, kronecker
 from .cyclotomic import CyclotomicNumber
 from .iwasawa import undetermined_text
 from .modsym import (
-    EigenspaceError, ModularSymbolSpace, SymbolPair, eigen_functional, twist_symbol,
+    EigenspaceError, ModularSymbolSpace, SymbolPair, line_functional, restrict_kernel,
+    sign_kernel, twist_symbol,
 )
 from .newforms import bundled, residual_eisenstein_partner
 from .padics import padic_valuation
@@ -169,9 +170,12 @@ def symbol_pair(nf):
     """The plus and minus eigensymbols of a rational form, cut out of its
     symbol space by the stored a_l at the primes l prime to the level,
     taken in increasing order until each sign's eigenspace is a line.
-    The space, its eigenfunctionals and the pair are new on each call and
-    live as long as the pair; the prime-by-prime loop reuses the
-    eigenspace kernels the space keeps.
+    The loop holds both signs' kernels (`modsym.sign_kernel`): for each
+    prime it builds the T_l images once and restricts both kernels by
+    them (`modsym.restrict_kernel`), then reads each sign's line
+    (`modsym.line_functional`).  The space keeps only its quotient and
+    its P^1 tables; it, the eigenfunctionals and the pair are new on each
+    call and live as long as the pair.
 
     Raises ValueError when an eigenspace is 0 (no eigensymbol has these
     eigenvalues) or the stored primes run out first.
@@ -186,20 +190,22 @@ def symbol_pair(nf):
                          f"Gamma0(N), so the form needs weight 2 and a "
                          f"trivial character")
     space = ModularSymbolSpace(nf.level)
-    targets = []
+    kernels = [sign_kernel(space, sign, None) for sign in (1, -1)]
+    ells = []
     for ell in range(2, nf.n_max + 1):
         if nf.level % ell == 0 or not is_prime(ell):
             continue
-        targets.append((ell, nf.a(ell)))
+        ells.append(str(ell))
+        images = space.hecke_images(ell)
+        kernels = [restrict_kernel(kern, images, nf.a(ell)) for kern in kernels]
         found = []
-        for sign in (1, -1):
+        for kern in kernels:
             try:
-                found.append(eigen_functional(space, targets, sign))
+                found.append(line_functional(kern))
             except EigenspaceError as exc:
                 if not exc.dim:
-                    ells = ", ".join(str(q) for q, _ in targets)
                     raise ValueError(f"{nf.label}: no eigensymbol has the "
-                                     f"stored a_l at l = {ells} ({exc})") from None
+                                     f"stored a_l at l = {', '.join(ells)} ({exc})") from None
         if len(found) == 2:
             return SymbolPair(*found, nf.level, nf.label)
     raise ValueError(

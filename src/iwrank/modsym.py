@@ -26,15 +26,17 @@ N <= 400).
 
 No space is kept for the process: a `ModularSymbolSpace(N)` lives as
 long as whatever holds it, its functionals, the symbols on them or a kept
-bundled run.  A space builds what it is asked for once: its quotient
-vectors, its Hecke images per n, its boundary data, its successor table
-and the kernel of each eigenspace it solves (`eigen_functional`).  A
-symbol keeps its own rows (`RowSymbol`) and no space keeps a functional
-or a symbol: a `SymbolPair` or `TwistedSymbol` (`twist_symbol`) lives as
-long as its caller holds it.  So the rows a space hands out (`vectors`,
-`star_images()`, `hecke_images(n)`, `P1List.successors()`), the values of
-a functional and the rows of a symbol (`evaluate_row`) are shared, and no
-caller may mutate them: values and rows are tuples.
+bundled run.  A space keeps its quotient (`vectors`, `basis_cols`, `den`,
+`dim`, the S-orbit representatives) and its P^1 tables (`p1`, with the
+successor table built on first use), and nothing else: Hecke images and
+boundary data are built on each call, and the caller of an eigen-solve
+holds its kernels (`sign_kernel`).  A symbol keeps its own rows
+(`RowSymbol`) and no space keeps a functional or a symbol: a `SymbolPair`
+or `TwistedSymbol` (`twist_symbol`) lives as long as its caller holds it.
+So the rows a space hands out (`vectors`, `star_images()`,
+`P1List.successors()`), the values of a functional and the rows of a
+symbol (`evaluate_row`) are shared, and no caller may mutate them: values
+and rows are tuples.
 
 A symbol functional is a linear map on the relation quotient; its value on
 the path {oo -> r} is what the p-adic layer integrates against.  Normalized
@@ -43,11 +45,13 @@ of ints.  Every kernel here is read off that one elimination
 (`linalg.rref`, then `linalg.kernel`): the quotient, the cuspidal
 subspace (the kernel of the boundary map) and the eigenfunctionals, whose
 number-field systems are first written over Q by restriction of scalars.
-An eigenfunctional is solved on its sign subspace, the kernel of its star
-rows, reduced once.  Each T_l then restricts the kernel found so far,
+An eigenfunctional is solved in three steps whose state the caller holds:
+the sign subspace, the kernel of the star rows reduced once
+(`sign_kernel`); its restriction by each T_l in turn (`restrict_kernel`),
 with rows at only the columns that lead no star row: the others add
-nothing on the sign subspace, as T_l commutes with star.  So no star row
-meets a Hecke pivot, and a second T_l meets only the few vectors the
+nothing on the sign subspace, as T_l commutes with star; and the
+normalized functional of the line left (`line_functional`).  So no star
+row meets a Hecke pivot, and a second T_l meets only the few vectors the
 first one leaves.  The generator values are read once per S-orbit, and
 an eigenvalue a_l is read off one Hecke row (`SymbolFunctional.eigenvalue`).
 
@@ -72,6 +76,7 @@ from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, sub
+from typing import NamedTuple
 
 from .arith import euler_phi, gamma0_index, prime_divisors
 from .cyclotomic import CyclotomicNumber
@@ -263,11 +268,6 @@ class ModularSymbolSpace:
     def __init__(self, N: int):
         self.N = N
         self.p1 = P1List(N)
-        self._hecke = {}
-        # the eigenspace kernels kept by `eigen_functional`, by (sign,
-        # field polynomial, prefix of the targets): (free, basis)
-        self._eigen = {}
-        self._boundary = None
         S, T = self._manin_maps()
         # the 2-term relations x_i + x_Si = 0: the larger index of each
         # S-orbit represents it, and an S-fixed symbol is 0
@@ -334,13 +334,10 @@ class ModularSymbolSpace:
         return self._merel_row(merel_matrices(n), j)
 
     def hecke_images(self, n: int):
-        """`hecke_row(n, j)` for every basis symbol j, kept per n; the
-        Merel matrices are enumerated once for all the rows."""
-        out = self._hecke.get(n)
-        if out is None:
-            mats = merel_matrices(n)
-            out = self._hecke[n] = [self._merel_row(mats, j) for j in range(self.dim)]
-        return out
+        """`hecke_row(n, j)` for every basis symbol j, built anew on each
+        call; the Merel matrices are enumerated once for all the rows."""
+        mats = merel_matrices(n)
+        return [self._merel_row(mats, j) for j in range(self.dim)]
 
     def _merel_row(self, mats, j):
         """The sum of the vectors of the points (u:v)M, for (u:v) basis
@@ -372,9 +369,8 @@ class ModularSymbolSpace:
 
     def boundary_data(self):
         """(cusp representatives, integer rows {basis index: entry}, one
-        per cusp class): the boundary map on the basis symbols."""
-        if self._boundary is not None:
-            return self._boundary
+        per cusp class): the boundary map on the basis symbols, built
+        anew on each call."""
         cusps = []
         cols = []
         for col in self.basis_cols:
@@ -388,8 +384,7 @@ class ModularSymbolSpace:
             if e1 != e2:
                 rows[e1][j] = 1
                 rows[e2][j] = -1
-        self._boundary = (cusps, rows)
-        return self._boundary
+        return cusps, rows
 
     def _cusp_class(self, cusps, c):
         for i, known in enumerate(cusps):
@@ -413,8 +408,8 @@ class ModularSymbolSpace:
         sparse quotient row of the image of basis symbol j, in the basis
         of `cuspidal_basis` divided by its scale: the coordinates of an
         image are its entries at the free indices."""
-        free, scale, basis = self.cuspidal_basis()
         _, boundary = self.boundary_data()
+        free, scale, basis = kernel(rref(boundary), range(self.dim))
         out = []
         for v in basis:
             img = _combination(v, images)
@@ -560,77 +555,72 @@ def _signed_content(values):
     return c if lead > 0 else -c
 
 
-def eigen_functional(space, targets, sign):
-    """The unique (up to scalar) functional with Phi(T_l x) = a_l Phi(x) for
-    the given (l, a_l) pairs and star sign; returned normalized: generator
-    values of content 1, the first nonzero one positive.
+class SignKernel(NamedTuple):
+    """A kernel of the eigen-solve of one star sign, held by its caller:
+    `basis` holds one integer vector over Q per column in `free`, the
+    free column it ends at (`linalg.kernel`).  Over a number field the
+    unknowns are written over Q by restriction of scalars: unknown
+    j deg + i is the x^i coefficient of the K-coordinate at basis column
+    j.  `cols` are the basis columns that lead no star row, the only ones
+    at which `restrict_kernel` builds Hecke rows."""
 
-    The eigenvalues are rationals, or lie in one number field K: the
-    field of the first `NFElement` among them.  Over K the system is
-    written over Q by restriction of scalars (each K-coordinate of Phi
-    becomes deg K rational unknowns), and both cases are solved by the
-    integer elimination of `linalg`, as the quotient is, on the sign
-    subspace: the kernel of the star rows, reduced once, one vector per
-    column that leads no star row.  Each T_l then restricts the kernel
-    found so far (`_restrict`): its rows, built only at the columns that
-    lead no star row, are taken on the kernel's vectors and reduced among
-    themselves.  So no star row is reduced against a Hecke pivot, and a
-    second T_l is reduced on the few vectors the first one leaves.
-    Over K the line is fixed by setting its first free K-coordinate to 1
-    before the content is taken.  Generator values are ints over Q and
+    space: ModularSymbolSpace
+    sign: int
+    field: object  # the coefficient field, None for Q
+    cols: list
+    free: list
+    basis: list
+
+
+def sign_kernel(space, sign, field):
+    """The sign subspace of `space` over `field` (None for Q): the kernel
+    of the star rows Phi(star e_j) = sign Phi(e_j), reduced once, one
+    vector per unknown that leads no star row."""
+    deg = 1 if field is None else field.degree
+    star = rref(_eigen_rows(space.star_images(), sign, field, space.den, range(space.dim)))
+    free, _, basis = kernel(star, range(space.dim * deg))
+    star_free = set(free)
+    cols = [j for j in range(space.dim) if j * deg in star_free]
+    return SignKernel(space, sign, field, cols, free, basis)
+
+
+def restrict_kernel(kern, images, a):
+    """The vectors of `kern` on which Phi(M e_j) = a Phi(e_j) holds,
+    images[j] the quotient row of M e_j (a T_l from `hecke_images`): a new
+    `SignKernel`.  T_l commutes with star, so Phi (T_l - a) has the sign
+    of Phi and vanishes once it vanishes at `kern.cols`: the rows are built
+    there alone, taken on the kernel's vectors and reduced among
+    themselves.  A `kernel` vector ends at its free column, so the columns
+    left free are those the whole system, reduced at once, would leave."""
+    rows = _eigen_rows(images, a, kern.field, kern.space.den, kern.cols)
+    at = defaultdict(dict)  # at[c][f]: the entry of basis vector f at c
+    for f, v in zip(kern.free, kern.basis):
+        for c, x in v.items():
+            at[c][f] = x
+    taken = [_combination(row, at) for row in rows]
+    of = dict(zip(kern.free, kern.basis))
+    free, _, sub = kernel(rref(taken), kern.free)
+    return kern._replace(free=free, basis=[_combination(w, of) for w in sub])
+
+
+def line_functional(kern):
+    """The normalized functional spanned by the kernel `kern`: generator
+    values of content 1, the first nonzero one positive, ints over Q and
     field elements over K, read once per S-orbit (`symbol_values`).
-
-    The space keeps the kernel of every prefix of the targets that it
-    solves, the star kernel being that of the empty prefix, keyed by
-    the sign, the field's polynomial (None over Q) and the prefix, a
-    field eigenvalue by its power-basis numerators and denominator.  A
-    call starts from the longest kept prefix of its targets and
-    restricts by each target beyond it, keeping each new prefix.  So a
-    repeat call restricts nothing: it builds an equal functional anew
-    from the kept line, or raises the same `EigenspaceError`.
-    """
-    field = next((a.field for _, a in targets if isinstance(a, NFElement)), None)
+    Raises `EigenspaceError`, with the dimension over K, when the kernel
+    is not a line."""
+    space, sign, field = kern.space, kern.sign, kern.field
     deg = 1 if field is None else field.degree
-    poly = None if field is None else field.poly
-    named = tuple((ell, (tuple(a.nums), a.den) if isinstance(a, NFElement) else a)
-                  for ell, a in targets)
-    kept = space._eigen
-    k = len(named)
-    while k >= 0 and (sign, poly, named[:k]) not in kept:
-        k -= 1
-    # Phi(M e_j) = a Phi(e_j) for each operator M and eigenvalue a, on the
-    # unknowns x^i of K-coordinate k at column k deg + i.  T_l commutes
-    # with star, so for Phi of sign s the functional Phi (T_l - a_l) has
-    # sign s too, and it vanishes once it vanishes at the columns that
-    # lead no star row: those the star kernel leaves free.
-    if k < 0:
-        star = rref(_eigen_rows(space.star_images(), sign, field, space.den, range(space.dim)))
-        free, _, basis = kernel(star, range(space.dim * deg))
-        kept[sign, poly, ()] = free, basis
-        k = 0
-    free, basis = kept[sign, poly, named[:k]]
-    if k < len(named):
-        star_free = set(kept[sign, poly, ()][0])
-        hecke_cols = [j for j in range(space.dim) if j * deg in star_free]
-        for i in range(k, len(named)):
-            ell, a = targets[i]
-            free, basis = _restrict(_eigen_rows(space.hecke_images(ell), a, field,
-                                                space.den, hecke_cols), free, basis)
-            kept[sign, poly, named[:i + 1]] = free, basis
-    _check_eigenspace(space, sign, len(free) // deg)
-    return _line_functional(space, sign, field, basis[0])
-
-
-def _line_functional(space, sign, field, v):
-    """The normalized functional of sign `sign` spanned by the kernel
-    vector v of `eigen_functional` (over Q, or over Q by restriction of
-    scalars from `field`)."""
-    deg = 1 if field is None else field.degree
+    dim = len(kern.free) // deg
+    if dim != 1:
+        raise EigenspaceError(
+            f"level {space.N} sign {sign:+d}: eigenspace has dimension "
+            f"{dim}, expected 1", dim)
     # the first free column is x^0 of a K-coordinate, whose other x^i are
-    # free too: v sets that coordinate to a positive int and the other
-    # free columns to 0
+    # free too: the vector sets that coordinate to a positive int and the
+    # other free columns to 0
     parts = [[0] * space.dim for _ in range(deg)]
-    for c, x in v.items():
+    for c, x in kern.basis[0].items():
         parts[c % deg][c // deg] = x
     # coeffs[t][i]: the x^t coefficient of generator value i
     coeffs = [space.symbol_values(part) for part in parts]
@@ -643,20 +633,27 @@ def _line_functional(space, sign, field, v):
                                           for value in zip(*coeffs)])
 
 
-def _restrict(rows, free, basis):
-    """(free, basis) of the vectors in the span of `basis` on which the
-    rows vanish: `kernel` of the rows taken on the basis vectors (its
-    columns, labelled by `free`), mapped back through them.  A `kernel`
-    vector ends at its free column, so the columns left free are those
-    that the whole system, reduced at once, would leave free."""
-    at = defaultdict(dict)  # at[c][f]: the entry of basis vector f at c
-    for f, v in zip(free, basis):
-        for c, x in v.items():
-            at[c][f] = x
-    taken = [_combination(row, at) for row in rows]
-    of = dict(zip(free, basis))
-    free, _, sub = kernel(rref(taken), free)
-    return free, [_combination(w, of) for w in sub]
+def eigen_functional(space, targets, sign):
+    """The unique (up to scalar) functional with Phi(T_l x) = a_l Phi(x) for
+    the given (l, a_l) pairs and star sign; returned normalized: generator
+    values of content 1, the first nonzero one positive.
+
+    The eigenvalues are rationals, or lie in one number field K: the
+    field of the first `NFElement` among them.  Over K the system is
+    written over Q by restriction of scalars (each K-coordinate of Phi
+    becomes deg K rational unknowns), and both cases are solved by the
+    integer elimination of `linalg`, as the quotient is, in three steps:
+    the sign subspace (`sign_kernel`), restricted by each T_l in turn
+    (`restrict_kernel`), and the line's functional (`line_functional`),
+    which raises `EigenspaceError` when the kernel left is not a line.
+    Nothing is kept; a caller that restricts further, as
+    `examples.symbol_pair` does prime by prime, holds the steps itself.
+    """
+    field = next((a.field for _, a in targets if isinstance(a, NFElement)), None)
+    kern = sign_kernel(space, sign, field)
+    for ell, a in targets:
+        kern = restrict_kernel(kern, space.hecke_images(ell), a)
+    return line_functional(kern)
 
 
 def _combination(coeffs, rows):
@@ -687,13 +684,6 @@ def _eigen_rows(imgs, a, field, den, cols):
                     row.pop(c, None)
             rows.append(row)
     return rows
-
-
-def _check_eigenspace(space, sign, dim):
-    if dim != 1:
-        raise EigenspaceError(
-            f"level {space.N} sign {sign:+d}: eigenspace has dimension "
-            f"{dim}, expected 1", dim)
 
 
 # rows and twisting --------------------------------------------------

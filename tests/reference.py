@@ -6,8 +6,9 @@ under the test suite.
 
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
+from iwrank import modsym
 from iwrank.cyclotomic import CyclotomicNumber, cyclotomic_polynomial
 from iwrank.iwasawa import PadicSeries, padic_ints
 from iwrank.kernels import convolve
@@ -250,6 +251,95 @@ def point_values(phi):
         return path_sum(flat, N, r.numerator % r.denominator, r.denominator)
 
     return value
+
+
+# -- weight-k Manin symbols at level one ---------------------------------
+#
+# P^1(Z/1) is one point, so the weight-k Manin symbols on SL2(Z) are the
+# k - 1 monomials X^i Y^(k-2-i), i = 0..k-2.  A 2x2 integer matrix
+# [a,b;c,d] acts on them from the right by P(X, Y) -> P(aX + bY, cX + dY),
+# the relations are x + x|S = 0 and x + x|T + x|T^2 = 0, the star
+# involution is x -> x|[-1,0;0,1], and T_n is the sum of x|M over
+# `modsym.merel_matrices(n)` (Stein, *Modular Forms: A Computational
+# Approach*, ch. 8; Manin, "Periods of parabolic forms and p-adic Hecke
+# series", 1973).  A functional is the list of its k - 1 values on the
+# monomials, solved densely over Q.  A Manin-symbol solver with
+# coefficients in Sym^(k-2) must agree with it at N = 1.
+
+LEVEL_ONE_S = (0, -1, 1, 0)
+LEVEL_ONE_T = (0, -1, 1, -1)
+LEVEL_ONE_STAR = (-1, 0, 0, 1)
+
+
+def monomial_images(k, mat):
+    """The image of each monomial X^i Y^(k-2-i) under mat = (a, b, c, d):
+    the k - 1 coefficients of (aX + bY)^i (cX + dY)^(k-2-i), at
+    X^j Y^(k-2-j) for j = 0..k-2."""
+    a, b, c, d = mat
+    out = []
+    for i in range(k - 1):
+        m = k - 2 - i
+        row = [0] * (k - 1)
+        for s in range(i + 1):
+            for t in range(m + 1):
+                row[s + t] += (comb(i, s) * a ** s * b ** (i - s)
+                               * comb(m, t) * c ** t * d ** (m - t))
+        out.append(row)
+    return out
+
+
+def _mat2(x, y):
+    a, b, c, d = x
+    e, f, g, h = y
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+
+
+def level_one_hecke(k, n):
+    """The images of the monomials under T_n: the sums over Merel's
+    matrices of determinant n (`modsym.merel_matrices`)."""
+    total = [[0] * (k - 1) for _ in range(k - 1)]
+    for mat in modsym.merel_matrices(n):
+        for row, img in zip(total, monomial_images(k, mat)):
+            for j, x in enumerate(img):
+                row[j] += x
+    return total
+
+
+def level_one_eigenspace(k, sign, targets=()):
+    """A basis of the functionals Phi on the weight-k Manin symbols at
+    level one with Phi(x|star) = sign Phi(x) and Phi(x|T_l) = a_l Phi(x)
+    for each (l, a_l) in targets, dense over Q: the right kernel of one
+    row per monomial and relation, then that of the Hecke rows taken on
+    its basis, mapped back."""
+    unit = [[int(i == j) for j in range(k - 1)] for i in range(k - 1)]
+    rows = [list(map(sum, zip(*imgs))) for imgs in zip(unit, monomial_images(k, LEVEL_ONE_S))]
+    rows += [list(map(sum, zip(*imgs)))
+             for imgs in zip(unit, monomial_images(k, LEVEL_ONE_T),
+                             monomial_images(k, _mat2(LEVEL_ONE_T, LEVEL_ONE_T)))]
+    rows += [[x - sign * y for x, y in zip(img, e)]
+             for e, img in zip(unit, monomial_images(k, LEVEL_ONE_STAR))]
+    basis = right_kernel([[Fraction(x) for x in row] for row in rows if any(row)],
+                         k - 1, Fraction(1))
+    hecke = []
+    for ell, a in targets:
+        for e, img in zip(unit, level_one_hecke(k, ell)):
+            row = [x - a * y for x, y in zip(img, e)]
+            hecke.append([sum(x * y for x, y in zip(row, v)) for v in basis])
+    if not hecke or not basis:
+        return basis
+    return [[sum(c * v[i] for c, v in zip(w, basis)) for i in range(k - 1)]
+            for w in right_kernel(hecke, len(basis), Fraction(1))]
+
+
+def primitive(vector):
+    """The rational vector scaled to coprime integers, its first nonzero
+    entry positive."""
+    den = lcm(*(Fraction(x).denominator for x in vector))
+    ints = [int(x * den) for x in vector]
+    g = gcd(*ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return [x // g for x in ints]
 
 
 def padic_log(u: int, p: int, abs_prec: int) -> PadicSeries:

@@ -6,7 +6,7 @@ from math import gcd, lcm
 
 import pytest
 
-from iwrank import modsym
+from iwrank import examples, modsym
 from iwrank.arith import is_prime
 from iwrank.characters import DirichletCharacter
 from iwrank.cli import main
@@ -27,6 +27,7 @@ from iwrank.modsym import (
 )
 from iwrank.newforms import bundled
 from iwrank.numfield import NumberField
+from iwrank.qseries import bernoulli_number
 import reference
 from reference import (dense, example_state, flat_values, p1_normalize, path_sum,
                        point_values, right_kernel, rref)
@@ -398,9 +399,9 @@ def _sqrt5_root(root_sign):
 
 
 def test_eigen_functional_is_kept_on_its_space(sp11):
-    # a repeat solve on a space builds the functional anew from the kernel
-    # it kept, equal to the first; a fresh space solves anew, to an equal
-    # functional.  What a caller reads of a functional is a copy or a tuple.
+    # a repeat solve on a space solves anew, to a functional equal to the
+    # first, and so does a fresh space.  What a caller reads of a
+    # functional is a copy or a tuple.
     for sign in (1, -1):
         phi = eigen_functional(sp11, [(2, F(-2))], sign)
         again = eigen_functional(sp11, [(2, F(-2))], sign)
@@ -415,8 +416,9 @@ def test_eigen_functional_is_kept_on_its_space(sp11):
 
 
 def test_conjugate_field_eigenvalues_keep_two_functionals(sp23):
-    # the two roots of x^2 + x - 1 key two eigenspaces of the one field;
-    # an equal eigenvalue built anew finds the kept kernel
+    # the two roots of x^2 + x - 1 cut out two eigenspaces of the one
+    # field; an equal eigenvalue built anew solves to an equal functional,
+    # on the same space and on a fresh one
     for sign in (1, -1):
         kept = [eigen_functional(sp23, [(2, _sqrt5_root(r))], sign) for r in (1, -1)]
         assert kept[0].generator_values() != kept[1].generator_values()
@@ -478,40 +480,116 @@ def test_three_target_line_at_364(sp364, sign):
             assert err.value.dim == dim, k
 
 
+class _Form364:
+    """A duck-typed rational form of level 364: the newform congruent to
+    52.2.a.a mod 5, with the a_l that `test_three_target_line_at_364`
+    reads off its line at the primes l <= 31 prime to the level."""
+
+    level, weight, n_max, label = 364, 2, 31, "364-congruent-to-52.2.a.a"
+    is_rational = True
+    nebentypus = DirichletCharacter.trivial(1)
+    AP = {3: 0, 5: -3, 11: -2, 17: -4, 19: -1, 23: -7, 29: 7, 31: -5}
+
+    def a(self, n):
+        return F(self.AP[n])
+
+
 def test_prefixes_at_364_restrict_once_each(monkeypatch):
-    # the loop of `examples.symbol_pair`, over the prefixes [:1], [:2],
-    # [:3] on both signs: each prefix restricts the kept kernel of the
-    # one before it by its last target alone, one restriction per prefix
-    # per sign, and a second loop restricts nothing and raises what the
-    # first did, or returns a functional of equal generator values
-    restricted = []
-    restrict = modsym._restrict
+    # `symbol_pair`'s prime-by-prime loop at level 364: T_3, T_5 and T_11
+    # are each built once and restrict both signs' kernels once, the plus
+    # sign keeping dimensions 8 and 4 after the first two primes; the
+    # loop stops at the line the three targets cut out
+    built, restricted = [], []
+    hecke_images, restrict = ModularSymbolSpace.hecke_images, examples.restrict_kernel
 
-    def counted(*args):
-        restricted.append(args)
-        return restrict(*args)
+    def counted_images(space, n):
+        built.append((n, hecke_images(space, n)))
+        return built[-1][1]
 
-    monkeypatch.setattr(modsym, "_restrict", counted)
+    def counted_restrict(kern, images, a):
+        out = restrict(kern, images, a)
+        restricted.append((images, kern.sign, len(out.free)))
+        return out
+
+    monkeypatch.setattr(ModularSymbolSpace, "hecke_images", counted_images)
+    monkeypatch.setattr(examples, "restrict_kernel", counted_restrict)
+    form = _Form364()
+    pair = symbol_pair(form)
+    assert [n for n, _ in built] == [3, 5, 11]
+    assert [(id(images), sign) for images, sign, _ in restricted] == [
+        (id(images), sign) for _, images in built for sign in (1, -1)]
+    assert [dim for _, sign, dim in restricted if sign > 0] == [8, 4, 1]
+    monkeypatch.undo()
+    targets = [(ell, form.a(ell)) for ell in (3, 5, 11)]
     sp = ModularSymbolSpace(364)
-    targets = [(3, F(0)), (5, F(-3)), (11, F(-2))]
-    rounds = []
-    for _ in range(2):
-        got = {}
-        for k in (1, 2, 3):
-            for sign in (1, -1):
-                try:
-                    got[k, sign] = eigen_functional(sp, targets[:k], sign)
-                except EigenspaceError as err:
-                    got[k, sign] = (str(err), err.dim)
-        assert len(restricted) == 6
-        rounds.append(got)
-    assert [rounds[0][k, 1][1] for k in (1, 2)] == [8, 4]
-    assert all(isinstance(rounds[0][3, sign], SymbolFunctional) for sign in (1, -1))
-    for key, first in rounds[0].items():
-        if isinstance(first, tuple):
-            assert rounds[1][key] == first, key
-        else:
-            assert rounds[1][key].generator_values() == first.generator_values(), key
+    for phi, sign in ((pair.plus, 1), (pair.minus, -1)):
+        assert phi.sign == sign
+        assert phi.generator_values() == eigen_functional(sp, targets, sign).generator_values()
+    assert (pair.level, pair.label) == (364, form.label)
+
+
+def _level_one_cusp_form(k, terms):
+    """a_0..a_(terms-1) of the normalized cusp form spanning S_k(SL2(Z))
+    for k in 12, 16, 18, 20, 22, 26: Delta E4^a E6^b with
+    4a + 6b = k - 12, Delta = q prod (1 - q^n)^24, E4 = 1 + 240 sum
+    sigma_3(n) q^n and E6 = 1 - 504 sum sigma_5(n) q^n."""
+    def times(f, g):
+        return [sum(f[i] * g[n - i] for i in range(n + 1)) for n in range(terms)]
+
+    def eisenstein(c, r):
+        return [1] + [c * sum(d ** r for d in range(1, n + 1) if n % d == 0)
+                      for n in range(1, terms)]
+
+    form = [0, 1] + [0] * (terms - 2)
+    for n in range(1, terms):
+        for _ in range(24):
+            form = times(form, [1] + [0] * (n - 1) + [-1] + [0] * terms)
+    a, b = {12: (0, 0), 16: (1, 0), 18: (0, 1), 20: (2, 0), 22: (1, 1), 26: (2, 1)}[k]
+    for factor in [eisenstein(240, 3)] * a + [eisenstein(-504, 5)] * b:
+        form = times(form, factor)
+    return form
+
+
+def _unit_multiple_mod(u, v, p):
+    """Whether u = c v mod p for a unit c mod p (v not 0 mod p)."""
+    j = next(j for j, x in enumerate(v) if x % p)
+    c = u[j] * pow(v[j], -1, p) % p
+    return c != 0 and all((x - c * y) % p == 0 for x, y in zip(u, v))
+
+
+def test_level_one_symbols_and_their_eisenstein_congruences():
+    # weight-k Manin symbols at level one, where S_k is one line: the plus
+    # sign holds the cusp form and the Eisenstein class, the minus sign
+    # the cusp form alone; T_2 and T_3, at the a_2 and a_3 of the form
+    # expanded here, each cut out its line on each sign (tau(2) = -24,
+    # tau(3) = 252 at k = 12); the Eisenstein line has a_l = 1 + l^(k-1)
+    plus_lines = {}
+    for k in (12, 16, 18, 20, 22, 26):
+        f = _level_one_cusp_form(k, 4)
+        assert f[:2] == [0, 1], k
+        for sign, dim in ((1, 2), (-1, 1)):
+            assert len(reference.level_one_eigenspace(k, sign)) == dim, (k, sign)
+            lines = [reference.level_one_eigenspace(k, sign, [(ell, f[ell])]) for ell in (2, 3)]
+            assert [len(line) for line in lines] == [1, 1], (k, sign)
+            cusp = {tuple(reference.primitive(line[0])) for line in lines}
+            assert len(cusp) == 1, (k, sign)
+            if sign > 0:
+                plus_lines[k] = [list(cusp.pop())]
+        eis = [reference.level_one_eigenspace(k, sign, [(ell, 1 + ell ** (k - 1))])
+               for sign, ell in ((1, 2), (1, 3), (-1, 2))]
+        assert [len(line) for line in eis] == [1, 1, 0], k
+        assert reference.primitive(eis[0][0]) == reference.primitive(eis[1][0]), k
+        plus_lines[k].append(reference.primitive(eis[0][0]))
+    assert _level_one_cusp_form(12, 4)[2:] == [-24, 252]
+    # the primitive plus line of the weight-l form is a unit times the
+    # Eisenstein line mod p exactly for the primes p > l that divide the
+    # numerator of B_l / 2l: six congruences and two controls
+    for l, p, congruent in ((12, 691, True), (16, 3617, True), (20, 283, True),
+                            (20, 617, True), (22, 131, True), (22, 593, True),
+                            (26, 131, False), (18, 691, False)):
+        assert ((bernoulli_number(l) / (2 * l)).numerator % p == 0) == congruent, (l, p)
+        cusp, eisenstein = plus_lines[l]
+        assert _unit_multiple_mod(cusp, eisenstein, p) == congruent, (l, p)
 
 
 def test_cuspidal_subspace_matches_dense_oracle():
@@ -843,21 +921,8 @@ def test_commands_leave_kept_spaces_as_built(tmp_path):
         N, fresh = kept.N, ModularSymbolSpace(kept.N)
         assert (kept.basis_cols, kept.den, kept.vectors) == (fresh.basis_cols, fresh.den,
                                                              fresh.vectors), N
-        assert kept._hecke, N
-        for n, images in kept._hecke.items():
-            assert images == fresh.hecke_images(n), (N, n)
         assert kept.p1._successors is not None, N
         assert kept.p1._successors == fresh.p1.successors(), N
-        # every kept eigenspace kernel is what a fresh space solves for the
-        # same sign and targets
-        assert kept._eigen, N
-        for sign, poly, targets in kept._eigen:
-            assert poly is None, N  # the commands solve rational forms only
-            try:
-                eigen_functional(fresh, list(targets), sign)
-            except EigenspaceError:
-                pass
-        assert fresh._eigen == kept._eigen, N
     # the three verify-example runs, each kept once
     assert kept_example.cache_info().currsize == 3
     for number in (1, 2, 3):
