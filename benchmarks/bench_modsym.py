@@ -17,12 +17,14 @@ fresh build, and `peak` the most memory that Python allocations (per
 `tracemalloc`) held at once in one untimed fresh build of the space and
 its four Hecke images.
 
-Then it times `restrict_to_cuspidal(T_2)` at the levels in `CUSPIDAL`
-(the boundary data and its kernel, the images of its basis and the
-check that they stay cuspidal), with T_2 built outside the timing; the
-plus eigenfunctional of 23.2.a over Q(sqrt 5) (a_2 = (-1 - sqrt 5)/2);
-both signs of the three-target solve `MULTI` at level 364; and the loop
-of `examples.symbol_pair` over those targets' primes through the steps
+Then, at the levels in `CUSPIDAL` (prime and composite), it times
+`boundary_data()` on its own (a cusp key per basis symbol, both ends)
+and `restrict_to_cuspidal(T_2)` (the boundary data and its kernel, the
+images of its basis and the check that they stay cuspidal), with T_2
+built outside the timing; the plus eigenfunctional of 23.2.a over
+Q(sqrt 5) (a_2 = (-1 - sqrt 5)/2); both signs of the three-target solve
+`MULTI` at level 364; and the loop of `examples.symbol_pair` over those
+targets' primes through the steps
 of `modsym` (both signs' `sign_kernel`; per prime, one `hecke_images`
 and both kernels restricted by it, `restrict_kernel`, then each sign's
 `line_functional`), all cold.  Last it times `merel_matrices(l)`
@@ -45,7 +47,7 @@ HECKE = (2, 3, 5, 7)
 # 52.2.a.a at 5, and rational newforms of levels 389 and 997 at 2 (none is
 # given at 2003 and 4001, which time no eigenfunctional)
 TARGETS = {52: (5, 2), 389: (2, -2), 997: (2, 0)}
-CUSPIDAL = (52, 389)
+CUSPIDAL = (52, 389, 360, 1000)
 # the newform of level 364 congruent to 52.2.a.a mod 5: a line on both
 # signs only with all three targets, each one after the first cutting a
 # kernel of dimension 8 (then 4, on the plus sign) down
@@ -145,7 +147,10 @@ def main():
     for N in CUSPIDAL:
         space = modsym.ModularSymbolSpace(N)
         t2 = space.hecke_images(2)
+        tb = best_time(space.boundary_data, args.repeat)
         tr = best_time(lambda: space.restrict_to_cuspidal(t2), args.repeat)
+        print(f"boundary_data()          N={N:<4} "
+              f"({len(space.boundary_data()[0]):>3} cusp classes) {tb * 1e3:>8.2f}ms")
         print(f"restrict_to_cuspidal(T2) N={N:<4} "
               f"(cuspidal dim {space.cuspidal_dimension():>3}) {tr * 1e3:>8.2f}ms")
     K = NumberField((-5, 0, 1))

@@ -43,8 +43,11 @@ the path {oo -> r} is what the p-adic layer integrates against.  Normalized
 rational functionals keep integer generator values, so a path sum is a sum
 of ints.  Every kernel here is read off that one elimination
 (`linalg.rref`, then `linalg.kernel`): the quotient, the cuspidal
-subspace (the kernel of the boundary map) and the eigenfunctionals, whose
-number-field systems are first written over Q by restriction of scalars.
+subspace (the kernel of the boundary map, which reads the cusp class of
+a point (u:v) as one key, (G, (u/G) v^-1 mod gcd(G, N/G)) for
+G = gcd(u, N), derived from Cremona's Prop. 2.2.3 in `cusp_key`) and the
+eigenfunctionals, whose number-field systems are first written over Q by
+restriction of scalars.
 An eigenfunctional is solved in three steps whose state the caller holds:
 the sign subspace, the kernel of the star rows reduced once
 (`sign_kernel`); its restriction by each T_l in turn (`restrict_kernel`),
@@ -188,29 +191,24 @@ class P1List:
         return self._successors
 
 
-def lift_to_sl2(u: int, v: int, N: int) -> tuple[int, int, int, int]:
-    """[a,b;c,d] in SL2(Z) with (c,d) congruent to (u,v) mod N."""
-    if N == 1:
-        return 1, 0, 0, 1
-    u %= N
-    v %= N
-    if u == 0:
-        if gcd(v, N) != 1:
-            raise ValueError(f"({u}:{v}) mod {N} not liftable")
-        c, d = N, v
-    else:
-        c, d = u, v
-        tries = 0
-        while gcd(c, d) != 1:
-            d += N
-            tries += 1
-            if tries > N + 2:
-                raise ValueError(f"({u}:{v}) mod {N} not liftable")
-    a = pow(d, -1, c)
-    return a, (a * d - 1) // c, c, d
+# cusps and genus of Gamma0(N) ---------------------------------------
 
 
-# genus bookkeeping for Gamma0(N) ------------------------------------
+def cusp_key(u: int, v: int, N: int) -> tuple[int, int]:
+    """The Gamma0(N)-class of the cusp g.oo = a/c, g = [a,b;c,d] in SL2(Z)
+    with (c:d) = (u:v) in P^1(Z/N): (G, (u/G) v^-1 mod m), G = gcd(u, N)
+    and m = gcd(G, N/G), with 0 for the second entry when m = 1.  Unit
+    multiples of (u, v) share it, and each G has phi(m) keys: `num_cusps(N)`.
+
+    From Cremona (1997), Prop. 2.2.3: a1/c1 ~ a2/c2 exactly when
+    s1 c2 = s2 c1 mod gcd(c1 c2, N), s_i a_i = 1 mod c_i, so s_i = d_i.
+    Gamma0(N) sends c to a unit times c mod N, so G = gcd(c, N) is fixed
+    on a class.  At one G, with c_i = G c_i' and c_i' prime to N/G,
+    gcd(c1 c2, N) = G m, and the test reads c1'/d1 = c2'/d2 mod m, where
+    c' = u/G mod N/G and d = v mod N are units mod m (d is prime to c)."""
+    G = gcd(u, N)
+    m = gcd(G, N // G)
+    return G, (u // G * pow(v, -1, m) % m if m > 1 else 0)
 
 
 def num_cusps(N: int) -> int:
@@ -368,46 +366,34 @@ class ModularSymbolSpace:
     # --- boundary ---
 
     def boundary_data(self):
-        """(cusp representatives, integer rows {basis index: entry}, one
-        per cusp class): the boundary map on the basis symbols, built
-        anew on each call."""
-        cusps = []
-        cols = []
+        """(cusp classes, integer rows {basis index: entry}, one per class):
+        the boundary map on the basis symbols, built anew on each call.
+        Symbol (u:v) is the path g.0 = b/d -> g.oo = a/c, g = [a,b;c,d] with
+        (c:d) = (u:v): +1 at the class `cusp_key(u, v, N)` of a/c, -1 at the
+        class `cusp_key(v, -u, N)` of b/d, the key of g[0,-1;1,0], and
+        nothing where they agree.  The classes are the keys in the order met."""
+        N, pairs = self.N, self.p1.pairs
+        number, cols = {}, []
         for col in self.basis_cols:
-            u, v = self.p1.pairs[col]
-            a, b, c, d = lift_to_sl2(u, v, self.N)
-            e1 = self._cusp_class(cusps, _cusp_reduce(a, c))
-            e2 = self._cusp_class(cusps, _cusp_reduce(b, d))
+            u, v = pairs[col]
+            e1 = number.setdefault(cusp_key(u, v, N), len(number))
+            e2 = number.setdefault(cusp_key(v, -u, N), len(number))
             cols.append((e1, e2))
-        rows = [{} for _ in cusps]
+        rows = [{} for _ in number]
         for j, (e1, e2) in enumerate(cols):
             if e1 != e2:
                 rows[e1][j] = 1
                 rows[e2][j] = -1
-        return cusps, rows
-
-    def _cusp_class(self, cusps, c):
-        for i, known in enumerate(cusps):
-            if cusp_equivalent(self.N, known, c):
-                return i
-        cusps.append(c)
-        return len(cusps) - 1
-
-    def cuspidal_basis(self):
-        """The cuspidal subspace, the kernel of the boundary map, as
-        `linalg.kernel` reads it: (free basis indices, scale, integer
-        basis vectors {basis index: entry})."""
-        _, rows = self.boundary_data()
-        return kernel(rref(rows), range(self.dim))
+        return list(number), rows
 
     def cuspidal_dimension(self) -> int:
-        return len(self.cuspidal_basis()[0])
+        return len(kernel(rref(self.boundary_data()[1]), range(self.dim))[0])
 
     def restrict_to_cuspidal(self, images):
         """Matrix of an operator on the cuspidal subspace, images[j] the
-        sparse quotient row of the image of basis symbol j, in the basis
-        of `cuspidal_basis` divided by its scale: the coordinates of an
-        image are its entries at the free indices."""
+        sparse quotient row of the image of basis symbol j, in the basis of
+        the boundary kernel (`linalg.kernel`) over its scale: the coordinates
+        of an image are its entries at the free indices."""
         _, boundary = self.boundary_data()
         free, scale, basis = kernel(rref(boundary), range(self.dim))
         out = []
@@ -417,27 +403,6 @@ class ModularSymbolSpace:
                 raise ValueError("operator does not preserve the cuspidal subspace")
             out.append([Fraction(img.get(f, 0), scale) for f in free])
         return out
-
-
-def _cusp_reduce(p, q):
-    if q == 0:
-        return (1, 0)
-    g = gcd(p, q)
-    p, q = p // g, q // g
-    if q < 0:
-        p, q = -p, -q
-    return (p, q)
-
-
-def cusp_equivalent(N, c1, c2) -> bool:
-    """Gamma0(N)-equivalence of cusps in lowest terms: s1 q2 = s2 q1 modulo
-    gcd(q1 q2, N), with s_i p_i = 1 mod q_i."""
-    p1, q1 = c1
-    p2, q2 = c2
-    s1 = 1 if q1 == 0 else pow(p1, -1, q1)
-    s2 = 1 if q2 == 0 else pow(p2, -1, q2)
-    g = gcd(q1 * q2, N)
-    return (s1 * q2 - s2 * q1) % g == 0
 
 
 # functionals --------------------------------------------------------

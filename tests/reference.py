@@ -253,6 +253,96 @@ def point_values(phi):
     return value
 
 
+# -- integer lattices and Mazur's Eisenstein index ------------------------
+#
+# Row lattices in Z^n, reduced by unimodular row operations alone, so
+# that the index of one lattice in another can be read off: `linalg.rref`
+# works over Q and cannot see it.
+
+
+def hermite_form(rows):
+    """The Hermite normal form of the lattice the integer rows span:
+    (basis, pivots), one row per pivot column, in increasing order, its
+    pivot entry positive, its entries 0 left of the pivot and reduced
+    into [0, pivot) above the other rows' pivots.  Each column is cleared
+    by Euclid's algorithm on the rows that reach it: each pass reduces
+    them by the one of least entry there, until one is left."""
+    rows = [list(r) for r in rows if any(r)]
+    ncols = len(rows[0]) if rows else 0
+    basis, pivots = [], []
+    for col in range(ncols):
+        live = [r for r in rows if r[col]]
+        rows = [r for r in rows if not r[col]]
+        while len(live) > 1:
+            live.sort(key=lambda r: abs(r[col]))
+            piv, rest = live[0], live[1:]
+            live = [piv]
+            for r in rest:
+                q = r[col] // piv[col]
+                r = [x - q * y for x, y in zip(r, piv)]
+                if r[col]:
+                    live.append(r)
+                elif any(r):
+                    rows.append(r)
+        if live:
+            piv = live[0] if live[0][col] > 0 else [-x for x in live[0]]
+            for i, row in enumerate(basis):
+                q = row[col] // piv[col]
+                basis[i] = [x - q * y for x, y in zip(row, piv)]
+            basis.append(piv)
+            pivots.append(col)
+    return basis, pivots
+
+
+def lattice_index(lattice, sub):
+    """[L : M] for the row lattices L and M, M in L of the same rank: the
+    product of M's Hermite pivots over L's, as both project isomorphically
+    onto their common pivot columns."""
+    (big, cols), (small, sub_cols) = hermite_form(lattice), hermite_form(sub)
+    assert cols == sub_cols, "the lattices differ in rank"
+    num = den = 1
+    for c, x, y in zip(cols, big, small):
+        num, den = num * y[c], den * x[c]
+    assert num % den == 0, "the sublattice is not contained in the lattice"
+    return num // den
+
+
+def eisenstein_indices(space, ells):
+    """[C : I'C] on the integral cuspidal symbols C of a symbol space with
+    `den` 1 (so Z^dim is the lattice of the Manin symbols), and on its
+    plus and minus quotients (1 + star)C and (1 - star)C, where I' is
+    spanned by the T_l - 1 - l for l in ells.  C is the saturated kernel
+    of the boundary rows: the rows [boundary of e_j | e_j] brought to
+    Hermite form, those that end with no boundary entry give a Z-basis of
+    it.  The operators are read from `hecke_images` and `star_images`."""
+    assert space.den == 1, space.N
+    dim = space.dim
+    _, boundary = space.boundary_data()
+    k = len(boundary)
+    unit = [[int(i == j) for i in range(dim)] for j in range(dim)]
+    form, pivots = hermite_form([[row.get(j, 0) for row in boundary] + unit[j]
+                                 for j in range(dim)])
+    cusp = [r[k:] for r, c in zip(form, pivots) if c >= k]
+
+    def apply(images, x):
+        out = [0] * dim
+        for j, xj in enumerate(x):
+            for c, y in images[j].items():
+                out[c] += xj * y
+        return out
+
+    hecke = {ell: space.hecke_images(ell) for ell in ells}
+    star = space.star_images()
+    out = []
+    for sign in (0, 1, -1):
+        lattice = cusp if not sign else [
+            [a + sign * b for a, b in zip(x, apply(star, x))] for x in cusp]
+        moved = [[a - (1 + ell) * b for a, b in zip(apply(hecke[ell], x), x)]
+                 for ell in ells for x in lattice]
+        out.append(lattice_index(lattice, moved))
+    return tuple(out)
+
+
 # -- weight-k Manin symbols at level one ---------------------------------
 #
 # P^1(Z/1) is one point, so the weight-k Manin symbols on SL2(Z) are the

@@ -8,7 +8,7 @@ import pytest
 
 from iwrank import examples, modsym
 from iwrank.arith import is_prime
-from iwrank.characters import DirichletCharacter
+from iwrank.characters import DirichletCharacter, unit_group_generators
 from iwrank.cli import main
 from iwrank.examples import build_example, kept_example, symbol_pair
 from iwrank.modsym import (
@@ -18,9 +18,9 @@ from iwrank.modsym import (
     SymbolFunctional,
     SymbolPair,
     TwistedSymbol,
+    cusp_key,
     eigen_functional,
     genus_gamma0,
-    lift_to_sl2,
     merel_matrices,
     num_cusps,
     twist_symbol,
@@ -228,13 +228,39 @@ def test_relations_and_star(sp23):
     assert _mat_mul(star, star) == eye
 
 
-@pytest.mark.parametrize("N", [2, 11, 52, 64, 210])
-def test_sl2_lifts(N):
-    pl = P1List(N)
-    for u, v in pl.pairs:
-        a, b, c, d = lift_to_sl2(u, v, N)
-        assert a * d - b * c == 1
-        assert pl.index(c, d) == pl.index(u, v)
+def _cusp_key_faults(key, N):
+    """The points (u:v) of P^1(Z/N) whose key changes under (u:v) -> (su:sv)
+    for a generator s of the units or under (u:v) -> (u:v+u), and whether
+    the keys number `num_cusps(N)`.  Those two moves generate the points
+    whose matrices g [a,b;c,d] send oo to one cusp class: gamma g has
+    bottom row delta (c, d) mod N for gamma in Gamma0(N), and g [1,t;0,1]
+    has (c, d + t c)."""
+    gens = [g.gen for g in unit_group_generators(N)]
+    faults, keys = [], set()
+    for u, v in P1List(N).pairs:
+        k = key(u, v, N)
+        keys.add(k)
+        moved = [(s * u % N, s * v % N) for s in gens] + [(u, (v + u) % N)]
+        if any(key(x, y, N) != k for x, y in moved):
+            faults.append((u, v))
+    return faults, len(keys) == num_cusps(N)
+
+
+def test_cusp_key_is_a_class_function_with_one_key_per_class():
+    # independent of `boundary_data`: the key is constant on the points of
+    # one cusp class and takes num_cusps(N) values, so it numbers the classes
+    for N in range(1, 401):
+        assert _cusp_key_faults(cusp_key, N) == ([], True), N
+
+    # the key without the inverse, v (u/G) mod m, is not invariant under
+    # the units: the test finds it out at these composite levels
+    def without_inverse(u, v, N):
+        G = gcd(u, N)
+        m = gcd(G, N // G)
+        return G, u // G * v % m
+
+    for N in (150, 175, 200, 225):
+        assert _cusp_key_faults(without_inverse, N)[0], N
 
 
 def test_merel_matrices_n2():
@@ -590,6 +616,22 @@ def test_level_one_symbols_and_their_eisenstein_congruences():
         assert ((bernoulli_number(l) / (2 * l)).numerator % p == 0) == congruent, (l, p)
         cusp, eisenstein = plus_lines[l]
         assert _unit_multiple_mod(cusp, eisenstein, p) == congruent, (l, p)
+
+
+def test_eisenstein_ideal_index_at_prime_levels():
+    # Mazur, Publ. Math. IHES 47 (1977), ch. II: at a prime level N the
+    # Eisenstein ideal I, spanned by the T_l - 1 - l (l != N) and U_N - 1,
+    # has T/I = Z/n with n = num((N - 1)/12), and the integral cuspidal
+    # symbols C have [C : IC] = n^2, n on each of the plus and minus
+    # quotients.  I' is spanned by the T_l - 1 - l for the l < 20 alone, so
+    # I' lies in I and [C : I'C] >= n^2: equality is asserted at every prime
+    # 11 <= N < 200, with C the saturated boundary kernel in Z^dim (den = 1)
+    for N in range(11, 200):
+        if is_prime(N):
+            ells = [l for l in range(2, 20) if is_prime(l) and l != N]
+            n = Fraction(N - 1, 12).numerator
+            got = reference.eisenstein_indices(ModularSymbolSpace(N), ells)
+            assert got == (n * n, n, n), (N, got)
 
 
 def test_cuspidal_subspace_matches_dense_oracle():
