@@ -7,11 +7,13 @@ For each series length D = 5^n it times one `padic-l --newform 11.2.a.a
 its rows, the four branch series, their values at the trivial character
 and the four product verdicts).  Nothing is kept between runs: each
 builds its symbol space of level 11 anew, as every command does.  Then
-it times `padic_l.branch_family` alone at each D, with a sigma0 factor
-at 2, on one pair whose rows the first round builds.  At the largest D it
-reports, by `tracemalloc`, the peak memory of one `padic-l` run and the
-memory still held after it, and times reading (mu, lambda) off the
-group masses of the branch-2 series.  It times `verify-example 2` cold
+it times cold `padic-l --newform 11.2.a.a --prime P` runs (D = P) at
+P = 101 and 401, every cached table of `padic_l` dropped before each
+round, and `padic_l.branch_family` alone at each D = 5^n, with a sigma0
+factor at 2, on one pair whose rows the first round builds.  At the
+largest D it reports, by `tracemalloc`, the peak memory of one `padic-l`
+run and the memory still held after it, and times reading (mu, lambda)
+off the group masses of the branch-2 series.  It times `verify-example 2` cold
 (the kept bundled runs dropped before each round) and with its run
 kept.  It times `verify-example 1`'s symbol, which each call builds on
 a new space: `examples.symbol_pair` of 11.2.a.a, `twist_symbol` by
@@ -31,6 +33,7 @@ import time
 import tracemalloc
 
 from iwrank import cli
+from iwrank import padic_l as padic_l_module
 from iwrank.characters import DirichletCharacter
 from iwrank.examples import kept_example, symbol_pair
 from iwrank.iwasawa import mass_mu_lambda
@@ -46,6 +49,8 @@ TWIST_LEVELS = (1, 2)
 M = 8
 # the sigma0 factor of the timed `branch_family` calls
 SIGMA0 = ((2, (1, 2, 2)),)
+# primes of the cold `padic-l` runs, where the p - 1 projections dominate
+LARGE_PRIMES = (101, 401)
 
 
 def best_time(fn, repeat, before=None):
@@ -116,6 +121,20 @@ def padic_l(D):
         raise SystemExit(f"padic-l at D = {D} failed")
 
 
+def padic_l_at(p):
+    argv = ["padic-l", "--newform", "11.2.a.a", "--prime", str(p), "--out", os.devnull]
+    if cli.main(argv) != 0:
+        raise SystemExit(f"padic-l at p = {p} failed")
+
+
+def drop_padic_tables():
+    """Drop every cached table of `padic_l` (Teichmuller lifts, wild
+    coordinates), so a run builds them as the first run of a process."""
+    for fn in vars(padic_l_module).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+
+
 def verify2():
     # exits 1: the contract's three level-52 claims fail, as recorded
     cli.main(["verify-example", "2", "--out", os.devnull])
@@ -145,6 +164,11 @@ def main():
     for n in LEVELS:
         t = best_time(lambda: padic_l(5**n), args.repeat)
         print(f"         {5**n:>5} {t * 1e3:>8.1f}ms")
+
+    print(f"padic-l, cold: {'p':>5} {'time':>10}")
+    for p in LARGE_PRIMES:
+        t = best_time(lambda: padic_l_at(p), args.repeat, drop_padic_tables)
+        print(f"               {p:>5} {t * 1e3:>8.1f}ms")
 
     pair = symbol_pair(bundled("11.2.a.a"))
     print(f"branch_family, sigma0 at 2: {'D':>5} {'time':>10}")

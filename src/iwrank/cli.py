@@ -35,15 +35,7 @@ from .examples import (
 from .iwasawa import PadicSeries, UndeterminedInvariants, ideal_mod_pi, mu_lambda
 from .modsym import twist_symbol
 from .newforms import IngestionError, NewformData, bundled, bundled_labels
-from .padic_l import (
-    OrdinarityError,
-    branch_family,
-    branch_report,
-    branch_value_trivial,
-    format_report,
-    partner_branch,
-    product_congruence_verdict,
-)
+from .padic_l import OrdinarityError, branch_family, branch_report, format_report
 from .padics import PadicPrecisionError, padic_valuation
 from .qseries import check_congruence, eisenstein_series, sigma0_and_m
 
@@ -313,23 +305,14 @@ def cmd_padic_l(args):
             raise ConfigError(f"twist character ramified at {p}")
         if e:
             ap = -ap  # the twist multiplies a_p by chi(p) = -1
-    # each record reads its branch and the partner branch
-    wanted = {(j - 1) % span + 1 for j in range(lo, hi + 1)}
-    wanted |= {partner_branch(jj, p) for jj in wanted}
     try:
-        alpha, _, series = branch_family(sym, ap, p, n, _precision(args)[0],
-                                         factors, branches=wanted)
+        family = branch_family(sym, ap, p, n, _precision(args)[0], factors,
+                               branches=[(j - 1) % span + 1 for j in range(lo, hi + 1)])
     except (OrdinarityError, ValueError) as exc:
         # no unit root, or a sigma0 factor at p or repeated
         raise ConfigError(str(exc))
-    records = []
-    for j in range(lo, hi + 1):
-        jj = (j - 1) % span + 1
-        value = branch_value_trivial(sym, p, alpha, jj)
-        verdict = product_congruence_verdict(series[jj], series[partner_branch(jj, p)])
-        records.append(branch_report(
-            series[jj], alpha, value=value, exact_zero=value.is_zero(), verdict=verdict))
-    return 0, records
+    return 0, [branch_report(family.dressed[j], family.alpha, family.values[j],
+                             family.verdicts[j]) for j in family.values]
 
 
 def cmd_iwasawa(args):

@@ -5,15 +5,16 @@ and the symbol pair of a rational form.
 its symbol space with Hecke probes it picks from the form's stored
 coefficients; the symbol commands of the CLI use it too.  Each run
 builds the (twisted) symbol, its branch family (`padic_l.branch_family`,
-as `padic-l` does), the branch values at the trivial character and the
-residual Eisenstein partner of the congruent form, and checks every
-recorded expectation.  Failures do not abort the run; every check ends
-up in the report with a pass/fail/skipped status.
+as `padic-l` does: the branch series, their values at the trivial
+character and their verdicts) and the residual Eisenstein partner of
+the congruent form, and checks every recorded expectation.  Failures do
+not abort the run; every check ends up in the report with a
+pass/fail/skipped status.
 `eisenstein_partner` builds that partner for `congruence` too, and
 `add_partner_check` writes the record of its check for both.  What a
 run builds is kept in one place: the bundled run whole per (number,
 wild_level, M) (`build_example`), so a repeat run builds no space, no
-symbol, no q-series and no branch series.  A symbol space lives as long
+symbol, no q-series and no branch family.  A symbol space lives as long
 as the pair `symbol_pair` cuts out of it, and a pair keeps its own rows.
 """
 
@@ -33,13 +34,7 @@ from .modsym import (
 )
 from .newforms import bundled, residual_eisenstein_partner
 from .padics import padic_valuation
-from .padic_l import (
-    _value_record,
-    branch_family,
-    branch_value_trivial,
-    partner_branch,
-    product_congruence_verdict,
-)
+from .padic_l import _value_record, branch_family, partner_branch
 from .qseries import check_congruence, mazur_eisenstein, sturm_bound
 
 __all__ = [
@@ -241,9 +236,11 @@ def build_example(number, wild_level=1, M=8):
     per (number, wild_level, M) however the arguments are spelled
     (`kept_example`): the symbol (twisted and renormalized when the
     configuration says so), both forms, the sigma0 Euler factors, the
-    branch family (alpha, raw and dressed series) and h's Eisenstein
-    checks on one q-expansion through its Sturm bound: the partner's m and
-    check, and h against E2(z) - t E2(tz), at indices prime to p and 0."""
+    branch family (`padic_l.BranchFamily`: alpha, the raw and dressed
+    series, the values at the trivial character and the verdicts of
+    every branch) and h's Eisenstein checks on one q-expansion through
+    its Sturm bound: the partner's m and check, and h against
+    E2(z) - t E2(tz), at indices prime to p and 0."""
     return kept_example(number, wild_level, M)
 
 
@@ -263,7 +260,7 @@ def kept_example(number, wild_level, M):
         sym = twist_symbol(sym, chi, p, label=f"{f.label}x{disc}")
         ap *= kronecker(disc, p)
     sigma0 = cfg["sigma0"] or ((11, (1, -f.a(11), 11)),)
-    alpha, raw, dressed = branch_family(sym, ap, p, wild_level, M, sigma0)
+    family = branch_family(sym, ap, p, wild_level, M, sigma0)
     h, t = bundled(cfg["h"]), cfg["mazur_t"]
     ideal = h.congruence_ideal(p)
     bound, hq, _, m, partner = eisenstein_partner(h, p, ideal)
@@ -273,10 +270,8 @@ def kept_example(number, wild_level, M):
         "f": f,
         "h": h,
         "sym": sym,
-        "alpha": alpha,
         "sigma0": sigma0,
-        "raw": raw,
-        "dressed": dressed,
+        "family": family,
         "mazur_t": t,
         "m": m,
         "partner": partner,
@@ -338,8 +333,7 @@ def run_example(number, wild_level=1, M=8):
     failures so the report covers the full list of checks.
     """
     ex = build_example(number, wild_level, M)
-    p, sym, alpha = ex["p"], ex["sym"], ex["alpha"]
-    branches = range(1, p)
+    p, sym, family = ex["p"], ex["sym"], ex["family"]
     tag = f"ex{number}"
     rep = VerificationReport(number)
 
@@ -357,8 +351,7 @@ def run_example(number, wild_level=1, M=8):
 
     # --- branch values at the trivial character ---
     zero_js = set(_ZERO_BRANCHES[number])
-    values = {j: branch_value_trivial(sym, p, alpha, j) for j in branches}
-    for j, v in values.items():
+    for j, v in family.values.items():
         val, text = _read_value(v)
         if j in zero_js:
             rep.add(f"{tag}.value.j{j}",
@@ -377,9 +370,9 @@ def run_example(number, wild_level=1, M=8):
                 same, "difference of twisted sums " + ("0" if same else "nonzero"),
                 "0", "exact")
         prod = None
-        for j in branches:
+        for j, v in family.values.items():
             if j not in zero_js:
-                prod = values[j] if prod is None else prod * values[j]
+                prod = v if prod is None else prod * v
         val, text = _read_value(prod)
         rep.add(f"{tag}.product.nonzero-branches",
                 "product of the nonvanishing branch values is a p-adic unit",
@@ -387,9 +380,8 @@ def run_example(number, wild_level=1, M=8):
 
     # --- branch power series, invariants, and product verdicts ---
     expect_inv = _NONTRIVIAL_INVARIANTS[number]
-    for j in branches:
+    for j, bs in family.raw.items():
         want_mu, want_lam = expect_inv.get(j, (0, 0))
-        bs = ex["raw"][j]
         got = bs.invariants
         got_s = (f"(mu, lambda) = {got}" if got else
                  f"undetermined: {undetermined_text(bs.M, len(bs.masses))}")
@@ -400,10 +392,8 @@ def run_example(number, wild_level=1, M=8):
                 f"(mu, lambda) = ({want_mu}, {want_lam})", "exact")
 
     t_js = set(_T_VERDICTS[number])
-    dressed = ex["dressed"]
-    for j in branches:
+    for j, verdict in family.verdicts.items():
         partner = partner_branch(j, p)
-        verdict = product_congruence_verdict(dressed[j], dressed[partner])
         want = "(T)" if j in t_js else "(1)"
         rep.add(f"{tag}.verdict.j{j}",
                 f"product of branches {j} and {partner} generates {want} "

@@ -4,10 +4,10 @@ For a p-ordinary eigensymbol pair this module computes the single values
 of each tame branch at the trivial wild character and the Riemann-sum
 branch series in Z/p^M[Z/p^n], with integers mod p-powers only: every
 symbol value is read off a row (`evaluate_row`), and the tame twist
-omega^-j comes from one cached table per (p, digits, j), built from the
+omega^-j is a table of p - 1 modular powers built per call from the
 cached Teichmuller lifts.  A branch series is built in two steps.
-`symbol_measure`, the one step that knows alpha and the one-root case
-p | N, gives each sign's masses of the balls a + p^(n+1)Z_p;
+`symbol_measure`, the one step that picks alpha and knows the one-root
+case p | N, gives each sign's masses of the balls a + p^(n+1)Z_p;
 `branch_series` projects ball masses of any measure onto branch j,
 through omega^-j and the wild coordinates.  A branch series is kept in
 one basis, the masses of the group elements gamma^c that the sum adds
@@ -15,14 +15,15 @@ up, and never converted to the T-basis (gamma = 1 + T): mu and lambda
 are read off the masses, a sigma0 Euler factor multiplies them by its
 few nonzero masses, and the verdict for the product of two branches
 comes from the factors' (mu, lambda) alone, as mod p the ring is
-F_p[T]/(T^(p^n)).  `branch_family` composes the two steps, the balls
-once per sign, into alpha and the requested branch series of one symbol,
-raw and with the sigma0 factors, for both `padic-l` and the bundled
-runs; it keeps nothing, as the rows it reads are kept on the symbol and
-a bundled run is kept whole (`examples.build_example`).
-`partner_branch` names the branch each verdict pairs with.
-`format_report` is the one JSON line format of every report the CLI
-writes.
+F_p[T]/(T^(p^n)).  `branch_family` is the one owner of a symbol's
+per-branch results, for both `padic-l` and the bundled runs: it composes
+the two steps, the balls once per sign, into a `BranchFamily` of alpha,
+the raw and dressed (sigma0) series of the requested branches and their
+partners (`partner_branch`), and each requested branch's value at the
+trivial character and verdict.  It keeps nothing, as the rows it reads
+are kept on the symbol and a bundled run is kept whole
+(`examples.build_example`).  `format_report` is the one JSON line format
+of every report the CLI writes.
 """
 
 import json
@@ -30,6 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import cycle
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .iwasawa import (
     PadicSeries,
@@ -40,12 +42,7 @@ from .iwasawa import (
     reduce_ints,
     refuse_lost_digits,
 )
-from .padics import (
-    PadicPrecisionError,
-    hensel_root,
-    padic_valuation,
-    teichmuller_lift,
-)
+from .padics import hensel_root, padic_valuation, teichmuller_lift
 
 __all__ = [
     "OrdinarityError",
@@ -56,6 +53,7 @@ __all__ = [
     "symbol_measure",
     "branch_series",
     "apply_sigma0",
+    "BranchFamily",
     "branch_family",
     "partner_branch",
     "product_congruence_verdict",
@@ -103,7 +101,6 @@ def _teichmuller_table(p: int, W: int) -> tuple:
     return (0,) + tuple(teichmuller_lift(b, p, W) for b in range(1, p))
 
 
-@lru_cache(maxsize=128)
 def _omega_table(p: int, W: int, j: int) -> tuple:
     """omega^-j(b) mod p^W for b mod p (0 at b = 0)."""
     m = p**W
@@ -187,50 +184,41 @@ def _wild_coordinates(p: int, n: int) -> tuple:
                  for a in range(mod))
 
 
-def symbol_measure(sym, ap, p: int, n: int, M: int, alpha: PadicSeries | None = None):
+def symbol_measure(sym, ap, p: int, n: int, M: int):
     """(alpha, balls): the measure of `sym` at wild level n, mod p^M.
 
-    alpha is the unit root for a_p = ap to the digits the balls need, at
-    least DEFAULT_DIGITS, unless a root is given (a non-unit one costs
-    (n+2) v(alpha) digits more).  balls[sgn], for sgn = +-1, is (shift,
-    masses): p^shift * masses[a] is the mass of the ball a + p^(n+1)Z_p,
+    alpha is the unit root for a_p = ap (`choose_alpha`) to the digits the
+    balls need, at least DEFAULT_DIGITS.  balls[sgn], for sgn = +-1, is
+    (shift, masses): p^shift * masses[a] is the mass of the ball
+    a + p^(n+1)Z_p,
         alpha^-(n+1) x(a/p^(n+1)) - alpha^-(n+2) x(a/p^n),
     known mod p^M, for a mod p^(n+1) (0 where p | a), with the second
     term dropped when p divides the level (one-root case).  The masses are
-    reduced mod p^W, W = M - shift: M plus the p-power in the symbol
-    values' denominators plus (n+2) v(alpha).  Of the symbol it reads
-    `evaluate_row` and `level`; the symbol keeps its row at p^(n+1), so
-    the row at p^n, and the one at p that `branch_value_trivial` reads,
-    are slices of it."""
+    reduced mod p^(M - shift), -shift the p-power in the symbol values'
+    denominators.  Of the symbol it reads `evaluate_row` and `level`; the
+    symbol keeps its row at p^(n+1), so the row at p^n, and the one at p
+    that `branch_value_trivial` reads, are slices of it."""
     if n < 1:
         raise ValueError("wild level n >= 1 required")
     hi_len, order = p ** (n + 1), p**n
     steinberg = sym.level % p == 0
-    v = 0 if alpha is None else mu_lambda(alpha)[0]
-    loss = (n + 2) * v  # the powers of 1/alpha
     rows = {}
     for sgn in (1, -1):
         hi = sym.evaluate_row(hi_len, sgn)
-        rows[sgn] = padic_ints(hi if steinberg else hi + sym.evaluate_row(order, sgn),
-                               p, M + loss)
-    if alpha is None:
-        alpha = choose_alpha(ap, p, sym.level, prec=max(
-            DEFAULT_DIGITS, M - min(shift for shift, _ in rows.values())))
+        rows[sgn] = padic_ints(hi if steinberg else hi + sym.evaluate_row(order, sgn), p, M)
+    alpha = choose_alpha(ap, p, sym.level, prec=max(
+        DEFAULT_DIGITS, M - min(shift for shift, _ in rows.values())))
     balls = {}
     for sgn in (1, -1):
         shift, xs = rows.pop(sgn)  # each sign's rows go once its balls are built
-        W = M + loss - shift
-        if alpha.M - v < W:
-            raise PadicPrecisionError(
-                f"alpha carries {alpha.M - v} digits, the series needs {W}")
-        m = p**W
-        ainv = pow(alpha.ints[0] // p ** (v - alpha.shift), -1, m)
-        a_hi = p**v * pow(ainv, n + 1, m) % m
-        a_lo = pow(ainv, n + 2, m)
+        m = p ** (M - shift)
+        ainv = pow(alpha.ints[0], -1, m)
+        a_hi = pow(ainv, n + 1, m)
+        a_lo = a_hi * ainv % m
         lo = [0] * order if steinberg else xs[hi_len:]
         masses = [(a_hi * x - a_lo * y) % m for x, y in zip(xs, lo * p)]
         masses[::p] = [0] * order
-        balls[sgn] = M - W, masses
+        balls[sgn] = shift, masses
     return alpha, balls
 
 
@@ -287,20 +275,43 @@ def apply_sigma0(bs: BranchSeries, factors) -> BranchSeries:
     return BranchSeries(p, M, masses, shift, bs.j, bs.form, new_factors)
 
 
-def branch_family(sym, ap, p: int, n: int, M: int, sigma0=(), branches=None):
-    """(alpha, raw, dressed) for the branches j in `branches` (default
-    1..p-1) of `sym` at wild level n, mod p^M: alpha and the balls of
-    `symbol_measure`, each sign's built once for all its branches, raw[j]
-    the projection of sign (-1)^j onto branch j (`branch_series`) and
-    dressed[j] that series times the sigma0 Euler factors (raw when there
-    are none), both read-only mappings.  Of the symbol it reads
-    `evaluate_row`, `level` and `label` only."""
+class BranchFamily(NamedTuple):
+    """The per-branch results of one symbol at wild level n, mod p^M, as
+    `branch_family` hands them to its caller: alpha; raw[j], branch j's
+    series, and dressed[j], that series times the sigma0 Euler factors
+    (raw itself when there are none), for each requested branch j and its
+    partner; and, for each requested branch in the order requested,
+    values[j], its value at the trivial character, and verdicts[j], the
+    residual ideal of the product of its dressed series and its
+    partner's.  The mappings are read-only."""
+
+    alpha: PadicSeries
+    raw: MappingProxyType  # j -> BranchSeries
+    dressed: MappingProxyType  # j -> BranchSeries
+    values: MappingProxyType  # j -> PadicSeries
+    verdicts: MappingProxyType  # j -> str
+
+
+def branch_family(sym, ap, p: int, n: int, M: int, sigma0=(), branches=None) -> BranchFamily:
+    """The `BranchFamily` of `sym` for the branches j in `branches`
+    (default 1..p-1, each in 1..p-1) at wild level n, mod p^M: alpha and
+    the balls of `symbol_measure`, each sign's built once for all its
+    branches; raw[j], the projection of sign (-1)^j onto branch j
+    (`branch_series`), and dressed[j] for j and `partner_branch(j, p)`,
+    in increasing j; values[j] (`branch_value_trivial`) and verdicts[j]
+    (`product_congruence_verdict` of j and its partner, dressed).  Of the
+    symbol it reads `evaluate_row`, `level` and `label` only."""
+    wanted = list(range(1, p) if branches is None else branches)
     alpha, balls = symbol_measure(sym, ap, p, n, M)
     raw = MappingProxyType({j: branch_series(balls[(-1) ** (j % 2)], p, j, M, sym.label)
-                            for j in sorted(range(1, p) if branches is None else branches)})
-    if not sigma0:
-        return alpha, raw, raw
-    return alpha, raw, MappingProxyType({j: apply_sigma0(bs, sigma0) for j, bs in raw.items()})
+                            for j in sorted({*wanted, *(partner_branch(j, p) for j in wanted)})})
+    dressed = raw if not sigma0 else MappingProxyType(
+        {j: apply_sigma0(bs, sigma0) for j, bs in raw.items()})
+    return BranchFamily(
+        alpha, raw, dressed,
+        MappingProxyType({j: branch_value_trivial(sym, p, alpha, j) for j in wanted}),
+        MappingProxyType({j: product_congruence_verdict(dressed[j], dressed[partner_branch(j, p)])
+                          for j in wanted}))
 
 
 # -- verdicts and reports ----------------------------------------------
@@ -331,8 +342,8 @@ def product_congruence_verdict(bs1: BranchSeries, bs2: BranchSeries) -> str:
     return ideal_text(mu1 + mu2, lam1 + lam2)
 
 
-def _value_record(value: PadicSeries | None, exact_zero: bool = False, digits: int = 6):
-    """Valuation and leading unit digits of a one-term series, or the
+def _value_record(value: PadicSeries | None):
+    """Valuation and six leading unit digits of a one-term series, or the
     bound it vanishes to."""
     if value is None:
         return None
@@ -341,25 +352,25 @@ def _value_record(value: PadicSeries | None, exact_zero: bool = False, digits: i
             "valuation": None,
             "unit_digits": 0,
             "vanishes_to": value.M,
-            "exact_zero": bool(exact_zero),
+            "exact_zero": True,
         }
     mu = mu_lambda(value)[0]
     p = value.p
     return {
         "valuation": mu,
-        "unit_digits": value.ints[0] // p ** (mu - value.shift) % p ** min(digits, value.M - mu),
+        "unit_digits": value.ints[0] // p ** (mu - value.shift) % p ** min(6, value.M - mu),
     }
 
 
 def branch_report(bs: BranchSeries, alpha: PadicSeries, value: PadicSeries | None = None,
-                  exact_zero: bool = False, verdict: str | None = None) -> dict:
+                  verdict: str | None = None) -> dict:
     mu, lam = bs.invariants or (None, None)
     return {
         "form": bs.form,
         "twist": bs.form,  # the symbol's label, twisted or not
         "j": bs.j,
         "alpha": _value_record(alpha),
-        "value_at_trivial": _value_record(value, exact_zero),
+        "value_at_trivial": _value_record(value),
         "mu": mu,
         "lambda": lam,
         "sigma0_factors": [[ell, [str(c) for c in poly]] for ell, poly in bs.sigma0_factors],

@@ -35,17 +35,14 @@ def padic_valuation(x, p: int) -> int:
 
 
 def teichmuller_lift(a: int, p: int, prec: int) -> int:
-    """The (p-1)st root of unity congruent to a mod p, as an int mod p^prec."""
+    """The (p-1)st root of unity congruent to a mod p, as an int mod p^prec:
+    a^(p^(prec-1)), as a = omega(a) <a> with omega(a)^p = omega(a) and
+    <a> = 1 mod p, so <a>^(p^(prec-1)) = 1 mod p^prec."""
     if a % p == 0:
         raise ValueError("Teichmuller lift needs a unit")
-    pk = p**prec
-    x = a % pk
-    for _ in range(prec + 2):
-        y = pow(x, p, pk)
-        if y == x:
-            return x
-        x = y
-    raise ArithmeticError("Teichmuller iteration failed to stabilize")
+    if prec < 1:
+        raise ValueError(f"Teichmuller lift needs prec >= 1, got {prec}")
+    return pow(a, p ** (prec - 1), p**prec)
 
 
 def hensel_root(coeffs, seed: int, p: int, prec: int) -> int:

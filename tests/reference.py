@@ -538,16 +538,20 @@ def t_series(bs) -> PadicSeries:
 
 
 def family_state(family):
-    """What a branch family (alpha, raw, dressed) holds, in plain values,
-    to compare two builds of it: alpha's ints and each series' masses,
-    shift, invariants and sigma0 factors."""
-    alpha, raw, dressed = family
+    """What a branch family (`padic_l.BranchFamily`) holds, in plain
+    values, to compare two builds of it: the ints of alpha and of each
+    value, each series' masses, shift, invariants and sigma0 factors, and
+    each verdict."""
+
+    def one_term(x):
+        return x.p, x.M, x.shift, x.ints
 
     def series(bss):
         return {j: (bs.p, bs.M, bs.shift, bs.masses, bs.invariants, bs.j, bs.form,
                     bs.sigma0_factors) for j, bs in bss.items()}
 
-    return (alpha.p, alpha.M, alpha.shift, alpha.ints), series(raw), series(dressed)
+    return (one_term(family.alpha), series(family.raw), series(family.dressed),
+            {j: one_term(v) for j, v in family.values.items()}, dict(family.verdicts))
 
 
 def example_state(ex):
@@ -555,9 +559,9 @@ def example_state(ex):
     values, to compare two builds of it: the symbol's label, level and
     rows at p, its branch family and every other entry as it is."""
     sym, p = ex["sym"], ex["p"]
-    rest = {k: v for k, v in ex.items() if k not in ("sym", "alpha", "raw", "dressed")}
+    rest = {k: v for k, v in ex.items() if k not in ("sym", "family")}
     return (sym.label, sym.level, [sym.evaluate_row(p, s) for s in (1, -1)],
-            family_state((ex["alpha"], ex["raw"], ex["dressed"])), rest)
+            family_state(ex["family"]), rest)
 
 
 def reduce_gamma(f: PadicSeries, order: int) -> PadicSeries:

@@ -13,8 +13,8 @@ import pytest
 
 import iwrank
 import iwrank.padic_l as padic_l_module
-from iwrank.characters import DirichletCharacter, all_characters
-from iwrank.examples import build_example, omega_twist_sum
+from iwrank.characters import DirichletCharacter, all_characters, kronecker
+from iwrank.examples import EXAMPLES, build_example, omega_twist_sum
 from iwrank.iwasawa import PadicSeries, mu_lambda
 from iwrank.newforms import bundled, residual_eisenstein_partner
 from iwrank.padic_l import (
@@ -59,8 +59,10 @@ def series_all(ex_all):
     out = {}
     for n, ex in ex_all.items():
         span = ex["p"] - 1
-        # the example's own alpha stands in for its a_p
-        balls = symbol_measure(ex["sym"], None, ex["p"], 1, 8, ex["alpha"])[1]
+        # a_p of the example's symbol: the twist by d multiplies it by (d/p)
+        disc = EXAMPLES[n]["twist_disc"]
+        ap = ex["f"].a(ex["p"]) * (1 if disc is None else kronecker(disc, ex["p"]))
+        balls = symbol_measure(ex["sym"], ap, ex["p"], 1, 8)[1]
         out[n] = {j: branch_series(balls[(-1) ** (j % 2)], ex["p"], j, 8,
                                    ex["sym"].label)
                   for j in range(1, span + 1)}
@@ -129,7 +131,7 @@ def test_criterion_2_untwisted_symbol_tables(ex_all):
 
 def test_criterion_3_branch_values(ex_all):
     ex = ex_all[1]
-    sym, alpha = ex["sym"], ex["alpha"]
+    sym, alpha = ex["sym"], ex["family"].alpha
     vals = {j: branch_value_trivial(sym, 11, alpha, j) for j in range(0, 10)}
     problems = []
     if not vals[5].is_zero():
@@ -404,8 +406,8 @@ def test_criterion_8_product_scope(ex_all, dressed_all):
         for j, bs in dressed.items():
             verdict = product_congruence_verdict(dressed[j],
                                                  dressed[j % span + 1])
-            rec = branch_report(bs, ex_all[n]["alpha"], value=None,
-                                exact_zero=False, verdict=verdict)
+            rec = branch_report(bs, ex_all[n]["family"].alpha, value=None,
+                                verdict=verdict)
             if rec.get("note") != PRODUCT_NOTE:
                 problems.append(f"example {n} branch {j} report lacks the "
                                 f"product-scope note")

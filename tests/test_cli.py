@@ -6,8 +6,9 @@ from math import gcd
 import pytest
 
 from iwrank.cli import main
-from iwrank.examples import build_example, kept_example
+from iwrank.examples import EXAMPLES, build_example, kept_example
 from iwrank.modsym import ModularSymbolSpace
+from iwrank.padic_l import branch_report
 
 
 def _lines(capsys):
@@ -124,6 +125,27 @@ def test_padic_l(capsys):
     for r in recs:
         assert r["sigma0_factors"] == [[11, ["1", "2", "11"]]]
         assert "note" in r
+
+
+@pytest.mark.parametrize("number, argv", [
+    (2, ["--newform", "52.2.a.a", "--prime", "5", "--sigma0", "11:1,2,11"]),
+    (1, ["--newform", "11.2.a.a", "--prime", "11", "--char", "quad-23", "--sigma0", "23:1"]),
+])
+def test_padic_l_agrees_with_the_bundled_run(number, argv, capsys):
+    # `padic-l` on the bundled run's form, twist, prime and sigma0
+    # factors prints, branch by branch, the bundled run's value at the
+    # trivial character, dressed (mu, lambda) and verdict
+    assert main(["padic-l"] + argv) == 0
+    recs = _records(capsys)
+    family = build_example(number)["family"]
+    p = EXAMPLES[number]["p"]
+    assert [r["j"] for r in recs] == [j % (p - 1) for j in family.values] != []
+    for r, (j, value) in zip(recs, family.values.items()):
+        bs = family.dressed[j]
+        assert r["value_at_trivial"] == \
+            branch_report(bs, family.alpha, value)["value_at_trivial"], (number, j)
+        assert [r["mu"], r["lambda"]] == list(bs.invariants or (None, None)), (number, j)
+        assert r["verdict"] == family.verdicts[j], (number, j)
 
 
 @pytest.mark.parametrize("p", [7, 11, 13])

@@ -157,9 +157,9 @@ def test_build_example_is_kept_read_only():
         assert example_state(kept) == example_state(kept_example.__wrapped__(number, 1, 8))
         with pytest.raises(TypeError):
             kept["p"] = 7
-        for key in ("raw", "dressed"):
+        for held in kept["family"][1:]:
             with pytest.raises(TypeError):
-                kept[key][1] = kept[key][2]
+                held[1] = held[2]
 
 
 def test_build_example_keeps_one_run_however_it_is_called():
@@ -195,7 +195,9 @@ def test_reports_deterministic(rep3):
 def test_build_example_shapes():
     ex = build_example(3)
     assert ex["p"] == 5
-    assert sorted(ex["raw"]) == sorted(ex["dressed"]) == [1, 2, 3, 4]
+    family = ex["family"]
+    assert list(family.raw) == list(family.dressed) == [1, 2, 3, 4]
+    assert list(family.values) == list(family.verdicts) == [1, 2, 3, 4]
     assert ex["sym"].level == 19
-    assert ex["alpha"].ints[0] % 5 == 3
+    assert family.alpha.ints[0] % 5 == 3
     assert ex["sigma0"] == ((11, (1, -3, 11)),)

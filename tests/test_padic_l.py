@@ -20,6 +20,7 @@ from iwrank.iwasawa import (
     UndeterminedInvariants,
     ideal_mod_pi,
     mu_lambda,
+    padic_ints,
 )
 from iwrank.modsym import SymbolPair
 from iwrank.newforms import bundled
@@ -31,6 +32,7 @@ from iwrank.padics import (
 from iwrank.padic_l import (
     BranchSeries,
     OrdinarityError,
+    DEFAULT_DIGITS,
     PRODUCT_NOTE,
     apply_sigma0,
     branch_family,
@@ -84,11 +86,21 @@ def _scaled(c, x):
     return PadicSeries(x.p, x.M, 1, [c * x.ints[0]])
 
 
-def _branch(sym, p, alpha, j, n=1, M=8):
-    """Branch j of `sym` at wild level n mod p^M, with the root alpha: the
-    balls of sign (-1)^j of its symbol measure, projected onto branch j."""
-    balls = symbol_measure(sym, None, p, n, M, alpha)[1]
+def _branch(sym, p, ap, j, n=1, M=8):
+    """Branch j of `sym` at wild level n mod p^M, for a_p = ap: the balls
+    of sign (-1)^j of its symbol measure, projected onto branch j."""
+    balls = symbol_measure(sym, ap, p, n, M)[1]
     return branch_series(balls[(-1) ** (j % 2)], p, j, M, sym.label)
+
+
+def _branch_at_root(sym, p, root, j, n, M=8):
+    """Branch j of `sym` at wild level n mod p^M, its balls
+    root^-(n+1) x(a/p^(n+1)) - root^-(n+2) x(a/p^n) summed exactly, one
+    symbol point at a time, for a root of any valuation."""
+    hi, lo = _ball_values(sym, p, n)[(-1) ** (j % 2)]
+    masses = [0 if a % p == 0 else F(x, root ** (n + 1)) - F(lo[a % p**n], root ** (n + 2))
+              for a, x in enumerate(hi)]
+    return branch_series(padic_ints(masses, p, M), p, j, M, sym.label)
 
 
 def test_unit_roots(a19, a52):
@@ -163,14 +175,14 @@ def test_branch_values_19a(pair19, a19):
 
 def test_branch_series_19a(pair19, a19):
     vals = {j: branch_value_trivial(pair19, 5, a19, j) for j in range(1, 5)}
-    bss = {j: _branch(pair19, 5, a19, j, n=1) for j in range(1, 5)}
+    bss = {j: _branch(pair19, 5, 3, j, n=1) for j in range(1, 5)}
     for j in range(1, 5):
         assert mu_lambda(t_series(bss[j])) == (0, 0), j
         # series(0)/value is 2 on a nontrivial branch, 1 on the trivial one
         got = t_series(bss[j]).coefficient(0)
         assert _agree(got, _scaled(2 if j < 4 else 1, vals[j]), 6), j
     # wild level 2 projects down exactly
-    deeper = _branch(pair19, 5, a19, 2, n=2)
+    deeper = _branch(pair19, 5, 3, 2, n=2)
     assert reduce_gamma(t_series(deeper), 5) == t_series(bss[2])
 
 
@@ -179,12 +191,12 @@ def test_unit_root_boundedness(pair19, a19):
         coeffs = map(series.coefficient, range(series.D))
         return min(_val(c) for c in coeffs if not c.is_zero())
 
-    beta = PadicSeries(5, 14, 1, [3 - a19.ints[0]])
-    assert _val(beta) == 1
-    mv_a1 = min_val(t_series(_branch(pair19, 5, a19, 2, n=1)))
-    mv_a2 = min_val(t_series(_branch(pair19, 5, a19, 2, n=2)))
-    mv_b1 = min_val(t_series(_branch(pair19, 5, beta, 2, n=1)))
-    mv_b2 = min_val(t_series(_branch(pair19, 5, beta, 2, n=2)))
+    beta = 3 - a19.ints[0]  # the companion root 5/alpha, mod 5^14
+    assert _val(PadicSeries(5, 14, 1, [beta])) == 1
+    mv_a1 = min_val(t_series(_branch(pair19, 5, 3, 2, n=1)))
+    mv_a2 = min_val(t_series(_branch(pair19, 5, 3, 2, n=2)))
+    mv_b1 = min_val(t_series(_branch_at_root(pair19, 5, beta, 2, n=1)))
+    mv_b2 = min_val(t_series(_branch_at_root(pair19, 5, beta, 2, n=2)))
     assert mv_a2 >= mv_a1 >= 0
     assert mv_b2 < mv_b1 < 0  # the measure is unbounded at the wrong root
 
@@ -206,7 +218,7 @@ def test_branch_values_52a(pair52, a52):
 
 def test_branch_series_52a(pair52, a52):
     vals = {j: branch_value_trivial(pair52, 5, a52, j) for j in range(1, 5)}
-    bss = {j: _branch(pair52, 5, a52, j, n=1) for j in range(1, 5)}
+    bss = {j: _branch(pair52, 5, 2, j, n=1) for j in range(1, 5)}
     # vanishing branch: exact gamma-basis masses are a unit multiple of
     # (-4,-8,8,4,0); their finite differences leave T^0..T^2 divisible by
     # 5 and the T^3 coefficient a unit, so (mu, lambda) = (0, 3)
@@ -216,7 +228,7 @@ def test_branch_series_52a(pair52, a52):
         assert mu_lambda(t_series(bss[j])) == (0, 0), j
         assert _agree(t_series(bss[j]).coefficient(0),
                       _scaled(2 if j < 4 else 1, vals[j]), 6), j
-    deeper = _branch(pair52, 5, a52, 2, n=2)
+    deeper = _branch(pair52, 5, 2, 2, n=2)
     assert reduce_gamma(t_series(deeper), 5) == t_series(bss[2])
 
 
@@ -373,7 +385,7 @@ def test_isogeny_class_periods(label, p):
         assert isclose(L / omega, ratio, rel_tol=1e-9), (name, L / omega)
         assert isclose(omega * x0 / L, scaled, rel_tol=1e-9), (name, omega * x0 / L)
     for n in (1, 2):
-        raw = branch_family(pair, nf.a(p), p, n, 8)[1]
+        raw = branch_family(pair, nf.a(p), p, n, 8).raw
         for j in range(2, p, 2):
             bs = raw[j]
             assert bs.invariants == mu_lambda(t_series(bs)) == (2, 0), (n, j)
@@ -389,9 +401,9 @@ def _verdicts(bss, span):
     return out
 
 
-def test_sigma0_and_verdicts_p5(pair19, pair52, a19, a52):
-    bs52 = {j: _branch(pair52, 5, a52, j, n=1) for j in range(1, 5)}
-    bs19 = {j: _branch(pair19, 5, a19, j, n=1) for j in range(1, 5)}
+def test_sigma0_and_verdicts_p5(pair19, pair52):
+    bs52 = {j: _branch(pair52, 5, 2, j, n=1) for j in range(1, 5)}
+    bs19 = {j: _branch(pair19, 5, 3, j, n=1) for j in range(1, 5)}
     sig52 = [(11, (1, 2, 11))]
     sig19 = [(11, (1, -3, 11))]
     d52 = {j: apply_sigma0(bs52[j], sig52) for j in bs52}
@@ -442,7 +454,7 @@ def test_twisted_branch_values(twisted11, alpha_tw):
 def test_twisted_branch_series_and_verdicts(twisted11, alpha_tw):
     vals = {j: branch_value_trivial(twisted11, 11, alpha_tw, j)
             for j in range(1, 11)}
-    bss = {j: _branch(twisted11, 11, alpha_tw, j, n=1)
+    bss = {j: _branch(twisted11, 11, kronecker(-23, 11), j, n=1)
            for j in range(1, 11)}
     assert mu_lambda(t_series(bss[5])) == (0, 1)
     # one-root trivial branch: series(0)/value = 1/(1 - 1/alpha) = 1/2
@@ -469,16 +481,15 @@ def test_mu_positive_product_gives_zero_class():
 
 
 def test_reports(pair52, a52):
-    bs = apply_sigma0(_branch(pair52, 5, a52, 2, n=1),
+    bs = apply_sigma0(_branch(pair52, 5, 2, 2, n=1),
                       [(11, (1, 2, 11))])
-    partner = apply_sigma0(_branch(pair52, 5, a52, 3, n=1),
+    partner = apply_sigma0(_branch(pair52, 5, 2, 3, n=1),
                            [(11, (1, 2, 11))])
     val = branch_value_trivial(pair52, 5, a52, 2)
     verdict = product_congruence_verdict(bs, partner)
-    rec = branch_report(bs, a52, value=val, exact_zero=True, verdict=verdict)
+    rec = branch_report(bs, a52, value=val, verdict=verdict)
     line = format_report(rec)
     assert line == format_report(branch_report(bs, a52, value=val,
-                                               exact_zero=True,
                                                verdict=verdict))
     assert '"note"' in line and PRODUCT_NOTE in line
     assert rec["mu"] == 0 and rec["lambda"] == 3
@@ -497,24 +508,24 @@ def test_exceptional_zero_ratio_is_undefined(pair11):
     x0 = pair11.evaluate(F(0), 1)
     value = branch_value_trivial(pair11, 11, alpha, 10)
     assert value.is_zero() and value.M == 28 + padic_valuation(x0, 11)
-    bs = _branch(pair11, 11, alpha, 10)
+    bs = _branch(pair11, 11, 1, 10)
     assert t_series(bs).coefficient(0).is_zero()
     assert not t_series(bs).is_zero()
 
 
 def _branch_families(n):
-    """(symbol, p, alpha, raw branch series) at wild level n mod p^8, for
-    11.2.a.a, 19.2.a.a and 52.2.a.a at every odd p <= 19 where they are
-    ordinary, then for the three bundled examples."""
+    """(symbol, p, branch family) at wild level n mod p^8, for 11.2.a.a,
+    19.2.a.a and 52.2.a.a at every odd p <= 19 where they are ordinary,
+    then for the three bundled examples."""
     for label in ("11.2.a.a", "19.2.a.a", "52.2.a.a"):
         nf = bundled(label)
         sym = symbol_pair(nf)
         for p in (3, 5, 7, 11, 13, 17, 19):
             if nf.a(p) % p:
-                yield (sym, p) + branch_family(sym, nf.a(p), p, n, 8)[:2]
+                yield sym, p, branch_family(sym, nf.a(p), p, n, 8)
     for number in EXAMPLES:
         ex = build_example(number, wild_level=n, M=8)
-        yield ex["sym"], ex["p"], ex["alpha"], ex["raw"]
+        yield ex["sym"], ex["p"], ex["family"]
 
 
 def test_branch_values_are_mass_sums():
@@ -524,9 +535,10 @@ def test_branch_values_are_mass_sums():
         return x == y or padic_valuation(x - y, p) >= 8
 
     for n in (1, 2):
-        for sym, p, alpha, raw in _branch_families(n):
-            for j, bs in raw.items():
-                value = branch_value_trivial(sym, p, alpha, j)
+        for sym, p, family in _branch_families(n):
+            alpha = family.alpha
+            for j, bs in family.raw.items():
+                value = family.values[j]
                 assert value.M >= 8
                 got = F(value.ints[0]) * F(p) ** value.shift
                 total = F(sum(bs.masses)) * F(p) ** bs.shift
@@ -556,7 +568,7 @@ def test_distribution_relation(case, pair11, pair19, pair52, twisted11):
         "52a@5": (pair52, 5, 2),
         "11a-tw23@11": (twisted11, 11, kronecker(-23, 11)),
     }[case]
-    low, high = (branch_family(sym, ap, p, n, 8)[1] for n in (1, 2))
+    low, high = (branch_family(sym, ap, p, n, 8).raw for n in (1, 2))
     for j, bs in high.items():
         for c, y in enumerate(low[j].masses):
             diff = (F(sum(bs.masses[c::p])) * F(p) ** bs.shift
@@ -586,14 +598,6 @@ def test_padic_l_reads_rows_in_integers():
                and node.func.id == "teichmuller_lift"}
     assert lifting == {"_teichmuller_table"}
     assert padic_l_module._teichmuller_table.cache_info().maxsize
-
-
-def test_short_alpha_raises(pair52, a52):
-    # a52 carries the default 14 digits; a series mod 5^16 needs 16
-    assert a52.M == 14
-    with pytest.raises(PadicPrecisionError, match="digits"):
-        symbol_measure(pair52, 2, 5, 2, 16, a52)
-    assert symbol_measure(pair52, 2, 5, 2, 16)[0].M == 16
 
 
 @pytest.mark.parametrize("p,n", [(5, 1), (5, 2), (11, 1), (7, 2)])
@@ -673,10 +677,12 @@ def test_series_stable_across_precision(case, pair11, pair19, pair52,
         values = _ball_values(sym, p, n)
         for M in (8, 14, 16, 30):
             alpha, balls = symbol_measure(sym, ap, p, n, M)
+            # alpha carries the digits the balls need, and no fewer than 14
+            assert alpha.M == max(DEFAULT_DIGITS, M - min(shift for shift, _ in balls.values()))
             _assert_balls_match_the_formula(balls, values, p, n, M, alpha, level % p == 0)
             bss = {j: branch_series(balls[(-1) ** (j % 2)], p, j, M, sym.label)
                    for j in range(1, p)}
-            family = branch_family(sym, ap, p, n, M)[1]
+            family = branch_family(sym, ap, p, n, M).raw
             assert [(bs.shift, bs.masses) for bs in family.values()] == \
                 [(bs.shift, bs.masses) for bs in bss.values()], (case, n, M)
             for j, bs in bss.items():
@@ -704,7 +710,9 @@ SIGMA0_52 = ((11, (1, 2, 11)),)
 
 def test_branch_family_builds_the_requested_branches(monkeypatch):
     # each call builds alpha, each sign's balls once, and the series of
-    # the branches it is asked for, each from the balls of its sign
+    # the branches it is asked for and of their partners, each from the
+    # balls of its sign; values and verdicts are those of the branches
+    # asked for, in the order asked
     built, measured = [], []
     branch_series, symbol_measure = padic_l_module.branch_series, padic_l_module.symbol_measure
 
@@ -731,29 +739,38 @@ def test_branch_family_builds_the_requested_branches(monkeypatch):
     monkeypatch.setattr(padic_l_module, "symbol_measure", measure)
     pair = symbol_pair(bundled("52.2.a.a"))
     family = branch_family(pair, 2, 5, 1, 8, SIGMA0_52)
-    alpha, raw, dressed = family
-    assert built_once() == [1, 2, 3, 4] and list(raw) == list(dressed) == [1, 2, 3, 4]
+    alpha, raw, dressed, values, verdicts = family
+    assert built_once() == [1, 2, 3, 4]
+    assert list(raw) == list(dressed) == list(values) == list(verdicts) == [1, 2, 3, 4]
+    assert values == {j: branch_value_trivial(pair, 5, alpha, j) for j in range(1, 5)}
+    assert verdicts == {j: product_congruence_verdict(dressed[j], dressed[j % 4 + 1])
+                        for j in range(1, 5)}
+    assert verdicts == {1: "(T^3)", 2: "(T^3)", 3: "(1)", 4: "(1)"}
     # the same arguments, as other types, or a set of all branches (the
     # default 1..p-1): an equal family, built anew
     for build in (lambda: branch_family(pair, F(2), 5, 1, 8, list(SIGMA0_52)),
                   lambda: branch_family(pair, 2, 5, 1, 8, SIGMA0_52, branches={4, 1, 3, 2})):
         again = build()
         assert built_once() == [1, 2, 3, 4]
-        assert again[1][1] is not raw[1] and family_state(again) == family_state(family)
-    # a list, a range or a set of fewer branches builds those alone, in order
+        assert again.raw[1] is not raw[1] and family_state(again) == family_state(family)
+    # a list, a range or a set of fewer branches builds those and their
+    # partners alone, in increasing order, and gives the values and
+    # verdicts of those asked for, in the order asked
     for branches in ({4, 3}, [4, 3], range(3, 5)):
         got = branch_family(pair, 2, 5, 1, 8, SIGMA0_52, branches=branches)
-        assert list(got[1]) == list(got[2]) == [3, 4] and built_once() == [3, 4]
-        assert family_state(got)[0] == family_state(family)[0]
-        assert all(family_state(got)[k][j] == family_state(family)[k][j]
-                   for k in (1, 2) for j in (3, 4))
+        assert list(got.raw) == list(got.dressed) == [1, 3, 4] and built_once() == [1, 3, 4]
+        assert list(got.values) == list(got.verdicts) == list(branches)
+        state, full = family_state(got), family_state(family)
+        assert state[0] == full[0]
+        assert all(state[k][j] == full[k][j] for k in (1, 2, 3, 4) for j in state[k])
     # with no factors, dressed is raw, and equals the raw above
     bare = branch_family(pair, 2, 5, 1, 8)
-    assert bare[2] is bare[1] and family_state(bare)[1] == family_state(family)[1]
+    assert bare.dressed is bare.raw and family_state(bare)[1] == family_state(family)[1]
     # the handed-out mappings are read-only
-    assert type(raw) is type(dressed) is MappingProxyType
-    with pytest.raises(TypeError):
-        raw[1] = dressed[1]
+    for held in (raw, dressed, values, verdicts):
+        assert type(held) is MappingProxyType
+        with pytest.raises(TypeError):
+            held[1] = held[2]
 
 
 def test_branch_series_go_with_their_caller(monkeypatch):
@@ -765,10 +782,10 @@ def test_branch_series_go_with_their_caller(monkeypatch):
     monkeypatch.setattr(padic_l_module, "BranchSeries", Tracked)
     nf = bundled("11.2.a.a")
     pair = symbol_pair(nf)
-    _, raw, dressed = branch_family(pair, 1, 5, 1, 8, ((2, (1, 2, 2)),))
-    refs = [weakref.ref(bs) for bss in (raw, dressed) for bs in bss.values()]
+    family = branch_family(pair, 1, 5, 1, 8, ((2, (1, 2, 2)),))
+    refs = [weakref.ref(bs) for bss in (family.raw, family.dressed) for bs in bss.values()]
     assert len(refs) == 8
-    del raw, dressed
+    del family
     gc.collect()
     assert all(ref() is None for ref in refs)
     assert pair.level == 11

@@ -70,6 +70,13 @@ def test_teichmuller():
     assert pow(t, 5, 5**10) == t
 
 
+def test_teichmuller_refuses_prec_below_one():
+    assert teichmuller_lift(7, 5, 1) == 2
+    for prec in (0, -1):
+        with pytest.raises(ValueError, match="prec >= 1"):
+            teichmuller_lift(2, 5, prec)
+
+
 def test_hensel():
     r = hensel_root([5, -3, 1], 3, 5, 8)  # x^2 - 3x + 5, unit root
     assert (r * r - 3 * r + 5) % 5**8 == 0
