@@ -6,9 +6,9 @@ Usage: python benchmarks/bench_kubota_leopoldt.py
 For every prime 5 <= p < 500 it builds the ball masses
 `tests/reference.b1_balls(p, 1, 4)` (the Bernoulli distribution
 E_1(a + p^2 Z_p) = B_1({a/p^2}), with no level and no alpha) once,
-projects them with `padic_l.branch_series` at wild level 1 mod p^4, and
-checks each even k in [2, p - 3] on branch j = 1 - k mod p - 1, the
-Kubota-Leopoldt series of omega^k, by the rules of
+projects them with one `padic_l.branch_series` call at wild level 1
+mod p^4 onto branch j = 1 - k mod p - 1 for each even k in [2, p - 3],
+the Kubota-Leopoldt series of omega^k, and checks each by the rules of
 `tests/test_padic_l.py::test_kubota_leopoldt_branches_read_the_irregular_primes`:
 
 - mu = 0 (Ferrero-Washington);
@@ -48,9 +48,9 @@ TABLE_160 = [(37, 32), (59, 44), (67, 58), (101, 68), (103, 24), (131, 22),
 def check_prime(p, irregular, mismatches):
     """Check every even k in [2, p - 3] at p; the number of cases."""
     ks = range(2, p - 2, 2)
-    balls = b1_balls(p, 1, M)
+    bss = branch_series(b1_balls(p, 1, M), p, [1 - k for k in ks], M)
     for k in ks:
-        mu, lam = branch_series(balls, p, 1 - k, M).invariants
+        mu, lam = bss[1 - k].invariants
         b_k = bernoulli_number(k) / k
         if b_k.numerator % p:
             ok = mu == 0 and lam == 0

@@ -25,12 +25,21 @@ symbol rows of both signs as the symbol measure reads them
 11 divides the twist's level, with the twist itself (its scales
 included) built inside the timing.  Each figure is the best of
 `--repeat` rounds.
+
+The host's speed drifts between runs, so between figures it times the
+calibration piece of `perfbench/run.py` (`time_calibration`), and prints
+every figure at the speed where that piece takes `CALIBRATION_REF_S`,
+after the calibration median and the scale, with the figure as measured
+in brackets.
 """
 
 import argparse
 import os
+import statistics
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 from iwrank import cli
 from iwrank import padic_l as padic_l_module
@@ -42,6 +51,9 @@ from iwrank.modsym import (ModularSymbolSpace, SymbolPair, TwistedSymbol, eigen_
 from iwrank.newforms import bundled
 from iwrank.padic_l import branch_family, branch_series, symbol_measure
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from run import CALIBRATION_REF_S, time_calibration  # noqa: E402
+
 # wild levels n; the series length is D = 5^n
 LEVELS = (2, 3, 4, 5, 6)
 # wild levels of the twisted rows of verify-example 1 (p = 11)
@@ -51,6 +63,8 @@ M = 8
 SIGMA0 = ((2, (1, 2, 2)),)
 # primes of the cold `padic-l` runs, where the p - 1 projections dominate
 LARGE_PRIMES = (101, 401)
+# calibration pieces timed after each figure
+CALIBRATIONS_PER_FIGURE = 3
 
 
 def best_time(fn, repeat, before=None):
@@ -128,8 +142,8 @@ def padic_l_at(p):
 
 
 def drop_padic_tables():
-    """Drop every cached table of `padic_l` (Teichmuller lifts, wild
-    coordinates), so a run builds them as the first run of a process."""
+    """Drop every cached table of `padic_l` (the balls by tame and wild
+    coordinate), so a run builds them as the first run of a process."""
     for fn in vars(padic_l_module).values():
         if hasattr(fn, "cache_clear"):
             fn.cache_clear()
@@ -154,62 +168,88 @@ def example1_symbol():
     read_rows(sym, 11, 1)
 
 
+class Report:
+    """Lines of figures, printed at the end at the reference host speed:
+    each figure in seconds fills a "{}" of its line, and calibration
+    pieces are timed after it."""
+
+    def __init__(self):
+        self.lines = []
+        self.calibrations = [time_calibration()]
+
+    def line(self, text, *seconds):
+        self.lines.append((text, seconds))
+        for _ in range(CALIBRATIONS_PER_FIGURE if seconds else 0):
+            self.calibrations.append(time_calibration())
+
+    def print(self):
+        median = statistics.median(self.calibrations)
+        scale = CALIBRATION_REF_S / median
+        print(f"host speed: calibration median {median:.5f} s over "
+              f"{len(self.calibrations)} pieces, reference {CALIBRATION_REF_S} s, "
+              f"times scaled by {scale:.4f} (as measured in brackets)")
+        for text, seconds in self.lines:
+            print(text.format(*(f"{t * scale * 1e3:.2f}ms ({t * 1e3:.2f})"
+                                for t in seconds)))
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeat", type=int, default=3,
                     help="timing rounds per figure (the best is kept)")
     args = ap.parse_args()
+    report = Report()
 
-    print(f"padic-l: {'D':>5} {'time':>10}")
+    report.line(f"padic-l: {'D':>5} {'time':>10}")
     for n in LEVELS:
         t = best_time(lambda: padic_l(5**n), args.repeat)
-        print(f"         {5**n:>5} {t * 1e3:>8.1f}ms")
+        report.line(f"         {5**n:>5} {{}}", t)
 
-    print(f"padic-l, cold: {'p':>5} {'time':>10}")
+    report.line(f"padic-l, cold: {'p':>5} {'time':>10}")
     for p in LARGE_PRIMES:
         t = best_time(lambda: padic_l_at(p), args.repeat, drop_padic_tables)
-        print(f"               {p:>5} {t * 1e3:>8.1f}ms")
+        report.line(f"               {p:>5} {{}}", t)
 
     pair = symbol_pair(bundled("11.2.a.a"))
-    print(f"branch_family, sigma0 at 2: {'D':>5} {'time':>10}")
+    report.line(f"branch_family, sigma0 at 2: {'D':>5} {'time':>10}")
     for n in LEVELS:
         t = best_time(lambda: branch_family(pair, 1, 5, n, M, SIGMA0), args.repeat)
-        print(f"                            {5**n:>5} {t * 1e3:>8.2f}ms")
+        report.line(f"                            {5**n:>5} {{}}", t)
 
     n = LEVELS[-1]
     tracemalloc.start()
     padic_l(5**n)
     held, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    print(f"D = {5**n}: padic-l peaks at {peak / 2**20:.2f} MiB traced and "
-          f"holds {held / 2**20:.2f} MiB after it")
+    report.line(f"D = {5**n}: padic-l peaks at {peak / 2**20:.2f} MiB traced and "
+                f"holds {held / 2**20:.2f} MiB after it")
 
     sym = pair11()
-    # a_5 of 11.2.a.a is 1; branch 2 projects the plus balls
-    bs = branch_series(symbol_measure(sym, 1, 5, n, M)[1][1], 5, 2, M)
+    # a_5 of 11.2.a.a is 1; branch 2 projects the plus balls, the first yielded
+    bs = branch_series(next(symbol_measure(sym, 1, 5, n, M))[2], 5, [2], M)[2]
     ti = best_time(lambda: mass_mu_lambda(5, bs.shift, bs.masses), args.repeat)
-    print(f"D = {5**n}: (mu, lambda) = {bs.invariants} off the masses "
-          f"in {ti * 1e3:.3f}ms")
+    report.line(f"D = {5**n}: (mu, lambda) = {bs.invariants} off the masses in {{}}", ti)
 
     verify2()
     cold = best_time(verify2, args.repeat, drop_kept)
     kept = best_time(verify2, args.repeat)
-    print(f"verify-example 2: {cold * 1e3:.3f}ms cold, {kept * 1e3:.3f}ms with its run kept")
+    report.line("verify-example 2: {} cold, {} with its run kept", cold, kept)
 
     t = best_time(example1_symbol, args.repeat)
-    print(f"verify-example 1 symbol (11.2.a.a x quad(-23), rows at 121): {t * 1e3:.2f}ms")
+    report.line("verify-example 1 symbol (11.2.a.a x quad(-23), rows at 121): {}", t)
 
-    print("symbol rows (both signs)")
+    report.line("symbol rows (both signs)")
     for make, label in ((pair11, "11.2.a.a"), (pair52, "52.2.a.a")):
         for n in LEVELS:
             t = rows_time(make, 5, n, args.repeat)
-            print(f"  {label} at {5**(n + 1)}, {5**n}: {t * 1e3:.2f}ms")
+            report.line(f"  {label} at {5**(n + 1)}, {5**n}: {{}}", t)
     t = rows_time(pair19, 3, 7, args.repeat)
-    print(f"  19.2.a.a at {3**8}, {3**7}: {t * 1e3:.2f}ms")
+    report.line(f"  19.2.a.a at {3**8}, {3**7}: {{}}", t)
     chi = DirichletCharacter.quadratic_by_discriminant(-23)
     for n in TWIST_LEVELS:
         t = rows_time(pair11, 11, n, args.repeat, chi)
-        print(f"  11.2.a.a x quad(-23) at {11**(n + 1)}: {t * 1e3:.2f}ms")
+        report.line(f"  11.2.a.a x quad(-23) at {11**(n + 1)}: {{}}", t)
+    report.print()
 
 
 if __name__ == "__main__":

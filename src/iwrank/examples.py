@@ -34,7 +34,7 @@ from .modsym import (
 )
 from .newforms import bundled, residual_eisenstein_partner
 from .padics import padic_valuation
-from .padic_l import _value_record, branch_family, partner_branch
+from .padic_l import branch_family, partner_branch, value_record
 from .qseries import check_congruence, mazur_eisenstein, sturm_bound
 
 __all__ = [
@@ -307,7 +307,7 @@ def _fmt_vals(vals):
 def _read_value(v):
     """(valuation, text) of a one-term value, read once: the valuation is
     None when v vanishes to its precision."""
-    rec = _value_record(v)
+    rec = value_record(v)
     if rec["valuation"] is None:
         return None, f"0 (to p^{rec['vanishes_to']})"
     return rec["valuation"], f"val={rec['valuation']} unit={rec['unit_digits']}"

@@ -4,20 +4,19 @@ For a p-ordinary eigensymbol pair this module computes the single values
 of each tame branch at the trivial wild character and the Riemann-sum
 branch series in Z/p^M[Z/p^n], with integers mod p-powers only: every
 symbol value is read off a row (`evaluate_row`), and the tame twist
-omega^-j is a table of p - 1 modular powers built per call from the
-cached Teichmuller lifts.  A branch series is built in two steps.
-`symbol_measure`, the one step that picks alpha and knows the one-root
-case p | N, gives each sign's masses of the balls a + p^(n+1)Z_p;
-`branch_series` projects ball masses of any measure onto branch j,
-through omega^-j and the wild coordinates.  A branch series is kept in
-one basis, the masses of the group elements gamma^c that the sum adds
-up, and never converted to the T-basis (gamma = 1 + T): mu and lambda
-are read off the masses, a sigma0 Euler factor multiplies them by its
-few nonzero masses, and the verdict for the product of two branches
-comes from the factors' (mu, lambda) alone, as mod p the ring is
-F_p[T]/(T^(p^n)).  `branch_family` is the one owner of a symbol's
+omega^-j(g^i) = omega(g)^(-ij) is p - 1 geometric weights.  A branch
+series is built in two steps.  `symbol_measure`, the one step that picks
+alpha and knows the one-root case p | N, gives each sign's masses of the
+balls a + p^(n+1)Z_p, one sign at a time; `branch_series` projects ball
+masses of any measure onto all requested branches in one pass.  A
+branch series is kept in one basis, the masses of the group elements
+gamma^c that the sum adds up, and never converted to the T-basis
+(gamma = 1 + T): mu and lambda are read off the masses, a sigma0 Euler
+factor multiplies them by its few nonzero masses, and the verdict for
+the product of two branches comes from the factors' (mu, lambda) alone,
+as mod p the ring is F_p[T]/(T^(p^n)).  `branch_family` is the one owner of a symbol's
 per-branch results, for both `padic-l` and the bundled runs: it composes
-the two steps, the balls once per sign, into a `BranchFamily` of alpha,
+the two steps, one projection per sign, into a `BranchFamily` of alpha,
 the raw and dressed (sigma0) series of the requested branches and their
 partners (`partner_branch`), and each requested branch's value at the
 trivial character and verdict.  It keeps nothing, as the rows it reads
@@ -29,7 +28,7 @@ of every report the CLI writes.
 import json
 from fractions import Fraction
 from functools import lru_cache
-from itertools import cycle
+from itertools import accumulate, repeat
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -42,7 +41,7 @@ from .iwasawa import (
     reduce_ints,
     refuse_lost_digits,
 )
-from .padics import hensel_root, padic_valuation, teichmuller_lift
+from .padics import hensel_root, padic_valuation, smallest_primitive_root, teichmuller_lift
 
 __all__ = [
     "OrdinarityError",
@@ -58,6 +57,7 @@ __all__ = [
     "partner_branch",
     "product_congruence_verdict",
     "branch_report",
+    "value_record",
     "format_report",
 ]
 
@@ -96,15 +96,25 @@ def choose_alpha(ap, p: int, level: int, prec: int = DEFAULT_DIGITS) -> PadicSer
 
 
 @lru_cache(maxsize=32)
-def _teichmuller_table(p: int, W: int) -> tuple:
-    """omega(b) mod p^W for b mod p, the Teichmuller lifts (0 at b = 0)."""
-    return (0,) + tuple(teichmuller_lift(b, p, W) for b in range(1, p))
+def _ball_rows(p: int, n: int) -> tuple:
+    """The units a mod p^(n+1) by tame and wild coordinate: row i holds
+    a = omega(g^i) u^c mod p^(n+1) at column c < p^n, for i < p - 1, g the
+    least primitive root mod p and u = 1 + p, so <a> = a / omega(a) = u^c."""
+    mod = p ** (n + 1)
+    wild = _powers(1 + p, p**n, mod)
+    # omega(g^i) is the weight of row i in the twist by omega^-j, j = -1
+    return tuple(tuple(t * w % mod for w in wild) for t in _twist(p, n + 1, -1))
 
 
-def _omega_table(p: int, W: int, j: int) -> tuple:
-    """omega^-j(b) mod p^W for b mod p (0 at b = 0)."""
-    m = p**W
-    return tuple(pow(t, -j, m) if t else 0 for t in _teichmuller_table(p, W))
+def _twist(p: int, W: int, j: int) -> list:
+    """omega^-j(g^i) = omega(g)^(-ij) mod p^W, row i's weight, i < p - 1."""
+    z = teichmuller_lift(smallest_primitive_root(p), p, W)
+    return _powers(pow(z, -j % (p - 1), p**W), p - 1, p**W)
+
+
+def _powers(x: int, count: int, m: int) -> list:
+    """x^k mod m for k < count."""
+    return list(accumulate(repeat(x, count - 1), lambda y, _: y * x % m, initial=1))
 
 
 def branch_value_trivial(sym, p: int, alpha: PadicSeries, j: int) -> PadicSeries:
@@ -126,7 +136,7 @@ def branch_value_trivial(sym, p: int, alpha: PadicSeries, j: int) -> PadicSeries
     if jj:
         # x(b/p) = p^shift * xs[b - 1] mod p^W
         shift, xs = padic_ints(row[1:], p, W)
-        s = sum(w * x for w, x in zip(_omega_table(p, W, jj)[1:], xs))
+        s = sum(w * xs[g - 1] for w, (g,) in zip(_twist(p, W, jj), _ball_rows(p, 0)))
         return PadicSeries.from_ints(p, W + shift, 1,
                                      [s * ainv * pow(2, -1, m)], shift)
     x0 = row[0]
@@ -167,31 +177,13 @@ class BranchSeries:
         self.sigma0_factors = tuple(sigma0_factors)
 
 
-@lru_cache(maxsize=32)
-def _wild_coordinates(p: int, n: int) -> tuple:
-    """c(a) mod p^n with <a> = u^c(a), u = 1 + p, for every a mod p^(n+1)
-    (-1 where p | a).  <a> = a / omega(a) is the 1-unit part, and
-    omega(a) = a^(p^n) mod p^(n+1) depends on a mod p alone, so its
-    inverse is read off one list of the p - 1 inverses."""
-    mod, q, u = p ** (n + 1), p ** n, 1 + p
-    log = {}
-    x = 1
-    for c in range(q):
-        log[x] = c
-        x = x * u % mod
-    inv = [0] + [pow(b, -q, mod) for b in range(1, p)]
-    return tuple(log[a * inv[a % p] % mod] if a % p else -1
-                 for a in range(mod))
-
-
 def symbol_measure(sym, ap, p: int, n: int, M: int):
-    """(alpha, balls): the measure of `sym` at wild level n, mod p^M.
-
-    alpha is the unit root for a_p = ap (`choose_alpha`) to the digits the
-    balls need, at least DEFAULT_DIGITS.  balls[sgn], for sgn = +-1, is
-    (shift, masses): p^shift * masses[a] is the mass of the ball
-    a + p^(n+1)Z_p,
-        alpha^-(n+1) x(a/p^(n+1)) - alpha^-(n+2) x(a/p^n),
+    """(alpha, sgn, balls) for sgn = 1, then -1, the measure of `sym` at
+    wild level n, mod p^M, one sign at a time.  alpha is the unit root for
+    a_p = ap (`choose_alpha`) to the digits the balls so far need, at
+    least DEFAULT_DIGITS, so the last has them for both signs.
+    balls = (shift, masses): p^shift * masses[a] is the mass of the ball
+    a + p^(n+1)Z_p, alpha^-(n+1) x(a/p^(n+1)) - alpha^-(n+2) x(a/p^n),
     known mod p^M, for a mod p^(n+1) (0 where p | a), with the second
     term dropped when p divides the level (one-root case).  The masses are
     reduced mod p^(M - shift), -shift the p-power in the symbol values'
@@ -202,15 +194,12 @@ def symbol_measure(sym, ap, p: int, n: int, M: int):
         raise ValueError("wild level n >= 1 required")
     hi_len, order = p ** (n + 1), p**n
     steinberg = sym.level % p == 0
-    rows = {}
+    alpha = None
     for sgn in (1, -1):
         hi = sym.evaluate_row(hi_len, sgn)
-        rows[sgn] = padic_ints(hi if steinberg else hi + sym.evaluate_row(order, sgn), p, M)
-    alpha = choose_alpha(ap, p, sym.level, prec=max(
-        DEFAULT_DIGITS, M - min(shift for shift, _ in rows.values())))
-    balls = {}
-    for sgn in (1, -1):
-        shift, xs = rows.pop(sgn)  # each sign's rows go once its balls are built
+        shift, xs = padic_ints(hi if steinberg else hi + sym.evaluate_row(order, sgn), p, M)
+        if alpha is None or alpha.M < M - shift:
+            alpha = choose_alpha(ap, p, sym.level, prec=max(DEFAULT_DIGITS, M - shift))
         m = p ** (M - shift)
         ainv = pow(alpha.ints[0], -1, m)
         a_hi = pow(ainv, n + 1, m)
@@ -218,26 +207,34 @@ def symbol_measure(sym, ap, p: int, n: int, M: int):
         lo = [0] * order if steinberg else xs[hi_len:]
         masses = [(a_hi * x - a_lo * y) % m for x, y in zip(xs, lo * p)]
         masses[::p] = [0] * order
-        balls[sgn] = shift, masses
-    return alpha, balls
+        del xs, lo  # one sign's row-sized lists at a time
+        yield alpha, sgn, (shift, masses)
+        del masses
 
 
-def branch_series(balls, p: int, j: int, M: int, form=None) -> BranchSeries:
-    """Branch j of a measure at wild level n, as the masses of an element
-    of Z_p[Z/p^n] mod p^M.  balls = (shift, masses) holds, as
+def branch_series(balls, p: int, js, M: int, form=None) -> dict:
+    """{j: branch j of a measure} for j in js, as the masses of elements of
+    Z_p[Z/p^n] mod p^M.  balls = (shift, masses) holds, as
     `symbol_measure` gives them, the masses p^shift * masses[a] of the
-    balls a + p^(n+1)Z_p for a mod p^(n+1), reduced mod p^(M - shift);
-    they are twisted by omega^-j and summed by wild coordinate.  `form`
-    names the series' source in its report."""
+    balls a + p^(n+1)Z_p for a mod p^(n+1), reduced mod p^(M - shift).
+    Row i of `_ball_rows` is packed once into an int, ball c's mass in
+    byte slot c, and branch j is read slot by slot off the sum of the rows
+    times omega(g)^(-ij) (`_twist`); as p - 1 products of residues, no
+    slot carries.  `form` names the series' source."""
     shift, xs = balls
     order = len(xs) // p
-    jj = j % (p - 1)
-    masses = [0] * order
-    # the twist vanishes where p | a, whose coordinate is -1
-    for c, w, x in zip(_wild_coordinates(p, padic_valuation(order, p)),
-                       cycle(_omega_table(p, M - shift, jj)), xs):
-        masses[c] += w * x
-    return BranchSeries(p, M, masses, shift, jj, form)
+    m = p ** (M - shift)
+    width = ((p - 1) * (m - 1) ** 2).bit_length() // 8 + 1
+    packed = [int.from_bytes(b"".join([xs[a].to_bytes(width, "little") for a in row]), "little")
+              for row in _ball_rows(p, padic_valuation(order, p))]
+    out = {}
+    for j in js:
+        total = sum(w * row for w, row in zip(_twist(p, M - shift, j), packed))
+        slots = total.to_bytes(order * width, "little")
+        masses = [int.from_bytes(slots[k:k + width], "little")
+                  for k in range(0, order * width, width)]
+        out[j] = BranchSeries(p, M, masses, shift, j % (p - 1), form)
+    return out
 
 
 def apply_sigma0(bs: BranchSeries, factors) -> BranchSeries:
@@ -258,7 +255,7 @@ def apply_sigma0(bs: BranchSeries, factors) -> BranchSeries:
         if ell in applied:
             raise ValueError(f"duplicate sigma0 factor at {ell}")
         applied.add(ell)
-        c = _wild_coordinates(p, n)[ell % p ** (n + 1)]
+        c = next(r.index(ell % p ** (n + 1)) for r in _ball_rows(p, n) if r[0] % p == ell % p)
         terms = {}
         for k, a in enumerate(poly):
             e = k * c % order
@@ -295,16 +292,19 @@ class BranchFamily(NamedTuple):
 def branch_family(sym, ap, p: int, n: int, M: int, sigma0=(), branches=None) -> BranchFamily:
     """The `BranchFamily` of `sym` for the branches j in `branches`
     (default 1..p-1, each in 1..p-1) at wild level n, mod p^M: alpha and
-    the balls of `symbol_measure`, each sign's built once for all its
-    branches; raw[j], the projection of sign (-1)^j onto branch j
-    (`branch_series`), and dressed[j] for j and `partner_branch(j, p)`,
-    in increasing j; values[j] (`branch_value_trivial`) and verdicts[j]
-    (`product_congruence_verdict` of j and its partner, dressed).  Of the
-    symbol it reads `evaluate_row`, `level` and `label` only."""
+    each sign's balls (`symbol_measure`), dropped once one `branch_series`
+    projects them; raw[j], branch j of sign (-1)^j, and dressed[j] for j
+    and `partner_branch(j, p)`, in increasing j; values[j]
+    (`branch_value_trivial`) and verdicts[j] (`product_congruence_verdict`
+    of j and its partner, dressed).  Of the symbol it reads
+    `evaluate_row`, `level` and `label` only."""
     wanted = list(range(1, p) if branches is None else branches)
-    alpha, balls = symbol_measure(sym, ap, p, n, M)
-    raw = MappingProxyType({j: branch_series(balls[(-1) ** (j % 2)], p, j, M, sym.label)
-                            for j in sorted({*wanted, *(partner_branch(j, p) for j in wanted)})})
+    needed = sorted({*wanted, *(partner_branch(j, p) for j in wanted)})
+    raw = {}
+    for alpha, sgn, balls in symbol_measure(sym, ap, p, n, M):
+        raw.update(branch_series(balls, p, [j for j in needed if (-1) ** j == sgn], M, sym.label))
+        del balls  # before the other sign's are built
+    raw = MappingProxyType({j: raw[j] for j in needed})
     dressed = raw if not sigma0 else MappingProxyType(
         {j: apply_sigma0(bs, sigma0) for j, bs in raw.items()})
     return BranchFamily(
@@ -342,7 +342,7 @@ def product_congruence_verdict(bs1: BranchSeries, bs2: BranchSeries) -> str:
     return ideal_text(mu1 + mu2, lam1 + lam2)
 
 
-def _value_record(value: PadicSeries | None):
+def value_record(value: PadicSeries | None):
     """Valuation and six leading unit digits of a one-term series, or the
     bound it vanishes to."""
     if value is None:
@@ -369,8 +369,8 @@ def branch_report(bs: BranchSeries, alpha: PadicSeries, value: PadicSeries | Non
         "form": bs.form,
         "twist": bs.form,  # the symbol's label, twisted or not
         "j": bs.j,
-        "alpha": _value_record(alpha),
-        "value_at_trivial": _value_record(value),
+        "alpha": value_record(alpha),
+        "value_at_trivial": value_record(value),
         "mu": mu,
         "lambda": lam,
         "sigma0_factors": [[ell, [str(c) for c in poly]] for ell, poly in bs.sigma0_factors],

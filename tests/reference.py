@@ -12,6 +12,8 @@ from iwrank import modsym
 from iwrank.cyclotomic import CyclotomicNumber, cyclotomic_polynomial
 from iwrank.iwasawa import PadicSeries, padic_ints
 from iwrank.kernels import convolve
+from iwrank.padic_l import BranchSeries, symbol_measure
+from iwrank.padics import teichmuller_lift
 from iwrank.qseries import bernoulli_number
 
 
@@ -434,8 +436,8 @@ def primitive(vector):
 
 def padic_log(u: int, p: int, abs_prec: int) -> PadicSeries:
     """log of a 1-unit known mod p^abs_prec (p odd), as a one-term series
-    mod the digits it keeps, by its power series.  The oracle of
-    `padic_l._wild_coordinates`."""
+    mod the digits it keeps, by its power series.  The oracle of the wild
+    coordinates of `padic_l._ball_rows`."""
     if p == 2:
         raise ValueError("p = 2 not supported")
     pk = p**abs_prec
@@ -718,3 +720,48 @@ def b1_balls(p, n, M):
     den = p ** (n + 1)
     return padic_ints([Fraction(2 * a - den, 2 * den) if a % p else 0
                        for a in range(den)], p, M)
+
+
+# -- the projection of ball masses, one ball at a time -------------------
+
+
+def wild_coordinates(p, n):
+    """c(a) mod p^n with <a> = u^c(a), u = 1 + p, for every a mod p^(n+1)
+    (-1 where p | a), by a dictionary log of the powers of u.
+    <a> = a / omega(a) is the 1-unit part, and omega(a) = a^(p^n) mod
+    p^(n+1) depends on a mod p alone, so its inverse is read off one list
+    of the p - 1 inverses."""
+    mod, q, u = p ** (n + 1), p**n, 1 + p
+    log = {}
+    x = 1
+    for c in range(q):
+        log[x] = c
+        x = x * u % mod
+    inv = [0] + [pow(b, -q, mod) for b in range(1, p)]
+    return [log[a * inv[a % p] % mod] if a % p else -1 for a in range(mod)]
+
+
+def ball_projection(balls, p, j, M, form=None):
+    """Branch j of ball masses (shift, masses), as `padic_l.branch_series`
+    takes them: each ball a twisted by omega^-j(a), from the Teichmuller
+    lift of a mod p, and added at its wild coordinate.  The oracle of
+    `padic_l.branch_series`."""
+    shift, xs = balls
+    order = len(xs) // p
+    n = next(k for k in range(1, 64) if p**k == order)
+    m, jj = p ** (M - shift), j % (p - 1)
+    omega = [0] + [pow(teichmuller_lift(b, p, M - shift), -jj, m) for b in range(1, p)]
+    masses = [0] * order
+    for a, (c, x) in enumerate(zip(wild_coordinates(p, n), xs)):
+        if a % p:
+            masses[c] += omega[a % p] * x
+    return BranchSeries(p, M, masses, shift, jj, form)
+
+
+def measure_by_sign(sym, ap, p, n, M):
+    """(alpha, {sgn: balls}): the measure of `padic_l.symbol_measure` with
+    both signs' balls held at once, alpha the last one it yields."""
+    balls = {}
+    for alpha, sgn, b in symbol_measure(sym, ap, p, n, M):
+        balls[sgn] = b
+    return alpha, balls

@@ -62,10 +62,11 @@ def series_all(ex_all):
         # a_p of the example's symbol: the twist by d multiplies it by (d/p)
         disc = EXAMPLES[n]["twist_disc"]
         ap = ex["f"].a(ex["p"]) * (1 if disc is None else kronecker(disc, ex["p"]))
-        balls = symbol_measure(ex["sym"], ap, ex["p"], 1, 8)[1]
-        out[n] = {j: branch_series(balls[(-1) ** (j % 2)], ex["p"], j, 8,
-                                   ex["sym"].label)
-                  for j in range(1, span + 1)}
+        series = {}
+        for _, sgn, balls in symbol_measure(ex["sym"], ap, ex["p"], 1, 8):
+            series.update(branch_series(balls, ex["p"], range(2 if sgn > 0 else 1, span + 1, 2),
+                                        8, ex["sym"].label))
+        out[n] = {j: series[j] for j in range(1, span + 1)}
     return out
 
 

@@ -151,17 +151,18 @@ def test_padic_l_agrees_with_the_bundled_run(number, argv, capsys):
 @pytest.mark.parametrize("p", [7, 11, 13])
 def test_padic_l_single_branches_match_full_run(p, capsys, monkeypatch):
     # a record needs only its branch and the partner j % (p - 1) + 1, so
-    # a single run builds those two series, from one symbol measure, and
-    # prints its line of the full run; nothing is kept between runs, so a
-    # repeat builds them again
+    # a single run builds those two series, from one symbol measure, one
+    # projection per sign onto that sign's branches, and prints its line
+    # of the full run; nothing is kept between runs, so a repeat builds
+    # them again
     import iwrank.padic_l as padic_l
 
     built, measured = [], []
     branch_series, symbol_measure = padic_l.branch_series, padic_l.symbol_measure
 
-    def counted(balls, p, j, *args):
-        built.append(j)
-        return branch_series(balls, p, j, *args)
+    def counted(balls, p, js, *args):
+        built.append(list(js))
+        return branch_series(balls, p, js, *args)
 
     def measure(*args):
         measured.append(args)
@@ -174,14 +175,15 @@ def test_padic_l_single_branches_match_full_run(p, capsys, monkeypatch):
     for _ in range(2):
         assert main(argv) == 0
         full = _lines(capsys)
-        assert len(full) == p - 1 and sorted(built) == list(range(1, p))
+        assert len(full) == p - 1 and built == [list(range(2, p, 2)), list(range(1, p, 2))]
         assert len(measured) == 1
         built.clear()
         measured.clear()
         for j in range(1, p):
             assert main(argv + ["--branches", f"{j}..{j}"]) == 0
             assert _lines(capsys) == [full[j - 1]], j
-            assert sorted(built) == sorted({j, padic_l.partner_branch(j, p)}), j
+            partner = padic_l.partner_branch(j, p)
+            assert built == [[k] for k in sorted({j, partner}, key=lambda k: k % 2)], j
             assert len(measured) == 1, j
             built.clear()
             measured.clear()

@@ -27,6 +27,7 @@ from iwrank.newforms import bundled
 from iwrank.padics import (
     PadicPrecisionError,
     padic_valuation,
+    smallest_primitive_root,
     teichmuller_lift,
 )
 from iwrank.padic_l import (
@@ -42,19 +43,20 @@ from iwrank.padic_l import (
     choose_alpha,
     format_report,
     product_congruence_verdict,
-    _wild_coordinates,
-    symbol_measure,
 )
 from iwrank.qseries import bernoulli_number
 from reference import (
     b1_balls,
+    ball_projection,
     family_state,
     gamma_to_t,
     group_ring_mul,
+    measure_by_sign,
     padic_log,
     reduce_gamma,
     t_series,
     t_to_gamma,
+    wild_coordinates,
 )
 
 F = Fraction
@@ -89,8 +91,8 @@ def _scaled(c, x):
 def _branch(sym, p, ap, j, n=1, M=8):
     """Branch j of `sym` at wild level n mod p^M, for a_p = ap: the balls
     of sign (-1)^j of its symbol measure, projected onto branch j."""
-    balls = symbol_measure(sym, ap, p, n, M)[1]
-    return branch_series(balls[(-1) ** (j % 2)], p, j, M, sym.label)
+    balls = measure_by_sign(sym, ap, p, n, M)[1]
+    return branch_series(balls[(-1) ** (j % 2)], p, [j], M, sym.label)[j]
 
 
 def _branch_at_root(sym, p, root, j, n, M=8):
@@ -100,7 +102,7 @@ def _branch_at_root(sym, p, root, j, n, M=8):
     hi, lo = _ball_values(sym, p, n)[(-1) ** (j % 2)]
     masses = [0 if a % p == 0 else F(x, root ** (n + 1)) - F(lo[a % p**n], root ** (n + 2))
               for a, x in enumerate(hi)]
-    return branch_series(padic_ints(masses, p, M), p, j, M, sym.label)
+    return branch_series(padic_ints(masses, p, M), p, [j], M, sym.label)[j]
 
 
 def test_unit_roots(a19, a52):
@@ -579,7 +581,9 @@ def test_distribution_relation(case, pair11, pair19, pair52, twisted11):
 def test_padic_l_reads_rows_in_integers():
     # branch values and series are integer sums over symbol rows: the
     # module builds no cyclotomic number or character, reads no single
-    # symbol point, and lifts to Teichmuller only in its one cached table
+    # symbol point, and lifts to Teichmuller only in the tame twist, which
+    # also gives the tame part of its one cached table, the balls by tame
+    # and wild coordinate
     tree = ast.parse(Path(padic_l_module.__file__).read_text())
     imported = [getattr(node, "module", None) or alias.name
                 for node in ast.walk(tree)
@@ -596,26 +600,53 @@ def test_padic_l_reads_rows_in_integers():
                for node in ast.walk(fn) if isinstance(node, ast.Call)
                and isinstance(node.func, ast.Name)
                and node.func.id == "teichmuller_lift"}
-    assert lifting == {"_teichmuller_table"}
-    assert padic_l_module._teichmuller_table.cache_info().maxsize
+    assert lifting == {"_twist"}
+    cached = [name for name, fn in vars(padic_l_module).items() if hasattr(fn, "cache_info")]
+    assert cached == ["_ball_rows"] and padic_l_module._ball_rows.cache_info().maxsize
 
 
 @pytest.mark.parametrize("p,n", [(5, 1), (5, 2), (11, 1), (7, 2)])
 def test_wild_coordinates_are_logarithms(p, n):
-    # c(a) = log<a> / log u mod p^n, with <a> = a / omega(a)
-    u, mod = 1 + p, p ** (n + 1)
-    coord = _wild_coordinates(p, n)
+    # the columns of `_ball_rows` are logarithms: entry a at row i and
+    # column c has a = g^i mod p and c = log<a> / log u mod p^n, with
+    # <a> = a / omega(a); every unit mod p^(n+1) is one entry
+    u, mod, g = 1 + p, p ** (n + 1), smallest_primitive_root(p)
+    rows = padic_l_module._ball_rows(p, n)
+    assert len(rows) == p - 1 and {len(row) for row in rows} == {p**n}
+    assert sorted(a for row in rows for a in row) == [a for a in range(mod) if a % p]
     lu = padic_log(u, p, n + 1)
     assert lu.M == n + 1 and lu.ints[0] % p**2 // p  # log u = p * unit
-    for a in range(mod):
-        if a % p == 0:
-            assert coord[a] == -1
-            continue
-        one_unit = a * pow(teichmuller_lift(a % p, p, n + 1), -1, mod) % mod
-        la = padic_log(one_unit, p, n + 1)
-        assert la.M == n + 1
-        want = la.ints[0] // p * pow(lu.ints[0] // p, -1, p**n) % p**n
-        assert coord[a] == want, a
+    for i, row in enumerate(rows):
+        for c, a in enumerate(row):
+            assert a % p == pow(g, i, p), (i, c)
+            one_unit = a * pow(teichmuller_lift(a % p, p, n + 1), -1, mod) % mod
+            la = padic_log(one_unit, p, n + 1)
+            assert la.M == n + 1
+            assert la.ints[0] // p * pow(lu.ints[0] // p, -1, p**n) % p**n == c, (i, c)
+
+
+@pytest.mark.parametrize("case", ["11a@5", "11a@47", "11a@101", "b1"])
+def test_branch_series_project_every_branch_as_the_ball_oracle(case):
+    # one call projects every branch of a measure: on both signs' balls,
+    # each branch j in 1..p-1 has the shift, masses and invariants of the
+    # projection one ball at a time, through Teichmuller lifts and a
+    # dictionary log (`reference.ball_projection`)
+    if case == "b1":
+        measures = [(p, b1_balls(p, n, M), M) for p, n, M in
+                    ((5, 1, 4), (5, 3, 6), (37, 1, 4), (47, 1, 4))]
+    else:
+        p = int(case.split("@")[1])
+        pair, ap = symbol_pair(bundled("11.2.a.a")), bundled("11.2.a.a").a(p)
+        measures = [(p, balls, M) for n, M in ({5: ((1, 8), (2, 8), (3, 14), (4, 8))}
+                                               .get(p, ((1, 8),)))
+                    for balls in measure_by_sign(pair, ap, p, n, M)[1].values()]
+    for p, balls, M in measures:
+        got = branch_series(balls, p, range(1, p), M, "form")
+        assert list(got) == list(range(1, p))
+        for j, bs in got.items():
+            want = ball_projection(balls, p, j, M, "form")
+            assert (bs.j, bs.shift, bs.masses, bs.invariants, bs.form) == \
+                (want.j, want.shift, want.masses, want.invariants, want.form), (case, p, j)
 
 
 def _series_mod(series, k):
@@ -676,11 +707,11 @@ def test_series_stable_across_precision(case, pair11, pair19, pair52,
         seen = {}
         values = _ball_values(sym, p, n)
         for M in (8, 14, 16, 30):
-            alpha, balls = symbol_measure(sym, ap, p, n, M)
+            alpha, balls = measure_by_sign(sym, ap, p, n, M)
             # alpha carries the digits the balls need, and no fewer than 14
             assert alpha.M == max(DEFAULT_DIGITS, M - min(shift for shift, _ in balls.values()))
             _assert_balls_match_the_formula(balls, values, p, n, M, alpha, level % p == 0)
-            bss = {j: branch_series(balls[(-1) ** (j % 2)], p, j, M, sym.label)
+            bss = {j: branch_series(balls[(-1) ** (j % 2)], p, [j], M, sym.label)[j]
                    for j in range(1, p)}
             family = branch_family(sym, ap, p, n, M).raw
             assert [(bs.shift, bs.masses) for bs in family.values()] == \
@@ -709,30 +740,37 @@ SIGMA0_52 = ((11, (1, 2, 11)),)
 
 
 def test_branch_family_builds_the_requested_branches(monkeypatch):
-    # each call builds alpha, each sign's balls once, and the series of
-    # the branches it is asked for and of their partners, each from the
-    # balls of its sign; values and verdicts are those of the branches
-    # asked for, in the order asked
-    built, measured = [], []
+    # each call builds alpha and each sign's balls once, by one measure,
+    # and projects each sign's balls once, onto the branches of that sign
+    # it is asked for and their partners, before the next sign's balls
+    # are built; values and verdicts are those of the branches asked for,
+    # in the order asked
+    events, measures = [], []
     branch_series, symbol_measure = padic_l_module.branch_series, padic_l_module.symbol_measure
 
-    def counted(balls, p, j, *args):
-        built.append((j, id(balls)))
-        return branch_series(balls, p, j, *args)
+    def counted(balls, p, js, *args):
+        events.append(("project", id(balls), list(js)))
+        return branch_series(balls, p, js, *args)
 
     def measure(*args):
-        alpha, balls = symbol_measure(*args)
-        measured.append({sgn: id(b) for sgn, b in balls.items()})
-        return alpha, balls
+        measures.append(args)
+        for alpha, sgn, balls in symbol_measure(*args):
+            events.append(("built", id(balls), sgn))
+            yield alpha, sgn, balls
 
     def built_once():
-        """The branches built since the last look, in order, once each
-        sign's balls are seen built once, by one measure, for them all."""
-        (signs,) = measured
-        assert [source for _, source in built] == [signs[(-1) ** j] for j, _ in built]
-        js = [j for j, _ in built]
-        built.clear()
-        measured.clear()
+        """The branches built since the last look, in order, once one
+        measure is seen to build each sign's balls and each is seen
+        projected once, onto branches of its sign, before the next."""
+        assert len(measures) == 1
+        assert [kind for kind, _, _ in events] == ["built", "project"] * 2
+        (_, plus, sgn1), (_, seen1, even), (_, minus, sgn2), (_, seen2, odd) = events
+        assert (sgn1, sgn2) == (1, -1) and (seen1, seen2) == (plus, minus)
+        assert even == sorted(even) and all(j % 2 == 0 for j in even)
+        assert odd == sorted(odd) and all(j % 2 for j in odd)
+        js = sorted(even + odd)
+        events.clear()
+        measures.clear()
         return js
 
     monkeypatch.setattr(padic_l_module, "branch_series", counted)
@@ -823,9 +861,10 @@ def test_kubota_leopoldt_branches_read_the_irregular_primes():
     for p in range(5, 60):
         if not is_prime(p):
             continue
-        balls = b1_balls(p, 1, 4)
-        for k in range(2, p - 2, 2):
-            mu, lam = branch_series(balls, p, 1 - k, 4).invariants
+        ks = range(2, p - 2, 2)
+        bss = branch_series(b1_balls(p, 1, 4), p, [1 - k for k in ks], 4)
+        for k in ks:
+            mu, lam = bss[1 - k].invariants
             assert mu == 0, (p, k)
             b_k = bernoulli_number(k) / k
             if b_k.numerator % p:
@@ -893,7 +932,7 @@ EDGES = ("lambda sum p^n - 1", "lambda sum p^n", "mu > 0", "zero",
 def _euler_oracle(poly, ell, j, p, M, D):
     """The Euler factor as a T-series, summed densely in Fractions."""
     n = next(k for k in range(1, 8) if p**k == D)
-    c = _wild_coordinates(p, n)[ell % p ** (n + 1)]
+    c = wild_coordinates(p, n)[ell % p ** (n + 1)]
     masses = [F(0)] * D
     for k, a in enumerate(poly):
         masses[k * c % D] += F(a) / ell ** (k * (j + 1))
